@@ -5,7 +5,9 @@ workhorse is a backtracking kernel over bitmasks (one bit per vertex, one bit
 per color) with a fail-fast coverage prune: a branch dies as soon as some
 active uncovered vertex has no remaining usable edge.  Exponential in the
 worst case, fine at desk scale, and guarded by an explicit node budget that
-raises instead of silently truncating.
+raises instead of silently truncating.  The same kernel, with one extra
+"leave this vertex uncovered" branch, tallies the rainbow near-perfect
+matchings that the deletion process's weight table is built from.
 
 For bipartite instances whose color count equals n there is a second,
 independent counting route via inclusion-exclusion over color subsets and
@@ -38,6 +40,7 @@ __all__ = [
     "is_perfect_matching",
     "find_rainbow_pm",
     "count_rainbow_pm",
+    "near_perfect_tally",
     "expected_rainbow_count",
     "disjoint_completion_count",
     "second_moment_exact",
@@ -211,6 +214,96 @@ class _Search:
                 return True
             self.stack.pop()
         return False
+
+
+class _Tally(_Search):
+    """The near-perfect variant of the kernel (partite mode only).
+
+    Enumerates the rainbow matchings that leave exactly one active vertex per
+    part uncovered and tallies them by (uncovered vertex mask, used-color
+    mask).  Branching is the kernel's, plus one "leave this part-1 vertex
+    uncovered" branch that may be taken once per matching.
+    """
+
+    def __init__(self, H: ColoredHypergraph, budget: int):
+        super().__init__(H, budget, find_one=False)
+        part = (1 << H.n) - 1
+        self.part_masks = [part << (p * H.n) for p in range(H.k)]
+        self.tally: dict[tuple[int, int], int] = {}
+
+    def run(self) -> None:
+        if self.feasible and self.all_active:
+            self._recurse(0, 0, 0, 0, self.edge_items)
+
+    def _recurse(self, level: int, used: int, colors: int, skip: int, pool) -> None:
+        """used holds the covered vertices plus the skipped part-1 vertex
+        (skip, 0 until the skip branch is taken)."""
+        self.nodes += 1
+        if self.nodes > self.budget:
+            raise BudgetExceededError(
+                f"node budget {self.budget} exceeded", self.nodes
+            )
+        branch = self.branch_bits
+        while level < len(branch) and branch[level] & used:
+            level += 1
+        if level == len(branch):
+            # Without a skip this is a perfect matching, which is not tallied.
+            if skip:
+                key = ((self.all_active & ~used) | skip, colors)
+                self.tally[key] = self.tally.get(key, 0) + 1
+            return
+
+        vbit = branch[level]
+        live = []
+        cands = []
+        cover = 0
+        for item in pool:
+            vmask, cbit, _ = item
+            if vmask & used or cbit & colors:
+                continue
+            live.append(item)
+            cover |= vmask
+            if vmask & vbit:
+                cands.append(item)
+        # Fail fast: a completion leaves one vertex per part uncovered, so a
+        # part may hold at most one uncovered vertex without a usable edge
+        # (none in part 1 once its vertex has been skipped).
+        bare = (self.all_active & ~used) & ~cover
+        if bare:
+            if skip and bare & self.part_masks[0]:
+                return
+            for mask in self.part_masks:
+                b = bare & mask
+                if b & (b - 1):
+                    return
+        if not skip:
+            self._recurse(level + 1, used | vbit, colors, vbit, live)
+        for vmask, cbit, _ in cands:
+            self._recurse(level + 1, used | vmask, colors | cbit, skip, live)
+
+
+def near_perfect_tally(
+    H: ColoredHypergraph, budget: int = DEFAULT_NODE_BUDGET
+) -> dict[tuple[tuple[int, ...], int], int]:
+    """Rainbow near-perfect matchings of a partite instance, by one search.
+
+    With s active vertices in every part, a near-perfect matching has s - 1
+    edges and leaves exactly one active vertex per part uncovered.  Returns
+    {(leftover tuple, used-color mask): number of such matchings}, where the
+    leftover tuple names the uncovered vertex of each part and bit c - 1 of
+    the mask stands for color c.  Empty when the active parts differ in size
+    or no vertex is active.  The search counts every node against budget and
+    raises BudgetExceededError past it.
+    """
+    if H.mode != PARTITE:
+        raise ValueError("the near-perfect tally is defined for partite instances")
+    search = _Tally(H, budget)
+    search.run()
+    n, part = H.n, (1 << H.n) - 1
+    return {
+        (tuple((left >> (p * n) & part).bit_length() for p in range(H.k)), colors): count
+        for (left, colors), count in search.tally.items()
+    }
 
 
 def find_rainbow_pm(

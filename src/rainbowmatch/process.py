@@ -16,6 +16,15 @@ removed.  For an edge e, the weight against its own color counts exactly the
 rainbow perfect matchings through e, which is what links weights to counts:
 summing that weight over all remaining edges counts each matching n times.
 
+The whole weight table comes from one search per step: a rainbow perfect
+matching of the instance minus v's vertices is a rainbow near-perfect matching
+of the instance that leaves exactly v uncovered, and it avoids c iff it does
+not use c.  So `near_perfect_tally` enumerates the near-perfect matchings
+once, tallied by (leftover tuple, used colors), and every entry w(v, c) is a
+sum over that tally.  The step's count phi is then the sum of the edge
+weights divided by n, so a step runs one exact search in all.
+`rainbow_weight` keeps the one-entry definition (restrict, then count).
+
 Flags per step (wire names B, R, C in the trace CSV):
 
 * weight ratio: max edge weight over average edge weight stays below L,
@@ -37,7 +46,12 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
-from .count import BudgetExceededError, DEFAULT_NODE_BUDGET, count_rainbow_pm
+from .count import (
+    BudgetExceededError,
+    DEFAULT_NODE_BUDGET,
+    count_rainbow_pm,
+    near_perfect_tally,
+)
 from .model import (
     PARTITE,
     ColoredEdge,
@@ -132,12 +146,30 @@ def rainbow_weight(
     return count_rainbow_pm(sub, budget=budget).value
 
 
+def _weight_table(
+    H: ColoredHypergraph, budget: int
+) -> dict[tuple[tuple[int, ...], int], int]:
+    """(verts, color) -> rainbow_weight(H, verts, color) over all active tuples
+    and all colors, read off one near-perfect tally: a rainbow matching that
+    leaves exactly verts uncovered counts toward every color it does not use."""
+    parts = [H.part_active(p) for p in range(1, H.k + 1)]
+    colors = range(1, H.kappa + 1)
+    table = {(verts, c): 0 for verts in product(*parts) for c in colors}
+    for (verts, used), count in near_perfect_tally(H, budget=budget).items():
+        for c in colors:
+            if not used >> (c - 1) & 1:
+                table[(verts, c)] += count
+    return table
+
+
 def edge_weights(
     H: ColoredHypergraph, budget: int = DEFAULT_NODE_BUDGET
 ) -> dict[ColoredEdge, int]:
     """w(e) = rainbow_weight(H, e.verts, e.color) for every edge: the number
-    of rainbow perfect matchings through e."""
-    return {e: rainbow_weight(H, e.verts, e.color, budget=budget) for e in H.edges}
+    of rainbow perfect matchings through e.  One tally search for all edges."""
+    _check_partite(H)
+    table = _weight_table(H, budget)
+    return {e: table[(e.verts, e.color)] for e in H.edges}
 
 
 @dataclass(frozen=True)
@@ -145,7 +177,7 @@ class WeightProfile:
     """The full weight table of an instance plus its localized maxima.
 
     table   (verts, color) -> weight, over all active tuples and all colors
-    psi_v   ((part-ommitted partial tuple as ((part, idx), ...)), color) ->
+    psi_v   ((partial tuple omitting one part, as ((part, idx), ...)), color) ->
             max weight over completions of the missing part
     psi_c   verts -> max weight over colors
     psi0    global maximum of the table
@@ -162,14 +194,13 @@ def weight_profile(
 ) -> WeightProfile:
     """Compute the whole weight table (active tuples x colors).
 
-    Cost is one exact count per table entry; meant for small traced instances.
+    Cost is one search over the rainbow near-perfect matchings
+    (`near_perfect_tally`), however many entries the table has; that search
+    counts against budget.  Still exponential, so meant for small instances.
     """
     _check_partite(H)
     parts = [H.part_active(p) for p in range(1, H.k + 1)]
-    table: dict[tuple[tuple[int, ...], int], int] = {}
-    for verts in product(*parts):
-        for c in range(1, H.kappa + 1):
-            table[(verts, c)] = rainbow_weight(H, verts, c, budget=budget)
+    table = _weight_table(H, budget)
 
     psi_v: dict[tuple[tuple[tuple[int, int], ...], int], int] = {}
     for missing in range(1, H.k + 1):
@@ -357,9 +388,12 @@ def run_deletion_process(
     """Delete ordering[0..t_max-1] one at a time from a complete colored
     instance and record a DeletionStep after every deletion (plus step 0).
 
-    If some per-step computation exceeds the node budget the trace returned
-    so far is marked truncated instead of raising; a partial trace with an
-    explicit marker beats losing the prefix.
+    Each step runs one exact search (the weight table's tally), which counts
+    against budget.  If it exceeds the budget the trace returned so far is
+    marked truncated instead of raising; a partial trace with an explicit
+    marker beats losing the prefix.  Deleting an edge only shrinks that
+    search, so in practice the budget either holds for every step or already
+    truncates step 0.
     """
     _check_partite(H0)
     N = H0.n**H0.k
@@ -383,9 +417,11 @@ def run_deletion_process(
             H = restrict(H, removed_edges=(removed,))
         try:
             profile = weight_profile(H, budget=budget)
-            phi = count_rainbow_pm(H, budget=budget).value
             p_i = Fraction(N - i, N)
             ws = [profile.table[(e.verts, e.color)] for e in H.edges]
+            # w(e) counts the rainbow perfect matchings through e, and each
+            # of them has n edges.
+            phi = sum(ws) // H0.n
             w_max = max(ws, default=0)
             w_avg = Fraction(sum(ws), len(ws)) if ws else None
             w_med = majority_median(ws) if ws else None

@@ -189,3 +189,23 @@ def test_raw_stream_written(tmp_path, capsys):
         "--seed", "0", "--raw-out", str(raw), "--out", str(tmp_path / "x.csv"))
     lines = [json.loads(ln) for ln in raw.read_text().splitlines()]
     assert len(lines) == 6  # one per (cell, trial)
+
+
+def test_budget_must_be_positive(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    run(capsys, "gen", "--n", "3", "--seed", "1", "--out", str(path))
+    csv = tmp_path / "m.csv"
+    csv.write_text("1,0\n0,2\n")
+    commands = (
+        ("count", str(path)),
+        ("solve", str(path)),
+        ("solve", "--latin", str(csv)),
+        ("trace", "--n", "2", "--trials", "1"),
+    )
+    for argv in commands:
+        for budget in ("0", "-5"):
+            code, out, err = run(capsys, *argv, "--budget", budget)
+            assert (code, out) == (2, ""), (argv, budget)
+            assert "budget" in err and "positive" in err, (argv, budget)
+    code, out, _ = run(capsys, "count", str(path), "--budget", "1")
+    assert code == 3 and json.loads(out)["outcome"] == "budget"

@@ -1,9 +1,16 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from rainbowmatch.count import count_rainbow_pm
+from rainbowmatch.count import (
+    DEFAULT_NODE_BUDGET,
+    BudgetExceededError,
+    _Tally,
+    count_rainbow_pm,
+    near_perfect_tally,
+)
 from rainbowmatch.model import (
     ColoredEdge,
     ColoredHypergraph,
@@ -12,6 +19,7 @@ from rainbowmatch.model import (
     complete_colored,
     degree_profile,
     random_edge_ordering,
+    restrict,
     sample_partite_p,
 )
 from rainbowmatch.process import (
@@ -85,6 +93,96 @@ def test_weight_profile_psi0_brute():
             for c in range(1, 4)
         )
         assert prof.psi0 == brute == max(prof.table.values())
+
+
+def oracle_table(H):
+    """The weight table by definition: one restrict-and-count per entry."""
+    parts = [H.part_active(p) for p in range(1, H.k + 1)]
+    return {
+        (verts, c): rainbow_weight(H, verts, c)
+        for verts in product(*parts)
+        for c in range(1, H.kappa + 1)
+    }
+
+
+@pytest.mark.parametrize("n,k,kappa", [(3, 2, 3), (4, 2, 4), (3, 2, 4), (3, 3, 3)])
+def test_weight_table_matches_oracle_along_traces(n, k, kappa):
+    for j in range(2):
+        H = complete_colored(n, k, kappa, rng(j, seed=49 + n + k + kappa))
+        order = random_edge_ordering(H, rng(j, seed=50))
+        for i in range(len(order) + 1):
+            Hi = restrict(H, removed_edges=order[:i])
+            table = oracle_table(Hi)
+            assert weight_profile(Hi).table == table, (j, i)
+            assert edge_weights(Hi) == {e: table[(e.verts, e.color)] for e in Hi.edges}
+
+
+def test_weight_table_matches_oracle_on_restricted_instances():
+    H = complete_colored(3, 2, 3, rng(0, seed=51))
+    cases = {
+        # unequal active parts: no near-perfect matching, every weight is 0
+        "unequal": restrict(H, removed_vertices=[(1, 1)]),
+        "balanced-absent": restrict(H, removed_vertices=[(1, 1), (2, 3)]),
+        "removed-color": restrict(H, removed_colors=(2,)),
+        "n=1": complete_colored(1, 2, 1, rng(1)),
+        "n=1 k=3 edgeless": ColoredHypergraph(PARTITE, 1, 3, 2, ()),
+        "edgeless": ColoredHypergraph(PARTITE, 3, 2, 3, ()),
+    }
+    for name, Hc in cases.items():
+        assert weight_profile(Hc).table == oracle_table(Hc), name
+    assert not any(weight_profile(cases["unequal"]).table.values())
+    assert not any(weight_profile(cases["edgeless"]).table.values())
+    # n=1: every restriction is the empty instance, edge or no edge
+    assert set(weight_profile(cases["n=1 k=3 edgeless"]).table.values()) == {1}
+
+
+def test_near_perfect_tally_keys_and_mode():
+    H = complete_colored(3, 2, 3, rng(2, seed=51))
+    tally = near_perfect_tally(H)
+    for (verts, used), count in tally.items():
+        assert len(verts) == 2 and bin(used).count("1") == 2 and count > 0
+    # a near-perfect matching on 2 of the 3 colors avoids exactly one color,
+    # so it counts toward exactly one table entry
+    assert sum(tally.values()) == sum(oracle_table(H).values())
+    graph = ColoredHypergraph("graph", 4, 2, 3, ())
+    with pytest.raises(ValueError):
+        near_perfect_tally(graph)
+
+
+def tally_nodes(H):
+    search = _Tally(H, DEFAULT_NODE_BUDGET)
+    search.run()
+    return search.nodes
+
+
+def test_weight_profile_budget_raises():
+    H = complete_colored(4, 2, 4, rng(3, seed=51))
+    nodes = tally_nodes(H)
+    for budget in (1, 10, nodes - 1):
+        with pytest.raises(BudgetExceededError) as info:
+            weight_profile(H, budget=budget)
+        assert info.value.nodes > budget
+        with pytest.raises(BudgetExceededError):
+            edge_weights(H, budget=budget)
+    assert weight_profile(H, budget=nodes).table == weight_profile(H).table
+
+
+def test_trace_budget_truncation():
+    H = complete_colored(3, 2, 3, rng(4, seed=51))
+    order = random_edge_ordering(H, rng(5, seed=51))
+    full = run_deletion_process(H, order)
+    assert not full.truncated
+    nodes = [tally_nodes(restrict(H, removed_edges=order[:i])) for i in range(len(order) + 1)]
+    # Deleting an edge only shrinks the search tree, so step 0 holds the
+    # largest search: a budget it fits in never truncates, and a smaller one
+    # truncates before any step is recorded.
+    assert nodes == sorted(nodes, reverse=True)
+    assert run_deletion_process(H, order, budget=nodes[0]) == full
+    cut = run_deletion_process(H, order, budget=nodes[0] - 1)
+    assert cut.truncated and cut.steps == ()
+    # t_max keeps the prefix of the untruncated trace
+    short = run_deletion_process(H, order, t_max=4, budget=nodes[0])
+    assert short.steps == full.steps[:5] and not short.truncated
 
 
 def test_weight_profile_maxima_consistency():
@@ -258,24 +356,27 @@ def test_trace_unique_pm_dies_at_step_one():
 
 
 def test_trace_recomputation_oracle_and_telescoping():
-    for j in range(8):
-        H = complete_colored(2, 2, 2, rng(j, seed=45))
-        ordering = random_edge_ordering(H, rng(j, seed=46))
-        trace = run_deletion_process(H, ordering)
-        assert trace.steps[-1].phi == 0
-        running = Fraction(trace.steps[0].phi)
-        for i, step in enumerate(trace.steps):
-            if i == 0:
-                continue
-            # recount from scratch on the reconstructed instance
-            remaining = tuple(e for e in H.edges if e not in ordering[:i])
-            Hi = ColoredHypergraph(PARTITE, 2, 2, 2, remaining)
-            assert step.phi == count_rainbow_pm(Hi).value
-            assert step.p == Fraction(4 - i, 4)
-            assert step.gamma == Fraction(2, 4 - i + 1)
-            running *= 1 - step.xi
-            assert running == step.phi  # exact telescoping
-            assert 0 <= step.xi <= 1
+    for n, trials in ((2, 8), (3, 4), (4, 2)):
+        N = n * n
+        for j in range(trials):
+            H = complete_colored(n, 2, n, rng(j, seed=45 + 10 * (n - 2)))
+            ordering = random_edge_ordering(H, rng(j, seed=46 + 10 * (n - 2)))
+            trace = run_deletion_process(H, ordering)
+            assert trace.steps[0].phi == count_rainbow_pm(H).value
+            assert trace.steps[-1].phi == 0
+            running = Fraction(trace.steps[0].phi)
+            for i, step in enumerate(trace.steps):
+                if i == 0:
+                    continue
+                # recount from scratch on the reconstructed instance
+                remaining = tuple(e for e in H.edges if e not in ordering[:i])
+                Hi = ColoredHypergraph(PARTITE, n, 2, n, remaining)
+                assert step.phi == count_rainbow_pm(Hi).value, (n, j, i)
+                assert step.p == Fraction(N - i, N)
+                assert step.gamma == Fraction(n, N - i + 1)
+                running *= 1 - step.xi
+                assert running == step.phi  # exact telescoping
+                assert 0 <= step.xi <= 1
 
 
 def test_trace_rejects_bad_inputs():
