@@ -3,7 +3,9 @@
 Subcommands: gen, count, solve, trace, threshold, mean-count, hamilton, plot.
 Run `rainbowmatch <subcommand> --help` for the per-command flags.  Exit codes:
 0 on success (for `solve`: a witness was found), 1 when `solve` proves
-absence, 2 for configuration or input errors, 3 when a search budget ran out.
+absence, 2 for configuration or input errors (including an instance too large
+to build or too deep for the recursive searches), 3 when a search budget ran
+out.
 """
 
 from __future__ import annotations
@@ -382,6 +384,11 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (ValueError, LemmaPreconditionError, OSError, json.JSONDecodeError) as exc:
         print(f"rainbowmatch: error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # The searches recurse once per matching edge or cycle vertex.
+        print("rainbowmatch: error: instance too deep for the recursive search",
+              file=sys.stderr)
         return 2
 
 

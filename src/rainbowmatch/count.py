@@ -2,12 +2,17 @@
 
 Everything here is exact integer combinatorics; nothing is sampled.  The
 workhorse is a backtracking kernel over bitmasks (one bit per vertex, one bit
-per color) with a fail-fast coverage prune: a branch dies as soon as some
-active uncovered vertex has no remaining usable edge.  Exponential in the
-worst case, fine at desk scale, and guarded by an explicit node budget that
-raises instead of silently truncating.  The same kernel, with one extra
-"leave this vertex uncovered" branch, tallies the rainbow near-perfect
-matchings that the deletion process's weight table is built from.
+per color) with two fail-fast prunes: a branch dies as soon as some active
+uncovered vertex has no remaining usable edge (vertex coverage), or the usable
+edges carry fewer distinct colors than the matching still needs edges (color
+supply: each missing edge takes its own unused color).  Both cut only
+subtrees without a completion, so counts and the first witness do not depend
+on them; only the node count does.  Exponential in the worst case, fine at
+desk scale, and guarded by an explicit node budget that raises instead of
+silently truncating.  The same kernel, with one extra "leave this vertex
+uncovered" branch and only the vertex-coverage prune, tallies the rainbow
+near-perfect matchings that the deletion process's weight table is built
+from.
 
 For bipartite instances whose color count equals n there is a second,
 independent counting route via inclusion-exclusion over color subsets and
@@ -157,6 +162,8 @@ class _Search:
 
     def __init__(self, H: ColoredHypergraph, budget: int, find_one: bool):
         self.all_active, self.branch_bits, self.edge_items, self.feasible = _kernel_setup(H)
+        # vertices one matching edge covers (graph mode fixes k = 2)
+        self.per_edge = H.k
         self.budget = budget
         self.find_one = find_one
         self.nodes = 0
@@ -196,17 +203,22 @@ class _Search:
         live = []
         cands = []
         cover = 0
+        ccover = 0
         for item in pool:
             vmask, cbit, _ = item
             if vmask & used or cbit & colors:
                 continue
             live.append(item)
             cover |= vmask
+            ccover |= cbit
             if vmask & vbit:
                 cands.append(item)
         # Fail fast: every active uncovered vertex must still lie on some
-        # usable edge, or no completion exists down this branch.
-        if (self.all_active & ~used) & ~cover:
+        # usable edge, and every edge still needed takes its own unused color,
+        # which some usable edge must carry; otherwise no completion exists
+        # down this branch.
+        uncovered = self.all_active & ~used
+        if uncovered & ~cover or ccover.bit_count() * self.per_edge < uncovered.bit_count():
             return False
         for vmask, cbit, edge in cands:
             self.stack.append(edge)
@@ -352,6 +364,9 @@ def _count_ie(H: ColoredHypergraph, budget: int) -> tuple[int, int]:
     subset D let A_D be the bipartite adjacency keeping only edges colored
     inside D; then summing (-1)^(n-|D|) perm(A_D) counts exactly the perfect
     matchings whose color set is all of [1..n].
+
+    The budget is checked up front against the ~4^n * n estimate; the node
+    count returned is the number of permanent-DP transitions actually made.
     """
     if H.mode != PARTITE or H.k != 2:
         raise ValueError("inclusion-exclusion route requires a bipartite instance")
@@ -375,6 +390,7 @@ def _count_ie(H: ColoredHypergraph, budget: int) -> tuple[int, int]:
 
     full = (1 << n) - 1
     total = 0
+    transitions = 0
     for D in range(1 << n):
         rows = []
         for i in range(n):
@@ -397,6 +413,7 @@ def _count_ie(H: ColoredHypergraph, budget: int) -> tuple[int, int]:
             if i == n:
                 continue
             avail = rows[i] & ~mask
+            transitions += avail.bit_count()
             while avail:
                 low = avail & -avail
                 f[mask | low] += fm
@@ -404,7 +421,7 @@ def _count_ie(H: ColoredHypergraph, budget: int) -> tuple[int, int]:
         perm = f[full]
         sign = -1 if (n - bin(D).count("1")) % 2 else 1
         total += sign * perm
-    return total, work
+    return total, transitions
 
 
 # -- moment formulas -----------------------------------------------------------

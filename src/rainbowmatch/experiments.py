@@ -44,6 +44,7 @@ from .hamilton import (
     DEFAULT_HC_BUDGET,
     STAGE_HC_BUDGET,
     STAGE_HC_NOT_FOUND,
+    STAGE_MATCHING_BUDGET,
     STAGE_SUCCESS,
     assemble_even,
     contract_color_delete,
@@ -523,8 +524,10 @@ def _hamilton_trial(task):
         }
     else:
         # odd n: fresh sample per attempt; contract a random edge, solve the
-        # even-order remainder, lift back
-        best = STAGE_HC_NOT_FOUND
+        # even-order remainder, lift back.  best starts at the lowest stage an
+        # attempt can reach, so a trial reports its furthest attempt (a
+        # budget-out is never folded into hc-not-found).
+        best = STAGE_HC_BUDGET
         hc_found = False
         attempts = 0
         for attempt in range(retries):
@@ -558,7 +561,13 @@ def _hamilton_trial(task):
             "hc_found": hc_found,
             "attempts": attempts,
         }
-    outcome = "found" if telemetry["stage_reached"] == STAGE_SUCCESS else "absent"
+    stage = telemetry["stage_reached"]
+    if stage == STAGE_SUCCESS:
+        outcome = "found"
+    elif stage in (STAGE_MATCHING_BUDGET, STAGE_HC_BUDGET):
+        outcome = "budget"
+    else:
+        outcome = "absent"
     return key, outcome, telemetry, time.perf_counter() - t0
 
 

@@ -13,7 +13,10 @@ edges came from different original endpoints.
 Search is exhaustive backtracking with color-bitmask, degree-2, color-supply,
 and connectivity pruning; "None" therefore means "no rainbow Hamilton cycle",
 while budget exhaustion raises.  Parallel edges are distinct traversable
-objects throughout.
+objects throughout.  Each node rescans the edges its parent left live, on
+bitmasks (one bit per vertex, one per color): it ORs up one live-neighbor
+mask per vertex and the live color set, counts bits for the two-neighbor and
+color-supply checks, and runs a mask-frontier BFS for reachability.
 """
 
 from __future__ import annotations
@@ -148,98 +151,99 @@ def find_rainbow_hc(G, budget: int = DEFAULT_HC_BUDGET) -> HamiltonCycle | None:
     n, host_edges = _host_view(G)
     if n < 3:
         raise ValueError("Hamilton cycles need n >= 3")
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
+    # Vertex v is bit v - 1, color c is bit c - 1.
+    bit_edges = []
+    adj: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n + 1)]
     for idx, e in enumerate(host_edges):
         u, v = e.verts
-        adj[u].append((v, e.color, idx))
-        adj[v].append((u, e.color, idx))
+        ubit, vbit, cbit = 1 << (u - 1), 1 << (v - 1), 1 << (e.color - 1)
+        bit_edges.append((ubit | vbit, ubit, vbit, u, v, cbit))
+        adj[u].append((v, vbit, cbit, idx))
+        adj[v].append((u, ubit, cbit, idx))
 
     start = 1
-    visited = 1 << (start - 1)
+    start_bit = 1 << (start - 1)
+    all_bits = (1 << n) - 1
     path = [start]
     path_edges: list[ColoredEdge] = []
     nodes = 0
 
-    def live_scan(head: int, visited: int, colors: int):
-        """Pruning data: per-vertex live-neighbor sets and the live color set.
+    def live_edges(head_bit: int, visited: int, colors: int, depth: int, pool):
+        """The live edges of pool, or None when the branch is provably dead.
 
         An edge is live when its color is unused and neither endpoint is an
         interior visited vertex (head and start stay usable: the remaining
-        cycle segment leaves head and eventually re-enters start).
+        cycle segment leaves head and eventually re-enters start).  The used
+        colors and the interior only grow down the tree, so an edge dead at a
+        node stays dead below it and a child scans only its parent's live
+        edges.  nbr[v] is the mask of v's live neighbors.
         """
-        head_bit = 1 << (head - 1)
-        start_bit = 1 << (start - 1)
         interior = visited & ~head_bit & ~start_bit
-        nbrs: dict[int, set[int]] = {}
+        nbr = [0] * (n + 1)
+        live = []
         live_colors = 0
-        for idx_e, e in enumerate(host_edges):
-            u, v = e.verts
-            if colors >> (e.color - 1) & 1:
+        for item in pool:
+            uvbit, ubit, vbit, u, v, cbit = item
+            if cbit & colors or uvbit & interior:
                 continue
-            if interior & (1 << (u - 1)) or interior & (1 << (v - 1)):
-                continue
-            nbrs.setdefault(u, set()).add(v)
-            nbrs.setdefault(v, set()).add(u)
-            live_colors |= 1 << (e.color - 1)
-        return nbrs, live_colors
-
-    def prune(head: int, visited: int, colors: int, depth: int) -> bool:
-        """True when the branch is provably dead."""
-        nbrs, live_colors = live_scan(head, visited, colors)
-        remaining_edges = n - depth + 1
-        if bin(live_colors).count("1") < remaining_edges:
-            return True
+            live.append(item)
+            nbr[u] |= vbit
+            nbr[v] |= ubit
+            live_colors |= cbit
+        if live_colors.bit_count() < n - depth + 1:
+            return None
         # Every unvisited vertex still needs two distinct cycle neighbors;
         # start still needs its closing edge.
-        for v in range(1, n + 1):
-            if visited >> (v - 1) & 1:
-                continue
-            if len(nbrs.get(v, ())) < 2:
-                return True
-        if not nbrs.get(start):
-            return True
+        unvisited = all_bits & ~visited
+        rest = unvisited
+        while rest:
+            low = rest & -rest
+            if nbr[low.bit_length()].bit_count() < 2:
+                return None
+            rest ^= low
+        if not nbr[start]:
+            return None
         # The remaining segment is a path head -> (all unvisited) -> start,
         # so everything must be reachable from head through live edges.
-        seen = {head}
-        frontier = [head]
+        seen = frontier = head_bit
         while frontier:
-            x = frontier.pop()
-            for y in nbrs.get(x, ()):
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        for v in range(1, n + 1):
-            if not (visited >> (v - 1) & 1) and v not in seen:
-                return True
-        if start not in seen:
-            return True
-        return False
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= nbr[low.bit_length()]
+                frontier ^= low
+            frontier = reach & ~seen
+            seen |= frontier
+        if (unvisited | start_bit) & ~seen:
+            return None
+        return live
 
-    def rec(head: int, visited: int, colors: int, depth: int):
+    def rec(head: int, visited: int, colors: int, depth: int, pool):
         nonlocal nodes
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError(f"node budget {budget} exceeded", nodes)
         if depth == n:
-            for v, c, idx in adj[head]:
-                if v == start and not (colors >> (c - 1) & 1):
+            for v, _, cbit, idx in adj[head]:
+                if v == start and not cbit & colors:
                     path_edges.append(host_edges[idx])
                     return True
             return False
-        if prune(head, visited, colors, depth):
+        live = live_edges(1 << (head - 1), visited, colors, depth, pool)
+        if live is None:
             return False
-        for v, c, idx in adj[head]:
-            if visited >> (v - 1) & 1 or colors >> (c - 1) & 1:
+        for v, vbit, cbit, idx in adj[head]:
+            if vbit & visited or cbit & colors:
                 continue
             path.append(v)
             path_edges.append(host_edges[idx])
-            if rec(v, visited | 1 << (v - 1), colors | 1 << (c - 1), depth + 1):
+            if rec(v, visited | vbit, colors | cbit, depth + 1, live):
                 return True
             path.pop()
             path_edges.pop()
         return False
 
-    if rec(start, visited, 0, 1):
+    if rec(start, start_bit, 0, 1, bit_edges):
         return _canonical_cycle(path, path_edges)
     return None
 

@@ -23,7 +23,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from typing import Iterable, NamedTuple
 
 __all__ = [
@@ -308,14 +308,27 @@ def sample_partite_p(
 def sample_colored_graph(
     n: int, m: int, kappa: int, rnd: random.Random
 ) -> ColoredHypergraph:
-    """A uniform m-edge simple graph on [1..n] with i.i.d. uniform colors."""
+    """A uniform m-edge simple graph on [1..n] with i.i.d. uniform colors.
+
+    The m pairs are drawn as indices into the lexicographic list of all
+    n(n-1)/2 pairs, which is never built: the sorted indices are decoded by
+    walking the rows (u, u+1..n) in order.
+    """
     if n < 1 or kappa < 1:
         raise ValueError("need n >= 1, kappa >= 1")
-    pairs = list(combinations(range(1, n + 1), 2))
-    if not 0 <= m <= len(pairs):
-        raise ValueError(f"m must lie in 0..{len(pairs)}")
-    picked = sorted(rnd.sample(range(len(pairs)), m))
-    edges = [ColoredEdge(pairs[t], rnd.randint(1, kappa)) for t in picked]
+    total = n * (n - 1) // 2
+    if not 0 <= m <= total:
+        raise ValueError(f"m must lie in 0..{total}")
+    if m > DEFAULT_EDGE_CAPACITY:
+        raise CapacityError(f"m = {m} edges exceeds capacity {DEFAULT_EDGE_CAPACITY}")
+    edges = []
+    u, row_start, row_len = 1, 0, n - 1
+    for t in sorted(rnd.sample(range(total), m)):
+        while t >= row_start + row_len:
+            row_start += row_len
+            row_len -= 1
+            u += 1
+        edges.append(ColoredEdge((u, u + 1 + t - row_start), rnd.randint(1, kappa)))
     return ColoredHypergraph(GRAPH, n, 2, kappa, tuple(edges))
 
 

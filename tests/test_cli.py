@@ -209,3 +209,16 @@ def test_budget_must_be_positive(tmp_path, capsys):
             assert "budget" in err and "positive" in err, (argv, budget)
     code, out, _ = run(capsys, "count", str(path), "--budget", "1")
     assert code == 3 and json.loads(out)["outcome"] == "budget"
+
+
+def test_too_deep_instance_is_an_input_error(tmp_path, capsys):
+    # 1100 disjoint edges: the witness search recurses once per edge, past
+    # Python's default recursion limit; that must not read as exit 1 (absence)
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({
+        "mode": "graph", "n": 2200, "k": 2, "colors": 1100,
+        "edges": [{"verts": [2 * i - 1, 2 * i], "color": i} for i in range(1, 1101)],
+    }))
+    code, out, err = run(capsys, "solve", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("rainbowmatch: error:") and "too deep" in err

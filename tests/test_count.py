@@ -26,6 +26,7 @@ from rainbowmatch.model import (
     RandomnessSpec,
     complete_colored,
     restrict,
+    sample_colored_graph,
     sample_partite_m,
 )
 
@@ -171,6 +172,129 @@ def test_count_report_fields():
     assert report.method == "brute"
     assert report.nodes > 0 and report.elapsed >= 0.0
     assert count_rainbow_pm(H, method="ie").method == "color-inclusion-exclusion"
+
+
+def test_count_ie_reports_dp_transitions():
+    # one color on every edge: only the 2^(n-1) color subsets holding it give
+    # a nonzero adjacency, the full one, whose permanent DP makes n * 2^(n-1)
+    # transitions; the other subsets make none
+    for n in range(1, 6):
+        edges = tuple(ColoredEdge((i, j), 1) for i in range(1, n + 1) for j in range(1, n + 1))
+        report = count_rainbow_pm(ColoredHypergraph(PARTITE, n, 2, n, edges), method="ie")
+        assert report.value == (n == 1)
+        assert report.nodes == n * 4 ** (n - 1)
+    # the budget pre-check still uses the 4^n * n estimate
+    H = complete_colored(3, 2, 3, rng(9))
+    with pytest.raises(BudgetExceededError):
+        count_rainbow_pm(H, method="ie", budget=4**3 * 3 - 1)
+    assert count_rainbow_pm(H, method="ie", budget=4**3 * 3).nodes < 4**3 * 3
+
+
+# -- color-supply prune
+
+
+def plain_count(H):
+    """Rainbow perfect matchings of H by trying every edge subset of the
+    matching size (no search, no pruning)."""
+    active = H.active_vertices()
+    per_edge = H.k if H.mode == PARTITE else 2
+    if len(active) % per_edge:
+        return 0
+    size = len(active) // per_edge
+    total = 0
+    for sub in itertools.combinations(H.edges, size):
+        if len({e.color for e in sub}) < size:
+            continue
+        if H.mode == PARTITE:
+            verts = [PartiteVertex(p, i) for e in sub for p, i in enumerate(e.verts, start=1)]
+        else:
+            verts = [v for e in sub for v in e.verts]
+        total += len(set(verts)) == len(active)
+    return total
+
+
+def test_prune_keeps_counts_on_square_instances():
+    # kappa == n: the inclusion-exclusion route (k=2) and the uniform
+    # reduction (k=2 and 3) are independent of the kernel
+    for j in range(24):
+        n = 3 + j % 3
+        H = sample_partite_m(n, 2, n, 2 * n + j % (n * n - 2 * n + 1), rng(j, seed=36))
+        brute = count_rainbow_pm(H).value
+        assert brute == count_rainbow_pm(H, method="ie").value, (n, j)
+        assert brute == count_uniform_pm(reduce_to_uniform(H)), (n, j)
+    for j in range(12):
+        n = 3 + j % 2
+        H = sample_partite_m(n, 3, n, 3 * n + j, rng(j, seed=37))
+        assert count_rainbow_pm(H).value == count_uniform_pm(reduce_to_uniform(H)), (n, j)
+
+
+def test_prune_keeps_counts_off_square():
+    cases = []
+    for j in range(8):
+        n = 4 + j % 2
+        cases.append(sample_partite_m(n, 2, n - 1, 3 * n, rng(j, seed=38)))  # kappa < n
+        cases.append(sample_partite_m(n, 2, n + 2, 3 * n, rng(j, seed=39)))  # kappa > n
+        cases.append(sample_partite_m(3, 3, 3 + j % 3, 14, rng(j, seed=40)))
+        H = sample_partite_m(5, 2, 5, 16, rng(j, seed=41))
+        cases.append(restrict(H, removed_colors=[1 + j % 5]))
+        cases.append(restrict(H, removed_vertices=[PartiteVertex(1, 1 + j % 5),
+                                                   PartiteVertex(2, 5 - j % 5)]))
+        cases.append(restrict(H, removed_vertices=[PartiteVertex(1, 2)], removed_colors=[3]))
+        cases.append(sample_colored_graph(8, 14, 4 + j % 3, rng(j, seed=42)))
+        G = sample_colored_graph(8, 14, 5, rng(j, seed=43))
+        cases.append(restrict(G, removed_vertices=[1 + j % 8, 8 - j % 4], removed_colors=[2]))
+    positive = 0
+    for H in cases:
+        want = plain_count(H)
+        assert count_rainbow_pm(H).value == want, H
+        assert (find_rainbow_pm(H) is None) == (want == 0), H
+        positive += want > 0
+    assert 0 < positive < len(cases)
+
+
+def test_color_starved_instance_dies_at_the_root():
+    # n - 1 colors cannot pay for n edges, whatever the vertices allow
+    for n, k in ((6, 2), (4, 3)):
+        H = complete_colored(n, k, n - 1, rng(n, seed=44))
+        report = count_rainbow_pm(H)
+        assert (report.value, report.nodes) == (0, 1)
+        assert find_rainbow_pm(H) is None
+
+
+def pm_witness_instances():
+    out = []
+    for s in range(6):
+        n = 6 + s % 3
+        out.append(sample_partite_m(n, 2, n + s % 2, 5 * n + 2 * s, rng(s, seed=9)))
+    for s in range(4):
+        out.append(sample_partite_m(4, 3, 4 + s % 2, 24 + 4 * s, rng(s, seed=10)))
+    for s in range(4):
+        H = sample_partite_m(7, 2, 8, 36, rng(s, seed=11))
+        out.append(restrict(H, removed_vertices=[PartiteVertex(1, 1 + s), PartiteVertex(2, 7 - s)],
+                            removed_colors=[1 + s]))
+    for s in range(6):
+        n = 10 + 2 * (s % 2)
+        out.append(sample_colored_graph(n, 3 * n, n // 2 + s % 3, rng(s, seed=12)))
+    return out
+
+
+# Witnesses of find_rainbow_pm on pm_witness_instances(), as indices into the
+# instance's canonical edge list, recorded before the color-supply prune was
+# added: pruning only cuts dead subtrees, so the first witness is unchanged.
+PM_WITNESSES = [
+    [0, 8, 13, 15, 22, 28], [0, 8, 13, 19, 22, 28, 32], [0, 9, 13, 20, 25, 33, 34, 42],
+    [0, 7, 14, 22, 27, 35], [0, 8, 13, 22, 29, 36, 40], [0, 8, 16, 23, 28, 33, 39, 46],
+    [1, 8, 15, 21], None, [2, 7, 23, 28], [0, 11, 25, 33],
+    None, [0, 5, 7, 12, 18, 21], [2, 3, 10, 15, 17, 21], [0, 4, 11, 14, 17, 21],
+    [0, 14, 18, 27, 28], [0, 8, 13, 20, 28, 31], [2, 10, 13, 26, 29], [0, 8, 9, 16, 21, 32],
+    [0, 5, 15, 27, 29], [0, 15, 22, 25, 27, 29],
+]
+
+
+def test_find_witnesses_pinned():
+    for H, want in zip(pm_witness_instances(), PM_WITNESSES, strict=True):
+        M = find_rainbow_pm(H)
+        assert (None if M is None else [H.edges.index(e) for e in M.edges]) == want
 
 
 # -- closed forms

@@ -1,13 +1,21 @@
 import itertools
+import json
 from collections import Counter
 
 import pytest
 
 from rainbowmatch.count import BudgetExceededError
+from rainbowmatch.experiments import (
+    ExperimentConfig,
+    hamilton_experiment,
+    hamilton_table,
+    hamilton_trials_json,
+)
 from rainbowmatch.hamilton import (
     ColoredMultigraph,
     HamiltonCycle,
     STAGE_CLASS_TOO_SMALL,
+    STAGE_HC_BUDGET,
     assemble_even,
     contract_color_delete,
     find_rainbow_hc,
@@ -161,6 +169,84 @@ def test_searcher_matches_permutation_brute():
         assert (hc is not None) == brute_rainbow_hc_exists(G), (j, G.edges)
         if hc is not None:
             assert is_rainbow_hamilton_cycle(G, hc)
+
+
+def hc_pinned_instances():
+    """Contracted odd-pipeline graphs (n=15, m=60, one edge contracted and its
+    color deleted) and random multigraphs on 7..11 vertices."""
+    out = []
+    for s in range(12):
+        rnd = rng(s, seed=7)
+        G = sample_colored_graph(15, 60, 15, rnd)
+        Gp, _ = contract_color_delete(G, rnd.choice(G.edges))
+        out.append(Gp)
+    for s in range(12):
+        rnd = rng(s, seed=8)
+        n = 7 + s % 5
+        pairs = [(tuple(sorted(rnd.sample(range(1, n + 1), 2))), rnd.randint(1, n + s % 2))
+                 for _ in range((3 + s % 3) * n)]
+        out.append(multigraph(n, n + s % 2, pairs))
+    return out
+
+
+# (cycle vertices, cycle colors, nodes) of find_rainbow_hc on
+# hc_pinned_instances(), recorded before the live scans moved to bitmasks:
+# the search tree is pinned, so the cycle found and the node count (the
+# smallest budget that does not raise) must not move.
+HC_PINNED = [
+    ((1, 5, 2, 3, 10, 12, 9, 11, 8, 7, 4, 14, 13, 6),
+     (10, 13, 15, 5, 14, 11, 9, 4, 1, 12, 3, 2, 7, 8), 91),
+    (None, None, 2612),
+    (None, None, 1),
+    (None, None, 1),
+    ((1, 6, 9, 7, 5, 3, 11, 10, 12, 13, 2, 4, 14, 8),
+     (6, 3, 4, 12, 15, 8, 7, 11, 14, 13, 10, 9, 2, 1), 350),
+    ((1, 2, 7, 13, 10, 9, 12, 3, 11, 14, 8, 6, 4, 5),
+     (10, 9, 6, 15, 14, 4, 3, 13, 7, 5, 11, 12, 8, 2), 424),
+    ((1, 3, 13, 7, 14, 6, 5, 10, 2, 12, 11, 4, 9, 8),
+     (14, 15, 3, 10, 2, 9, 13, 8, 7, 12, 6, 11, 5, 1), 2389),
+    ((1, 2, 5, 14, 11, 3, 6, 13, 8, 10, 12, 7, 9, 4),
+     (6, 15, 14, 12, 2, 13, 8, 3, 1, 11, 4, 7, 5, 9), 152),
+    (None, None, 2526),
+    ((1, 2, 6, 9, 13, 10, 11, 7, 4, 3, 14, 8, 5, 12),
+     (14, 15, 5, 10, 4, 2, 8, 7, 11, 12, 1, 3, 13, 6), 430),
+    ((1, 3, 10, 13, 4, 8, 5, 14, 11, 6, 7, 12, 2, 9),
+     (12, 6, 4, 8, 9, 15, 7, 2, 11, 10, 14, 3, 5, 13), 1095),
+    (None, None, 5459),
+    (None, None, 31),
+    ((1, 2, 5, 3, 7, 6, 4, 8),
+     (8, 4, 5, 6, 9, 1, 3, 2), 21),
+    ((1, 2, 3, 4, 7, 5, 6, 9, 8),
+     (5, 1, 9, 2, 6, 3, 4, 7, 8), 155),
+    (None, None, 158),
+    ((1, 6, 2, 3, 9, 5, 4, 8, 7, 10, 11),
+     (5, 1, 9, 6, 2, 4, 3, 8, 7, 10, 11), 1014),
+    ((1, 2, 3, 5, 6, 4, 7),
+     (2, 8, 1, 7, 5, 6, 3), 7),
+    (None, None, 46),
+    ((1, 6, 3, 8, 4, 5, 9, 2, 7),
+     (8, 4, 1, 10, 9, 3, 2, 5, 7), 61),
+    ((1, 3, 4, 2, 9, 5, 10, 6, 7, 8),
+     (8, 3, 1, 6, 2, 9, 10, 7, 4, 5), 69),
+    ((1, 3, 10, 8, 9, 2, 5, 11, 7, 4, 6),
+     (12, 9, 1, 7, 11, 8, 4, 6, 5, 3, 2), 190),
+    ((1, 2, 6, 5, 4, 7, 3),
+     (4, 1, 5, 7, 6, 3, 2), 11),
+    ((1, 2, 3, 8, 6, 7, 4, 5),
+     (1, 9, 8, 3, 6, 2, 4, 7), 68),
+]
+
+
+def test_search_tree_pinned():
+    for G, (vertices, colors, nodes) in zip(hc_pinned_instances(), HC_PINNED, strict=True):
+        hc = find_rainbow_hc(G, budget=nodes)
+        assert ((None, None) if hc is None else (hc.vertices, hc.colors())) == (vertices, colors)
+        if hc is not None:
+            assert is_rainbow_hamilton_cycle(G, hc)
+        if nodes > 1:
+            with pytest.raises(BudgetExceededError) as info:
+                find_rainbow_hc(G, budget=nodes - 1)
+            assert info.value.nodes == nodes
 
 
 # -- synthetic eight-matching unions
@@ -340,3 +426,21 @@ def test_lift_handles_parallel_same_color_ambiguity():
         lifted = lift_cycle(hc_prime, cmap, e)
         if lifted is not None:
             assert is_rainbow_hamilton_cycle(G, lifted)
+
+
+# -- odd-n experiment accounting
+
+
+def test_odd_budget_exhaustion_is_not_reported_absent():
+    # on the complete graph the contracted search cannot stop at its root, so
+    # a budget of one node runs out on every attempt
+    config = ExperimentConfig(kind="hamilton", ns=(9,), ms=(36,), trials=4, retries=2,
+                              hc_budget=1, master_seed=3)
+    result = hamilton_experiment(config)
+    assert {r.value["stage_reached"] for r in result.rows} == {STAGE_HC_BUDGET}
+    assert {r.outcome for r in result.rows} == {"budget"}
+    header, (row,) = hamilton_table(result)
+    counts = dict(zip(header, row))
+    assert (counts["hc_budget"], counts["hc_not_found"], counts["success"]) == (4, 0, 0)
+    (cell,) = json.loads(hamilton_trials_json(result))["cells"]
+    assert [t["stage_reached"] for t in cell["trials"]] == [STAGE_HC_BUDGET] * 4

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from collections import Counter
@@ -5,6 +6,7 @@ from collections import Counter
 import pytest
 
 from rainbowmatch.model import (
+    DEFAULT_EDGE_CAPACITY,
     CapacityError,
     ColoredEdge,
     ColoredHypergraph,
@@ -130,6 +132,28 @@ def test_sample_graph_bounds():
     assert sample_colored_graph(4, 0, 2, rng(10)).edges == ()
     with pytest.raises(ValueError):
         sample_colored_graph(4, 7, 2, rng(11))
+
+
+def test_sample_graph_matches_list_decoding():
+    # the row walk decodes the same pairs, in the same order, as indexing into
+    # the full lexicographic pair list, so every seeded graph is unchanged
+    for n in (1, 2, 3, 5, 8, 15, 40):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for m in sorted({0, min(1, len(pairs)), len(pairs) // 3, len(pairs) // 2, len(pairs)}):
+            for seed in range(4):
+                rnd = rng(seed, seed=n)
+                picked = sorted(rnd.sample(range(len(pairs)), m))
+                want = tuple(ColoredEdge(pairs[t], rnd.randint(1, n)) for t in picked)
+                assert sample_colored_graph(n, m, n, rng(seed, seed=n)).edges == want
+
+
+def test_sample_graph_sparse_on_huge_vertex_set():
+    H = sample_colored_graph(10**6, 10, 5, rng(12))
+    assert len(H.edges) == 10
+    assert all(1 <= u < v <= 10**6 for u, v in (e.verts for e in H.edges))
+    # n = 3000 has ~4.5M pairs, so only the capacity guard stops this draw
+    with pytest.raises(CapacityError):
+        sample_colored_graph(3000, DEFAULT_EDGE_CAPACITY + 1, 3, rng(13))
 
 
 def test_determinism_same_spec_same_instance():
