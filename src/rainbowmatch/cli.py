@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import experiments
@@ -251,46 +252,22 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _open_raw(path: str | None):
-    if path is None:
-        return None
-    return open(path, "a", encoding="utf-8")
+# Per experiment command: the names of its driver, CSV emitter and JSON
+# emitter, looked up on `experiments` at call time so that wrappers put there
+# are seen.  An emitter returns text or a (header, rows) table for table_json.
+_EXPERIMENTS = {
+    "trace": ("trace_experiment", "trace_steps_csv", "trace_steps_table"),
+    "threshold": ("threshold_scan", "threshold_csv", "threshold_table"),
+    "mean-count": ("mean_count_experiment", "mean_count_csv", "mean_count_table"),
+    "hamilton": ("hamilton_experiment", "hamilton_csv", "hamilton_trials_json"),
+}
 
 
-def _cmd_trace(args) -> int:
+def _cmd_experiment(args) -> int:
+    kind = args.command
     config = experiments.ExperimentConfig(
-        kind="trace",
-        ns=(args.n,),
-        k=args.k,
-        kappa=args.colors,
-        trials=args.trials,
-        master_seed=args.seed,
-        jobs=args.jobs,
-        node_budget=args.budget,
-        t_max=args.steps,
-        event_abundance=args.event_k,
-    )
-    raw = _open_raw(args.raw_out)
-    try:
-        result = experiments.trace_experiment(config, raw_sink=raw)
-    finally:
-        if raw is not None:
-            raw.close()
-    if args.format == "csv":
-        _write_text(experiments.trace_steps_csv(result), args.out)
-    else:
-        _write_text(
-            experiments.table_json("trace", *experiments.trace_steps_table(result)), args.out
-        )
-    if args.summary_out is not None:
-        _write_text(experiments.trace_summary_csv(result), args.summary_out)
-    return 0
-
-
-def _grid_experiment(args, kind: str):
-    return experiments.ExperimentConfig(
         kind=kind,
-        ns=args.n,
+        ns=args.n if kind != "trace" else (args.n,),
         k=getattr(args, "k", 2),
         kappa=args.colors,
         ms=getattr(args, "m", ()),
@@ -299,56 +276,20 @@ def _grid_experiment(args, kind: str):
         jobs=args.jobs,
         node_budget=args.budget,
         hc_budget=getattr(args, "hc_budget", DEFAULT_HC_BUDGET),
+        t_max=getattr(args, "steps", None),
         retries=getattr(args, "retries", 0),
+        event_abundance=getattr(args, "event_k", 100.0),
     )
-
-
-def _cmd_threshold(args) -> int:
-    config = _grid_experiment(args, "threshold")
-    raw = _open_raw(args.raw_out)
-    try:
-        result = experiments.threshold_scan(config, raw_sink=raw)
-    finally:
-        if raw is not None:
-            raw.close()
-    if args.format == "csv":
-        _write_text(experiments.threshold_csv(result), args.out)
-    else:
-        _write_text(
-            experiments.table_json("threshold", *experiments.threshold_table(result)), args.out
-        )
-    return 0
-
-
-def _cmd_mean_count(args) -> int:
-    config = _grid_experiment(args, "mean-count")
-    raw = _open_raw(args.raw_out)
-    try:
-        result = experiments.mean_count_experiment(config, raw_sink=raw)
-    finally:
-        if raw is not None:
-            raw.close()
-    if args.format == "csv":
-        _write_text(experiments.mean_count_csv(result), args.out)
-    else:
-        _write_text(
-            experiments.table_json("mean-count", *experiments.mean_count_table(result)), args.out
-        )
-    return 0
-
-
-def _cmd_hamilton(args) -> int:
-    config = _grid_experiment(args, "hamilton")
-    raw = _open_raw(args.raw_out)
-    try:
-        result = experiments.hamilton_experiment(config, raw_sink=raw)
-    finally:
-        if raw is not None:
-            raw.close()
-    if args.format == "csv":
-        _write_text(experiments.hamilton_csv(result), args.out)
-    else:
-        _write_text(experiments.hamilton_trials_json(result), args.out)
+    driver, csv_emitter, json_emitter = _EXPERIMENTS[kind]
+    raw_out = nullcontext() if args.raw_out is None else open(args.raw_out, "a", encoding="utf-8")
+    with raw_out as raw:
+        result = getattr(experiments, driver)(config, raw_sink=raw)
+    out = getattr(experiments, csv_emitter if args.format == "csv" else json_emitter)(result)
+    if not isinstance(out, str):
+        out = experiments.table_json(kind, *out)
+    _write_text(out, args.out)
+    if getattr(args, "summary_out", None) is not None:
+        _write_text(experiments.trace_summary_csv(result), args.summary_out)
     return 0
 
 
@@ -366,10 +307,7 @@ _COMMANDS = {
     "gen": _cmd_gen,
     "count": _cmd_count,
     "solve": _cmd_solve,
-    "trace": _cmd_trace,
-    "threshold": _cmd_threshold,
-    "mean-count": _cmd_mean_count,
-    "hamilton": _cmd_hamilton,
+    **dict.fromkeys(_EXPERIMENTS, _cmd_experiment),
     "plot": _cmd_plot,
 }
 

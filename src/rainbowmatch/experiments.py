@@ -42,9 +42,10 @@ from .count import (
 )
 from .hamilton import (
     DEFAULT_HC_BUDGET,
+    FAILURE_STAGES,
     STAGE_HC_BUDGET,
     STAGE_HC_NOT_FOUND,
-    STAGE_MATCHING_BUDGET,
+    STAGE_LIFT_FAILED,
     STAGE_SUCCESS,
     assemble_even,
     contract_color_delete,
@@ -85,13 +86,9 @@ __all__ = [
     "hamilton_csv",
     "hamilton_trials_json",
     "table_json",
-    "isotonic_fit",
     "PlotSpec",
     "emit_plot",
 ]
-
-STAGE_LIFT_FAILED = "lift-failed"
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -186,6 +183,18 @@ def _p_hat_se(successes: int, trials: int) -> tuple[float, float]:
     return p, math.sqrt(p * (1.0 - p) / trials)
 
 
+def _finished(worker: Callable, tasks: list, jobs: int):
+    """Yield worker(*task) for every task, in completion order."""
+    if jobs <= 1:
+        for task in tasks:
+            yield worker(*task)
+        return
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        futures = [pool.submit(worker, *task) for task in tasks]
+        for fut in as_completed(futures):
+            yield fut.result()
+
+
 def _run_tasks(worker: Callable, tasks: list, jobs: int, raw_sink=None) -> list:
     """Run worker over tasks, returning results sorted by the (cell, trial)
     key that every worker emits first.  With jobs > 1, completion order is
@@ -193,36 +202,41 @@ def _run_tasks(worker: Callable, tasks: list, jobs: int, raw_sink=None) -> list:
     optional raw sink receives one JSON line per completed trial, in
     completion order (a progress stream, not a deterministic artifact)."""
     results = []
-    if jobs <= 1:
-        for task in tasks:
-            res = worker(task)
-            results.append(res)
-            if raw_sink is not None:
-                raw_sink.write(json.dumps(res, default=str) + "\n")
-                raw_sink.flush()
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(worker, task) for task in tasks]
-            for fut in as_completed(futures):
-                res = fut.result()
-                results.append(res)
-                if raw_sink is not None:
-                    raw_sink.write(json.dumps(res, default=str) + "\n")
-                    raw_sink.flush()
+    for res in _finished(worker, tasks, jobs):
+        results.append(res)
+        if raw_sink is not None:
+            raw_sink.write(json.dumps(res, default=str) + "\n")
+            raw_sink.flush()
     results.sort(key=lambda r: r[0])
     return results
+
+
+def _run_grid(
+    config: ExperimentConfig, cells: list[tuple], trial: Callable, raw_sink=None
+) -> tuple[TrialRow, ...]:
+    """Run trial(key, config, cell, stream) `config.trials` times per cell.
+    Trial t of cell ci has key (ci, t) and owns stream ci * trials + t."""
+    tasks = [
+        ((ci, t), config, cell, ci * config.trials + t)
+        for ci, cell in enumerate(cells)
+        for t in range(config.trials)
+    ]
+    return tuple(
+        TrialRow(cells[ci], t, outcome, value, elapsed)
+        for (ci, t), outcome, value, elapsed in _run_tasks(trial, tasks, config.jobs, raw_sink)
+    )
 
 
 # -- threshold scan -------------------------------------------------------------
 
 
-def _threshold_trial(task):
-    key, n, k, kappa, m, seed, stream, budget = task
-    rnd = RandomnessSpec(seed, stream).rng()
-    H = sample_partite_m(n, k, kappa, m, rnd)
+def _threshold_trial(key, config: ExperimentConfig, cell: tuple, stream: int):
+    n, m = cell
+    rnd = RandomnessSpec(config.master_seed, stream).rng()
+    H = sample_partite_m(n, config.k, config.kappa_for(n), m, rnd)
     t0 = time.perf_counter()
     try:
-        M = find_rainbow_pm(H, budget=budget)
+        M = find_rainbow_pm(H, budget=config.node_budget)
         outcome = "found" if M is not None else "absent"
     except BudgetExceededError:
         outcome = "budget"
@@ -238,27 +252,7 @@ def threshold_scan(config: ExperimentConfig, raw_sink=None) -> ExperimentResult:
     for n, m in cells:
         if m > n**config.k:
             raise ValueError(f"cell (n={n}, m={m}) exceeds {n}^{config.k} edges")
-    tasks = []
-    for ci, (n, m) in enumerate(cells):
-        for t in range(config.trials):
-            stream = ci * config.trials + t
-            tasks.append(
-                (
-                    (ci, t),
-                    n,
-                    config.k,
-                    config.kappa_for(n),
-                    m,
-                    config.master_seed,
-                    stream,
-                    config.node_budget,
-                )
-            )
-    results = _run_tasks(_threshold_trial, tasks, config.jobs, raw_sink)
-    rows = tuple(
-        TrialRow(cells[key[0]], key[1], outcome, value, elapsed)
-        for key, outcome, value, elapsed in results
-    )
+    rows = _run_grid(config, cells, _threshold_trial, raw_sink)
     return ExperimentResult("threshold", config, rows)
 
 
@@ -285,13 +279,13 @@ def threshold_csv(result: ExperimentResult) -> str:
 # -- mean count calibration -------------------------------------------------------
 
 
-def _mean_count_trial(task):
-    key, n, k, kappa, seed, stream, budget = task
-    rnd = RandomnessSpec(seed, stream).rng()
-    H = complete_colored(n, k, kappa, rnd)
+def _mean_count_trial(key, config: ExperimentConfig, cell: tuple, stream: int):
+    (n,) = cell
+    rnd = RandomnessSpec(config.master_seed, stream).rng()
+    H = complete_colored(n, config.k, config.kappa_for(n), rnd)
     t0 = time.perf_counter()
     try:
-        report = count_rainbow_pm(H, budget=budget)
+        report = count_rainbow_pm(H, budget=config.node_budget)
         return key, "found", report.value, time.perf_counter() - t0
     except BudgetExceededError:
         return key, "budget", None, time.perf_counter() - t0
@@ -300,19 +294,7 @@ def _mean_count_trial(task):
 def mean_count_experiment(config: ExperimentConfig, raw_sink=None) -> ExperimentResult:
     """Exact-count `trials` random colorings of the complete instance per n,
     for comparison against the closed-form mean and second moment."""
-    cells = list(config.ns)
-    tasks = []
-    for ci, n in enumerate(cells):
-        for t in range(config.trials):
-            stream = ci * config.trials + t
-            tasks.append(
-                ((ci, t), n, config.k, config.kappa_for(n), config.master_seed, stream, config.node_budget)
-            )
-    results = _run_tasks(_mean_count_trial, tasks, config.jobs, raw_sink)
-    rows = tuple(
-        TrialRow((cells[key[0]],), key[1], outcome, value, elapsed)
-        for key, outcome, value, elapsed in results
-    )
+    rows = _run_grid(config, [(n,) for n in config.ns], _mean_count_trial, raw_sink)
     return ExperimentResult("mean-count", config, rows)
 
 
@@ -362,15 +344,19 @@ def mean_count_csv(result: ExperimentResult) -> str:
 # -- deletion trace -----------------------------------------------------------------
 
 
-def _trace_trial(task):
-    key, n, k, kappa, t_max, abundance, seed, stream, budget = task
-    rnd = RandomnessSpec(seed, stream).rng()
-    H0 = complete_colored(n, k, kappa, rnd)
+def _trace_trial(key, config: ExperimentConfig, cell: tuple, stream: int):
+    (n,) = cell
+    rnd = RandomnessSpec(config.master_seed, stream).rng()
+    H0 = complete_colored(n, config.k, config.kappa_for(n), rnd)
     ordering = random_edge_ordering(H0, rnd)
     t0 = time.perf_counter()
     try:
         trace = run_deletion_process(
-            H0, ordering, t_max=t_max, params=EventParams.from_abundance(abundance), budget=budget
+            H0,
+            ordering,
+            t_max=config.t_max,
+            params=EventParams.from_abundance(config.event_abundance),
+            budget=config.node_budget,
         )
     except BudgetExceededError:
         return key, "budget", None, time.perf_counter() - t0
@@ -396,34 +382,14 @@ def _trace_trial(task):
 
 def trace_experiment(config: ExperimentConfig, raw_sink=None) -> ExperimentResult:
     """Fresh coloring and fresh uniform deletion order per trial; each trial's
-    TrialRow.value is the full step tuple list for the CSV emitters."""
+    TrialRow.value is the full step tuple list for the CSV emitters.  One
+    cell, so trial t owns stream t."""
     if len(config.ns) != 1:
         raise ValueError("trace experiment runs one n at a time")
-    n = config.ns[0]
-    kappa = config.kappa_for(n)
-    N = n**config.k
-    t_max = config.t_max if config.t_max is not None else N
-    if not 0 <= t_max <= N:
+    N = config.ns[0] ** config.k
+    if config.t_max is not None and not 0 <= config.t_max <= N:
         raise ValueError(f"t_max must lie in 0..{N}")
-    tasks = [
-        (
-            (0, t),
-            n,
-            config.k,
-            kappa,
-            t_max,
-            config.event_abundance,
-            config.master_seed,
-            t,
-            config.node_budget,
-        )
-        for t in range(config.trials)
-    ]
-    results = _run_tasks(_trace_trial, tasks, config.jobs, raw_sink)
-    rows = tuple(
-        TrialRow((n,), key[1], outcome, value, elapsed)
-        for key, outcome, value, elapsed in results
-    )
+    rows = _run_grid(config, [config.ns], _trace_trial, raw_sink)
     return ExperimentResult("trace", config, rows)
 
 
@@ -496,25 +462,27 @@ def trace_summary_csv(result: ExperimentResult) -> str:
 # -- hamilton pipeline ----------------------------------------------------------------
 
 
-_STAGE_RANK = {
-    "edge-class-too-small": 0,
-    "matching-budget": 1,
-    "matching-not-found": 2,
-    STAGE_HC_BUDGET: 3,
-    STAGE_HC_NOT_FOUND: 4,
-    STAGE_LIFT_FAILED: 5,
-    STAGE_SUCCESS: 6,
-}
+_STAGES = (*FAILURE_STAGES, STAGE_SUCCESS)
+_BUDGET_STAGES = frozenset(s for s in FAILURE_STAGES if s.endswith("-budget"))
 
 
-def _hamilton_trial(task):
-    key, n, m, kappa, retries, seed, stream, node_budget, hc_budget = task
-    spec = RandomnessSpec(seed, stream)
+def _attempt_rank(stage: str) -> tuple[bool, int]:
+    """Order of an odd trial's attempts: a budget-out ranks below every
+    answered stage, answered stages rank by how far the pipeline got."""
+    return stage not in _BUDGET_STAGES, _STAGES.index(stage)
+
+
+def _hamilton_trial(key, config: ExperimentConfig, cell: tuple, stream: int):
+    n, m = cell
+    kappa = config.kappa_for(n)
+    spec = RandomnessSpec(config.master_seed, stream)
     t0 = time.perf_counter()
     if n % 2 == 0:
         rnd = spec.rng()
         G = sample_colored_graph(n, m, kappa, rnd)
-        plan, hc = assemble_even(G, rnd, matching_budget=node_budget, hc_budget=hc_budget)
+        plan, hc = assemble_even(
+            G, rnd, matching_budget=config.node_budget, hc_budget=config.hc_budget
+        )
         telemetry = {
             "stage_reached": plan.stage_reached,
             "sizes": list(plan.class_sizes),
@@ -530,7 +498,7 @@ def _hamilton_trial(task):
         best = STAGE_HC_BUDGET
         hc_found = False
         attempts = 0
-        for attempt in range(retries):
+        for attempt in range(config.retries):
             attempts += 1
             # slash-separated stream tags cannot collide with the plain
             # integer streams used elsewhere
@@ -539,7 +507,7 @@ def _hamilton_trial(task):
             e = rnd.choice(G.edges)
             Gp, cmap = contract_color_delete(G, e)
             try:
-                hc_prime = find_rainbow_hc(Gp, budget=hc_budget)
+                hc_prime = find_rainbow_hc(Gp, budget=config.hc_budget)
             except BudgetExceededError:
                 stage = STAGE_HC_BUDGET
                 hc_prime = None
@@ -550,8 +518,7 @@ def _hamilton_trial(task):
                 lifted = lift_cycle(hc_prime, cmap, e)
                 if lifted is not None:
                     stage = STAGE_SUCCESS
-            if _STAGE_RANK[stage] > _STAGE_RANK[best]:
-                best = stage
+            best = max(best, stage, key=_attempt_rank)
             if best == STAGE_SUCCESS:
                 break
         telemetry = {
@@ -564,7 +531,7 @@ def _hamilton_trial(task):
     stage = telemetry["stage_reached"]
     if stage == STAGE_SUCCESS:
         outcome = "found"
-    elif stage in (STAGE_MATCHING_BUDGET, STAGE_HC_BUDGET):
+    elif stage in _BUDGET_STAGES:
         outcome = "budget"
     else:
         outcome = "absent"
@@ -587,53 +554,29 @@ def hamilton_experiment(config: ExperimentConfig, raw_sink=None) -> ExperimentRe
     for n, m in cells:
         if m > n * (n - 1) // 2:
             raise ValueError(f"cell (n={n}, m={m}) exceeds the simple-graph bound")
-    tasks = []
-    for ci, (n, m) in enumerate(cells):
-        for t in range(config.trials):
-            stream = ci * config.trials + t
-            tasks.append(
-                (
-                    (ci, t),
-                    n,
-                    m,
-                    config.kappa_for(n),
-                    config.retries,
-                    config.master_seed,
-                    stream,
-                    config.node_budget,
-                    config.hc_budget,
-                )
-            )
-    results = _run_tasks(_hamilton_trial, tasks, config.jobs, raw_sink)
-    rows = tuple(
-        TrialRow(cells[key[0]], key[1], outcome, telemetry, elapsed)
-        for key, outcome, telemetry, elapsed in results
-    )
+    rows = _run_grid(config, cells, _hamilton_trial, raw_sink)
     return ExperimentResult("hamilton", config, rows)
 
 
 def hamilton_table(result: ExperimentResult) -> tuple[list[str], list[list]]:
-    header = [
-        "n", "m", "colors", "mode", "trials", "success",
-        "edge_class_too_small", "matching_not_found", "matching_budget",
-        "hc_not_found", "hc_budget", "lift_failed", "p_hat", "se",
-    ]
-    stage_cols = [
-        "edge-class-too-small", "matching-not-found", "matching-budget",
-        STAGE_HC_NOT_FOUND, STAGE_HC_BUDGET, STAGE_LIFT_FAILED,
-    ]
+    """One column per failure stage, named after it with underscores."""
+    header = (
+        ["n", "m", "colors", "mode", "trials", "success"]
+        + [stage.replace("-", "_") for stage in FAILURE_STAGES]
+        + ["p_hat", "se"]
+    )
     config = result.config
     lines = []
     for cell, rows in result.by_cell().items():
         n, m = cell
-        hist = {name: 0 for name in list(_STAGE_RANK)}
+        hist = dict.fromkeys(_STAGES, 0)
         for r in rows:
             hist[r.value["stage_reached"]] += 1
         successes = hist[STAGE_SUCCESS]
         p, se = _p_hat_se(successes, len(rows))
         lines.append(
             [n, m, config.kappa_for(n), "even" if n % 2 == 0 else "odd", len(rows), successes]
-            + [hist[name] for name in stage_cols]
+            + [hist[stage] for stage in FAILURE_STAGES]
             + [p, se]
         )
     return header, lines
@@ -676,33 +619,6 @@ def hamilton_trials_json(result: ExperimentResult) -> str:
             }
         )
     return json.dumps(out, indent=2) + "\n"
-
-
-# -- isotonic fit ------------------------------------------------------------------
-
-
-def isotonic_fit(values: Sequence[float], weights: Sequence[float] | None = None) -> list[float]:
-    """Nondecreasing least-squares fit via pool-adjacent-violators.
-
-    Used to check that empirical threshold curves are monotone up to noise:
-    the fit is the closest nondecreasing sequence in weighted L2.
-    """
-    if weights is None:
-        weights = [1.0] * len(values)
-    if len(weights) != len(values):
-        raise ValueError("weights must match values")
-    blocks: list[list[float]] = []  # [mean, weight, count]
-    for v, w in zip(values, weights):
-        blocks.append([float(v), float(w), 1])
-        while len(blocks) > 1 and blocks[-2][0] > blocks[-1][0]:
-            m2, w2, c2 = blocks.pop()
-            m1, w1, c1 = blocks.pop()
-            total = w1 + w2
-            blocks.append([(m1 * w1 + m2 * w2) / total, total, c1 + c2])
-    fit: list[float] = []
-    for mean, _, count in blocks:
-        fit.extend([mean] * count)
-    return fit
 
 
 # -- SVG plotting --------------------------------------------------------------------

@@ -36,7 +36,9 @@ __all__ = [
     "STAGE_MATCHING_BUDGET",
     "STAGE_HC_NOT_FOUND",
     "STAGE_HC_BUDGET",
+    "STAGE_LIFT_FAILED",
     "STAGE_SUCCESS",
+    "FAILURE_STAGES",
     "ColoredMultigraph",
     "HamiltonCycle",
     "ContractionMap",
@@ -55,7 +57,18 @@ STAGE_MATCHING_NOT_FOUND = "matching-not-found"
 STAGE_MATCHING_BUDGET = "matching-budget"
 STAGE_HC_NOT_FOUND = "hc-not-found"
 STAGE_HC_BUDGET = "hc-budget"
+STAGE_LIFT_FAILED = "lift-failed"  # odd n: the cycle found does not lift
 STAGE_SUCCESS = "success"
+# The ways a pipeline trial falls short, in the order of the hamilton CSV
+# columns.
+FAILURE_STAGES = (
+    STAGE_CLASS_TOO_SMALL,
+    STAGE_MATCHING_NOT_FOUND,
+    STAGE_MATCHING_BUDGET,
+    STAGE_HC_NOT_FOUND,
+    STAGE_HC_BUDGET,
+    STAGE_LIFT_FAILED,
+)
 
 
 @dataclass(frozen=True)

@@ -217,12 +217,6 @@ class ColoredHypergraph:
             return tuple(len(self.part_active(p)) for p in range(1, self.k + 1))
         return (len(self.active_vertices()),)
 
-    def edge_by_verts(self, verts: tuple[int, ...]) -> ColoredEdge | None:
-        for e in self.edges:
-            if e.verts == verts:
-                return e
-        return None
-
 
 # -- samplers ---------------------------------------------------------------
 

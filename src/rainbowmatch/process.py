@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .count import (
     BudgetExceededError,
@@ -189,6 +189,32 @@ class WeightProfile:
     psi0: int
 
 
+def _weight_groups(
+    H: ColoredHypergraph, table: Mapping[tuple[tuple[int, ...], int], int]
+) -> Iterator[tuple[str, tuple, list[int]]]:
+    """The localized groups of a weight table, as (family, key, weights).
+
+    Family "v": for each partial tuple missing one part (as ((part, idx),
+    ...)) and each color, the weights over the completions of the missing
+    part.  Family "c": for each full tuple, the weights over the colors.
+    """
+    parts = [H.part_active(p) for p in range(1, H.k + 1)]
+    colors = range(1, H.kappa + 1)
+    for missing in range(1, H.k + 1):
+        other_parts = [p for p in range(1, H.k + 1) if p != missing]
+        for partial in product(*(parts[p - 1] for p in other_parts)):
+            key_verts = tuple(zip(other_parts, partial))
+            for c in colors:
+                vals = []
+                for w in parts[missing - 1]:
+                    full = list(partial)
+                    full.insert(missing - 1, w)
+                    vals.append(table[(tuple(full), c)])
+                yield "v", (key_verts, c), vals
+    for verts in product(*parts):
+        yield "c", verts, [table[(verts, c)] for c in colors]
+
+
 def weight_profile(
     H: ColoredHypergraph, budget: int = DEFAULT_NODE_BUDGET
 ) -> WeightProfile:
@@ -199,28 +225,12 @@ def weight_profile(
     counts against budget.  Still exponential, so meant for small instances.
     """
     _check_partite(H)
-    parts = [H.part_active(p) for p in range(1, H.k + 1)]
     table = _weight_table(H, budget)
-
-    psi_v: dict[tuple[tuple[tuple[int, int], ...], int], int] = {}
-    for missing in range(1, H.k + 1):
-        other_parts = [p for p in range(1, H.k + 1) if p != missing]
-        for partial in product(*(parts[p - 1] for p in other_parts)):
-            key_verts = tuple(zip(other_parts, partial))
-            for c in range(1, H.kappa + 1):
-                best = 0
-                for w in parts[missing - 1]:
-                    full = list(partial)
-                    full.insert(missing - 1, w)
-                    best = max(best, table[(tuple(full), c)])
-                psi_v[(key_verts, c)] = best
-
-    psi_c = {}
-    for verts in product(*parts):
-        psi_c[verts] = max(table[(verts, c)] for c in range(1, H.kappa + 1))
-
+    psi = {"v": {}, "c": {}}
+    for family, key, vals in _weight_groups(H, table):
+        psi[family][key] = max(vals, default=0)
     psi0 = max(table.values()) if table else 0
-    return WeightProfile(table, psi_v, psi_c, psi0)
+    return WeightProfile(table, psi["v"], psi["c"], psi0)
 
 
 # -- median and flags -----------------------------------------------------------
@@ -246,7 +256,11 @@ def majority_median(values: Iterable) -> int:
     return vals[0]
 
 
-def _ratio_bounded(weights: Sequence[int], L: float) -> bool:
+def weight_ratio_bounded(weights: Collection[int], L: float) -> bool:
+    """Flag B: max edge weight over average edge weight is at most L.
+
+    Vacuously true with no edges or an all-zero weight landscape.
+    """
     if not weights:
         return True
     total = sum(weights)
@@ -255,23 +269,6 @@ def _ratio_bounded(weights: Sequence[int], L: float) -> bool:
         return True
     # max/avg <= L  <=>  max * |E| <= L * total, in exact arithmetic.
     return Fraction(max(weights)) * len(weights) <= Fraction(L) * total
-
-
-def weight_ratio_bounded(
-    H: ColoredHypergraph,
-    params: EventParams = DEFAULT_EVENT_PARAMS,
-    budget: int = DEFAULT_NODE_BUDGET,
-    weights: Mapping[ColoredEdge, int] | None = None,
-) -> bool:
-    """Flag B: max edge weight over average edge weight is at most params.L.
-
-    Vacuously true with no edges or an all-zero weight landscape.  Pass
-    `weights` to reuse a precomputed edge_weights map.
-    """
-    _check_partite(H)
-    if weights is None:
-        weights = edge_weights(H, budget=budget)
-    return _ratio_bounded(list(weights.values()), params.L)
 
 
 def degrees_regular(
@@ -295,7 +292,6 @@ def degrees_regular(
 def weight_median_capped(
     H: ColoredHypergraph,
     phi: int | None = None,
-    params: EventParams = DEFAULT_EVENT_PARAMS,
     budget: int = DEFAULT_NODE_BUDGET,
     profile: WeightProfile | None = None,
 ) -> bool:
@@ -305,34 +301,15 @@ def weight_median_capped(
     Two clause families: for each partial tuple missing one part and each
     color, the max over completions versus the median over completions; and
     for each full tuple, the max over colors versus the median over colors.
-    The params argument is accepted for signature uniformity with the other
-    flags; the cap does not depend on it.
     """
     _check_partite(H)
-    del params
     if profile is None:
         profile = weight_profile(H, budget=budget)
     if phi is None:
         phi = count_rainbow_pm(H, budget=budget).value
     cap_fraction = Fraction(phi, (2**H.k) * (H.n**H.k))
-
-    parts = [H.part_active(p) for p in range(1, H.k + 1)]
-    for missing in range(1, H.k + 1):
-        other_parts = [p for p in range(1, H.k + 1) if p != missing]
-        for partial in product(*(parts[p - 1] for p in other_parts)):
-            for c in range(1, H.kappa + 1):
-                vals = []
-                for w in parts[missing - 1]:
-                    full = list(partial)
-                    full.insert(missing - 1, w)
-                    vals.append(profile.table[(tuple(full), c)])
-                if not vals:
-                    continue
-                if max(vals) > max(cap_fraction, 2 * majority_median(vals)):
-                    return False
-    for verts in product(*parts):
-        vals = [profile.table[(verts, c)] for c in range(1, H.kappa + 1)]
-        if max(vals) > max(cap_fraction, 2 * majority_median(vals)):
+    for _, _, vals in _weight_groups(H, profile.table):
+        if vals and max(vals) > max(cap_fraction, 2 * majority_median(vals)):
             return False
     return True
 
@@ -425,7 +402,7 @@ def run_deletion_process(
             w_max = max(ws, default=0)
             w_avg = Fraction(sum(ws), len(ws)) if ws else None
             w_med = majority_median(ws) if ws else None
-            balanced = _ratio_bounded(ws, params.L)
+            balanced = weight_ratio_bounded(ws, params.L)
             regular = degrees_regular(H, p_i, params)
             capped = weight_median_capped(H, phi=phi, profile=profile, budget=budget)
         except BudgetExceededError:

@@ -26,7 +26,6 @@ from rainbowmatch.experiments import (
     ExperimentConfig,
     hamilton_csv,
     hamilton_experiment,
-    isotonic_fit,
     mean_count_csv,
     mean_count_experiment,
     threshold_csv,
@@ -457,6 +456,22 @@ def test_criterion_08_hamilton_assembly_invariants():
 
 
 # -- 9: threshold behavior ---------------------------------------------------------
+
+
+def isotonic_fit(values):
+    """Nondecreasing least-squares fit via pool-adjacent-violators: the
+    closest nondecreasing sequence in L2."""
+    blocks = []  # [mean, count]
+    for v in values:
+        blocks.append([float(v), 1])
+        while len(blocks) > 1 and blocks[-2][0] > blocks[-1][0]:
+            m2, c2 = blocks.pop()
+            m1, c1 = blocks.pop()
+            blocks.append([(m1 * c1 + m2 * c2) / (c1 + c2), c1 + c2])
+    fit = []
+    for mean, count in blocks:
+        fit.extend([mean] * count)
+    return fit
 
 
 def test_criterion_09_threshold_behavior():

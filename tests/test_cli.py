@@ -1,3 +1,4 @@
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
@@ -222,3 +223,75 @@ def test_too_deep_instance_is_an_input_error(tmp_path, capsys):
     code, out, err = run(capsys, "solve", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("rainbowmatch: error:") and "too deep" in err
+
+
+# SHA-256 of every output of small experiment grids, so that a change to the
+# experiment plumbing cannot alter an output byte unnoticed (criterion 11 only
+# compares runs of one version).  Hamilton JSON drops each trial's wall time;
+# raw lines drop their elapsed field.
+PINNED_RUNS = {
+    "threshold": ["threshold", "--n", "3,4", "--m", "3,6,9", "--trials", "6",
+                  "--seed", "1", "--budget", "4"],
+    "mean-count": ["mean-count", "--n", "2,3", "--trials", "6", "--seed", "1"],
+    "trace": ["trace", "--n", "3", "--steps", "4", "--trials", "3", "--seed", "1"],
+    "hamilton-odd": ["hamilton", "--n", "7,9", "--m", "18,21", "--retries", "2",
+                     "--trials", "4", "--hc-budget", "12", "--seed", "1"],
+    "hamilton-even": ["hamilton", "--n", "40", "--m", "780", "--trials", "3",
+                      "--budget", "500", "--hc-budget", "200", "--seed", "1"],
+}
+PINNED_DIGESTS = {
+    "threshold csv": "21f25d856aa217e4f5ac1ba1e972988fee571d5d8485ea6492ce3c25801cef15",
+    "threshold csv raw": "0e3ed4a8f74808ecbb4d6c6760d27578821884a4ee744414cb3a3b1ef157653c",
+    "threshold json": "8851215507c11737891329f91124524da09cc035e4cd48c85d597529fe632e4c",
+    "threshold json raw": "0e3ed4a8f74808ecbb4d6c6760d27578821884a4ee744414cb3a3b1ef157653c",
+    "mean-count csv": "1e4a6da34f8d9255644068d773b32ba4717249b4f92dff0459ff0cb6c3a8a370",
+    "mean-count csv raw": "c64f1b411034b390de81af101d92ba9ea4a4cf58243b1fc41aac80eaa505a532",
+    "mean-count json": "dd4c09be95aa54e7819010d3b054195e1437eeaccf755030ac7b4567b8d5eef2",
+    "mean-count json raw": "c64f1b411034b390de81af101d92ba9ea4a4cf58243b1fc41aac80eaa505a532",
+    "trace csv": "c5d995f80e21956852909a653566582fea1ed5569e67944bcc81b3aebe588118",
+    "trace csv summary": "6b4bc252e4cae1a1bf11cb28276cdee1defc42cee11770775c605c3da8595c1b",
+    "trace csv raw": "6536788e2f96e182a67fdaed1e2b801c6406d2c17e2a07a6c223f7118cc25558",
+    "trace json": "122a6f04b1eab46b6871d4c04b3ee7ec4b030a8e13e6e6bb622d14ca97078581",
+    "trace json summary": "6b4bc252e4cae1a1bf11cb28276cdee1defc42cee11770775c605c3da8595c1b",
+    "trace json raw": "6536788e2f96e182a67fdaed1e2b801c6406d2c17e2a07a6c223f7118cc25558",
+    "hamilton-odd csv": "ec2f7adb28952499ea5cb426db4d5f17e15f63f4a05840292e55ece9f757d843",
+    "hamilton-odd csv raw": "e8e395ab8832eb8af85a353e710005a40f51499a6ef6f8a924fe7a9dd997c939",
+    "hamilton-odd json": "d5f92f94e55e11e59ad4343da0882d69c57e6fc28bb9f997f7cad148b91c04b6",
+    "hamilton-odd json raw": "e8e395ab8832eb8af85a353e710005a40f51499a6ef6f8a924fe7a9dd997c939",
+    "hamilton-even csv": "5061e922f0632910faef32540143f0905b940da36d8966ee088a47e7e506b178",
+    "hamilton-even csv raw": "be712ebc31f5aa90e3bbe652555bf7a43341ab3e6d4c6bd53cbb2fc25ac1d545",
+    "hamilton-even json": "9f773b7db9b3ebb4fe784f9638c1b665ad2825642a7b9233a27f8c43539c4113",
+    "hamilton-even json raw": "be712ebc31f5aa90e3bbe652555bf7a43341ab3e6d4c6bd53cbb2fc25ac1d545",
+}
+
+
+def _pinned_outputs(tmp_path, capsys) -> dict[str, str]:
+    def sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    digests = {}
+    for name, argv in PINNED_RUNS.items():
+        for fmt in ("csv", "json"):
+            raw = tmp_path / f"{name}-{fmt}.jsonl"
+            summary = tmp_path / f"{name}-{fmt}-summary.csv"
+            extra = ["--summary-out", str(summary)] if argv[0] == "trace" else []
+            code, out, err = run(capsys, *argv, "--format", fmt, "--jobs", "1",
+                                 "--raw-out", str(raw), *extra)
+            assert (code, err) == (0, ""), (name, fmt, err)
+            if argv[0] == "hamilton" and fmt == "json":
+                doc = json.loads(out)
+                for cell in doc["cells"]:
+                    for trial in cell["trials"]:
+                        del trial["elapsed"]
+                out = json.dumps(doc, sort_keys=True)
+            digests[f"{name} {fmt}"] = sha(out)
+            if extra:
+                digests[f"{name} {fmt} summary"] = sha(summary.read_text())
+            lines = [json.loads(line) for line in raw.read_text().splitlines()]
+            assert all(len(line) == 4 for line in lines)
+            digests[f"{name} {fmt} raw"] = sha(json.dumps([line[:3] for line in lines]))
+    return digests
+
+
+def test_cli_outputs_pinned(tmp_path, capsys):
+    assert _pinned_outputs(tmp_path, capsys) == PINNED_DIGESTS

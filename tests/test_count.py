@@ -30,6 +30,8 @@ from rainbowmatch.model import (
     sample_partite_m,
 )
 
+from helpers import edge_by_verts
+
 
 def rng(stream=0, seed=0):
     return RandomnessSpec(seed, stream).rng()
@@ -57,11 +59,11 @@ def test_is_rainbow_basic():
 
 def test_is_perfect_matching_respects_absent():
     H = complete_colored(2, 2, 2, rng(0))
-    M = Matching((H.edge_by_verts((1, 1)), H.edge_by_verts((2, 2))))
+    M = Matching((edge_by_verts(H, (1, 1)), edge_by_verts(H, (2, 2))))
     assert is_perfect_matching(H, M)
     # after deleting the (1,.) and (.,1) vertices, the single edge (2,2) covers
     R = restrict(H, removed_vertices=[PartiteVertex(1, 1), PartiteVertex(2, 1)])
-    single = Matching((R.edge_by_verts((2, 2)),))
+    single = Matching((edge_by_verts(R, (2, 2)),))
     assert is_perfect_matching(R, single)
 
 

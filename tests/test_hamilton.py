@@ -31,6 +31,8 @@ from rainbowmatch.model import (
     sample_colored_graph,
 )
 
+from helpers import edge_by_verts
+
 
 def rng(stream=0, seed=0):
     return RandomnessSpec(seed, stream).rng()
@@ -374,7 +376,7 @@ def test_assemble_stage_accounting_over_seeds():
 
 def test_contract_shape_and_color_accounting():
     G = graph(5, 5, [((1, 2), 1), ((2, 3), 2), ((3, 4), 3), ((4, 5), 4), ((1, 5), 5)])
-    e = G.edge_by_verts((4, 5))
+    e = edge_by_verts(G, (4, 5))
     Gp, cmap = contract_color_delete(G, e)
     assert Gp.n == 4 and cmap.xi == 4
     assert cmap.merged == (4, 5)
@@ -385,7 +387,7 @@ def test_contract_shape_and_color_accounting():
 
 def test_contract_triangle_makes_parallel_edges():
     G = graph(3, 3, [((1, 2), 1), ((2, 3), 2), ((1, 3), 3)])
-    e = G.edge_by_verts((2, 3))
+    e = edge_by_verts(G, (2, 3))
     Gp, cmap = contract_color_delete(G, e)
     assert Gp.n == 2
     assert [x.verts for x in Gp.edges] == [(1, 2), (1, 2)]
@@ -394,7 +396,7 @@ def test_contract_triangle_makes_parallel_edges():
 
 def test_contract_lift_round_trip_on_c5():
     G = graph(5, 5, [((1, 2), 1), ((2, 3), 2), ((3, 4), 3), ((4, 5), 4), ((1, 5), 5)])
-    e = G.edge_by_verts((4, 5))
+    e = edge_by_verts(G, (4, 5))
     Gp, cmap = contract_color_delete(G, e)
     hc_prime = find_rainbow_hc(Gp)
     assert hc_prime is not None
@@ -409,7 +411,7 @@ def test_lift_fails_when_both_attachments_hit_one_side():
     # vertex 4 touches only the contracted edge, so both cycle edges at the
     # merged vertex trace back to endpoint 3 and the expansion cannot close
     G = graph(4, 4, [((1, 3), 1), ((2, 3), 2), ((1, 2), 3), ((3, 4), 4)])
-    e = G.edge_by_verts((3, 4))
+    e = edge_by_verts(G, (3, 4))
     Gp, cmap = contract_color_delete(G, e)
     hc_prime = find_rainbow_hc(Gp)
     assert hc_prime is not None
@@ -419,7 +421,7 @@ def test_lift_fails_when_both_attachments_hit_one_side():
 def test_lift_handles_parallel_same_color_ambiguity():
     # two (1,3) and (2,3)-style edges landing parallel after contraction
     G = graph(5, 5, [((1, 4), 1), ((1, 5), 2), ((2, 4), 3), ((2, 5), 1), ((1, 2), 4), ((4, 5), 5)])
-    e = G.edge_by_verts((4, 5))
+    e = edge_by_verts(G, (4, 5))
     Gp, cmap = contract_color_delete(G, e)
     hc_prime = find_rainbow_hc(Gp)
     if hc_prime is not None:

@@ -15,6 +15,7 @@ from rainbowmatch.model import (
     ColoredEdge,
     ColoredHypergraph,
     PARTITE,
+    PartiteVertex,
     RandomnessSpec,
     complete_colored,
     degree_profile,
@@ -41,6 +42,8 @@ from rainbowmatch.process import (
     weight_profile,
     weight_ratio_bounded,
 )
+
+from helpers import edge_by_verts
 
 
 def rng(stream=0, seed=0):
@@ -237,20 +240,23 @@ def test_ratio_flag_hand_weights():
     # weights over the four edges come out (1, 0, 0, 1): max/avg = 2
     H = bipartite({(1, 1): 1, (2, 2): 2, (1, 2): 3, (2, 1): 3})
     assert edge_weights(H) == {
-        H.edge_by_verts((1, 1)): 1,
-        H.edge_by_verts((2, 2)): 1,
-        H.edge_by_verts((1, 2)): 0,
-        H.edge_by_verts((2, 1)): 0,
+        edge_by_verts(H, (1, 1)): 1,
+        edge_by_verts(H, (2, 2)): 1,
+        edge_by_verts(H, (1, 2)): 0,
+        edge_by_verts(H, (2, 1)): 0,
     }
-    assert weight_ratio_bounded(H, EventParams(L=2.5, eps1=0.5, K=1.0))
-    assert not weight_ratio_bounded(H, EventParams(L=1.5, eps1=0.5, K=1.0))
+    assert weight_ratio_bounded(edge_weights(H).values(), 2.5)
+    assert not weight_ratio_bounded(edge_weights(H).values(), 1.5)
 
 
 def test_ratio_flag_zero_and_singleton():
     all_same = bipartite({(1, 1): 1, (1, 2): 1, (2, 1): 1, (2, 2): 1})
-    assert weight_ratio_bounded(all_same)  # all weights zero: holds by convention
+    # all weights zero: holds by convention
+    assert weight_ratio_bounded(edge_weights(all_same).values(), DEFAULT_EVENT_PARAMS.L)
     single = ColoredHypergraph(PARTITE, 1, 2, 1, (ColoredEdge((1, 1), 1),))
-    assert weight_ratio_bounded(single, EventParams(L=1.01, eps1=0.5, K=1.0))
+    assert weight_ratio_bounded(edge_weights(single).values(), 1.01)
+    empty = ColoredHypergraph(PARTITE, 2, 2, 2, ())
+    assert weight_ratio_bounded(edge_weights(empty).values(), 1.01)  # no edges
 
 
 def test_regular_flag_complete_and_damaged():
@@ -321,6 +327,39 @@ def test_median_cap_flag_matches_reimplementation():
         assert weight_median_capped(H, phi) == expected, j
 
 
+def test_weight_groups_match_table_grouping():
+    # psi_v, psi_c and flag C against the weight table grouped entry by entry,
+    # along deletion orders at n=3 (k=2) and n=2 (k=3)
+    def grouped(H, table):
+        groups = {}
+        for (verts, c), w in table.items():
+            for missing in range(H.k):
+                partial = tuple((p + 1, v) for p, v in enumerate(verts) if p != missing)
+                groups.setdefault(("v", partial, c), []).append(w)
+            groups.setdefault(("c", verts), []).append(w)
+        return groups
+
+    starts = [complete_colored(3, 2, 3, rng(j, seed=45)) for j in range(6)]
+    starts.append(complete_colored(2, 3, 3, rng(0, seed=45)))
+    starts.append(restrict(starts[0], removed_vertices=[PartiteVertex(2, 1)]))
+    for j, H in enumerate(starts):
+        order = random_edge_ordering(H, rng(j, seed=46))
+        for e in order[: len(order) // 2]:
+            prof = weight_profile(H)
+            groups = grouped(H, prof.table)
+            assert prof.psi_v == {
+                (key[1], key[2]): max(vals) for key, vals in groups.items() if key[0] == "v"
+            }
+            assert prof.psi_c == {key[1]: max(vals) for key, vals in groups.items() if key[0] == "c"}
+            phi = count_rainbow_pm(H).value
+            cap = Fraction(phi, 2**H.k * H.n**H.k)
+            capped = all(
+                max(vals) <= max(cap, 2 * majority_median(vals)) for vals in groups.values()
+            )
+            assert weight_median_capped(H, phi) == capped, (j, e)
+            H = restrict(H, removed_edges=(e,))
+
+
 def test_event_params_validation():
     p = EventParams.from_abundance(100.0)
     assert p.L == pytest.approx(10.0)
@@ -347,7 +386,7 @@ def test_trace_t_max_zero():
 
 def test_trace_unique_pm_dies_at_step_one():
     H = bipartite({(1, 1): 1, (2, 2): 2, (1, 2): 3, (2, 1): 3})
-    first = H.edge_by_verts((1, 1))
+    first = edge_by_verts(H, (1, 1))
     ordering = (first,) + tuple(e for e in H.edges if e != first)
     trace = run_deletion_process(H, ordering)
     assert trace.steps[0].phi == 1
