@@ -14,9 +14,20 @@ uncovered" branch and only the vertex-coverage prune, tallies the rainbow
 near-perfect matchings that the deletion process's weight table is built
 from.
 
-For bipartite instances whose color count equals n there is a second,
+Partite counts take a second route, which prunes nothing: every edge holds
+exactly one part-1 vertex, so a rainbow perfect matching splits into a
+matching on the first half of the part-1 vertices and one on the second
+half, with complementary vertices and disjoint colors.  The first half is
+tabulated by (covered vertices, used colors); the second is enumerated
+depth-first and completed by a complement lookup (meet in the middle, after
+Horowitz and Sahni).  The table is capped at _SPLIT_TABLE_CAP entries; past
+it, the first half shrinks.  The split runs only after the kernel has found
+one witness, so a zero count is still proved by the pruned search.
+Graph-mode counts have no part-1 side and stay on the search kernel.
+
+For bipartite instances whose color count equals n there is one more,
 independent counting route via inclusion-exclusion over color subsets and
-permanents; the two routes cross-check each other in the tests.
+permanents; the routes cross-check each other in the tests.
 """
 
 from __future__ import annotations
@@ -318,6 +329,121 @@ def near_perfect_tally(
     }
 
 
+# Most entries the split count's half table may keep (about 70 bytes each).
+# A layer that passes it is dropped, and the depth-first half covers one more
+# part-1 vertex instead.
+_SPLIT_TABLE_CAP = 1 << 20
+
+
+def _count_split(H: ColoredHypergraph, budget: int) -> tuple[int, int]:
+    """(count, nodes) of the rainbow perfect matchings of a partite instance,
+    by meeting in the middle.
+
+    Every edge holds exactly one part-1 vertex, so a rainbow perfect matching
+    on s part-1 vertices is a rainbow matching on the first h of them plus one
+    on the other s - h, with complementary covered vertices and disjoint
+    colors.  A state is one packed int, covered vertices | used colors <<
+    (n*k), so an edge fits a state iff their packed ints share no bit.  The
+    first half is tabulated layer by layer as {state: number of matchings};
+    the second half is enumerated depth-first, and each of its full states
+    looks its complement up in the table: one dict lookup when the edges
+    carry exactly s colors (every rainbow perfect matching uses all of them),
+    otherwise a scan of the table entries on the complementary vertex set for
+    color-disjoint ones.  h is s // 2, or less when a layer passes
+    _SPLIT_TABLE_CAP entries: that layer is dropped at the first parent whose
+    kids take it past, and the table keeps the layer before.
+
+    The split prunes nothing, so the depth-first kernel first looks for one
+    witness: its prunes settle infeasible shapes, instances without an
+    active vertex and most zero counts fast, where the split would build
+    both halves in full for nothing.  nodes are the kernel's search nodes
+    (node 1 is its root, where the vertex-coverage and color-supply check
+    runs) plus every partial matching either half builds.
+    """
+    probe = _Search(H, budget, find_one=True)
+    probe.run()
+    nodes = probe.nodes
+    if not probe.found:
+        # None: no perfect matching is feasible or the search proved absence;
+        # (): no active vertex, so the empty matching is the one
+        return (0 if probe.found is None else 1), nodes
+    s = len(probe.branch_bits)
+    shift = H.n * H.k
+    all_active, edge_items = probe.all_active, probe.edge_items
+    ccover = 0
+    for _, cbit, _ in edge_items:
+        ccover |= cbit
+    lists = [
+        [vmask | cbit << shift for vmask, cbit, _ in edge_items if vmask & b]
+        for b in probe.branch_bits
+    ]
+
+    table, h = {0: 1}, 0
+    while h < s // 2:
+        layer: dict[int, int] = {}
+        for state, ways in table.items():
+            kids = [state | e for e in lists[h] if not state & e]
+            nodes += len(kids)
+            if nodes > budget:
+                raise BudgetExceededError(f"node budget {budget} exceeded", nodes)
+            for kid in kids:
+                layer[kid] = layer.get(kid, 0) + ways
+            if len(layer) > _SPLIT_TABLE_CAP:
+                break
+        if len(layer) > _SPLIT_TABLE_CAP:
+            break
+        table, h = layer, h + 1
+
+    exact = ccover.bit_count() == s
+    if exact:
+        full = all_active | ccover << shift
+        get = table.get
+    else:
+        low = (1 << shift) - 1
+        buckets: dict[int, list[tuple[int, int]]] = {}
+        for state, ways in table.items():
+            buckets.setdefault(state & low, []).append((state & ~low, ways))
+        del table
+
+    # The other half, depth first: pending[d] holds the states on the first d
+    # of the remaining part-1 vertices still to expand.  Only the deepest
+    # nonempty list is ever refilled, so each holds one parent's kids at most;
+    # the deepest ones are joined with the table in one go.
+    rest = lists[h:]
+    last = len(rest) - 1
+    edges = rest[last]
+    pending: list[list[int]] = [[0]] + [[] for _ in range(last)]
+    total, depth = 0, 0
+    while depth >= 0:
+        states = pending[depth]
+        if depth == last:
+            depth -= 1
+            if exact:
+                joined = [get(full ^ st ^ e, 0) for st in states for e in edges if not st & e]
+                nodes += len(joined)
+                total += sum(joined)
+            else:
+                for st in states:
+                    for e in edges:
+                        if not st & e:
+                            nodes += 1
+                            kid = st | e
+                            for colors, ways in buckets.get(all_active ^ (kid & low), ()):
+                                if not colors & kid:
+                                    total += ways
+        elif states:
+            state = states.pop()
+            kids = [state | e for e in rest[depth] if not state & e]
+            nodes += len(kids)
+            depth += 1
+            pending[depth] = kids
+        else:
+            depth -= 1
+        if nodes > budget:
+            raise BudgetExceededError(f"node budget {budget} exceeded", nodes)
+    return total, nodes
+
+
 def find_rainbow_pm(
     H: ColoredHypergraph, budget: int = DEFAULT_NODE_BUDGET
 ) -> Matching | None:
@@ -340,16 +466,25 @@ def count_rainbow_pm(
 ) -> CountReport:
     """Exact number of rainbow perfect matchings of H.
 
-    method "brute" works in both modes and with restrictions applied;
+    method "brute" works in both modes and with restrictions applied: a
+    partite instance is counted by the split route (_count_split), whose
+    nodes are those of a depth-first witness search plus the partial
+    matchings it builds in either half, and whose stored table holds at most
+    _SPLIT_TABLE_CAP entries; a graph-mode instance is counted by the
+    depth-first kernel, whose nodes are the search nodes.
     "color-inclusion-exclusion" (alias "ie") needs a bipartite instance with
     kappa == n and no absent vertices, and is the independent cross-check
-    route for the brute kernel.
+    route for both; its nodes are permanent-DP transitions.
     """
     start = time.perf_counter()
     if method in (METHOD_BRUTE, "brute"):
-        search = _Search(H, budget, find_one=False)
-        search.run()
-        return CountReport(search.count, METHOD_BRUTE, time.perf_counter() - start, search.nodes)
+        if H.mode == PARTITE:
+            value, nodes = _count_split(H, budget)
+        else:
+            search = _Search(H, budget, find_one=False)
+            search.run()
+            value, nodes = search.count, search.nodes
+        return CountReport(value, METHOD_BRUTE, time.perf_counter() - start, nodes)
     if method in (METHOD_IE, "ie"):
         value, nodes = _count_ie(H, budget)
         return CountReport(value, METHOD_IE, time.perf_counter() - start, nodes)

@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from rainbowmatch import count as count_module
 from rainbowmatch.count import (
+    DEFAULT_NODE_BUDGET,
     BudgetExceededError,
+    _Search,
     count_rainbow_pm,
     count_uniform_pm,
     disjoint_completion_count,
@@ -261,6 +264,145 @@ def test_color_starved_instance_dies_at_the_root():
         report = count_rainbow_pm(H)
         assert (report.value, report.nodes) == (0, 1)
         assert find_rainbow_pm(H) is None
+
+
+# -- split count (meet in the middle)
+
+
+def dfs_count(H):
+    """The depth-first kernel's count, the split count's reference."""
+    search = _Search(H, DEFAULT_NODE_BUDGET, find_one=False)
+    search.run()
+    return search.count
+
+
+def witness_nodes(H):
+    """Nodes of the depth-first witness search that precedes the split."""
+    search = _Search(H, DEFAULT_NODE_BUDGET, find_one=True)
+    search.run()
+    return search.nodes
+
+
+def split_cases():
+    """Random partite instances at k = 2 and 3 with kappa from n - 1 to n + 3,
+    some with balanced absent vertices, a removed color or unequal active
+    parts, plus s = 1, complete kappa = n and edgeless instances."""
+    cases = []
+    for j in range(80):
+        k, i = 2 + j % 2, j // 2
+        n = 3 + i % 4 if k == 2 else 2 + i % 3
+        kappa = n - 1 + (i // 4) % 5
+        m = n**k - (j * 7) % (n ** (k - 1) + 1)
+        H = sample_partite_m(n, k, kappa, m, rng(j, seed=50))
+        variant = (j // 10) % 4
+        if variant == 1:
+            H = restrict(H, removed_vertices=[PartiteVertex(p, 1 + (j + p) % n)
+                                              for p in range(1, k + 1)])
+        elif variant == 2:
+            H = restrict(H, removed_colors=[1 + j % kappa])
+        elif variant == 3:
+            H = restrict(H, removed_vertices=[PartiteVertex(1, 1 + j % n)])
+        cases.append(H)
+    for j in range(6):
+        k = 2 + j % 2
+        H = sample_partite_m(3, k, 2 + j % 3, 3**k - j, rng(j, seed=51))
+        drop = [PartiteVertex(p, i) for p in range(1, k + 1) for i in (1 + j % 3, 1 + (j + 1) % 3)]
+        cases.append(restrict(H, removed_vertices=drop))  # s = 1
+        cases.append(complete_colored(1, k, 1 + j % 2, rng(j, seed=52)))  # s = 1
+    for n in (4, 5, 6):
+        cases.append(complete_colored(n, 2, n, rng(n, seed=53)))
+    for n in (2, 3, 4):
+        cases.append(complete_colored(n, 3, n, rng(n, seed=53)))
+    cases.append(ColoredHypergraph(PARTITE, 3, 2, 3, ()))
+    cases.append(ColoredHypergraph(PARTITE, 2, 3, 4, ()))
+    return cases
+
+
+def test_split_count_matches_depth_first_search():
+    joins = set()
+    sizes = set()
+    square = 0
+    for H in split_cases():
+        report = count_rainbow_pm(H)
+        assert report.value == dfs_count(H), H
+        if H.kappa == H.n and not H.absent:
+            # the uniform reduction and, at k = 2, inclusion-exclusion
+            square += 1
+            assert report.value == count_uniform_pm(reduce_to_uniform(H)), H
+            if H.k == 2:
+                assert report.value == count_rainbow_pm(H, method="ie").value, H
+        s = len(H.part_active(1))
+        sizes.add(s)
+        if report.value:
+            # exact palette (one dict lookup per leaf) or a wider one (scan)
+            joins.add(len({e.color for e in H.edges}) == s)
+        else:
+            # the witness search proved the zero; the split did not run
+            assert report.nodes == witness_nodes(H), H
+    assert joins == {True, False}
+    assert {1, 2, 3, 4, 5, 6} <= sizes
+    assert square >= 14
+
+
+def prefix_matchings(H, firsts):
+    """For d = 1..len(firsts): how many rainbow matchings have exactly one
+    edge through each of the part-1 vertices firsts[:d] and no other edge."""
+    out = []
+    for d in range(1, len(firsts) + 1):
+        total = 0
+        for combo in itertools.product(*([e for e in H.edges if e.verts[0] == v]
+                                         for v in firsts[:d])):
+            verts = {(p, v) for e in combo for p, v in enumerate(e.verts)}
+            total += len(verts) == d * H.k and is_rainbow(combo)
+        out.append(total)
+    return out
+
+
+def test_split_count_nodes_and_budget_edges():
+    cases = [
+        complete_colored(5, 2, 5, rng(0, seed=55)),
+        complete_colored(5, 2, 7, rng(1, seed=55)),
+        complete_colored(4, 2, 4, rng(2, seed=55)),
+        complete_colored(3, 3, 4, rng(3, seed=55)),
+        restrict(complete_colored(6, 2, 7, rng(4, seed=55)),
+                 removed_vertices=[PartiteVertex(1, 2), PartiteVertex(2, 5)], removed_colors=[3]),
+    ]
+    for H in cases:
+        report = count_rainbow_pm(H)
+        # the witness search's nodes, then one node per partial matching
+        # either half builds: the first h part-1 vertices and the rest
+        firsts = H.part_active(1)
+        h = len(firsts) // 2
+        halves = prefix_matchings(H, firsts[:h]) + prefix_matchings(H, firsts[h:])
+        want = witness_nodes(H) + sum(halves)
+        assert report.nodes == want
+        assert count_rainbow_pm(H, budget=report.nodes).value == report.value
+        with pytest.raises(BudgetExceededError) as info:
+            count_rainbow_pm(H, budget=report.nodes - 1)
+        assert info.value.nodes > report.nodes - 1
+
+
+def test_split_count_value_does_not_depend_on_the_table_cap(monkeypatch):
+    # the layer sizes of these instances are 6, 24-26, 64-72: a lower cap
+    # keeps an earlier layer as the table (h moves), which changes the search
+    # and its node count, but not the count
+    for H in (complete_colored(6, 2, 6, rng(0, seed=56)),
+              complete_colored(6, 2, 8, rng(1, seed=56))):
+        want = dfs_count(H)
+        firsts = H.part_active(1)
+        for cap, h in ((0, 0), (10, 1), (30, 2)):
+            monkeypatch.setattr(count_module, "_SPLIT_TABLE_CAP", cap)
+            report = count_rainbow_pm(H)
+            assert report.value == want, cap
+            grown = prefix_matchings(H, firsts[: h + 1])
+            kept = witness_nodes(H) + sum(grown[:h]) + sum(prefix_matchings(H, firsts[h:]))
+            dropped = report.nodes - kept
+            # layer h + 1 passed the cap and was dropped at the parent that
+            # took it past (the root is the only parent of layer 1)
+            assert cap < dropped <= grown[h] if h == 0 else cap < dropped < grown[h]
+            assert count_rainbow_pm(H, budget=report.nodes).value == want
+            with pytest.raises(BudgetExceededError):
+                count_rainbow_pm(H, budget=report.nodes - 1)
 
 
 def pm_witness_instances():

@@ -27,6 +27,7 @@ from rainbowmatch.process import (
     DEFAULT_EVENT_PARAMS,
     EventParams,
     LemmaPreconditionError,
+    WeightProfile,
     chernoff_bounds,
     cumulative_loss_rate,
     degrees_regular,
@@ -295,6 +296,31 @@ def test_median_cap_flag_trivial_cases():
     # (avoid the completion's own color), so the median clause always trips
     rainbow_rich = bipartite({(1, 1): 1, (1, 2): 2, (2, 1): 3, (2, 2): 4})
     assert not weight_median_capped(rainbow_rich)
+
+
+def test_median_cap_flag_completion_clause_alone():
+    # Hand-built table at n=3, k=2: weight 10 on every color of tuple (1, 1),
+    # 1 on every other entry.  Every full tuple's color group is flat, so only
+    # a completion group can trip the flag: vertex 1 of either part, with any
+    # color, reads 10, 1, 1 over its completions, whose majority median is 1.
+    H = complete_colored(3, 2, 3, rng(0, seed=47))
+    idx, colors = (1, 2, 3), (1, 2, 3)
+    table = {((i, j), c): 10 if (i, j) == (1, 1) else 1
+             for i in idx for j in idx for c in colors}
+    profile = WeightProfile(
+        table,
+        psi_v={(((p, i),), c): 10 if i == 1 else 1 for p in (1, 2) for i in idx for c in colors},
+        psi_c={(i, j): 10 if (i, j) == (1, 1) else 1 for i in idx for j in idx},
+        psi0=10,
+    )
+    for i in idx:
+        for j in idx:
+            by_color = [table[((i, j), c)] for c in colors]
+            assert max(by_color) == min(by_color)
+    # cap = phi / (2^2 * 3^2): 1/36 for phi = 1, below twice the median (2)
+    assert not weight_median_capped(H, phi=1, profile=profile)
+    # at phi = 360 the cap reaches 10 and lets the completion groups pass
+    assert weight_median_capped(H, phi=360, profile=profile)
 
 
 def test_median_cap_flag_matches_reimplementation():
