@@ -9,21 +9,21 @@ supply: each missing edge takes its own unused color).  Both cut only
 subtrees without a completion, so counts and the first witness do not depend
 on them; only the node count does.  Exponential in the worst case, fine at
 desk scale, and guarded by an explicit node budget that raises instead of
-silently truncating.  The same kernel, with one extra "leave this vertex
-uncovered" branch and only the vertex-coverage prune, tallies the rainbow
-near-perfect matchings that the deletion process's weight table is built
-from.
+silently truncating.
 
 Partite counts take a second route, which prunes nothing: every edge holds
 exactly one part-1 vertex, so a rainbow perfect matching splits into a
 matching on the first half of the part-1 vertices and one on the second
 half, with complementary vertices and disjoint colors.  The first half is
-tabulated by (covered vertices, used colors); the second is enumerated
-depth-first and completed by a complement lookup (meet in the middle, after
-Horowitz and Sahni).  The table is capped at _SPLIT_TABLE_CAP entries; past
-it, the first half shrinks.  The split runs only after the kernel has found
-one witness, so a zero count is still proved by the pruned search.
-Graph-mode counts have no part-1 side and stay on the search kernel.
+tabulated layer by layer by (covered vertices, used colors); the second is
+enumerated depth-first and completed by a complement lookup (meet in the
+middle, after Horowitz and Sahni).  The table is capped at _SPLIT_TABLE_CAP
+entries; past it, the first half shrinks.  The split runs only after the
+kernel has found one witness, so a zero count is still proved by the pruned
+search.  Graph-mode counts have no part-1 side and stay on the search kernel.
+The same layer function, run over every part-1 vertex with one vertex allowed
+to stay uncovered, tallies the rainbow near-perfect matchings that the
+deletion process's weight table is built from.
 
 For bipartite instances whose color count equals n there is one more,
 independent counting route via inclusion-exclusion over color subsets and
@@ -239,93 +239,77 @@ class _Search:
         return False
 
 
-class _Tally(_Search):
-    """The near-perfect variant of the kernel (partite mode only).
+def _packed_lists(H: ColoredHypergraph, branch_bits, edge_items) -> list[list[int]]:
+    """The edges of each part-1 vertex, in branch order, as packed ints.  A
+    state (a partial matching) is one packed int too, covered vertices | used
+    colors << (n*k), so an edge fits a state iff the two share no bit."""
+    shift = H.n * H.k
+    return [
+        [vmask | cbit << shift for vmask, cbit, _ in edge_items if vmask & b]
+        for b in branch_bits
+    ]
 
-    Enumerates the rainbow matchings that leave exactly one active vertex per
-    part uncovered and tallies them by (uncovered vertex mask, used-color
-    mask).  Branching is the kernel's, plus one "leave this part-1 vertex
-    uncovered" branch that may be taken once per matching.
-    """
 
-    def __init__(self, H: ColoredHypergraph, budget: int):
-        super().__init__(H, budget, find_one=False)
-        part = (1 << H.n) - 1
-        self.part_masks = [part << (p * H.n) for p in range(H.k)]
-        self.tally: dict[tuple[int, int], int] = {}
-
-    def run(self) -> None:
-        if self.feasible and self.all_active:
-            self._recurse(0, 0, 0, 0, self.edge_items)
-
-    def _recurse(self, level: int, used: int, colors: int, skip: int, pool) -> None:
-        """used holds the covered vertices plus the skipped part-1 vertex
-        (skip, 0 until the skip branch is taken)."""
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise BudgetExceededError(
-                f"node budget {self.budget} exceeded", self.nodes
-            )
-        branch = self.branch_bits
-        while level < len(branch) and branch[level] & used:
-            level += 1
-        if level == len(branch):
-            # Without a skip this is a perfect matching, which is not tallied.
-            if skip:
-                key = ((self.all_active & ~used) | skip, colors)
-                self.tally[key] = self.tally.get(key, 0) + 1
-            return
-
-        vbit = branch[level]
-        live = []
-        cands = []
-        cover = 0
-        for item in pool:
-            vmask, cbit, _ = item
-            if vmask & used or cbit & colors:
-                continue
-            live.append(item)
-            cover |= vmask
-            if vmask & vbit:
-                cands.append(item)
-        # Fail fast: a completion leaves one vertex per part uncovered, so a
-        # part may hold at most one uncovered vertex without a usable edge
-        # (none in part 1 once its vertex has been skipped).
-        bare = (self.all_active & ~used) & ~cover
-        if bare:
-            if skip and bare & self.part_masks[0]:
-                return
-            for mask in self.part_masks:
-                b = bare & mask
-                if b & (b - 1):
-                    return
-        if not skip:
-            self._recurse(level + 1, used | vbit, colors, vbit, live)
-        for vmask, cbit, _ in cands:
-            self._recurse(level + 1, used | vmask, colors | cbit, skip, live)
+def _grow(table: dict[int, int], edges: list[int], nodes: int, budget: int, cap=None):
+    """One layer: every state of table extended by every edge that fits it,
+    multiplicities summed.  Returns (layer, nodes + one per new state);
+    raises BudgetExceededError past budget, checked after each parent's
+    kids.  layer is None as soon as it passes cap entries."""
+    layer: dict[int, int] = {}
+    get = layer.get
+    for state, ways in table.items():
+        kids = [state | e for e in edges if not state & e]
+        nodes += len(kids)
+        if nodes > budget:
+            raise BudgetExceededError(f"node budget {budget} exceeded", nodes)
+        for kid in kids:
+            layer[kid] = get(kid, 0) + ways
+        if cap is not None and len(layer) > cap:
+            return None, nodes
+    return layer, nodes
 
 
 def near_perfect_tally(
     H: ColoredHypergraph, budget: int = DEFAULT_NODE_BUDGET
 ) -> dict[tuple[tuple[int, ...], int], int]:
-    """Rainbow near-perfect matchings of a partite instance, by one search.
+    """Rainbow near-perfect matchings of a partite instance, layer by layer.
 
     With s active vertices in every part, a near-perfect matching has s - 1
     edges and leaves exactly one active vertex per part uncovered.  Returns
     {(leftover tuple, used-color mask): number of such matchings}, where the
     leftover tuple names the uncovered vertex of each part and bit c - 1 of
     the mask stands for color c.  Empty when the active parts differ in size
-    or no vertex is active.  The search counts every node against budget and
-    raises BudgetExceededError past it.
+    or no vertex is active.
+
+    One layer (_grow) per part-1 vertex, in branch order, over two tables:
+    full, the matchings covering every part-1 vertex so far, and near, those
+    that left exactly one of them uncovered.  Each layer grows both and
+    carries every state of full into near with this vertex left uncovered.
+    The nodes counted against budget are the states built, one per grown
+    state and one per carry.  Nothing is pruned, so deleting an edge only
+    shrinks every layer and the node count with it.
     """
     if H.mode != PARTITE:
         raise ValueError("the near-perfect tally is defined for partite instances")
-    search = _Tally(H, budget)
-    search.run()
+    all_active, branch_bits, edge_items, feasible = _kernel_setup(H)
+    if not (feasible and all_active):
+        return {}
+    full, near, nodes = {0: 1}, {}, 0
+    for edges in _packed_lists(H, branch_bits, edge_items):
+        near, nodes = _grow(near, edges, nodes, budget)
+        # the carries cover no vertex the grown states do, so nothing collides
+        near.update(full)
+        nodes += len(full)
+        if nodes > budget:
+            raise BudgetExceededError(f"node budget {budget} exceeded", nodes)
+        full, nodes = _grow(full, edges, nodes, budget)
     n, part = H.n, (1 << H.n) - 1
     return {
-        (tuple((left >> (p * n) & part).bit_length() for p in range(H.k)), colors): count
-        for (left, colors), count in search.tally.items()
+        (
+            tuple(((all_active & ~state) >> (p * n) & part).bit_length() for p in range(H.k)),
+            state >> (n * H.k),
+        ): count
+        for state, count in near.items()
     }
 
 
@@ -342,9 +326,8 @@ def _count_split(H: ColoredHypergraph, budget: int) -> tuple[int, int]:
     Every edge holds exactly one part-1 vertex, so a rainbow perfect matching
     on s part-1 vertices is a rainbow matching on the first h of them plus one
     on the other s - h, with complementary covered vertices and disjoint
-    colors.  A state is one packed int, covered vertices | used colors <<
-    (n*k), so an edge fits a state iff their packed ints share no bit.  The
-    first half is tabulated layer by layer as {state: number of matchings};
+    colors.  States and edges are packed ints (_packed_lists).  The first
+    half is tabulated layer by layer (_grow) as {state: number of matchings};
     the second half is enumerated depth-first, and each of its full states
     looks its complement up in the table: one dict lookup when the edges
     carry exactly s colors (every rainbow perfect matching uses all of them),
@@ -373,24 +356,12 @@ def _count_split(H: ColoredHypergraph, budget: int) -> tuple[int, int]:
     ccover = 0
     for _, cbit, _ in edge_items:
         ccover |= cbit
-    lists = [
-        [vmask | cbit << shift for vmask, cbit, _ in edge_items if vmask & b]
-        for b in probe.branch_bits
-    ]
+    lists = _packed_lists(H, probe.branch_bits, edge_items)
 
     table, h = {0: 1}, 0
     while h < s // 2:
-        layer: dict[int, int] = {}
-        for state, ways in table.items():
-            kids = [state | e for e in lists[h] if not state & e]
-            nodes += len(kids)
-            if nodes > budget:
-                raise BudgetExceededError(f"node budget {budget} exceeded", nodes)
-            for kid in kids:
-                layer[kid] = layer.get(kid, 0) + ways
-            if len(layer) > _SPLIT_TABLE_CAP:
-                break
-        if len(layer) > _SPLIT_TABLE_CAP:
+        layer, nodes = _grow(table, lists[h], nodes, budget, _SPLIT_TABLE_CAP)
+        if layer is None:
             break
         table, h = layer, h + 1
 
@@ -477,7 +448,7 @@ def count_rainbow_pm(
     route for both; its nodes are permanent-DP transitions.
     """
     start = time.perf_counter()
-    if method in (METHOD_BRUTE, "brute"):
+    if method == METHOD_BRUTE:
         if H.mode == PARTITE:
             value, nodes = _count_split(H, budget)
         else:

@@ -436,15 +436,7 @@ def trace_summary_table(result: ExperimentResult) -> tuple[list[str], list[list]
     for i in range(1, t_max + 1):
         xs = per_step[i]
         gamma = n / (N - i + 1)
-        if xs:
-            mean = math.fsum(xs) / len(xs)
-            if len(xs) > 1:
-                var = math.fsum((x - mean) ** 2 for x in xs) / (len(xs) - 1)
-                se = math.sqrt(var / len(xs))
-            else:
-                se = 0.0
-        else:
-            mean = se = None
+        mean, se = _moment_stats(xs, 1) if xs else (None, None)
         if i < N:
             exact, closed = cumulative_loss_rate(n, config.k, i)
         else:

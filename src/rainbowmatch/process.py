@@ -16,13 +16,13 @@ removed.  For an edge e, the weight against its own color counts exactly the
 rainbow perfect matchings through e, which is what links weights to counts:
 summing that weight over all remaining edges counts each matching n times.
 
-The whole weight table comes from one search per step: a rainbow perfect
+The whole weight table comes from one tally per step: a rainbow perfect
 matching of the instance minus v's vertices is a rainbow near-perfect matching
 of the instance that leaves exactly v uncovered, and it avoids c iff it does
-not use c.  So `near_perfect_tally` enumerates the near-perfect matchings
-once, tallied by (leftover tuple, used colors), and every entry w(v, c) is a
+not use c.  So `near_perfect_tally` builds the near-perfect matchings layer by
+layer, tallied by (leftover tuple, used colors), and every entry w(v, c) is a
 sum over that tally.  The step's count phi is then the sum of the edge
-weights divided by n, so a step runs one exact search in all.
+weights divided by n, so a step runs one exact enumeration in all.
 `rainbow_weight` keeps the one-entry definition (restrict, then count).
 
 Flags per step (wire names B, R, C in the trace CSV):
@@ -166,7 +166,7 @@ def edge_weights(
     H: ColoredHypergraph, budget: int = DEFAULT_NODE_BUDGET
 ) -> dict[ColoredEdge, int]:
     """w(e) = rainbow_weight(H, e.verts, e.color) for every edge: the number
-    of rainbow perfect matchings through e.  One tally search for all edges."""
+    of rainbow perfect matchings through e.  One tally for all edges."""
     _check_partite(H)
     table = _weight_table(H, budget)
     return {e: table[(e.verts, e.color)] for e in H.edges}
@@ -220,9 +220,10 @@ def weight_profile(
 ) -> WeightProfile:
     """Compute the whole weight table (active tuples x colors).
 
-    Cost is one search over the rainbow near-perfect matchings
-    (`near_perfect_tally`), however many entries the table has; that search
-    counts against budget.  Still exponential, so meant for small instances.
+    Cost is one tally of the rainbow near-perfect matchings
+    (`near_perfect_tally`), however many entries the table has; every state
+    the tally builds counts against budget.  Still exponential, so meant for
+    small instances.
     """
     _check_partite(H)
     table = _weight_table(H, budget)
@@ -365,12 +366,12 @@ def run_deletion_process(
     """Delete ordering[0..t_max-1] one at a time from a complete colored
     instance and record a DeletionStep after every deletion (plus step 0).
 
-    Each step runs one exact search (the weight table's tally), which counts
-    against budget.  If it exceeds the budget the trace returned so far is
-    marked truncated instead of raising; a partial trace with an explicit
-    marker beats losing the prefix.  Deleting an edge only shrinks that
-    search, so in practice the budget either holds for every step or already
-    truncates step 0.
+    Each step runs one exact enumeration (the weight table's tally), whose
+    states count against budget.  If it exceeds the budget the trace returned
+    so far is marked truncated instead of raising; a partial trace with an
+    explicit marker beats losing the prefix.  Deleting an edge only shrinks
+    every layer of that tally, so the budget either holds for every step or
+    already truncates step 0.
     """
     _check_partite(H0)
     N = H0.n**H0.k

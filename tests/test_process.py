@@ -1,13 +1,12 @@
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from rainbowmatch.count import (
     DEFAULT_NODE_BUDGET,
     BudgetExceededError,
-    _Tally,
     count_rainbow_pm,
     near_perfect_tally,
 )
@@ -153,10 +152,63 @@ def test_near_perfect_tally_keys_and_mode():
         near_perfect_tally(graph)
 
 
+def oracle_tally(H):
+    """The near-perfect tally by definition: every set of s - 1 edges that is
+    vertex-disjoint and rainbow, keyed by (leftover tuple, used-color mask)."""
+    parts = [H.part_active(p) for p in range(1, H.k + 1)]
+    s = len(parts[0])
+    if any(len(part) != s for part in parts) or s == 0:
+        return {}
+    tally = {}
+    for edges in combinations(H.edges, s - 1):
+        colors = {e.color for e in edges}
+        covered = [{e.verts[p] for e in edges} for p in range(H.k)]
+        if len(colors) < s - 1 or any(len(c) < s - 1 for c in covered):
+            continue
+        left = tuple((set(part) - c).pop() for part, c in zip(parts, covered))
+        key = (left, sum(1 << (c - 1) for c in colors))
+        tally[key] = tally.get(key, 0) + 1
+    return tally
+
+
+def test_near_perfect_tally_matches_oracle():
+    cases = {}
+    shapes = [(3, 2, 2), (3, 2, 3), (4, 2, 4), (3, 2, 5), (3, 3, 2), (3, 3, 3), (2, 3, 3)]
+    for n, k, kappa in shapes:
+        H = complete_colored(n, k, kappa, rng(n + kappa, seed=52 + k))
+        order = random_edge_ordering(H, rng(1, seed=52))
+        cases[(n, k, kappa)] = H
+        cases[(n, k, kappa, "thinned")] = restrict(H, removed_edges=order[: len(order) // 2])
+    H = complete_colored(4, 2, 4, rng(0, seed=53))
+    cases["balanced-absent"] = restrict(H, removed_vertices=[(1, 2), (2, 4)])
+    cases["removed-color"] = restrict(H, removed_colors=(2,))
+    cases["k=3 absent and removed color"] = restrict(
+        complete_colored(3, 3, 3, rng(1, seed=53)),
+        removed_vertices=[(1, 1), (2, 2), (3, 3)],
+        removed_colors=(2,),
+    )
+    cases["unequal"] = restrict(H, removed_vertices=[(1, 1)])
+    cases["n=1"] = complete_colored(1, 2, 1, rng(1))
+    cases["n=1 k=3 edgeless"] = ColoredHypergraph(PARTITE, 1, 3, 2, ())
+    cases["edgeless"] = ColoredHypergraph(PARTITE, 3, 2, 3, ())
+    for name, Hc in cases.items():
+        assert near_perfect_tally(Hc) == oracle_tally(Hc), name
+    assert near_perfect_tally(cases["unequal"]) == {}
+    assert near_perfect_tally(cases["edgeless"]) == {}
+    assert near_perfect_tally(cases["n=1"]) == {((1, 1), 0): 1}
+
+
 def tally_nodes(H):
-    search = _Tally(H, DEFAULT_NODE_BUDGET)
-    search.run()
-    return search.nodes
+    """The smallest budget the tally fits in, by bisection: its node count."""
+    lo, hi = -1, DEFAULT_NODE_BUDGET
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            near_perfect_tally(H, budget=mid)
+            hi = mid
+        except BudgetExceededError:
+            lo = mid
+    return hi
 
 
 def test_weight_profile_budget_raises():
