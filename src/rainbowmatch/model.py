@@ -377,7 +377,9 @@ def restrict(
     kept = tuple(
         e
         for e in H.edges
-        if e not in removed_e and e.color not in removed_c and not touches_removed(e)
+        if e not in removed_e
+        and e.color not in removed_c
+        and not (removed_v and touches_removed(e))
     )
     return ColoredHypergraph(H.mode, H.n, H.k, H.kappa, kept, absent)
 

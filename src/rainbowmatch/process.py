@@ -33,6 +33,12 @@ Flags per step (wire names B, R, C in the trace CSV):
 * median cap: localized weight maxima stay below the larger of a fixed
   fraction of the current count and twice a one-sided majority median.
 
+The flags are computed in integers (cross-multiplied, never in Fraction).
+Flag C and the localized maxima come from one walk of the weight table laid
+out as one row of color weights per active tuple (`_walk_groups`): a group
+fails only when its max beats both bounds, so the walk keeps the largest max
+above twice its median, and the flag compares that one integer to the count.
+
 The dyadic interval machinery at the bottom is independent of the process: it
 locates, for any positive weight vector with near-maximal entropy, a short
 dyadic interval carrying most of the mass on a large support.
@@ -44,7 +50,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .count import (
     BudgetExceededError,
@@ -146,20 +152,20 @@ def rainbow_weight(
     return count_rainbow_pm(sub, budget=budget).value
 
 
-def _weight_table(
-    H: ColoredHypergraph, budget: int
-) -> dict[tuple[tuple[int, ...], int], int]:
-    """(verts, color) -> rainbow_weight(H, verts, color) over all active tuples
-    and all colors, read off one near-perfect tally: a rainbow matching that
-    leaves exactly verts uncovered counts toward every color it does not use."""
+def _weight_rows(H: ColoredHypergraph, budget: int) -> dict[tuple[int, ...], list[int]]:
+    """verts -> [rainbow_weight(H, verts, c) for c in 1..kappa], over all
+    active tuples in `product` order, read off one near-perfect tally: a
+    rainbow matching that leaves exactly verts uncovered counts toward every
+    color it does not use."""
     parts = [H.part_active(p) for p in range(1, H.k + 1)]
-    colors = range(1, H.kappa + 1)
-    table = {(verts, c): 0 for verts in product(*parts) for c in colors}
+    colors = range(H.kappa)
+    rows = {verts: [0] * H.kappa for verts in product(*parts)}
     for (verts, used), count in near_perfect_tally(H, budget=budget).items():
+        row = rows[verts]
         for c in colors:
-            if not used >> (c - 1) & 1:
-                table[(verts, c)] += count
-    return table
+            if not used >> c & 1:
+                row[c] += count
+    return rows
 
 
 def edge_weights(
@@ -168,8 +174,8 @@ def edge_weights(
     """w(e) = rainbow_weight(H, e.verts, e.color) for every edge: the number
     of rainbow perfect matchings through e.  One tally for all edges."""
     _check_partite(H)
-    table = _weight_table(H, budget)
-    return {e: table[(e.verts, e.color)] for e in H.edges}
+    rows = _weight_rows(H, budget)
+    return {e: rows[e.verts][e.color - 1] for e in H.edges}
 
 
 @dataclass(frozen=True)
@@ -189,49 +195,67 @@ class WeightProfile:
     psi0: int
 
 
-def _weight_groups(
-    H: ColoredHypergraph, table: Mapping[tuple[tuple[int, ...], int], int]
-) -> Iterator[tuple[str, tuple, list[int]]]:
-    """The localized groups of a weight table, as (family, key, weights).
+def _walk_groups(
+    H: ColoredHypergraph, rows: Mapping[tuple[int, ...], Sequence[int]]
+) -> tuple[dict, dict, int]:
+    """One pass over the localized groups of a weight table given as rows
+    (`_weight_rows` layout): returns (psi_v, psi_c, worst).
 
-    Family "v": for each partial tuple missing one part (as ((part, idx),
-    ...)) and each color, the weights over the completions of the missing
-    part.  Family "c": for each full tuple, the weights over the colors.
+    Family "v": for each partial tuple missing one part and each color, the
+    weights over the completions of the missing part.  In `product` order the
+    completions of a partial tuple are a stride slice of the rows, and the
+    slice transposed gives that partial tuple's group for every color.
+    Family "c": each row is the group of its tuple over the colors.
+
+    worst is the largest group maximum that exceeds twice its group's
+    majority median, or 0 if no group's does: flag C fails exactly when
+    worst exceeds the cap.
     """
     parts = [H.part_active(p) for p in range(1, H.k + 1)]
-    colors = range(1, H.kappa + 1)
-    for missing in range(1, H.k + 1):
-        other_parts = [p for p in range(1, H.k + 1) if p != missing]
-        for partial in product(*(parts[p - 1] for p in other_parts)):
-            key_verts = tuple(zip(other_parts, partial))
-            for c in colors:
-                vals = []
-                for w in parts[missing - 1]:
-                    full = list(partial)
-                    full.insert(missing - 1, w)
-                    vals.append(table[(tuple(full), c)])
-                yield "v", (key_verts, c), vals
-    for verts in product(*parts):
-        yield "c", verts, [table[(verts, c)] for c in colors]
+    table = list(rows.values())
+    psi_v, worst = {}, 0
+    for missing in range(H.k):
+        size = len(parts[missing])
+        stride = math.prod(len(part) for part in parts[missing + 1 :])
+        outer = math.prod(len(part) for part in parts[:missing])
+        others = [p for p in range(1, H.k + 1) if p != missing + 1]
+        partials = product(*(parts[p - 1] for p in others))
+        starts = (o * size * stride + i for o in range(outer) for i in range(stride))
+        for partial, start in zip(partials, starts):
+            key = tuple(zip(others, partial))
+            block = table[start : start + size * stride : stride]
+            # an emptied part leaves every color's group empty
+            groups = zip(*block) if block else [()] * H.kappa
+            for c, vals in enumerate(groups, start=1):
+                top = psi_v[(key, c)] = max(vals, default=0)
+                # a median is needed only where the group could raise worst
+                if top > worst and top > 2 * majority_median(vals):
+                    worst = top
+    psi_c = {}
+    for verts, row in rows.items():
+        top = psi_c[verts] = max(row, default=0)
+        if top > worst and top > 2 * majority_median(row):
+            worst = top
+    return psi_v, psi_c, worst
 
 
 def weight_profile(
     H: ColoredHypergraph, budget: int = DEFAULT_NODE_BUDGET
 ) -> WeightProfile:
-    """Compute the whole weight table (active tuples x colors).
+    """Compute the whole weight table (active tuples x colors) and its
+    localized maxima.
 
     Cost is one tally of the rainbow near-perfect matchings
     (`near_perfect_tally`), however many entries the table has; every state
-    the tally builds counts against budget.  Still exponential, so meant for
-    small instances.
+    the tally builds counts against budget.  The maxima come from one walk of
+    the table (`_walk_groups`).  Still exponential, so meant for small
+    instances.
     """
     _check_partite(H)
-    table = _weight_table(H, budget)
-    psi = {"v": {}, "c": {}}
-    for family, key, vals in _weight_groups(H, table):
-        psi[family][key] = max(vals, default=0)
-    psi0 = max(table.values()) if table else 0
-    return WeightProfile(table, psi["v"], psi["c"], psi0)
+    rows = _weight_rows(H, budget)
+    psi_v, psi_c, _ = _walk_groups(H, rows)
+    table = {(verts, c): w for verts, row in rows.items() for c, w in enumerate(row, start=1)}
+    return WeightProfile(table, psi_v, psi_c, max(table.values(), default=0))
 
 
 # -- median and flags -----------------------------------------------------------
@@ -244,13 +268,12 @@ def majority_median(values: Iterable) -> int:
     vals = sorted(values)
     if not vals:
         raise ValueError("median of an empty multiset")
-    half = Fraction(len(vals), 2)
     # Walk distinct values from the top; the strictly-larger count only grows
     # as the candidate shrinks, so the first qualifying hit is the largest.
     pos = len(vals) - 1
     while pos >= 0:
         x = vals[pos]
-        if len(vals) - 1 - pos >= half:
+        if 2 * (len(vals) - 1 - pos) >= len(vals):
             return x
         while pos >= 0 and vals[pos] == x:
             pos -= 1
@@ -269,7 +292,8 @@ def weight_ratio_bounded(weights: Collection[int], L: float) -> bool:
         # All weights zero: max/avg is 0/0, read as balanced.
         return True
     # max/avg <= L  <=>  max * |E| <= L * total, in exact arithmetic.
-    return Fraction(max(weights)) * len(weights) <= Fraction(L) * total
+    num, den = Fraction(L).as_integer_ratio()
+    return max(weights) * len(weights) * den <= num * total
 
 
 def degrees_regular(
@@ -278,16 +302,16 @@ def degrees_regular(
     params: EventParams = DEFAULT_EVENT_PARAMS,
 ) -> bool:
     """Flag R: every vertex degree and every color degree lies within relative
-    eps1 of the expectation n^(k-1) * p.  Exact rational comparison."""
+    eps1 of the expectation n^(k-1) * p.  Exact: with p = a/b and eps1 = e/f,
+    |d - expect| <= eps1 * expect  <=>  f * |d*b - n^(k-1)*a| <= e * n^(k-1)*a,
+    and the degrees pass together iff the smallest and the largest do."""
     _check_partite(H)
-    p = Fraction(p)
-    expect = Fraction(H.n ** (H.k - 1)) * p
-    tol = Fraction(params.eps1) * expect
+    a, b = Fraction(p).as_integer_ratio()
+    e, f = Fraction(params.eps1).as_integer_ratio()
+    expect_b = H.n ** (H.k - 1) * a  # expect * b
     deg, cdeg = degree_profile(H)
-    for d in list(deg.values()) + list(cdeg.values()):
-        if abs(Fraction(d) - expect) > tol:
-            return False
-    return True
+    degs = [*deg.values(), *cdeg.values()]
+    return all(f * abs(d * b - expect_b) <= e * expect_b for d in (min(degs), max(degs)))
 
 
 def weight_median_capped(
@@ -302,17 +326,25 @@ def weight_median_capped(
     Two clause families: for each partial tuple missing one part and each
     color, the max over completions versus the median over completions; and
     for each full tuple, the max over colors versus the median over colors.
+    A group fails only if its max beats both bounds, so the flag reads off
+    the one walk's worst (the largest max above twice its median) in
+    integers: worst * 2^k * n^k <= phi.
     """
     _check_partite(H)
     if profile is None:
-        profile = weight_profile(H, budget=budget)
+        rows = _weight_rows(H, budget)
+    else:
+        parts = [H.part_active(p) for p in range(1, H.k + 1)]
+        colors = range(1, H.kappa + 1)
+        rows = {v: [profile.table[(v, c)] for c in colors] for v in product(*parts)}
     if phi is None:
         phi = count_rainbow_pm(H, budget=budget).value
-    cap_fraction = Fraction(phi, (2**H.k) * (H.n**H.k))
-    for _, _, vals in _weight_groups(H, profile.table):
-        if vals and max(vals) > max(cap_fraction, 2 * majority_median(vals)):
-            return False
-    return True
+    return _capped(H, phi, _walk_groups(H, rows)[2])
+
+
+def _capped(H: ColoredHypergraph, phi: int, worst: int) -> bool:
+    # worst <= phi / (2^k n^k), cross-multiplied
+    return worst * 2**H.k * H.n**H.k <= phi
 
 
 # -- the deletion process ---------------------------------------------------------
@@ -394,21 +426,21 @@ def run_deletion_process(
             removed = ordering[i - 1]
             H = restrict(H, removed_edges=(removed,))
         try:
-            profile = weight_profile(H, budget=budget)
-            p_i = Fraction(N - i, N)
-            ws = [profile.table[(e.verts, e.color)] for e in H.edges]
-            # w(e) counts the rainbow perfect matchings through e, and each
-            # of them has n edges.
-            phi = sum(ws) // H0.n
-            w_max = max(ws, default=0)
-            w_avg = Fraction(sum(ws), len(ws)) if ws else None
-            w_med = majority_median(ws) if ws else None
-            balanced = weight_ratio_bounded(ws, params.L)
-            regular = degrees_regular(H, p_i, params)
-            capped = weight_median_capped(H, phi=phi, profile=profile, budget=budget)
+            rows = _weight_rows(H, budget)
         except BudgetExceededError:
             truncated = True
             break
+        p_i = Fraction(N - i, N)
+        ws = [rows[e.verts][e.color - 1] for e in H.edges]
+        # w(e) counts the rainbow perfect matchings through e, and each of
+        # them has n edges.
+        phi = sum(ws) // H0.n
+        w_max = max(ws, default=0)
+        w_avg = Fraction(sum(ws), len(ws)) if ws else None
+        w_med = majority_median(ws) if ws else None
+        balanced = weight_ratio_bounded(ws, params.L)
+        regular = degrees_regular(H, p_i, params)
+        capped = _capped(H, phi, _walk_groups(H, rows)[2])
         if i == 0:
             xi = gamma = None
         else:

@@ -375,6 +375,25 @@ def test_median_cap_flag_completion_clause_alone():
     assert weight_median_capped(H, phi=360, profile=profile)
 
 
+def test_median_cap_flag_at_twice_the_median():
+    # n=3, k=2, phi=1: the cap 1/36 is below every median clause, so a group
+    # trips iff its max strictly exceeds twice its majority median (1 here)
+    H = complete_colored(3, 2, 3, rng(0, seed=47))
+    idx = (1, 2, 3)
+
+    def capped(top, colors):
+        table = {((i, j), c): 1 for i in idx for j in idx for c in idx}
+        for c in colors:
+            table[((1, 1), c)] = top
+        # flag C reads only the table
+        return weight_median_capped(H, phi=1, profile=WeightProfile(table, {}, {}, top))
+
+    # every color of (1, 1): flat color groups, completion groups (top, 1, 1)
+    assert capped(2, idx) and not capped(3, idx)
+    # color 1 of (1, 1) alone: its color group reads (top, 1, 1) as well
+    assert capped(2, (1,)) and not capped(3, (1,))
+
+
 def test_median_cap_flag_matches_reimplementation():
     # independent arithmetic over the full weight table at n=2
     for j in range(20):
@@ -436,6 +455,96 @@ def test_weight_groups_match_table_grouping():
             )
             assert weight_median_capped(H, phi) == capped, (j, e)
             H = restrict(H, removed_edges=(e,))
+
+
+def fraction_median(vals):
+    """The majority median with a Fraction half: the largest member that at
+    least half the multiset strictly exceeds, else the minimum."""
+    half = Fraction(len(vals), 2)
+    for x in sorted(set(vals), reverse=True):
+        if sum(1 for v in vals if v > x) >= half:
+            return x
+    return min(vals)
+
+
+def fraction_regular(H, p, eps1):
+    """Flag R with a Fraction expectation and a Fraction tolerance."""
+    expect = Fraction(H.n ** (H.k - 1)) * Fraction(p)
+    tol = Fraction(eps1) * expect
+    deg, cdeg = degree_profile(H)
+    return all(abs(Fraction(d) - expect) <= tol for d in [*deg.values(), *cdeg.values()])
+
+
+def test_majority_median_matches_fraction_definition():
+    for j in range(300):
+        rnd = rng(j, seed=54)
+        size = rnd.randrange(1, 6) * 2 - j % 2  # odd and even lengths alternate
+        vals = [rnd.randrange(0, 5) for _ in range(size)]
+        assert majority_median(vals) == fraction_median(vals), vals
+
+
+@pytest.mark.parametrize("n,k,kappa", [(3, 2, 3), (4, 2, 4), (2, 3, 3)])
+def test_step_flags_match_fraction_oracle(n, k, kappa):
+    # every step's R, C and w_med, and the profile's maxima, against the
+    # Fraction arithmetic over the weight table grouped entry by entry
+    for params in (DEFAULT_EVENT_PARAMS, EventParams.from_abundance(8.0)):
+        for j in range(2):
+            H = complete_colored(n, k, kappa, rng(j, seed=55 + n + k))
+            order = random_edge_ordering(H, rng(j, seed=56))
+            trace = run_deletion_process(H, order, params=params)
+            assert len(trace.steps) == len(order) + 1
+            for step in trace.steps:
+                Hi = restrict(H, removed_edges=order[: step.index])
+                prof = weight_profile(Hi)
+                psi_v, psi_c = {}, {}
+                for (verts, c), w in prof.table.items():
+                    for missing in range(k):
+                        partial = tuple((p + 1, v) for p, v in enumerate(verts) if p != missing)
+                        psi_v.setdefault((partial, c), []).append(w)
+                    psi_c.setdefault(verts, []).append(w)
+                assert prof.psi_v == {key: max(vals) for key, vals in psi_v.items()}
+                assert prof.psi_c == {key: max(vals) for key, vals in psi_c.items()}
+                cap = Fraction(step.phi, 2**k * n**k)
+                capped = all(
+                    max(vals) <= max(cap, 2 * Fraction(fraction_median(vals)))
+                    for vals in [*psi_v.values(), *psi_c.values()]
+                )
+                ws = [prof.table[(e.verts, e.color)] for e in Hi.edges]
+                assert step.median_capped == capped, (j, step.index)
+                assert step.regular == fraction_regular(Hi, step.p, params.eps1), (j, step.index)
+                assert step.w_med == (fraction_median(ws) if ws else None), (j, step.index)
+
+
+@pytest.mark.parametrize("eps1", [0.5, 100 ** (-1 / 3)])
+def test_regular_flag_at_tolerance_boundary(eps1):
+    params = EventParams(L=10.0, eps1=eps1, K=64.0)
+    # balanced complete n=4: every vertex degree and every color degree is 4
+    edges = tuple(ColoredEdge((i, j), (i + j) % 4 + 1) for i in range(1, 5) for j in range(1, 5))
+    flat = ColoredHypergraph(PARTITE, 4, 2, 4, edges)
+    # one edge moved from color 2 to color 1: color degrees 5 and 3
+    moved = next(e for e in edges if e.color == 2)
+    bumped = ColoredHypergraph(
+        PARTITE, 4, 2, 4,
+        tuple(ColoredEdge(e.verts, 1) if e == moved else e for e in edges),
+    )
+    e = Fraction(eps1)
+    tiny = Fraction(1, 10**60)
+    for side in (1, -1):
+        # degree 4 = expect + side * tol = 4 * p * (1 + side * eps1)
+        p = 1 / (1 + side * e)
+        assert degrees_regular(flat, p, params)
+        assert not degrees_regular(bumped, p, params)  # a degree one beyond
+        assert not degrees_regular(flat, p - side * tiny, params)
+        assert degrees_regular(flat, p + side * tiny, params)
+        # float p: the floats around the boundary read as their exact values
+        q = float(p)
+        for x in (math.nextafter(q, 0), q, math.nextafter(q, math.inf)):
+            assert degrees_regular(flat, x, params) == fraction_regular(flat, x, eps1), x
+            assert degrees_regular(flat, Fraction(x), params) == fraction_regular(flat, x, eps1)
+    # dyadic eps1 and p: the lower boundary is a float, and it passes
+    if eps1 == 0.5:
+        assert degrees_regular(flat, 2.0, params)
+        assert not degrees_regular(flat, math.nextafter(2.0, math.inf), params)
 
 
 def test_event_params_validation():
