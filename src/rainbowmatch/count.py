@@ -23,7 +23,9 @@ kernel has found one witness, so a zero count is still proved by the pruned
 search.  Graph-mode counts have no part-1 side and stay on the search kernel.
 The same layer function, run over every part-1 vertex with one vertex allowed
 to stay uncovered, tallies the rainbow near-perfect matchings that the
-deletion process's weight table is built from.
+deletion process's weight table is built from (_near_layers); after each
+deletion the process runs that loop again over the edges compatible with the
+deleted one, to tally the matchings it removed.
 
 For bipartite instances whose color count equals n there is one more,
 independent counting route via inclusion-exclusion over color subsets and
@@ -36,6 +38,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Sequence
 
 from .model import (
@@ -269,6 +272,90 @@ def _grow(table: dict[int, int], edges: list[int], nodes: int, budget: int, cap=
     return layer, nodes
 
 
+def _near_layers(lists: list[list[int]], budget: int) -> tuple[dict[int, int], int]:
+    """The near-perfect tally's layer loop over packed edge lists (one list
+    per part-1 vertex, _packed_lists): returns (near, nodes), near mapping
+    every packed state that covers all part-1 vertices of the lists but one
+    to its number of rainbow matchings, nodes the states built.
+
+    One layer (_grow) per list, over two tables: full, the matchings covering
+    every part-1 vertex so far, and near, those that left exactly one of them
+    uncovered.  Each layer grows both and carries every state of full into
+    near with this vertex left uncovered.  The nodes counted against budget
+    are one per grown state and one per carry.  Nothing is pruned, so
+    removing edges from the lists only shrinks every layer and the node
+    count with it.
+    """
+    full, near, nodes = {0: 1}, {}, 0
+    for edges in lists:
+        near, nodes = _grow(near, edges, nodes, budget)
+        # the carries cover no vertex the grown states do, so nothing collides
+        near.update(full)
+        nodes += len(full)
+        if nodes > budget:
+            raise BudgetExceededError(f"node budget {budget} exceeded", nodes)
+        full, nodes = _grow(full, edges, nodes, budget)
+    return near, nodes
+
+
+class _NearTally:
+    """The rainbow near-perfect matchings of a partite instance, tallied over
+    packed edge lists (_packed_lists) that edge deletions keep current.
+
+    tally() counts them all; delete(e) removes e from its part-1 vertex's
+    list and counts only the ones through e: e plus a near-perfect matching
+    of the other part-1 vertices whose edges share no vertex and no color
+    with e, built by the same layer loop (_near_layers).  Both return
+    ({(leftover tuple, used-color mask): number of matchings}, nodes), keyed
+    as near_perfect_tally is.  Every state a delta builds, with e added once
+    the loop has passed e's part-1 vertex, is also built by tally() on the
+    instance before the deletion (from the matching parent by the same
+    edge), so no delta builds more states than the full tally before it.
+    delete assumes the active parts have equal sizes.
+    """
+
+    def __init__(self, H: ColoredHypergraph):
+        self.all_active, branch_bits, edge_items, feasible = _kernel_setup(H)
+        self.shift = H.n * H.k
+        self.lists = _packed_lists(H, branch_bits, edge_items)
+        self.feasible = feasible and self.all_active != 0
+        # each edge's packed int and its part-1 vertex's list (the lowest bit
+        # of its vertex mask is that vertex)
+        list_of = dict(zip(branch_bits, self.lists))
+        self.packed = {
+            e: (vmask | cbit << self.shift, list_of[vmask & -vmask])
+            for vmask, cbit, e in edge_items
+        }
+        # an uncovered vertex set, one vertex per part, to its index tuple
+        parts = [H.part_active(p) for p in range(1, H.k + 1)]
+        self.verts_of = {
+            sum(1 << (p * H.n + i - 1) for p, i in enumerate(verts)): verts
+            for verts in product(*parts)
+        }
+
+    def _decode(self, near: dict[int, int], edge: int) -> dict[tuple[tuple[int, ...], int], int]:
+        verts_of, active, shift = self.verts_of, self.all_active, self.shift
+        return {
+            (verts_of[active & ~(state | edge)], (state | edge) >> shift): ways
+            for state, ways in near.items()
+        }
+
+    def tally(self, budget: int) -> tuple[dict[tuple[tuple[int, ...], int], int], int]:
+        if not self.feasible:
+            return {}, 0
+        near, nodes = _near_layers(self.lists, budget)
+        return self._decode(near, 0), nodes
+
+    def delete(
+        self, e: ColoredEdge, budget: int
+    ) -> tuple[dict[tuple[tuple[int, ...], int], int], int]:
+        packed, own = self.packed.pop(e)
+        own.remove(packed)
+        others = [[x for x in edges if not x & packed] for edges in self.lists if edges is not own]
+        near, nodes = _near_layers(others, budget)
+        return self._decode(near, packed), nodes
+
+
 def near_perfect_tally(
     H: ColoredHypergraph, budget: int = DEFAULT_NODE_BUDGET
 ) -> dict[tuple[tuple[int, ...], int], int]:
@@ -281,36 +368,15 @@ def near_perfect_tally(
     the mask stands for color c.  Empty when the active parts differ in size
     or no vertex is active.
 
-    One layer (_grow) per part-1 vertex, in branch order, over two tables:
-    full, the matchings covering every part-1 vertex so far, and near, those
-    that left exactly one of them uncovered.  Each layer grows both and
-    carries every state of full into near with this vertex left uncovered.
-    The nodes counted against budget are the states built, one per grown
-    state and one per carry.  Nothing is pruned, so deleting an edge only
-    shrinks every layer and the node count with it.
+    The matchings are built by _near_layers over the part-1 vertices' packed
+    edge lists, in branch order; every state it builds counts against budget.
+    The deletion process runs the same loop through _NearTally: over every
+    list at step 0, and after each deletion over the edges disjoint from the
+    deleted one.
     """
     if H.mode != PARTITE:
         raise ValueError("the near-perfect tally is defined for partite instances")
-    all_active, branch_bits, edge_items, feasible = _kernel_setup(H)
-    if not (feasible and all_active):
-        return {}
-    full, near, nodes = {0: 1}, {}, 0
-    for edges in _packed_lists(H, branch_bits, edge_items):
-        near, nodes = _grow(near, edges, nodes, budget)
-        # the carries cover no vertex the grown states do, so nothing collides
-        near.update(full)
-        nodes += len(full)
-        if nodes > budget:
-            raise BudgetExceededError(f"node budget {budget} exceeded", nodes)
-        full, nodes = _grow(full, edges, nodes, budget)
-    n, part = H.n, (1 << H.n) - 1
-    return {
-        (
-            tuple(((all_active & ~state) >> (p * n) & part).bit_length() for p in range(H.k)),
-            state >> (n * H.k),
-        ): count
-        for state, count in near.items()
-    }
+    return _NearTally(H).tally(budget)[0]
 
 
 # Most entries the split count's half table may keep (about 70 bytes each).

@@ -16,14 +16,23 @@ removed.  For an edge e, the weight against its own color counts exactly the
 rainbow perfect matchings through e, which is what links weights to counts:
 summing that weight over all remaining edges counts each matching n times.
 
-The whole weight table comes from one tally per step: a rainbow perfect
-matching of the instance minus v's vertices is a rainbow near-perfect matching
-of the instance that leaves exactly v uncovered, and it avoids c iff it does
-not use c.  So `near_perfect_tally` builds the near-perfect matchings layer by
-layer, tallied by (leftover tuple, used colors), and every entry w(v, c) is a
-sum over that tally.  The step's count phi is then the sum of the edge
-weights divided by n, so a step runs one exact enumeration in all.
-`rainbow_weight` keeps the one-entry definition (restrict, then count).
+The whole weight table comes from one tally: a rainbow perfect matching of
+the instance minus v's vertices is a rainbow near-perfect matching of the
+instance that leaves exactly v uncovered, and it avoids c iff it does not use
+c.  So the near-perfect matchings are built layer by layer (the layer loop of
+`near_perfect_tally`), tallied by (leftover tuple, used colors), and every
+entry w(v, c) is a sum over that tally.  A count phi is then the sum of the
+edge weights divided by n.  `rainbow_weight` keeps the one-entry definition
+(restrict, then count).
+
+The process runs that full tally once, at step 0, and carries its state (the
+weight rows, the packed edge lists, the vertex and color degrees, the live
+edges; `_DeletionState`) from step to step.  Deleting edge e removes exactly
+the near-perfect matchings through e, so a later step tallies only those:
+the same layer loop over the other part-1 vertices' edges that share no
+vertex and no color with e.  Each one is subtracted from its leftover tuple's
+row, and the step builds no instance.  No delta builds more states than
+step 0's tally, so a budget step 0 fits in holds for the whole trace.
 
 Flags per step (wire names B, R, C in the trace CSV):
 
@@ -55,8 +64,8 @@ from typing import Collection, Iterable, Mapping, Sequence
 from .count import (
     BudgetExceededError,
     DEFAULT_NODE_BUDGET,
+    _NearTally,
     count_rainbow_pm,
-    near_perfect_tally,
 )
 from .model import (
     PARTITE,
@@ -132,6 +141,10 @@ def _check_partite(H: ColoredHypergraph) -> None:
         raise ValueError("this operation is defined for partite instances")
 
 
+def _parts(H: ColoredHypergraph) -> list[list[int]]:
+    return [H.part_active(p) for p in range(1, H.k + 1)]
+
+
 def rainbow_weight(
     H: ColoredHypergraph,
     verts: Sequence[int],
@@ -152,20 +165,55 @@ def rainbow_weight(
     return count_rainbow_pm(sub, budget=budget).value
 
 
+class _DeletionState:
+    """What the deletion process carries from step to step: the weight rows,
+    the near-perfect tally's packed edge lists (`_NearTally`), one degree
+    count per vertex and per color, and the live edges.
+
+    rows maps every active tuple, in `product` order, to its row of weights
+    [rainbow_weight(H, verts, c) for c in 1..kappa]: a rainbow near-perfect
+    matching that leaves exactly verts uncovered counts toward every color
+    it does not use.  delete(e) subtracts the matchings through e, so the
+    rows stay exact without a rebuilt instance.  nodes is the number of
+    states the last tally built, all counted against budget.
+    """
+
+    def __init__(self, H: ColoredHypergraph, budget: int):
+        self.budget = budget
+        self.parts = _parts(H)
+        self.rows = {verts: [0] * H.kappa for verts in product(*self.parts)}
+        self.colors = (1 << H.kappa) - 1
+        self.tally = _NearTally(H)
+        near, self.nodes = self.tally.tally(budget)
+        self._add(near, 1)
+        self.live = {e: (self.rows[e.verts], e.color - 1) for e in H.edges}
+        self.deg, self.cdeg = degree_profile(H)
+
+    def _add(self, near: dict[tuple[tuple[int, ...], int], int], sign: int) -> None:
+        # each tally entry, sign times, at every color its matchings leave unused
+        rows, colors = self.rows, self.colors
+        for (verts, used), ways in near.items():
+            row = rows[verts]
+            ways *= sign
+            free = colors & ~used
+            while free:
+                low = free & -free
+                row[low.bit_length() - 1] += ways
+                free ^= low
+
+    def delete(self, e: ColoredEdge) -> None:
+        lost, self.nodes = self.tally.delete(e, self.budget)
+        self._add(lost, -1)
+        del self.live[e]
+        for v in enumerate(e.verts, start=1):  # (part, index) == PartiteVertex
+            self.deg[v] -= 1
+        self.cdeg[e.color] -= 1
+
+
 def _weight_rows(H: ColoredHypergraph, budget: int) -> dict[tuple[int, ...], list[int]]:
     """verts -> [rainbow_weight(H, verts, c) for c in 1..kappa], over all
-    active tuples in `product` order, read off one near-perfect tally: a
-    rainbow matching that leaves exactly verts uncovered counts toward every
-    color it does not use."""
-    parts = [H.part_active(p) for p in range(1, H.k + 1)]
-    colors = range(H.kappa)
-    rows = {verts: [0] * H.kappa for verts in product(*parts)}
-    for (verts, used), count in near_perfect_tally(H, budget=budget).items():
-        row = rows[verts]
-        for c in colors:
-            if not used >> c & 1:
-                row[c] += count
-    return rows
+    active tuples in `product` order, read off one near-perfect tally."""
+    return _DeletionState(H, budget).rows
 
 
 def edge_weights(
@@ -196,10 +244,11 @@ class WeightProfile:
 
 
 def _walk_groups(
-    H: ColoredHypergraph, rows: Mapping[tuple[int, ...], Sequence[int]]
+    parts: Sequence[Sequence[int]], kappa: int, rows: Mapping[tuple[int, ...], Sequence[int]]
 ) -> tuple[dict, dict, int]:
     """One pass over the localized groups of a weight table given as rows
-    (`_weight_rows` layout): returns (psi_v, psi_c, worst).
+    (`_weight_rows` layout) over the active parts: returns (psi_v, psi_c,
+    worst).
 
     Family "v": for each partial tuple missing one part and each color, the
     weights over the completions of the missing part.  In `product` order the
@@ -211,21 +260,21 @@ def _walk_groups(
     majority median, or 0 if no group's does: flag C fails exactly when
     worst exceeds the cap.
     """
-    parts = [H.part_active(p) for p in range(1, H.k + 1)]
+    k = len(parts)
     table = list(rows.values())
     psi_v, worst = {}, 0
-    for missing in range(H.k):
+    for missing in range(k):
         size = len(parts[missing])
         stride = math.prod(len(part) for part in parts[missing + 1 :])
         outer = math.prod(len(part) for part in parts[:missing])
-        others = [p for p in range(1, H.k + 1) if p != missing + 1]
+        others = [p for p in range(1, k + 1) if p != missing + 1]
         partials = product(*(parts[p - 1] for p in others))
         starts = (o * size * stride + i for o in range(outer) for i in range(stride))
         for partial, start in zip(partials, starts):
             key = tuple(zip(others, partial))
             block = table[start : start + size * stride : stride]
             # an emptied part leaves every color's group empty
-            groups = zip(*block) if block else [()] * H.kappa
+            groups = zip(*block) if block else [()] * kappa
             for c, vals in enumerate(groups, start=1):
                 top = psi_v[(key, c)] = max(vals, default=0)
                 # a median is needed only where the group could raise worst
@@ -253,7 +302,7 @@ def weight_profile(
     """
     _check_partite(H)
     rows = _weight_rows(H, budget)
-    psi_v, psi_c, _ = _walk_groups(H, rows)
+    psi_v, psi_c, _ = _walk_groups(_parts(H), H.kappa, rows)
     table = {(verts, c): w for verts, row in rows.items() for c, w in enumerate(row, start=1)}
     return WeightProfile(table, psi_v, psi_c, max(table.values(), default=0))
 
@@ -306,12 +355,19 @@ def degrees_regular(
     |d - expect| <= eps1 * expect  <=>  f * |d*b - n^(k-1)*a| <= e * n^(k-1)*a,
     and the degrees pass together iff the smallest and the largest do."""
     _check_partite(H)
+    deg, cdeg = degree_profile(H)
+    degs = [*deg.values(), *cdeg.values()]
+    return _degrees_within(H, p, params, min(degs), max(degs))
+
+
+def _degrees_within(
+    H: ColoredHypergraph, p: Fraction | float, params: EventParams, lo: int, hi: int
+) -> bool:
+    # flag R from the smallest and the largest degree, cross-multiplied
     a, b = Fraction(p).as_integer_ratio()
     e, f = Fraction(params.eps1).as_integer_ratio()
     expect_b = H.n ** (H.k - 1) * a  # expect * b
-    deg, cdeg = degree_profile(H)
-    degs = [*deg.values(), *cdeg.values()]
-    return all(f * abs(d * b - expect_b) <= e * expect_b for d in (min(degs), max(degs)))
+    return all(f * abs(d * b - expect_b) <= e * expect_b for d in (lo, hi))
 
 
 def weight_median_capped(
@@ -331,15 +387,15 @@ def weight_median_capped(
     integers: worst * 2^k * n^k <= phi.
     """
     _check_partite(H)
+    parts = _parts(H)
     if profile is None:
         rows = _weight_rows(H, budget)
     else:
-        parts = [H.part_active(p) for p in range(1, H.k + 1)]
         colors = range(1, H.kappa + 1)
         rows = {v: [profile.table[(v, c)] for c in colors] for v in product(*parts)}
     if phi is None:
         phi = count_rainbow_pm(H, budget=budget).value
-    return _capped(H, phi, _walk_groups(H, rows)[2])
+    return _capped(H, phi, _walk_groups(parts, H.kappa, rows)[2])
 
 
 def _capped(H: ColoredHypergraph, phi: int, worst: int) -> bool:
@@ -357,7 +413,10 @@ class DeletionStep:
     xi and gamma are None at index 0 (no deletion happened yet).  When the
     count has already died (previous phi = 0), xi is recorded as Fraction(0);
     the telescoping product is 0 from the death step onward either way.
-    w_avg and w_med are None once no edges remain.
+    w_avg and w_med are None once no edges remain.  nodes is the number of
+    states the step's tally built: the full near-perfect tally at index 0,
+    the matchings through the deleted edge after it.  It is telemetry and
+    appears in no experiment output.
     """
 
     index: int
@@ -372,6 +431,7 @@ class DeletionStep:
     balanced: bool
     regular: bool
     median_capped: bool
+    nodes: int
 
 
 @dataclass(frozen=True)
@@ -398,12 +458,20 @@ def run_deletion_process(
     """Delete ordering[0..t_max-1] one at a time from a complete colored
     instance and record a DeletionStep after every deletion (plus step 0).
 
-    Each step runs one exact enumeration (the weight table's tally), whose
-    states count against budget.  If it exceeds the budget the trace returned
-    so far is marked truncated instead of raising; a partial trace with an
-    explicit marker beats losing the prefix.  Deleting an edge only shrinks
-    every layer of that tally, so the budget either holds for every step or
-    already truncates step 0.
+    Step 0 tallies the rainbow near-perfect matchings of H0 once and builds
+    the carried state from them (`_DeletionState`).  Every later step deletes
+    its edge from that state: it tallies only the near-perfect matchings
+    through the deleted edge, subtracts them from the weight rows, and
+    decrements the edge's vertex and color degrees.  The step's weights,
+    count, flags and the walk of the weight table are read off the carried
+    state; no instance is rebuilt.  DeletionStep.nodes is the states that
+    step's tally built.
+
+    Those states count against budget.  If step 0's tally exceeds it, the
+    trace is returned with no steps and marked truncated instead of raising.
+    A delta tally never builds more states than step 0's (each of its states
+    is built by the full tally too), so a budget that step 0 fits in holds
+    for every step.
     """
     _check_partite(H0)
     N = H0.n**H0.k
@@ -416,22 +484,20 @@ def run_deletion_process(
     if not 0 <= t_max <= len(ordering):
         raise ValueError(f"t_max must lie in 0..{len(ordering)}")
 
+    try:
+        state = _DeletionState(H0, budget)
+    except BudgetExceededError:
+        return DeletionTrace(H0.n, H0.k, H0.kappa, params, (), True)
     steps: list[DeletionStep] = []
-    truncated = False
-    H = H0
     prev_phi: int | None = None
     for i in range(t_max + 1):
         removed = None
         if i > 0:
             removed = ordering[i - 1]
-            H = restrict(H, removed_edges=(removed,))
-        try:
-            rows = _weight_rows(H, budget)
-        except BudgetExceededError:
-            truncated = True
-            break
+            # builds no more states than step 0 did, so it fits the budget
+            state.delete(removed)
         p_i = Fraction(N - i, N)
-        ws = [rows[e.verts][e.color - 1] for e in H.edges]
+        ws = [row[c] for row, c in state.live.values()]
         # w(e) counts the rainbow perfect matchings through e, and each of
         # them has n edges.
         phi = sum(ws) // H0.n
@@ -439,8 +505,9 @@ def run_deletion_process(
         w_avg = Fraction(sum(ws), len(ws)) if ws else None
         w_med = majority_median(ws) if ws else None
         balanced = weight_ratio_bounded(ws, params.L)
-        regular = degrees_regular(H, p_i, params)
-        capped = _capped(H, phi, _walk_groups(H, rows)[2])
+        degs = [*state.deg.values(), *state.cdeg.values()]
+        regular = _degrees_within(H0, p_i, params, min(degs), max(degs))
+        capped = _capped(H0, phi, _walk_groups(state.parts, H0.kappa, state.rows)[2])
         if i == 0:
             xi = gamma = None
         else:
@@ -460,10 +527,11 @@ def run_deletion_process(
                 balanced=balanced,
                 regular=regular,
                 median_capped=capped,
+                nodes=state.nodes,
             )
         )
         prev_phi = phi
-    return DeletionTrace(H0.n, H0.k, H0.kappa, params, tuple(steps), truncated)
+    return DeletionTrace(H0.n, H0.k, H0.kappa, params, tuple(steps), False)
 
 
 def cumulative_loss_rate(n: int, k: int, t: int) -> tuple[float, float]:

@@ -42,6 +42,7 @@ from rainbowmatch.process import (
     weight_profile,
     weight_ratio_bounded,
 )
+from rainbowmatch.process import _DeletionState, _weight_rows
 
 from helpers import edge_by_verts
 
@@ -239,6 +240,38 @@ def test_trace_budget_truncation():
     # t_max keeps the prefix of the untruncated trace
     short = run_deletion_process(H, order, t_max=4, budget=nodes[0])
     assert short.steps == full.steps[:5] and not short.truncated
+
+
+@pytest.mark.parametrize("n,k,kappa", [(4, 2, 4), (3, 2, 5), (3, 3, 3), (2, 3, 4)])
+def test_step_nodes_along_trace(n, k, kappa):
+    # step 0 reports the full tally's states; every later step reports its
+    # delta tally, which never builds more
+    for j in range(2):
+        H = complete_colored(n, k, kappa, rng(j, seed=57))
+        order = random_edge_ordering(H, rng(j, seed=58))
+        steps = run_deletion_process(H, order).steps
+        assert len(steps) == len(order) + 1
+        assert steps[0].nodes == tally_nodes(H)
+        assert all(step.nodes <= steps[0].nodes for step in steps[1:]), j
+
+
+@pytest.mark.parametrize(
+    "n,k,kappa", [(3, 2, 3), (4, 2, 4), (4, 2, 3), (3, 2, 5), (3, 3, 3), (2, 3, 4)]
+)
+def test_carried_state_matches_rebuilt_instance(n, k, kappa):
+    # the state the process carries across deletions, at every step, against
+    # the weight rows and degrees of the instance rebuilt from scratch
+    for j in range(2):
+        H = complete_colored(n, k, kappa, rng(j, seed=59))
+        order = random_edge_ordering(H, rng(j, seed=60))
+        state = _DeletionState(H, DEFAULT_NODE_BUDGET)
+        for i in range(len(order) + 1):
+            if i:
+                state.delete(order[i - 1])
+            Hi = restrict(H, removed_edges=order[:i])
+            assert state.rows == _weight_rows(Hi, DEFAULT_NODE_BUDGET), (j, i)
+            assert (state.deg, state.cdeg) == degree_profile(Hi), (j, i)
+            assert list(state.live) == list(Hi.edges), (j, i)
 
 
 def test_weight_profile_maxima_consistency():
