@@ -4,8 +4,8 @@ Subcommands: gen, count, solve, trace, threshold, mean-count, hamilton, plot.
 Run `rainbowmatch <subcommand> --help` for the per-command flags.  Exit codes:
 0 on success (for `solve`: a witness was found), 1 when `solve` proves
 absence, 2 for configuration or input errors (including an instance too large
-to build or too deep for the recursive searches), 3 when a search budget ran
-out.
+to build or too deep for the recursive Hamilton cycle search), 3 when a search
+budget ran out.
 """
 
 from __future__ import annotations
@@ -324,9 +324,10 @@ def main(argv=None) -> int:
         print(f"rainbowmatch: error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # The searches recurse once per matching edge or cycle vertex.
-        print("rainbowmatch: error: instance too deep for the recursive search",
-              file=sys.stderr)
+        # The Hamilton cycle search recurses once per cycle vertex; the
+        # matching search keeps its path on an explicit stack.
+        print("rainbowmatch: error: instance too deep for the recursive "
+              "Hamilton cycle search", file=sys.stderr)
         return 2
 
 

@@ -1,13 +1,22 @@
 """Exact rainbow perfect matching decision, search, and counting.
 
 Everything here is exact integer combinatorics; nothing is sampled.  The
-workhorse is a backtracking kernel over bitmasks (one bit per vertex, one bit
-per color) with two fail-fast prunes: a branch dies as soon as some active
-uncovered vertex has no remaining usable edge (vertex coverage), or the usable
-edges carry fewer distinct colors than the matching still needs edges (color
-supply: each missing edge takes its own unused color).  Both cut only
-subtrees without a completion, so counts and the first witness do not depend
-on them; only the node count does.  Exponential in the worst case, fine at
+workhorse is an exact-cover search (_Search).  A rainbow perfect matching
+covers every active vertex exactly once, and every color exactly once when
+the edges carry exactly as many colors as the matching has edges (otherwise
+each color at most once).  The live edges are one int bitset; each column, a
+vertex or a color, has its own edge bitset, and choosing an edge drops every
+edge that shares a vertex or its color.  Two fail-fast prunes: a branch dies
+as soon as some active uncovered vertex has no live edge (vertex coverage),
+or the live edges carry fewer distinct colors than the matching still needs
+edges (color supply: each missing edge takes its own unused color).  Each
+node branches on the column with the fewest live edges (Knuth's rule for
+Algorithm X, "Dancing Links"), ties going to the lowest vertex and a color
+winning only when strictly smaller, and tries that column's live edges in
+canonical order.  The depth-first order lives on an explicit stack, so a
+matching's size is not bounded by Python's recursion limit.  Prunes and
+branching change the nodes visited and which witness comes first, never a
+count or whether a witness exists.  Exponential in the worst case, fine at
 desk scale, and guarded by an explicit node budget that raises instead of
 silently truncating.
 
@@ -129,7 +138,7 @@ def is_perfect_matching(H: ColoredHypergraph, M: Matching) -> bool:
     return covered == len(H.active_vertices())
 
 
-# -- backtracking kernel -------------------------------------------------------
+# -- exact-cover search kernel -------------------------------------------------
 
 
 def _kernel_setup(H: ColoredHypergraph):
@@ -172,7 +181,14 @@ def _kernel_setup(H: ColoredHypergraph):
 
 
 class _Search:
-    """One backtracking run; counts every visited node against the budget."""
+    """One exact-cover search (columns, prunes and branching rule in the
+    module docstring); counts every visited node against the budget.
+
+    Edge i of edge_items is bit i of an int.  After run(), nodes is the
+    number of nodes visited, count the rainbow perfect matchings reached
+    (all of them unless find_one), and found, in find_one mode, the first
+    one reached or None.
+    """
 
     def __init__(self, H: ColoredHypergraph, budget: int, find_one: bool):
         self.all_active, self.branch_bits, self.edge_items, self.feasible = _kernel_setup(H)
@@ -182,64 +198,98 @@ class _Search:
         self.find_one = find_one
         self.nodes = 0
         self.count = 0
-        self.stack: list[ColoredEdge] = []
         self.found: tuple[ColoredEdge, ...] | None = None
 
     def run(self) -> None:
         if not self.feasible:
             return
-        if self.all_active == 0:
+        all_active, items = self.all_active, self.edge_items
+        if all_active == 0:
             # No active vertices: exactly one (empty) perfect matching.
             self.count = 1
             if self.find_one:
                 self.found = ()
             return
-        self._recurse(0, 0, 0, self.edge_items)
-
-    def _recurse(self, level: int, used: int, colors: int, pool) -> bool:
-        """Returns True to abort the whole search (find_one hit)."""
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise BudgetExceededError(
-                f"node budget {self.budget} exceeded", self.nodes
-            )
-        branch = self.branch_bits
-        while level < len(branch) and branch[level] & used:
-            level += 1
-        if level == len(branch):
-            self.count += 1
-            if self.find_one:
-                self.found = tuple(self.stack)
-                return True
-            return False
-
-        vbit = branch[level]
-        live = []
-        cands = []
-        cover = 0
-        ccover = 0
-        for item in pool:
-            vmask, cbit, _ = item
-            if vmask & used or cbit & colors:
+        # the edges of each column (no edge touches an absent vertex)
+        vertex_cols = dict.fromkeys(_bits(all_active), 0)
+        color_cols: dict[int, int] = {}
+        for i, (vmask, cbit, _) in enumerate(items):
+            for v in _bits(vmask):
+                vertex_cols[v] |= 1 << i
+            color_cols[cbit] = color_cols.get(cbit, 0) | 1 << i
+        # per edge: the live edges its choice keeps (those sharing no vertex
+        # and no color with it) and the vertices it covers
+        moves = []
+        for vmask, cbit, _ in items:
+            conflict = color_cols[cbit]
+            for v in _bits(vmask):
+                conflict |= vertex_cols[v]
+            moves.append((~conflict, vmask))
+        vcols = sorted(vertex_cols.items())
+        ccols = [col for _, col in sorted(color_cols.items())]
+        per_edge = self.per_edge
+        exact = len(ccols) * per_edge == all_active.bit_count()
+        find_one, budget = self.find_one, self.budget
+        nodes = count = 0
+        # (live edges, uncovered vertices, chosen edges as nested (i, rest))
+        stack = [((1 << len(items)) - 1, all_active, None)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            live, uncovered, chosen = pop()
+            nodes += 1
+            if nodes > budget:
+                self.nodes = nodes
+                raise BudgetExceededError(f"node budget {budget} exceeded", nodes)
+            if not uncovered:
+                count += 1
+                if find_one:
+                    found = []
+                    while chosen:
+                        i, chosen = chosen
+                        found.append(items[i][2])
+                    self.found = tuple(reversed(found))
+                    break
                 continue
-            live.append(item)
-            cover |= vmask
-            ccover |= cbit
-            if vmask & vbit:
-                cands.append(item)
-        # Fail fast: every active uncovered vertex must still lie on some
-        # usable edge, and every edge still needed takes its own unused color,
-        # which some usable edge must carry; otherwise no completion exists
-        # down this branch.
-        uncovered = self.all_active & ~used
-        if uncovered & ~cover or ccover.bit_count() * self.per_edge < uncovered.bit_count():
-            return False
-        for vmask, cbit, edge in cands:
-            self.stack.append(edge)
-            if self._recurse(level + 1, used | vmask, colors | cbit, live):
-                return True
-            self.stack.pop()
-        return False
+            best, fewest = 0, len(items) + 1
+            for bit, col in vcols:
+                if uncovered & bit:
+                    d = (col & live).bit_count()
+                    if d < fewest:
+                        if not d:
+                            break  # this vertex can no longer be covered
+                        best, fewest = col, d
+            else:
+                # Used colors have no live edge left, so the colors that still
+                # have one are unused; each edge still needed takes its own.
+                # With exact colors the test also says every unused color
+                # keeps a live edge, and each is a column to branch on.
+                supply = 0
+                for col in ccols:
+                    x = col & live
+                    if x:
+                        supply += 1
+                        if exact:
+                            d = x.bit_count()
+                            if d < fewest:
+                                best, fewest = col, d
+                if supply * per_edge >= uncovered.bit_count():
+                    # pushed high to low, so the lowest edge is tried first
+                    cands = best & live
+                    while cands:
+                        i = cands.bit_length() - 1
+                        cands ^= 1 << i
+                        keep, covers = moves[i]
+                        push((live & keep, uncovered ^ covers, (i, chosen)))
+        self.nodes = nodes
+        self.count = count
+
+
+def _bits(mask: int):
+    """The set bits of mask, low to high, each as its own int."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
 
 
 def _packed_lists(H: ColoredHypergraph, branch_bits, edge_items) -> list[list[int]]:
@@ -484,10 +534,16 @@ def _count_split(H: ColoredHypergraph, budget: int) -> tuple[int, int]:
 def find_rainbow_pm(
     H: ColoredHypergraph, budget: int = DEFAULT_NODE_BUDGET
 ) -> Matching | None:
-    """First rainbow perfect matching in canonical search order, or None.
+    """The first rainbow perfect matching the exact-cover search reaches, or
+    None.
 
-    "None" is a proof of absence (the search space was exhausted), not a
-    timeout; running out of budget raises BudgetExceededError instead.
+    The search is deterministic: it branches on the column with the fewest
+    live edges (ties to the lowest vertex bit, a color only when strictly
+    fewer live edges carry it) and tries that column's edges in canonical
+    order, so the same instance always gives the same witness, though not
+    necessarily the lexicographically first one.  "None" is a proof of
+    absence (the search space was exhausted), not a timeout; running out of
+    budget raises BudgetExceededError instead.
     """
     search = _Search(H, budget, find_one=True)
     search.run()

@@ -2,8 +2,10 @@ import hashlib
 import json
 import xml.etree.ElementTree as ET
 
+from rainbowmatch import experiments
 from rainbowmatch.cli import main
-from rainbowmatch.model import load_instance
+from rainbowmatch.count import is_perfect_matching, is_rainbow
+from rainbowmatch.model import ColoredEdge, Matching, load_instance
 
 
 def run(capsys, *argv):
@@ -212,15 +214,32 @@ def test_budget_must_be_positive(tmp_path, capsys):
     assert code == 3 and json.loads(out)["outcome"] == "budget"
 
 
-def test_too_deep_instance_is_an_input_error(tmp_path, capsys):
-    # 1100 disjoint edges: the witness search recurses once per edge, past
-    # Python's default recursion limit; that must not read as exit 1 (absence)
+def test_deep_instance_is_solved(tmp_path, capsys):
+    # 1100 disjoint edges: a witness 1100 edges deep, past Python's default
+    # recursion limit; the matching search keeps its path on an explicit stack
     path = tmp_path / "deep.json"
     path.write_text(json.dumps({
         "mode": "graph", "n": 2200, "k": 2, "colors": 1100,
         "edges": [{"verts": [2 * i - 1, 2 * i], "color": i} for i in range(1, 1101)],
     }))
     code, out, err = run(capsys, "solve", str(path))
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["outcome"] == "found"
+    M = Matching(tuple(ColoredEdge(tuple(e["verts"]), e["color"]) for e in doc["matching"]))
+    H = load_instance(path)
+    assert len(M) == 1100 and is_perfect_matching(H, M) and is_rainbow(M)
+
+
+def test_recursion_error_is_an_input_error(capsys, monkeypatch):
+    # the Hamilton cycle search still recurses once per cycle vertex; running
+    # out of stack there must not read as exit 1 (absence) or crash
+    def too_deep(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(experiments, "find_rainbow_hc", too_deep)
+    code, out, err = run(capsys, "hamilton", "--n", "7", "--m", "18", "--retries", "1",
+                         "--trials", "1", "--seed", "1", "--jobs", "1")
     assert (code, out) == (2, "")
     assert err.startswith("rainbowmatch: error:") and "too deep" in err
 
@@ -228,7 +247,10 @@ def test_too_deep_instance_is_an_input_error(tmp_path, capsys):
 # SHA-256 of every output of small experiment grids, so that a change to the
 # experiment plumbing cannot alter an output byte unnoticed (criterion 11 only
 # compares runs of one version).  Hamilton JSON drops each trial's wall time;
-# raw lines drop their elapsed field.
+# raw lines drop their elapsed field.  The threshold and hamilton-even grids
+# run on small node budgets, so their digests also pin how many nodes the
+# matching search needs; test_smaller_budget_only_adds_budget_outcomes checks
+# that a budget decides only whether a trial answers.
 PINNED_RUNS = {
     "threshold": ["threshold", "--n", "3,4", "--m", "3,6,9", "--trials", "6",
                   "--seed", "1", "--budget", "4"],
@@ -240,10 +262,10 @@ PINNED_RUNS = {
                       "--budget", "500", "--hc-budget", "200", "--seed", "1"],
 }
 PINNED_DIGESTS = {
-    "threshold csv": "21f25d856aa217e4f5ac1ba1e972988fee571d5d8485ea6492ce3c25801cef15",
-    "threshold csv raw": "0e3ed4a8f74808ecbb4d6c6760d27578821884a4ee744414cb3a3b1ef157653c",
-    "threshold json": "8851215507c11737891329f91124524da09cc035e4cd48c85d597529fe632e4c",
-    "threshold json raw": "0e3ed4a8f74808ecbb4d6c6760d27578821884a4ee744414cb3a3b1ef157653c",
+    "threshold csv": "973a43d5208193d6110f2de91434f796a740074b7d0805fa09762c7c2b2c20fc",
+    "threshold csv raw": "0caffa032d3253682233a5675f156938d3e4cb57a7fe92223d64adc9d25e64d6",
+    "threshold json": "28ee047dd332b8940d5214995f15274005a17fde7aa71ab29bf1fcafccbd6dd4",
+    "threshold json raw": "0caffa032d3253682233a5675f156938d3e4cb57a7fe92223d64adc9d25e64d6",
     "mean-count csv": "1e4a6da34f8d9255644068d773b32ba4717249b4f92dff0459ff0cb6c3a8a370",
     "mean-count csv raw": "c64f1b411034b390de81af101d92ba9ea4a4cf58243b1fc41aac80eaa505a532",
     "mean-count json": "dd4c09be95aa54e7819010d3b054195e1437eeaccf755030ac7b4567b8d5eef2",
@@ -258,10 +280,10 @@ PINNED_DIGESTS = {
     "hamilton-odd csv raw": "e8e395ab8832eb8af85a353e710005a40f51499a6ef6f8a924fe7a9dd997c939",
     "hamilton-odd json": "d5f92f94e55e11e59ad4343da0882d69c57e6fc28bb9f997f7cad148b91c04b6",
     "hamilton-odd json raw": "e8e395ab8832eb8af85a353e710005a40f51499a6ef6f8a924fe7a9dd997c939",
-    "hamilton-even csv": "5061e922f0632910faef32540143f0905b940da36d8966ee088a47e7e506b178",
-    "hamilton-even csv raw": "be712ebc31f5aa90e3bbe652555bf7a43341ab3e6d4c6bd53cbb2fc25ac1d545",
-    "hamilton-even json": "9f773b7db9b3ebb4fe784f9638c1b665ad2825642a7b9233a27f8c43539c4113",
-    "hamilton-even json raw": "be712ebc31f5aa90e3bbe652555bf7a43341ab3e6d4c6bd53cbb2fc25ac1d545",
+    "hamilton-even csv": "311ccfe68053bc1be329d51ae102c58a13aa792e8247047efb2cf59993391903",
+    "hamilton-even csv raw": "9b48f34b9f605fa891d4ecb893c88d95017eb7d3dbcd60bb9890a06d685a799f",
+    "hamilton-even json": "8caf9a5e4ef35a1fec4c03be2dd9d4de39bffb7ec0db1bd9d8fc5d84fc290fc3",
+    "hamilton-even json raw": "9b48f34b9f605fa891d4ecb893c88d95017eb7d3dbcd60bb9890a06d685a799f",
 }
 
 
@@ -291,6 +313,32 @@ def _pinned_outputs(tmp_path, capsys) -> dict[str, str]:
             assert all(len(line) == 4 for line in lines)
             digests[f"{name} {fmt} raw"] = sha(json.dumps([line[:3] for line in lines]))
     return digests
+
+
+def test_smaller_budget_only_adds_budget_outcomes(tmp_path, capsys):
+    # A node budget decides whether a search answers, never what it answers:
+    # each trial of the budgeted pinned grids either ran out of budget or
+    # ends as it does at the default budget.
+    budget_outs = 0
+    for name in ("threshold", "hamilton-even"):
+        argv = PINNED_RUNS[name]
+        at = argv.index("--budget")
+        outcomes = []
+        for tag, args in (("small", argv), ("default", argv[:at] + argv[at + 2:])):
+            raw = tmp_path / f"{name}-{tag}.jsonl"
+            code, _, err = run(capsys, *args, "--jobs", "1", "--raw-out", str(raw))
+            assert (code, err) == (0, ""), (name, tag, err)
+            lines = [json.loads(line) for line in raw.read_text().splitlines()]
+            outcomes.append({tuple(line[0]): line[1:3] for line in lines})
+        small, default = outcomes
+        assert small.keys() == default.keys()
+        for key, got in small.items():
+            assert default[key][0] != "budget", (name, key)
+            if got[0] == "budget":
+                budget_outs += 1
+            else:
+                assert got == default[key], (name, key)
+    assert budget_outs > 0
 
 
 def test_cli_outputs_pinned(tmp_path, capsys):

@@ -266,6 +266,53 @@ def test_color_starved_instance_dies_at_the_root():
         assert find_rainbow_pm(H) is None
 
 
+def colors_are_primary(H):
+    """True when the search kernel covers every color exactly once: the edges
+    carry exactly as many colors as a perfect matching has edges."""
+    per_edge = H.k if H.mode == PARTITE else 2
+    return len({e.color for e in H.edges}) * per_edge == len(H.active_vertices())
+
+
+def color_switch_cases():
+    """(instance, reference count) on both sides of the kernel's color switch.
+    kappa == n and nothing removed: inclusion-exclusion (k = 2) and the
+    uniform reduction.  Otherwise (graph mode, k = 3 with kappa > n, removed
+    vertices or colors): the edge-subset enumerator."""
+    cases = []
+    for j in range(12):
+        n, k = (3 + j % 3, 2) if j % 2 else (3, 3)
+        H = sample_partite_m(n, k, n, n ** k - j % n ** (k - 1), rng(j, seed=60))
+        want = count_uniform_pm(reduce_to_uniform(H))
+        if k == 2:
+            assert want == count_rainbow_pm(H, method="ie").value, H
+        cases.append((H, want))
+    for j in range(8):
+        others = [
+            sample_colored_graph(8, 16, 4, rng(j, seed=61)),  # exactly s colors
+            sample_colored_graph(8, 16, 6, rng(j, seed=62)),
+            sample_partite_m(3, 3, 5, 20, rng(j, seed=63)),
+        ]
+        H = sample_partite_m(5, 2, 6, 20, rng(j, seed=64))
+        drop = [PartiteVertex(1, 1 + j % 5), PartiteVertex(2, 1 + (j + 2) % 5)]
+        others.append(restrict(H, removed_vertices=drop))  # 6 colors, 4 edges
+        others.append(restrict(H, removed_vertices=drop, removed_colors=[5, 6]))
+        cases += [(G, plain_count(G)) for G in others]
+    return cases
+
+
+def test_search_counts_on_both_sides_of_the_color_switch():
+    seen = set()
+    for H, want in color_switch_cases():
+        assert dfs_count(H) == want, H
+        M = find_rainbow_pm(H)
+        assert (M is None) == (want == 0), H
+        if M is not None:
+            assert is_perfect_matching(H, M) and is_rainbow(M), H
+        seen.add((H.mode, colors_are_primary(H), want > 0))
+    for mode in (PARTITE, "graph"):
+        assert {(mode, True, True), (mode, False, True), (mode, False, False)} <= seen, mode
+
+
 # -- split count (meet in the middle)
 
 
@@ -423,15 +470,18 @@ def pm_witness_instances():
 
 
 # Witnesses of find_rainbow_pm on pm_witness_instances(), as indices into the
-# instance's canonical edge list, recorded before the color-supply prune was
-# added: pruning only cuts dead subtrees, so the first witness is unchanged.
+# instance's canonical edge list.  They pin the kernel's deterministic search
+# order: the column with the fewest live edges first, ties to the lowest
+# vertex, a column's edges in canonical order.  A prune cuts only dead
+# subtrees, so it cannot move them.  The None entries are proofs of absence,
+# which no search order changes.
 PM_WITNESSES = [
-    [0, 8, 13, 15, 22, 28], [0, 8, 13, 19, 22, 28, 32], [0, 9, 13, 20, 25, 33, 34, 42],
-    [0, 7, 14, 22, 27, 35], [0, 8, 13, 22, 29, 36, 40], [0, 8, 16, 23, 28, 33, 39, 46],
-    [1, 8, 15, 21], None, [2, 7, 23, 28], [0, 11, 25, 33],
-    None, [0, 5, 7, 12, 18, 21], [2, 3, 10, 15, 17, 21], [0, 4, 11, 14, 17, 21],
-    [0, 14, 18, 27, 28], [0, 8, 13, 20, 28, 31], [2, 10, 13, 26, 29], [0, 8, 9, 16, 21, 32],
-    [0, 5, 15, 27, 29], [0, 15, 22, 25, 27, 29],
+    [4, 6, 11, 17, 25, 27], [3, 7, 13, 19, 20, 26, 35], [0, 9, 13, 20, 25, 33, 34, 42],
+    [0, 10, 13, 20, 29, 33], [2, 12, 16, 21, 26, 31, 41], [6, 12, 16, 20, 25, 34, 36, 46],
+    [2, 5, 15, 20], None, [2, 9, 20, 30], [1, 12, 24, 32],
+    None, [3, 4, 7, 13, 17, 20], [2, 3, 10, 15, 17, 21], [2, 4, 9, 12, 19, 20],
+    [1, 10, 17, 25, 28], [2, 7, 13, 24, 28, 32], [3, 10, 15, 21, 28], [2, 5, 10, 14, 19, 29],
+    [0, 5, 17, 25, 28], [6, 9, 12, 25, 27, 32],
 ]
 
 
@@ -439,6 +489,8 @@ def test_find_witnesses_pinned():
     for H, want in zip(pm_witness_instances(), PM_WITNESSES, strict=True):
         M = find_rainbow_pm(H)
         assert (None if M is None else [H.edges.index(e) for e in M.edges]) == want
+        if M is not None:
+            assert is_perfect_matching(H, M) and is_rainbow(M), H
 
 
 # -- closed forms
