@@ -3,9 +3,8 @@
 Subcommands: gen, count, solve, trace, threshold, mean-count, hamilton, plot.
 Run `rainbowmatch <subcommand> --help` for the per-command flags.  Exit codes:
 0 on success (for `solve`: a witness was found), 1 when `solve` proves
-absence, 2 for configuration or input errors (including an instance too large
-to build or too deep for the recursive Hamilton cycle search), 3 when a search
-budget ran out.
+absence, 2 for configuration or input errors (including a malformed instance
+document or an instance too large to build), 3 when a search budget ran out.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from .model import (
     sample_partite_m,
     sample_partite_p,
 )
-from .process import LemmaPreconditionError
 
 __all__ = ["main", "build_parser"]
 
@@ -320,14 +318,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, LemmaPreconditionError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"rainbowmatch: error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        # The Hamilton cycle search recurses once per cycle vertex; the
-        # matching search keeps its path on an explicit stack.
-        print("rainbowmatch: error: instance too deep for the recursive "
-              "Hamilton cycle search", file=sys.stderr)
         return 2
 
 

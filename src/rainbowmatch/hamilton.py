@@ -13,10 +13,12 @@ edges came from different original endpoints.
 Search is exhaustive backtracking with color-bitmask, degree-2, color-supply,
 and connectivity pruning; "None" therefore means "no rainbow Hamilton cycle",
 while budget exhaustion raises.  Parallel edges are distinct traversable
-objects throughout.  Each node rescans the edges its parent left live, on
-bitmasks (one bit per vertex, one per color): it ORs up one live-neighbor
-mask per vertex and the live color set, counts bits for the two-neighbor and
-color-supply checks, and runs a mask-frontier BFS for reachability.
+objects throughout.  The search is one loop over an explicit stack, which
+visits the tree in the same preorder as a recursion over the adjacency lists
+would.  Each node rescans the edges its parent left live, on bitmasks (one
+bit per vertex, one per color): it ORs up one live-neighbor mask per vertex
+and the live color set, counts bits for the two-neighbor and color-supply
+checks, and runs a mask-frontier BFS for reachability.
 """
 
 from __future__ import annotations
@@ -160,7 +162,10 @@ def _canonical_cycle(path: list[int], edges: list[ColoredEdge]) -> HamiltonCycle
 def find_rainbow_hc(G, budget: int = DEFAULT_HC_BUDGET) -> HamiltonCycle | None:
     """First rainbow Hamilton cycle found by exhaustive backtracking, or None
     when the search space is exhausted.  Raises BudgetExceededError when the
-    node budget runs out (never a silent absence)."""
+    node budget runs out (never a silent absence).  Depth first on an
+    explicit stack, so no recursion limit applies; children are pushed in
+    reverse adjacency order, so the tree is visited in preorder with each
+    node's neighbors in adjacency order."""
     n, host_edges = _host_view(G)
     if n < 3:
         raise ValueError("Hamilton cycles need n >= 3")
@@ -174,23 +179,37 @@ def find_rainbow_hc(G, budget: int = DEFAULT_HC_BUDGET) -> HamiltonCycle | None:
         adj[u].append((v, vbit, cbit, idx))
         adj[v].append((u, ubit, cbit, idx))
 
-    start = 1
-    start_bit = 1 << (start - 1)
+    start = start_bit = 1  # vertex 1, bit 0
     all_bits = (1 << n) - 1
-    path = [start]
-    path_edges: list[ColoredEdge] = []
     nodes = 0
-
-    def live_edges(head_bit: int, visited: int, colors: int, depth: int, pool):
-        """The live edges of pool, or None when the branch is provably dead.
-
-        An edge is live when its color is unused and neither endpoint is an
-        interior visited vertex (head and start stay usable: the remaining
-        cycle segment leaves head and eventually re-enters start).  The used
-        colors and the interior only grow down the tree, so an edge dead at a
-        node stays dead below it and a child scans only its parent's live
-        edges.  nbr[v] is the mask of v's live neighbors.
-        """
+    # (head, visited, used colors, the edges the parent left live, path as
+    # nested (vertex, edge index, rest) back to start)
+    stack = [(start, start_bit, 0, bit_edges, None)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        head, visited, colors, pool, path = pop()
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(f"node budget {budget} exceeded", nodes)
+        depth = visited.bit_count()
+        if depth == n:
+            for v, _, cbit, idx in adj[head]:
+                if v == start and not cbit & colors:
+                    vertices, edges = [], [host_edges[idx]]
+                    while path:
+                        v, idx, path = path
+                        vertices.append(v)
+                        edges.append(host_edges[idx])
+                    vertices.append(start)
+                    return _canonical_cycle(vertices[::-1], edges[::-1])
+            continue
+        # An edge is live when its color is unused and neither endpoint is an
+        # interior visited vertex (head and start stay usable: the remaining
+        # cycle segment leaves head and eventually re-enters start).  The used
+        # colors and the interior only grow down the tree, so an edge dead at
+        # a node stays dead below it and a child scans only its parent's live
+        # edges.  nbr[v] is the mask of v's live neighbors.
+        head_bit = 1 << (head - 1)
         interior = visited & ~head_bit & ~start_bit
         nbr = [0] * (n + 1)
         live = []
@@ -204,7 +223,7 @@ def find_rainbow_hc(G, budget: int = DEFAULT_HC_BUDGET) -> HamiltonCycle | None:
             nbr[v] |= ubit
             live_colors |= cbit
         if live_colors.bit_count() < n - depth + 1:
-            return None
+            continue
         # Every unvisited vertex still needs two distinct cycle neighbors;
         # start still needs its closing edge.
         unvisited = all_bits & ~visited
@@ -212,10 +231,10 @@ def find_rainbow_hc(G, budget: int = DEFAULT_HC_BUDGET) -> HamiltonCycle | None:
         while rest:
             low = rest & -rest
             if nbr[low.bit_length()].bit_count() < 2:
-                return None
+                break
             rest ^= low
-        if not nbr[start]:
-            return None
+        if rest or not nbr[start]:
+            continue
         # The remaining segment is a path head -> (all unvisited) -> start,
         # so everything must be reachable from head through live edges.
         seen = frontier = head_bit
@@ -228,36 +247,10 @@ def find_rainbow_hc(G, budget: int = DEFAULT_HC_BUDGET) -> HamiltonCycle | None:
             frontier = reach & ~seen
             seen |= frontier
         if (unvisited | start_bit) & ~seen:
-            return None
-        return live
-
-    def rec(head: int, visited: int, colors: int, depth: int, pool):
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(f"node budget {budget} exceeded", nodes)
-        if depth == n:
-            for v, _, cbit, idx in adj[head]:
-                if v == start and not cbit & colors:
-                    path_edges.append(host_edges[idx])
-                    return True
-            return False
-        live = live_edges(1 << (head - 1), visited, colors, depth, pool)
-        if live is None:
-            return False
-        for v, vbit, cbit, idx in adj[head]:
-            if vbit & visited or cbit & colors:
-                continue
-            path.append(v)
-            path_edges.append(host_edges[idx])
-            if rec(v, visited | vbit, colors | cbit, depth + 1, live):
-                return True
-            path.pop()
-            path_edges.pop()
-        return False
-
-    if rec(start, start_bit, 0, 1, bit_edges):
-        return _canonical_cycle(path, path_edges)
+            continue
+        for v, vbit, cbit, idx in reversed(adj[head]):
+            if not (vbit & visited or cbit & colors):
+                push((v, visited | vbit, colors | cbit, live, (v, idx, path)))
     return None
 
 

@@ -444,20 +444,19 @@ def instance_from_dict(data: dict) -> ColoredHypergraph:
         n = int(data["n"])
         k = int(data["k"])
         kappa = int(data["colors"])
-        raw_edges = data["edges"]
-    except (KeyError, TypeError) as exc:
+        edges = []
+        for pos, item in enumerate(data["edges"]):
+            try:
+                edges.append(ColoredEdge(tuple(int(v) for v in item["verts"]), int(item["color"])))
+            except (KeyError, TypeError, OverflowError) as exc:
+                raise ValueError(f"malformed instance document: edge {pos}: {exc}") from exc
+        absent_raw = data.get("absent", ())
+        if mode == PARTITE:
+            absent = frozenset(PartiteVertex(int(p), int(i)) for p, i in absent_raw)
+        else:
+            absent = frozenset(int(v) for v in absent_raw)
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed instance document: {exc}") from exc
-    edges = []
-    for item in raw_edges:
-        try:
-            edges.append(ColoredEdge(tuple(int(v) for v in item["verts"]), int(item["color"])))
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed edge record {item!r}") from exc
-    absent_raw = data.get("absent", ())
-    if mode == PARTITE:
-        absent = frozenset(PartiteVertex(int(p), int(i)) for p, i in absent_raw)
-    else:
-        absent = frozenset(int(v) for v in absent_raw)
     return ColoredHypergraph(mode, n, k, kappa, tuple(edges), absent)
 
 
@@ -468,7 +467,8 @@ def dumps_instance(H: ColoredHypergraph) -> str:
 def loads_instance(text: str) -> ColoredHypergraph:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # the decoder recurses once per nesting level
         raise ValueError(f"not valid JSON: {exc}") from exc
     return instance_from_dict(data)
 

@@ -127,6 +127,8 @@ class EventParams:
 
     @classmethod
     def from_abundance(cls, K: float) -> "EventParams":
+        if not K > 0:  # also NaN; checked before L and eps1 derive from K
+            raise ValueError("K must be positive")
         return cls(L=math.sqrt(K), eps1=K ** (-1.0 / 3.0), K=K)
 
 

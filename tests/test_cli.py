@@ -2,7 +2,6 @@ import hashlib
 import json
 import xml.etree.ElementTree as ET
 
-from rainbowmatch import experiments
 from rainbowmatch.cli import main
 from rainbowmatch.count import is_perfect_matching, is_rainbow
 from rainbowmatch.model import ColoredEdge, Matching, load_instance
@@ -231,17 +230,32 @@ def test_deep_instance_is_solved(tmp_path, capsys):
     assert len(M) == 1100 and is_perfect_matching(H, M) and is_rainbow(M)
 
 
-def test_recursion_error_is_an_input_error(capsys, monkeypatch):
-    # the Hamilton cycle search still recurses once per cycle vertex; running
-    # out of stack there must not read as exit 1 (absence) or crash
-    def too_deep(*args, **kwargs):
-        raise RecursionError("maximum recursion depth exceeded")
+def test_bad_document_is_an_input_error(tmp_path, capsys):
+    # neither wrong JSON types nor nesting deeper than the JSON decoder's
+    # recursion limit may surface as a traceback and exit 1, which is solve's
+    # "proved absent" code
+    doc = '{"mode": "partite", "n": %s, "k": 2, "colors": 2, "edges": %s}'
+    cases = (
+        (doc % ("2", "null"), "malformed instance document"),
+        (doc % ("1e400", "[]"), "malformed instance document"),
+        # a valid instance that also carries a 200k-deep array
+        (doc[:-1] % ("2", "[]") + ', "x": ' + "[" * 200_000 + "]" * 200_000 + "}",
+         "not valid JSON"),
+    )
+    path = tmp_path / "bad.json"
+    for text, message in cases:
+        path.write_text(text)
+        for command in ("count", "solve"):
+            code, out, err = run(capsys, command, str(path))
+            assert (code, out) == (2, ""), (command, message)
+            assert err.startswith(f"rainbowmatch: error: {message}") and err.count("\n") == 1
 
-    monkeypatch.setattr(experiments, "find_rainbow_hc", too_deep)
-    code, out, err = run(capsys, "hamilton", "--n", "7", "--m", "18", "--retries", "1",
-                         "--trials", "1", "--seed", "1", "--jobs", "1")
-    assert (code, out) == (2, "")
-    assert err.startswith("rainbowmatch: error:") and "too deep" in err
+
+def test_event_k_must_be_positive(capsys):
+    for value in ("0", "-5", "nan"):
+        code, out, err = run(capsys, "trace", "--n", "2", "--trials", "1", "--event-k", value)
+        assert (code, out) == (2, ""), value
+        assert err == "rainbowmatch: error: K must be positive\n", value
 
 
 # SHA-256 of every output of small experiment grids, so that a change to the

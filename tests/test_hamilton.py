@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -312,6 +313,18 @@ def test_planted_cycle_union_is_found():
     hc = find_rainbow_hc(G)
     assert hc is not None
     assert is_rainbow_hamilton_cycle(G, hc)
+
+
+def test_deep_cycle_is_found():
+    # a 1200-vertex rainbow cycle: the search path is 1200 nodes deep, past
+    # Python's default recursion limit
+    n = 1200
+    colors = list(range(1, n + 1))
+    random.Random(5).shuffle(colors)
+    G = multigraph(n, n, [((i, i % n + 1), c) for i, c in zip(range(1, n + 1), colors)])
+    hc = find_rainbow_hc(G)
+    assert hc is not None and is_rainbow_hamilton_cycle(G, hc)
+    assert hc.vertices == tuple(range(1, n + 1))
 
 
 # -- assembly pipeline

@@ -299,3 +299,30 @@ def test_from_dict_validates():
            "edges": [{"verts": [1, 1], "color": 7}]}
     with pytest.raises(ValueError):
         instance_from_dict(bad)
+    # wrong JSON types and non-finite numbers are input errors too, never a
+    # TypeError or OverflowError
+    partite = {"mode": "partite", "n": 2, "k": 2, "colors": 2,
+               "edges": [{"verts": [1, 2], "color": 1}]}
+    graph = {"mode": "graph", "n": 3, "k": 2, "colors": 3,
+             "edges": [{"verts": [1, 2], "color": 1}]}
+    assert instance_from_dict(partite).edges and instance_from_dict(graph).edges
+    malformed = [
+        {**partite, "edges": None},
+        {**partite, "absent": None},
+        {**partite, "absent": [5]},
+        {**graph, "absent": [[1, 2]]},
+        {**partite, "n": math.inf},
+        {**graph, "edges": [{"verts": [1, math.inf], "color": 1}]},
+        {**graph, "edges": [{"verts": 1, "color": 1}]},
+        {**graph, "edges": [[1, 2]]},
+        [],
+    ]
+    for doc in malformed:
+        with pytest.raises(ValueError, match="malformed instance document"):
+            instance_from_dict(doc)
+    # the same through the parser: json reads 1e400 and 1e999 as infinity
+    for text in ('{"mode": "partite", "n": 1e400, "k": 2, "colors": 2, "edges": []}',
+                 '{"mode": "graph", "n": 3, "k": 2, "colors": 3,'
+                 ' "edges": [{"verts": [1, 1e999], "color": 1}]}'):
+        with pytest.raises(ValueError, match="malformed instance document"):
+            loads_instance(text)

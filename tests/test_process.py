@@ -591,6 +591,10 @@ def test_event_params_validation():
         EventParams(L=2.0, eps1=0.0, K=1.0)
     with pytest.raises(ValueError):
         EventParams(L=2.0, eps1=0.5, K=0.0)
+    # rejected before L = sqrt(K) and eps1 = K^(-1/3) are derived
+    for K in (0.0, -5.0, math.nan):
+        with pytest.raises(ValueError, match="K must be positive"):
+            EventParams.from_abundance(K)
 
 
 # -- deletion process
