@@ -150,32 +150,38 @@ def _kernel_setup(H: ColoredHypergraph):
     is False when a parity/size argument already rules out any perfect
     matching (unequal active part sizes, odd active vertex count).
     """
-    n = H.n
+    n, edges = H.n, H.edges
     if H.mode == PARTITE:
-        counts = H.active_counts()
-        feasible = len(set(counts)) == 1
-        bit_of = lambda part, idx: 1 << ((part - 1) * n + (idx - 1))
+        # bit (part - 1) * n + (index - 1) per vertex; one n-bit mask per part
+        parts = [(1 << n) - 1] * H.k
+        for v in H.absent:
+            parts[v.part - 1] &= ~(1 << (v.index - 1))
+        feasible = len({mask.bit_count() for mask in parts}) == 1
         all_active = 0
-        for p in range(1, H.k + 1):
-            for i in H.part_active(p):
-                all_active |= bit_of(p, i)
-        branch_bits = [bit_of(1, i) for i in H.part_active(1)]
-        edge_items = []
-        for e in H.edges:
-            vmask = 0
-            for part, idx in enumerate(e.verts, start=1):
-                vmask |= bit_of(part, idx)
-            edge_items.append((vmask, 1 << (e.color - 1), e))
+        for p, mask in enumerate(parts):
+            all_active |= mask << (p * n)
+        branch_bits = list(_bits(parts[0]))
+        if H.k == 2:
+            edge_items = [
+                (1 << (e.verts[0] - 1) | 1 << (n + e.verts[1] - 1), 1 << (e.color - 1), e)
+                for e in edges
+            ]
+        else:
+            edge_items = []
+            for e in edges:
+                vmask = 0
+                for p, idx in enumerate(e.verts):
+                    vmask |= 1 << (p * n + idx - 1)
+                edge_items.append((vmask, 1 << (e.color - 1), e))
     else:
-        active = H.active_vertices()
-        feasible = len(active) % 2 == 0
-        all_active = 0
-        for v in active:
-            all_active |= 1 << (v - 1)
-        branch_bits = [1 << (v - 1) for v in active]
+        all_active = (1 << n) - 1
+        for v in H.absent:
+            all_active &= ~(1 << (v - 1))
+        feasible = all_active.bit_count() % 2 == 0
+        branch_bits = list(_bits(all_active))
         edge_items = [
             ((1 << (e.verts[0] - 1)) | (1 << (e.verts[1] - 1)), 1 << (e.color - 1), e)
-            for e in H.edges
+            for e in edges
         ]
     return all_active, branch_bits, edge_items, feasible
 
@@ -213,21 +219,29 @@ class _Search:
         # the edges of each column (no edge touches an absent vertex)
         vertex_cols = dict.fromkeys(_bits(all_active), 0)
         color_cols: dict[int, int] = {}
-        for i, (vmask, cbit, _) in enumerate(items):
-            for v in _bits(vmask):
-                vertex_cols[v] |= 1 << i
-            color_cols[cbit] = color_cols.get(cbit, 0) | 1 << i
+        per_edge = self.per_edge
+        # each edge's vertex bits, taken apart once (a two-bit mask is its
+        # low bit and the rest)
+        if per_edge == 2:
+            edge_verts = [(vmask & -vmask, vmask & (vmask - 1)) for vmask, _, _ in items]
+        else:
+            edge_verts = [tuple(_bits(vmask)) for vmask, _, _ in items]
+        ebit = 1
+        for (_, cbit, _), verts in zip(items, edge_verts):
+            for v in verts:
+                vertex_cols[v] |= ebit
+            color_cols[cbit] = color_cols.get(cbit, 0) | ebit
+            ebit <<= 1
         # per edge: the live edges its choice keeps (those sharing no vertex
         # and no color with it) and the vertices it covers
         moves = []
-        for vmask, cbit, _ in items:
+        for (vmask, cbit, _), verts in zip(items, edge_verts):
             conflict = color_cols[cbit]
-            for v in _bits(vmask):
+            for v in verts:
                 conflict |= vertex_cols[v]
             moves.append((~conflict, vmask))
-        vcols = sorted(vertex_cols.items())
+        vcols = list(vertex_cols.items())  # low bit first, as dict.fromkeys made them
         ccols = [col for _, col in sorted(color_cols.items())]
-        per_edge = self.per_edge
         exact = len(ccols) * per_edge == all_active.bit_count()
         find_one, budget = self.find_one, self.budget
         nodes = count = 0

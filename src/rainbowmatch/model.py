@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import random
 from dataclasses import dataclass
 from itertools import product
@@ -121,7 +122,20 @@ class RandomnessSpec:
 
 @dataclass(frozen=True)
 class ColoredHypergraph:
-    """An immutable edge-colored instance (see module docstring for modes)."""
+    """An immutable edge-colored instance (see module docstring for modes).
+
+    The constructor is the one place an instance is checked, whoever builds
+    it: samplers, `restrict`, `instance_from_dict` and the Hamilton
+    assembly's recolored classes alike.  It stores the edges as
+    `ColoredEdge(tuple(verts), int(color))`, sorted, and requires every
+    color in 1..kappa, every edge with one vertex per part (graph mode: a
+    pair u < v), every vertex index in 1..n, no edge touching an absent
+    vertex, and no vertex tuple twice.  The checks run in bulk over the
+    columns of the edge list (min/max, set and pairwise comparisons done by
+    builtins); only when one of them fails, or a value is not a plain int,
+    are the edges checked one by one, which finds and reports the first
+    offending edge in canonical order.
+    """
 
     mode: str
     n: int
@@ -146,14 +160,49 @@ class ColoredHypergraph:
         absent = frozenset(self._coerce_vertex(v) for v in self.absent)
         object.__setattr__(self, "absent", absent)
 
-        edges = tuple(sorted(ColoredEdge(tuple(e[0]), int(e[1])) for e in self.edges))
-        seen: set[tuple[int, ...]] = set()
-        for e in edges:
-            self._check_edge(e, absent)
-            if e.verts in seen:
-                raise ValueError(f"duplicate vertex tuple {e.verts}")
-            seen.add(e.verts)
+        edges = tuple(self.edges)
+        if not _plain_edges(edges):
+            edges = (ColoredEdge(tuple(e[0]), int(e[1])) for e in edges)
+        edges = tuple(sorted(edges))
+        if not self._edges_pass(edges, absent):
+            seen: set[tuple[int, ...]] = set()
+            for e in edges:
+                self._check_edge(e, absent)
+                if e.verts in seen:
+                    raise ValueError(f"duplicate vertex tuple {e.verts}")
+                seen.add(e.verts)
         object.__setattr__(self, "edges", edges)
+
+    def _edges_pass(self, edges: tuple[ColoredEdge, ...], absent: frozenset) -> bool:
+        """True when the sorted, coerced edges pass every check of
+        `_check_edge` and repeat no vertex tuple, decided column by column.
+        False when some check fails, or some vertex is not a plain int, whose
+        comparisons min and max could not stand in for."""
+        if not edges:
+            return True
+        verts, colors = zip(*edges)
+        if min(colors) < 1 or max(colors) > self.kappa or set(map(len, verts)) != {self.k}:
+            return False
+        cols = list(zip(*verts))
+        if any(set(map(type, col)) != {int} for col in cols):
+            return False
+        if self.mode == PARTITE:
+            if any(min(col) < 1 or max(col) > self.n for col in cols):
+                return False
+            if absent:
+                gone = [set() for _ in cols]
+                for v in absent:
+                    gone[v.part - 1].add(v.index)
+                if not all(map(set.isdisjoint, gone, cols)):
+                    return False
+        else:
+            us, vs = cols
+            if not all(map(operator.lt, us, vs)) or min(us) < 1 or max(vs) > self.n:
+                return False
+            if not (absent.isdisjoint(us) and absent.isdisjoint(vs)):
+                return False
+        # sorted, so strictly increasing vertex tuples repeat none
+        return all(map(operator.lt, verts, verts[1:]))
 
     def _coerce_vertex(self, v):
         if self.mode == PARTITE:
@@ -212,10 +261,16 @@ class ColoredHypergraph:
             if PartiteVertex(part, i) not in self.absent
         ]
 
-    def active_counts(self) -> tuple[int, ...]:
-        if self.mode == PARTITE:
-            return tuple(len(self.part_active(p)) for p in range(1, self.k + 1))
-        return (len(self.active_vertices()),)
+
+def _plain_edges(edges: tuple) -> bool:
+    """True when every edge is a ColoredEdge of a tuple and an int, which the
+    constructor's coercion would leave as it is."""
+    if not edges:
+        return True
+    if set(map(type, edges)) != {ColoredEdge}:
+        return False
+    verts, colors = zip(*edges)
+    return set(map(type, verts)) == {tuple} and set(map(type, colors)) == {int}
 
 
 # -- samplers ---------------------------------------------------------------
@@ -269,10 +324,11 @@ def sample_partite_m(
     if not 0 <= m <= total:
         raise ValueError(f"m must lie in 0..{total}")
     picked = sorted(rnd.sample(range(total), m))
-    edges = [
-        ColoredEdge(_decode_partite_tuple(t, n, k), rnd.randint(1, kappa))
-        for t in picked
-    ]
+    randint = rnd.randint
+    if k == 2:
+        edges = [ColoredEdge((t // n + 1, t % n + 1), randint(1, kappa)) for t in picked]
+    else:
+        edges = [ColoredEdge(_decode_partite_tuple(t, n, k), randint(1, kappa)) for t in picked]
     return ColoredHypergraph(PARTITE, n, k, kappa, tuple(edges))
 
 
@@ -315,14 +371,17 @@ def sample_colored_graph(
         raise ValueError(f"m must lie in 0..{total}")
     if m > DEFAULT_EDGE_CAPACITY:
         raise CapacityError(f"m = {m} edges exceeds capacity {DEFAULT_EDGE_CAPACITY}")
-    edges = []
+    pairs = []
     u, row_start, row_len = 1, 0, n - 1
     for t in sorted(rnd.sample(range(total), m)):
         while t >= row_start + row_len:
             row_start += row_len
             row_len -= 1
             u += 1
-        edges.append(ColoredEdge((u, u + 1 + t - row_start), rnd.randint(1, kappa)))
+        pairs.append((u, u + 1 + t - row_start))
+    # the row walk draws nothing, so the colors can follow it: one per pair, in order
+    randint = rnd.randint
+    edges = [ColoredEdge(pair, randint(1, kappa)) for pair in pairs]
     return ColoredHypergraph(GRAPH, n, 2, kappa, tuple(edges))
 
 
@@ -418,6 +477,7 @@ def random_edge_ordering(
 #  "edges": [{"verts": [int, ...], "color": int}, ...]}
 #
 # plus an "absent" key (list of [part, index] or int) only when nonempty.
+# Every number is a JSON integer: a float (even 2.0) or a bool is malformed.
 # Emission is canonical (edges sorted, fixed key order), so parse(emit(H)) == H
 # and emit(parse(s)) == s whenever s is canonical.
 
@@ -438,24 +498,34 @@ def instance_to_dict(H: ColoredHypergraph) -> dict:
     return out
 
 
+def _json_int(value, what: str) -> int:
+    """value when it is a JSON integer.  A float (2.5, 1e400), a bool or any
+    other type is a malformed document, never truncated to an int."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
 def instance_from_dict(data: dict) -> ColoredHypergraph:
     try:
         mode = data["mode"]
-        n = int(data["n"])
-        k = int(data["k"])
-        kappa = int(data["colors"])
+        n, k, kappa = (_json_int(data[key], key) for key in ("n", "k", "colors"))
         edges = []
         for pos, item in enumerate(data["edges"]):
             try:
-                edges.append(ColoredEdge(tuple(int(v) for v in item["verts"]), int(item["color"])))
-            except (KeyError, TypeError, OverflowError) as exc:
+                verts = tuple(_json_int(v, "vertex") for v in item["verts"])
+                edges.append(ColoredEdge(verts, _json_int(item["color"], "color")))
+            except (KeyError, TypeError) as exc:
                 raise ValueError(f"malformed instance document: edge {pos}: {exc}") from exc
         absent_raw = data.get("absent", ())
         if mode == PARTITE:
-            absent = frozenset(PartiteVertex(int(p), int(i)) for p, i in absent_raw)
+            absent = frozenset(
+                PartiteVertex(_json_int(p, "absent part"), _json_int(i, "absent index"))
+                for p, i in absent_raw
+            )
         else:
-            absent = frozenset(int(v) for v in absent_raw)
-    except (KeyError, TypeError, OverflowError) as exc:
+            absent = frozenset(_json_int(v, "absent vertex") for v in absent_raw)
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed instance document: {exc}") from exc
     return ColoredHypergraph(mode, n, k, kappa, tuple(edges), absent)
 

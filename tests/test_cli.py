@@ -238,6 +238,8 @@ def test_bad_document_is_an_input_error(tmp_path, capsys):
     cases = (
         (doc % ("2", "null"), "malformed instance document"),
         (doc % ("1e400", "[]"), "malformed instance document"),
+        # a float is not truncated to an integer: n = 2.5 is not n = 2
+        (doc % ("2.5", '[{"verts": [1.7, 1], "color": 1}]'), "malformed instance document"),
         # a valid instance that also carries a 200k-deep array
         (doc[:-1] % ("2", "[]") + ', "x": ' + "[" * 200_000 + "]" * 200_000 + "}",
          "not valid JSON"),

@@ -313,6 +313,68 @@ def test_search_counts_on_both_sides_of_the_color_switch():
         assert {(mode, True, True), (mode, False, True), (mode, False, False)} <= seen, mode
 
 
+def _kernel_setup_oracle(H):
+    """The kernel's bit layout built vertex by vertex, as it stood before it
+    was read off the absent set: (all_active, branch_bits, edge_items,
+    feasible), the tuple _kernel_setup must return."""
+    n = H.n
+    if H.mode == PARTITE:
+        parts = [H.part_active(p) for p in range(1, H.k + 1)]
+        feasible = len({len(part) for part in parts}) == 1
+        bit_of = lambda part, idx: 1 << ((part - 1) * n + (idx - 1))
+        all_active = 0
+        for p, part in enumerate(parts, start=1):
+            for i in part:
+                all_active |= bit_of(p, i)
+        branch_bits = [bit_of(1, i) for i in parts[0]]
+        edge_items = []
+        for e in H.edges:
+            vmask = 0
+            for part, idx in enumerate(e.verts, start=1):
+                vmask |= bit_of(part, idx)
+            edge_items.append((vmask, 1 << (e.color - 1), e))
+    else:
+        active = H.active_vertices()
+        feasible = len(active) % 2 == 0
+        all_active = 0
+        for v in active:
+            all_active |= 1 << (v - 1)
+        branch_bits = [1 << (v - 1) for v in active]
+        edge_items = [
+            ((1 << (e.verts[0] - 1)) | (1 << (e.verts[1] - 1)), 1 << (e.color - 1), e)
+            for e in H.edges
+        ]
+    return all_active, branch_bits, edge_items, feasible
+
+
+def test_kernel_layout_pinned():
+    cases = []
+    for j in range(10):
+        for n, k, m in ((6, 2, 20), (4, 3, 30), (1, 2, 1), (3, 4, 40)):
+            H = sample_partite_m(n, k, n + 1, m, rng(j, seed=70))
+            cases.append(H)
+            if n > 1:
+                # balanced: one vertex gone from every part
+                cases.append(restrict(H, removed_vertices=[
+                    PartiteVertex(p, 1 + (j + p) % n) for p in range(1, k + 1)]))
+                # unequal active parts
+                cases.append(restrict(H, removed_vertices=[PartiteVertex(1 + j % k, 1 + j % n)]))
+                cases.append(restrict(H, removed_vertices=[
+                    PartiteVertex(p, i) for p in (1, k) for i in range(1, n + 1) if i % 2]))
+        for n, m in ((7, 12), (8, 20), (2, 1)):
+            G = sample_colored_graph(n, m, n, rng(j, seed=71))
+            cases += [G, restrict(G, removed_vertices=[1 + j % n])]
+            cases.append(restrict(G, removed_vertices=range(1, n + 1, 2)))
+    cases += [ColoredHypergraph(PARTITE, 3, 2, 3, ()), ColoredHypergraph("graph", 5, 2, 2, ())]
+    feasible = set()
+    for H in cases:
+        got = count_module._kernel_setup(H)
+        assert got == _kernel_setup_oracle(H), H
+        feasible.add((H.mode, bool(H.absent), got[3]))
+    assert feasible == {(mode, gone, ok) for mode in (PARTITE, "graph")
+                        for gone in (False, True) for ok in (False, True)} - {(PARTITE, False, False)}
+
+
 # -- split count (meet in the middle)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -80,6 +81,173 @@ def test_zero_vertex_edge_cases():
     assert H.active_vertices()
     empty = ColoredHypergraph(PARTITE, 2, 2, 2, ())
     assert empty.edges == ()
+
+
+def _per_edge_oracle(mode, n, k, kappa, edges, absent=frozenset()):
+    """The constructor's edge handling as one loop per edge, as it stood
+    before the bulk checks: ("accepted", the canonical edges' repr) or the
+    exception's (type name, message).  repr, since NaN equals nothing."""
+    try:
+        edges = tuple(sorted(ColoredEdge(tuple(e[0]), int(e[1])) for e in edges))
+        seen = set()
+        for e in edges:
+            if not 1 <= e.color <= kappa:
+                raise ValueError(f"color {e.color} out of range 1..{kappa}")
+            if mode == PARTITE:
+                if len(e.verts) != k:
+                    raise ValueError(f"edge {e} must pick one vertex per part")
+                for part, idx in enumerate(e.verts, start=1):
+                    if not 1 <= idx <= n:
+                        raise ValueError(f"edge {e} vertex out of range")
+                    if PartiteVertex(part, idx) in absent:
+                        raise ValueError(f"edge {e} touches absent vertex")
+            else:
+                if len(e.verts) != 2 or e.verts[0] >= e.verts[1]:
+                    raise ValueError(f"graph edge {e} must be a sorted pair u < v")
+                for u in e.verts:
+                    if not 1 <= u <= n:
+                        raise ValueError(f"edge {e} vertex out of range")
+                    if u in absent:
+                        raise ValueError(f"edge {e} touches absent vertex")
+            if e.verts in seen:
+                raise ValueError(f"duplicate vertex tuple {e.verts}")
+            seen.add(e.verts)
+    except (ValueError, TypeError) as exc:
+        return type(exc).__name__, str(exc)
+    return "accepted", repr(edges)
+
+
+def _constructed(mode, n, k, kappa, edges, absent=frozenset()):
+    try:
+        H = ColoredHypergraph(mode, n, k, kappa, edges, absent)
+    except (ValueError, TypeError) as exc:
+        return type(exc).__name__, str(exc)
+    assert all(type(e) is ColoredEdge and type(e.verts) is tuple for e in H.edges)
+    assert all(type(e.color) is int for e in H.edges)
+    return "accepted", repr(H.edges)
+
+
+def _edge_corpus():
+    """(mode, n, k, kappa, edges, absent) inputs, valid and not."""
+    cases = []
+    for j in range(6):
+        for mode, n, k, kappa, H in (
+            (PARTITE, 5, 2, 4, sample_partite_m(5, 2, 4, 12, rng(j, seed=30))),
+            (PARTITE, 3, 3, 5, sample_partite_m(3, 3, 5, 10, rng(j, seed=31))),
+            (GRAPH, 7, 2, 6, sample_colored_graph(7, 12, 6, rng(j, seed=32))),
+        ):
+            rnd = rng(j, seed=33)
+            edges = list(H.edges)
+            shuffled = edges[:]
+            rnd.shuffle(shuffled)
+            cases += [(mode, n, k, kappa, edges, ()), (mode, n, k, kappa, shuffled, ())]
+            cases.append((mode, n, k, kappa, (), ()))
+
+            def with_edge(e, pos=None):
+                out = shuffled[:]
+                out.insert(rnd.randrange(len(out) + 1) if pos is None else pos, e)
+                return (mode, n, k, kappa, out, ())
+
+            first = edges[rnd.randrange(len(edges))]
+
+            def recolored(color):
+                out = [ColoredEdge(e.verts, color) if e == first else e for e in shuffled]
+                return (mode, n, k, kappa, out, ())
+
+            # a repeated vertex tuple, with the same and with another color
+            cases.append(with_edge(first))
+            cases.append(with_edge(ColoredEdge(first.verts, first.color % kappa + 1)))
+            # colors 0 and kappa + 1, alone and next to a repeat
+            for color in (0, kappa + 1, -3):
+                cases.append(recolored(color))
+                cases.append(with_edge(ColoredEdge(first.verts, color)))
+            # an index of 0 or n + 1 in each position
+            for pos in range(k):
+                for idx in (0, n + 1):
+                    verts = list(first.verts)
+                    verts[pos] = idx
+                    cases.append(with_edge(ColoredEdge(tuple(verts), 1)))
+            # wrong arity
+            cases.append(with_edge(ColoredEdge(first.verts[:-1], 1)))
+            cases.append(with_edge(ColoredEdge(first.verts + (1,), 1)))
+            # list verts, plain tuples and bool / float colors
+            cases.append((mode, n, k, kappa, [(list(e.verts), e.color) for e in shuffled], ()))
+            cases.append((mode, n, k, kappa, [ColoredEdge(list(e.verts), e.color) for e in edges], ()))
+            for color in (True, False, 1.0, 1.9, 2.5, float(kappa) + 0.5):
+                cases.append(recolored(color))
+                cases.append(with_edge(ColoredEdge(first.verts, color), pos=0))
+            # non-int vertices (a float index, NaN, a string): first or last
+            # in the tuple, and on an edge of its own
+            for odd in (1.0, 1.5, float("nan"), "1"):
+                for verts in ((odd,) + first.verts[1:], first.verts[:-1] + (odd,)):
+                    cases.append(with_edge(ColoredEdge(verts, 1)))
+                    cases.append((mode, n, k, kappa, [ColoredEdge(verts, 1)], ()))
+            # edges touching absent vertices, and absent vertices touching none
+            if mode == PARTITE:
+                for part in range(1, k + 1):
+                    hit = PartiteVertex(part, first.verts[part - 1])
+                    cases.append((mode, n, k, kappa, shuffled, (hit,)))
+                used = {e.verts[0] for e in edges}
+                spare = [i for i in range(1, n + 1) if i not in used]
+                if spare:
+                    kept = [e for e in shuffled if e.verts[1] != 1]
+                    cases.append((mode, n, k, kappa, kept, (PartiteVertex(1, spare[0]), PartiteVertex(2, 1))))
+            else:
+                for u in first.verts:
+                    cases.append((mode, n, k, kappa, shuffled, (u,)))
+                touched = {u for e in edges for u in e.verts}
+                cases.append((mode, n, k, kappa, shuffled, tuple(set(range(1, n + 1)) - touched)))
+                # pairs with u >= v
+                for bad in ((3, 2), (2, 2), (n, 1)):
+                    cases.append(with_edge(ColoredEdge(bad, 1)))
+    return cases
+
+
+def test_bulk_checks_agree_with_per_edge_loop():
+    corpus = _edge_corpus()
+    outcomes = Counter()
+    for mode, n, k, kappa, edges, absent in corpus:
+        absent = frozenset(absent)
+        got = _constructed(mode, n, k, kappa, edges, absent)
+        assert got == _per_edge_oracle(mode, n, k, kappa, edges, absent), (mode, edges, absent)
+        outcomes[got[0]] += 1
+    assert outcomes["accepted"] >= 100 and outcomes["ValueError"] >= 300, outcomes
+
+
+# SHA-256 over dumps_instance of each sampler on a fixed grid (seeds 0-4 of
+# RandomnessSpec(seed, "pin")), recorded before the samplers built canonical
+# edges themselves: the draws, the edges and their order must not move.
+SAMPLER_PINS = {
+    "partite_m k=2": "41f315f74df28ecad5f68969bcb55de1cc6a230579093d5d512d4734f0fabeec",
+    "partite_m k=3": "9a9508c7177d753ea324e2fa7ffada0b9602f2bdd09fa81be2db816389708c50",
+    "partite_p": "f2747b82cb69bc10e0bf3647d1b62e627458b021b0506379701927f7ac10f754",
+    "complete": "d845e670e06d39942e3c92e402fc4ffb046db43a8fc7bc3c570b9fc8e26797ac",
+    "graph sparse": "2bc12df91a97c56912ceb40b6ea3435c05e76d30d8d6f93c6938bce542bd88b8",
+    "graph complete n=40": "40c6562a0fbb49b90537d98ebf85a89c6abb12639ba1f178aa3ffdd74001da9b",
+}
+SAMPLER_GRID = {
+    "partite_m k=2": [lambda r, n=n, m=m: sample_partite_m(n, 2, n, m, r)
+                      for n, m in ((1, 1), (3, 5), (8, 30), (14, 70), (14, 120), (20, 400))],
+    "partite_m k=3": [lambda r, n=n, m=m: sample_partite_m(n, 3, n + 1, m, r)
+                      for n, m in ((2, 8), (4, 20), (6, 100))],
+    "partite_p": [lambda r, n=n, k=k, p=p: sample_partite_p(n, k, n, p, r)
+                  for n, k, p in ((4, 2, 0.3), (10, 2, 0.5), (4, 3, 0.4))],
+    "complete": [lambda r, n=n, k=k: complete_colored(n, k, n, r)
+                 for n, k in ((3, 2), (10, 2), (4, 3))],
+    "graph sparse": [lambda r, n=n, m=m: sample_colored_graph(n, m, n, r)
+                     for n, m in ((2, 1), (14, 30), (100, 200))],
+    "graph complete n=40": [lambda r: sample_colored_graph(40, 780, 40, r)],
+}
+
+
+def test_sampler_streams_pinned():
+    for name, makers in SAMPLER_GRID.items():
+        digest = hashlib.sha256()
+        for make in makers:
+            for seed in range(5):
+                digest.update(dumps_instance(make(RandomnessSpec(seed, "pin").rng())).encode())
+                digest.update(b"\n")
+        assert digest.hexdigest() == SAMPLER_PINS[name], name
 
 
 # -- samplers
@@ -316,10 +484,26 @@ def test_from_dict_validates():
         {**graph, "edges": [{"verts": 1, "color": 1}]},
         {**graph, "edges": [[1, 2]]},
         [],
+        # numbers that are not JSON integers are never truncated
+        {**partite, "n": 2.5},
+        {**partite, "n": 2.0},
+        {**partite, "k": True},
+        {**partite, "colors": "2"},
+        {**partite, "edges": [{"verts": [1.7, 1], "color": 1}]},
+        {**partite, "edges": [{"verts": [1, 2], "color": 1.9}]},
+        {**partite, "edges": [{"verts": [1, 2], "color": True}]},
+        {**partite, "absent": [[1, 1.0]]},
+        {**partite, "absent": [[False, 1]]},
+        {**graph, "absent": [2.5]},
+        {**graph, "absent": [True]},
     ]
     for doc in malformed:
         with pytest.raises(ValueError, match="malformed instance document"):
             instance_from_dict(doc)
+    with pytest.raises(ValueError, match=r"^malformed instance document: n must be an integer, not 2\.5$"):
+        instance_from_dict({**partite, "n": 2.5})
+    with pytest.raises(ValueError, match=r"^malformed instance document: edge 0: color must be an integer, not True$"):
+        instance_from_dict({**partite, "edges": [{"verts": [1, 2], "color": True}]})
     # the same through the parser: json reads 1e400 and 1e999 as infinity
     for text in ('{"mode": "partite", "n": 1e400, "k": 2, "colors": 2, "edges": []}',
                  '{"mode": "graph", "n": 3, "k": 2, "colors": 3,'
