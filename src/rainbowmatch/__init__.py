@@ -1,23 +1,21 @@
 """Rainbow structures in random edge-colored instances.
 
 The package has five layers: `model` (instances, samplers, JSON wire format),
-`count` (exact rainbow perfect-matching search and counting, the uniform
-reduction, latin transversals), `process` (the edge-deletion tracer with its
-weight, median, entropy, and interval-cover machinery), `hamilton` (rainbow
-Hamilton cycles: direct search, even-order assembly from eight matchings,
-contract-and-lift for odd order), and `experiments`/`cli` (deterministic
-experiment drivers and the command-line front end).
+`count` (exact rainbow perfect-matching search and counting, latin
+transversals), `process` (the step-0 weight table, the edge-deletion tracer
+and its flags, and the median, entropy, and interval-cover machinery),
+`hamilton` (rainbow Hamilton cycles: direct search, even-order assembly from
+eight matchings, contract-and-lift for odd order), and `experiments`/`cli`
+(deterministic experiment drivers and the command-line front end).
 """
 
 from .count import (
     BudgetExceededError,
     CountReport,
     count_rainbow_pm,
-    count_uniform_pm,
     expected_rainbow_count,
     find_rainbow_pm,
     latin_transversal,
-    reduce_to_uniform,
     second_moment_exact,
 )
 from .hamilton import (
@@ -49,7 +47,6 @@ from .process import (
     dyadic_interval_cover,
     entropy,
     majority_median,
-    rainbow_weight,
     run_deletion_process,
     weight_profile,
 )
@@ -73,7 +70,6 @@ __all__ = [
     "complete_colored",
     "contract_color_delete",
     "count_rainbow_pm",
-    "count_uniform_pm",
     "dyadic_interval_cover",
     "entropy",
     "expected_rainbow_count",
@@ -84,8 +80,6 @@ __all__ = [
     "lift_cycle",
     "load_instance",
     "majority_median",
-    "rainbow_weight",
-    "reduce_to_uniform",
     "restrict",
     "run_deletion_process",
     "sample_colored_graph",

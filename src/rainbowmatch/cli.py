@@ -186,13 +186,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_count(args) -> int:
     H = _read_instance(args.instance)
-    try:
-        report = count_rainbow_pm(H, method=args.method, budget=args.budget)
-    except BudgetExceededError as exc:
-        _write_text(
-            json.dumps({"outcome": "budget", "nodes": exc.nodes}) + "\n", args.out
-        )
-        return 3
+    report = count_rainbow_pm(H, method=args.method, budget=args.budget)
     payload = {
         "outcome": "counted",
         "value": report.value,
@@ -219,12 +213,7 @@ def _cmd_solve(args) -> int:
     if (args.instance is None) == (args.latin is None):
         raise ValueError("give exactly one of an instance path or --latin")
     if args.latin is not None:
-        matrix = _parse_matrix(args.latin)
-        try:
-            cells = latin_transversal(matrix, budget=args.budget)
-        except BudgetExceededError as exc:
-            _write_text(json.dumps({"outcome": "budget", "nodes": exc.nodes}) + "\n", args.out)
-            return 3
+        cells = latin_transversal(_parse_matrix(args.latin), budget=args.budget)
         if cells is None:
             _write_text(json.dumps({"outcome": "absent", "cells": None}) + "\n", args.out)
             return 1
@@ -233,12 +222,7 @@ def _cmd_solve(args) -> int:
             args.out,
         )
         return 0
-    H = _read_instance(args.instance)
-    try:
-        M = find_rainbow_pm(H, budget=args.budget)
-    except BudgetExceededError as exc:
-        _write_text(json.dumps({"outcome": "budget", "nodes": exc.nodes}) + "\n", args.out)
-        return 3
+    M = find_rainbow_pm(_read_instance(args.instance), budget=args.budget)
     if M is None:
         _write_text(json.dumps({"outcome": "absent", "matching": None}) + "\n", args.out)
         return 1
@@ -317,7 +301,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        try:
+            return _COMMANDS[args.command](args)
+        except BudgetExceededError as exc:  # count and solve ran out of nodes
+            _write_text(json.dumps({"outcome": "budget", "nodes": exc.nodes}) + "\n", args.out)
+            return 3
     except (ValueError, OSError) as exc:
         print(f"rainbowmatch: error: {exc}", file=sys.stderr)
         return 2

@@ -38,7 +38,9 @@ deleted one, to tally the matchings it removed.
 
 For bipartite instances whose color count equals n there is one more,
 independent counting route via inclusion-exclusion over color subsets and
-permanents; the routes cross-check each other in the tests.
+permanents.  The tests cross-check the routes with each other and with a
+colored-to-uniform reduction counted by a plain enumerator
+(tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ __all__ = [
     "DEFAULT_NODE_BUDGET",
     "BudgetExceededError",
     "CountReport",
-    "UniformHypergraph",
     "is_rainbow",
     "is_matching",
     "is_perfect_matching",
@@ -72,8 +73,6 @@ __all__ = [
     "expected_rainbow_count",
     "disjoint_completion_count",
     "second_moment_exact",
-    "reduce_to_uniform",
-    "count_uniform_pm",
     "latin_transversal",
 ]
 
@@ -718,83 +717,6 @@ def second_moment_exact(n: int, k: int) -> float:
             math.factorial(ell) * n ** (n - ell),
         )
     return float(ex * total)
-
-
-# -- reduction to uncolored uniform hypergraphs ---------------------------------
-
-
-@dataclass(frozen=True)
-class UniformHypergraph:
-    """An r-partite r-uniform hypergraph on r classes of n vertices, no colors.
-
-    Edges are r-tuples (one index per class).  Produced by reduce_to_uniform,
-    where class r holds the original colors.
-    """
-
-    n: int
-    r: int
-    edges: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if self.n < 1 or self.r < 2:
-            raise ValueError("need n >= 1, r >= 2")
-        seen = set()
-        edges = tuple(sorted(tuple(e) for e in self.edges))
-        for e in edges:
-            if len(e) != self.r or not all(1 <= v <= self.n for v in e):
-                raise ValueError(f"bad edge {e}")
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
-        object.__setattr__(self, "edges", edges)
-
-
-def reduce_to_uniform(H: ColoredHypergraph) -> UniformHypergraph:
-    """Append each edge's color as a (k+1)-st vertex class.
-
-    Rainbow perfect matchings of H then correspond bijectively to perfect
-    matchings of the result: a perfect matching must cover all n color
-    vertices, which is exactly color-distinctness when kappa == n.  That is
-    also why kappa != n (or a restricted instance) is rejected: "perfect"
-    stops encoding "rainbow" when the counts drift apart.
-    """
-    if H.mode != PARTITE:
-        raise ValueError("reduction applies to partite instances")
-    if H.kappa != H.n:
-        raise ValueError("reduction requires kappa == n")
-    if H.absent:
-        raise ValueError("reduction requires all vertices active")
-    return UniformHypergraph(
-        H.n, H.k + 1, tuple(e.verts + (e.color,) for e in H.edges)
-    )
-
-
-def count_uniform_pm(U: UniformHypergraph, budget: int = DEFAULT_NODE_BUDGET) -> int:
-    """Perfect matchings of an uncolored uniform hypergraph, by a deliberately
-    plain enumerator (kept independent of the main kernel so the two can
-    cross-check the colored-to-uniform reduction)."""
-    by_first: dict[int, list[tuple[int, ...]]] = {}
-    for e in U.edges:
-        by_first.setdefault(e[0], []).append(e)
-    n, r = U.n, U.r
-    nodes = 0
-
-    def rec(i: int, used: frozenset) -> int:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(f"node budget {budget} exceeded", nodes)
-        if i > n:
-            return 1
-        total = 0
-        for e in by_first.get(i, ()):
-            pairs = [(cls, v) for cls, v in enumerate(e, start=1)]
-            if any(p in used for p in pairs[1:]):
-                continue
-            total += rec(i + 1, used | frozenset(pairs))
-        return total
-
-    return rec(1, frozenset())
 
 
 # -- latin transversals ----------------------------------------------------------

@@ -623,6 +623,19 @@ class PlotSpec:
     width: int = 640
     height: int = 440
 
+    def __post_init__(self):
+        ml, mr, mt, mb = self.margins
+        if self.width <= ml + mr or self.height <= mt + mb:
+            raise ValueError(
+                f"plot size {self.width}x{self.height} leaves no plot area "
+                f"(width must exceed {ml + mr}, height {mt + mb})"
+            )
+
+    @property
+    def margins(self) -> tuple[int, int, int, int]:
+        """Left, right, top and bottom space around the plot area."""
+        return 62, 18, 34 if self.title else 18, 46
+
 
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     if hi <= lo:
@@ -654,22 +667,22 @@ def _parse_plot_csv(text: str, spec: PlotSpec) -> tuple[list[float], list[float]
         erri = header.index(spec.yerr) if spec.yerr else None
     except ValueError as exc:
         raise ValueError(f"column not found: {exc}") from exc
-    xs, ys, errs = [], [], ([] if erri is not None else None)
+    columns = [i for i in (xi, yi, erri) if i is not None]
+    rows = []
     for ln in lines[1:]:
         cells = ln.split(",")
         try:
-            xs.append(float(cells[xi]))
-            ys.append(float(cells[yi]))
-            if erri is not None:
-                errs.append(float(cells[erri]))
+            row = [float(cells[i]) for i in columns]
         except (ValueError, IndexError) as exc:
             raise ValueError(f"malformed CSV row {ln!r}") from exc
-    order = sorted(range(len(xs)), key=lambda i: (xs[i], i))
-    xs = [xs[i] for i in order]
-    ys = [ys[i] for i in order]
-    if errs is not None:
-        errs = [errs[i] for i in order]
-    return xs, ys, errs
+        # a nan or inf cell (a budget-out's mean, say) has no place on the axes
+        if all(map(math.isfinite, row)):
+            rows.append(row)
+    if not rows:
+        raise ValueError("CSV has no finite data rows")
+    rows.sort(key=lambda row: row[0])  # stable: equal x keep their file order
+    xs, ys, *errs = map(list, zip(*rows))
+    return xs, ys, errs[0] if errs else None
 
 
 def emit_plot(csv_text: str, spec: PlotSpec) -> str:
@@ -677,7 +690,7 @@ def emit_plot(csv_text: str, spec: PlotSpec) -> str:
     string.  Pure function of the CSV bytes and the plot settings."""
     xs, ys, errs = _parse_plot_csv(csv_text, spec)
     W, H = spec.width, spec.height
-    ml, mr, mt, mb = 62, 18, 34 if spec.title else 18, 46
+    ml, mr, mt, mb = spec.margins
     pw, ph = W - ml - mr, H - mt - mb
     xlo, xhi = min(xs), max(xs)
     ylo = min(ys) if errs is None else min(y - e for y, e in zip(ys, errs))

@@ -127,14 +127,16 @@ class ColoredHypergraph:
     The constructor is the one place an instance is checked, whoever builds
     it: samplers, `restrict`, `instance_from_dict` and the Hamilton
     assembly's recolored classes alike.  It stores the edges as
-    `ColoredEdge(tuple(verts), int(color))`, sorted, and requires every
-    color in 1..kappa, every edge with one vertex per part (graph mode: a
-    pair u < v), every vertex index in 1..n, no edge touching an absent
-    vertex, and no vertex tuple twice.  The checks run in bulk over the
-    columns of the edge list (min/max, set and pairwise comparisons done by
-    builtins); only when one of them fails, or a value is not a plain int,
+    `ColoredEdge(tuple(verts), color)`, sorted, and requires every vertex
+    index and color to be an int (a bool or a float is an error, never
+    truncated), every color in 1..kappa, every edge with one vertex per part
+    (graph mode: a pair u < v), every vertex index in 1..n, no edge touching
+    an absent vertex, and no vertex tuple twice.
+    The checks run in bulk over the columns of the edge list (min/max, set
+    and pairwise comparisons done by builtins); only when one of them fails
     are the edges checked one by one, which finds and reports the first
-    offending edge in canonical order.
+    offending edge in canonical order (in the given order when a value
+    that is not an int leaves them unsortable).
     """
 
     mode: str
@@ -162,8 +164,11 @@ class ColoredHypergraph:
 
         edges = tuple(self.edges)
         if not _plain_edges(edges):
-            edges = (ColoredEdge(tuple(e[0]), int(e[1])) for e in edges)
-        edges = tuple(sorted(edges))
+            edges = tuple(ColoredEdge(tuple(e[0]), e[1]) for e in edges)
+        try:
+            edges = tuple(sorted(edges))
+        except TypeError:  # a value that is not an int: the loop below names its edge
+            pass
         if not self._edges_pass(edges, absent):
             seen: set[tuple[int, ...]] = set()
             for e in edges:
@@ -176,15 +181,17 @@ class ColoredHypergraph:
     def _edges_pass(self, edges: tuple[ColoredEdge, ...], absent: frozenset) -> bool:
         """True when the sorted, coerced edges pass every check of
         `_check_edge` and repeat no vertex tuple, decided column by column.
-        False when some check fails, or some vertex is not a plain int, whose
-        comparisons min and max could not stand in for."""
+        False when some check fails; the int type checks come first, so min
+        and max compare ints only."""
         if not edges:
             return True
         verts, colors = zip(*edges)
-        if min(colors) < 1 or max(colors) > self.kappa or set(map(len, verts)) != {self.k}:
+        if set(map(type, colors)) != {int} or set(map(len, verts)) != {self.k}:
             return False
         cols = list(zip(*verts))
         if any(set(map(type, col)) != {int} for col in cols):
+            return False
+        if min(colors) < 1 or max(colors) > self.kappa:
             return False
         if self.mode == PARTITE:
             if any(min(col) < 1 or max(col) > self.n for col in cols):
@@ -206,20 +213,22 @@ class ColoredHypergraph:
 
     def _coerce_vertex(self, v):
         if self.mode == PARTITE:
-            if isinstance(v, PartiteVertex):
-                pv = v
-            else:
-                part, index = v
-                pv = PartiteVertex(int(part), int(index))
-            if not (1 <= pv.part <= self.k and 1 <= pv.index <= self.n):
+            part, index = v
+            if type(part) is not int or type(index) is not int:
+                raise ValueError(f"vertex {v!r} must be a pair of ints")
+            pv = PartiteVertex(part, index)
+            if not (1 <= part <= self.k and 1 <= index <= self.n):
                 raise ValueError(f"vertex {pv} out of range")
             return pv
-        u = int(v)
-        if not 1 <= u <= self.n:
-            raise ValueError(f"vertex {u} out of range")
-        return u
+        if type(v) is not int:
+            raise ValueError(f"vertex {v!r} must be an int")
+        if not 1 <= v <= self.n:
+            raise ValueError(f"vertex {v} out of range")
+        return v
 
     def _check_edge(self, e: ColoredEdge, absent: frozenset) -> None:
+        if type(e.color) is not int or any(type(i) is not int for i in e.verts):
+            raise ValueError(f"edge {e} has a vertex index or color that is not an int")
         if not 1 <= e.color <= self.kappa:
             raise ValueError(f"color {e.color} out of range 1..{self.kappa}")
         if self.mode == PARTITE:
@@ -263,14 +272,14 @@ class ColoredHypergraph:
 
 
 def _plain_edges(edges: tuple) -> bool:
-    """True when every edge is a ColoredEdge of a tuple and an int, which the
+    """True when every edge is a ColoredEdge of a tuple, which the
     constructor's coercion would leave as it is."""
     if not edges:
         return True
     if set(map(type, edges)) != {ColoredEdge}:
         return False
-    verts, colors = zip(*edges)
-    return set(map(type, verts)) == {tuple} and set(map(type, colors)) == {int}
+    verts, _ = zip(*edges)
+    return set(map(type, verts)) == {tuple}
 
 
 # -- samplers ---------------------------------------------------------------
@@ -404,7 +413,7 @@ def restrict(
     edge_set = set(H.edges)
     removed_e = set()
     for e in removed_edges:
-        e = ColoredEdge(tuple(e[0]), int(e[1]))
+        e = ColoredEdge(tuple(e[0]), e[1])
         if e not in edge_set:
             raise ValueError(f"{e} is not an edge of the instance")
         removed_e.add(e)
@@ -418,9 +427,8 @@ def restrict(
 
     removed_c = set()
     for c in removed_colors:
-        c = int(c)
-        if not 1 <= c <= H.kappa:
-            raise ValueError(f"color {c} out of range 1..{H.kappa}")
+        if type(c) is not int or not 1 <= c <= H.kappa:
+            raise ValueError(f"color {c!r} out of range 1..{H.kappa}")
         removed_c.add(c)
 
     absent = H.absent | removed_v

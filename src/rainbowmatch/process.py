@@ -22,8 +22,8 @@ instance that leaves exactly v uncovered, and it avoids c iff it does not use
 c.  So the near-perfect matchings are built layer by layer (the layer loop of
 `near_perfect_tally`), tallied by (leftover tuple, used colors), and every
 entry w(v, c) is a sum over that tally.  A count phi is then the sum of the
-edge weights divided by n.  `rainbow_weight` keeps the one-entry definition
-(restrict, then count).
+edge weights divided by n.  `weight_profile` returns that table for any
+partite instance.
 
 The process runs that full tally once, at step 0, and carries its state (the
 weight rows, the packed edge lists, the vertex and color degrees, the live
@@ -42,11 +42,12 @@ Flags per step (wire names B, R, C in the trace CSV):
 * median cap: localized weight maxima stay below the larger of a fixed
   fraction of the current count and twice a one-sided majority median.
 
-The flags are computed in integers (cross-multiplied, never in Fraction).
-Flag C and the localized maxima come from one walk of the weight table laid
-out as one row of color weights per active tuple (`_walk_groups`): a group
-fails only when its max beats both bounds, so the walk keeps the largest max
-above twice its median, and the flag compares that one integer to the count.
+`run_deletion_process` is the one place the flags are computed, in integers
+(cross-multiplied, never in Fraction).  Flag C comes from one walk of the
+weight table laid out as one row of color weights per active tuple
+(`_walk_groups`): a group fails only when its max beats both bounds, so the
+walk keeps the largest max above twice its median, and the flag compares
+that one integer to the count.
 
 The dyadic interval machinery at the bottom is independent of the process: it
 locates, for any positive weight vector with near-maximal entropy, a short
@@ -61,32 +62,16 @@ from fractions import Fraction
 from itertools import product
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .count import (
-    BudgetExceededError,
-    DEFAULT_NODE_BUDGET,
-    _NearTally,
-    count_rainbow_pm,
-)
-from .model import (
-    PARTITE,
-    ColoredEdge,
-    ColoredHypergraph,
-    PartiteVertex,
-    degree_profile,
-    restrict,
-)
+from .count import BudgetExceededError, DEFAULT_NODE_BUDGET, _NearTally
+from .model import PARTITE, ColoredEdge, ColoredHypergraph, degree_profile
 
 __all__ = [
     "EventParams",
     "LemmaPreconditionError",
-    "rainbow_weight",
-    "edge_weights",
     "WeightProfile",
     "weight_profile",
     "majority_median",
     "weight_ratio_bounded",
-    "degrees_regular",
-    "weight_median_capped",
     "DeletionStep",
     "DeletionTrace",
     "run_deletion_process",
@@ -143,46 +128,22 @@ def _check_partite(H: ColoredHypergraph) -> None:
         raise ValueError("this operation is defined for partite instances")
 
 
-def _parts(H: ColoredHypergraph) -> list[list[int]]:
-    return [H.part_active(p) for p in range(1, H.k + 1)]
-
-
-def rainbow_weight(
-    H: ColoredHypergraph,
-    verts: Sequence[int],
-    color: int,
-    budget: int = DEFAULT_NODE_BUDGET,
-) -> int:
-    """Number of rainbow perfect matchings of H minus verts' vertices that
-    avoid the given color class entirely.
-
-    verts is a full per-part index tuple (the vertex set of a potential edge;
-    the edge itself need not be present).  All named vertices must be active.
-    """
-    _check_partite(H)
-    if len(verts) != H.k:
-        raise ValueError(f"verts must name one vertex per part, got {verts}")
-    removed = [PartiteVertex(p, i) for p, i in enumerate(verts, start=1)]
-    sub = restrict(H, removed_vertices=removed, removed_colors=(color,))
-    return count_rainbow_pm(sub, budget=budget).value
-
-
 class _DeletionState:
     """What the deletion process carries from step to step: the weight rows,
     the near-perfect tally's packed edge lists (`_NearTally`), one degree
     count per vertex and per color, and the live edges.
 
     rows maps every active tuple, in `product` order, to its row of weights
-    [rainbow_weight(H, verts, c) for c in 1..kappa]: a rainbow near-perfect
-    matching that leaves exactly verts uncovered counts toward every color
-    it does not use.  delete(e) subtracts the matchings through e, so the
-    rows stay exact without a rebuilt instance.  nodes is the number of
-    states the last tally built, all counted against budget.
+    [w(verts, c) for c in 1..kappa]: a rainbow near-perfect matching that
+    leaves exactly verts uncovered counts toward every color it does not
+    use.  delete(e) subtracts the matchings through e, so the rows stay
+    exact without a rebuilt instance.  nodes is the number of states the
+    last tally built, all counted against budget.
     """
 
     def __init__(self, H: ColoredHypergraph, budget: int):
         self.budget = budget
-        self.parts = _parts(H)
+        self.parts = [H.part_active(p) for p in range(1, H.k + 1)]
         self.rows = {verts: [0] * H.kappa for verts in product(*self.parts)}
         self.colors = (1 << H.kappa) - 1
         self.tally = _NearTally(H)
@@ -212,101 +173,69 @@ class _DeletionState:
         self.cdeg[e.color] -= 1
 
 
-def _weight_rows(H: ColoredHypergraph, budget: int) -> dict[tuple[int, ...], list[int]]:
-    """verts -> [rainbow_weight(H, verts, c) for c in 1..kappa], over all
-    active tuples in `product` order, read off one near-perfect tally."""
-    return _DeletionState(H, budget).rows
-
-
-def edge_weights(
-    H: ColoredHypergraph, budget: int = DEFAULT_NODE_BUDGET
-) -> dict[ColoredEdge, int]:
-    """w(e) = rainbow_weight(H, e.verts, e.color) for every edge: the number
-    of rainbow perfect matchings through e.  One tally for all edges."""
-    _check_partite(H)
-    rows = _weight_rows(H, budget)
-    return {e: rows[e.verts][e.color - 1] for e in H.edges}
-
-
 @dataclass(frozen=True)
 class WeightProfile:
-    """The full weight table of an instance plus its localized maxima.
+    """The full weight table of an instance.
 
     table   (verts, color) -> weight, over all active tuples and all colors
-    psi_v   ((partial tuple omitting one part, as ((part, idx), ...)), color) ->
-            max weight over completions of the missing part
-    psi_c   verts -> max weight over colors
     psi0    global maximum of the table
     """
 
     table: Mapping[tuple[tuple[int, ...], int], int]
-    psi_v: Mapping[tuple[tuple[tuple[int, int], ...], int], int]
-    psi_c: Mapping[tuple[int, ...], int]
     psi0: int
+
+
+def weight_profile(
+    H: ColoredHypergraph, budget: int = DEFAULT_NODE_BUDGET
+) -> WeightProfile:
+    """Compute the whole weight table (active tuples x colors) of H: the one
+    step 0 of the deletion process starts from (`_DeletionState`).
+
+    Cost is one tally of the rainbow near-perfect matchings
+    (`near_perfect_tally`), however many entries the table has; every state
+    the tally builds counts against budget.  Still exponential, so meant for
+    small instances.
+    """
+    _check_partite(H)
+    rows = _DeletionState(H, budget).rows
+    table = {(verts, c): w for verts, row in rows.items() for c, w in enumerate(row, start=1)}
+    return WeightProfile(table, max(table.values(), default=0))
 
 
 def _walk_groups(
     parts: Sequence[Sequence[int]], kappa: int, rows: Mapping[tuple[int, ...], Sequence[int]]
-) -> tuple[dict, dict, int]:
+) -> int:
     """One pass over the localized groups of a weight table given as rows
-    (`_weight_rows` layout) over the active parts: returns (psi_v, psi_c,
-    worst).
+    (`_DeletionState.rows` layout) over the active parts: returns worst, the
+    largest group maximum that exceeds twice its group's majority median, or
+    0 if no group's does.  Flag C fails exactly when worst exceeds the cap.
 
     Family "v": for each partial tuple missing one part and each color, the
     weights over the completions of the missing part.  In `product` order the
     completions of a partial tuple are a stride slice of the rows, and the
     slice transposed gives that partial tuple's group for every color.
     Family "c": each row is the group of its tuple over the colors.
-
-    worst is the largest group maximum that exceeds twice its group's
-    majority median, or 0 if no group's does: flag C fails exactly when
-    worst exceeds the cap.
     """
-    k = len(parts)
     table = list(rows.values())
-    psi_v, worst = {}, 0
-    for missing in range(k):
-        size = len(parts[missing])
-        stride = math.prod(len(part) for part in parts[missing + 1 :])
-        outer = math.prod(len(part) for part in parts[:missing])
-        others = [p for p in range(1, k + 1) if p != missing + 1]
-        partials = product(*(parts[p - 1] for p in others))
-        starts = (o * size * stride + i for o in range(outer) for i in range(stride))
-        for partial, start in zip(partials, starts):
-            key = tuple(zip(others, partial))
+    worst = 0
+    for missing, part in enumerate(parts):
+        size = len(part)
+        stride = math.prod(len(p) for p in parts[missing + 1 :])
+        outer = math.prod(len(p) for p in parts[:missing])
+        for start in (o * size * stride + i for o in range(outer) for i in range(stride)):
             block = table[start : start + size * stride : stride]
             # an emptied part leaves every color's group empty
             groups = zip(*block) if block else [()] * kappa
-            for c, vals in enumerate(groups, start=1):
-                top = psi_v[(key, c)] = max(vals, default=0)
+            for vals in groups:
+                top = max(vals, default=0)
                 # a median is needed only where the group could raise worst
                 if top > worst and top > 2 * majority_median(vals):
                     worst = top
-    psi_c = {}
-    for verts, row in rows.items():
-        top = psi_c[verts] = max(row, default=0)
+    for row in table:
+        top = max(row, default=0)
         if top > worst and top > 2 * majority_median(row):
             worst = top
-    return psi_v, psi_c, worst
-
-
-def weight_profile(
-    H: ColoredHypergraph, budget: int = DEFAULT_NODE_BUDGET
-) -> WeightProfile:
-    """Compute the whole weight table (active tuples x colors) and its
-    localized maxima.
-
-    Cost is one tally of the rainbow near-perfect matchings
-    (`near_perfect_tally`), however many entries the table has; every state
-    the tally builds counts against budget.  The maxima come from one walk of
-    the table (`_walk_groups`).  Still exponential, so meant for small
-    instances.
-    """
-    _check_partite(H)
-    rows = _weight_rows(H, budget)
-    psi_v, psi_c, _ = _walk_groups(_parts(H), H.kappa, rows)
-    table = {(verts, c): w for verts, row in rows.items() for c, w in enumerate(row, start=1)}
-    return WeightProfile(table, psi_v, psi_c, max(table.values(), default=0))
+    return worst
 
 
 # -- median and flags -----------------------------------------------------------
@@ -347,21 +276,6 @@ def weight_ratio_bounded(weights: Collection[int], L: float) -> bool:
     return max(weights) * len(weights) * den <= num * total
 
 
-def degrees_regular(
-    H: ColoredHypergraph,
-    p: Fraction | float,
-    params: EventParams = DEFAULT_EVENT_PARAMS,
-) -> bool:
-    """Flag R: every vertex degree and every color degree lies within relative
-    eps1 of the expectation n^(k-1) * p.  Exact: with p = a/b and eps1 = e/f,
-    |d - expect| <= eps1 * expect  <=>  f * |d*b - n^(k-1)*a| <= e * n^(k-1)*a,
-    and the degrees pass together iff the smallest and the largest do."""
-    _check_partite(H)
-    deg, cdeg = degree_profile(H)
-    degs = [*deg.values(), *cdeg.values()]
-    return _degrees_within(H, p, params, min(degs), max(degs))
-
-
 def _degrees_within(
     H: ColoredHypergraph, p: Fraction | float, params: EventParams, lo: int, hi: int
 ) -> bool:
@@ -370,34 +284,6 @@ def _degrees_within(
     e, f = Fraction(params.eps1).as_integer_ratio()
     expect_b = H.n ** (H.k - 1) * a  # expect * b
     return all(f * abs(d * b - expect_b) <= e * expect_b for d in (lo, hi))
-
-
-def weight_median_capped(
-    H: ColoredHypergraph,
-    phi: int | None = None,
-    budget: int = DEFAULT_NODE_BUDGET,
-    profile: WeightProfile | None = None,
-) -> bool:
-    """Flag C: localized weight maxima are capped by the larger of
-    phi / (2^k * n^k) and twice the majority median.
-
-    Two clause families: for each partial tuple missing one part and each
-    color, the max over completions versus the median over completions; and
-    for each full tuple, the max over colors versus the median over colors.
-    A group fails only if its max beats both bounds, so the flag reads off
-    the one walk's worst (the largest max above twice its median) in
-    integers: worst * 2^k * n^k <= phi.
-    """
-    _check_partite(H)
-    parts = _parts(H)
-    if profile is None:
-        rows = _weight_rows(H, budget)
-    else:
-        colors = range(1, H.kappa + 1)
-        rows = {v: [profile.table[(v, c)] for c in colors] for v in product(*parts)}
-    if phi is None:
-        phi = count_rainbow_pm(H, budget=budget).value
-    return _capped(H, phi, _walk_groups(parts, H.kappa, rows)[2])
 
 
 def _capped(H: ColoredHypergraph, phi: int, worst: int) -> bool:
@@ -509,7 +395,7 @@ def run_deletion_process(
         balanced = weight_ratio_bounded(ws, params.L)
         degs = [*state.deg.values(), *state.cdeg.values()]
         regular = _degrees_within(H0, p_i, params, min(degs), max(degs))
-        capped = _capped(H0, phi, _walk_groups(state.parts, H0.kappa, state.rows)[2])
+        capped = _capped(H0, phi, _walk_groups(state.parts, H0.kappa, state.rows))
         if i == 0:
             xi = gamma = None
         else:

@@ -185,6 +185,38 @@ def test_plot_rejects_bad_input(tmp_path, capsys):
     assert code == 2 and "column" in err
 
 
+def test_plot_skips_rows_that_are_not_finite(tmp_path, capsys):
+    csv = tmp_path / "t.csv"
+    csv.write_text("x,y,e\n1,2,0.5\n2,nan,0.5\n3,4,inf\n4,5,0.5\n")
+    svg = tmp_path / "p.svg"
+    assert run(capsys, "plot", str(csv), "--x", "x", "--y", "y", "--out", str(svg))[0] == 0
+    assert "nan" not in svg.read_text()
+    assert len(ET.parse(svg).getroot().findall("{*}circle")) == 3
+    assert run(capsys, "plot", str(csv), "--x", "x", "--y", "y", "--yerr", "e",
+               "--out", str(svg))[0] == 0
+    assert "nan" not in svg.read_text() and "inf" not in svg.read_text()
+    assert len(ET.parse(svg).getroot().findall("{*}circle")) == 2
+    # an all-nan column, and a budget-out's nan mean: nothing to plot
+    csv.write_text("x,y\n1,nan\n2,nan\n")
+    code, _, err = run(capsys, "plot", str(csv), "--x", "x", "--y", "y")
+    assert code == 2 and "no finite data rows" in err
+    run(capsys, "mean-count", "--n", "6", "--trials", "2", "--budget", "1", "--out", str(csv))
+    assert "nan" in csv.read_text()
+    code, _, err = run(capsys, "plot", str(csv), "--x", "n", "--y", "mean")
+    assert code == 2 and "no finite data rows" in err
+
+
+def test_plot_size_must_leave_a_plot_area(tmp_path, capsys):
+    csv = tmp_path / "t.csv"
+    csv.write_text("x,y\n1,2\n3,4\n")
+    for size in (["--width", "0"], ["--width", "-100"], ["--width", "80"], ["--height", "64"],
+                 ["--height", "80", "--title", "t"]):
+        code, out, err = run(capsys, "plot", str(csv), "--x", "x", "--y", "y", *size)
+        assert code == 2 and "no plot area" in err and out == "", size
+    assert run(capsys, "plot", str(csv), "--x", "x", "--y", "y", "--width", "81",
+               "--height", "65")[0] == 0
+
+
 def test_raw_stream_written(tmp_path, capsys):
     raw = tmp_path / "raw.jsonl"
     run(capsys, "threshold", "--n", "2", "--m", "1,4", "--trials", "3",

@@ -10,14 +10,12 @@ from rainbowmatch.count import (
     BudgetExceededError,
     _Search,
     count_rainbow_pm,
-    count_uniform_pm,
     disjoint_completion_count,
     expected_rainbow_count,
     find_rainbow_pm,
     is_perfect_matching,
     is_rainbow,
     latin_transversal,
-    reduce_to_uniform,
     second_moment_exact,
 )
 from rainbowmatch.model import (
@@ -34,6 +32,7 @@ from rainbowmatch.model import (
 )
 
 from helpers import edge_by_verts
+from oracles import count_uniform_pm, reduce_to_uniform
 
 
 def rng(stream=0, seed=0):

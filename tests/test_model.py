@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 from collections import Counter
 
 import pytest
@@ -64,6 +65,26 @@ def test_vertex_index_out_of_range_rejected():
         ColoredHypergraph(PARTITE, 2, 2, 2, (ColoredEdge((1, 2), 5),))
 
 
+def test_non_int_values_rejected():
+    # a float or bool color and a float or string vertex index are errors
+    # naming their edge, never truncated or stored as given
+    for bad in (ColoredEdge((1, 1), 1.9), ColoredEdge((2, 2), True),
+                ColoredEdge((1.5, 1), 1), ColoredEdge(("1", 2), 1)):
+        with pytest.raises(ValueError, match=f"edge {re.escape(str(bad))} has a vertex"):
+            ColoredHypergraph(PARTITE, 2, 2, 2, (ColoredEdge((1, 2), 1), bad))
+    for absent in ((1, 1.0), (True, 1)):
+        with pytest.raises(ValueError, match="must be a pair of ints"):
+            ColoredHypergraph(PARTITE, 2, 2, 2, (), frozenset([absent]))
+    with pytest.raises(ValueError, match="must be an int"):
+        ColoredHypergraph(GRAPH, 3, 2, 2, (), frozenset([2.0]))
+    H = ColoredHypergraph(PARTITE, 2, 2, 2, (ColoredEdge((1, 1), 1),))
+    for bad in ((1, 1.0), (True, 1)):
+        with pytest.raises(ValueError):
+            restrict(H, removed_vertices=[bad])
+    with pytest.raises(ValueError):
+        restrict(H, removed_colors=[1.0])
+
+
 def test_graph_mode_edges_are_sorted_pairs():
     H = sample_colored_graph(5, 6, 3, rng(2))
     for e in H.edges:
@@ -86,11 +107,20 @@ def test_zero_vertex_edge_cases():
 def _per_edge_oracle(mode, n, k, kappa, edges, absent=frozenset()):
     """The constructor's edge handling as one loop per edge, as it stood
     before the bulk checks: ("accepted", the canonical edges' repr) or the
-    exception's (type name, message).  repr, since NaN equals nothing."""
+    exception's (type name, message).  repr, since NaN equals nothing.
+    Unlike that loop, it coerces no vertex index or color with int(): one
+    that is not an int is an error naming its edge, found in the given order
+    when such a value leaves the edges unsortable."""
     try:
-        edges = tuple(sorted(ColoredEdge(tuple(e[0]), int(e[1])) for e in edges))
+        edges = tuple(ColoredEdge(tuple(e[0]), e[1]) for e in edges)
+        try:
+            edges = tuple(sorted(edges))
+        except TypeError:
+            pass
         seen = set()
         for e in edges:
+            if type(e.color) is not int or any(type(i) is not int for i in e.verts):
+                raise ValueError(f"edge {e} has a vertex index or color that is not an int")
             if not 1 <= e.color <= kappa:
                 raise ValueError(f"color {e.color} out of range 1..{kappa}")
             if mode == PARTITE:
@@ -170,10 +200,11 @@ def _edge_corpus():
             # wrong arity
             cases.append(with_edge(ColoredEdge(first.verts[:-1], 1)))
             cases.append(with_edge(ColoredEdge(first.verts + (1,), 1)))
-            # list verts, plain tuples and bool / float colors
+            # list verts, plain tuples, and bool / float colors next to the
+            # int colors they look like
             cases.append((mode, n, k, kappa, [(list(e.verts), e.color) for e in shuffled], ()))
             cases.append((mode, n, k, kappa, [ColoredEdge(list(e.verts), e.color) for e in edges], ()))
-            for color in (True, False, 1.0, 1.9, 2.5, float(kappa) + 0.5):
+            for color in (1, kappa, True, False, 1.0, 1.9, 2.5, float(kappa) + 0.5):
                 cases.append(recolored(color))
                 cases.append(with_edge(ColoredEdge(first.verts, color), pos=0))
             # non-int vertices (a float index, NaN, a string): first or last

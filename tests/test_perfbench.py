@@ -1,0 +1,27 @@
+"""The benchmark under perfbench/ reaches into the package by name: the
+layers it traces, the drivers and emitters a round calls, and the Hamilton
+search it counts budget-outs on.  A renamed or deleted name fails here
+instead of in a benchmark run."""
+
+import importlib.util
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_benchmark_bindings_resolve(monkeypatch):
+    # run.py imports its siblings (workloads, calibrate, tracing) by name
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    for layer, (home, names) in run.tracing.LAYERS.items():
+        for name in names:
+            assert callable(getattr(home, name, None)), (layer, name)
+    for kind, (driver, emitters) in run.DRIVERS.items():
+        for name in (driver, *emitters):
+            assert callable(getattr(run.experiments, name, None)), (kind, name)
+    for workload in run.WORKLOADS.values():
+        assert workload.configs(0), workload.name
+    # run.count_hc_budget_outs swaps this binding for a counting wrapper
+    assert callable(run.experiments.find_rainbow_hc)

@@ -26,25 +26,21 @@ from rainbowmatch.process import (
     DEFAULT_EVENT_PARAMS,
     EventParams,
     LemmaPreconditionError,
-    WeightProfile,
     chernoff_bounds,
     cumulative_loss_rate,
-    degrees_regular,
     dyadic_interval_cover,
     dyadic_ratio_bound,
     dyadic_support_fraction,
-    edge_weights,
     entropy,
     majority_median,
-    rainbow_weight,
     run_deletion_process,
-    weight_median_capped,
     weight_profile,
     weight_ratio_bounded,
 )
-from rainbowmatch.process import _DeletionState, _weight_rows
+from rainbowmatch.process import _DeletionState, _capped, _degrees_within, _walk_groups
 
 from helpers import edge_by_verts
+from oracles import rainbow_weight
 
 
 def rng(stream=0, seed=0):
@@ -58,6 +54,33 @@ def bipartite(color_map, n=2):
         for j in range(1, n + 1)
     )
     return ColoredHypergraph(PARTITE, n, 2, max(color_map.values()), edges)
+
+
+def edge_table(H):
+    """w(e) for every edge of H, read off the weight table: the number of
+    rainbow perfect matchings through e."""
+    table = weight_profile(H).table
+    return {e: table[(e.verts, e.color)] for e in H.edges}
+
+
+def regular(H, p, params=DEFAULT_EVENT_PARAMS):
+    """Flag R as the deletion step computes it: the integer test on the
+    smallest and the largest vertex or color degree of H."""
+    deg, cdeg = degree_profile(H)
+    degs = [*deg.values(), *cdeg.values()]
+    return _degrees_within(H, p, params, min(degs), max(degs))
+
+
+def median_capped(H, phi=None, table=None):
+    """Flag C as the deletion step computes it: the walk of the weight rows,
+    H's own or a hand-built table's, against phi (H's count by default)."""
+    parts = [H.part_active(p) for p in range(1, H.k + 1)]
+    if table is None:
+        table = weight_profile(H).table
+    rows = {v: [table[(v, c)] for c in range(1, H.kappa + 1)] for v in product(*parts)}
+    if phi is None:
+        phi = count_rainbow_pm(H).value
+    return _capped(H, phi, _walk_groups(parts, H.kappa, rows))
 
 
 # -- weights
@@ -81,7 +104,7 @@ def test_rainbow_weight_all_distinct_colors():
 def test_edge_weights_identity_on_complete():
     for j in range(5):
         H = complete_colored(3, 2, 3, rng(j, seed=40))
-        w = edge_weights(H)
+        w = edge_table(H)
         phi = count_rainbow_pm(H).value
         assert sum(w.values()) == 3 * phi
 
@@ -118,7 +141,7 @@ def test_weight_table_matches_oracle_along_traces(n, k, kappa):
             Hi = restrict(H, removed_edges=order[:i])
             table = oracle_table(Hi)
             assert weight_profile(Hi).table == table, (j, i)
-            assert edge_weights(Hi) == {e: table[(e.verts, e.color)] for e in Hi.edges}
+            assert edge_table(Hi) == {e: table[(e.verts, e.color)] for e in Hi.edges}
 
 
 def test_weight_table_matches_oracle_on_restricted_instances():
@@ -220,7 +243,7 @@ def test_weight_profile_budget_raises():
             weight_profile(H, budget=budget)
         assert info.value.nodes > budget
         with pytest.raises(BudgetExceededError):
-            edge_weights(H, budget=budget)
+            _DeletionState(H, budget)
     assert weight_profile(H, budget=nodes).table == weight_profile(H).table
 
 
@@ -269,7 +292,7 @@ def test_carried_state_matches_rebuilt_instance(n, k, kappa):
             if i:
                 state.delete(order[i - 1])
             Hi = restrict(H, removed_edges=order[:i])
-            assert state.rows == _weight_rows(Hi, DEFAULT_NODE_BUDGET), (j, i)
+            assert state.rows == _DeletionState(Hi, DEFAULT_NODE_BUDGET).rows, (j, i)
             assert (state.deg, state.cdeg) == degree_profile(Hi), (j, i)
             assert list(state.live) == list(Hi.edges), (j, i)
 
@@ -278,8 +301,7 @@ def test_weight_profile_maxima_consistency():
     H = complete_colored(2, 2, 2, rng(1))
     prof = weight_profile(H)
     assert all(v >= 0 for v in prof.table.values())
-    assert max(prof.psi_c.values()) == prof.psi0
-    assert max(prof.psi_v.values()) == prof.psi0
+    assert max(prof.table.values()) == prof.psi0
 
 
 # -- the nonstandard median
@@ -325,24 +347,24 @@ def test_majority_median_is_member_and_definition():
 def test_ratio_flag_hand_weights():
     # weights over the four edges come out (1, 0, 0, 1): max/avg = 2
     H = bipartite({(1, 1): 1, (2, 2): 2, (1, 2): 3, (2, 1): 3})
-    assert edge_weights(H) == {
+    assert edge_table(H) == {
         edge_by_verts(H, (1, 1)): 1,
         edge_by_verts(H, (2, 2)): 1,
         edge_by_verts(H, (1, 2)): 0,
         edge_by_verts(H, (2, 1)): 0,
     }
-    assert weight_ratio_bounded(edge_weights(H).values(), 2.5)
-    assert not weight_ratio_bounded(edge_weights(H).values(), 1.5)
+    assert weight_ratio_bounded(edge_table(H).values(), 2.5)
+    assert not weight_ratio_bounded(edge_table(H).values(), 1.5)
 
 
 def test_ratio_flag_zero_and_singleton():
     all_same = bipartite({(1, 1): 1, (1, 2): 1, (2, 1): 1, (2, 2): 1})
     # all weights zero: holds by convention
-    assert weight_ratio_bounded(edge_weights(all_same).values(), DEFAULT_EVENT_PARAMS.L)
+    assert weight_ratio_bounded(edge_table(all_same).values(), DEFAULT_EVENT_PARAMS.L)
     single = ColoredHypergraph(PARTITE, 1, 2, 1, (ColoredEdge((1, 1), 1),))
-    assert weight_ratio_bounded(edge_weights(single).values(), 1.01)
+    assert weight_ratio_bounded(edge_table(single).values(), 1.01)
     empty = ColoredHypergraph(PARTITE, 2, 2, 2, ())
-    assert weight_ratio_bounded(edge_weights(empty).values(), 1.01)  # no edges
+    assert weight_ratio_bounded(edge_table(empty).values(), 1.01)  # no edges
 
 
 def test_regular_flag_complete_and_damaged():
@@ -350,11 +372,11 @@ def test_regular_flag_complete_and_damaged():
     # vertex degrees are exactly n^{k-1}; color degrees need a balanced coloring
     edges = tuple(ColoredEdge((i, j), (i + j) % 3 + 1) for i in range(1, 4) for j in range(1, 4))
     balanced = ColoredHypergraph(PARTITE, 3, 2, 3, edges)
-    assert degrees_regular(balanced, 1)
+    assert regular(balanced, 1)
     damaged = ColoredHypergraph(
         PARTITE, 3, 2, 3, tuple(e for e in balanced.edges if e.verts[0] != 1)
     )
-    assert not degrees_regular(damaged, 1)
+    assert not regular(damaged, 1)
     del H
 
 
@@ -368,19 +390,19 @@ def test_regular_flag_matches_direct_reimplementation():
         by_hand = all(abs(Fraction(d) - expect) <= tol for d in deg.values()) and all(
             abs(Fraction(d) - expect) <= tol for d in cdeg.values()
         )
-        assert degrees_regular(H, Fraction(1, 2), params) == by_hand, j
+        assert regular(H, Fraction(1, 2), params) == by_hand, j
 
 
 def test_median_cap_flag_trivial_cases():
     mono = bipartite({(1, 1): 1, (1, 2): 1, (2, 1): 1, (2, 2): 1})
-    assert weight_median_capped(mono)  # phi = 0, all weights zero
+    assert median_capped(mono)  # phi = 0, all weights zero
     # n=1: every restriction is the empty instance, so the whole table is 1
     single = ColoredHypergraph(PARTITE, 1, 2, 1, (ColoredEdge((1, 1), 1),))
-    assert weight_median_capped(single)
+    assert median_capped(single)
     # n=2 with any positive count: each tuple's color family contains a zero
     # (avoid the completion's own color), so the median clause always trips
     rainbow_rich = bipartite({(1, 1): 1, (1, 2): 2, (2, 1): 3, (2, 2): 4})
-    assert not weight_median_capped(rainbow_rich)
+    assert not median_capped(rainbow_rich)
 
 
 def test_median_cap_flag_completion_clause_alone():
@@ -392,20 +414,14 @@ def test_median_cap_flag_completion_clause_alone():
     idx, colors = (1, 2, 3), (1, 2, 3)
     table = {((i, j), c): 10 if (i, j) == (1, 1) else 1
              for i in idx for j in idx for c in colors}
-    profile = WeightProfile(
-        table,
-        psi_v={(((p, i),), c): 10 if i == 1 else 1 for p in (1, 2) for i in idx for c in colors},
-        psi_c={(i, j): 10 if (i, j) == (1, 1) else 1 for i in idx for j in idx},
-        psi0=10,
-    )
     for i in idx:
         for j in idx:
             by_color = [table[((i, j), c)] for c in colors]
             assert max(by_color) == min(by_color)
     # cap = phi / (2^2 * 3^2): 1/36 for phi = 1, below twice the median (2)
-    assert not weight_median_capped(H, phi=1, profile=profile)
+    assert not median_capped(H, phi=1, table=table)
     # at phi = 360 the cap reaches 10 and lets the completion groups pass
-    assert weight_median_capped(H, phi=360, profile=profile)
+    assert median_capped(H, phi=360, table=table)
 
 
 def test_median_cap_flag_at_twice_the_median():
@@ -419,7 +435,7 @@ def test_median_cap_flag_at_twice_the_median():
         for c in colors:
             table[((1, 1), c)] = top
         # flag C reads only the table
-        return weight_median_capped(H, phi=1, profile=WeightProfile(table, {}, {}, top))
+        return median_capped(H, phi=1, table=table)
 
     # every color of (1, 1): flat color groups, completion groups (top, 1, 1)
     assert capped(2, idx) and not capped(3, idx)
@@ -454,11 +470,11 @@ def test_median_cap_flag_matches_reimplementation():
             [prof.table[((i, col), c)] for i in (1, 2)] for col in (1, 2) for c in (1, 2)
         ]
         expected = clause(by_color) and clause(by_completion)
-        assert weight_median_capped(H, phi) == expected, j
+        assert median_capped(H, phi) == expected, j
 
 
 def test_weight_groups_match_table_grouping():
-    # psi_v, psi_c and flag C against the weight table grouped entry by entry,
+    # flag C against the weight table grouped entry by entry,
     # along deletion orders at n=3 (k=2) and n=2 (k=3)
     def grouped(H, table):
         groups = {}
@@ -475,18 +491,13 @@ def test_weight_groups_match_table_grouping():
     for j, H in enumerate(starts):
         order = random_edge_ordering(H, rng(j, seed=46))
         for e in order[: len(order) // 2]:
-            prof = weight_profile(H)
-            groups = grouped(H, prof.table)
-            assert prof.psi_v == {
-                (key[1], key[2]): max(vals) for key, vals in groups.items() if key[0] == "v"
-            }
-            assert prof.psi_c == {key[1]: max(vals) for key, vals in groups.items() if key[0] == "c"}
+            groups = grouped(H, weight_profile(H).table)
             phi = count_rainbow_pm(H).value
             cap = Fraction(phi, 2**H.k * H.n**H.k)
             capped = all(
                 max(vals) <= max(cap, 2 * majority_median(vals)) for vals in groups.values()
             )
-            assert weight_median_capped(H, phi) == capped, (j, e)
+            assert median_capped(H, phi) == capped, (j, e)
             H = restrict(H, removed_edges=(e,))
 
 
@@ -518,7 +529,7 @@ def test_majority_median_matches_fraction_definition():
 
 @pytest.mark.parametrize("n,k,kappa", [(3, 2, 3), (4, 2, 4), (2, 3, 3)])
 def test_step_flags_match_fraction_oracle(n, k, kappa):
-    # every step's R, C and w_med, and the profile's maxima, against the
+    # every step's R, C and w_med against the
     # Fraction arithmetic over the weight table grouped entry by entry
     for params in (DEFAULT_EVENT_PARAMS, EventParams.from_abundance(8.0)):
         for j in range(2):
@@ -529,18 +540,16 @@ def test_step_flags_match_fraction_oracle(n, k, kappa):
             for step in trace.steps:
                 Hi = restrict(H, removed_edges=order[: step.index])
                 prof = weight_profile(Hi)
-                psi_v, psi_c = {}, {}
+                groups = {}
                 for (verts, c), w in prof.table.items():
                     for missing in range(k):
                         partial = tuple((p + 1, v) for p, v in enumerate(verts) if p != missing)
-                        psi_v.setdefault((partial, c), []).append(w)
-                    psi_c.setdefault(verts, []).append(w)
-                assert prof.psi_v == {key: max(vals) for key, vals in psi_v.items()}
-                assert prof.psi_c == {key: max(vals) for key, vals in psi_c.items()}
+                        groups.setdefault((partial, c), []).append(w)
+                    groups.setdefault(verts, []).append(w)
                 cap = Fraction(step.phi, 2**k * n**k)
                 capped = all(
                     max(vals) <= max(cap, 2 * Fraction(fraction_median(vals)))
-                    for vals in [*psi_v.values(), *psi_c.values()]
+                    for vals in groups.values()
                 )
                 ws = [prof.table[(e.verts, e.color)] for e in Hi.edges]
                 assert step.median_capped == capped, (j, step.index)
@@ -565,19 +574,19 @@ def test_regular_flag_at_tolerance_boundary(eps1):
     for side in (1, -1):
         # degree 4 = expect + side * tol = 4 * p * (1 + side * eps1)
         p = 1 / (1 + side * e)
-        assert degrees_regular(flat, p, params)
-        assert not degrees_regular(bumped, p, params)  # a degree one beyond
-        assert not degrees_regular(flat, p - side * tiny, params)
-        assert degrees_regular(flat, p + side * tiny, params)
+        assert regular(flat, p, params)
+        assert not regular(bumped, p, params)  # a degree one beyond
+        assert not regular(flat, p - side * tiny, params)
+        assert regular(flat, p + side * tiny, params)
         # float p: the floats around the boundary read as their exact values
         q = float(p)
         for x in (math.nextafter(q, 0), q, math.nextafter(q, math.inf)):
-            assert degrees_regular(flat, x, params) == fraction_regular(flat, x, eps1), x
-            assert degrees_regular(flat, Fraction(x), params) == fraction_regular(flat, x, eps1)
+            assert regular(flat, x, params) == fraction_regular(flat, x, eps1), x
+            assert regular(flat, Fraction(x), params) == fraction_regular(flat, x, eps1)
     # dyadic eps1 and p: the lower boundary is a float, and it passes
     if eps1 == 0.5:
-        assert degrees_regular(flat, 2.0, params)
-        assert not degrees_regular(flat, math.nextafter(2.0, math.inf), params)
+        assert regular(flat, 2.0, params)
+        assert not regular(flat, math.nextafter(2.0, math.inf), params)
 
 
 def test_event_params_validation():
