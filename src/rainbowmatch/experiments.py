@@ -544,6 +544,8 @@ def hamilton_experiment(config: ExperimentConfig, raw_sink=None) -> ExperimentRe
     for n, m in cells:
         if m > n * (n - 1) // 2:
             raise ValueError(f"cell (n={n}, m={m}) exceeds the simple-graph bound")
+        if n % 2 == 1 and m < 1:
+            raise ValueError(f"cell (n={n}, m={m}): odd n contracts an edge, so needs m >= 1")
     rows = _run_grid(config, cells, _hamilton_trial, raw_sink)
     return ExperimentResult("hamilton", config, rows)
 

@@ -18,7 +18,14 @@ visits the tree in the same preorder as a recursion over the adjacency lists
 would.  Each node rescans the edges its parent left live, on bitmasks (one
 bit per vertex, one per color): it ORs up one live-neighbor mask per vertex
 and the live color set, counts bits for the two-neighbor and color-supply
-checks, and runs a mask-frontier BFS for reachability.
+checks, and runs a mask-frontier BFS for reachability.  A child's live
+colors are the colors of its parent's live edges that avoid the parent's
+visited vertices other than start, minus its own edge's color, so the parent
+decides every child's color-supply check in the scan it already runs.  The children that check rejects (about half of
+all nodes on contracted odd-n instances) are not pushed or scanned: each run
+of them is one stack marker that adds its length to the node count in the
+run's preorder slot.  The tree, the node counts and the node at which a
+budget runs out are therefore those of pushing every child.
 """
 
 from __future__ import annotations
@@ -86,7 +93,11 @@ class ColoredMultigraph:
     def __post_init__(self):
         if self.n < 1 or self.kappa < 1:
             raise ValueError("need n >= 1, kappa >= 1")
-        edges = tuple(sorted(ColoredEdge(tuple(e[0]), int(e[1])) for e in self.edges))
+        edges = [ColoredEdge(tuple(e[0]), e[1]) for e in self.edges]
+        for e in edges:
+            if type(e.color) is not int or any(type(i) is not int for i in e.verts):
+                raise ValueError(f"edge {e} has a vertex index or color that is not an int")
+        edges = tuple(sorted(edges))
         for e in edges:
             u, v = e.verts
             if not (1 <= u < v <= self.n):
@@ -162,10 +173,14 @@ def _canonical_cycle(path: list[int], edges: list[ColoredEdge]) -> HamiltonCycle
 def find_rainbow_hc(G, budget: int = DEFAULT_HC_BUDGET) -> HamiltonCycle | None:
     """First rainbow Hamilton cycle found by exhaustive backtracking, or None
     when the search space is exhausted.  Raises BudgetExceededError when the
-    node budget runs out (never a silent absence).  Depth first on an
-    explicit stack, so no recursion limit applies; children are pushed in
-    reverse adjacency order, so the tree is visited in preorder with each
-    node's neighbors in adjacency order."""
+    node budget runs out (never a silent absence), reporting node
+    budget + 1.  Depth first on an explicit stack, so no recursion limit
+    applies; children are pushed in reverse adjacency order, so the tree is
+    visited in preorder with each node's neighbors in adjacency order.
+    Children that would fail their color-supply check on entry are counted
+    at their parent instead: a marker in their place adds the length of each
+    run of them when it is popped, so the budget runs out at the same tree
+    node as if they had been pushed."""
     n, host_edges = _host_view(G)
     if n < 3:
         raise ValueError("Hamilton cycles need n >= 3")
@@ -183,14 +198,17 @@ def find_rainbow_hc(G, budget: int = DEFAULT_HC_BUDGET) -> HamiltonCycle | None:
     all_bits = (1 << n) - 1
     nodes = 0
     # (head, visited, used colors, the edges the parent left live, path as
-    # nested (vertex, edge index, rest) back to start)
-    stack = [(start, start_bit, 0, bit_edges, None)]
+    # nested (vertex, edge index, rest) back to start, the tree nodes this
+    # pop stands for).  A run of color-starved siblings is one marker item
+    # (head 0, all vertices visited, weight = the run's length): it enters
+    # the closing-edge branch, and adj[0] is empty.
+    stack = [(start, start_bit, 0, bit_edges, None, 1)]
     pop, push = stack.pop, stack.append
     while stack:
-        head, visited, colors, pool, path = pop()
-        nodes += 1
+        head, visited, colors, pool, path, weight = pop()
+        nodes += weight
         if nodes > budget:
-            raise BudgetExceededError(f"node budget {budget} exceeded", nodes)
+            raise BudgetExceededError(f"node budget {budget} exceeded", budget + 1)
         depth = visited.bit_count()
         if depth == n:
             for v, _, cbit, idx in adj[head]:
@@ -208,12 +226,15 @@ def find_rainbow_hc(G, budget: int = DEFAULT_HC_BUDGET) -> HamiltonCycle | None:
         # cycle segment leaves head and eventually re-enters start).  The used
         # colors and the interior only grow down the tree, so an edge dead at
         # a node stays dead below it and a child scans only its parent's live
-        # edges.  nbr[v] is the mask of v's live neighbors.
+        # edges.  nbr[v] is the mask of v's live neighbors.  kept_colors are
+        # the colors of the live edges that avoid the children's interior
+        # (visited but start): a child keeps all of them but its own color.
         head_bit = 1 << (head - 1)
         interior = visited & ~head_bit & ~start_bit
+        child_interior = visited & ~start_bit
         nbr = [0] * (n + 1)
         live = []
-        live_colors = 0
+        live_colors = kept_colors = 0
         for item in pool:
             uvbit, ubit, vbit, u, v, cbit = item
             if cbit & colors or uvbit & interior:
@@ -222,6 +243,8 @@ def find_rainbow_hc(G, budget: int = DEFAULT_HC_BUDGET) -> HamiltonCycle | None:
             nbr[u] |= vbit
             nbr[v] |= ubit
             live_colors |= cbit
+            if not uvbit & child_interior:
+                kept_colors |= cbit
         if live_colors.bit_count() < n - depth + 1:
             continue
         # Every unvisited vertex still needs two distinct cycle neighbors;
@@ -248,9 +271,32 @@ def find_rainbow_hc(G, budget: int = DEFAULT_HC_BUDGET) -> HamiltonCycle | None:
             seen |= frontier
         if (unvisited | start_bit) & ~seen:
             continue
+        # A child over an edge of color c below depth n has the live colors
+        # kept_colors & ~c, so its color-supply check fails iff fewer than
+        # n - depth of them remain: for every c when kept_colors is short,
+        # for c in kept_colors when it has exactly n - depth colors.  Such a
+        # child is one node and nothing more; it is counted in its preorder
+        # slot by a marker instead of being pushed and scanned.
+        kept = kept_colors.bit_count()
+        if depth + 1 == n or kept > n - depth:
+            starved = 0
+        elif kept == n - depth:
+            starved = kept_colors
+        else:
+            starved = -1
+        run = 0
         for v, vbit, cbit, idx in reversed(adj[head]):
-            if not (vbit & visited or cbit & colors):
-                push((v, visited | vbit, colors | cbit, live, (v, idx, path)))
+            if vbit & visited or cbit & colors:
+                continue
+            if cbit & starved:
+                run += 1
+                continue
+            if run:
+                push((0, all_bits, 0, None, None, run))
+                run = 0
+            push((v, visited | vbit, colors | cbit, live, (v, idx, path), 1))
+        if run:
+            push((0, all_bits, 0, None, None, run))
     return None
 
 

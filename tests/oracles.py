@@ -6,6 +6,9 @@ faster route.
 `reduce_to_uniform` and `count_uniform_pm` count rainbow perfect matchings
 through the colored-to-uniform reduction with a plain enumerator kept
 independent of the matching kernel.
+`find_rainbow_hc_by_extension` is the Hamilton cycle search that pushes
+and pops every child, color-starved or not: the library's search must
+visit the same tree and report the same cycles and node counts.
 """
 
 from __future__ import annotations
@@ -14,6 +17,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from rainbowmatch.count import BudgetExceededError, DEFAULT_NODE_BUDGET, count_rainbow_pm
+from rainbowmatch.hamilton import (
+    DEFAULT_HC_BUDGET,
+    HamiltonCycle,
+    _canonical_cycle,
+    _host_view,
+)
 from rainbowmatch.model import PARTITE, ColoredHypergraph, PartiteVertex, restrict
 from rainbowmatch.process import _check_partite
 
@@ -110,3 +119,98 @@ def count_uniform_pm(U: UniformHypergraph, budget: int = DEFAULT_NODE_BUDGET) ->
         return total
 
     return rec(1, frozenset())
+
+
+def find_rainbow_hc_by_extension(G, budget: int = DEFAULT_HC_BUDGET) -> HamiltonCycle | None:
+    """First rainbow Hamilton cycle found by exhaustive backtracking, or None
+    when the search space is exhausted.  Raises BudgetExceededError when the
+    node budget runs out (never a silent absence).  Depth first on an
+    explicit stack, so no recursion limit applies; children are pushed in
+    reverse adjacency order, so the tree is visited in preorder with each
+    node's neighbors in adjacency order."""
+    n, host_edges = _host_view(G)
+    if n < 3:
+        raise ValueError("Hamilton cycles need n >= 3")
+    # Vertex v is bit v - 1, color c is bit c - 1.
+    bit_edges = []
+    adj: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n + 1)]
+    for idx, e in enumerate(host_edges):
+        u, v = e.verts
+        ubit, vbit, cbit = 1 << (u - 1), 1 << (v - 1), 1 << (e.color - 1)
+        bit_edges.append((ubit | vbit, ubit, vbit, u, v, cbit))
+        adj[u].append((v, vbit, cbit, idx))
+        adj[v].append((u, ubit, cbit, idx))
+
+    start = start_bit = 1  # vertex 1, bit 0
+    all_bits = (1 << n) - 1
+    nodes = 0
+    # (head, visited, used colors, the edges the parent left live, path as
+    # nested (vertex, edge index, rest) back to start)
+    stack = [(start, start_bit, 0, bit_edges, None)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        head, visited, colors, pool, path = pop()
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(f"node budget {budget} exceeded", nodes)
+        depth = visited.bit_count()
+        if depth == n:
+            for v, _, cbit, idx in adj[head]:
+                if v == start and not cbit & colors:
+                    vertices, edges = [], [host_edges[idx]]
+                    while path:
+                        v, idx, path = path
+                        vertices.append(v)
+                        edges.append(host_edges[idx])
+                    vertices.append(start)
+                    return _canonical_cycle(vertices[::-1], edges[::-1])
+            continue
+        # An edge is live when its color is unused and neither endpoint is an
+        # interior visited vertex (head and start stay usable: the remaining
+        # cycle segment leaves head and eventually re-enters start).  The used
+        # colors and the interior only grow down the tree, so an edge dead at
+        # a node stays dead below it and a child scans only its parent's live
+        # edges.  nbr[v] is the mask of v's live neighbors.
+        head_bit = 1 << (head - 1)
+        interior = visited & ~head_bit & ~start_bit
+        nbr = [0] * (n + 1)
+        live = []
+        live_colors = 0
+        for item in pool:
+            uvbit, ubit, vbit, u, v, cbit = item
+            if cbit & colors or uvbit & interior:
+                continue
+            live.append(item)
+            nbr[u] |= vbit
+            nbr[v] |= ubit
+            live_colors |= cbit
+        if live_colors.bit_count() < n - depth + 1:
+            continue
+        # Every unvisited vertex still needs two distinct cycle neighbors;
+        # start still needs its closing edge.
+        unvisited = all_bits & ~visited
+        rest = unvisited
+        while rest:
+            low = rest & -rest
+            if nbr[low.bit_length()].bit_count() < 2:
+                break
+            rest ^= low
+        if rest or not nbr[start]:
+            continue
+        # The remaining segment is a path head -> (all unvisited) -> start,
+        # so everything must be reachable from head through live edges.
+        seen = frontier = head_bit
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= nbr[low.bit_length()]
+                frontier ^= low
+            frontier = reach & ~seen
+            seen |= frontier
+        if (unvisited | start_bit) & ~seen:
+            continue
+        for v, vbit, cbit, idx in reversed(adj[head]):
+            if not (vbit & visited or cbit & colors):
+                push((v, visited | vbit, colors | cbit, live, (v, idx, path)))
+    return None

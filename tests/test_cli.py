@@ -146,6 +146,9 @@ def test_hamilton_csv_and_config_error(tmp_path, capsys):
     assert header.startswith("n,m,colors,mode,trials,success,edge_class_too_small")
     code, _, err = run(capsys, "hamilton", "--n", "5", "--m", "8", "--trials", "2")
     assert code == 2 and "retries" in err
+    code, _, err = run(capsys, "hamilton", "--n", "5", "--m", "0", "--retries", "1",
+                       "--trials", "1")
+    assert code == 2 and "m >= 1" in err and len(err.strip().splitlines()) == 1
 
 
 def test_hamilton_json_telemetry(capsys):

@@ -33,6 +33,7 @@ from rainbowmatch.model import (
 )
 
 from helpers import edge_by_verts
+from oracles import find_rainbow_hc_by_extension
 
 
 def rng(stream=0, seed=0):
@@ -64,6 +65,10 @@ def test_multigraph_rejects_self_loops_and_bad_colors():
         multigraph(3, 3, [((1, 1), 1)])
     with pytest.raises(ValueError):
         multigraph(3, 2, [((1, 2), 3)])
+    for bad in (ColoredEdge((1, 2), 1.9), ColoredEdge((2, 3), True),
+                ColoredEdge((1.5, 3), 1), ColoredEdge((1, True), 2)):
+        with pytest.raises(ValueError, match="not an int"):
+            ColoredMultigraph(3, 3, (ColoredEdge((1, 3), 2), bad))
 
 
 # -- direct search and validator
@@ -250,6 +255,58 @@ def test_search_tree_pinned():
             with pytest.raises(BudgetExceededError) as info:
                 find_rainbow_hc(G, budget=nodes - 1)
             assert info.value.nodes == nodes
+
+
+def hc_outcome(search, G, budget):
+    try:
+        hc = search(G, budget=budget)
+    except BudgetExceededError as exc:
+        return "budget", exc.nodes
+    return "done", None if hc is None else (hc.vertices, hc.colors())
+
+
+def tree_size(G):
+    """The smallest budget at which find_rainbow_hc does not raise."""
+    hi = 1
+    while hc_outcome(find_rainbow_hc, G, hi)[0] == "budget":
+        hi *= 2
+    lo = hi // 2  # raises at lo (or lo == 0)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if hc_outcome(find_rainbow_hc, G, mid)[0] == "budget":
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def test_search_matches_path_extension_oracle():
+    # The search counts color-starved children at their parent instead of
+    # pushing them; the oracle pushes every child.  Both must report the same
+    # cycle or absence, and budget-outs at the same node, at every budget.
+    instances = []
+    for s in range(16):
+        rnd = rng(s, seed=9)
+        G = sample_colored_graph(15, 60, 15, rnd)
+        instances.append(contract_color_delete(G, rnd.choice(G.edges))[0])
+    for s in range(36):
+        rnd = rng(s, seed=10)
+        n = 5 + s % 7
+        pairs = [(tuple(sorted(rnd.sample(range(1, n + 1), 2))), rnd.randint(1, n + s % 3))
+                 for _ in range(rnd.randint(2 * n, 5 * n))]
+        instances.append(multigraph(n, n + s % 3, pairs))
+    rnd = rng(0, seed=11)
+    for i, G in enumerate(instances):
+        total = tree_size(G)
+        if i >= 16 and total <= 300:
+            # every budget, so that some budget-outs land inside a run of
+            # counted children
+            budgets = set(range(1, total + 1))
+        else:
+            budgets = {total - 1, total} | {rnd.randint(1, total) for _ in range(4)}
+        for budget in sorted((budgets | {10**9}) - {0}):
+            assert (hc_outcome(find_rainbow_hc, G, budget)
+                    == hc_outcome(find_rainbow_hc_by_extension, G, budget)), (G, budget)
 
 
 # -- synthetic eight-matching unions
@@ -459,3 +516,13 @@ def test_odd_budget_exhaustion_is_not_reported_absent():
     assert (counts["hc_budget"], counts["hc_not_found"], counts["success"]) == (4, 0, 0)
     (cell,) = json.loads(hamilton_trials_json(result))["cells"]
     assert [t["stage_reached"] for t in cell["trials"]] == [STAGE_HC_BUDGET] * 4
+
+
+def test_odd_cell_without_edges_is_rejected():
+    # the odd pipeline contracts an edge, so it needs one; even n runs on
+    with pytest.raises(ValueError, match="m >= 1"):
+        hamilton_experiment(ExperimentConfig(kind="hamilton", ns=(5,), ms=(0,), trials=1,
+                                             retries=1))
+    result = hamilton_experiment(ExperimentConfig(kind="hamilton", ns=(4,), ms=(0,),
+                                                  trials=1, retries=1))
+    assert [r.value["stage_reached"] for r in result.rows] == ["matching-not-found"]
