@@ -213,25 +213,18 @@ def _cmd_solve(args) -> int:
     if (args.instance is None) == (args.latin is None):
         raise ValueError("give exactly one of an instance path or --latin")
     if args.latin is not None:
+        key = "cells"
         cells = latin_transversal(_parse_matrix(args.latin), budget=args.budget)
-        if cells is None:
-            _write_text(json.dumps({"outcome": "absent", "cells": None}) + "\n", args.out)
-            return 1
-        _write_text(
-            json.dumps({"outcome": "found", "cells": [list(c) for c in cells]}) + "\n",
-            args.out,
-        )
-        return 0
-    M = find_rainbow_pm(_read_instance(args.instance), budget=args.budget)
-    if M is None:
-        _write_text(json.dumps({"outcome": "absent", "matching": None}) + "\n", args.out)
-        return 1
-    payload = {
-        "outcome": "found",
-        "matching": [{"verts": list(e.verts), "color": e.color} for e in M.edges],
-    }
-    _write_text(json.dumps(payload) + "\n", args.out)
-    return 0
+        answer = None if cells is None else [list(c) for c in cells]
+    else:
+        key = "matching"
+        M = find_rainbow_pm(_read_instance(args.instance), budget=args.budget)
+        answer = None if M is None else [
+            {"verts": list(e.verts), "color": e.color} for e in M.edges
+        ]
+    outcome = "absent" if answer is None else "found"
+    _write_text(json.dumps({"outcome": outcome, key: answer}) + "\n", args.out)
+    return 1 if answer is None else 0
 
 
 # Per experiment command: the names of its driver, CSV emitter and JSON

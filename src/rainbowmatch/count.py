@@ -141,13 +141,16 @@ def is_perfect_matching(H: ColoredHypergraph, M: Matching) -> bool:
 
 
 def _kernel_setup(H: ColoredHypergraph):
-    """Bit layout plus the per-mode branch vertex list.
+    """Bit layout plus the per-mode list of layer vertices.
 
     Returns (all_active_mask, branch_bits, edge_items, feasible) where
     edge_items is [(vertex_mask, color_bit, edge), ...] in canonical edge
-    order and branch_bits are the bits we branch on, low to high.  feasible
-    is False when a parity/size argument already rules out any perfect
-    matching (unequal active part sizes, odd active vertex count).
+    order and branch_bits are the active part-1 vertex bits (graph mode:
+    every active vertex bit), low to high: the vertices whose edge lists the
+    layer routines walk, one layer each (_Search branches on its MRV column
+    instead).  feasible is False when a parity/size argument already rules
+    out any perfect matching (unequal active part sizes, odd active vertex
+    count).
     """
     n, edges = H.n, H.edges
     if H.mode == PARTITE:
@@ -727,7 +730,8 @@ def latin_transversal(matrix: Sequence[Sequence[int]], budget: int = DEFAULT_NOD
     with pairwise distinct symbols.  Returns 1-based (row, col) pairs sorted by
     row, or None when no transversal exists.
 
-    Entry 0 means "cell unavailable".  Symbols must lie in [0..n].  Note that
+    Entry 0 means "cell unavailable".  Symbols must be ints (a bool or a
+    float is an error, never truncated) in [0..n].  Note that
     n cells with pairwise distinct symbols from an n-symbol alphabet use every
     symbol, so distinctness and full symbol coverage coincide here; the solver
     checks distinctness.
@@ -740,7 +744,8 @@ def latin_transversal(matrix: Sequence[Sequence[int]], budget: int = DEFAULT_NOD
         if len(row) != n:
             raise ValueError("matrix must be square")
         for j, sym in enumerate(row, start=1):
-            sym = int(sym)
+            if type(sym) is not int:
+                raise ValueError(f"symbol {sym!r} at ({i}, {j}) is not an int")
             if not 0 <= sym <= n:
                 raise ValueError(f"symbol {sym} out of range 0..{n}")
             if sym:

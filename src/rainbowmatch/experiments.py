@@ -134,7 +134,6 @@ class TrialRow:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    kind: str
     config: ExperimentConfig
     rows: tuple[TrialRow, ...]
 
@@ -195,35 +194,29 @@ def _finished(worker: Callable, tasks: list, jobs: int):
             yield fut.result()
 
 
-def _run_tasks(worker: Callable, tasks: list, jobs: int, raw_sink=None) -> list:
-    """Run worker over tasks, returning results sorted by the (cell, trial)
-    key that every worker emits first.  With jobs > 1, completion order is
-    scheduler-dependent; the sort makes the output independent of it.  An
-    optional raw sink receives one JSON line per completed trial, in
-    completion order (a progress stream, not a deterministic artifact)."""
-    results = []
-    for res in _finished(worker, tasks, jobs):
-        results.append(res)
-        if raw_sink is not None:
-            raw_sink.write(json.dumps(res, default=str) + "\n")
-            raw_sink.flush()
-    results.sort(key=lambda r: r[0])
-    return results
-
-
 def _run_grid(
     config: ExperimentConfig, cells: list[tuple], trial: Callable, raw_sink=None
 ) -> tuple[TrialRow, ...]:
     """Run trial(key, config, cell, stream) `config.trials` times per cell.
-    Trial t of cell ci has key (ci, t) and owns stream ci * trials + t."""
+    Trial t of cell ci has key (ci, t) and owns stream ci * trials + t.  With
+    jobs > 1, completion order is scheduler-dependent; the rows are sorted by
+    key, so the output is independent of it.  An optional raw sink receives
+    one JSON line per completed trial, in completion order (a progress
+    stream, not a deterministic artifact)."""
     tasks = [
         ((ci, t), config, cell, ci * config.trials + t)
         for ci, cell in enumerate(cells)
         for t in range(config.trials)
     ]
+    results = []
+    for res in _finished(trial, tasks, config.jobs):
+        results.append(res)
+        if raw_sink is not None:
+            raw_sink.write(json.dumps(res, default=str) + "\n")
+            raw_sink.flush()
     return tuple(
         TrialRow(cells[ci], t, outcome, value, elapsed)
-        for (ci, t), outcome, value, elapsed in _run_tasks(trial, tasks, config.jobs, raw_sink)
+        for (ci, t), outcome, value, elapsed in sorted(results, key=lambda r: r[0])
     )
 
 
@@ -253,7 +246,7 @@ def threshold_scan(config: ExperimentConfig, raw_sink=None) -> ExperimentResult:
         if m > n**config.k:
             raise ValueError(f"cell (n={n}, m={m}) exceeds {n}^{config.k} edges")
     rows = _run_grid(config, cells, _threshold_trial, raw_sink)
-    return ExperimentResult("threshold", config, rows)
+    return ExperimentResult(config, rows)
 
 
 def threshold_table(result: ExperimentResult) -> tuple[list[str], list[list]]:
@@ -295,7 +288,7 @@ def mean_count_experiment(config: ExperimentConfig, raw_sink=None) -> Experiment
     """Exact-count `trials` random colorings of the complete instance per n,
     for comparison against the closed-form mean and second moment."""
     rows = _run_grid(config, [(n,) for n in config.ns], _mean_count_trial, raw_sink)
-    return ExperimentResult("mean-count", config, rows)
+    return ExperimentResult(config, rows)
 
 
 def _moment_stats(values: Sequence[int], power: int) -> tuple[float, float]:
@@ -388,7 +381,7 @@ def trace_experiment(config: ExperimentConfig, raw_sink=None) -> ExperimentResul
     if config.t_max is not None and not 0 <= config.t_max <= N:
         raise ValueError(f"t_max must lie in 0..{N}")
     rows = _run_grid(config, [config.ns], _trace_trial, raw_sink)
-    return ExperimentResult("trace", config, rows)
+    return ExperimentResult(config, rows)
 
 
 TRACE_STEP_HEADER = ["i", "phi", "xi", "gamma", "p_i", "w_max", "w_avg", "w_med", "B", "R", "C"]
@@ -454,12 +447,10 @@ def trace_summary_csv(result: ExperimentResult) -> str:
 
 _STAGES = (*FAILURE_STAGES, STAGE_SUCCESS)
 _BUDGET_STAGES = frozenset(s for s in FAILURE_STAGES if s.endswith("-budget"))
-
-
-def _attempt_rank(stage: str) -> tuple[bool, int]:
-    """Order of an odd trial's attempts: a budget-out ranks below every
-    answered stage, answered stages rank by how far the pipeline got."""
-    return stage not in _BUDGET_STAGES, _STAGES.index(stage)
+# The stages an odd trial's attempt can end at, worst first: a budget-out
+# ranks below every answered stage, answered stages rank by how far the
+# pipeline got.
+_ATTEMPT_RANK = (STAGE_HC_BUDGET, STAGE_HC_NOT_FOUND, STAGE_LIFT_FAILED, STAGE_SUCCESS)
 
 
 def _hamilton_trial(key, config: ExperimentConfig, cell: tuple, stream: int):
@@ -492,7 +483,7 @@ def _hamilton_trial(key, config: ExperimentConfig, cell: tuple, stream: int):
             attempts += 1
             # slash-separated stream tags cannot collide with the plain
             # integer streams used elsewhere
-            rnd = spec.substream(f"{stream}/{attempt}").rng()
+            rnd = RandomnessSpec(config.master_seed, f"{stream}/{attempt}").rng()
             G = sample_colored_graph(n, m, kappa, rnd)
             e = rnd.choice(G.edges)
             Gp, cmap = contract_color_delete(G, e)
@@ -508,7 +499,7 @@ def _hamilton_trial(key, config: ExperimentConfig, cell: tuple, stream: int):
                 lifted = lift_cycle(hc_prime, cmap, e)
                 if lifted is not None:
                     stage = STAGE_SUCCESS
-            best = max(best, stage, key=_attempt_rank)
+            best = max(best, stage, key=_ATTEMPT_RANK.index)
             if best == STAGE_SUCCESS:
                 break
         telemetry = {
@@ -547,7 +538,7 @@ def hamilton_experiment(config: ExperimentConfig, raw_sink=None) -> ExperimentRe
         if n % 2 == 1 and m < 1:
             raise ValueError(f"cell (n={n}, m={m}): odd n contracts an edge, so needs m >= 1")
     rows = _run_grid(config, cells, _hamilton_trial, raw_sink)
-    return ExperimentResult("hamilton", config, rows)
+    return ExperimentResult(config, rows)
 
 
 def hamilton_table(result: ExperimentResult) -> tuple[list[str], list[list]]:
@@ -582,34 +573,17 @@ def hamilton_trials_json(result: ExperimentResult) -> str:
     """Per-trial JSON telemetry (this report, unlike the CSV, includes wall
     time)."""
     config = result.config
-    out = {
-        "kind": "hamilton",
-        "k": 2,
-        "trials": config.trials,
-        "cells": [],
-    }
-    for cell, rows in result.by_cell().items():
-        n, m = cell
-        out["cells"].append(
-            {
-                "n": n,
-                "m": m,
-                "colors": config.kappa_for(n),
-                "mode": "even" if n % 2 == 0 else "odd",
-                "trials": [
-                    {
-                        "trial": r.trial,
-                        "stage_reached": r.value["stage_reached"],
-                        "sizes": r.value["sizes"],
-                        "matchings_found": r.value["matchings_found"],
-                        "hc_found": r.value["hc_found"],
-                        "attempts": r.value["attempts"],
-                        "elapsed": r.elapsed,
-                    }
-                    for r in rows
-                ],
-            }
-        )
+    cells = [
+        {
+            "n": n,
+            "m": m,
+            "colors": config.kappa_for(n),
+            "mode": "even" if n % 2 == 0 else "odd",
+            "trials": [{"trial": r.trial, **r.value, "elapsed": r.elapsed} for r in rows],
+        }
+        for (n, m), rows in result.by_cell().items()
+    ]
+    out = {"kind": "hamilton", "k": 2, "trials": config.trials, "cells": cells}
     return json.dumps(out, indent=2) + "\n"
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .count import BudgetExceededError, DEFAULT_NODE_BUDGET, find_rainbow_pm
 from .model import GRAPH, ColoredEdge, ColoredHypergraph, Matching
@@ -423,15 +423,15 @@ class ContractionMap:
     xi            the new vertex standing in for both removed endpoints
     merged        (x, y), the contracted edge's endpoints in the original graph
     new_to_old    new vertex id -> original vertex id (xi excluded)
-    origins       (new verts, color) -> tuple of original endpoint pairs; a
-                  xi-edge may have several origins when parallel copies with
-                  equal color came from both x and y
+    host_edges    the original graph's edges; a xi-edge (w, xi) of color c
+                  comes from (w, x, c), from (w, y, c) or from both, and
+                  these are the only candidates
     """
 
     xi: int
     merged: tuple[int, int]
     new_to_old: Mapping[int, int]
-    origins: Mapping[tuple[tuple[int, int], int], tuple[tuple[int, int], ...]]
+    host_edges: frozenset[ColoredEdge]
 
 
 def contract_color_delete(
@@ -441,15 +441,17 @@ def contract_color_delete(
 
     Survivor vertices are renumbered 1..n-2 in increasing order and the new
     vertex takes id n-1, so the result lives on [1..n-1].  Edges formerly at
-    x or y become parallel edges at the new vertex, each remembering its
-    original endpoint pair.  The color multiset of the result is the original
-    one minus the whole c(e) class.
+    x or y become parallel edges at the new vertex; the map keeps the
+    original edge set, which tells lift_cycle which endpoint each came from.
+    The color multiset of the result is the original one minus the whole
+    c(e) class.
     """
     if G.mode != GRAPH:
         raise ValueError("contraction needs a graph-mode instance")
     if G.absent:
         raise ValueError("contraction needs all vertices active")
-    if e not in set(G.edges):
+    host_edges = frozenset(G.edges)
+    if e not in host_edges:
         raise ValueError(f"{e} is not an edge of the instance")
     if G.n < 3:
         raise ValueError("contraction needs n >= 3")
@@ -459,27 +461,16 @@ def contract_color_delete(
     xi = G.n - 1
     new_to_old = {i + 1: v for i, v in enumerate(survivors)}
 
-    rows: list[tuple[ColoredEdge, tuple[int, int]]] = []
+    contracted = []
     for f in G.edges:
         if f.color == e.color:
             continue
         u, v = f.verts
         nu_ = old_to_new.get(u, xi)
         nv_ = old_to_new.get(v, xi)
-        rows.append((ColoredEdge(tuple(sorted((nu_, nv_))), f.color), f.verts))
-
-    rows.sort()
-    origins: dict[tuple[tuple[int, int], int], list[tuple[int, int]]] = {}
-    for g, orig in rows:
-        origins.setdefault((g.verts, g.color), []).append(orig)
-    Gp = ColoredMultigraph(G.n - 1, G.kappa, tuple(g for g, _ in rows))
-    cmap = ContractionMap(
-        xi,
-        (x, y),
-        new_to_old,
-        {k: tuple(v) for k, v in origins.items()},
-    )
-    return Gp, cmap
+        contracted.append(ColoredEdge(tuple(sorted((nu_, nv_))), f.color))
+    Gp = ColoredMultigraph(G.n - 1, G.kappa, tuple(contracted))
+    return Gp, ContractionMap(xi, (x, y), new_to_old, host_edges)
 
 
 def lift_cycle(
@@ -504,12 +495,10 @@ def lift_cycle(
     edge_out = hc.edges[pos]
 
     def sides(g: ColoredEdge) -> set[int]:
-        ends = set()
-        for orig in cmap.origins[(g.verts, g.color)]:
-            for u in orig:
-                if u in (x, y):
-                    ends.add(u)
-        return ends
+        # g is (w', xi) with w' < xi; its origins are (w, x) and (w, y) in c(g)
+        w = cmap.new_to_old[g.verts[0]]
+        return {z for z in (x, y)
+                if ColoredEdge((min(w, z), max(w, z)), g.color) in cmap.host_edges}
 
     in_sides, out_sides = sides(edge_in), sides(edge_out)
     if x in in_sides and y in out_sides:

@@ -89,9 +89,6 @@ class Matching:
     def __len__(self) -> int:
         return len(self.edges)
 
-    def colors(self) -> tuple[int, ...]:
-        return tuple(e.color for e in self.edges)
-
 
 def _derive_seed(master_seed: int, stream_index: int | str) -> int:
     # Hash-derived substreams: independent of PYTHONHASHSEED, stable across
@@ -115,9 +112,6 @@ class RandomnessSpec:
 
     def rng(self) -> random.Random:
         return random.Random(_derive_seed(self.master_seed, self.stream_index))
-
-    def substream(self, stream_index: int | str) -> "RandomnessSpec":
-        return RandomnessSpec(self.master_seed, stream_index)
 
 
 @dataclass(frozen=True)
@@ -305,14 +299,13 @@ def complete_colored(
     k: int,
     kappa: int,
     rnd: random.Random,
-    max_edges: int = DEFAULT_EDGE_CAPACITY,
 ) -> ColoredHypergraph:
     """The complete partite instance: every vertex tuple present once, colors
     i.i.d. uniform on [1..kappa]."""
     _check_partite_args(n, k, kappa)
     total = n**k
-    if total > max_edges:
-        raise CapacityError(f"{n}^{k} = {total} edges exceeds capacity {max_edges}")
+    if total > DEFAULT_EDGE_CAPACITY:
+        raise CapacityError(f"{n}^{k} = {total} edges exceeds capacity {DEFAULT_EDGE_CAPACITY}")
     edges = [
         ColoredEdge(verts, rnd.randint(1, kappa))
         for verts in product(range(1, n + 1), repeat=k)
@@ -332,6 +325,8 @@ def sample_partite_m(
     total = n**k
     if not 0 <= m <= total:
         raise ValueError(f"m must lie in 0..{total}")
+    if m > DEFAULT_EDGE_CAPACITY:
+        raise CapacityError(f"m = {m} edges exceeds capacity {DEFAULT_EDGE_CAPACITY}")
     picked = sorted(rnd.sample(range(total), m))
     randint = rnd.randint
     if k == 2:
@@ -347,7 +342,6 @@ def sample_partite_p(
     kappa: int,
     p: float,
     rnd: random.Random,
-    max_edges: int = DEFAULT_EDGE_CAPACITY,
 ) -> ColoredHypergraph:
     """Each vertex tuple kept independently with probability p (gnp-style),
     colors i.i.d. uniform on the kept edges."""
@@ -355,8 +349,8 @@ def sample_partite_p(
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     total = n**k
-    if total > max_edges:
-        raise CapacityError(f"{n}^{k} = {total} tuples exceeds capacity {max_edges}")
+    if total > DEFAULT_EDGE_CAPACITY:
+        raise CapacityError(f"{n}^{k} = {total} tuples exceeds capacity {DEFAULT_EDGE_CAPACITY}")
     edges = []
     for verts in product(range(1, n + 1), repeat=k):
         if rnd.random() < p:

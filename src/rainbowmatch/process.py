@@ -308,7 +308,6 @@ class DeletionStep:
     """
 
     index: int
-    removed: ColoredEdge | None
     phi: int
     xi: Fraction | None
     gamma: Fraction | None
@@ -324,16 +323,11 @@ class DeletionStep:
 
 @dataclass(frozen=True)
 class DeletionTrace:
-    n: int
-    k: int
-    kappa: int
-    params: EventParams
+    """One DeletionStep per step from index 0; truncated when step 0's tally
+    ran out of budget, and then steps is empty."""
+
     steps: tuple[DeletionStep, ...]
     truncated: bool
-
-    @property
-    def phi0(self) -> int:
-        return self.steps[0].phi
 
 
 def run_deletion_process(
@@ -375,15 +369,13 @@ def run_deletion_process(
     try:
         state = _DeletionState(H0, budget)
     except BudgetExceededError:
-        return DeletionTrace(H0.n, H0.k, H0.kappa, params, (), True)
+        return DeletionTrace((), True)
     steps: list[DeletionStep] = []
     prev_phi: int | None = None
     for i in range(t_max + 1):
-        removed = None
         if i > 0:
-            removed = ordering[i - 1]
             # builds no more states than step 0 did, so it fits the budget
-            state.delete(removed)
+            state.delete(ordering[i - 1])
         p_i = Fraction(N - i, N)
         ws = [row[c] for row, c in state.live.values()]
         # w(e) counts the rainbow perfect matchings through e, and each of
@@ -404,7 +396,6 @@ def run_deletion_process(
         steps.append(
             DeletionStep(
                 index=i,
-                removed=removed,
                 phi=phi,
                 xi=xi,
                 gamma=gamma,
@@ -419,7 +410,7 @@ def run_deletion_process(
             )
         )
         prev_phi = phi
-    return DeletionTrace(H0.n, H0.k, H0.kappa, params, tuple(steps), False)
+    return DeletionTrace(tuple(steps), False)
 
 
 def cumulative_loss_rate(n: int, k: int, t: int) -> tuple[float, float]:

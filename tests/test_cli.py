@@ -35,6 +35,12 @@ def test_gen_graph_complete_default(tmp_path, capsys):
     assert H.mode == "graph" and len(H.edges) == 10
 
 
+def test_gen_refuses_more_edges_than_the_capacity(capsys):
+    # 10^8 of the 10^9 partite triples, 50x the 2,000,000-edge capacity
+    code, out, err = run(capsys, "gen", "--n", "1000", "--k", "3", "--m", "100000000")
+    assert code == 2 and out == "" and "exceeds capacity" in err
+
+
 def test_gen_graph_rejects_p(capsys):
     code, _, err = run(capsys, "gen", "--mode", "graph", "--n", "4", "--p", "0.5")
     assert code == 2

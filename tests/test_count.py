@@ -679,6 +679,15 @@ def test_latin_validates_input():
         latin_transversal([[1, -1], [2, 1]])
 
 
+def test_latin_rejects_symbols_that_are_not_ints():
+    # 1.9 and 2.7 were truncated to 1 and 2 (a transversal), True read as 1
+    for bad in (1.9, 2.0, True, False, "1"):
+        with pytest.raises(ValueError, match="not an int"):
+            latin_transversal([[bad, 2], [1, 2]])
+    with pytest.raises(ValueError, match="not an int"):
+        latin_transversal([[1.9, 2], [1, 2.7]])
+
+
 def test_latin_agrees_with_permutation_brute():
     for j in range(60):
         n = 2 + j % 4

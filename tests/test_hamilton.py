@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -488,16 +489,87 @@ def test_lift_fails_when_both_attachments_hit_one_side():
     assert lift_cycle(hc_prime, cmap, e) is None
 
 
-def test_lift_handles_parallel_same_color_ambiguity():
-    # two (1,3) and (2,3)-style edges landing parallel after contraction
-    G = graph(5, 5, [((1, 4), 1), ((1, 5), 2), ((2, 4), 3), ((2, 5), 1), ((1, 2), 4), ((4, 5), 5)])
-    e = edge_by_verts(G, (4, 5))
-    Gp, cmap = contract_color_delete(G, e)
-    hc_prime = find_rainbow_hc(Gp)
-    if hc_prime is not None:
+def test_lift_picks_the_free_side_of_a_two_origin_edge():
+    # the color-1 edges (1, 4) and (1, 5) both become (1, xi); the other
+    # xi-edge of the cycle has one origin, so the color-1 edge must be lifted
+    # to the other endpoint of the contracted edge (4, 5)
+    for other, free in (((3, 4), 5), ((3, 5), 4)):
+        G = graph(5, 5, [((1, 4), 1), ((1, 5), 1), ((1, 2), 2), ((2, 3), 3),
+                         (other, 4), ((4, 5), 5)])
+        e = edge_by_verts(G, (4, 5))
+        Gp, cmap = contract_color_delete(G, e)
+        assert [g for g in Gp.edges if g.color == 1] == [ColoredEdge((1, 4), 1)] * 2
+        hc_prime = find_rainbow_hc(Gp)
+        assert hc_prime is not None
         lifted = lift_cycle(hc_prime, cmap, e)
-        if lifted is not None:
-            assert is_rainbow_hamilton_cycle(G, lifted)
+        assert lifted is not None
+        assert is_rainbow_hamilton_cycle(G, lifted)
+        assert ColoredEdge((1, free), 1) in lifted.edges
+
+
+def random_hamilton_cycle(Gp, rnd, tries=300):
+    """A Hamilton cycle of Gp through uniformly random vertex orders, each
+    step over a random one of its parallel edges (any colors), or None when
+    none of the tries closes."""
+    by_pair = {}
+    for g in Gp.edges:
+        by_pair.setdefault(g.verts, []).append(g)
+    for _ in range(tries):
+        order = [1] + rnd.sample(range(2, Gp.n + 1), Gp.n - 1)
+        pairs = [tuple(sorted((order[i], order[(i + 1) % Gp.n]))) for i in range(Gp.n)]
+        if all(p in by_pair for p in pairs):
+            return HamiltonCycle(tuple(order), tuple(rnd.choice(by_pair[p]) for p in pairs))
+    return None
+
+
+def lift_pin_record():
+    """lift_cycle's results over sampled contractions, as one JSON text, and
+    (lifts, lift failures, cycles lifted over a xi-edge with both an x- and a
+    y-origin).  n = 5..11, kappa in {n, 3} (three colors make same-colored
+    parallel xi-edges common), dense graphs; each contraction lifts the
+    rainbow cycle find_rainbow_hc finds, if any, and two random Hamilton
+    cycles of any colors."""
+    out, lifts, fails, two_origin = [], 0, 0, 0
+    for n in range(5, 12):
+        total = n * (n - 1) // 2
+        for kappa in (n, 3):
+            for t in range(20):
+                rnd = rng(t, seed=1000 * n + kappa)
+                G = sample_colored_graph(n, total - rnd.randint(0, n), kappa, rnd)
+                host = set(G.edges)
+                e = rnd.choice(G.edges)
+                x, y = e.verts
+                Gp, cmap = contract_color_delete(G, e)
+                cycles = [find_rainbow_hc(Gp), random_hamilton_cycle(Gp, rnd),
+                          random_hamilton_cycle(Gp, rnd)]
+                for hc in filter(None, cycles):
+                    lifted = lift_cycle(hc, cmap, e)
+                    if lifted is None:
+                        fails += 1
+                        out.append(None)
+                        continue
+                    lifts += 1
+                    assert e in lifted.edges
+                    assert not Counter(lifted.edges) - Counter(G.edges)
+                    out.append([lifted.vertices, [[g.verts, g.color] for g in lifted.edges]])
+                    for g in hc.edges:
+                        if cmap.xi in g.verts:
+                            w = cmap.new_to_old[g.verts[0]]
+                            if {ColoredEdge(tuple(sorted((w, z))), g.color)
+                                    for z in (x, y)} <= host:
+                                two_origin += 1
+    return json.dumps(out), (lifts, fails, two_origin)
+
+
+# sha256 of lift_pin_record()'s JSON, recorded when the lift still looked
+# xi-edges up in a table of their original endpoint pairs
+LIFT_PINNED = "3ecf5f49864f7f9cd05d7fc5eb272a88af8b217f4adfe27cd7534d7b35b2e347"
+
+
+def test_lift_pinned():
+    record, (lifts, fails, two_origin) = lift_pin_record()
+    assert lifts > 100 and fails > 100 and two_origin > 50
+    assert hashlib.sha256(record.encode()).hexdigest() == LIFT_PINNED
 
 
 # -- odd-n experiment accounting

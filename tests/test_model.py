@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from rainbowmatch import model
 from rainbowmatch.model import (
     DEFAULT_EDGE_CAPACITY,
     CapacityError,
@@ -94,7 +95,23 @@ def test_graph_mode_edges_are_sorted_pairs():
 
 def test_capacity_guard():
     with pytest.raises(CapacityError):
-        complete_colored(40, 5, 40, rng(), max_edges=10**6)
+        complete_colored(40, 5, 40, rng())
+
+
+def test_every_sampler_reads_the_capacity_at_call_time(monkeypatch):
+    # complete_colored and sample_partite_p size the whole tuple space (n^k),
+    # the m-edge samplers their m
+    monkeypatch.setattr(model, "DEFAULT_EDGE_CAPACITY", 10)
+    for draw in (lambda: complete_colored(4, 2, 3, rng()),
+                 lambda: sample_partite_p(4, 2, 3, 0.1, rng()),
+                 lambda: sample_partite_m(4, 2, 3, 11, rng()),
+                 lambda: sample_colored_graph(6, 11, 3, rng())):
+        with pytest.raises(CapacityError, match="exceeds capacity 10"):
+            draw()
+    assert len(complete_colored(3, 2, 3, rng()).edges) == 9
+    assert len(sample_partite_p(3, 2, 3, 1.0, rng()).edges) == 9
+    assert len(sample_partite_m(4, 2, 3, 10, rng()).edges) == 10
+    assert len(sample_colored_graph(6, 10, 3, rng()).edges) == 10
 
 
 def test_zero_vertex_edge_cases():
