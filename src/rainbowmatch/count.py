@@ -31,10 +31,11 @@ entries; past it, the first half shrinks.  The split runs only after the
 kernel has found one witness, so a zero count is still proved by the pruned
 search.  Graph-mode counts have no part-1 side and stay on the search kernel.
 The same layer function, run over every part-1 vertex with one vertex allowed
-to stay uncovered, tallies the rainbow near-perfect matchings that the
-deletion process's weight table is built from (_near_layers); after each
-deletion the process runs that loop again over the edges compatible with the
-deleted one, to tally the matchings it removed.
+to stay uncovered, tallies the rainbow near-perfect matchings (_near_layers)
+that the deletion process's weight rows are written from (_WeightTally): each
+one counts in the row of the tuple it leaves uncovered, at every color it
+leaves unused.  After each deletion the tally runs that loop again over the
+edges compatible with the deleted one and subtracts the matchings it removed.
 
 For bipartite instances whose color count equals n there is one more,
 independent counting route via inclusion-exclusion over color subsets and
@@ -69,7 +70,6 @@ __all__ = [
     "is_perfect_matching",
     "find_rainbow_pm",
     "count_rainbow_pm",
-    "near_perfect_tally",
     "expected_rainbow_count",
     "disjoint_completion_count",
     "second_moment_exact",
@@ -141,16 +141,14 @@ def is_perfect_matching(H: ColoredHypergraph, M: Matching) -> bool:
 
 
 def _kernel_setup(H: ColoredHypergraph):
-    """Bit layout plus the per-mode list of layer vertices.
+    """Bit layout of an instance.
 
-    Returns (all_active_mask, branch_bits, edge_items, feasible) where
-    edge_items is [(vertex_mask, color_bit, edge), ...] in canonical edge
-    order and branch_bits are the active part-1 vertex bits (graph mode:
-    every active vertex bit), low to high: the vertices whose edge lists the
-    layer routines walk, one layer each (_Search branches on its MRV column
-    instead).  feasible is False when a parity/size argument already rules
-    out any perfect matching (unequal active part sizes, odd active vertex
-    count).
+    Returns (all_active_mask, edge_items, feasible) where edge_items is
+    [(vertex_mask, color_bit, edge), ...] in canonical edge order.  feasible
+    is False when a parity/size argument already rules out any perfect
+    matching (unequal active part sizes, odd active vertex count).  Nothing
+    here or in _Search is built per active vertex: each mask is an n*k-bit
+    int, so one per vertex would make the set-up quadratic in n.
     """
     n, edges = H.n, H.edges
     if H.mode == PARTITE:
@@ -162,7 +160,6 @@ def _kernel_setup(H: ColoredHypergraph):
         all_active = 0
         for p, mask in enumerate(parts):
             all_active |= mask << (p * n)
-        branch_bits = list(_bits(parts[0]))
         if H.k == 2:
             edge_items = [
                 (1 << (e.verts[0] - 1) | 1 << (n + e.verts[1] - 1), 1 << (e.color - 1), e)
@@ -180,12 +177,11 @@ def _kernel_setup(H: ColoredHypergraph):
         for v in H.absent:
             all_active &= ~(1 << (v - 1))
         feasible = all_active.bit_count() % 2 == 0
-        branch_bits = list(_bits(all_active))
         edge_items = [
             ((1 << (e.verts[0] - 1)) | (1 << (e.verts[1] - 1)), 1 << (e.color - 1), e)
             for e in edges
         ]
-    return all_active, branch_bits, edge_items, feasible
+    return all_active, edge_items, feasible
 
 
 class _Search:
@@ -199,7 +195,7 @@ class _Search:
     """
 
     def __init__(self, H: ColoredHypergraph, budget: int, find_one: bool):
-        self.all_active, self.branch_bits, self.edge_items, self.feasible = _kernel_setup(H)
+        self.all_active, self.edge_items, self.feasible = _kernel_setup(H)
         # vertices one matching edge covers (graph mode fixes k = 2)
         self.per_edge = H.k
         self.budget = budget
@@ -218,8 +214,9 @@ class _Search:
             if self.find_one:
                 self.found = ()
             return
-        # the edges of each column (no edge touches an absent vertex)
-        vertex_cols = dict.fromkeys(_bits(all_active), 0)
+        # the edges of each column, for the vertices some edge touches (no
+        # edge touches an absent vertex)
+        vertex_cols: dict[int, int] = {}
         color_cols: dict[int, int] = {}
         per_edge = self.per_edge
         # each edge's vertex bits, taken apart once (a two-bit mask is its
@@ -231,7 +228,7 @@ class _Search:
         ebit = 1
         for (_, cbit, _), verts in zip(items, edge_verts):
             for v in verts:
-                vertex_cols[v] |= ebit
+                vertex_cols[v] = vertex_cols.get(v, 0) | ebit
             color_cols[cbit] = color_cols.get(cbit, 0) | ebit
             ebit <<= 1
         # per edge: the live edges its choice keeps (those sharing no vertex
@@ -242,7 +239,11 @@ class _Search:
             for v in verts:
                 conflict |= vertex_cols[v]
             moves.append((~conflict, vmask))
-        vcols = list(vertex_cols.items())  # low bit first, as dict.fromkeys made them
+        vcols = sorted(vertex_cols.items())  # low bit first
+        if len(vcols) < all_active.bit_count():
+            # some active vertex has no edge: a column without edges over all
+            # of them, tested first, prunes the root
+            vcols.insert(0, (all_active, 0))
         ccols = [col for _, col in sorted(color_cols.items())]
         exact = len(ccols) * per_edge == all_active.bit_count()
         find_one, budget = self.find_one, self.budget
@@ -308,15 +309,16 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _packed_lists(H: ColoredHypergraph, branch_bits, edge_items) -> list[list[int]]:
-    """The edges of each part-1 vertex, in branch order, as packed ints.  A
-    state (a partial matching) is one packed int too, covered vertices | used
-    colors << (n*k), so an edge fits a state iff the two share no bit."""
+def _packed_lists(H: ColoredHypergraph, all_active: int, edge_items) -> dict[int, list[int]]:
+    """The edges of each active part-1 vertex, keyed by its bit from low to
+    high (the branch order), as packed ints.  A state (a partial matching)
+    is one packed int too, covered vertices | used colors << (n*k), so an
+    edge fits a state iff the two share no bit."""
     shift = H.n * H.k
-    return [
-        [vmask | cbit << shift for vmask, cbit, _ in edge_items if vmask & b]
-        for b in branch_bits
-    ]
+    return {
+        b: [vmask | cbit << shift for vmask, cbit, _ in edge_items if vmask & b]
+        for b in _bits(all_active & ((1 << H.n) - 1))
+    }
 
 
 def _grow(table: dict[int, int], edges: list[int], nodes: int, budget: int, cap=None):
@@ -338,7 +340,7 @@ def _grow(table: dict[int, int], edges: list[int], nodes: int, budget: int, cap=
     return layer, nodes
 
 
-def _near_layers(lists: list[list[int]], budget: int) -> tuple[dict[int, int], int]:
+def _near_layers(lists: Iterable[list[int]], budget: int) -> tuple[dict[int, int], int]:
     """The near-perfect tally's layer loop over packed edge lists (one list
     per part-1 vertex, _packed_lists): returns (near, nodes), near mapping
     every packed state that covers all part-1 vertices of the lists but one
@@ -364,85 +366,71 @@ def _near_layers(lists: list[list[int]], budget: int) -> tuple[dict[int, int], i
     return near, nodes
 
 
-class _NearTally:
-    """The rainbow near-perfect matchings of a partite instance, tallied over
-    packed edge lists (_packed_lists) that edge deletions keep current.
+class _WeightTally:
+    """The weight rows of a partite instance, written from its rainbow
+    near-perfect matchings and kept exact under edge deletions.
 
-    tally() counts them all; delete(e) removes e from its part-1 vertex's
-    list and counts only the ones through e: e plus a near-perfect matching
-    of the other part-1 vertices whose edges share no vertex and no color
-    with e, built by the same layer loop (_near_layers).  Both return
-    ({(leftover tuple, used-color mask): number of matchings}, nodes), keyed
-    as near_perfect_tally is.  Every state a delta builds, with e added once
-    the loop has passed e's part-1 vertex, is also built by tally() on the
-    instance before the deletion (from the matching parent by the same
-    edge), so no delta builds more states than the full tally before it.
+    rows maps every active tuple v, in `product` order over the active parts
+    (process._walk_groups reads its groups as stride slices of that order),
+    to [w(v, c) for c in 1..kappa]: the rainbow near-perfect matchings that
+    leave exactly v uncovered and do not use color c.  The constructor
+    tallies them all (_near_layers over the packed edge lists,
+    _packed_lists); delete(e) removes e from its part-1 vertex's list and
+    subtracts only the ones through e: e plus a near-perfect matching of the
+    other part-1 vertices whose edges share no vertex and no color with e,
+    built by the same layer loop.  nodes is the number of states the last
+    tally built, all counted against budget.  Every state a delta builds,
+    with e added once the loop has passed e's part-1 vertex, is also built
+    by the full tally of the instance before the deletion (from the matching
+    parent by the same edge), so no delta builds more states than that.
     delete assumes the active parts have equal sizes.
     """
 
-    def __init__(self, H: ColoredHypergraph):
-        self.all_active, branch_bits, edge_items, feasible = _kernel_setup(H)
-        self.shift = H.n * H.k
-        self.lists = _packed_lists(H, branch_bits, edge_items)
-        self.feasible = feasible and self.all_active != 0
+    def __init__(self, H: ColoredHypergraph, budget: int):
+        self.active, edge_items, feasible = _kernel_setup(H)
+        self.budget = budget
+        self.shift = shift = H.n * H.k
+        self.colors = (1 << H.kappa) - 1
+        self.lists = _packed_lists(H, self.active, edge_items)
         # each edge's packed int and its part-1 vertex's list (the lowest bit
         # of its vertex mask is that vertex)
-        list_of = dict(zip(branch_bits, self.lists))
         self.packed = {
-            e: (vmask | cbit << self.shift, list_of[vmask & -vmask])
+            e: (vmask | cbit << shift, self.lists[vmask & -vmask])
             for vmask, cbit, e in edge_items
         }
-        # an uncovered vertex set, one vertex per part, to its index tuple
-        parts = [H.part_active(p) for p in range(1, H.k + 1)]
-        self.verts_of = {
-            sum(1 << (p * H.n + i - 1) for p, i in enumerate(verts)): verts
-            for verts in product(*parts)
-        }
+        # each tuple's row, also under the tuple's vertex mask for _add
+        self.parts = [H.part_active(p) for p in range(1, H.k + 1)]
+        self.rows, self.row_of = {}, {}
+        for verts in product(*self.parts):
+            row = self.rows[verts] = [0] * H.kappa
+            self.row_of[sum(1 << (p * H.n + i - 1) for p, i in enumerate(verts))] = row
+        self.nodes = 0
+        if feasible:
+            near, self.nodes = _near_layers(self.lists.values(), budget)
+            self._add(near, 0, 1)
 
-    def _decode(self, near: dict[int, int], edge: int) -> dict[tuple[tuple[int, ...], int], int]:
-        verts_of, active, shift = self.verts_of, self.all_active, self.shift
-        return {
-            (verts_of[active & ~(state | edge)], (state | edge) >> shift): ways
-            for state, ways in near.items()
-        }
+    def _add(self, near: dict[int, int], edge: int, sign: int) -> None:
+        # each state plus edge, sign times, into the row of the tuple it
+        # leaves uncovered, at every color it leaves unused
+        row_of, active, shift, colors = self.row_of, self.active, self.shift, self.colors
+        for state, ways in near.items():
+            state |= edge
+            row = row_of[active & ~state]
+            ways *= sign
+            free = colors & ~(state >> shift)
+            while free:
+                low = free & -free
+                row[low.bit_length() - 1] += ways
+                free ^= low
 
-    def tally(self, budget: int) -> tuple[dict[tuple[tuple[int, ...], int], int], int]:
-        if not self.feasible:
-            return {}, 0
-        near, nodes = _near_layers(self.lists, budget)
-        return self._decode(near, 0), nodes
-
-    def delete(
-        self, e: ColoredEdge, budget: int
-    ) -> tuple[dict[tuple[tuple[int, ...], int], int], int]:
+    def delete(self, e: ColoredEdge) -> None:
         packed, own = self.packed.pop(e)
         own.remove(packed)
-        others = [[x for x in edges if not x & packed] for edges in self.lists if edges is not own]
-        near, nodes = _near_layers(others, budget)
-        return self._decode(near, packed), nodes
-
-
-def near_perfect_tally(
-    H: ColoredHypergraph, budget: int = DEFAULT_NODE_BUDGET
-) -> dict[tuple[tuple[int, ...], int], int]:
-    """Rainbow near-perfect matchings of a partite instance, layer by layer.
-
-    With s active vertices in every part, a near-perfect matching has s - 1
-    edges and leaves exactly one active vertex per part uncovered.  Returns
-    {(leftover tuple, used-color mask): number of such matchings}, where the
-    leftover tuple names the uncovered vertex of each part and bit c - 1 of
-    the mask stands for color c.  Empty when the active parts differ in size
-    or no vertex is active.
-
-    The matchings are built by _near_layers over the part-1 vertices' packed
-    edge lists, in branch order; every state it builds counts against budget.
-    The deletion process runs the same loop through _NearTally: over every
-    list at step 0, and after each deletion over the edges disjoint from the
-    deleted one.
-    """
-    if H.mode != PARTITE:
-        raise ValueError("the near-perfect tally is defined for partite instances")
-    return _NearTally(H).tally(budget)[0]
+        others = [
+            [x for x in edges if not x & packed] for edges in self.lists.values() if edges is not own
+        ]
+        near, self.nodes = _near_layers(others, self.budget)
+        self._add(near, packed, -1)
 
 
 # Most entries the split count's half table may keep (about 70 bytes each).
@@ -482,13 +470,13 @@ def _count_split(H: ColoredHypergraph, budget: int) -> tuple[int, int]:
         # None: no perfect matching is feasible or the search proved absence;
         # (): no active vertex, so the empty matching is the one
         return (0 if probe.found is None else 1), nodes
-    s = len(probe.branch_bits)
     shift = H.n * H.k
     all_active, edge_items = probe.all_active, probe.edge_items
     ccover = 0
     for _, cbit, _ in edge_items:
         ccover |= cbit
-    lists = _packed_lists(H, probe.branch_bits, edge_items)
+    lists = list(_packed_lists(H, all_active, edge_items).values())
+    s = len(lists)
 
     table, h = {0: 1}, 0
     while h < s // 2:

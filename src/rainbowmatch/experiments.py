@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
@@ -183,12 +184,15 @@ def _p_hat_se(successes: int, trials: int) -> tuple[float, float]:
 
 
 def _finished(worker: Callable, tasks: list, jobs: int):
-    """Yield worker(*task) for every task, in completion order."""
+    """Yield worker(*task) for every task, in completion order.  jobs > 1
+    runs them in a process pool of at most jobs workers, and never more
+    than there are tasks or CPUs: under the fork start method the pool
+    starts every worker it is given at its first submit."""
     if jobs <= 1:
         for task in tasks:
             yield worker(*task)
         return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks), os.cpu_count() or 1)) as pool:
         futures = [pool.submit(worker, *task) for task in tasks]
         for fut in as_completed(futures):
             yield fut.result()
@@ -613,15 +617,16 @@ class PlotSpec:
         return 62, 18, 34 if self.title else 18, 46
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    # about five ticks, on the finest 1/2/2.5/5 step that gives at most five spans
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    mag = 10.0 ** math.floor(math.log10(span / target))
+    mag = 10.0 ** math.floor(math.log10(span / 5))
     step = mag
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag
-        if span / step <= target:
+        if span / step <= 5:
             break
     start = math.ceil(lo / step) * step
     ticks = []

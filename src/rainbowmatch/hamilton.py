@@ -421,7 +421,6 @@ class ContractionMap:
     """Bookkeeping from contract_color_delete.
 
     xi            the new vertex standing in for both removed endpoints
-    merged        (x, y), the contracted edge's endpoints in the original graph
     new_to_old    new vertex id -> original vertex id (xi excluded)
     host_edges    the original graph's edges; a xi-edge (w, xi) of color c
                   comes from (w, x, c), from (w, y, c) or from both, and
@@ -429,7 +428,6 @@ class ContractionMap:
     """
 
     xi: int
-    merged: tuple[int, int]
     new_to_old: Mapping[int, int]
     host_edges: frozenset[ColoredEdge]
 
@@ -470,7 +468,7 @@ def contract_color_delete(
         nv_ = old_to_new.get(v, xi)
         contracted.append(ColoredEdge(tuple(sorted((nu_, nv_))), f.color))
     Gp = ColoredMultigraph(G.n - 1, G.kappa, tuple(contracted))
-    return Gp, ContractionMap(xi, (x, y), new_to_old, host_edges)
+    return Gp, ContractionMap(xi, new_to_old, host_edges)
 
 
 def lift_cycle(

@@ -19,9 +19,9 @@ summing that weight over all remaining edges counts each matching n times.
 The whole weight table comes from one tally: a rainbow perfect matching of
 the instance minus v's vertices is a rainbow near-perfect matching of the
 instance that leaves exactly v uncovered, and it avoids c iff it does not use
-c.  So the near-perfect matchings are built layer by layer (the layer loop of
-`near_perfect_tally`), tallied by (leftover tuple, used colors), and every
-entry w(v, c) is a sum over that tally.  A count phi is then the sum of the
+c.  So the near-perfect matchings are built layer by layer, and each one is
+added straight into the row of the tuple it leaves uncovered, at every color
+it leaves unused (`count._WeightTally`).  A count phi is then the sum of the
 edge weights divided by n.  `weight_profile` returns that table for any
 partite instance.
 
@@ -59,10 +59,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .count import BudgetExceededError, DEFAULT_NODE_BUDGET, _NearTally
+from .count import BudgetExceededError, DEFAULT_NODE_BUDGET, _WeightTally
 from .model import PARTITE, ColoredEdge, ColoredHypergraph, degree_profile
 
 __all__ = [
@@ -94,17 +93,15 @@ class EventParams:
 
     L        cap on max/avg edge weight (flag B)
     eps1     relative degree tolerance (flag R)
-    K        the abundance knob the other two are usually derived from:
-             L = sqrt(K), eps1 = K^(-1/3)
+
+    from_abundance(K) derives both from one abundance knob K:
+    L = sqrt(K), eps1 = K^(-1/3).
     """
 
     L: float
     eps1: float
-    K: float
 
     def __post_init__(self):
-        if not self.K > 0:
-            raise ValueError("K must be positive")
         if not self.L > 1:
             raise ValueError("L must exceed 1")
         if not 0 < self.eps1 < 1:
@@ -114,7 +111,7 @@ class EventParams:
     def from_abundance(cls, K: float) -> "EventParams":
         if not K > 0:  # also NaN; checked before L and eps1 derive from K
             raise ValueError("K must be positive")
-        return cls(L=math.sqrt(K), eps1=K ** (-1.0 / 3.0), K=K)
+        return cls(L=math.sqrt(K), eps1=K ** (-1.0 / 3.0))
 
 
 DEFAULT_EVENT_PARAMS = EventParams.from_abundance(100.0)
@@ -129,44 +126,21 @@ def _check_partite(H: ColoredHypergraph) -> None:
 
 
 class _DeletionState:
-    """What the deletion process carries from step to step: the weight rows,
-    the near-perfect tally's packed edge lists (`_NearTally`), one degree
-    count per vertex and per color, and the live edges.
-
-    rows maps every active tuple, in `product` order, to its row of weights
-    [w(verts, c) for c in 1..kappa]: a rainbow near-perfect matching that
-    leaves exactly verts uncovered counts toward every color it does not
-    use.  delete(e) subtracts the matchings through e, so the rows stay
-    exact without a rebuilt instance.  nodes is the number of states the
-    last tally built, all counted against budget.
+    """What the deletion process carries from step to step: the weight tally
+    (`_WeightTally`, whose rows it reads), one degree count per vertex and
+    per color, and the live edges, each with its row and color index.
+    delete(e) takes e out of all three, so the rows stay exact without a
+    rebuilt instance.
     """
 
     def __init__(self, H: ColoredHypergraph, budget: int):
-        self.budget = budget
-        self.parts = [H.part_active(p) for p in range(1, H.k + 1)]
-        self.rows = {verts: [0] * H.kappa for verts in product(*self.parts)}
-        self.colors = (1 << H.kappa) - 1
-        self.tally = _NearTally(H)
-        near, self.nodes = self.tally.tally(budget)
-        self._add(near, 1)
+        self.tally = _WeightTally(H, budget)
+        self.rows = self.tally.rows
         self.live = {e: (self.rows[e.verts], e.color - 1) for e in H.edges}
         self.deg, self.cdeg = degree_profile(H)
 
-    def _add(self, near: dict[tuple[tuple[int, ...], int], int], sign: int) -> None:
-        # each tally entry, sign times, at every color its matchings leave unused
-        rows, colors = self.rows, self.colors
-        for (verts, used), ways in near.items():
-            row = rows[verts]
-            ways *= sign
-            free = colors & ~used
-            while free:
-                low = free & -free
-                row[low.bit_length() - 1] += ways
-                free ^= low
-
     def delete(self, e: ColoredEdge) -> None:
-        lost, self.nodes = self.tally.delete(e, self.budget)
-        self._add(lost, -1)
+        self.tally.delete(e)
         del self.live[e]
         for v in enumerate(e.verts, start=1):  # (part, index) == PartiteVertex
             self.deg[v] -= 1
@@ -189,15 +163,14 @@ def weight_profile(
     H: ColoredHypergraph, budget: int = DEFAULT_NODE_BUDGET
 ) -> WeightProfile:
     """Compute the whole weight table (active tuples x colors) of H: the one
-    step 0 of the deletion process starts from (`_DeletionState`).
+    step 0 of the deletion process starts from.
 
-    Cost is one tally of the rainbow near-perfect matchings
-    (`near_perfect_tally`), however many entries the table has; every state
-    the tally builds counts against budget.  Still exponential, so meant for
-    small instances.
+    Cost is one tally of the rainbow near-perfect matchings (`_WeightTally`),
+    however many entries the table has; every state the tally builds counts
+    against budget.  Still exponential, so meant for small instances.
     """
     _check_partite(H)
-    rows = _DeletionState(H, budget).rows
+    rows = _WeightTally(H, budget).rows
     table = {(verts, c): w for verts, row in rows.items() for c, w in enumerate(row, start=1)}
     return WeightProfile(table, max(table.values(), default=0))
 
@@ -206,7 +179,7 @@ def _walk_groups(
     parts: Sequence[Sequence[int]], kappa: int, rows: Mapping[tuple[int, ...], Sequence[int]]
 ) -> int:
     """One pass over the localized groups of a weight table given as rows
-    (`_DeletionState.rows` layout) over the active parts: returns worst, the
+    (`_WeightTally.rows` layout) over the active parts: returns worst, the
     largest group maximum that exceeds twice its group's majority median, or
     0 if no group's does.  Flag C fails exactly when worst exceeds the cap.
 
@@ -340,10 +313,10 @@ def run_deletion_process(
     """Delete ordering[0..t_max-1] one at a time from a complete colored
     instance and record a DeletionStep after every deletion (plus step 0).
 
-    Step 0 tallies the rainbow near-perfect matchings of H0 once and builds
-    the carried state from them (`_DeletionState`).  Every later step deletes
-    its edge from that state: it tallies only the near-perfect matchings
-    through the deleted edge, subtracts them from the weight rows, and
+    Step 0 tallies the rainbow near-perfect matchings of H0 once into the
+    weight rows of the carried state (`_DeletionState`).  Every later step
+    deletes its edge from that state: it tallies only the near-perfect
+    matchings through the deleted edge, subtracts them from the rows, and
     decrements the edge's vertex and color degrees.  The step's weights,
     count, flags and the walk of the weight table are read off the carried
     state; no instance is rebuilt.  DeletionStep.nodes is the states that
@@ -387,7 +360,7 @@ def run_deletion_process(
         balanced = weight_ratio_bounded(ws, params.L)
         degs = [*state.deg.values(), *state.cdeg.values()]
         regular = _degrees_within(H0, p_i, params, min(degs), max(degs))
-        capped = _capped(H0, phi, _walk_groups(state.parts, H0.kappa, state.rows))
+        capped = _capped(H0, phi, _walk_groups(state.tally.parts, H0.kappa, state.rows))
         if i == 0:
             xi = gamma = None
         else:
@@ -406,7 +379,7 @@ def run_deletion_process(
                 balanced=balanced,
                 regular=regular,
                 median_capped=capped,
-                nodes=state.nodes,
+                nodes=state.tally.nodes,
             )
         )
         prev_phi = phi

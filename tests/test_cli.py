@@ -1,7 +1,10 @@
 import hashlib
 import json
+import os
 import xml.etree.ElementTree as ET
+from concurrent.futures import Future
 
+from rainbowmatch import experiments
 from rainbowmatch.cli import main
 from rainbowmatch.count import is_perfect_matching, is_rainbow
 from rainbowmatch.model import ColoredEdge, Matching, load_instance
@@ -292,6 +295,63 @@ def test_bad_document_is_an_input_error(tmp_path, capsys):
             code, out, err = run(capsys, command, str(path))
             assert (code, out) == (2, ""), (command, message)
             assert err.startswith(f"rainbowmatch: error: {message}") and err.count("\n") == 1
+
+
+def test_huge_edgeless_documents_answer_like_small_ones(tmp_path, capsys):
+    # the kernel's set-up is built per edge, not per vertex, so n = 10^6
+    # answers at the root like its small analogue (same parity: a graph with
+    # an odd vertex count is refused before the search)
+    doc = '{"mode": "%s", "n": %d, "k": 2, "colors": 1, "edges": []}'
+    for mode, small, huge, nodes in (("partite", 3, 10**6, 1), ("graph", 4, 10**6, 1),
+                                     ("graph", 3, 10**6 + 1, 0)):
+        answers = []
+        for n in (small, huge):
+            path = tmp_path / f"{mode}{n}.json"
+            path.write_text(doc % (mode, n))
+            code, out, _ = run(capsys, "count", str(path))
+            counted = json.loads(out)
+            del counted["elapsed"]
+            answers.append((code, counted, run(capsys, "solve", str(path))[:2]))
+        assert answers[1] == answers[0], (mode, small)
+        code, counted, solved = answers[0]
+        assert (code, counted["value"], counted["nodes"]) == (0, 0, nodes), (mode, small)
+        assert solved == (1, '{"outcome": "absent", "matching": null}\n')
+
+
+def test_jobs_are_capped_at_the_trials_and_the_cpus(capsys, monkeypatch):
+    # a pool that records its size and runs each task at submit, so no
+    # process is started
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    args = ("threshold", "--n", "4", "--m", "6", "--seed", "2")
+    serial = run(capsys, *args, "--trials", "3")
+    for cpus, trials, jobs, size in ((8, 1, 5000, 1), (8, 3, 5000, 3), (2, 3, 5000, 2),
+                                     (None, 3, 5000, 1), (8, 3, 2, 2)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        sizes.clear()
+        result = run(capsys, *args, "--trials", str(trials), "--jobs", str(jobs))
+        assert sizes == [size], (cpus, trials, jobs)
+        if trials == 3:
+            assert result == serial
+    sizes.clear()
+    assert run(capsys, *args, "--trials", "3", "--jobs", "1") == serial
+    assert sizes == []
 
 
 def test_event_k_must_be_positive(capsys):

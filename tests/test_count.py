@@ -314,8 +314,8 @@ def test_search_counts_on_both_sides_of_the_color_switch():
 
 def _kernel_setup_oracle(H):
     """The kernel's bit layout built vertex by vertex, as it stood before it
-    was read off the absent set: (all_active, branch_bits, edge_items,
-    feasible), the tuple _kernel_setup must return."""
+    was read off the absent set: (all_active, edge_items, feasible), the
+    tuple _kernel_setup must return."""
     n = H.n
     if H.mode == PARTITE:
         parts = [H.part_active(p) for p in range(1, H.k + 1)]
@@ -325,7 +325,6 @@ def _kernel_setup_oracle(H):
         for p, part in enumerate(parts, start=1):
             for i in part:
                 all_active |= bit_of(p, i)
-        branch_bits = [bit_of(1, i) for i in parts[0]]
         edge_items = []
         for e in H.edges:
             vmask = 0
@@ -338,12 +337,11 @@ def _kernel_setup_oracle(H):
         all_active = 0
         for v in active:
             all_active |= 1 << (v - 1)
-        branch_bits = [1 << (v - 1) for v in active]
         edge_items = [
             ((1 << (e.verts[0] - 1)) | (1 << (e.verts[1] - 1)), 1 << (e.color - 1), e)
             for e in H.edges
         ]
-    return all_active, branch_bits, edge_items, feasible
+    return all_active, edge_items, feasible
 
 
 def test_kernel_layout_pinned():
@@ -369,9 +367,24 @@ def test_kernel_layout_pinned():
     for H in cases:
         got = count_module._kernel_setup(H)
         assert got == _kernel_setup_oracle(H), H
-        feasible.add((H.mode, bool(H.absent), got[3]))
+        feasible.add((H.mode, bool(H.absent), got[2]))
     assert feasible == {(mode, gone, ok) for mode in (PARTITE, "graph")
                         for gone in (False, True) for ok in (False, True)} - {(PARTITE, False, False)}
+
+
+def test_an_active_vertex_without_edges_prunes_the_root():
+    # the kernel builds columns only for vertices some edge touches; an
+    # active vertex that none touches still ends the search at its root
+    H = complete_colored(4, 2, 4, rng(0, seed=72))
+    G = sample_colored_graph(6, 15, 6, rng(0, seed=73))
+    for Hc in (restrict(H, removed_edges=[e for e in H.edges if e.verts[1] == 3]),
+               restrict(H, removed_edges=[e for e in H.edges if e.verts[0] == 1]),
+               restrict(G, removed_edges=[e for e in G.edges if 4 in e.verts])):
+        assert Hc.edges
+        assert find_rainbow_pm(Hc) is None
+        assert witness_nodes(Hc) == 1
+        report = count_rainbow_pm(Hc)
+        assert (report.value, report.nodes) == (0, 1)
 
 
 # -- split count (meet in the middle)

@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 
@@ -8,7 +8,6 @@ from rainbowmatch.count import (
     DEFAULT_NODE_BUDGET,
     BudgetExceededError,
     count_rainbow_pm,
-    near_perfect_tally,
 )
 from rainbowmatch.model import (
     ColoredEdge,
@@ -155,71 +154,31 @@ def test_weight_table_matches_oracle_on_restricted_instances():
         "n=1 k=3 edgeless": ColoredHypergraph(PARTITE, 1, 3, 2, ()),
         "edgeless": ColoredHypergraph(PARTITE, 3, 2, 3, ()),
     }
-    for name, Hc in cases.items():
-        assert weight_profile(Hc).table == oracle_table(Hc), name
-    assert not any(weight_profile(cases["unequal"]).table.values())
-    assert not any(weight_profile(cases["edgeless"]).table.values())
-    # n=1: every restriction is the empty instance, edge or no edge
-    assert set(weight_profile(cases["n=1 k=3 edgeless"]).table.values()) == {1}
-
-
-def test_near_perfect_tally_keys_and_mode():
-    H = complete_colored(3, 2, 3, rng(2, seed=51))
-    tally = near_perfect_tally(H)
-    for (verts, used), count in tally.items():
-        assert len(verts) == 2 and bin(used).count("1") == 2 and count > 0
-    # a near-perfect matching on 2 of the 3 colors avoids exactly one color,
-    # so it counts toward exactly one table entry
-    assert sum(tally.values()) == sum(oracle_table(H).values())
-    graph = ColoredHypergraph("graph", 4, 2, 3, ())
-    with pytest.raises(ValueError):
-        near_perfect_tally(graph)
-
-
-def oracle_tally(H):
-    """The near-perfect tally by definition: every set of s - 1 edges that is
-    vertex-disjoint and rainbow, keyed by (leftover tuple, used-color mask)."""
-    parts = [H.part_active(p) for p in range(1, H.k + 1)]
-    s = len(parts[0])
-    if any(len(part) != s for part in parts) or s == 0:
-        return {}
-    tally = {}
-    for edges in combinations(H.edges, s - 1):
-        colors = {e.color for e in edges}
-        covered = [{e.verts[p] for e in edges} for p in range(H.k)]
-        if len(colors) < s - 1 or any(len(c) < s - 1 for c in covered):
-            continue
-        left = tuple((set(part) - c).pop() for part, c in zip(parts, covered))
-        key = (left, sum(1 << (c - 1) for c in colors))
-        tally[key] = tally.get(key, 0) + 1
-    return tally
-
-
-def test_near_perfect_tally_matches_oracle():
-    cases = {}
+    # kappa below, at and above n; k = 2 and 3; complete and thinned halves
     shapes = [(3, 2, 2), (3, 2, 3), (4, 2, 4), (3, 2, 5), (3, 3, 2), (3, 3, 3), (2, 3, 3)]
     for n, k, kappa in shapes:
-        H = complete_colored(n, k, kappa, rng(n + kappa, seed=52 + k))
-        order = random_edge_ordering(H, rng(1, seed=52))
-        cases[(n, k, kappa)] = H
-        cases[(n, k, kappa, "thinned")] = restrict(H, removed_edges=order[: len(order) // 2])
-    H = complete_colored(4, 2, 4, rng(0, seed=53))
-    cases["balanced-absent"] = restrict(H, removed_vertices=[(1, 2), (2, 4)])
-    cases["removed-color"] = restrict(H, removed_colors=(2,))
+        Hs = complete_colored(n, k, kappa, rng(n + kappa, seed=52 + k))
+        order = random_edge_ordering(Hs, rng(1, seed=52))
+        cases[(n, k, kappa)] = Hs
+        cases[(n, k, kappa, "thinned")] = restrict(Hs, removed_edges=order[: len(order) // 2])
+    H4 = complete_colored(4, 2, 4, rng(0, seed=53))
+    cases["n=4 balanced-absent"] = restrict(H4, removed_vertices=[(1, 2), (2, 4)])
+    cases["n=4 removed-color"] = restrict(H4, removed_colors=(2,))
     cases["k=3 absent and removed color"] = restrict(
         complete_colored(3, 3, 3, rng(1, seed=53)),
         removed_vertices=[(1, 1), (2, 2), (3, 3)],
         removed_colors=(2,),
     )
-    cases["unequal"] = restrict(H, removed_vertices=[(1, 1)])
-    cases["n=1"] = complete_colored(1, 2, 1, rng(1))
-    cases["n=1 k=3 edgeless"] = ColoredHypergraph(PARTITE, 1, 3, 2, ())
-    cases["edgeless"] = ColoredHypergraph(PARTITE, 3, 2, 3, ())
     for name, Hc in cases.items():
-        assert near_perfect_tally(Hc) == oracle_tally(Hc), name
-    assert near_perfect_tally(cases["unequal"]) == {}
-    assert near_perfect_tally(cases["edgeless"]) == {}
-    assert near_perfect_tally(cases["n=1"]) == {((1, 1), 0): 1}
+        assert weight_profile(Hc).table == oracle_table(Hc), name
+    assert not any(weight_profile(cases["unequal"]).table.values())
+    assert not any(weight_profile(cases["edgeless"]).table.values())
+    # n=1: the empty matching leaves (1, 1) uncovered and uses no color
+    assert weight_profile(cases["n=1"]).table == {((1, 1), 1): 1}
+    # n=1: every restriction is the empty instance, edge or no edge
+    assert set(weight_profile(cases["n=1 k=3 edgeless"]).table.values()) == {1}
+    with pytest.raises(ValueError):
+        weight_profile(ColoredHypergraph("graph", 4, 2, 3, ()))
 
 
 def tally_nodes(H):
@@ -228,7 +187,7 @@ def tally_nodes(H):
     while hi - lo > 1:
         mid = (lo + hi) // 2
         try:
-            near_perfect_tally(H, budget=mid)
+            weight_profile(H, budget=mid)
             hi = mid
         except BudgetExceededError:
             lo = mid
@@ -381,7 +340,7 @@ def test_regular_flag_complete_and_damaged():
 
 
 def test_regular_flag_matches_direct_reimplementation():
-    params = EventParams(L=10.0, eps1=0.25, K=64.0)
+    params = EventParams(L=10.0, eps1=0.25)
     for j in range(30):
         H = sample_partite_p(4, 2, 4, 0.5, rng(j, seed=43))
         deg, cdeg = degree_profile(H)
@@ -559,7 +518,7 @@ def test_step_flags_match_fraction_oracle(n, k, kappa):
 
 @pytest.mark.parametrize("eps1", [0.5, 100 ** (-1 / 3)])
 def test_regular_flag_at_tolerance_boundary(eps1):
-    params = EventParams(L=10.0, eps1=eps1, K=64.0)
+    params = EventParams(L=10.0, eps1=eps1)
     # balanced complete n=4: every vertex degree and every color degree is 4
     edges = tuple(ColoredEdge((i, j), (i + j) % 4 + 1) for i in range(1, 5) for j in range(1, 5))
     flat = ColoredHypergraph(PARTITE, 4, 2, 4, edges)
@@ -593,13 +552,10 @@ def test_event_params_validation():
     p = EventParams.from_abundance(100.0)
     assert p.L == pytest.approx(10.0)
     assert p.eps1 == pytest.approx(100.0 ** (-1 / 3))
-    assert p.K == 100.0
     with pytest.raises(ValueError):
-        EventParams(L=1.0, eps1=0.5, K=1.0)
+        EventParams(L=1.0, eps1=0.5)
     with pytest.raises(ValueError):
-        EventParams(L=2.0, eps1=0.0, K=1.0)
-    with pytest.raises(ValueError):
-        EventParams(L=2.0, eps1=0.5, K=0.0)
+        EventParams(L=2.0, eps1=0.0)
     # rejected before L = sqrt(K) and eps1 = K^(-1/3) are derived
     for K in (0.0, -5.0, math.nan):
         with pytest.raises(ValueError, match="K must be positive"):
