@@ -20,6 +20,19 @@ count or whether a witness exists.  Exponential in the worst case, fine at
 desk scale, and guarded by an explicit node budget that raises instead of
 silently truncating.
 
+The same kernel covers vertex demand 2, which makes its covers rainbow
+Hamilton cycles (exact covering with multiplicities, Knuth's Algorithm M):
+every vertex of a graph needs two edges and every color at most one, or
+exactly one when the graph carries exactly n colors.  A vertex that still
+needs both of its edges scores its live edges minus one in the column
+choice, and a branch on it either takes its lowest live edge or drops that
+edge (only while two others are left), so no cover is reached twice.  An
+edge taken kills its color, the columns of the vertices it saturates, and
+the edges that join the two ends of the path fragment it joins, unless that
+fragment spans every vertex (the "nocycle" rule of Caseau and Laburthe).
+The supply test counts the demand left, one per edge still needed at each
+vertex.
+
 Partite counts take a second route, which prunes nothing: every edge holds
 exactly one part-1 vertex, so a rainbow perfect matching splits into a
 matching on the first half of the part-1 vertices and one on the second
@@ -177,27 +190,40 @@ def _kernel_setup(H: ColoredHypergraph):
         for v in H.absent:
             all_active &= ~(1 << (v - 1))
         feasible = all_active.bit_count() % 2 == 0
-        edge_items = [
-            ((1 << (e.verts[0] - 1)) | (1 << (e.verts[1] - 1)), 1 << (e.color - 1), e)
-            for e in edges
-        ]
+        edge_items = _graph_items(edges)
     return all_active, edge_items, feasible
+
+
+def _graph_items(edges) -> list:
+    """[(vertex_mask, color_bit, edge), ...] of graph edges: vertex v is bit
+    v - 1, color c bit c - 1."""
+    return [((1 << (e.verts[0] - 1)) | (1 << (e.verts[1] - 1)), 1 << (e.color - 1), e)
+            for e in edges]
 
 
 class _Search:
     """One exact-cover search (columns, prunes and branching rule in the
     module docstring); counts every visited node against the budget.
 
-    Edge i of edge_items is bit i of an int.  After run(), nodes is the
-    number of nodes visited, count the rainbow perfect matchings reached
-    (all of them unless find_one), and found, in find_one mode, the first
-    one reached or None.
+    Edge i of edge_items is bit i of an int.  With demand 1 each active
+    vertex of H needs one edge: the covers are rainbow perfect matchings.
+    With demand 2, H is a graph on [1..n] (parallel edges allowed, every
+    vertex active) whose vertices each need two edges, under the fragment
+    rule: the covers are rainbow Hamilton cycles.  After run(), nodes is the
+    number of nodes visited, count the covers reached (all of them unless
+    find_one), and found, in find_one mode, the edges of the first one
+    reached, in the order they were chosen, or None.
     """
 
-    def __init__(self, H: ColoredHypergraph, budget: int, find_one: bool):
-        self.all_active, self.edge_items, self.feasible = _kernel_setup(H)
-        # vertices one matching edge covers (graph mode fixes k = 2)
-        self.per_edge = H.k
+    def __init__(self, H, budget: int, find_one: bool, demand: int = 1):
+        if demand == 2:
+            self.all_active = self.twice = (1 << H.n) - 1
+            self.edge_items, self.feasible, self.per_edge = _graph_items(H.edges), True, 2
+        else:
+            self.all_active, self.edge_items, self.feasible = _kernel_setup(H)
+            self.twice = 0
+            # vertices one matching edge covers (graph mode fixes k = 2)
+            self.per_edge = H.k
         self.budget = budget
         self.find_one = find_one
         self.nodes = 0
@@ -207,7 +233,7 @@ class _Search:
     def run(self) -> None:
         if not self.feasible:
             return
-        all_active, items = self.all_active, self.edge_items
+        all_active, items, twice = self.all_active, self.edge_items, self.twice
         if all_active == 0:
             # No active vertices: exactly one (empty) perfect matching.
             self.count = 1
@@ -231,8 +257,9 @@ class _Search:
                 vertex_cols[v] = vertex_cols.get(v, 0) | ebit
             color_cols[cbit] = color_cols.get(cbit, 0) | ebit
             ebit <<= 1
-        # per edge: the live edges its choice keeps (those sharing no vertex
-        # and no color with it) and the vertices it covers
+        # per edge: the live edges its choice keeps when it saturates both of
+        # its vertices (those sharing no vertex and no color with it) and the
+        # vertices it covers
         moves = []
         for (vmask, cbit, _), verts in zip(items, edge_verts):
             conflict = color_cols[cbit]
@@ -245,14 +272,24 @@ class _Search:
             # of them, tested first, prunes the root
             vcols.insert(0, (all_active, 0))
         ccols = [col for _, col in sorted(color_cols.items())]
-        exact = len(ccols) * per_edge == all_active.bit_count()
+        exact = len(ccols) * per_edge == all_active.bit_count() + twice.bit_count()
+        cycle = twice != 0
+        if cycle:
+            # what a taken edge keeps of its own color's column, and of a
+            # saturated vertex's
+            ckeep = [~color_cols[cbit] for _, cbit, _ in items]
+            vkeep = {v: ~col for v, col in vertex_cols.items()}
         find_one, budget = self.find_one, self.budget
         nodes = count = 0
-        # (live edges, uncovered vertices, chosen edges as nested (i, rest))
-        stack = [((1 << len(items)) - 1, all_active, None)]
+        # (live edges, vertices still short of an edge, those short of two,
+        # each path fragment's end to its other end (cycles only; a vertex no
+        # chosen edge touches is its own fragment), chosen edges as nested
+        # (i, rest))
+        stack = [((1 << len(items)) - 1, all_active, twice,
+                  {v: v for v in vertex_cols} if cycle else None, None)]
         pop, push = stack.pop, stack.append
         while stack:
-            live, uncovered, chosen = pop()
+            live, uncovered, twice, ends, chosen = pop()
             nodes += 1
             if nodes > budget:
                 self.nodes = nodes
@@ -267,19 +304,23 @@ class _Search:
                     self.found = tuple(reversed(found))
                     break
                 continue
-            best, fewest = 0, len(items) + 1
+            best, fewest, pick = 0, len(items) + 1, 0
             for bit, col in vcols:
                 if uncovered & bit:
                     d = (col & live).bit_count()
-                    if d < fewest:
-                        if not d:
-                            break  # this vertex can no longer be covered
-                        best, fewest = col, d
+                    if d <= fewest:
+                        if twice & bit:
+                            d -= 1  # it needs two of them
+                        if d < fewest:
+                            if d < 1:
+                                break  # this vertex can no longer be covered
+                            best, fewest, pick = col, d, bit
             else:
                 # Used colors have no live edge left, so the colors that still
                 # have one are unused; each edge still needed takes its own.
                 # With exact colors the test also says every unused color
                 # keeps a live edge, and each is a column to branch on.
+                demand = uncovered.bit_count() + twice.bit_count()
                 supply = 0
                 for col in ccols:
                     x = col & live
@@ -288,15 +329,40 @@ class _Search:
                         if exact:
                             d = x.bit_count()
                             if d < fewest:
-                                best, fewest = col, d
-                if supply * per_edge >= uncovered.bit_count():
-                    # pushed high to low, so the lowest edge is tried first
+                                best, fewest, pick = col, d, 0
+                if supply * per_edge >= demand:
                     cands = best & live
+                    if pick & twice:
+                        # take its lowest live edge, or drop that edge while
+                        # two others are left (pushed first, tried second)
+                        low = cands & -cands
+                        if fewest > 1:
+                            push((live ^ low, uncovered, twice, ends, chosen))
+                        cands = low
+                    # pushed high to low, so the lowest edge is tried first
                     while cands:
                         i = cands.bit_length() - 1
                         cands ^= 1 << i
                         keep, covers = moves[i]
-                        push((live & keep, uncovered ^ covers, (i, chosen)))
+                        if not cycle:
+                            push((live & keep, uncovered ^ covers, 0, None, (i, chosen)))
+                            continue
+                        saturated = covers & ~twice
+                        if saturated != covers:
+                            keep = ckeep[i]
+                            if saturated:
+                                keep &= vkeep[saturated]
+                        # the new fragment's ends may no longer be joined,
+                        # unless it spans every vertex: then this edge leaves
+                        # a demand of 2, the closing edge's
+                        u, v = edge_verts[i]
+                        a, b = ends[u], ends[v]
+                        if demand > 4:
+                            keep &= ~(vertex_cols[a] & vertex_cols[b])
+                        ends_after = ends.copy()
+                        ends_after[a], ends_after[b] = b, a
+                        push((live & keep, uncovered ^ saturated, twice & ~covers,
+                              ends_after, (i, chosen)))
         self.nodes = nodes
         self.count = count
 

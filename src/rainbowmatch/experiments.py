@@ -51,6 +51,7 @@ from .hamilton import (
     assemble_even,
     contract_color_delete,
     find_rainbow_hc,
+    is_rainbow_hamilton_cycle,
     lift_cycle,
 )
 from .model import (
@@ -502,6 +503,10 @@ def _hamilton_trial(key, config: ExperimentConfig, cell: tuple, stream: int):
                 hc_found = True
                 lifted = lift_cycle(hc_prime, cmap, e)
                 if lifted is not None:
+                    if not is_rainbow_hamilton_cycle(G, lifted):
+                        raise RuntimeError(
+                            "lift: the lifted cycle is not a rainbow Hamilton cycle of G"
+                        )
                     stage = STAGE_SUCCESS
             best = max(best, stage, key=_ATTEMPT_RANK.index)
             if best == STAGE_SUCCESS:

@@ -10,22 +10,15 @@ route contracts one edge (deleting its color class), solves the resulting
 even-order multigraph, and lifts the cycle back when its two contracted-vertex
 edges came from different original endpoints.
 
-Search is exhaustive backtracking with color-bitmask, degree-2, color-supply,
-and connectivity pruning; "None" therefore means "no rainbow Hamilton cycle",
-while budget exhaustion raises.  Parallel edges are distinct traversable
-objects throughout.  The search is one loop over an explicit stack, which
-visits the tree in the same preorder as a recursion over the adjacency lists
-would.  Each node rescans the edges its parent left live, on bitmasks (one
-bit per vertex, one per color): it ORs up one live-neighbor mask per vertex
-and the live color set, counts bits for the two-neighbor and color-supply
-checks, and runs a mask-frontier BFS for reachability.  A child's live
-colors are the colors of its parent's live edges that avoid the parent's
-visited vertices other than start, minus its own edge's color, so the parent
-decides every child's color-supply check in the scan it already runs.  The children that check rejects (about half of
-all nodes on contracted odd-n instances) are not pushed or scanned: each run
-of them is one stack marker that adds its length to the node count in the
-run's preorder slot.  The tree, the node counts and the node at which a
-budget runs out are therefore those of pushing every child.
+The search is the matching kernel, count._Search, with a demand of two
+edges per vertex: one node is one partial edge set in which each vertex has
+at most two edges, each color at most one, and the chosen edges form paths
+(an edge closing a cycle shorter than n is killed).  It is exhaustive, so
+"None" means "no rainbow Hamilton cycle", while budget exhaustion raises.
+Parallel edges are distinct objects throughout.  assemble_even checks its
+cycle against the original graph before reporting it, and a failed check
+raises RuntimeError (the odd-n trial in experiments does the same with a
+lifted cycle).
 """
 
 from __future__ import annotations
@@ -35,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
-from .count import BudgetExceededError, DEFAULT_NODE_BUDGET, find_rainbow_pm
+from .count import BudgetExceededError, DEFAULT_NODE_BUDGET, _Search, find_rainbow_pm
 from .model import GRAPH, ColoredEdge, ColoredHypergraph, Matching
 
 __all__ = [
@@ -171,133 +164,39 @@ def _canonical_cycle(path: list[int], edges: list[ColoredEdge]) -> HamiltonCycle
 
 
 def find_rainbow_hc(G, budget: int = DEFAULT_HC_BUDGET) -> HamiltonCycle | None:
-    """First rainbow Hamilton cycle found by exhaustive backtracking, or None
-    when the search space is exhausted.  Raises BudgetExceededError when the
-    node budget runs out (never a silent absence), reporting node
-    budget + 1.  Depth first on an explicit stack, so no recursion limit
-    applies; children are pushed in reverse adjacency order, so the tree is
-    visited in preorder with each node's neighbors in adjacency order.
-    Children that would fail their color-supply check on entry are counted
-    at their parent instead: a marker in their place adds the length of each
-    run of them when it is popped, so the budget runs out at the same tree
-    node as if they had been pushed."""
-    n, host_edges = _host_view(G)
+    """The first rainbow Hamilton cycle the exact-cover search reaches, or
+    None when the search space is exhausted.  Raises BudgetExceededError
+    when the node budget runs out (never a silent absence), reporting node
+    budget + 1.
+
+    The search is count._Search with a demand of two edges per vertex: one
+    node is one partial edge set, each vertex taking at most two edges and
+    each color at most one, and no chosen edges closing a cycle shorter than
+    n.  It branches on the column with the fewest spare live edges; on a
+    vertex that still needs both of its edges, on taking its lowest live edge
+    or dropping it.  The chosen edges are walked from vertex 1 into the
+    cycle."""
+    n, _ = _host_view(G)
     if n < 3:
         raise ValueError("Hamilton cycles need n >= 3")
-    # Vertex v is bit v - 1, color c is bit c - 1.
-    bit_edges = []
-    adj: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n + 1)]
-    for idx, e in enumerate(host_edges):
+    search = _Search(G, budget, find_one=True, demand=2)
+    search.run()
+    if search.found is None:
+        return None
+    nbrs: dict[int, list[tuple[int, ColoredEdge]]] = {v: [] for v in range(1, n + 1)}
+    for e in search.found:
         u, v = e.verts
-        ubit, vbit, cbit = 1 << (u - 1), 1 << (v - 1), 1 << (e.color - 1)
-        bit_edges.append((ubit | vbit, ubit, vbit, u, v, cbit))
-        adj[u].append((v, vbit, cbit, idx))
-        adj[v].append((u, ubit, cbit, idx))
-
-    start = start_bit = 1  # vertex 1, bit 0
-    all_bits = (1 << n) - 1
-    nodes = 0
-    # (head, visited, used colors, the edges the parent left live, path as
-    # nested (vertex, edge index, rest) back to start, the tree nodes this
-    # pop stands for).  A run of color-starved siblings is one marker item
-    # (head 0, all vertices visited, weight = the run's length): it enters
-    # the closing-edge branch, and adj[0] is empty.
-    stack = [(start, start_bit, 0, bit_edges, None, 1)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        head, visited, colors, pool, path, weight = pop()
-        nodes += weight
-        if nodes > budget:
-            raise BudgetExceededError(f"node budget {budget} exceeded", budget + 1)
-        depth = visited.bit_count()
-        if depth == n:
-            for v, _, cbit, idx in adj[head]:
-                if v == start and not cbit & colors:
-                    vertices, edges = [], [host_edges[idx]]
-                    while path:
-                        v, idx, path = path
-                        vertices.append(v)
-                        edges.append(host_edges[idx])
-                    vertices.append(start)
-                    return _canonical_cycle(vertices[::-1], edges[::-1])
-            continue
-        # An edge is live when its color is unused and neither endpoint is an
-        # interior visited vertex (head and start stay usable: the remaining
-        # cycle segment leaves head and eventually re-enters start).  The used
-        # colors and the interior only grow down the tree, so an edge dead at
-        # a node stays dead below it and a child scans only its parent's live
-        # edges.  nbr[v] is the mask of v's live neighbors.  kept_colors are
-        # the colors of the live edges that avoid the children's interior
-        # (visited but start): a child keeps all of them but its own color.
-        head_bit = 1 << (head - 1)
-        interior = visited & ~head_bit & ~start_bit
-        child_interior = visited & ~start_bit
-        nbr = [0] * (n + 1)
-        live = []
-        live_colors = kept_colors = 0
-        for item in pool:
-            uvbit, ubit, vbit, u, v, cbit = item
-            if cbit & colors or uvbit & interior:
-                continue
-            live.append(item)
-            nbr[u] |= vbit
-            nbr[v] |= ubit
-            live_colors |= cbit
-            if not uvbit & child_interior:
-                kept_colors |= cbit
-        if live_colors.bit_count() < n - depth + 1:
-            continue
-        # Every unvisited vertex still needs two distinct cycle neighbors;
-        # start still needs its closing edge.
-        unvisited = all_bits & ~visited
-        rest = unvisited
-        while rest:
-            low = rest & -rest
-            if nbr[low.bit_length()].bit_count() < 2:
-                break
-            rest ^= low
-        if rest or not nbr[start]:
-            continue
-        # The remaining segment is a path head -> (all unvisited) -> start,
-        # so everything must be reachable from head through live edges.
-        seen = frontier = head_bit
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                reach |= nbr[low.bit_length()]
-                frontier ^= low
-            frontier = reach & ~seen
-            seen |= frontier
-        if (unvisited | start_bit) & ~seen:
-            continue
-        # A child over an edge of color c below depth n has the live colors
-        # kept_colors & ~c, so its color-supply check fails iff fewer than
-        # n - depth of them remain: for every c when kept_colors is short,
-        # for c in kept_colors when it has exactly n - depth colors.  Such a
-        # child is one node and nothing more; it is counted in its preorder
-        # slot by a marker instead of being pushed and scanned.
-        kept = kept_colors.bit_count()
-        if depth + 1 == n or kept > n - depth:
-            starved = 0
-        elif kept == n - depth:
-            starved = kept_colors
-        else:
-            starved = -1
-        run = 0
-        for v, vbit, cbit, idx in reversed(adj[head]):
-            if vbit & visited or cbit & colors:
-                continue
-            if cbit & starved:
-                run += 1
-                continue
-            if run:
-                push((0, all_bits, 0, None, None, run))
-                run = 0
-            push((v, visited | vbit, colors | cbit, live, (v, idx, path), 1))
-        if run:
-            push((0, all_bits, 0, None, None, run))
-    return None
+        nbrs[u].append((v, e))
+        nbrs[v].append((u, e))
+    path, edges, prev = [1], [], 0
+    while len(edges) < n:
+        (v, e), other = nbrs[path[-1]]
+        if v == prev:
+            v, e = other
+        prev = path[-1]
+        path.append(v)
+        edges.append(e)
+    return _canonical_cycle(path[:-1], edges)
 
 
 # -- even-n assembly ----------------------------------------------------------
@@ -410,6 +309,8 @@ def assemble_even(
         return plan(matchings, union, STAGE_HC_BUDGET), None
     if hc is None:
         return plan(matchings, union, STAGE_HC_NOT_FOUND), None
+    if not is_rainbow_hamilton_cycle(G, hc):
+        raise RuntimeError("union search: the cycle found is not a rainbow Hamilton cycle of G")
     return plan(matchings, union, None), hc
 
 

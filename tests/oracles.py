@@ -6,9 +6,10 @@ faster route.
 `reduce_to_uniform` and `count_uniform_pm` count rainbow perfect matchings
 through the colored-to-uniform reduction with a plain enumerator kept
 independent of the matching kernel.
-`find_rainbow_hc_by_extension` is the Hamilton cycle search that pushes
-and pops every child, color-starved or not: the library's search must
-visit the same tree and report the same cycles and node counts.
+`find_rainbow_hc_by_extension` is a Hamilton cycle search of its own: it
+extends a path from vertex 1 with degree, color-supply and reachability
+prunes.  The library's exact-cover search must find a cycle exactly when it
+does.
 """
 
 from __future__ import annotations

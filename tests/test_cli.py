@@ -393,10 +393,10 @@ PINNED_DIGESTS = {
     "trace json": "122a6f04b1eab46b6871d4c04b3ee7ec4b030a8e13e6e6bb622d14ca97078581",
     "trace json summary": "6b4bc252e4cae1a1bf11cb28276cdee1defc42cee11770775c605c3da8595c1b",
     "trace json raw": "6536788e2f96e182a67fdaed1e2b801c6406d2c17e2a07a6c223f7118cc25558",
-    "hamilton-odd csv": "ec2f7adb28952499ea5cb426db4d5f17e15f63f4a05840292e55ece9f757d843",
-    "hamilton-odd csv raw": "e8e395ab8832eb8af85a353e710005a40f51499a6ef6f8a924fe7a9dd997c939",
-    "hamilton-odd json": "d5f92f94e55e11e59ad4343da0882d69c57e6fc28bb9f997f7cad148b91c04b6",
-    "hamilton-odd json raw": "e8e395ab8832eb8af85a353e710005a40f51499a6ef6f8a924fe7a9dd997c939",
+    "hamilton-odd csv": "d1463e8bd89036a6c607feba2c5c65111d0b643128d70aa68f3d5574a58cd8d6",
+    "hamilton-odd csv raw": "8b39b154aa72973df22949651815e4cb6d4c6002caeda67e65a16e2fa6b7b839",
+    "hamilton-odd json": "65df5c4e887fba67bd43f581cbbdeff561c89ca6f39ff83b54fca849158e5933",
+    "hamilton-odd json raw": "8b39b154aa72973df22949651815e4cb6d4c6002caeda67e65a16e2fa6b7b839",
     "hamilton-even csv": "311ccfe68053bc1be329d51ae102c58a13aa792e8247047efb2cf59993391903",
     "hamilton-even csv raw": "9b48f34b9f605fa891d4ecb893c88d95017eb7d3dbcd60bb9890a06d685a799f",
     "hamilton-even json": "8caf9a5e4ef35a1fec4c03be2dd9d4de39bffb7ec0db1bd9d8fc5d84fc290fc3",

@@ -6,7 +6,8 @@ from collections import Counter
 
 import pytest
 
-from rainbowmatch.count import BudgetExceededError
+from rainbowmatch import experiments
+from rainbowmatch.count import BudgetExceededError, _Search
 from rainbowmatch.experiments import (
     ExperimentConfig,
     hamilton_experiment,
@@ -15,6 +16,7 @@ from rainbowmatch.experiments import (
 )
 from rainbowmatch.hamilton import (
     ColoredMultigraph,
+    DEFAULT_HC_BUDGET,
     HamiltonCycle,
     STAGE_CLASS_TOO_SMALL,
     STAGE_HC_BUDGET,
@@ -125,44 +127,36 @@ def test_validator_checks_multiplicity_on_multigraphs():
     assert hc is not None and is_rainbow_hamilton_cycle(G, hc)
 
 
-def brute_rainbow_hc_exists(G):
-    """Permutation brute force: try every cyclic order, then ask for a system
-    of distinct colors among the parallel edges of each consecutive pair."""
-    slots_by_pair = {}
+def brute_rainbow_hc_count(G):
+    """Permutation brute force: the rainbow Hamilton cycles of G as edge sets
+    (parallel edges are distinct).  Every cyclic order is tried once per
+    direction, with every choice of one parallel edge per consecutive pair
+    whose colors are pairwise distinct."""
+    colors_by_pair = {}
     for e in G.edges:
-        slots_by_pair.setdefault(e.verts, set()).add(e.color)
-    n = G.n
-
-    def sdr(slot_sets, used, idx):
-        if idx == len(slot_sets):
-            return True
-        for c in slot_sets[idx]:
-            if c not in used:
-                used.add(c)
-                if sdr(slot_sets, used, idx + 1):
-                    used.discard(c)
-                    return True
-                used.discard(c)
-        return False
-
+        colors_by_pair.setdefault(e.verts, []).append(e.color)
+    n, total = G.n, 0
     for perm in itertools.permutations(range(2, n + 1)):
         if perm[0] > perm[-1]:
             continue  # one direction per cycle
         order = (1,) + perm
-        slot_sets = []
-        ok = True
-        for i in range(n):
-            pair = tuple(sorted((order[i], order[(i + 1) % n])))
-            if pair not in slots_by_pair:
-                ok = False
-                break
-            slot_sets.append(slots_by_pair[pair])
-        if ok and sdr(slot_sets, set(), 0):
-            return True
-    return False
+        pairs = [tuple(sorted((order[i], order[(i + 1) % n]))) for i in range(n)]
+        if all(p in colors_by_pair for p in pairs):
+            choices = itertools.product(*(colors_by_pair[p] for p in pairs))
+            total += sum(len(set(colors)) == n for colors in choices)
+    return total
+
+
+def random_multigraph(rnd, n, kappa, m):
+    pairs = [(tuple(sorted(rnd.sample(range(1, n + 1), 2))), rnd.randint(1, kappa))
+             for _ in range(m)]
+    return multigraph(n, kappa, pairs)
 
 
 def test_searcher_matches_permutation_brute():
+    # n = 5, 6 with exactly n colors, then n = 4..8 with n and n + 2 colors
+    # (each color at most once on the cycle)
+    cases = []
     for j in range(40):
         rnd = rng(j, seed=50)
         n = 5 + j % 2
@@ -173,11 +167,37 @@ def test_searcher_matches_permutation_brute():
             v = rnd.randrange(1, n + 1)
             if u != v:
                 pairs.append((tuple(sorted((u, v))), rnd.randrange(1, n + 1)))
-        G = multigraph(n, n, pairs)
+        cases.append(multigraph(n, n, pairs))
+    for j in range(50):
+        rnd = rng(j, seed=52)
+        n = 4 + j % 5
+        kappa = n + 2 * (j // 5 % 2)
+        cases.append(random_multigraph(rnd, n, kappa, rnd.randint(2 * n, 4 * n)))
+    found = 0
+    for G in cases:
         hc = find_rainbow_hc(G)
-        assert (hc is not None) == brute_rainbow_hc_exists(G), (j, G.edges)
+        assert (hc is not None) == (brute_rainbow_hc_count(G) > 0), G.edges
         if hc is not None:
             assert is_rainbow_hamilton_cycle(G, hc)
+            found += 1
+    assert 20 <= found <= len(cases) - 20
+
+
+def test_cycle_count_matches_permutation_brute():
+    # The kernel in count mode with a demand of two edges per vertex reaches
+    # every rainbow Hamilton cycle once: a take/drop split that reached a
+    # cover twice, or missed one, would move the count.
+    counts = []
+    for j in range(60):
+        rnd = rng(j, seed=53)
+        n = 4 + j % 4
+        kappa = n + 2 * (j // 4 % 2)
+        G = random_multigraph(rnd, n, kappa, rnd.randint(2 * n, 4 * n))
+        search = _Search(G, DEFAULT_HC_BUDGET, find_one=False, demand=2)
+        search.run()
+        assert search.count == brute_rainbow_hc_count(G), G.edges
+        counts.append(search.count)
+    assert sum(c > 1 for c in counts) >= 10 and 0 in counts
 
 
 def hc_pinned_instances():
@@ -199,50 +219,51 @@ def hc_pinned_instances():
 
 
 # (cycle vertices, cycle colors, nodes) of find_rainbow_hc on
-# hc_pinned_instances(), recorded before the live scans moved to bitmasks:
-# the search tree is pinned, so the cycle found and the node count (the
-# smallest budget that does not raise) must not move.
+# hc_pinned_instances(), recorded when the search became the exact-cover
+# kernel with a demand of two edges per vertex: the search tree is pinned, so
+# the cycle found and the node count (the smallest budget that does not
+# raise) must not move.
 HC_PINNED = [
-    ((1, 5, 2, 3, 10, 12, 9, 11, 8, 7, 4, 14, 13, 6),
-     (10, 13, 15, 5, 14, 11, 9, 4, 1, 12, 3, 2, 7, 8), 91),
-    (None, None, 2612),
+    ((1, 9, 2, 3, 14, 12, 5, 6, 13, 4, 11, 8, 7, 10),
+     (14, 3, 15, 12, 13, 8, 2, 7, 10, 9, 4, 1, 5, 11), 47),
+    (None, None, 4),
     (None, None, 1),
     (None, None, 1),
     ((1, 6, 9, 7, 5, 3, 11, 10, 12, 13, 2, 4, 14, 8),
-     (6, 3, 4, 12, 15, 8, 7, 11, 14, 13, 10, 9, 2, 1), 350),
-    ((1, 2, 7, 13, 10, 9, 12, 3, 11, 14, 8, 6, 4, 5),
-     (10, 9, 6, 15, 14, 4, 3, 13, 7, 5, 11, 12, 8, 2), 424),
-    ((1, 3, 13, 7, 14, 6, 5, 10, 2, 12, 11, 4, 9, 8),
-     (14, 15, 3, 10, 2, 9, 13, 8, 7, 12, 6, 11, 5, 1), 2389),
-    ((1, 2, 5, 14, 11, 3, 6, 13, 8, 10, 12, 7, 9, 4),
-     (6, 15, 14, 12, 2, 13, 8, 3, 1, 11, 4, 7, 5, 9), 152),
-    (None, None, 2526),
-    ((1, 2, 6, 9, 13, 10, 11, 7, 4, 3, 14, 8, 5, 12),
-     (14, 15, 5, 10, 4, 2, 8, 7, 11, 12, 1, 3, 13, 6), 430),
-    ((1, 3, 10, 13, 4, 8, 5, 14, 11, 6, 7, 12, 2, 9),
-     (12, 6, 4, 8, 9, 15, 7, 2, 11, 10, 14, 3, 5, 13), 1095),
-    (None, None, 5459),
-    (None, None, 31),
-    ((1, 2, 5, 3, 7, 6, 4, 8),
-     (8, 4, 5, 6, 9, 1, 3, 2), 21),
-    ((1, 2, 3, 4, 7, 5, 6, 9, 8),
-     (5, 1, 9, 2, 6, 3, 4, 7, 8), 155),
-    (None, None, 158),
-    ((1, 6, 2, 3, 9, 5, 4, 8, 7, 10, 11),
-     (5, 1, 9, 6, 2, 4, 3, 8, 7, 10, 11), 1014),
-    ((1, 2, 3, 5, 6, 4, 7),
-     (2, 8, 1, 7, 5, 6, 3), 7),
-    (None, None, 46),
-    ((1, 6, 3, 8, 4, 5, 9, 2, 7),
-     (8, 4, 1, 10, 9, 3, 2, 5, 7), 61),
-    ((1, 3, 4, 2, 9, 5, 10, 6, 7, 8),
-     (8, 3, 1, 6, 2, 9, 10, 7, 4, 5), 69),
-    ((1, 3, 10, 8, 9, 2, 5, 11, 7, 4, 6),
-     (12, 9, 1, 7, 11, 8, 4, 6, 5, 3, 2), 190),
-    ((1, 2, 6, 5, 4, 7, 3),
-     (4, 1, 5, 7, 6, 3, 2), 11),
-    ((1, 2, 3, 8, 6, 7, 4, 5),
-     (1, 9, 8, 3, 6, 2, 4, 7), 68),
+     (6, 3, 4, 12, 15, 8, 7, 11, 14, 13, 10, 9, 2, 1), 22),
+    ((1, 9, 12, 5, 3, 14, 2, 7, 10, 13, 4, 6, 8, 11),
+     (13, 4, 7, 5, 3, 6, 9, 10, 15, 8, 12, 11, 2, 14), 28),
+    ((1, 8, 13, 7, 4, 14, 6, 5, 10, 11, 2, 12, 3, 9),
+     (1, 12, 3, 15, 5, 10, 9, 13, 14, 11, 7, 2, 6, 8), 76),
+    ((1, 4, 7, 12, 13, 8, 3, 6, 9, 10, 2, 5, 14, 11),
+     (9, 6, 4, 7, 3, 1, 13, 11, 2, 8, 15, 14, 12, 5), 322),
+    (None, None, 162),
+    ((1, 6, 2, 4, 7, 10, 11, 14, 8, 5, 12, 3, 13, 9),
+     (12, 15, 5, 7, 4, 2, 8, 1, 3, 13, 11, 14, 10, 6), 60),
+    ((1, 3, 10, 13, 4, 14, 11, 6, 7, 12, 2, 5, 8, 9),
+     (12, 6, 4, 8, 9, 2, 11, 10, 14, 3, 5, 15, 7, 13), 23),
+    (None, None, 71),
+    (None, None, 9),
+    ((1, 3, 7, 8, 4, 6, 2, 5),
+     (5, 2, 9, 3, 1, 7, 4, 8), 12),
+    ((1, 5, 8, 7, 6, 4, 2, 3, 9),
+     (9, 5, 7, 3, 6, 8, 1, 4, 2), 49),
+    (None, None, 10),
+    ((1, 6, 2, 4, 10, 3, 8, 7, 5, 9, 11),
+     (5, 1, 7, 4, 2, 9, 8, 6, 10, 3, 11), 23),
+    ((1, 2, 5, 3, 7, 6, 4),
+     (2, 6, 1, 3, 4, 5, 8), 19),
+    (None, None, 2),
+    ((1, 6, 9, 5, 2, 3, 8, 4, 7),
+     (8, 6, 3, 2, 9, 1, 10, 5, 7), 28),
+    ((1, 6, 5, 10, 3, 9, 2, 4, 7, 8),
+     (7, 8, 9, 3, 10, 6, 2, 1, 4, 5), 30),
+    ((1, 6, 4, 9, 2, 5, 11, 7, 3, 10, 8),
+     (2, 3, 4, 11, 8, 12, 6, 5, 9, 1, 7), 13),
+    ((1, 3, 2, 6, 7, 4, 5),
+     (3, 4, 7, 1, 5, 6, 2), 8),
+    ((1, 2, 3, 8, 7, 6, 4, 5),
+     (5, 7, 8, 1, 6, 2, 4, 3), 21),
 ]
 
 
@@ -258,33 +279,10 @@ def test_search_tree_pinned():
             assert info.value.nodes == nodes
 
 
-def hc_outcome(search, G, budget):
-    try:
-        hc = search(G, budget=budget)
-    except BudgetExceededError as exc:
-        return "budget", exc.nodes
-    return "done", None if hc is None else (hc.vertices, hc.colors())
-
-
-def tree_size(G):
-    """The smallest budget at which find_rainbow_hc does not raise."""
-    hi = 1
-    while hc_outcome(find_rainbow_hc, G, hi)[0] == "budget":
-        hi *= 2
-    lo = hi // 2  # raises at lo (or lo == 0)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if hc_outcome(find_rainbow_hc, G, mid)[0] == "budget":
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
 def test_search_matches_path_extension_oracle():
-    # The search counts color-starved children at their parent instead of
-    # pushing them; the oracle pushes every child.  Both must report the same
-    # cycle or absence, and budget-outs at the same node, at every budget.
+    # The exact-cover search and the path-extension oracle visit different
+    # trees, so their answers are compared: a cycle or absence at an
+    # unlimited budget, and every cycle a rainbow Hamilton cycle of G.
     instances = []
     for s in range(16):
         rnd = rng(s, seed=9)
@@ -293,21 +291,15 @@ def test_search_matches_path_extension_oracle():
     for s in range(36):
         rnd = rng(s, seed=10)
         n = 5 + s % 7
-        pairs = [(tuple(sorted(rnd.sample(range(1, n + 1), 2))), rnd.randint(1, n + s % 3))
-                 for _ in range(rnd.randint(2 * n, 5 * n))]
-        instances.append(multigraph(n, n + s % 3, pairs))
-    rnd = rng(0, seed=11)
-    for i, G in enumerate(instances):
-        total = tree_size(G)
-        if i >= 16 and total <= 300:
-            # every budget, so that some budget-outs land inside a run of
-            # counted children
-            budgets = set(range(1, total + 1))
-        else:
-            budgets = {total - 1, total} | {rnd.randint(1, total) for _ in range(4)}
-        for budget in sorted((budgets | {10**9}) - {0}):
-            assert (hc_outcome(find_rainbow_hc, G, budget)
-                    == hc_outcome(find_rainbow_hc_by_extension, G, budget)), (G, budget)
+        instances.append(random_multigraph(rnd, n, n + s % 3, rnd.randint(2 * n, 5 * n)))
+    found = 0
+    for G in instances:
+        hc = find_rainbow_hc(G)
+        assert (hc is None) == (find_rainbow_hc_by_extension(G) is None), G
+        if hc is not None:
+            assert is_rainbow_hamilton_cycle(G, hc)
+            found += 1
+    assert 0 < found < len(instances)
 
 
 # -- synthetic eight-matching unions
@@ -526,8 +518,8 @@ def lift_pin_record():
     (lifts, lift failures, cycles lifted over a xi-edge with both an x- and a
     y-origin).  n = 5..11, kappa in {n, 3} (three colors make same-colored
     parallel xi-edges common), dense graphs; each contraction lifts the
-    rainbow cycle find_rainbow_hc finds, if any, and two random Hamilton
-    cycles of any colors."""
+    rainbow cycle the path-extension oracle finds, if any, and two random
+    Hamilton cycles of any colors."""
     out, lifts, fails, two_origin = [], 0, 0, 0
     for n in range(5, 12):
         total = n * (n - 1) // 2
@@ -539,7 +531,7 @@ def lift_pin_record():
                 e = rnd.choice(G.edges)
                 x, y = e.verts
                 Gp, cmap = contract_color_delete(G, e)
-                cycles = [find_rainbow_hc(Gp), random_hamilton_cycle(Gp, rnd),
+                cycles = [find_rainbow_hc_by_extension(Gp), random_hamilton_cycle(Gp, rnd),
                           random_hamilton_cycle(Gp, rnd)]
                 for hc in filter(None, cycles):
                     lifted = lift_cycle(hc, cmap, e)
@@ -587,6 +579,38 @@ def test_odd_budget_exhaustion_is_not_reported_absent():
     assert (counts["hc_budget"], counts["hc_not_found"], counts["success"]) == (4, 0, 0)
     (cell,) = json.loads(hamilton_trials_json(result))["cells"]
     assert [t["stage_reached"] for t in cell["trials"]] == [STAGE_HC_BUDGET] * 4
+
+
+def repeat_a_color(cycle):
+    edges = list(cycle.edges)
+    edges[1] = ColoredEdge(edges[1].verts, edges[0].color)
+    return HamiltonCycle(cycle.vertices, tuple(edges))
+
+
+def swap_two_colors(cycle):
+    # still rainbow, but over two edges the sampled graph lacks
+    edges = list(cycle.edges)
+    edges[0], edges[1] = (ColoredEdge(edges[0].verts, edges[1].color),
+                          ColoredEdge(edges[1].verts, edges[0].color))
+    return HamiltonCycle(cycle.vertices, tuple(edges))
+
+
+@pytest.mark.parametrize("tamper", [repeat_a_color, swap_two_colors])
+def test_odd_trial_checks_the_lifted_cycle(monkeypatch, tamper):
+    # a wrong lifted cycle is a program error: the trial raises rather than
+    # report it as a success (or as an absence)
+    config = ExperimentConfig(kind="hamilton", ns=(7,), ms=(18,), trials=3, retries=2,
+                              master_seed=1)
+    stages = [r.value["stage_reached"] for r in hamilton_experiment(config).rows]
+    assert "success" in stages
+
+    def wrong_lift(hc, cmap, e):
+        lifted = lift_cycle(hc, cmap, e)
+        return None if lifted is None else tamper(lifted)
+
+    monkeypatch.setattr(experiments, "lift_cycle", wrong_lift)
+    with pytest.raises(RuntimeError, match="^lift: "):
+        hamilton_experiment(config)
 
 
 def test_odd_cell_without_edges_is_rejected():
