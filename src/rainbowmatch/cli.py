@@ -4,14 +4,17 @@ Subcommands: gen, count, solve, trace, threshold, mean-count, hamilton, plot.
 Run `rainbowmatch <subcommand> --help` for the per-command flags.  Exit codes:
 0 on success (for `solve`: a witness was found), 1 when `solve` proves
 absence, 2 for configuration or input errors (including a malformed instance
-document or an instance too large to build), 3 when a search budget ran out.
+document or an instance too large to build), 3 when a search budget ran out,
+4 for an internal error (its traceback goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+import traceback
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -23,7 +26,6 @@ from .count import (
     find_rainbow_pm,
     latin_transversal,
 )
-from .hamilton import DEFAULT_HC_BUDGET
 from .model import (
     RandomnessSpec,
     complete_colored,
@@ -67,12 +69,12 @@ def _write_text(text: str, out: str | None) -> None:
 
 def _add_run_flags(sub, hc_budget: bool = False) -> None:
     sub.add_argument("--trials", type=int, default=100)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--jobs", type=int, default=1)
-    sub.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
+    sub.add_argument("--seed", type=int, dest="master_seed")
+    sub.add_argument("--jobs", type=int)
+    sub.add_argument("--budget", type=int, dest="node_budget",
                      help="node budget per exact search")
     if hc_budget:
-        sub.add_argument("--hc-budget", type=int, default=DEFAULT_HC_BUDGET)
+        sub.add_argument("--hc-budget", type=int)
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--raw-out", default=None,
@@ -113,36 +115,45 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--budget", type=_positive_int, default=DEFAULT_NODE_BUDGET)
     solve.add_argument("--out", default=None)
 
-    trace = subs.add_parser("trace", help="run the edge-deletion process and "
-                            "emit per-step statistics")
-    trace.add_argument("--n", type=int, required=True)
-    trace.add_argument("--k", type=int, default=2)
-    trace.add_argument("--colors", type=int, default=None)
-    trace.add_argument("--steps", type=int, default=None, help="stop after this many deletions")
-    trace.add_argument("--event-k", type=float, default=100.0,
+    # An experiment flag's dest is the ExperimentConfig field it sets.  The
+    # experiment parsers suppress defaults, so a flag left out is absent from
+    # the parsed namespace and its field keeps the ExperimentConfig default.
+    no_default = argparse.SUPPRESS
+    trace = subs.add_parser("trace", argument_default=no_default,
+                            help="run the edge-deletion process and emit per-step statistics")
+    trace.add_argument("--n", type=_int_grid, dest="ns", required=True)
+    trace.add_argument("--k", type=int)
+    trace.add_argument("--colors", type=int, dest="kappa")
+    trace.add_argument("--steps", type=int, dest="t_max", help="stop after this many deletions")
+    trace.add_argument("--event-k", type=float, dest="event_abundance",
                        help="abundance scale for the flag thresholds")
     trace.add_argument("--summary-out", default=None,
                        help="also write the per-step aggregate CSV here")
     _add_run_flags(trace)
 
-    threshold = subs.add_parser("threshold", help="success probability over an (n, m) grid")
-    threshold.add_argument("--n", type=_int_grid, required=True, help="comma-separated n grid")
-    threshold.add_argument("--k", type=int, default=2)
-    threshold.add_argument("--colors", type=int, default=None)
-    threshold.add_argument("--m", type=_int_grid, required=True, help="comma-separated m grid")
+    threshold = subs.add_parser("threshold", argument_default=no_default,
+                                help="success probability over an (n, m) grid")
+    threshold.add_argument("--n", type=_int_grid, dest="ns", required=True,
+                           help="comma-separated n grid")
+    threshold.add_argument("--k", type=int)
+    threshold.add_argument("--colors", type=int, dest="kappa")
+    threshold.add_argument("--m", type=_int_grid, dest="ms", required=True,
+                           help="comma-separated m grid")
     _add_run_flags(threshold)
 
-    mean = subs.add_parser("mean-count", help="sample means of exact counts vs closed forms")
-    mean.add_argument("--n", type=_int_grid, required=True)
-    mean.add_argument("--k", type=int, default=2)
-    mean.add_argument("--colors", type=int, default=None)
+    mean = subs.add_parser("mean-count", argument_default=no_default,
+                           help="sample means of exact counts vs closed forms")
+    mean.add_argument("--n", type=_int_grid, dest="ns", required=True)
+    mean.add_argument("--k", type=int)
+    mean.add_argument("--colors", type=int, dest="kappa")
     _add_run_flags(mean)
 
-    ham = subs.add_parser("hamilton", help="rainbow Hamilton cycle pipelines")
-    ham.add_argument("--n", type=_int_grid, required=True)
-    ham.add_argument("--m", type=_int_grid, required=True)
-    ham.add_argument("--colors", type=int, default=None)
-    ham.add_argument("--retries", type=int, default=0,
+    ham = subs.add_parser("hamilton", argument_default=no_default,
+                          help="rainbow Hamilton cycle pipelines")
+    ham.add_argument("--n", type=_int_grid, dest="ns", required=True)
+    ham.add_argument("--m", type=_int_grid, dest="ms", required=True)
+    ham.add_argument("--colors", type=int, dest="kappa")
+    ham.add_argument("--retries", type=int,
                      help="independent attempts per trial (required for odd n)")
     _add_run_flags(ham, hc_budget=True)
 
@@ -240,21 +251,12 @@ _EXPERIMENTS = {
 
 def _cmd_experiment(args) -> int:
     kind = args.command
-    config = experiments.ExperimentConfig(
-        kind=kind,
-        ns=args.n if kind != "trace" else (args.n,),
-        k=getattr(args, "k", 2),
-        kappa=args.colors,
-        ms=getattr(args, "m", ()),
-        trials=args.trials,
-        master_seed=args.seed,
-        jobs=args.jobs,
-        node_budget=args.budget,
-        hc_budget=getattr(args, "hc_budget", DEFAULT_HC_BUDGET),
-        t_max=getattr(args, "steps", None),
-        retries=getattr(args, "retries", 0),
-        event_abundance=getattr(args, "event_k", 100.0),
-    )
+    parsed = vars(args)
+    config = experiments.ExperimentConfig(kind=kind, **{
+        field.name: parsed[field.name]
+        for field in dataclasses.fields(experiments.ExperimentConfig)
+        if field.name in parsed
+    })
     driver, csv_emitter, json_emitter = _EXPERIMENTS[kind]
     raw_out = nullcontext() if args.raw_out is None else open(args.raw_out, "a", encoding="utf-8")
     with raw_out as raw:
@@ -302,6 +304,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"rainbowmatch: error: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # a program error must not read as solve's "absent"
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

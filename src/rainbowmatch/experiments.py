@@ -71,7 +71,6 @@ __all__ = [
     "ExperimentConfig",
     "TrialRow",
     "ExperimentResult",
-    "STAGE_LIFT_FAILED",
     "threshold_scan",
     "threshold_table",
     "threshold_csv",

@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .count import BudgetExceededError, DEFAULT_NODE_BUDGET, _Search, find_rainbow_pm
 from .model import GRAPH, ColoredEdge, ColoredHypergraph, Matching
@@ -99,27 +99,15 @@ class ColoredMultigraph:
                 raise ValueError(f"bad color in {e}")
         object.__setattr__(self, "edges", edges)
 
-    def degree_sequence(self) -> dict[int, int]:
-        deg = {v: 0 for v in range(1, self.n + 1)}
-        for e in self.edges:
-            deg[e.verts[0]] += 1
-            deg[e.verts[1]] += 1
-        return deg
-
-    def color_multiplicities(self) -> Counter:
-        return Counter(e.color for e in self.edges)
-
 
 @dataclass(frozen=True)
 class HamiltonCycle:
-    """vertices is the cyclic order (each vertex once, starting at vertex 1);
-    edges[i] joins vertices[i] and vertices[(i+1) % n]."""
+    """vertices is the cyclic order (each vertex once, starting at vertex 1
+    and going on to the smaller of its two neighbors); edges[i] joins
+    vertices[i] and vertices[(i+1) % n]."""
 
     vertices: tuple[int, ...]
     edges: tuple[ColoredEdge, ...]
-
-    def colors(self) -> tuple[int, ...]:
-        return tuple(e.color for e in self.edges)
 
 
 def _host_view(G) -> tuple[int, tuple[ColoredEdge, ...]]:
@@ -153,14 +141,23 @@ def is_rainbow_hamilton_cycle(G, cycle: HamiltonCycle) -> bool:
     return len(colors) == len(set(colors))
 
 
-def _canonical_cycle(path: list[int], edges: list[ColoredEdge]) -> HamiltonCycle:
-    # path starts at vertex 1 by construction; fix the direction so the
-    # second vertex is the smaller neighbor of 1, making output orientation
-    # independent of search details.
-    if len(path) > 2 and path[1] > path[-1]:
-        path = [path[0]] + path[:0:-1]
-        edges = edges[::-1]
-    return HamiltonCycle(tuple(path), tuple(edges))
+def _cycle_of(n: int, edges: Sequence[ColoredEdge]) -> HamiltonCycle:
+    """The Hamilton cycle on [1..n] whose edge set is edges, walked from
+    vertex 1 towards the smaller of its two neighbors, so the form depends
+    only on the edge set."""
+    ends: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    for i, e in enumerate(edges):
+        u, v = e.verts
+        ends[u].append((v, i))
+        ends[v].append((u, i))
+    at, came = min(ends[1])
+    vertices, order = [1], [came]
+    while at != 1:
+        vertices.append(at)
+        (a, i), (b, j) = ends[at]
+        at, came = (b, j) if i == came else (a, i)
+        order.append(came)
+    return HamiltonCycle(tuple(vertices), tuple(edges[i] for i in order))
 
 
 def find_rainbow_hc(G, budget: int = DEFAULT_HC_BUDGET) -> HamiltonCycle | None:
@@ -174,8 +171,8 @@ def find_rainbow_hc(G, budget: int = DEFAULT_HC_BUDGET) -> HamiltonCycle | None:
     each color at most one, and no chosen edges closing a cycle shorter than
     n.  It branches on the column with the fewest spare live edges; on a
     vertex that still needs both of its edges, on taking its lowest live edge
-    or dropping it.  The chosen edges are walked from vertex 1 into the
-    cycle."""
+    or dropping it.  The cycle returned is the chosen edge set in the form
+    _cycle_of gives it."""
     n, _ = _host_view(G)
     if n < 3:
         raise ValueError("Hamilton cycles need n >= 3")
@@ -183,20 +180,7 @@ def find_rainbow_hc(G, budget: int = DEFAULT_HC_BUDGET) -> HamiltonCycle | None:
     search.run()
     if search.found is None:
         return None
-    nbrs: dict[int, list[tuple[int, ColoredEdge]]] = {v: [] for v in range(1, n + 1)}
-    for e in search.found:
-        u, v = e.verts
-        nbrs[u].append((v, e))
-        nbrs[v].append((u, e))
-    path, edges, prev = [1], [], 0
-    while len(edges) < n:
-        (v, e), other = nbrs[path[-1]]
-        if v == prev:
-            v, e = other
-        prev = path[-1]
-        path.append(v)
-        edges.append(e)
-    return _canonical_cycle(path[:-1], edges)
+    return _cycle_of(n, search.found)
 
 
 # -- even-n assembly ----------------------------------------------------------
@@ -382,16 +366,17 @@ def lift_cycle(
     distinct original endpoints (one at x, one at y); returns None otherwise.
     When a xi-edge has parallel same-colored copies from both sides, any
     assignment making the endpoints distinct is taken: all copies exist in the
-    original graph, so the lifted cycle is valid either way.  The result is
-    rainbow for free: e's color class was deleted before the cycle was found.
+    original graph, so the lifted cycle is valid either way.  Each cycle edge
+    is then mapped back, ordinary vertices through new_to_old and xi to the
+    endpoint its edge was traced to, and e closes the gap; the result is the
+    mapped edge set in the form _cycle_of gives it.  It is rainbow for free:
+    e's color class was deleted before the cycle was found.
     """
     x, y = e.verts
-    n_prime = len(hc.vertices)
-    if cmap.xi not in hc.vertices:
+    xi_edges = [g for g in hc.edges if cmap.xi in g.verts]
+    if not xi_edges:
         raise ValueError("cycle does not visit the contracted vertex")
-    pos = hc.vertices.index(cmap.xi)
-    edge_in = hc.edges[(pos - 1) % n_prime]
-    edge_out = hc.edges[pos]
+    first, second = xi_edges
 
     def sides(g: ColoredEdge) -> set[int]:
         # g is (w', xi) with w' < xi; its origins are (w, x) and (w, y) in c(g)
@@ -399,38 +384,19 @@ def lift_cycle(
         return {z for z in (x, y)
                 if ColoredEdge((min(w, z), max(w, z)), g.color) in cmap.host_edges}
 
-    in_sides, out_sides = sides(edge_in), sides(edge_out)
-    if x in in_sides and y in out_sides:
-        attach_in, attach_out = x, y
-    elif y in in_sides and x in out_sides:
-        attach_in, attach_out = y, x
+    first_sides, second_sides = sides(first), sides(second)
+    if x in first_sides and y in second_sides:
+        xi_ends = iter((x, y))
+    elif y in first_sides and x in second_sides:
+        xi_ends = iter((y, x))
     else:
         return None
-
-    def lift_edge(g: ColoredEdge, xi_end: int | None) -> ColoredEdge:
+    # xi = n' is the largest contracted vertex, so it is the second end of
+    # each xi-edge; the xi-edges meet xi_ends in cycle order.
+    lifted = [e]
+    for g in hc.edges:
         u, v = g.verts
-        lu = cmap.new_to_old[u] if u != cmap.xi else xi_end
-        lv = cmap.new_to_old[v] if v != cmap.xi else xi_end
-        return ColoredEdge(tuple(sorted((lu, lv))), g.color)
-
-    # Walk the contracted cycle starting at xi, replacing it by the two
-    # original endpoints joined through e.  Interior edges never touch xi
-    # (it appears once in the cycle), so only the two boundary edges need an
-    # endpoint substituted.
-    verts: list[int] = [attach_in, attach_out]
-    edges: list[ColoredEdge] = [
-        ColoredEdge(tuple(sorted((x, y))), e.color),
-        lift_edge(edge_out, attach_out),
-    ]
-    for i in range(1, n_prime):
-        v = hc.vertices[(pos + i) % n_prime]
-        verts.append(cmap.new_to_old[v])
-        g = hc.edges[(pos + i) % n_prime]
-        edges.append(lift_edge(g, attach_in if i == n_prime - 1 else None))
-
-    # rotate so vertex 1 leads, keeping edge alignment (edges[i] joins
-    # verts[i] and verts[i+1])
-    shift = verts.index(1)
-    verts = verts[shift:] + verts[:shift]
-    edges = edges[shift:] + edges[:shift]
-    return _canonical_cycle(verts, edges)
+        w = next(xi_ends) if v == cmap.xi else cmap.new_to_old[v]
+        u = cmap.new_to_old[u]
+        lifted.append(ColoredEdge((min(u, w), max(u, w)), g.color))
+    return _cycle_of(len(hc.vertices) + 1, lifted)

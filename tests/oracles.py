@@ -21,7 +21,7 @@ from rainbowmatch.count import BudgetExceededError, DEFAULT_NODE_BUDGET, count_r
 from rainbowmatch.hamilton import (
     DEFAULT_HC_BUDGET,
     HamiltonCycle,
-    _canonical_cycle,
+    _cycle_of,
     _host_view,
 )
 from rainbowmatch.model import PARTITE, ColoredHypergraph, PartiteVertex, restrict
@@ -146,7 +146,7 @@ def find_rainbow_hc_by_extension(G, budget: int = DEFAULT_HC_BUDGET) -> Hamilton
     all_bits = (1 << n) - 1
     nodes = 0
     # (head, visited, used colors, the edges the parent left live, path as
-    # nested (vertex, edge index, rest) back to start)
+    # nested (edge index, rest) back to start)
     stack = [(start, start_bit, 0, bit_edges, None)]
     pop, push = stack.pop, stack.append
     while stack:
@@ -158,13 +158,11 @@ def find_rainbow_hc_by_extension(G, budget: int = DEFAULT_HC_BUDGET) -> Hamilton
         if depth == n:
             for v, _, cbit, idx in adj[head]:
                 if v == start and not cbit & colors:
-                    vertices, edges = [], [host_edges[idx]]
+                    edges = [host_edges[idx]]
                     while path:
-                        v, idx, path = path
-                        vertices.append(v)
+                        idx, path = path
                         edges.append(host_edges[idx])
-                    vertices.append(start)
-                    return _canonical_cycle(vertices[::-1], edges[::-1])
+                    return _cycle_of(n, edges)
             continue
         # An edge is live when its color is unused and neither endpoint is an
         # interior visited vertex (head and start stay usable: the remaining
@@ -213,5 +211,5 @@ def find_rainbow_hc_by_extension(G, budget: int = DEFAULT_HC_BUDGET) -> Hamilton
             continue
         for v, vbit, cbit, idx in reversed(adj[head]):
             if not (vbit & visited or cbit & colors):
-                push((v, visited | vbit, colors | cbit, live, (v, idx, path)))
+                push((v, visited | vbit, colors | cbit, live, (idx, path)))
     return None

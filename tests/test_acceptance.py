@@ -59,6 +59,7 @@ from rainbowmatch.process import (
     weight_profile,
 )
 
+from helpers import color_counts, degrees
 from oracles import count_uniform_pm, reduce_to_uniform
 
 
@@ -405,8 +406,8 @@ def test_criterion_08_hamilton_assembly_invariants():
             stages[plan.stage_reached] += 1
             if plan.failure_stage is None:
                 assert hc is not None
-                assert set(plan.union_graph.degree_sequence().values()) == {8}
-                assert set(plan.union_graph.color_multiplicities().values()) == {4}
+                assert set(degrees(plan.union_graph)) == {8}
+                assert set(color_counts(plan.union_graph)) == {4}
                 assert is_rainbow_hamilton_cycle(plan.union_graph, hc)
                 organic += 1
             else:
@@ -424,8 +425,8 @@ def test_criterion_08_hamilton_assembly_invariants():
     # the same invariants exercised non-vacuously on hand-planted unions
     for n in (8, 10, 12):
         G = planted_union(n)
-        assert set(G.degree_sequence().values()) == {8}
-        assert set(G.color_multiplicities().values()) == {4}
+        assert set(degrees(G)) == {8}
+        assert set(color_counts(G)) == {4}
         hc = find_rainbow_hc(G)
         assert hc is not None
         assert is_rainbow_hamilton_cycle(G, hc)

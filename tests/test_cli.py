@@ -4,7 +4,9 @@ import os
 import xml.etree.ElementTree as ET
 from concurrent.futures import Future
 
-from rainbowmatch import experiments
+import pytest
+
+from rainbowmatch import cli, experiments
 from rainbowmatch.cli import main
 from rainbowmatch.count import is_perfect_matching, is_rainbow
 from rainbowmatch.model import ColoredEdge, Matching, load_instance
@@ -100,6 +102,27 @@ def test_solve_latin(tmp_path, capsys):
 def test_solve_requires_exactly_one_input(capsys):
     code, _, err = run(capsys, "solve")
     assert code == 2 and "exactly one" in err
+
+
+@pytest.mark.parametrize("error", [RuntimeError("lost an edge"), KeyError("boom")])
+def test_internal_error_exits_4(tmp_path, capsys, monkeypatch, error):
+    # a crash is not a proof of absence: exit 4 with the traceback on stderr,
+    # never solve's exit 1 with empty stdout
+    path = tmp_path / "inst.json"
+    assert run(capsys, "gen", "--n", "3", "--m", "5", "--out", str(path))[0] == 0
+
+    def crash(H, budget):
+        raise error
+
+    monkeypatch.setattr(cli, "find_rainbow_pm", crash)
+    code, out, err = run(capsys, "solve", str(path))
+    assert (code, out) == (4, "")
+    assert err.startswith("Traceback") and f"{type(error).__name__}: {error}" in err
+
+
+def test_trace_runs_one_n(capsys):
+    code, out, err = run(capsys, "trace", "--n", "2,3", "--trials", "1")
+    assert (code, out) == (2, "") and "one n at a time" in err
 
 
 def test_trace_headers(tmp_path, capsys):

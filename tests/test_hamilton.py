@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from rainbowmatch import experiments
+from rainbowmatch import experiments, hamilton
 from rainbowmatch.count import BudgetExceededError, _Search
 from rainbowmatch.experiments import (
     ExperimentConfig,
@@ -20,6 +20,8 @@ from rainbowmatch.hamilton import (
     HamiltonCycle,
     STAGE_CLASS_TOO_SMALL,
     STAGE_HC_BUDGET,
+    STAGE_MATCHING_BUDGET,
+    STAGE_SUCCESS,
     assemble_even,
     contract_color_delete,
     find_rainbow_hc,
@@ -30,12 +32,14 @@ from rainbowmatch.model import (
     ColoredEdge,
     ColoredHypergraph,
     GRAPH,
+    PARTITE,
+    Matching,
     RandomnessSpec,
     complete_colored,
     sample_colored_graph,
 )
 
-from helpers import edge_by_verts
+from helpers import color_counts, degrees, edge_by_verts
 from oracles import find_rainbow_hc_by_extension
 
 
@@ -59,8 +63,8 @@ def multigraph(n, kappa, pairs_with_colors):
 def test_multigraph_allows_parallel_edges():
     G = multigraph(3, 3, [((1, 2), 1), ((1, 2), 2), ((2, 3), 3)])
     assert len(G.edges) == 3
-    assert G.degree_sequence() == {1: 2, 2: 3, 3: 1}
-    assert G.color_multiplicities() == Counter({1: 1, 2: 1, 3: 1})
+    assert degrees(G) == [2, 3, 1]
+    assert color_counts(G) == [1, 1, 1]
 
 
 def test_multigraph_rejects_self_loops_and_bad_colors():
@@ -84,7 +88,7 @@ def test_triangle_found_and_canonical():
     assert hc.vertices[0] == 1
     assert hc.vertices[1] < hc.vertices[-1]
     assert is_rainbow_hamilton_cycle(G, hc)
-    assert sorted(hc.colors()) == [1, 2, 3]
+    assert sorted(e.color for e in hc.edges) == [1, 2, 3]
 
 
 def test_triangle_repeated_color_absent():
@@ -125,6 +129,42 @@ def test_validator_checks_multiplicity_on_multigraphs():
     G = multigraph(4, 4, [((1, 2), 1), ((2, 3), 2), ((3, 4), 3), ((1, 4), 4)])
     hc = find_rainbow_hc(G)
     assert hc is not None and is_rainbow_hamilton_cycle(G, hc)
+
+
+C5 = graph(5, 5, [((1, 2), 1), ((2, 3), 2), ((3, 4), 3), ((4, 5), 4), ((1, 5), 5)])
+PARTITE_K4 = complete_colored(4, 2, 4, rng(2))
+WITH_ABSENT = ColoredHypergraph(GRAPH, 4, 2, 4, (ColoredEdge((1, 2), 1),), frozenset({4}))
+TRIANGLE = HamiltonCycle((1, 2, 3), (ColoredEdge((1, 2), 1), ColoredEdge((2, 3), 2),
+                                     ColoredEdge((1, 3), 3)))
+
+
+def lift_without_xi():
+    e = edge_by_verts(C5, (4, 5))
+    _, cmap = contract_color_delete(C5, e)  # xi = 4, which TRIANGLE misses
+    return lift_cycle(TRIANGLE, cmap, e)
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: find_rainbow_hc(PARTITE_K4), ValueError("graph-mode")),
+    (lambda: find_rainbow_hc(WITH_ABSENT), ValueError("all vertices active")),
+    (lambda: find_rainbow_hc(TRIANGLE), TypeError("unsupported host HamiltonCycle")),
+    (lambda: contract_color_delete(PARTITE_K4, PARTITE_K4.edges[0]), ValueError("graph-mode")),
+    (lambda: contract_color_delete(WITH_ABSENT, WITH_ABSENT.edges[0]),
+     ValueError("all vertices active")),
+    (lambda: contract_color_delete(C5, ColoredEdge((1, 3), 1)), ValueError("not an edge")),
+    (lambda: contract_color_delete(graph(2, 1, [((1, 2), 1)]), ColoredEdge((1, 2), 1)),
+     ValueError("n >= 3")),
+    (lift_without_xi, ValueError("does not visit the contracted vertex")),
+    (lambda: is_rainbow_hamilton_cycle(C5, HamiltonCycle((1, 2, 3, 4, 5), C5.edges[:4])),
+     False),
+], ids=["host-partite", "host-absent", "host-type", "contract-partite", "contract-absent",
+        "contract-foreign-edge", "contract-small-n", "lift-without-xi", "validator-edge-count"])
+def test_refusals(call, expected):
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected), match=str(expected)):
+            call()
+    else:
+        assert call() == expected
 
 
 def brute_rainbow_hc_count(G):
@@ -270,8 +310,10 @@ HC_PINNED = [
 def test_search_tree_pinned():
     for G, (vertices, colors, nodes) in zip(hc_pinned_instances(), HC_PINNED, strict=True):
         hc = find_rainbow_hc(G, budget=nodes)
-        assert ((None, None) if hc is None else (hc.vertices, hc.colors())) == (vertices, colors)
-        if hc is not None:
+        if hc is None:
+            assert (vertices, colors) == (None, None)
+        else:
+            assert (hc.vertices, tuple(e.color for e in hc.edges)) == (vertices, colors)
             assert is_rainbow_hamilton_cycle(G, hc)
         if nodes > 1:
             with pytest.raises(BudgetExceededError) as info:
@@ -340,8 +382,8 @@ def test_synthetic_union_invariants_and_search():
     slots = [pair for f in factors for pair in f]
     edges = [ColoredEdge(pair, (idx % n) + 1) for idx, pair in enumerate(slots)]
     G = ColoredMultigraph(n, n, tuple(edges))
-    assert set(G.degree_sequence().values()) == {8}
-    assert set(G.color_multiplicities().values()) == {4}
+    assert set(degrees(G)) == {8}
+    assert set(color_counts(G)) == {4}
     hc = find_rainbow_hc(G)
     if hc is not None:
         assert is_rainbow_hamilton_cycle(G, hc)
@@ -359,7 +401,7 @@ def test_planted_cycle_union_is_found():
     filler = [pair for f in round_robin_factors(n)[:6] for pair in f]
     edges += [ColoredEdge(pair, (idx % n) + 1) for idx, pair in enumerate(filler)]
     G = ColoredMultigraph(n, n, tuple(edges))
-    assert set(G.degree_sequence().values()) == {8}
+    assert set(degrees(G)) == {8}
     hc = find_rainbow_hc(G)
     assert hc is not None
     assert is_rainbow_hamilton_cycle(G, hc)
@@ -427,11 +469,71 @@ def test_assemble_stage_accounting_over_seeds():
         plan, hc = assemble_even(G, rnd)
         stages[plan.stage_reached] += 1
         if plan.union_graph is not None:
-            assert set(plan.union_graph.degree_sequence().values()) == {8}
-            assert set(plan.union_graph.color_multiplicities().values()) == {4}
+            assert set(degrees(plan.union_graph)) == {8}
+            assert set(color_counts(plan.union_graph)) == {4}
         if hc is not None:
             assert is_rainbow_hamilton_cycle(plan.union_graph, hc)
     assert sum(stages.values()) == 25
+
+
+class PlannedRandom:
+    """Stands in for the assembly's random source: randint hands out the
+    planned labels one by one and shuffle puts the pairs in the planned
+    order."""
+
+    def __init__(self, labels, pairs):
+        self.labels = iter(labels)
+        self.pairs = pairs
+
+    def randint(self, low, high):
+        return next(self.labels)
+
+    def shuffle(self, items):
+        items[:] = self.pairs
+
+
+def planted_assembly():
+    """K10 minus one factor of its round-robin factorization (40 edges), and a
+    random source planning matching i's five edges onto the five (color,
+    label) pairs of block i, so each edge class is one of the matchings."""
+    n = 10
+    factors = round_robin_factors(n)[:8]
+    pairs = [(c, l) for c in range(1, n + 1) for l in range(1, 5)]
+    label, matchings = {}, []
+    for i, factor in enumerate(factors):
+        block = pairs[5 * i : 5 * i + 5]
+        edges = [ColoredEdge(p, c) for p, (c, _) in zip(factor, block)]
+        label.update((e, l) for e, (_, l) in zip(edges, block))
+        matchings.append(Matching(tuple(sorted(edges))))
+    G = ColoredHypergraph(GRAPH, n, 2, n, tuple(label))
+    return G, PlannedRandom([label[e] for e in G.edges], pairs), matchings
+
+
+def test_planted_assembly_reaches_success():
+    G, rnd, matchings = planted_assembly()
+    plan, hc = assemble_even(G, rnd)
+    assert plan.stage_reached == STAGE_SUCCESS
+    assert plan.class_sizes == (5,) * 8
+    assert plan.matchings == tuple(matchings)
+    assert set(degrees(plan.union_graph)) == {8}
+    assert set(color_counts(plan.union_graph)) == {4}
+    assert hc is not None and is_rainbow_hamilton_cycle(G, hc)
+    G, rnd, _ = planted_assembly()
+    plan, hc = assemble_even(G, rnd, matching_budget=1)
+    assert (plan.stage_reached, hc) == (STAGE_MATCHING_BUDGET, None)
+
+
+def test_union_search_checks_its_cycle(monkeypatch):
+    # a wrong cycle from the union search is a program error, never a success
+    G, rnd, _ = planted_assembly()
+    found = find_rainbow_hc
+
+    def wrong_search(union, budget):
+        return repeat_a_color(found(union, budget=budget))
+
+    monkeypatch.setattr(hamilton, "find_rainbow_hc", wrong_search)
+    with pytest.raises(RuntimeError, match="^union search: "):
+        assemble_even(G, rnd)
 
 
 # -- contraction and lifting
