@@ -152,7 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="rainbow Hamilton cycle pipelines")
     ham.add_argument("--n", type=_int_grid, dest="ns", required=True)
     ham.add_argument("--m", type=_int_grid, dest="ms", required=True)
-    ham.add_argument("--colors", type=int, dest="kappa")
     ham.add_argument("--retries", type=int,
                      help="independent attempts per trial (required for odd n)")
     _add_run_flags(ham, hc_budget=True)

@@ -45,10 +45,7 @@ kernel has found one witness, so a zero count is still proved by the pruned
 search.  Graph-mode counts have no part-1 side and stay on the search kernel.
 The same layer function, run over every part-1 vertex with one vertex allowed
 to stay uncovered, tallies the rainbow near-perfect matchings (_near_layers)
-that the deletion process's weight rows are written from (_WeightTally): each
-one counts in the row of the tuple it leaves uncovered, at every color it
-leaves unused.  After each deletion the tally runs that loop again over the
-edges compatible with the deleted one and subtracts the matchings it removed.
+that the deletion process writes its weight rows from (process._DeletionState).
 
 For bipartite instances whose color count equals n there is one more,
 independent counting route via inclusion-exclusion over color subsets and
@@ -63,7 +60,6 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Iterable, Sequence
 
 from .model import (
@@ -257,15 +253,6 @@ class _Search:
                 vertex_cols[v] = vertex_cols.get(v, 0) | ebit
             color_cols[cbit] = color_cols.get(cbit, 0) | ebit
             ebit <<= 1
-        # per edge: the live edges its choice keeps when it saturates both of
-        # its vertices (those sharing no vertex and no color with it) and the
-        # vertices it covers
-        moves = []
-        for (vmask, cbit, _), verts in zip(items, edge_verts):
-            conflict = color_cols[cbit]
-            for v in verts:
-                conflict |= vertex_cols[v]
-            moves.append((~conflict, vmask))
         vcols = sorted(vertex_cols.items())  # low bit first
         if len(vcols) < all_active.bit_count():
             # some active vertex has no edge: a column without edges over all
@@ -274,11 +261,6 @@ class _Search:
         ccols = [col for _, col in sorted(color_cols.items())]
         exact = len(ccols) * per_edge == all_active.bit_count() + twice.bit_count()
         cycle = twice != 0
-        if cycle:
-            # what a taken edge keeps of its own color's column, and of a
-            # saturated vertex's
-            ckeep = [~color_cols[cbit] for _, cbit, _ in items]
-            vkeep = {v: ~col for v, col in vertex_cols.items()}
         find_one, budget = self.find_one, self.budget
         nodes = count = 0
         # (live edges, vertices still short of an edge, those short of two,
@@ -343,25 +325,26 @@ class _Search:
                     while cands:
                         i = cands.bit_length() - 1
                         cands ^= 1 << i
-                        keep, covers = moves[i]
-                        if not cycle:
-                            push((live & keep, uncovered ^ covers, 0, None, (i, chosen)))
-                            continue
+                        # the edge kills its color and the columns of the
+                        # vertices it saturates
+                        covers, cbit, _ = items[i]
                         saturated = covers & ~twice
-                        if saturated != covers:
-                            keep = ckeep[i]
-                            if saturated:
-                                keep &= vkeep[saturated]
-                        # the new fragment's ends may no longer be joined,
-                        # unless it spans every vertex: then this edge leaves
-                        # a demand of 2, the closing edge's
-                        u, v = edge_verts[i]
-                        a, b = ends[u], ends[v]
-                        if demand > 4:
-                            keep &= ~(vertex_cols[a] & vertex_cols[b])
-                        ends_after = ends.copy()
-                        ends_after[a], ends_after[b] = b, a
-                        push((live & keep, uncovered ^ saturated, twice & ~covers,
+                        kill = color_cols[cbit]
+                        for v in edge_verts[i]:
+                            if v & saturated:
+                                kill |= vertex_cols[v]
+                        ends_after = None
+                        if cycle:
+                            # the new fragment's ends may no longer be joined,
+                            # unless it spans every vertex: then this edge
+                            # leaves a demand of 2, the closing edge's
+                            u, v = edge_verts[i]
+                            a, b = ends[u], ends[v]
+                            if demand > 4:
+                                kill |= vertex_cols[a] & vertex_cols[b]
+                            ends_after = ends.copy()
+                            ends_after[a], ends_after[b] = b, a
+                        push((live & ~kill, uncovered ^ saturated, twice & ~covers,
                               ends_after, (i, chosen)))
         self.nodes = nodes
         self.count = count
@@ -430,73 +413,6 @@ def _near_layers(lists: Iterable[list[int]], budget: int) -> tuple[dict[int, int
             raise BudgetExceededError(f"node budget {budget} exceeded", nodes)
         full, nodes = _grow(full, edges, nodes, budget)
     return near, nodes
-
-
-class _WeightTally:
-    """The weight rows of a partite instance, written from its rainbow
-    near-perfect matchings and kept exact under edge deletions.
-
-    rows maps every active tuple v, in `product` order over the active parts
-    (process._walk_groups reads its groups as stride slices of that order),
-    to [w(v, c) for c in 1..kappa]: the rainbow near-perfect matchings that
-    leave exactly v uncovered and do not use color c.  The constructor
-    tallies them all (_near_layers over the packed edge lists,
-    _packed_lists); delete(e) removes e from its part-1 vertex's list and
-    subtracts only the ones through e: e plus a near-perfect matching of the
-    other part-1 vertices whose edges share no vertex and no color with e,
-    built by the same layer loop.  nodes is the number of states the last
-    tally built, all counted against budget.  Every state a delta builds,
-    with e added once the loop has passed e's part-1 vertex, is also built
-    by the full tally of the instance before the deletion (from the matching
-    parent by the same edge), so no delta builds more states than that.
-    delete assumes the active parts have equal sizes.
-    """
-
-    def __init__(self, H: ColoredHypergraph, budget: int):
-        self.active, edge_items, feasible = _kernel_setup(H)
-        self.budget = budget
-        self.shift = shift = H.n * H.k
-        self.colors = (1 << H.kappa) - 1
-        self.lists = _packed_lists(H, self.active, edge_items)
-        # each edge's packed int and its part-1 vertex's list (the lowest bit
-        # of its vertex mask is that vertex)
-        self.packed = {
-            e: (vmask | cbit << shift, self.lists[vmask & -vmask])
-            for vmask, cbit, e in edge_items
-        }
-        # each tuple's row, also under the tuple's vertex mask for _add
-        self.parts = [H.part_active(p) for p in range(1, H.k + 1)]
-        self.rows, self.row_of = {}, {}
-        for verts in product(*self.parts):
-            row = self.rows[verts] = [0] * H.kappa
-            self.row_of[sum(1 << (p * H.n + i - 1) for p, i in enumerate(verts))] = row
-        self.nodes = 0
-        if feasible:
-            near, self.nodes = _near_layers(self.lists.values(), budget)
-            self._add(near, 0, 1)
-
-    def _add(self, near: dict[int, int], edge: int, sign: int) -> None:
-        # each state plus edge, sign times, into the row of the tuple it
-        # leaves uncovered, at every color it leaves unused
-        row_of, active, shift, colors = self.row_of, self.active, self.shift, self.colors
-        for state, ways in near.items():
-            state |= edge
-            row = row_of[active & ~state]
-            ways *= sign
-            free = colors & ~(state >> shift)
-            while free:
-                low = free & -free
-                row[low.bit_length() - 1] += ways
-                free ^= low
-
-    def delete(self, e: ColoredEdge) -> None:
-        packed, own = self.packed.pop(e)
-        own.remove(packed)
-        others = [
-            [x for x in edges if not x & packed] for edges in self.lists.values() if edges is not own
-        ]
-        near, self.nodes = _near_layers(others, self.budget)
-        self._add(near, packed, -1)
 
 
 # Most entries the split count's half table may keep (about 70 bytes each).

@@ -19,20 +19,20 @@ summing that weight over all remaining edges counts each matching n times.
 The whole weight table comes from one tally: a rainbow perfect matching of
 the instance minus v's vertices is a rainbow near-perfect matching of the
 instance that leaves exactly v uncovered, and it avoids c iff it does not use
-c.  So the near-perfect matchings are built layer by layer, and each one is
-added straight into the row of the tuple it leaves uncovered, at every color
-it leaves unused (`count._WeightTally`).  A count phi is then the sum of the
-edge weights divided by n.  `weight_profile` returns that table for any
-partite instance.
+c.  So the near-perfect matchings are built layer by layer (`count._grow`),
+and each one is added straight into the row of the tuple it leaves
+uncovered, at every color it leaves unused.  A count phi is then the sum of
+the edge weights divided by n.  `_DeletionState` owns those rows;
+`weight_profile` returns them as a table for any partite instance.
 
-The process runs that full tally once, at step 0, and carries its state (the
+The process runs that full tally once, at step 0, and carries the state (the
 weight rows, the packed edge lists, the vertex and color degrees, the live
-edges; `_DeletionState`) from step to step.  Deleting edge e removes exactly
-the near-perfect matchings through e, so a later step tallies only those:
-the same layer loop over the other part-1 vertices' edges that share no
-vertex and no color with e.  Each one is subtracted from its leftover tuple's
-row, and the step builds no instance.  No delta builds more states than
-step 0's tally, so a budget step 0 fits in holds for the whole trace.
+edges) from step to step.  Deleting edge e removes exactly the near-perfect
+matchings through e, so a later step tallies only those: the same layer loop
+over the other part-1 vertices' edges that share no vertex and no color with
+e.  Each one is subtracted from its leftover tuple's row, and the step builds
+no instance.  No delta builds more states than step 0's tally, so a budget
+step 0 fits in holds for the whole trace.
 
 Flags per step (wire names B, R, C in the trace CSV):
 
@@ -43,11 +43,10 @@ Flags per step (wire names B, R, C in the trace CSV):
   fraction of the current count and twice a one-sided majority median.
 
 `run_deletion_process` is the one place the flags are computed, in integers
-(cross-multiplied, never in Fraction).  Flag C comes from one walk of the
-weight table laid out as one row of color weights per active tuple
-(`_walk_groups`): a group fails only when its max beats both bounds, so the
-walk keeps the largest max above twice its median, and the flag compares
-that one integer to the count.
+(cross-multiplied or floored, never in Fraction).  Flag C is one predicate
+over the weight rows (`_median_capped`): a weight is an int, so it exceeds
+phi / (2^k n^k) iff it exceeds that bound's floor, and the predicate stops at
+the first group whose max beats both the floor and twice its median.
 
 The dyadic interval machinery at the bottom is independent of the process: it
 locates, for any positive weight vector with near-maximal entropy, a short
@@ -59,9 +58,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .count import BudgetExceededError, DEFAULT_NODE_BUDGET, _WeightTally
+from .count import (
+    BudgetExceededError,
+    DEFAULT_NODE_BUDGET,
+    _kernel_setup,
+    _near_layers,
+    _packed_lists,
+)
 from .model import PARTITE, ColoredEdge, ColoredHypergraph, degree_profile
 
 __all__ = [
@@ -126,22 +132,73 @@ def _check_partite(H: ColoredHypergraph) -> None:
 
 
 class _DeletionState:
-    """What the deletion process carries from step to step: the weight tally
-    (`_WeightTally`, whose rows it reads), one degree count per vertex and
-    per color, and the live edges, each with its row and color index.
-    delete(e) takes e out of all three, so the rows stay exact without a
-    rebuilt instance.
+    """The weight rows of a partite instance, written from its rainbow
+    near-perfect matchings and kept exact under edge deletions, with what
+    the deletion process reads next to them.
+
+    rows maps every active tuple v, in `product` order over the active parts
+    (`_median_capped` reads its groups as stride slices of that order), to
+    [w(v, c) for c in 1..kappa]: the rainbow near-perfect matchings that
+    leave exactly v uncovered and do not use color c.  The constructor
+    tallies them all (`count._near_layers` over the packed edge lists,
+    `count._packed_lists`).  live maps each edge to its packed int, its
+    part-1 vertex's list, its row and its color index; deg and cdeg are the
+    vertex and color degrees.  delete(e) takes e out of all of these and
+    subtracts only the matchings through e: e plus a near-perfect matching
+    of the other part-1 vertices whose edges share no vertex and no color
+    with e, built by the same layer loop.  nodes is the number of states the
+    last tally built, all counted against budget.  Every state a delta
+    builds, with e added once the loop has passed e's part-1 vertex, is also
+    built by the full tally of the instance before the deletion (from the
+    matching parent by the same edge), so no delta builds more states than
+    that.  delete assumes the active parts have equal sizes.
     """
 
     def __init__(self, H: ColoredHypergraph, budget: int):
-        self.tally = _WeightTally(H, budget)
-        self.rows = self.tally.rows
-        self.live = {e: (self.rows[e.verts], e.color - 1) for e in H.edges}
+        self.active, edge_items, feasible = _kernel_setup(H)
+        self.budget = budget
+        self.shift = shift = H.n * H.k
+        self.colors = (1 << H.kappa) - 1
+        self.lists = _packed_lists(H, self.active, edge_items)
+        # each tuple's row, also under the tuple's vertex mask for _add
+        self.parts = [H.part_active(p) for p in range(1, H.k + 1)]
+        self.rows, self.row_of = {}, {}
+        for verts in product(*self.parts):
+            row = self.rows[verts] = [0] * H.kappa
+            self.row_of[sum(1 << (p * H.n + i - 1) for p, i in enumerate(verts))] = row
+        # the lowest bit of an edge's vertex mask is its part-1 vertex
+        self.live = {
+            e: (vmask | cbit << shift, self.lists[vmask & -vmask], self.rows[e.verts], e.color - 1)
+            for vmask, cbit, e in edge_items
+        }
         self.deg, self.cdeg = degree_profile(H)
+        self.nodes = 0
+        if feasible:
+            near, self.nodes = _near_layers(self.lists.values(), budget)
+            self._add(near, 0, 1)
+
+    def _add(self, near: dict[int, int], edge: int, sign: int) -> None:
+        # each state plus edge, sign times, into the row of the tuple it
+        # leaves uncovered, at every color it leaves unused
+        row_of, active, shift, colors = self.row_of, self.active, self.shift, self.colors
+        for state, ways in near.items():
+            state |= edge
+            row = row_of[active & ~state]
+            ways *= sign
+            free = colors & ~(state >> shift)
+            while free:
+                low = free & -free
+                row[low.bit_length() - 1] += ways
+                free ^= low
 
     def delete(self, e: ColoredEdge) -> None:
-        self.tally.delete(e)
-        del self.live[e]
+        packed, own, _, _ = self.live.pop(e)
+        own.remove(packed)
+        others = [
+            [x for x in edges if not x & packed] for edges in self.lists.values() if edges is not own
+        ]
+        near, self.nodes = _near_layers(others, self.budget)
+        self._add(near, packed, -1)
         for v in enumerate(e.verts, start=1):  # (part, index) == PartiteVertex
             self.deg[v] -= 1
         self.cdeg[e.color] -= 1
@@ -165,50 +222,48 @@ def weight_profile(
     """Compute the whole weight table (active tuples x colors) of H: the one
     step 0 of the deletion process starts from.
 
-    Cost is one tally of the rainbow near-perfect matchings (`_WeightTally`),
-    however many entries the table has; every state the tally builds counts
-    against budget.  Still exponential, so meant for small instances.
+    Cost is one tally of the rainbow near-perfect matchings
+    (`_DeletionState`), however many entries the table has; every state the
+    tally builds counts against budget.  Still exponential, so meant for
+    small instances.
     """
     _check_partite(H)
-    rows = _WeightTally(H, budget).rows
+    rows = _DeletionState(H, budget).rows
     table = {(verts, c): w for verts, row in rows.items() for c, w in enumerate(row, start=1)}
     return WeightProfile(table, max(table.values(), default=0))
 
 
-def _walk_groups(
-    parts: Sequence[Sequence[int]], kappa: int, rows: Mapping[tuple[int, ...], Sequence[int]]
-) -> int:
-    """One pass over the localized groups of a weight table given as rows
-    (`_WeightTally.rows` layout) over the active parts: returns worst, the
-    largest group maximum that exceeds twice its group's majority median, or
-    0 if no group's does.  Flag C fails exactly when worst exceeds the cap.
+def _median_capped(
+    parts: Sequence[Sequence[int]], rows: Mapping[tuple[int, ...], Sequence[int]], bound: int
+) -> bool:
+    """Flag C over a weight table given as rows (`_DeletionState.rows`
+    layout) over the active parts: False at the first localized group whose
+    maximum exceeds both bound and twice the group's majority median, True
+    when no group's does.
 
     Family "v": for each partial tuple missing one part and each color, the
     weights over the completions of the missing part.  In `product` order the
     completions of a partial tuple are a stride slice of the rows, and the
-    slice transposed gives that partial tuple's group for every color.
+    slice transposed gives that partial tuple's group for every color (an
+    emptied part leaves no row, and an empty group cannot fail).
     Family "c": each row is the group of its tuple over the colors.
     """
     table = list(rows.values())
-    worst = 0
     for missing, part in enumerate(parts):
         size = len(part)
         stride = math.prod(len(p) for p in parts[missing + 1 :])
         outer = math.prod(len(p) for p in parts[:missing])
         for start in (o * size * stride + i for o in range(outer) for i in range(stride)):
-            block = table[start : start + size * stride : stride]
-            # an emptied part leaves every color's group empty
-            groups = zip(*block) if block else [()] * kappa
-            for vals in groups:
-                top = max(vals, default=0)
-                # a median is needed only where the group could raise worst
-                if top > worst and top > 2 * majority_median(vals):
-                    worst = top
+            for vals in zip(*table[start : start + size * stride : stride]):
+                top = max(vals)
+                # a median is needed only where the group could fail
+                if top > bound and top > 2 * majority_median(vals):
+                    return False
     for row in table:
-        top = max(row, default=0)
-        if top > worst and top > 2 * majority_median(row):
-            worst = top
-    return worst
+        top = max(row)
+        if top > bound and top > 2 * majority_median(row):
+            return False
+    return True
 
 
 # -- median and flags -----------------------------------------------------------
@@ -257,11 +312,6 @@ def _degrees_within(
     e, f = Fraction(params.eps1).as_integer_ratio()
     expect_b = H.n ** (H.k - 1) * a  # expect * b
     return all(f * abs(d * b - expect_b) <= e * expect_b for d in (lo, hi))
-
-
-def _capped(H: ColoredHypergraph, phi: int, worst: int) -> bool:
-    # worst <= phi / (2^k n^k), cross-multiplied
-    return worst * 2**H.k * H.n**H.k <= phi
 
 
 # -- the deletion process ---------------------------------------------------------
@@ -318,8 +368,7 @@ def run_deletion_process(
     deletes its edge from that state: it tallies only the near-perfect
     matchings through the deleted edge, subtracts them from the rows, and
     decrements the edge's vertex and color degrees.  The step's weights,
-    count, flags and the walk of the weight table are read off the carried
-    state; no instance is rebuilt.  DeletionStep.nodes is the states that
+    count and flags are read off the carried state; no instance is rebuilt.  DeletionStep.nodes is the states that
     step's tally built.
 
     Those states count against budget.  If step 0's tally exceeds it, the
@@ -350,7 +399,7 @@ def run_deletion_process(
             # builds no more states than step 0 did, so it fits the budget
             state.delete(ordering[i - 1])
         p_i = Fraction(N - i, N)
-        ws = [row[c] for row, c in state.live.values()]
+        ws = [row[c] for _, _, row, c in state.live.values()]
         # w(e) counts the rainbow perfect matchings through e, and each of
         # them has n edges.
         phi = sum(ws) // H0.n
@@ -360,7 +409,8 @@ def run_deletion_process(
         balanced = weight_ratio_bounded(ws, params.L)
         degs = [*state.deg.values(), *state.cdeg.values()]
         regular = _degrees_within(H0, p_i, params, min(degs), max(degs))
-        capped = _capped(H0, phi, _walk_groups(state.tally.parts, H0.kappa, state.rows))
+        # a weight exceeds phi / (2^k n^k) iff it exceeds the floor
+        capped = _median_capped(state.parts, state.rows, phi // (2**H0.k * H0.n**H0.k))
         if i == 0:
             xi = gamma = None
         else:
@@ -379,7 +429,7 @@ def run_deletion_process(
                 balanced=balanced,
                 regular=regular,
                 median_capped=capped,
-                nodes=state.tally.nodes,
+                nodes=state.nodes,
             )
         )
         prev_phi = phi

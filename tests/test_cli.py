@@ -181,6 +181,10 @@ def test_hamilton_csv_and_config_error(tmp_path, capsys):
     code, _, err = run(capsys, "hamilton", "--n", "5", "--m", "0", "--retries", "1",
                        "--trials", "1")
     assert code == 2 and "m >= 1" in err and len(err.strip().splitlines()) == 1
+    # the pipelines fix the color count at n, so hamilton takes no --colors
+    code, out, err = run(capsys, "hamilton", "--n", "8", "--m", "28", "--trials", "1",
+                         "--colors", "8")
+    assert code == 2 and out == "" and "--colors" in err
 
 
 def test_hamilton_json_telemetry(capsys):

@@ -723,3 +723,12 @@ def test_odd_cell_without_edges_is_rejected():
     result = hamilton_experiment(ExperimentConfig(kind="hamilton", ns=(4,), ms=(0,),
                                                   trials=1, retries=1))
     assert [r.value["stage_reached"] for r in result.rows] == ["matching-not-found"]
+
+
+def test_pipelines_refuse_other_color_counts():
+    # both pipelines need exactly n colors; kappa = n itself runs
+    for kappa in (4, 8):
+        with pytest.raises(ValueError, match="exactly n colors"):
+            hamilton_experiment(ExperimentConfig(kind="hamilton", ns=(6,), ms=(12,), trials=1,
+                                                 kappa=kappa))
+    hamilton_experiment(ExperimentConfig(kind="hamilton", ns=(6,), ms=(12,), trials=1, kappa=6))

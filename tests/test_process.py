@@ -36,7 +36,7 @@ from rainbowmatch.process import (
     weight_profile,
     weight_ratio_bounded,
 )
-from rainbowmatch.process import _DeletionState, _capped, _degrees_within, _walk_groups
+from rainbowmatch.process import _DeletionState, _degrees_within, _median_capped
 
 from helpers import edge_by_verts
 from oracles import rainbow_weight
@@ -71,15 +71,16 @@ def regular(H, p, params=DEFAULT_EVENT_PARAMS):
 
 
 def median_capped(H, phi=None, table=None):
-    """Flag C as the deletion step computes it: the walk of the weight rows,
-    H's own or a hand-built table's, against phi (H's count by default)."""
+    """Flag C as the deletion step computes it: the predicate over the weight
+    rows, H's own or a hand-built table's, with the floor of
+    phi / (2^k n^k) as its bound (phi is H's count by default)."""
     parts = [H.part_active(p) for p in range(1, H.k + 1)]
     if table is None:
         table = weight_profile(H).table
     rows = {v: [table[(v, c)] for c in range(1, H.kappa + 1)] for v in product(*parts)}
     if phi is None:
         phi = count_rainbow_pm(H).value
-    return _capped(H, phi, _walk_groups(parts, H.kappa, rows))
+    return _median_capped(parts, rows, phi // (2**H.k * H.n**H.k))
 
 
 # -- weights
@@ -379,8 +380,22 @@ def test_median_cap_flag_completion_clause_alone():
             assert max(by_color) == min(by_color)
     # cap = phi / (2^2 * 3^2): 1/36 for phi = 1, below twice the median (2)
     assert not median_capped(H, phi=1, table=table)
-    # at phi = 360 the cap reaches 10 and lets the completion groups pass
+    # at phi = 360 the cap reaches 10 and lets the completion groups pass;
+    # at phi = 359 it is 9.97, whose floor 9 the weight 10 exceeds
     assert median_capped(H, phi=360, table=table)
+    assert not median_capped(H, phi=359, table=table)
+
+
+def test_median_cap_flag_color_clause_alone():
+    # The mirror case: weight 10 at color 1 of every tuple, 1 elsewhere.  Every
+    # completion group is flat, so only the color groups (10, 1, 1) can trip
+    # the flag, and they do exactly when 10 exceeds the floor of the cap.
+    H = complete_colored(3, 2, 3, rng(0, seed=47))
+    idx = (1, 2, 3)
+    table = {((i, j), c): 10 if c == 1 else 1 for i in idx for j in idx for c in idx}
+    assert not median_capped(H, phi=1, table=table)
+    assert median_capped(H, phi=360, table=table)
+    assert not median_capped(H, phi=359, table=table)
 
 
 def test_median_cap_flag_at_twice_the_median():
