@@ -58,24 +58,18 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .model import (
-    PARTITE,
-    ColoredEdge,
-    ColoredHypergraph,
-    Matching,
-    PartiteVertex,
-)
+from .model import PARTITE, ColoredEdge, ColoredHypergraph, Matching
 
 __all__ = [
     "DEFAULT_NODE_BUDGET",
     "BudgetExceededError",
     "CountReport",
     "is_rainbow",
-    "is_matching",
     "is_perfect_matching",
     "find_rainbow_pm",
     "count_rainbow_pm",
@@ -118,32 +112,25 @@ def is_rainbow(edges: Iterable[ColoredEdge] | Matching) -> bool:
     return len(colors) == len(set(colors))
 
 
-def is_matching(H: ColoredHypergraph, M: Matching) -> bool:
-    """True iff M's edges belong to H and are pairwise vertex-disjoint."""
-    edge_set = set(H.edges)
-    seen = set()
-    for e in M.edges:
-        if e not in edge_set:
-            return False
-        if H.mode == PARTITE:
-            verts = [PartiteVertex(p, i) for p, i in enumerate(e.verts, start=1)]
-        else:
-            verts = list(e.verts)
-        for v in verts:
-            if v in seen:
-                return False
-            seen.add(v)
-    return True
-
-
 def is_perfect_matching(H: ColoredHypergraph, M: Matching) -> bool:
-    """True iff M is a matching of H covering every active vertex."""
-    if not is_matching(H, M):
-        return False
-    covered = 0
-    for _ in M.edges:
-        covered += H.k if H.mode == PARTITE else 2
-    return covered == len(H.active_vertices())
+    """True iff M's edges are edges of H, pairwise vertex-disjoint, and
+    together cover every active vertex.
+
+    Shares no code with the search kernel.  Membership is a bisection of H's
+    canonical (sorted) edges, and the covered vertices are plain values:
+    (part, index) pairs, or ints in graph mode.  H's edges touch only active
+    vertices, so M is perfect iff no vertex is covered twice and as many are
+    covered as are active.
+    """
+    edges, partite = H.edges, H.mode == PARTITE
+    covered = set()
+    for e in M.edges:
+        i = bisect_left(edges, e)
+        if i == len(edges) or edges[i] != e:
+            return False
+        covered.update(enumerate(e.verts) if partite else e.verts)
+    per_edge, vertices = (H.k, H.k * H.n) if partite else (2, H.n)
+    return len(covered) == per_edge * len(M) == vertices - len(H.absent)
 
 
 # -- exact-cover search kernel -------------------------------------------------
@@ -529,13 +516,18 @@ def find_rainbow_pm(
     order, so the same instance always gives the same witness, though not
     necessarily the lexicographically first one.  "None" is a proof of
     absence (the search space was exhausted), not a timeout; running out of
-    budget raises BudgetExceededError instead.
+    budget raises BudgetExceededError instead.  A witness is checked
+    (`is_perfect_matching`, `is_rainbow`) before it is returned; one that
+    fails is a bug in the search and raises RuntimeError.
     """
     search = _Search(H, budget, find_one=True)
     search.run()
     if search.found is None:
         return None
-    return Matching(tuple(sorted(search.found)))
+    M = Matching(tuple(sorted(search.found)))
+    if not (is_perfect_matching(H, M) and is_rainbow(M)):
+        raise RuntimeError("search: the matching found is not a rainbow perfect matching of H")
+    return M
 
 
 def count_rainbow_pm(

@@ -10,16 +10,16 @@ fields live in the JSON reports only).
 
 CSV schemas (fixed, also documented in the README):
 
-threshold   n,k,kappa,m,trials,successes,p_hat,se,absent,budget
-mean-count  n,k,kappa,trials,mean,expected_mean,mean_se,
-            second_moment,expected_second_moment,second_moment_se,budget
-trace steps [trial,]i,phi,xi,gamma,p_i,w_max,w_avg,w_med,B,R,C
-            (the trial column appears only when trials > 1)
-trace summary i,gamma,mean_xi,se_xi,trials_positive,
-            sum_gamma_exact,sum_gamma_closed
-hamilton    n,m,colors,mode,trials,success,edge_class_too_small,
-            matching_not_found,matching_budget,hc_not_found,hc_budget,
-            lift_failed,p_hat,se
+threshold     `n,k,kappa,m,trials,successes,p_hat,se,absent,budget`
+mean-count    `n,k,kappa,trials,mean,expected_mean,mean_se,
+              second_moment,expected_second_moment,second_moment_se,budget`
+trace steps   `i,phi,xi,gamma,p_i,w_max,w_avg,w_med,B,R,C`
+              (a trial column is prepended when trials > 1)
+trace summary `i,gamma,mean_xi,se_xi,trials_positive,
+              sum_gamma_exact,sum_gamma_closed`
+hamilton      `n,m,colors,mode,trials,success,edge_class_too_small,
+              matching_not_found,matching_budget,hc_not_found,hc_budget,
+              lift_failed,p_hat,se`
 """
 
 from __future__ import annotations
@@ -341,6 +341,10 @@ def mean_count_csv(result: ExperimentResult) -> str:
 # -- deletion trace -----------------------------------------------------------------
 
 
+# the leading fields of process.DeletionStep, in order
+TRACE_STEP_HEADER = ["i", "phi", "xi", "gamma", "p_i", "w_max", "w_avg", "w_med", "B", "R", "C"]
+
+
 def _trace_trial(key, config: ExperimentConfig, cell: tuple, stream: int):
     (n,) = cell
     rnd = RandomnessSpec(config.master_seed, stream).rng()
@@ -355,22 +359,7 @@ def _trace_trial(key, config: ExperimentConfig, cell: tuple, stream: int):
         params=EventParams.from_abundance(config.event_abundance),
         budget=config.node_budget,
     )
-    steps = tuple(
-        (
-            s.index,
-            s.phi,
-            s.xi,
-            s.gamma,
-            s.p,
-            s.w_max,
-            s.w_avg,
-            s.w_med,
-            s.balanced,
-            s.regular,
-            s.median_capped,
-        )
-        for s in trace.steps
-    )
+    steps = tuple(step[: len(TRACE_STEP_HEADER)] for step in trace.steps)
     outcome = "budget" if trace.truncated else "found"
     return key, outcome, steps, time.perf_counter() - t0
 
@@ -386,9 +375,6 @@ def trace_experiment(config: ExperimentConfig, raw_sink=None) -> ExperimentResul
         raise ValueError(f"t_max must lie in 0..{N}")
     rows = _run_grid(config, [config.ns], _trace_trial, raw_sink)
     return ExperimentResult(config, rows)
-
-
-TRACE_STEP_HEADER = ["i", "phi", "xi", "gamma", "p_i", "w_max", "w_avg", "w_med", "B", "R", "C"]
 
 
 def trace_steps_table(result: ExperimentResult) -> tuple[list[str], list[list]]:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .count import BudgetExceededError, DEFAULT_NODE_BUDGET, _Search, find_rainbow_pm
-from .model import GRAPH, ColoredEdge, ColoredHypergraph, Matching
+from .model import GRAPH, ColoredEdge, ColoredHypergraph, Matching, _check_edge
 
 __all__ = [
     "DEFAULT_HC_BUDGET",
@@ -76,8 +76,9 @@ FAILURE_STAGES = (
 @dataclass(frozen=True)
 class ColoredMultigraph:
     """A colored multigraph on [1..n]: parallel edges allowed, each stored as
-    its own ColoredEdge occurrence (sorted endpoint pair plus color).  No
-    self-loops."""
+    its own ColoredEdge occurrence (sorted endpoint pair plus color), sorted.
+    Every edge follows a graph-mode instance's edge rules (`model._check_edge`),
+    so no self-loops."""
 
     n: int
     kappa: int
@@ -86,17 +87,13 @@ class ColoredMultigraph:
     def __post_init__(self):
         if self.n < 1 or self.kappa < 1:
             raise ValueError("need n >= 1, kappa >= 1")
-        edges = [ColoredEdge(tuple(e[0]), e[1]) for e in self.edges]
+        edges = tuple(ColoredEdge(tuple(e[0]), e[1]) for e in self.edges)
+        try:
+            edges = tuple(sorted(edges))
+        except TypeError:  # a value that is not an int: the check names its edge
+            pass
         for e in edges:
-            if type(e.color) is not int or any(type(i) is not int for i in e.verts):
-                raise ValueError(f"edge {e} has a vertex index or color that is not an int")
-        edges = tuple(sorted(edges))
-        for e in edges:
-            u, v = e.verts
-            if not (1 <= u < v <= self.n):
-                raise ValueError(f"bad edge {e}")
-            if not 1 <= e.color <= self.kappa:
-                raise ValueError(f"bad color in {e}")
+            _check_edge(e, GRAPH, self.n, 2, self.kappa, frozenset())
         object.__setattr__(self, "edges", edges)
 
 

@@ -82,7 +82,7 @@ class ColoredEdge(NamedTuple):
 @dataclass(frozen=True)
 class Matching:
     """A set of pairwise vertex-disjoint edges (disjointness is the caller's
-    invariant; see `count.is_matching` for the checker)."""
+    invariant; see `count.is_perfect_matching` for the checker)."""
 
     edges: tuple[ColoredEdge, ...]
 
@@ -166,7 +166,7 @@ class ColoredHypergraph:
         if not self._edges_pass(edges, absent):
             seen: set[tuple[int, ...]] = set()
             for e in edges:
-                self._check_edge(e, absent)
+                _check_edge(e, self.mode, self.n, self.k, self.kappa, absent)
                 if e.verts in seen:
                     raise ValueError(f"duplicate vertex tuple {e.verts}")
                 seen.add(e.verts)
@@ -220,28 +220,6 @@ class ColoredHypergraph:
             raise ValueError(f"vertex {v} out of range")
         return v
 
-    def _check_edge(self, e: ColoredEdge, absent: frozenset) -> None:
-        if type(e.color) is not int or any(type(i) is not int for i in e.verts):
-            raise ValueError(f"edge {e} has a vertex index or color that is not an int")
-        if not 1 <= e.color <= self.kappa:
-            raise ValueError(f"color {e.color} out of range 1..{self.kappa}")
-        if self.mode == PARTITE:
-            if len(e.verts) != self.k:
-                raise ValueError(f"edge {e} must pick one vertex per part")
-            for part, idx in enumerate(e.verts, start=1):
-                if not 1 <= idx <= self.n:
-                    raise ValueError(f"edge {e} vertex out of range")
-                if PartiteVertex(part, idx) in absent:
-                    raise ValueError(f"edge {e} touches absent vertex")
-        else:
-            if len(e.verts) != 2 or e.verts[0] >= e.verts[1]:
-                raise ValueError(f"graph edge {e} must be a sorted pair u < v")
-            for u in e.verts:
-                if not 1 <= u <= self.n:
-                    raise ValueError(f"edge {e} vertex out of range")
-                if u in absent:
-                    raise ValueError(f"edge {e} touches absent vertex")
-
     # -- vertex helpers ----------------------------------------------------
 
     def active_vertices(self) -> list:
@@ -263,6 +241,32 @@ class ColoredHypergraph:
             for i in range(1, self.n + 1)
             if PartiteVertex(part, i) not in self.absent
         ]
+
+
+def _check_edge(e: ColoredEdge, mode: str, n: int, k: int, kappa: int, absent: frozenset) -> None:
+    """Raise ValueError, naming e, when e breaks one of the edge rules of an
+    instance (`ColoredHypergraph`) on n vertices per part with k parts and
+    kappa colors, or touches a vertex in absent."""
+    if type(e.color) is not int or any(type(i) is not int for i in e.verts):
+        raise ValueError(f"edge {e} has a vertex index or color that is not an int")
+    if not 1 <= e.color <= kappa:
+        raise ValueError(f"color {e.color} out of range 1..{kappa}")
+    if mode == PARTITE:
+        if len(e.verts) != k:
+            raise ValueError(f"edge {e} must pick one vertex per part")
+        for part, idx in enumerate(e.verts, start=1):
+            if not 1 <= idx <= n:
+                raise ValueError(f"edge {e} vertex out of range")
+            if PartiteVertex(part, idx) in absent:
+                raise ValueError(f"edge {e} touches absent vertex")
+    else:
+        if len(e.verts) != 2 or e.verts[0] >= e.verts[1]:
+            raise ValueError(f"graph edge {e} must be a sorted pair u < v")
+        for u in e.verts:
+            if not 1 <= u <= n:
+                raise ValueError(f"edge {e} vertex out of range")
+            if u in absent:
+                raise ValueError(f"edge {e} touches absent vertex")
 
 
 def _plain_edges(edges: tuple) -> bool:

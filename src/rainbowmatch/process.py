@@ -22,8 +22,9 @@ instance that leaves exactly v uncovered, and it avoids c iff it does not use
 c.  So the near-perfect matchings are built layer by layer (`count._grow`),
 and each one is added straight into the row of the tuple it leaves
 uncovered, at every color it leaves unused.  A count phi is then the sum of
-the edge weights divided by n.  `_DeletionState` owns those rows;
-`weight_profile` returns them as a table for any partite instance.
+the edge weights divided by n.  `_DeletionState` owns those rows, one list
+in `product` order over the active parts; `weight_profile` returns them as a
+table for any partite instance.
 
 The process runs that full tally once, at step 0, and carries the state (the
 weight rows, the packed edge lists, the vertex and color degrees, the live
@@ -43,10 +44,12 @@ Flags per step (wire names B, R, C in the trace CSV):
   fraction of the current count and twice a one-sided majority median.
 
 `run_deletion_process` is the one place the flags are computed, in integers
-(cross-multiplied or floored, never in Fraction).  Flag C is one predicate
-over the weight rows (`_median_capped`): a weight is an int, so it exceeds
-phi / (2^k n^k) iff it exceeds that bound's floor, and the predicate stops at
-the first group whose max beats both the floor and twice its median.
+(cross-multiplied against the thresholds' own integer ratios, or floored).
+Flag C is one predicate over the weight rows (`_median_capped`): a weight is
+an int, so it exceeds phi / (2^k n^k) iff it exceeds that bound's floor, and
+the predicate stops at the first group whose max beats both the floor and
+twice its median.  Each step is recorded once, as a `DeletionStep` whose
+leading fields are the trace CSV's step columns.
 
 The dyadic interval machinery at the bottom is independent of the process: it
 locates, for any positive weight vector with near-maximal entropy, a short
@@ -56,10 +59,11 @@ dyadic interval carrying most of the mass on a large support.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .count import (
     BudgetExceededError,
@@ -136,14 +140,15 @@ class _DeletionState:
     near-perfect matchings and kept exact under edge deletions, with what
     the deletion process reads next to them.
 
-    rows maps every active tuple v, in `product` order over the active parts
-    (`_median_capped` reads its groups as stride slices of that order), to
-    [w(v, c) for c in 1..kappa]: the rainbow near-perfect matchings that
-    leave exactly v uncovered and do not use color c.  The constructor
-    tallies them all (`count._near_layers` over the packed edge lists,
-    `count._packed_lists`).  live maps each edge to its packed int, its
-    part-1 vertex's list, its row and its color index; deg and cdeg are the
-    vertex and color degrees.  delete(e) takes e out of all of these and
+    rows is a list with one row per active tuple v, in `product` order over
+    the active parts (`_median_capped` reads its groups as stride slices of
+    that order): [w(v, c) for c in 1..kappa], the rainbow near-perfect
+    matchings that leave exactly v uncovered and do not use color c.  row_of
+    is the one index into it, from v's vertex mask to v's row.  The
+    constructor tallies them all (`count._near_layers` over the packed edge
+    lists, `count._packed_lists`).  live maps each edge to its packed int,
+    its part-1 vertex's list, its row and its color index; deg and cdeg are
+    the vertex and color degrees.  delete(e) takes e out of all of these and
     subtracts only the matchings through e: e plus a near-perfect matching
     of the other part-1 vertices whose edges share no vertex and no color
     with e, built by the same layer loop.  nodes is the number of states the
@@ -160,15 +165,16 @@ class _DeletionState:
         self.shift = shift = H.n * H.k
         self.colors = (1 << H.kappa) - 1
         self.lists = _packed_lists(H, self.active, edge_items)
-        # each tuple's row, also under the tuple's vertex mask for _add
+        # one row per tuple in product order, indexed by the tuple's vertex mask
         self.parts = [H.part_active(p) for p in range(1, H.k + 1)]
-        self.rows, self.row_of = {}, {}
-        for verts in product(*self.parts):
-            row = self.rows[verts] = [0] * H.kappa
-            self.row_of[sum(1 << (p * H.n + i - 1) for p, i in enumerate(verts))] = row
+        self.rows = [[0] * H.kappa for _ in range(math.prod(map(len, self.parts)))]
+        self.row_of = {
+            sum(1 << (p * H.n + i - 1) for p, i in enumerate(verts)): row
+            for verts, row in zip(product(*self.parts), self.rows)
+        }
         # the lowest bit of an edge's vertex mask is its part-1 vertex
         self.live = {
-            e: (vmask | cbit << shift, self.lists[vmask & -vmask], self.rows[e.verts], e.color - 1)
+            e: (vmask | cbit << shift, self.lists[vmask & -vmask], self.row_of[vmask], e.color - 1)
             for vmask, cbit, e in edge_items
         }
         self.deg, self.cdeg = degree_profile(H)
@@ -228,16 +234,20 @@ def weight_profile(
     small instances.
     """
     _check_partite(H)
-    rows = _DeletionState(H, budget).rows
-    table = {(verts, c): w for verts, row in rows.items() for c, w in enumerate(row, start=1)}
+    state = _DeletionState(H, budget)
+    table = {
+        (verts, c): w
+        for verts, row in zip(product(*state.parts), state.rows)
+        for c, w in enumerate(row, start=1)
+    }
     return WeightProfile(table, max(table.values(), default=0))
 
 
 def _median_capped(
-    parts: Sequence[Sequence[int]], rows: Mapping[tuple[int, ...], Sequence[int]], bound: int
+    parts: Sequence[Sequence[int]], rows: Sequence[Sequence[int]], bound: int
 ) -> bool:
-    """Flag C over a weight table given as rows (`_DeletionState.rows`
-    layout) over the active parts: False at the first localized group whose
+    """Flag C over a weight table given as rows (`_DeletionState.rows`: a
+    list in `product` order) over the active parts: False at the first localized group whose
     maximum exceeds both bound and twice the group's majority median, True
     when no group's does.
 
@@ -248,18 +258,17 @@ def _median_capped(
     emptied part leaves no row, and an empty group cannot fail).
     Family "c": each row is the group of its tuple over the colors.
     """
-    table = list(rows.values())
     for missing, part in enumerate(parts):
         size = len(part)
         stride = math.prod(len(p) for p in parts[missing + 1 :])
         outer = math.prod(len(p) for p in parts[:missing])
         for start in (o * size * stride + i for o in range(outer) for i in range(stride)):
-            for vals in zip(*table[start : start + size * stride : stride]):
+            for vals in zip(*rows[start : start + size * stride : stride]):
                 top = max(vals)
                 # a median is needed only where the group could fail
                 if top > bound and top > 2 * majority_median(vals):
                     return False
-    for row in table:
+    for row in rows:
         top = max(row)
         if top > bound and top > 2 * majority_median(row):
             return False
@@ -272,20 +281,16 @@ def _median_capped(
 def majority_median(values: Iterable) -> int:
     """The largest x in the multiset such that at least half the elements are
     strictly larger than x; the minimum when no element qualifies (e.g. all
-    values equal).  Always a member of the multiset."""
+    values equal).  Always a member of the multiset.
+
+    With the values sorted, x qualifies iff its last copy sits below index
+    len // 2, i.e. iff x is smaller than the value at that index; so the
+    answer is the value just below that value's first copy."""
     vals = sorted(values)
     if not vals:
         raise ValueError("median of an empty multiset")
-    # Walk distinct values from the top; the strictly-larger count only grows
-    # as the candidate shrinks, so the first qualifying hit is the largest.
-    pos = len(vals) - 1
-    while pos >= 0:
-        x = vals[pos]
-        if 2 * (len(vals) - 1 - pos) >= len(vals):
-            return x
-        while pos >= 0 and vals[pos] == x:
-            pos -= 1
-    return vals[0]
+    first = bisect_left(vals, vals[len(vals) // 2])
+    return vals[first - 1] if first else vals[0]
 
 
 def weight_ratio_bounded(weights: Collection[int], L: float) -> bool:
@@ -300,7 +305,7 @@ def weight_ratio_bounded(weights: Collection[int], L: float) -> bool:
         # All weights zero: max/avg is 0/0, read as balanced.
         return True
     # max/avg <= L  <=>  max * |E| <= L * total, in exact arithmetic.
-    num, den = Fraction(L).as_integer_ratio()
+    num, den = L.as_integer_ratio()
     return max(weights) * len(weights) * den <= num * total
 
 
@@ -308,8 +313,8 @@ def _degrees_within(
     H: ColoredHypergraph, p: Fraction | float, params: EventParams, lo: int, hi: int
 ) -> bool:
     # flag R from the smallest and the largest degree, cross-multiplied
-    a, b = Fraction(p).as_integer_ratio()
-    e, f = Fraction(params.eps1).as_integer_ratio()
+    a, b = p.as_integer_ratio()
+    e, f = params.eps1.as_integer_ratio()
     expect_b = H.n ** (H.k - 1) * a  # expect * b
     return all(f * abs(d * b - expect_b) <= e * expect_b for d in (lo, hi))
 
@@ -317,10 +322,11 @@ def _degrees_within(
 # -- the deletion process ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeletionStep:
+class DeletionStep(NamedTuple):
     """State after the i-th deletion (index 0 is the initial state).
 
+    The fields before nodes are the trace CSV's step columns, in order
+    (`experiments.TRACE_STEP_HEADER`), so a step's row is a slice of it.
     xi and gamma are None at index 0 (no deletion happened yet).  When the
     count has already died (previous phi = 0), xi is recorded as Fraction(0);
     the telescoping product is 0 from the death step onward either way.
@@ -368,8 +374,8 @@ def run_deletion_process(
     deletes its edge from that state: it tallies only the near-perfect
     matchings through the deleted edge, subtracts them from the rows, and
     decrements the edge's vertex and color degrees.  The step's weights,
-    count and flags are read off the carried state; no instance is rebuilt.  DeletionStep.nodes is the states that
-    step's tally built.
+    count and flags are read off the carried state; no instance is rebuilt.
+    DeletionStep.nodes is the states that step's tally built.
 
     Those states count against budget.  If step 0's tally exceeds it, the
     trace is returned with no steps and marked truncated instead of raising.

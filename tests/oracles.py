@@ -10,6 +10,8 @@ independent of the matching kernel.
 extends a path from vertex 1 with degree, color-supply and reachability
 prunes.  The library's exact-cover search must find a cycle exactly when it
 does.
+`majority_median_walk` is the majority median by its definition, walking the
+distinct values down from the top; the library takes it in one bisection.
 """
 
 from __future__ import annotations
@@ -213,3 +215,21 @@ def find_rainbow_hc_by_extension(G, budget: int = DEFAULT_HC_BUDGET) -> Hamilton
             if not (vbit & visited or cbit & colors):
                 push((v, visited | vbit, colors | cbit, live, (idx, path)))
     return None
+
+
+def majority_median_walk(values) -> int:
+    """The largest x in the multiset such that at least half the elements are
+    strictly larger than x; the minimum when no element qualifies."""
+    vals = sorted(values)
+    if not vals:
+        raise ValueError("median of an empty multiset")
+    # Walk distinct values from the top; the strictly-larger count only grows
+    # as the candidate shrinks, so the first qualifying hit is the largest.
+    pos = len(vals) - 1
+    while pos >= 0:
+        x = vals[pos]
+        if 2 * (len(vals) - 1 - pos) >= len(vals):
+            return x
+        while pos >= 0 and vals[pos] == x:
+            pos -= 1
+    return vals[0]

@@ -6,10 +6,17 @@ from concurrent.futures import Future
 
 import pytest
 
-from rainbowmatch import cli, experiments
+from rainbowmatch import cli, count, experiments
 from rainbowmatch.cli import main
-from rainbowmatch.count import is_perfect_matching, is_rainbow
-from rainbowmatch.model import ColoredEdge, Matching, load_instance
+from rainbowmatch.count import find_rainbow_pm, is_perfect_matching, is_rainbow
+from rainbowmatch.model import (
+    PARTITE,
+    ColoredEdge,
+    ColoredHypergraph,
+    Matching,
+    load_instance,
+    save_instance,
+)
 
 
 def run(capsys, *argv):
@@ -118,6 +125,24 @@ def test_internal_error_exits_4(tmp_path, capsys, monkeypatch, error):
     code, out, err = run(capsys, "solve", str(path))
     assert (code, out) == (4, "")
     assert err.startswith("Traceback") and f"{type(error).__name__}: {error}" in err
+
+
+def test_a_witness_that_fails_its_check_exits_4(tmp_path, capsys, monkeypatch):
+    H = ColoredHypergraph(PARTITE, 2, 2, 2, (ColoredEdge((1, 1), 1), ColoredEdge((2, 2), 2)))
+    path = tmp_path / "inst.json"
+    save_instance(H, path)
+
+    class WrongSearch(count._Search):
+        def run(self):
+            super().run()
+            e, *rest = self.found
+            self.found = (ColoredEdge(e.verts, e.color + 1), *rest)  # not an edge of H
+
+    monkeypatch.setattr(count, "_Search", WrongSearch)
+    with pytest.raises(RuntimeError, match="not a rainbow perfect matching"):
+        find_rainbow_pm(H)
+    code, out, err = run(capsys, "solve", str(path))
+    assert (code, out) == (4, "") and "RuntimeError" in err
 
 
 def test_trace_runs_one_n(capsys):

@@ -21,6 +21,7 @@ from rainbowmatch.count import (
 from rainbowmatch.model import (
     ColoredEdge,
     ColoredHypergraph,
+    GRAPH,
     Matching,
     PARTITE,
     PartiteVertex,
@@ -67,6 +68,21 @@ def test_is_perfect_matching_respects_absent():
     R = restrict(H, removed_vertices=[PartiteVertex(1, 1), PartiteVertex(2, 1)])
     single = Matching((edge_by_verts(R, (2, 2)),))
     assert is_perfect_matching(R, single)
+
+
+def test_is_perfect_matching_rejects_what_is_not_one():
+    H = complete_colored(3, 2, 3, rng(0))
+    e11, e22, e33, e12 = (edge_by_verts(H, v) for v in [(1, 1), (2, 2), (3, 3), (1, 2)])
+    assert is_perfect_matching(H, Matching((e11, e22, e33)))
+    foreign = ColoredEdge((3, 3), e33.color % 3 + 1)  # right vertices, wrong color
+    assert not is_perfect_matching(H, Matching((e11, e22, foreign)))
+    assert not is_perfect_matching(H, Matching((e11, e22)))  # (3, 3) uncovered
+    assert not is_perfect_matching(H, Matching((e11, e12, e33)))  # vertex (1, 1) twice
+    assert not is_perfect_matching(H, Matching((e11, e22, e33, e33)))
+    G = ColoredHypergraph(GRAPH, 4, 2, 2, (ColoredEdge((1, 2), 1), ColoredEdge((3, 4), 2),
+                                           ColoredEdge((2, 3), 1)))
+    assert is_perfect_matching(G, Matching(G.edges[::2]))
+    assert not is_perfect_matching(G, Matching(G.edges[:2]))  # vertex 2 twice
 
 
 # -- find

@@ -1,15 +1,18 @@
 """Every name the package and its modules export resolves, so a deleted or
 renamed member cannot linger in an `__all__` (where `from ... import *` would
-fail on it), and the package imports nothing outside the standard library."""
+fail on it), the package imports nothing outside the standard library, and
+the CSV columns its documents list are the ones the tables write."""
 
 import ast
 import importlib
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
 import rainbowmatch
+from rainbowmatch import experiments
 
 MODULES = ["rainbowmatch", *(f"rainbowmatch.{m}" for m in
            ("model", "count", "process", "hamilton", "experiments", "cli"))]
@@ -39,3 +42,31 @@ def test_imports_are_stdlib_or_relative():
             foreign += [(path.name, n) for n in names
                         if n.partition(".")[0] not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def documented_column_lists(text: str) -> set[str]:
+    """Every backticked comma-separated list of column names outside fenced
+    code blocks, with a list that wraps across lines joined again."""
+    text = re.sub(r"^\s*```.*?^\s*```", "", text, flags=re.M | re.S)
+    spans = (re.sub(r"\s+", "", span) for span in re.findall(r"`([^`]+)`", text))
+    return {span for span in spans if re.fullmatch(r"\w+(,\w+)+", span)}
+
+
+@pytest.mark.parametrize("document", ["README.md", "experiments docstring"])
+def test_documented_csv_columns_are_the_emitted_headers(document):
+    if document == "README.md":
+        text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    else:
+        text = experiments.__doc__
+    empty = experiments.ExperimentResult(
+        experiments.ExperimentConfig(kind="docs", ns=(2,), ms=(1,)), ()
+    )
+    tables = [
+        experiments.threshold_table,
+        experiments.mean_count_table,
+        experiments.trace_steps_table,
+        experiments.trace_summary_table,
+        experiments.hamilton_table,
+    ]
+    headers = {",".join(table(empty)[0]) for table in tables}
+    assert documented_column_lists(text) == headers

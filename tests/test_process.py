@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -23,6 +23,7 @@ from rainbowmatch.model import (
 )
 from rainbowmatch.process import (
     DEFAULT_EVENT_PARAMS,
+    DeletionStep,
     EventParams,
     LemmaPreconditionError,
     chernoff_bounds,
@@ -39,7 +40,7 @@ from rainbowmatch.process import (
 from rainbowmatch.process import _DeletionState, _degrees_within, _median_capped
 
 from helpers import edge_by_verts
-from oracles import rainbow_weight
+from oracles import majority_median_walk, rainbow_weight
 
 
 def rng(stream=0, seed=0):
@@ -77,7 +78,7 @@ def median_capped(H, phi=None, table=None):
     parts = [H.part_active(p) for p in range(1, H.k + 1)]
     if table is None:
         table = weight_profile(H).table
-    rows = {v: [table[(v, c)] for c in range(1, H.kappa + 1)] for v in product(*parts)}
+    rows = [[table[(v, c)] for c in range(1, H.kappa + 1)] for v in product(*parts)]
     if phi is None:
         phi = count_rainbow_pm(H).value
     return _median_capped(parts, rows, phi // (2**H.k * H.n**H.k))
@@ -499,6 +500,28 @@ def test_majority_median_matches_fraction_definition():
         size = rnd.randrange(1, 6) * 2 - j % 2  # odd and even lengths alternate
         vals = [rnd.randrange(0, 5) for _ in range(size)]
         assert majority_median(vals) == fraction_median(vals), vals
+
+
+def test_majority_median_matches_the_walk_on_every_small_multiset():
+    for size in range(1, 9):
+        for vals in combinations_with_replacement(range(4), size):
+            assert majority_median(vals) == majority_median_walk(vals), vals
+
+
+def test_majority_median_matches_the_walk_on_random_multisets():
+    rnd = rng(0, seed=19)
+    for _ in range(20_000):
+        top = rnd.randrange(1, 50)
+        vals = [rnd.randrange(top) for _ in range(rnd.randrange(1, 30))]
+        assert majority_median(vals) == majority_median_walk(vals), vals
+
+
+def test_deletion_step_leads_with_the_trace_columns():
+    # experiments writes a step's CSV row as its leading fields
+    assert DeletionStep._fields[:11] == (
+        "index", "phi", "xi", "gamma", "p", "w_max", "w_avg", "w_med",
+        "balanced", "regular", "median_capped",
+    )
 
 
 @pytest.mark.parametrize("n,k,kappa", [(3, 2, 3), (4, 2, 4), (2, 3, 3)])
