@@ -36,16 +36,22 @@ vertex.
 Partite counts take a second route, which prunes nothing: every edge holds
 exactly one part-1 vertex, so a rainbow perfect matching splits into a
 matching on the first half of the part-1 vertices and one on the second
-half, with complementary vertices and disjoint colors.  The first half is
-tabulated layer by layer by (covered vertices, used colors); the second is
-enumerated depth-first and completed by a complement lookup (meet in the
-middle, after Horowitz and Sahni).  The table is capped at _SPLIT_TABLE_CAP
-entries; past it, the first half shrinks.  The split runs only after the
-kernel has found one witness, so a zero count is still proved by the pruned
-search.  Graph-mode counts have no part-1 side and stay on the search kernel.
-The same layer function, run over every part-1 vertex with one vertex allowed
-to stay uncovered, tallies the rainbow near-perfect matchings (_near_layers)
-that the deletion process writes its weight rows from (process._DeletionState).
+half, with complementary vertices and disjoint colors.  Both halves are flat
+lists of partial matchings, built in chunks of at most _SPLIT_TABLE_CAP
+(_chunks) and never merged: at half depth far fewer of them share a state
+than at full depth, and merging costs more than it saves.  The first half
+grows layer by layer and its last layer is tabulated by (covered vertices,
+used colors); the second is walked depth first over chunks and completed by
+a complement lookup (meet in the middle, after Horowitz and Sahni).  A first-half layer past _SPLIT_TABLE_CAP is dropped,
+and the first half shrinks.  The split runs only after the kernel has found
+one witness, so a zero count is still proved by the pruned search.
+Graph-mode counts have no part-1 side and stay on the search kernel.
+
+The rainbow near-perfect matchings that the deletion process writes its
+weight rows from (process._DeletionState) are tallied by a different layer
+function (_grow, _near_layers): it runs over every part-1 vertex with one
+vertex allowed to stay uncovered, and at full depth many partial matchings
+share a state, so each layer merges them into {state: multiplicity}.
 
 For bipartite instances whose color count equals n there is one more,
 independent counting route via inclusion-exclusion over color subsets and
@@ -59,6 +65,7 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -357,11 +364,17 @@ def _packed_lists(H: ColoredHypergraph, all_active: int, edge_items) -> dict[int
     }
 
 
-def _grow(table: dict[int, int], edges: list[int], nodes: int, budget: int, cap=None):
-    """One layer: every state of table extended by every edge that fits it,
-    multiplicities summed.  Returns (layer, nodes + one per new state);
-    raises BudgetExceededError past budget, checked after each parent's
-    kids.  layer is None as soon as it passes cap entries."""
+def _grow(table: dict[int, int], edges: list[int], nodes: int, budget: int):
+    """One layer of the near-perfect tally: every state of table extended by
+    every edge that fits it, multiplicities summed.  Returns (layer, nodes +
+    one per new state); raises BudgetExceededError past budget, checked after
+    each parent's kids.
+
+    The tally runs its layers to full depth, where many partial matchings
+    share a state and merging them is what keeps the layers small.  The split
+    count's halves stop at half depth, where states repeat far less, so they
+    skip the merge and build flat lists instead (_chunks).
+    """
     layer: dict[int, int] = {}
     get = layer.get
     for state, ways in table.items():
@@ -371,8 +384,6 @@ def _grow(table: dict[int, int], edges: list[int], nodes: int, budget: int, cap=
             raise BudgetExceededError(f"node budget {budget} exceeded", nodes)
         for kid in kids:
             layer[kid] = get(kid, 0) + ways
-        if cap is not None and len(layer) > cap:
-            return None, nodes
     return layer, nodes
 
 
@@ -402,10 +413,41 @@ def _near_layers(lists: Iterable[list[int]], budget: int) -> tuple[dict[int, int
     return near, nodes
 
 
-# Most entries the split count's half table may keep (about 70 bytes each).
-# A layer that passes it is dropped, and the depth-first half covers one more
-# part-1 vertex instead.
+# Most partial matchings the split count's half table may be made from, and
+# the size _chunks holds each list to.  A first-half layer that passes it is
+# dropped, and the depth-first half covers one more part-1 vertex instead.
 _SPLIT_TABLE_CAP = 1 << 20
+
+
+def _chunks(states: list[int], edges: list[int]):
+    """The one-edge extensions of states (packed ints, _packed_lists), as
+    lists built from at most _SPLIT_TABLE_CAP // len(edges) parents each (one
+    at least), so none holds more than max(_SPLIT_TABLE_CAP, len(edges))
+    entries.  Nothing is merged: kids of two parents that reach the same
+    state are both kept.  edges is not empty."""
+    step = max(1, _SPLIT_TABLE_CAP // len(edges))
+    for i in range(0, len(states), step):
+        yield [st | e for st in states[i:i + step] for e in edges if not st & e]
+
+
+def _first_half(lists: list[list[int]], nodes: int, budget: int):
+    """The split count's table: (Counter of the partial matchings on the first
+    h part-1 vertices, h, nodes + every partial matching built).  Grows one
+    layer per list up to len(lists) // 2; a layer that passes
+    _SPLIT_TABLE_CAP partial matchings is dropped at the chunk that takes it
+    past, and the table keeps the layer before."""
+    half, h = [0], 0
+    while h < len(lists) // 2:
+        layer = []
+        for chunk in _chunks(half, lists[h]):
+            layer += chunk
+            nodes += len(chunk)
+            if nodes > budget:
+                raise BudgetExceededError(f"node budget {budget} exceeded", nodes)
+            if len(layer) > _SPLIT_TABLE_CAP:
+                return Counter(half), h, nodes
+        half, h = layer, h + 1
+    return Counter(half), h, nodes
 
 
 def _count_split(H: ColoredHypergraph, budget: int) -> tuple[int, int]:
@@ -415,22 +457,25 @@ def _count_split(H: ColoredHypergraph, budget: int) -> tuple[int, int]:
     Every edge holds exactly one part-1 vertex, so a rainbow perfect matching
     on s part-1 vertices is a rainbow matching on the first h of them plus one
     on the other s - h, with complementary covered vertices and disjoint
-    colors.  States and edges are packed ints (_packed_lists).  The first
-    half is tabulated layer by layer (_grow) as {state: number of matchings};
-    the second half is enumerated depth-first, and each of its full states
-    looks its complement up in the table: one dict lookup when the edges
-    carry exactly s colors (every rainbow perfect matching uses all of them),
-    otherwise a scan of the table entries on the complementary vertex set for
-    color-disjoint ones.  h is s // 2, or less when a layer passes
-    _SPLIT_TABLE_CAP entries: that layer is dropped at the first parent whose
-    kids take it past, and the table keeps the layer before.
+    colors.  States and edges are packed ints (_packed_lists), and both
+    halves are flat lists of partial matchings built in chunks (_chunks):
+    at half depth states repeat far less, and merging them would cost more
+    than it saves.  The first half is grown layer by layer and its last layer
+    counted into the table {state: number of matchings} (_first_half; h is
+    s // 2, or less when a layer passes _SPLIT_TABLE_CAP).  The second half
+    is walked depth first over chunks, one chunk generator per depth, and
+    each chunk of full states is joined with the table: one dict lookup per
+    state when the edges carry exactly s colors (every rainbow perfect
+    matching uses all of them), otherwise a scan of the table entries on the
+    complementary vertex set for color-disjoint ones.
 
     The split prunes nothing, so the depth-first kernel first looks for one
     witness: its prunes settle infeasible shapes, instances without an
     active vertex and most zero counts fast, where the split would build
     both halves in full for nothing.  nodes are the kernel's search nodes
     (node 1 is its root, where the vertex-coverage and color-supply check
-    runs) plus every partial matching either half builds.
+    runs) plus every partial matching either half builds, counted against
+    budget after each chunk.
     """
     probe = _Search(H, budget, find_one=True)
     probe.run()
@@ -445,16 +490,9 @@ def _count_split(H: ColoredHypergraph, budget: int) -> tuple[int, int]:
     for _, cbit, _ in edge_items:
         ccover |= cbit
     lists = list(_packed_lists(H, all_active, edge_items).values())
-    s = len(lists)
+    table, h, nodes = _first_half(lists, nodes, budget)
 
-    table, h = {0: 1}, 0
-    while h < s // 2:
-        layer, nodes = _grow(table, lists[h], nodes, budget, _SPLIT_TABLE_CAP)
-        if layer is None:
-            break
-        table, h = layer, h + 1
-
-    exact = ccover.bit_count() == s
+    exact = ccover.bit_count() == len(lists)
     if exact:
         full = all_active | ccover << shift
         get = table.get
@@ -465,42 +503,30 @@ def _count_split(H: ColoredHypergraph, budget: int) -> tuple[int, int]:
             buckets.setdefault(state & low, []).append((state & ~low, ways))
         del table
 
-    # The other half, depth first: pending[d] holds the states on the first d
-    # of the remaining part-1 vertices still to expand.  Only the deepest
-    # nonempty list is ever refilled, so each holds one parent's kids at most;
-    # the deepest ones are joined with the table in one go.
+    # The other half, depth first: walks[d] yields the chunks of states on
+    # the first d + 1 of the remaining part-1 vertices, from one chunk of
+    # walks[d - 1]; the chunks of the last depth are joined with the table.
     rest = lists[h:]
     last = len(rest) - 1
-    edges = rest[last]
-    pending: list[list[int]] = [[0]] + [[] for _ in range(last)]
-    total, depth = 0, 0
-    while depth >= 0:
-        states = pending[depth]
-        if depth == last:
-            depth -= 1
-            if exact:
-                joined = [get(full ^ st ^ e, 0) for st in states for e in edges if not st & e]
-                nodes += len(joined)
-                total += sum(joined)
-            else:
-                for st in states:
-                    for e in edges:
-                        if not st & e:
-                            nodes += 1
-                            kid = st | e
-                            for colors, ways in buckets.get(all_active ^ (kid & low), ()):
-                                if not colors & kid:
-                                    total += ways
-        elif states:
-            state = states.pop()
-            kids = [state | e for e in rest[depth] if not state & e]
-            nodes += len(kids)
-            depth += 1
-            pending[depth] = kids
-        else:
-            depth -= 1
+    walks = [_chunks([0], rest[0])]
+    total = 0
+    while walks:
+        chunk = next(walks[-1], None)
+        if chunk is None:
+            walks.pop()
+            continue
+        nodes += len(chunk)
         if nodes > budget:
             raise BudgetExceededError(f"node budget {budget} exceeded", nodes)
+        if len(walks) <= last:
+            walks.append(_chunks(chunk, rest[len(walks)]))
+        elif exact:
+            total += sum([get(full ^ kid, 0) for kid in chunk])
+        else:
+            for kid in chunk:
+                for colors, ways in buckets.get(all_active ^ (kid & low), ()):
+                    if not colors & kid:
+                        total += ways
     return total, nodes
 
 
@@ -539,10 +565,11 @@ def count_rainbow_pm(
 
     method "brute" works in both modes and with restrictions applied: a
     partite instance is counted by the split route (_count_split), whose
-    nodes are those of a depth-first witness search plus the partial
-    matchings it builds in either half, and whose stored table holds at most
-    _SPLIT_TABLE_CAP entries; a graph-mode instance is counted by the
-    depth-first kernel, whose nodes are the search nodes.
+    nodes are those of a depth-first witness search plus every partial
+    matching it builds in either half (two that share a state count twice),
+    and whose table and lists of partial matchings hold at most
+    _SPLIT_TABLE_CAP entries each (plus one chunk); a graph-mode instance is
+    counted by the depth-first kernel, whose nodes are the search nodes.
     "color-inclusion-exclusion" (alias "ie") needs a bipartite instance with
     kappa == n and no absent vertices, and is the independent cross-check
     route for both; its nodes are permanent-DP transitions.

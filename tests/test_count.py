@@ -481,18 +481,28 @@ def test_split_count_matches_depth_first_search():
     assert square >= 14
 
 
+def prefix_rainbow(H, firsts):
+    """The rainbow matchings with exactly one edge through each part-1 vertex
+    of firsts and no other edge."""
+    for combo in itertools.product(*([e for e in H.edges if e.verts[0] == v] for v in firsts)):
+        verts = {(p, v) for e in combo for p, v in enumerate(e.verts)}
+        if len(verts) == len(firsts) * H.k and is_rainbow(combo):
+            yield combo
+
+
 def prefix_matchings(H, firsts):
     """For d = 1..len(firsts): how many rainbow matchings have exactly one
     edge through each of the part-1 vertices firsts[:d] and no other edge."""
-    out = []
-    for d in range(1, len(firsts) + 1):
-        total = 0
-        for combo in itertools.product(*([e for e in H.edges if e.verts[0] == v]
-                                         for v in firsts[:d])):
-            verts = {(p, v) for e in combo for p, v in enumerate(e.verts)}
-            total += len(verts) == d * H.k and is_rainbow(combo)
-        out.append(total)
-    return out
+    return [sum(1 for _ in prefix_rainbow(H, firsts[:d])) for d in range(1, len(firsts) + 1)]
+
+
+def shares_a_state(H, firsts):
+    """True iff two of the rainbow matchings through firsts cover the same
+    vertices with the same colors."""
+    states = [(frozenset((p, v) for e in combo for p, v in enumerate(e.verts)),
+               frozenset(e.color for e in combo))
+              for combo in prefix_rainbow(H, firsts)]
+    return len(set(states)) < len(states)
 
 
 def test_split_count_nodes_and_budget_edges():
@@ -503,7 +513,14 @@ def test_split_count_nodes_and_budget_edges():
         complete_colored(3, 3, 4, rng(3, seed=55)),
         restrict(complete_colored(6, 2, 7, rng(4, seed=55)),
                  removed_vertices=[PartiteVertex(1, 2), PartiteVertex(2, 5)], removed_colors=[3]),
+        # two partial matchings of a first-half layer below the table share
+        # a state (covered vertices and used colors): each counts as a node
+        complete_colored(8, 2, 8, rng(5, seed=55)),
+        complete_colored(7, 2, 8, rng(9, seed=55)),
     ]
+    for H in cases[-2:]:
+        firsts = H.part_active(1)
+        assert any(shares_a_state(H, firsts[:d]) for d in range(2, len(firsts) // 2))
     for H in cases:
         report = count_rainbow_pm(H)
         # the witness search's nodes, then one node per partial matching
@@ -540,6 +557,38 @@ def test_split_count_value_does_not_depend_on_the_table_cap(monkeypatch):
             assert count_rainbow_pm(H, budget=report.nodes).value == want
             with pytest.raises(BudgetExceededError):
                 count_rainbow_pm(H, budget=report.nodes - 1)
+
+
+def test_split_count_chunks_are_bounded_by_the_table_cap(monkeypatch):
+    chunks = count_module._chunks
+    calls = []
+
+    def recorded(states, edges):
+        sizes = []
+        calls.append(sizes)
+        for chunk in chunks(states, edges):
+            sizes.append((len(chunk), len(edges)))
+            yield chunk
+
+    monkeypatch.setattr(count_module, "_chunks", recorded)
+    several = False
+    for cap in (0, 8, 40):
+        monkeypatch.setattr(count_module, "_SPLIT_TABLE_CAP", cap)
+        joins = set()
+        for H in split_cases():
+            calls.clear()
+            report = count_rainbow_pm(H)
+            assert report.value == dfs_count(H), (cap, H)
+            for sizes in calls:
+                assert all(size <= max(cap, width) for size, width in sizes), (cap, H)
+            if report.value:
+                # exact palette (one dict lookup per state) or a wider one
+                joins.add(len({e.color for e in H.edges}) == len(H.part_active(1)))
+                # at cap 0 the table is the empty matching alone, so every
+                # list after the first is the depth-first half's
+                several |= cap == 0 and any(len(sizes) > 1 for sizes in calls[1:])
+        assert joins == {True, False}, cap
+    assert several
 
 
 def pm_witness_instances():
