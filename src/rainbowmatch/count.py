@@ -42,16 +42,22 @@ lists of partial matchings, built in chunks of at most _SPLIT_TABLE_CAP
 than at full depth, and merging costs more than it saves.  The first half
 grows layer by layer and its last layer is tabulated by (covered vertices,
 used colors); the second is walked depth first over chunks and completed by
-a complement lookup (meet in the middle, after Horowitz and Sahni).  A first-half layer past _SPLIT_TABLE_CAP is dropped,
-and the first half shrinks.  The split runs only after the kernel has found
-one witness, so a zero count is still proved by the pruned search.
-Graph-mode counts have no part-1 side and stay on the search kernel.
+a complement lookup (meet in the middle, after Horowitz and Sahni).  A
+first-half layer past _SPLIT_TABLE_CAP is dropped, and the first half
+shrinks.  The split runs only after the kernel has found one witness, so a
+zero count is still proved by the pruned search.  Graph-mode counts have no
+part-1 side and stay on the search kernel.
 
 The rainbow near-perfect matchings that the deletion process writes its
 weight rows from (process._DeletionState) are tallied by a different layer
 function (_grow, _near_layers): it runs over every part-1 vertex with one
 vertex allowed to stay uncovered, and at full depth many partial matchings
 share a state, so each layer merges them into {state: multiplicity}.
+
+The search kernel, the split and the tally all read one bit layout of the
+instance (_Layout: vertex, color and edge bits, the columns, the edges
+grouped by part-1 vertex), built once per instance with no rescan per
+vertex; the split reads the one its witness search built.
 
 For bipartite instances whose color count equals n there is one more,
 independent counting route via inclusion-exclusion over color subsets and
@@ -143,77 +149,109 @@ def is_perfect_matching(H: ColoredHypergraph, M: Matching) -> bool:
 # -- exact-cover search kernel -------------------------------------------------
 
 
-def _kernel_setup(H: ColoredHypergraph):
-    """Bit layout of an instance.
+class _Layout:
+    """The bit layout of one instance, built once, in a few linear passes
+    over its edges (none per vertex).
 
-    Returns (all_active_mask, edge_items, feasible) where edge_items is
-    [(vertex_mask, color_bit, edge), ...] in canonical edge order.  feasible
-    is False when a parity/size argument already rules out any perfect
-    matching (unequal active part sizes, odd active vertex count).  Nothing
-    here or in _Search is built per active vertex: each mask is an n*k-bit
-    int, so one per vertex would make the set-up quadratic in n.
+    Vertex (p, i) of a partite instance is bit (p - 1) * n + i - 1, vertex
+    v of a graph bit v - 1 (_bits_at), color c bit c - 1, and edge i of
+    H.edges bit i.  items[i] is edge i's (vertex bits in part order, their
+    union, color bit); a packed edge or state is vertex bits | color bits
+    << shift.  active holds the active vertices and twice those that need
+    two edges (demand 2: H is a graph or multigraph on [1..n]); per_edge is
+    the vertices an edge covers, and feasible is False when part sizes or
+    parity rule out any cover.  vertex_cols and color_cols map each touched
+    vertex's and each carried color's bit to its edges; vcols and ccols list
+    them low bit first, vcols after a leading (active, 0) when some active
+    vertex has no edge (it prunes the root).  exact: the edges carry exactly
+    as many colors as a cover has edges.  Nothing but packed's lists is
+    built per active vertex, since each mask is an n*k-bit int.
     """
-    n, edges = H.n, H.edges
-    if H.mode == PARTITE:
-        # bit (part - 1) * n + (index - 1) per vertex; one n-bit mask per part
-        parts = [(1 << n) - 1] * H.k
-        for v in H.absent:
-            parts[v.part - 1] &= ~(1 << (v.index - 1))
-        feasible = len({mask.bit_count() for mask in parts}) == 1
-        all_active = 0
-        for p, mask in enumerate(parts):
-            all_active |= mask << (p * n)
-        if H.k == 2:
-            edge_items = [
-                (1 << (e.verts[0] - 1) | 1 << (n + e.verts[1] - 1), 1 << (e.color - 1), e)
-                for e in edges
-            ]
+
+    def __init__(self, H, demand: int = 1):
+        n = self.n = H.n
+        edges = self.edges = H.edges
+        if demand == 2:
+            self._offsets, self.per_edge, self.shift = (-1, -1), 2, n
+            self.active = self.twice = (1 << n) - 1
+            self.feasible = True
+        elif H.mode == PARTITE:
+            # part p starts at bit (p - 1) * n
+            self._offsets = tuple(range(-1, n * H.k - 1, n))
+            self.per_edge, self.shift, self.twice = H.k, n * H.k, 0
+            gone = [0] * H.k
+            for v in H.absent:
+                gone[v.part - 1] += 1
+            self.feasible = min(gone) == max(gone)
+            self.active = ((1 << self.shift) - 1) & ~sum(
+                self._bits_at(v.part - 1, (v.index,))[0] for v in H.absent)
         else:
-            edge_items = []
-            for e in edges:
-                vmask = 0
-                for p, idx in enumerate(e.verts):
-                    vmask |= 1 << (p * n + idx - 1)
-                edge_items.append((vmask, 1 << (e.color - 1), e))
-    else:
-        all_active = (1 << n) - 1
-        for v in H.absent:
-            all_active &= ~(1 << (v - 1))
-        feasible = all_active.bit_count() % 2 == 0
-        edge_items = _graph_items(edges)
-    return all_active, edge_items, feasible
+            self._offsets, self.per_edge, self.shift, self.twice = (-1, -1), 2, n, 0
+            self.active = ((1 << n) - 1) & ~sum(self._bits_at(0, H.absent))
+            self.feasible = self.active.bit_count() % 2 == 0
+        verts = self.vertex_bits([e.verts for e in edges])
+        cbits = [1 << (e.color - 1) for e in edges]
+        self.items = list(zip(verts, map(sum, verts), cbits))
+        self.vertex_cols = vertex_cols = {}
+        self.color_cols = color_cols = {}
+        vget, cget = vertex_cols.get, color_cols.get
+        ebit = 1
+        for vs, cbit in zip(verts, cbits):
+            for v in vs:
+                vertex_cols[v] = vget(v, 0) | ebit
+            color_cols[cbit] = cget(cbit, 0) | ebit
+            ebit <<= 1
+        # no edge touches an absent vertex
+        self.vcols = sorted(vertex_cols.items())
+        active = self.active.bit_count()
+        if len(self.vcols) < active:
+            self.vcols.insert(0, (self.active, 0))
+        self.ccols = [col for _, col in sorted(color_cols.items())]
+        self.exact = len(self.ccols) * self.per_edge == active + self.twice.bit_count()
 
+    def _bits_at(self, p: int, indices) -> list[int]:
+        # the bit of each vertex index at tuple position p (its part minus
+        # one, 0 in a graph): the one place the vertex bits are computed
+        o = self._offsets[p]
+        return [1 << (o + i) for i in indices]
 
-def _graph_items(edges) -> list:
-    """[(vertex_mask, color_bit, edge), ...] of graph edges: vertex v is bit
-    v - 1, color c bit c - 1."""
-    return [((1 << (e.verts[0] - 1)) | (1 << (e.verts[1] - 1)), 1 << (e.color - 1), e)
-            for e in edges]
+    def vertex_bits(self, tuples) -> list[tuple[int, ...]]:
+        """The bits of each vertex tuple (an edge's vertices, or one vertex
+        per part), in part order."""
+        return list(zip(*[self._bits_at(p, idx) for p, idx in enumerate(zip(*tuples))]))
+
+    def packed(self) -> tuple[list[int], dict[int, list[int]]]:
+        """Each edge packed, in canonical order, and the packed edges of each
+        active part-1 vertex of a partite instance, keyed by its bit from low
+        to high (the branch order), edgeless vertices included.  One pass
+        over the edges.  A state (a partial matching) is packed too, covered
+        vertices | used colors << shift, so an edge fits a state iff the two
+        share no bit."""
+        shift = self.shift
+        packed = [covers | cbit << shift for _, covers, cbit in self.items]
+        lists: dict[int, list[int]] = {b: [] for b in _bits(self.active & ((1 << self.n) - 1))}
+        for (verts, _, _), x in zip(self.items, packed):
+            lists[verts[0]].append(x)
+        return packed, lists
 
 
 class _Search:
     """One exact-cover search (columns, prunes and branching rule in the
     module docstring); counts every visited node against the budget.
 
-    Edge i of edge_items is bit i of an int.  With demand 1 each active
-    vertex of H needs one edge: the covers are rainbow perfect matchings.
-    With demand 2, H is a graph on [1..n] (parallel edges allowed, every
-    vertex active) whose vertices each need two edges, under the fragment
-    rule: the covers are rainbow Hamilton cycles.  After run(), nodes is the
+    With demand 1 each active vertex of H needs one edge: the covers are
+    rainbow perfect matchings.  With demand 2, H is a graph on [1..n]
+    (parallel edges allowed, every vertex active) whose vertices each need
+    two edges, under the fragment rule: the covers are rainbow Hamilton
+    cycles.  layout is the instance's bit layout (_Layout), built here, and
+    edge i of it is bit i of the live set.  After run(), nodes is the
     number of nodes visited, count the covers reached (all of them unless
     find_one), and found, in find_one mode, the edges of the first one
     reached, in the order they were chosen, or None.
     """
 
     def __init__(self, H, budget: int, find_one: bool, demand: int = 1):
-        if demand == 2:
-            self.all_active = self.twice = (1 << H.n) - 1
-            self.edge_items, self.feasible, self.per_edge = _graph_items(H.edges), True, 2
-        else:
-            self.all_active, self.edge_items, self.feasible = _kernel_setup(H)
-            self.twice = 0
-            # vertices one matching edge covers (graph mode fixes k = 2)
-            self.per_edge = H.k
+        self.layout = _Layout(H, demand)
         self.budget = budget
         self.find_one = find_one
         self.nodes = 0
@@ -221,39 +259,18 @@ class _Search:
         self.found: tuple[ColoredEdge, ...] | None = None
 
     def run(self) -> None:
-        if not self.feasible:
+        layout = self.layout
+        if not layout.feasible:
             return
-        all_active, items, twice = self.all_active, self.edge_items, self.twice
+        all_active, twice = layout.active, layout.twice
         if all_active == 0:
             # No active vertices: exactly one (empty) perfect matching.
             self.count = 1
             if self.find_one:
                 self.found = ()
             return
-        # the edges of each column, for the vertices some edge touches (no
-        # edge touches an absent vertex)
-        vertex_cols: dict[int, int] = {}
-        color_cols: dict[int, int] = {}
-        per_edge = self.per_edge
-        # each edge's vertex bits, taken apart once (a two-bit mask is its
-        # low bit and the rest)
-        if per_edge == 2:
-            edge_verts = [(vmask & -vmask, vmask & (vmask - 1)) for vmask, _, _ in items]
-        else:
-            edge_verts = [tuple(_bits(vmask)) for vmask, _, _ in items]
-        ebit = 1
-        for (_, cbit, _), verts in zip(items, edge_verts):
-            for v in verts:
-                vertex_cols[v] = vertex_cols.get(v, 0) | ebit
-            color_cols[cbit] = color_cols.get(cbit, 0) | ebit
-            ebit <<= 1
-        vcols = sorted(vertex_cols.items())  # low bit first
-        if len(vcols) < all_active.bit_count():
-            # some active vertex has no edge: a column without edges over all
-            # of them, tested first, prunes the root
-            vcols.insert(0, (all_active, 0))
-        ccols = [col for _, col in sorted(color_cols.items())]
-        exact = len(ccols) * per_edge == all_active.bit_count() + twice.bit_count()
+        items, vertex_cols, color_cols = layout.items, layout.vertex_cols, layout.color_cols
+        vcols, ccols, exact, per_edge = layout.vcols, layout.ccols, layout.exact, layout.per_edge
         cycle = twice != 0
         find_one, budget = self.find_one, self.budget
         nodes = count = 0
@@ -276,7 +293,7 @@ class _Search:
                     found = []
                     while chosen:
                         i, chosen = chosen
-                        found.append(items[i][2])
+                        found.append(layout.edges[i])
                     self.found = tuple(reversed(found))
                     break
                 continue
@@ -321,10 +338,10 @@ class _Search:
                         cands ^= 1 << i
                         # the edge kills its color and the columns of the
                         # vertices it saturates
-                        covers, cbit, _ = items[i]
+                        verts, covers, cbit = items[i]
                         saturated = covers & ~twice
                         kill = color_cols[cbit]
-                        for v in edge_verts[i]:
+                        for v in verts:
                             if v & saturated:
                                 kill |= vertex_cols[v]
                         ends_after = None
@@ -332,7 +349,7 @@ class _Search:
                             # the new fragment's ends may no longer be joined,
                             # unless it spans every vertex: then this edge
                             # leaves a demand of 2, the closing edge's
-                            u, v = edge_verts[i]
+                            u, v = verts
                             a, b = ends[u], ends[v]
                             if demand > 4:
                                 kill |= vertex_cols[a] & vertex_cols[b]
@@ -350,18 +367,6 @@ def _bits(mask: int):
         low = mask & -mask
         yield low
         mask ^= low
-
-
-def _packed_lists(H: ColoredHypergraph, all_active: int, edge_items) -> dict[int, list[int]]:
-    """The edges of each active part-1 vertex, keyed by its bit from low to
-    high (the branch order), as packed ints.  A state (a partial matching)
-    is one packed int too, covered vertices | used colors << (n*k), so an
-    edge fits a state iff the two share no bit."""
-    shift = H.n * H.k
-    return {
-        b: [vmask | cbit << shift for vmask, cbit, _ in edge_items if vmask & b]
-        for b in _bits(all_active & ((1 << H.n) - 1))
-    }
 
 
 def _grow(table: dict[int, int], edges: list[int], nodes: int, budget: int):
@@ -389,7 +394,7 @@ def _grow(table: dict[int, int], edges: list[int], nodes: int, budget: int):
 
 def _near_layers(lists: Iterable[list[int]], budget: int) -> tuple[dict[int, int], int]:
     """The near-perfect tally's layer loop over packed edge lists (one list
-    per part-1 vertex, _packed_lists): returns (near, nodes), near mapping
+    per part-1 vertex, _Layout.packed): returns (near, nodes), near mapping
     every packed state that covers all part-1 vertices of the lists but one
     to its number of rainbow matchings, nodes the states built.
 
@@ -420,7 +425,7 @@ _SPLIT_TABLE_CAP = 1 << 20
 
 
 def _chunks(states: list[int], edges: list[int]):
-    """The one-edge extensions of states (packed ints, _packed_lists), as
+    """The one-edge extensions of states (packed ints, _Layout.packed), as
     lists built from at most _SPLIT_TABLE_CAP // len(edges) parents each (one
     at least), so none holds more than max(_SPLIT_TABLE_CAP, len(edges))
     entries.  Nothing is merged: kids of two parents that reach the same
@@ -457,7 +462,9 @@ def _count_split(H: ColoredHypergraph, budget: int) -> tuple[int, int]:
     Every edge holds exactly one part-1 vertex, so a rainbow perfect matching
     on s part-1 vertices is a rainbow matching on the first h of them plus one
     on the other s - h, with complementary covered vertices and disjoint
-    colors.  States and edges are packed ints (_packed_lists), and both
+    colors.  States and edges are packed ints, and the edges are grouped by
+    part-1 vertex, in the layout the witness search has already built
+    (_Layout.packed; exact and the color cover come from it too).  Both
     halves are flat lists of partial matchings built in chunks (_chunks):
     at half depth states repeat far less, and merging them would cost more
     than it saves.  The first half is grown layer by layer and its last layer
@@ -484,17 +491,14 @@ def _count_split(H: ColoredHypergraph, budget: int) -> tuple[int, int]:
         # None: no perfect matching is feasible or the search proved absence;
         # (): no active vertex, so the empty matching is the one
         return (0 if probe.found is None else 1), nodes
-    shift = H.n * H.k
-    all_active, edge_items = probe.all_active, probe.edge_items
-    ccover = 0
-    for _, cbit, _ in edge_items:
-        ccover |= cbit
-    lists = list(_packed_lists(H, all_active, edge_items).values())
+    layout = probe.layout
+    shift, all_active, exact = layout.shift, layout.active, layout.exact
+    lists = list(layout.packed()[1].values())
     table, h, nodes = _first_half(lists, nodes, budget)
 
-    exact = ccover.bit_count() == len(lists)
     if exact:
-        full = all_active | ccover << shift
+        # every color some edge carries: a full state uses them all
+        full = all_active | sum(layout.color_cols) << shift
         get = table.get
     else:
         low = (1 << shift) - 1

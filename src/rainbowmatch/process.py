@@ -65,13 +65,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
-from .count import (
-    BudgetExceededError,
-    DEFAULT_NODE_BUDGET,
-    _kernel_setup,
-    _near_layers,
-    _packed_lists,
-)
+from .count import BudgetExceededError, DEFAULT_NODE_BUDGET, _Layout, _near_layers
 from .model import PARTITE, ColoredEdge, ColoredHypergraph, degree_profile
 
 __all__ = [
@@ -144,42 +138,40 @@ class _DeletionState:
     the active parts (`_median_capped` reads its groups as stride slices of
     that order): [w(v, c) for c in 1..kappa], the rainbow near-perfect
     matchings that leave exactly v uncovered and do not use color c.  row_of
-    is the one index into it, from v's vertex mask to v's row.  The
-    constructor tallies them all (`count._near_layers` over the packed edge
-    lists, `count._packed_lists`).  live maps each edge to its packed int,
-    its part-1 vertex's list, its row and its color index; deg and cdeg are
-    the vertex and color degrees.  delete(e) takes e out of all of these and
-    subtracts only the matchings through e: e plus a near-perfect matching
-    of the other part-1 vertices whose edges share no vertex and no color
-    with e, built by the same layer loop.  nodes is the number of states the
-    last tally built, all counted against budget.  Every state a delta
-    builds, with e added once the loop has passed e's part-1 vertex, is also
-    built by the full tally of the instance before the deletion (from the
-    matching parent by the same edge), so no delta builds more states than
-    that.  delete assumes the active parts have equal sizes.
+    is the one index into it, from v's vertex mask to v's row.  The masks,
+    the packed edges and their lists per part-1 vertex all come from the
+    instance's bit layout (`count._Layout`), and the constructor tallies the
+    rows from those lists (`count._near_layers`).  live maps each edge to
+    its packed int, its part-1 vertex's list, its row and its color index;
+    deg and cdeg are the vertex and color degrees.  delete(e) takes e out
+    of all of these and subtracts only the matchings through e: e plus a
+    near-perfect matching of the other part-1 vertices whose edges share no
+    vertex and no color with e, built by the same layer loop.  nodes is the
+    number of states the last tally built, all counted against budget.
+    Every state a delta builds, with e added once the loop has passed e's
+    part-1 vertex, is also built by the full tally of the instance before
+    the deletion (from the matching parent by the same edge), so no delta
+    builds more states than that.  delete assumes the active parts have
+    equal sizes.
     """
 
     def __init__(self, H: ColoredHypergraph, budget: int):
-        self.active, edge_items, feasible = _kernel_setup(H)
+        layout = _Layout(H)
+        self.active, self.shift = layout.active, layout.shift
         self.budget = budget
-        self.shift = shift = H.n * H.k
         self.colors = (1 << H.kappa) - 1
-        self.lists = _packed_lists(H, self.active, edge_items)
+        packed, self.lists = layout.packed()
         # one row per tuple in product order, indexed by the tuple's vertex mask
         self.parts = [H.part_active(p) for p in range(1, H.k + 1)]
         self.rows = [[0] * H.kappa for _ in range(math.prod(map(len, self.parts)))]
-        self.row_of = {
-            sum(1 << (p * H.n + i - 1) for p, i in enumerate(verts)): row
-            for verts, row in zip(product(*self.parts), self.rows)
-        }
-        # the lowest bit of an edge's vertex mask is its part-1 vertex
+        self.row_of = dict(zip(map(sum, layout.vertex_bits(product(*self.parts))), self.rows))
         self.live = {
-            e: (vmask | cbit << shift, self.lists[vmask & -vmask], self.row_of[vmask], e.color - 1)
-            for vmask, cbit, e in edge_items
+            e: (x, self.lists[verts[0]], self.row_of[covers], e.color - 1)
+            for e, x, (verts, covers, _) in zip(H.edges, packed, layout.items)
         }
         self.deg, self.cdeg = degree_profile(H)
         self.nodes = 0
-        if feasible:
+        if layout.feasible:
             near, self.nodes = _near_layers(self.lists.values(), budget)
             self._add(near, 0, 1)
 

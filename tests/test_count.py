@@ -18,6 +18,7 @@ from rainbowmatch.count import (
     latin_transversal,
     second_moment_exact,
 )
+from rainbowmatch.hamilton import ColoredMultigraph
 from rainbowmatch.model import (
     ColoredEdge,
     ColoredHypergraph,
@@ -328,36 +329,70 @@ def test_search_counts_on_both_sides_of_the_color_switch():
         assert {(mode, True, True), (mode, False, True), (mode, False, False)} <= seen, mode
 
 
-def _kernel_setup_oracle(H):
-    """The kernel's bit layout built vertex by vertex, as it stood before it
-    was read off the absent set: (all_active, edge_items, feasible), the
-    tuple _kernel_setup must return."""
+def _layout_oracle(H, demand=1):
+    """The instance's bit layout built vertex by vertex, every column found by
+    scanning the edge list, and the part-1 lists by scanning it once per
+    part-1 vertex: the attributes _Layout must hold."""
     n = H.n
-    if H.mode == PARTITE:
-        parts = [H.part_active(p) for p in range(1, H.k + 1)]
-        feasible = len({len(part) for part in parts}) == 1
-        bit_of = lambda part, idx: 1 << ((part - 1) * n + (idx - 1))
-        all_active = 0
-        for p, part in enumerate(parts, start=1):
-            for i in part:
-                all_active |= bit_of(p, i)
-        edge_items = []
-        for e in H.edges:
-            vmask = 0
-            for part, idx in enumerate(e.verts, start=1):
-                vmask |= bit_of(part, idx)
-            edge_items.append((vmask, 1 << (e.color - 1), e))
+    if demand == 2:
+        active, twice = list(range(1, n + 1)), list(range(1, n + 1))
+        feasible, per_edge, shift = True, 2, n
+    elif H.mode == PARTITE:
+        active = [PartiteVertex(p, i) for p in range(1, H.k + 1) for i in H.part_active(p)]
+        twice = []
+        feasible = len({len(H.part_active(p)) for p in range(1, H.k + 1)}) == 1
+        per_edge, shift = H.k, n * H.k
     else:
-        active = H.active_vertices()
-        feasible = len(active) % 2 == 0
-        all_active = 0
-        for v in active:
-            all_active |= 1 << (v - 1)
-        edge_items = [
-            ((1 << (e.verts[0] - 1)) | (1 << (e.verts[1] - 1)), 1 << (e.color - 1), e)
-            for e in H.edges
-        ]
-    return all_active, edge_items, feasible
+        active, twice = H.active_vertices(), []
+        feasible, per_edge, shift = len(active) % 2 == 0, 2, n
+
+    def bit(v):
+        return 1 << ((v.part - 1) * n + v.index - 1) if isinstance(v, PartiteVertex) else 1 << (v - 1)
+
+    def edge_vertices(e):
+        if demand == 1 and H.mode == PARTITE:
+            return [PartiteVertex(p, i) for p, i in enumerate(e.verts, start=1)]
+        return list(e.verts)
+
+    items = []
+    for e in H.edges:
+        verts = tuple(bit(v) for v in edge_vertices(e))
+        items.append((verts, sum(verts), 1 << (e.color - 1)))
+    vertex_cols, color_cols = {}, {}
+    for v in active:
+        col = sum(1 << i for i, e in enumerate(H.edges) if v in edge_vertices(e))
+        if col:
+            vertex_cols[bit(v)] = col
+    for c in range(1, H.kappa + 1):
+        col = sum(1 << i for i, e in enumerate(H.edges) if e.color == c)
+        if col:
+            color_cols[1 << (c - 1)] = col
+    all_active = sum(bit(v) for v in active)
+    vcols = sorted(vertex_cols.items())
+    if any(bit(v) not in vertex_cols for v in active):
+        vcols.insert(0, (all_active, 0))
+    want = {
+        "active": all_active,
+        "twice": sum(bit(v) for v in twice),
+        "per_edge": per_edge,
+        "feasible": feasible,
+        "shift": shift,
+        "items": items,
+        "vertex_cols": vertex_cols,
+        "color_cols": color_cols,
+        "vcols": vcols,
+        "ccols": [col for _, col in sorted(color_cols.items())],
+        "exact": len(color_cols) * per_edge == len(active) + len(twice),
+    }
+    if demand == 1 and H.mode == PARTITE:
+        # each edge packed, and the edges of each part-1 vertex in order
+        packed = [covers | cbit << shift for _, covers, cbit in items]
+        lists = {}
+        for i in H.part_active(1):
+            b = bit(PartiteVertex(1, i))
+            lists[b] = [x for x in packed if x & b]
+        want["packed"] = (packed, lists)
+    return want
 
 
 def test_kernel_layout_pinned():
@@ -381,11 +416,23 @@ def test_kernel_layout_pinned():
     cases += [ColoredHypergraph(PARTITE, 3, 2, 3, ()), ColoredHypergraph("graph", 5, 2, 2, ())]
     feasible = set()
     for H in cases:
-        got = count_module._kernel_setup(H)
-        assert got == _kernel_setup_oracle(H), H
-        feasible.add((H.mode, bool(H.absent), got[2]))
+        layout = count_module._Layout(H)
+        want = _layout_oracle(H)
+        got = {name: getattr(layout, name) for name in want if name != "packed"}
+        if "packed" in want:
+            got["packed"] = layout.packed()
+        assert got == want, H
+        feasible.add((H.mode, bool(H.absent), layout.feasible))
     assert feasible == {(mode, gone, ok) for mode in (PARTITE, "graph")
                         for gone in (False, True) for ok in (False, True)} - {(PARTITE, False, False)}
+    # demand 2: a multigraph with parallel edges, then one more vertex, which
+    # no edge touches
+    edges = [ColoredEdge((1, 2), 1), ColoredEdge((1, 2), 3), ColoredEdge((2, 3), 2),
+             ColoredEdge((1, 3), 2), ColoredEdge((3, 4), 4)]
+    for G in (ColoredMultigraph(4, 4, tuple(edges)), ColoredMultigraph(5, 4, tuple(edges))):
+        layout = count_module._Layout(G, demand=2)
+        want = _layout_oracle(G, demand=2)
+        assert {name: getattr(layout, name) for name in want} == want, G
 
 
 def test_an_active_vertex_without_edges_prunes_the_root():
@@ -589,6 +636,26 @@ def test_split_count_chunks_are_bounded_by_the_table_cap(monkeypatch):
                 several |= cap == 0 and any(len(sizes) > 1 for sizes in calls[1:])
         assert joins == {True, False}, cap
     assert several
+
+
+def test_split_count_reads_the_witness_search_layout(monkeypatch):
+    # a partite count builds one bit layout, in its witness search, and the
+    # split reads that one
+    built = []
+
+    class Counted(count_module._Layout):
+        def __init__(self, *args, **kwargs):
+            built.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(count_module, "_Layout", Counted)
+    H = complete_colored(5, 2, 5, rng(0, seed=74))
+    # exact palette (one lookup per state), then a wider one (a bucket scan)
+    for G in (H, restrict(H, removed_vertices=[PartiteVertex(1, 2), PartiteVertex(2, 4)])):
+        want = dfs_count(G)
+        built.clear()
+        assert count_rainbow_pm(G).value == want > 0
+        assert built == [G]
 
 
 def pm_witness_instances():
