@@ -48,16 +48,10 @@ shrinks.  The split runs only after the kernel has found one witness, so a
 zero count is still proved by the pruned search.  Graph-mode counts have no
 part-1 side and stay on the search kernel.
 
-The rainbow near-perfect matchings that the deletion process writes its
-weight rows from (process._DeletionState) are tallied by a different layer
-function (_grow, _near_layers): it runs over every part-1 vertex with one
-vertex allowed to stay uncovered, and at full depth many partial matchings
-share a state, so each layer merges them into {state: multiplicity}.
-
-The search kernel, the split and the tally all read one bit layout of the
-instance (_Layout: vertex, color and edge bits, the columns, the edges
-grouped by part-1 vertex), built once per instance with no rescan per
-vertex; the split reads the one its witness search built.
+The search kernel and the split read one bit layout of the instance
+(_Layout: vertex, color and edge bits, the columns, the edges grouped by
+part-1 vertex), built once per instance with no rescan per vertex; the split
+reads the one its witness search built.
 
 For bipartite instances whose color count equals n there is one more,
 independent counting route via inclusion-exclusion over color subsets and
@@ -76,7 +70,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .model import PARTITE, ColoredEdge, ColoredHypergraph, Matching
+from .model import PARTITE, CapacityError, ColoredEdge, ColoredHypergraph, Matching
 
 __all__ = [
     "DEFAULT_NODE_BUDGET",
@@ -93,6 +87,10 @@ __all__ = [
 ]
 
 DEFAULT_NODE_BUDGET = 10**8
+
+# Most bits a layout may span, (edges + 1) * (vertex bits + colors): _Layout
+# refuses a larger instance (model.CapacityError) before it builds a mask.
+_LAYOUT_BIT_CAP = 1 << 31
 
 METHOD_BRUTE = "brute"
 METHOD_IE = "color-inclusion-exclusion"
@@ -165,20 +163,26 @@ class _Layout:
     them low bit first, vcols after a leading (active, 0) when some active
     vertex has no edge (it prunes the root).  exact: the edges carry exactly
     as many colors as a cover has edges.  Nothing but packed's lists is
-    built per active vertex, since each mask is an n*k-bit int.
+    built per active vertex, since each mask is an n*k-bit int (and none
+    at all past _LAYOUT_BIT_CAP).
     """
 
     def __init__(self, H, demand: int = 1):
         n = self.n = H.n
         edges = self.edges = H.edges
+        partite = demand == 1 and H.mode == PARTITE
+        self.shift = n * H.k if partite else n
+        size = (len(edges) + 1) * (self.shift + H.kappa)
+        if size > _LAYOUT_BIT_CAP:
+            raise CapacityError(f"layout of {size} bits exceeds capacity {_LAYOUT_BIT_CAP}")
         if demand == 2:
-            self._offsets, self.per_edge, self.shift = (-1, -1), 2, n
+            self._offsets, self.per_edge = (-1, -1), 2
             self.active = self.twice = (1 << n) - 1
             self.feasible = True
-        elif H.mode == PARTITE:
+        elif partite:
             # part p starts at bit (p - 1) * n
-            self._offsets = tuple(range(-1, n * H.k - 1, n))
-            self.per_edge, self.shift, self.twice = H.k, n * H.k, 0
+            self._offsets = tuple(range(-1, self.shift - 1, n))
+            self.per_edge, self.twice = H.k, 0
             gone = [0] * H.k
             for v in H.absent:
                 gone[v.part - 1] += 1
@@ -186,7 +190,7 @@ class _Layout:
             self.active = ((1 << self.shift) - 1) & ~sum(
                 self._bits_at(v.part - 1, (v.index,))[0] for v in H.absent)
         else:
-            self._offsets, self.per_edge, self.shift, self.twice = (-1, -1), 2, n, 0
+            self._offsets, self.per_edge, self.twice = (-1, -1), 2, 0
             self.active = ((1 << n) - 1) & ~sum(self._bits_at(0, H.absent))
             self.feasible = self.active.bit_count() % 2 == 0
         verts = self.vertex_bits([e.verts for e in edges])
@@ -367,55 +371,6 @@ def _bits(mask: int):
         low = mask & -mask
         yield low
         mask ^= low
-
-
-def _grow(table: dict[int, int], edges: list[int], nodes: int, budget: int):
-    """One layer of the near-perfect tally: every state of table extended by
-    every edge that fits it, multiplicities summed.  Returns (layer, nodes +
-    one per new state); raises BudgetExceededError past budget, checked after
-    each parent's kids.
-
-    The tally runs its layers to full depth, where many partial matchings
-    share a state and merging them is what keeps the layers small.  The split
-    count's halves stop at half depth, where states repeat far less, so they
-    skip the merge and build flat lists instead (_chunks).
-    """
-    layer: dict[int, int] = {}
-    get = layer.get
-    for state, ways in table.items():
-        kids = [state | e for e in edges if not state & e]
-        nodes += len(kids)
-        if nodes > budget:
-            raise BudgetExceededError(f"node budget {budget} exceeded", nodes)
-        for kid in kids:
-            layer[kid] = get(kid, 0) + ways
-    return layer, nodes
-
-
-def _near_layers(lists: Iterable[list[int]], budget: int) -> tuple[dict[int, int], int]:
-    """The near-perfect tally's layer loop over packed edge lists (one list
-    per part-1 vertex, _Layout.packed): returns (near, nodes), near mapping
-    every packed state that covers all part-1 vertices of the lists but one
-    to its number of rainbow matchings, nodes the states built.
-
-    One layer (_grow) per list, over two tables: full, the matchings covering
-    every part-1 vertex so far, and near, those that left exactly one of them
-    uncovered.  Each layer grows both and carries every state of full into
-    near with this vertex left uncovered.  The nodes counted against budget
-    are one per grown state and one per carry.  Nothing is pruned, so
-    removing edges from the lists only shrinks every layer and the node
-    count with it.
-    """
-    full, near, nodes = {0: 1}, {}, 0
-    for edges in lists:
-        near, nodes = _grow(near, edges, nodes, budget)
-        # the carries cover no vertex the grown states do, so nothing collides
-        near.update(full)
-        nodes += len(full)
-        if nodes > budget:
-            raise BudgetExceededError(f"node budget {budget} exceeded", nodes)
-        full, nodes = _grow(full, edges, nodes, budget)
-    return near, nodes
 
 
 # Most partial matchings the split count's half table may be made from, and
@@ -602,8 +557,9 @@ def _count_ie(H: ColoredHypergraph, budget: int) -> tuple[int, int]:
     inside D; then summing (-1)^(n-|D|) perm(A_D) counts exactly the perfect
     matchings whose color set is all of [1..n].
 
-    The budget is checked up front against the ~4^n * n estimate; the node
-    count returned is the number of permanent-DP transitions actually made.
+    The budget is checked up front against the ~4^n * n estimate (a
+    budget-out reports budget + 1 nodes); the node count returned is the
+    number of permanent-DP transitions actually made.
     """
     if H.mode != PARTITE or H.k != 2:
         raise ValueError("inclusion-exclusion route requires a bipartite instance")
@@ -612,11 +568,10 @@ def _count_ie(H: ColoredHypergraph, budget: int) -> tuple[int, int]:
     if H.absent:
         raise ValueError("inclusion-exclusion route requires all vertices active")
     n = H.n
-    work = (4**n) * max(n, 1)
-    if work > budget:
+    # 4^n alone passes the budget once 2n reaches its bit length
+    if 2 * n >= budget.bit_length() or 4**n * n > budget:
         raise BudgetExceededError(
-            f"inclusion-exclusion needs ~4^{n}*{n} = {work} steps, over budget {budget}",
-            work,
+            f"inclusion-exclusion needs ~4^{n}*{n} steps, over budget {budget}", budget + 1
         )
 
     # row_color[i][c]: bitmask of columns j such that (i+1, j+1) has color c+1.

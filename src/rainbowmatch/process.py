@@ -18,22 +18,24 @@ summing that weight over all remaining edges counts each matching n times.
 
 The whole weight table comes from one tally: a rainbow perfect matching of
 the instance minus v's vertices is a rainbow near-perfect matching of the
-instance that leaves exactly v uncovered, and it avoids c iff it does not use
-c.  So the near-perfect matchings are built layer by layer (`count._grow`),
-and each one is added straight into the row of the tuple it leaves
-uncovered, at every color it leaves unused.  A count phi is then the sum of
-the edge weights divided by n.  `_DeletionState` owns those rows, one list
-in `product` order over the active parts; `weight_profile` returns them as a
+instance that leaves exactly v uncovered, and it avoids c iff it does not
+use c.  So the near-perfect matchings are built layer by layer (`_grow`,
+`_near_layers`; at full depth many share a state, so each layer merges
+them, where the split count's half-depth `count._chunks` does not), and
+each one is added straight into its leftover tuple's entries, at every
+color it leaves unused.  A count phi is then the sum of the edge weights
+divided by n.  `_DeletionState` owns the table, one flat list in `product`
+order over (part 1, ..., part k, color); `weight_profile` returns it as a
 table for any partite instance.
 
 The process runs that full tally once, at step 0, and carries the state (the
-weight rows, the packed edge lists, the vertex and color degrees, the live
+weight table, the packed edge lists, the vertex and color degrees, the live
 edges) from step to step.  Deleting edge e removes exactly the near-perfect
 matchings through e, so a later step tallies only those: the same layer loop
 over the other part-1 vertices' edges that share no vertex and no color with
-e.  Each one is subtracted from its leftover tuple's row, and the step builds
-no instance.  No delta builds more states than step 0's tally, so a budget
-step 0 fits in holds for the whole trace.
+e.  Each one is subtracted from its leftover tuple's entries, and the step
+builds no instance.  No delta builds more states than step 0's tally, so a
+budget step 0 fits in holds for the whole trace.
 
 Flags per step (wire names B, R, C in the trace CSV):
 
@@ -45,11 +47,12 @@ Flags per step (wire names B, R, C in the trace CSV):
 
 `run_deletion_process` is the one place the flags are computed, in integers
 (cross-multiplied against the thresholds' own integer ratios, or floored).
-Flag C is one predicate over the weight rows (`_median_capped`): a weight is
-an int, so it exceeds phi / (2^k n^k) iff it exceeds that bound's floor, and
-the predicate stops at the first group whose max beats both the floor and
-twice its median.  Each step is recorded once, as a `DeletionStep` whose
-leading fields are the trace CSV's step columns.
+Flag C is one predicate over the flat table (`_median_capped`), whose
+localized groups are its stride slices along each of the k + 1 axes: a
+weight is an int, so it exceeds phi / (2^k n^k) iff it exceeds that bound's
+floor, and the predicate stops at the first group whose max beats both the
+floor and twice its median.  Each step is recorded once, as a
+`DeletionStep` whose leading fields are the trace CSV's step columns.
 
 The dyadic interval machinery at the bottom is independent of the process: it
 locates, for any positive weight vector with near-maximal entropy, a short
@@ -65,7 +68,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
-from .count import BudgetExceededError, DEFAULT_NODE_BUDGET, _Layout, _near_layers
+from .count import BudgetExceededError, DEFAULT_NODE_BUDGET, _Layout
 from .model import PARTITE, ColoredEdge, ColoredHypergraph, degree_profile
 
 __all__ = [
@@ -129,30 +132,70 @@ def _check_partite(H: ColoredHypergraph) -> None:
         raise ValueError("this operation is defined for partite instances")
 
 
-class _DeletionState:
-    """The weight rows of a partite instance, written from its rainbow
-    near-perfect matchings and kept exact under edge deletions, with what
-    the deletion process reads next to them.
+def _grow(table: dict[int, int], edges: list[int], nodes: int, budget: int):
+    """One layer of the near-perfect tally: every state of table extended by
+    every edge that fits it, multiplicities summed.  Returns (layer, nodes +
+    one per new state); raises BudgetExceededError past budget, checked after
+    each parent's kids."""
+    layer: dict[int, int] = {}
+    get = layer.get
+    for state, ways in table.items():
+        kids = [state | e for e in edges if not state & e]
+        nodes += len(kids)
+        if nodes > budget:
+            raise BudgetExceededError(f"node budget {budget} exceeded", nodes)
+        for kid in kids:
+            layer[kid] = get(kid, 0) + ways
+    return layer, nodes
 
-    rows is a list with one row per active tuple v, in `product` order over
-    the active parts (`_median_capped` reads its groups as stride slices of
-    that order): [w(v, c) for c in 1..kappa], the rainbow near-perfect
-    matchings that leave exactly v uncovered and do not use color c.  row_of
-    is the one index into it, from v's vertex mask to v's row.  The masks,
-    the packed edges and their lists per part-1 vertex all come from the
-    instance's bit layout (`count._Layout`), and the constructor tallies the
-    rows from those lists (`count._near_layers`).  live maps each edge to
-    its packed int, its part-1 vertex's list, its row and its color index;
-    deg and cdeg are the vertex and color degrees.  delete(e) takes e out
-    of all of these and subtracts only the matchings through e: e plus a
-    near-perfect matching of the other part-1 vertices whose edges share no
-    vertex and no color with e, built by the same layer loop.  nodes is the
-    number of states the last tally built, all counted against budget.
-    Every state a delta builds, with e added once the loop has passed e's
-    part-1 vertex, is also built by the full tally of the instance before
-    the deletion (from the matching parent by the same edge), so no delta
-    builds more states than that.  delete assumes the active parts have
-    equal sizes.
+
+def _near_layers(lists: Iterable[list[int]], budget: int) -> tuple[dict[int, int], int]:
+    """The near-perfect tally's layer loop over packed edge lists (one list
+    per part-1 vertex, `count._Layout.packed`): returns (near, nodes), near
+    mapping every packed state that covers all part-1 vertices of the lists
+    but one to its number of rainbow matchings, nodes the states built.
+
+    One layer (_grow) per list, over two tables: full, the matchings covering
+    every part-1 vertex so far, and near, those that left exactly one of them
+    uncovered.  Each layer grows both and carries every state of full into
+    near with this vertex left uncovered.  The nodes counted against budget
+    are one per grown state and one per carry.  Nothing is pruned, so
+    removing edges from the lists only shrinks every layer and the node
+    count with it.
+    """
+    full, near, nodes = {0: 1}, {}, 0
+    for edges in lists:
+        near, nodes = _grow(near, edges, nodes, budget)
+        # the carries cover no vertex the grown states do, so nothing collides
+        near.update(full)
+        nodes += len(full)
+        if nodes > budget:
+            raise BudgetExceededError(f"node budget {budget} exceeded", nodes)
+        full, nodes = _grow(full, edges, nodes, budget)
+    return near, nodes
+
+
+class _DeletionState:
+    """The weight table of a partite instance, written from its rainbow
+    near-perfect matchings and kept exact under edge deletions, with what
+    the deletion process reads next to it.
+
+    weights is the table as one flat list in `product` order over (part 1,
+    ..., part k, color), whose sizes are dims: w(v, c), the rainbow
+    near-perfect matchings that leave exactly v uncovered and do not use
+    color c.  base_of maps v's vertex mask to the index of w(v, 1).  The
+    masks, the packed edges and their lists per part-1 vertex come from the
+    instance's bit layout (`count._Layout`), and the constructor tallies
+    the table from those lists (`_near_layers`).  live maps each edge e to
+    its packed int, its part-1 vertex's list and the index of w(e.verts,
+    e.color); deg and cdeg are the vertex and color degrees.  delete(e)
+    takes e out of all of these and subtracts only the matchings through
+    e: e plus a near-perfect matching of the other part-1 vertices whose
+    edges share no vertex and no color with e, by the same layer loop.
+    nodes is the number of states the last tally built, all counted against
+    budget; every state a delta builds, with e added once the loop has
+    passed e's part-1 vertex, is also built by the full tally before the
+    deletion.  delete assumes the active parts have equal sizes.
     """
 
     def __init__(self, H: ColoredHypergraph, budget: int):
@@ -161,12 +204,13 @@ class _DeletionState:
         self.budget = budget
         self.colors = (1 << H.kappa) - 1
         packed, self.lists = layout.packed()
-        # one row per tuple in product order, indexed by the tuple's vertex mask
         self.parts = [H.part_active(p) for p in range(1, H.k + 1)]
-        self.rows = [[0] * H.kappa for _ in range(math.prod(map(len, self.parts)))]
-        self.row_of = dict(zip(map(sum, layout.vertex_bits(product(*self.parts))), self.rows))
+        self.dims = [*map(len, self.parts), H.kappa]
+        self.weights = [0] * math.prod(self.dims)
+        tuples = layout.vertex_bits(product(*self.parts))
+        self.base_of = dict(zip(map(sum, tuples), range(0, len(self.weights), H.kappa)))
         self.live = {
-            e: (x, self.lists[verts[0]], self.row_of[covers], e.color - 1)
+            e: (x, self.lists[verts[0]], self.base_of[covers] + e.color - 1)
             for e, x, (verts, covers, _) in zip(H.edges, packed, layout.items)
         }
         self.deg, self.cdeg = degree_profile(H)
@@ -176,21 +220,22 @@ class _DeletionState:
             self._add(near, 0, 1)
 
     def _add(self, near: dict[int, int], edge: int, sign: int) -> None:
-        # each state plus edge, sign times, into the row of the tuple it
+        # each state plus edge, sign times, into the entries of the tuple it
         # leaves uncovered, at every color it leaves unused
-        row_of, active, shift, colors = self.row_of, self.active, self.shift, self.colors
+        weights, base_of, active, shift = self.weights, self.base_of, self.active, self.shift
+        colors = self.colors
         for state, ways in near.items():
             state |= edge
-            row = row_of[active & ~state]
+            base = base_of[active & ~state] - 1  # w(v, c) sits at base + c
             ways *= sign
             free = colors & ~(state >> shift)
             while free:
                 low = free & -free
-                row[low.bit_length() - 1] += ways
+                weights[base + low.bit_length()] += ways
                 free ^= low
 
     def delete(self, e: ColoredEdge) -> None:
-        packed, own, _, _ = self.live.pop(e)
+        packed, own, _ = self.live.pop(e)
         own.remove(packed)
         others = [
             [x for x in edges if not x & packed] for edges in self.lists.values() if edges is not own
@@ -227,43 +272,37 @@ def weight_profile(
     """
     _check_partite(H)
     state = _DeletionState(H, budget)
-    table = {
-        (verts, c): w
-        for verts, row in zip(product(*state.parts), state.rows)
-        for c, w in enumerate(row, start=1)
-    }
-    return WeightProfile(table, max(table.values(), default=0))
+    table = dict(zip(product(product(*state.parts), range(1, H.kappa + 1)), state.weights))
+    return WeightProfile(table, max(state.weights, default=0))
 
 
-def _median_capped(
-    parts: Sequence[Sequence[int]], rows: Sequence[Sequence[int]], bound: int
-) -> bool:
-    """Flag C over a weight table given as rows (`_DeletionState.rows`: a
-    list in `product` order) over the active parts: False at the first localized group whose
-    maximum exceeds both bound and twice the group's majority median, True
-    when no group's does.
+def _median_capped(dims: Sequence[int], weights: Sequence[int], bound: int) -> bool:
+    """Flag C over a flat weight table (`_DeletionState.weights`, in
+    `product` order over the axes of sizes dims: part 1, ..., part k,
+    color): False at the first localized group whose maximum exceeds both
+    bound and twice the group's majority median, True when no group's does.
 
-    Family "v": for each partial tuple missing one part and each color, the
-    weights over the completions of the missing part.  In `product` order the
-    completions of a partial tuple are a stride slice of the rows, and the
-    slice transposed gives that partial tuple's group for every color (an
-    emptied part leaves no row, and an empty group cannot fail).
-    Family "c": each row is the group of its tuple over the colors.
+    A localized group is every entry that shares all coordinates but one:
+    along a part's axis, the weights of a partial tuple missing that part,
+    at one color, over its completions (family "v"); along the color axis,
+    a tuple's weights over the colors (family "c").  In `product` order the
+    group along an axis of size s starting at index i is weights[i : i +
+    s * stride : stride], stride being the product of the later sizes.  An
+    emptied part leaves no entry, hence no group.
     """
-    for missing, part in enumerate(parts):
-        size = len(part)
-        stride = math.prod(len(p) for p in parts[missing + 1 :])
-        outer = math.prod(len(p) for p in parts[:missing])
-        for start in (o * size * stride + i for o in range(outer) for i in range(stride)):
-            for vals in zip(*rows[start : start + size * stride : stride]):
+    span = len(weights)
+    if not span:
+        return True
+    for size in dims:
+        stride = span // size
+        for block in range(0, len(weights), span):
+            for start in range(block, block + stride):
+                vals = weights[start : block + span : stride]
                 top = max(vals)
                 # a median is needed only where the group could fail
                 if top > bound and top > 2 * majority_median(vals):
                     return False
-    for row in rows:
-        top = max(row)
-        if top > bound and top > 2 * majority_median(row):
-            return False
+        span = stride
     return True
 
 
@@ -362,9 +401,9 @@ def run_deletion_process(
     instance and record a DeletionStep after every deletion (plus step 0).
 
     Step 0 tallies the rainbow near-perfect matchings of H0 once into the
-    weight rows of the carried state (`_DeletionState`).  Every later step
+    weight table of the carried state (`_DeletionState`).  Every later step
     deletes its edge from that state: it tallies only the near-perfect
-    matchings through the deleted edge, subtracts them from the rows, and
+    matchings through the deleted edge, subtracts them from the table, and
     decrements the edge's vertex and color degrees.  The step's weights,
     count and flags are read off the carried state; no instance is rebuilt.
     DeletionStep.nodes is the states that step's tally built.
@@ -397,7 +436,7 @@ def run_deletion_process(
             # builds no more states than step 0 did, so it fits the budget
             state.delete(ordering[i - 1])
         p_i = Fraction(N - i, N)
-        ws = [row[c] for _, _, row, c in state.live.values()]
+        ws = [state.weights[i] for _, _, i in state.live.values()]
         # w(e) counts the rainbow perfect matchings through e, and each of
         # them has n edges.
         phi = sum(ws) // H0.n
@@ -408,7 +447,7 @@ def run_deletion_process(
         degs = [*state.deg.values(), *state.cdeg.values()]
         regular = _degrees_within(H0, p_i, params, min(degs), max(degs))
         # a weight exceeds phi / (2^k n^k) iff it exceeds the floor
-        capped = _median_capped(state.parts, state.rows, phi // (2**H0.k * H0.n**H0.k))
+        capped = _median_capped(state.dims, state.weights, phi // (2**H0.k * H0.n**H0.k))
         if i == 0:
             xi = gamma = None
         else:

@@ -327,9 +327,9 @@ def test_deep_instance_is_solved(tmp_path, capsys):
 
 
 def test_bad_document_is_an_input_error(tmp_path, capsys):
-    # neither wrong JSON types nor nesting deeper than the JSON decoder's
-    # recursion limit may surface as a traceback and exit 1, which is solve's
-    # "proved absent" code
+    # neither wrong JSON types, nor nesting deeper than the JSON decoder's
+    # recursion limit, nor an instance too large to build may surface as a
+    # traceback and exit 1, which is solve's "proved absent" code, or exit 4
     doc = '{"mode": "partite", "n": %s, "k": 2, "colors": 2, "edges": %s}'
     cases = (
         (doc % ("2", "null"), "malformed instance document"),
@@ -339,6 +339,11 @@ def test_bad_document_is_an_input_error(tmp_path, capsys):
         # a valid instance that also carries a 200k-deep array
         (doc[:-1] % ("2", "[]") + ', "x": ' + "[" * 200_000 + "]" * 200_000 + "}",
          "not valid JSON"),
+        # too large to build: 10^12 vertex bits, or a color 10^12 bits wide
+        (doc % ("1000000000000", "[]"), "layout of"),
+        (doc.replace("partite", "graph") % ("1000000000000", "[]"), "layout of"),
+        ('{"mode": "partite", "n": 2, "k": 2, "colors": 1000000000000,'
+         ' "edges": [{"verts": [1, 1], "color": 1000000000000}]}', "layout of"),
     )
     path = tmp_path / "bad.json"
     for text, message in cases:
@@ -368,6 +373,15 @@ def test_huge_edgeless_documents_answer_like_small_ones(tmp_path, capsys):
         code, counted, solved = answers[0]
         assert (code, counted["value"], counted["nodes"]) == (0, 0, nodes), (mode, small)
         assert solved == (1, '{"outcome": "absent", "matching": null}\n')
+
+
+def test_count_ie_refuses_a_large_n_before_building_4_to_the_n(tmp_path, capsys):
+    # 4^8000 has 4817 digits, past Python's int-to-string limit
+    path = tmp_path / "ie.json"
+    path.write_text('{"mode": "partite", "n": 8000, "k": 2, "colors": 8000, "edges": []}')
+    code, out, err = run(capsys, "count", str(path), "--method", "ie", "--budget", "1000")
+    assert (code, err) == (3, "")
+    assert json.loads(out) == {"outcome": "budget", "nodes": 1001}
 
 
 def test_jobs_are_capped_at_the_trials_and_the_cpus(capsys, monkeypatch):

@@ -3,7 +3,7 @@ layers it traces, the drivers and emitters a round calls, and the Hamilton
 search it counts budget-outs on.  A renamed or deleted name fails here
 instead of in a benchmark run.  A few rounds of the exact workloads are also
 checked against the committed references, so a change that alters one
-count or one weight fails here too."""
+count, one weight or one find fails here too."""
 
 import importlib.util
 from pathlib import Path
@@ -36,7 +36,7 @@ def test_benchmark_bindings_resolve(run):
     assert callable(run.experiments.find_rainbow_hc)
 
 
-@pytest.mark.parametrize("name", ["count-dense", "trace-process"])
+@pytest.mark.parametrize("name", ["count-dense", "threshold-sparse", "trace-process"])
 def test_exact_workloads_match_their_references(run, name):
     workload = run.WORKLOADS[name]
     reference = run.load_reference(workload)

@@ -72,16 +72,17 @@ def regular(H, p, params=DEFAULT_EVENT_PARAMS):
 
 
 def median_capped(H, phi=None, table=None):
-    """Flag C as the deletion step computes it: the predicate over the weight
-    rows, H's own or a hand-built table's, with the floor of
+    """Flag C as the deletion step computes it: the predicate over the flat
+    weight table, H's own or a hand-built table's, with the floor of
     phi / (2^k n^k) as its bound (phi is H's count by default)."""
     parts = [H.part_active(p) for p in range(1, H.k + 1)]
     if table is None:
         table = weight_profile(H).table
-    rows = [[table[(v, c)] for c in range(1, H.kappa + 1)] for v in product(*parts)]
+    weights = [table[key] for key in product(product(*parts), range(1, H.kappa + 1))]
     if phi is None:
         phi = count_rainbow_pm(H).value
-    return _median_capped(parts, rows, phi // (2**H.k * H.n**H.k))
+    dims = [*map(len, parts), H.kappa]
+    return _median_capped(dims, weights, phi // (2**H.k * H.n**H.k))
 
 
 # -- weights
@@ -253,7 +254,7 @@ def test_carried_state_matches_rebuilt_instance(n, k, kappa):
             if i:
                 state.delete(order[i - 1])
             Hi = restrict(H, removed_edges=order[:i])
-            assert state.rows == _DeletionState(Hi, DEFAULT_NODE_BUDGET).rows, (j, i)
+            assert state.weights == _DeletionState(Hi, DEFAULT_NODE_BUDGET).weights, (j, i)
             assert (state.deg, state.cdeg) == degree_profile(Hi), (j, i)
             assert list(state.live) == list(Hi.edges), (j, i)
 
@@ -449,8 +450,9 @@ def test_median_cap_flag_matches_reimplementation():
 
 
 def test_weight_groups_match_table_grouping():
-    # flag C against the weight table grouped entry by entry,
-    # along deletion orders at n=3 (k=2) and n=2 (k=3)
+    # flag C against the weight table grouped entry by entry, along deletion
+    # orders at n=3 (k=2) and n=2 (k=3), at k=2 with one part emptied (no
+    # entry, so no group) and at k=3 with part sizes 2, 3 and 1
     def grouped(H, table):
         groups = {}
         for (verts, c), w in table.items():
@@ -460,20 +462,40 @@ def test_weight_groups_match_table_grouping():
             groups.setdefault(("c", verts), []).append(w)
         return groups
 
+    def capped(H, table, phi):
+        cap = Fraction(phi, 2**H.k * H.n**H.k)
+        return all(
+            max(vals) <= max(cap, 2 * majority_median(vals))
+            for vals in grouped(H, table).values()
+        )
+
     starts = [complete_colored(3, 2, 3, rng(j, seed=45)) for j in range(6)]
     starts.append(complete_colored(2, 3, 3, rng(0, seed=45)))
     starts.append(restrict(starts[0], removed_vertices=[PartiteVertex(2, 1)]))
+    starts.append(restrict(starts[0], removed_vertices=[PartiteVertex(2, i) for i in (1, 2, 3)]))
+    uneven = restrict(
+        complete_colored(3, 3, 3, rng(1, seed=45)),
+        removed_vertices=[PartiteVertex(1, 2), PartiteVertex(3, 1), PartiteVertex(3, 3)],
+    )
+    starts.append(uneven)
     for j, H in enumerate(starts):
         order = random_edge_ordering(H, rng(j, seed=46))
-        for e in order[: len(order) // 2]:
-            groups = grouped(H, weight_profile(H).table)
-            phi = count_rainbow_pm(H).value
-            cap = Fraction(phi, 2**H.k * H.n**H.k)
-            capped = all(
-                max(vals) <= max(cap, 2 * majority_median(vals)) for vals in groups.values()
-            )
-            assert median_capped(H, phi) == capped, (j, e)
-            H = restrict(H, removed_edges=(e,))
+        for i in range(len(order) // 2 + 1):
+            Hi = restrict(H, removed_edges=order[:i])
+            phi = count_rainbow_pm(Hi).value
+            assert median_capped(Hi, phi) == capped(Hi, weight_profile(Hi).table, phi), (j, i)
+    # uneven parts rule out every perfect matching, so its table is all zero:
+    # random tables over its keys, of 2s, 3s and 4s (no group fails) and one
+    # 5 (its groups fail where their median is 2), check the groups
+    keys = list(weight_profile(uneven).table)
+    rnd = rng(0, seed=48)
+    outcomes = set()
+    for _ in range(60):
+        table = {key: rnd.choice((2, 3, 4)) for key in keys}
+        table[rnd.choice(keys)] = 5
+        outcomes.add(capped(uneven, table, 1))
+        assert median_capped(uneven, 1, table) == capped(uneven, table, 1), table
+    assert outcomes == {True, False}
 
 
 def fraction_median(vals):
