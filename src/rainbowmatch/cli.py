@@ -188,6 +188,8 @@ def _cmd_gen(args) -> int:
     else:
         if args.p is not None:
             raise ValueError("the binomial model is partite-only; use --m for graphs")
+        if args.k != 2:
+            raise ValueError("graph mode fixes k = 2")
         m = args.m if args.m is not None else args.n * (args.n - 1) // 2
         H = sample_colored_graph(args.n, m, kappa, rnd)
     _write_text(dumps_instance(H) + "\n", args.out)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .count import BudgetExceededError, DEFAULT_NODE_BUDGET, _Search, find_rainbow_pm
-from .model import GRAPH, ColoredEdge, ColoredHypergraph, Matching, _check_edge
+from .model import GRAPH, ColoredEdge, ColoredHypergraph, Matching, _check_edge, _uniform
 
 __all__ = [
     "DEFAULT_HC_BUDGET",
@@ -220,12 +220,13 @@ def assemble_even(
 ) -> tuple[AssemblyPlan, HamiltonCycle | None]:
     """Run the full even-n pipeline on a colored graph with kappa == n.
 
-    Labels every edge with 1..4, partitions [1..n] x [1..4] into 8 blocks of
-    size n/2, splits edges into classes by their (color, label) pair, gates on
-    every class holding at least a tenth of the edges, finds one rainbow
-    perfect matching per class under the pair recoloring (pairs indexed by
-    sorted position within their block), unions the matchings into a
-    multigraph, and searches it for a rainbow Hamilton cycle under the
+    Labels every edge with 1..4 (one label per edge in canonical order,
+    drawn in bulk by `model._uniform`), partitions [1..n] x [1..4] into 8
+    blocks of size n/2, splits edges into classes by their (color, label)
+    pair, gates on every class holding at least a tenth of the edges, finds
+    one rainbow perfect matching per class under the pair recoloring (pairs
+    indexed by sorted position within their block), unions the matchings
+    into a multigraph, and searches it for a rainbow Hamilton cycle under the
     original colors.  Each way to fall short is a named failure stage.
     """
     if G.mode != GRAPH:
@@ -237,7 +238,8 @@ def assemble_even(
     if G.kappa != G.n:
         raise ValueError("assembly needs exactly n colors")
 
-    labels = {e: rnd.randint(1, 4) for e in G.edges}
+    label_list = _uniform(rnd, 4, len(G.edges))
+    labels = dict(zip(G.edges, label_list))
     pairs = [(c, l) for c in range(1, G.n + 1) for l in range(1, 5)]
     rnd.shuffle(pairs)
     nu = G.n // 2
@@ -248,8 +250,8 @@ def assemble_even(
         for pair in block:
             pair_to_block[pair] = bi
     classes: list[list[ColoredEdge]] = [[] for _ in range(8)]
-    for e in G.edges:
-        classes[pair_to_block[(e.color, labels[e])]].append(e)
+    for e, label in zip(G.edges, label_list):
+        classes[pair_to_block[(e.color, label)]].append(e)
     edge_classes = tuple(tuple(cls) for cls in classes)
 
     def plan(matchings, union, stage):

@@ -14,7 +14,11 @@ Deleted vertices are tracked in `absent` rather than by renumbering, which is
 what lets restriction operators compose without rewriting labels.
 
 All sampling takes an explicit `random.Random`; see `RandomnessSpec` for the
-seed/substream convention used by the experiment drivers.
+seed/substream convention used by the experiment drivers.  Colors are drawn in
+bulk (`_uniform`): on a `random.Random` they come from the same Mersenne
+Twister words, in the same order, as one `randint(1, kappa)` call per edge
+would take, and leave the generator in the same state, so every stream is the
+one the per-call loop gives.  Any other generator takes the per-call path.
 """
 
 from __future__ import annotations
@@ -23,8 +27,9 @@ import hashlib
 import json
 import operator
 import random
+import sys
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 from typing import Iterable, NamedTuple
 
 __all__ = [
@@ -293,6 +298,39 @@ def _decode_partite_tuple(index: int, n: int, k: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
+def _uniform(rnd: random.Random, hi: int, count: int) -> list[int]:
+    """What `[rnd.randint(1, hi) for _ in range(count)]` returns, drawn in
+    bulk and leaving rnd in the state that loop leaves.
+
+    On CPython's `random.Random`, `randint(1, hi)` is `1 + _randbelow(hi)`,
+    which takes one 32-bit word per try, keeps its top `hi.bit_length()` bits
+    and tries again while they are >= hi.  `getrandbits(32 * need)` returns
+    the next `need` words, the first one in the lowest bits.  Each batch draws
+    exactly as many words as values are still missing, so the helper never
+    reads past the last word the per-call loop would take.  Any other
+    generator (a subclass may override `_randbelow`) and any bound outside
+    1..2**32 - 1 take the per-call path.
+    """
+    if type(rnd) is not random.Random or type(hi) is not int or not 0 < hi < 1 << 32:
+        randint = rnd.randint
+        return [randint(1, hi) for _ in range(count)]
+    shift = 32 - hi.bit_length()
+    out: list[int] = []
+    while len(out) < count:
+        need = count - len(out)
+        words = memoryview(rnd.getrandbits(32 * need).to_bytes(4 * need, sys.byteorder)).cast("I")
+        if sys.byteorder == "big":  # the first word drawn is the last one in memory
+            words = words[::-1]
+        out += [v + 1 for w in words if (v := w >> shift) < hi]
+    return out
+
+
+def _colored(verts: Iterable[tuple[int, ...]], colors: Iterable[int]) -> tuple[ColoredEdge, ...]:
+    """The edges `ColoredEdge(v, c)` of the paired vertex tuples and colors,
+    built with no Python frame per edge (as `ColoredEdge._make` does)."""
+    return tuple(map(tuple.__new__, repeat(ColoredEdge), zip(verts, colors)))
+
+
 def _check_partite_args(n: int, k: int, kappa: int) -> None:
     if n < 1 or k < 2 or kappa < 1:
         raise ValueError("need n >= 1, k >= 2, kappa >= 1")
@@ -305,16 +343,14 @@ def complete_colored(
     rnd: random.Random,
 ) -> ColoredHypergraph:
     """The complete partite instance: every vertex tuple present once, colors
-    i.i.d. uniform on [1..kappa]."""
+    i.i.d. uniform on [1..kappa], one per tuple in lexicographic order, drawn
+    in bulk (`_uniform`)."""
     _check_partite_args(n, k, kappa)
     total = n**k
     if total > DEFAULT_EDGE_CAPACITY:
         raise CapacityError(f"{n}^{k} = {total} edges exceeds capacity {DEFAULT_EDGE_CAPACITY}")
-    edges = [
-        ColoredEdge(verts, rnd.randint(1, kappa))
-        for verts in product(range(1, n + 1), repeat=k)
-    ]
-    return ColoredHypergraph(PARTITE, n, k, kappa, tuple(edges))
+    edges = _colored(product(range(1, n + 1), repeat=k), _uniform(rnd, kappa, total))
+    return ColoredHypergraph(PARTITE, n, k, kappa, edges)
 
 
 def sample_partite_m(
@@ -323,7 +359,8 @@ def sample_partite_m(
     """m distinct vertex tuples uniformly at random, colors i.i.d. uniform.
 
     The gnm-style model: the edge support is a uniform m-subset of the n^k
-    possible tuples, independent of the colors.
+    possible tuples, independent of the colors.  The colors follow the
+    subset's draw, one per tuple in sorted order, drawn in bulk (`_uniform`).
     """
     _check_partite_args(n, k, kappa)
     total = n**k
@@ -332,12 +369,12 @@ def sample_partite_m(
     if m > DEFAULT_EDGE_CAPACITY:
         raise CapacityError(f"m = {m} edges exceeds capacity {DEFAULT_EDGE_CAPACITY}")
     picked = sorted(rnd.sample(range(total), m))
-    randint = rnd.randint
     if k == 2:
-        edges = [ColoredEdge((t // n + 1, t % n + 1), randint(1, kappa)) for t in picked]
+        verts = [(t // n + 1, t % n + 1) for t in picked]
     else:
-        edges = [ColoredEdge(_decode_partite_tuple(t, n, k), randint(1, kappa)) for t in picked]
-    return ColoredHypergraph(PARTITE, n, k, kappa, tuple(edges))
+        verts = [_decode_partite_tuple(t, n, k) for t in picked]
+    edges = _colored(verts, _uniform(rnd, kappa, m))
+    return ColoredHypergraph(PARTITE, n, k, kappa, edges)
 
 
 def sample_partite_p(
@@ -348,7 +385,9 @@ def sample_partite_p(
     rnd: random.Random,
 ) -> ColoredHypergraph:
     """Each vertex tuple kept independently with probability p (gnp-style),
-    colors i.i.d. uniform on the kept edges."""
+    colors i.i.d. uniform on the kept edges.  Each tuple's coin flip is
+    followed by its color when kept, so the colors are drawn one call at a
+    time, not in bulk."""
     _check_partite_args(n, k, kappa)
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
@@ -369,7 +408,8 @@ def sample_colored_graph(
 
     The m pairs are drawn as indices into the lexicographic list of all
     n(n-1)/2 pairs, which is never built: the sorted indices are decoded by
-    walking the rows (u, u+1..n) in order.
+    walking the rows (u, u+1..n) in order.  The colors follow, one per pair in
+    that order, drawn in bulk (`_uniform`).
     """
     if n < 1 or kappa < 1:
         raise ValueError("need n >= 1, kappa >= 1")
@@ -386,10 +426,7 @@ def sample_colored_graph(
             row_len -= 1
             u += 1
         pairs.append((u, u + 1 + t - row_start))
-    # the row walk draws nothing, so the colors can follow it: one per pair, in order
-    randint = rnd.randint
-    edges = [ColoredEdge(pair, randint(1, kappa)) for pair in pairs]
-    return ColoredHypergraph(GRAPH, n, 2, kappa, tuple(edges))
+    return ColoredHypergraph(GRAPH, n, 2, kappa, _colored(pairs, _uniform(rnd, kappa, m)))
 
 
 # -- restriction and profiles ------------------------------------------------

@@ -59,6 +59,15 @@ def test_gen_graph_rejects_p(capsys):
     assert "partite-only" in err
 
 
+def test_gen_graph_rejects_k_other_than_2(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    code, out, err = run(capsys, "gen", "--mode", "graph", "--n", "4", "--k", "3", "--out", str(path))
+    assert (code, out) == (2, "") and "graph mode fixes k = 2" in err
+    assert not path.exists()
+    code, _, _ = run(capsys, "gen", "--mode", "graph", "--n", "4", "--k", "2", "--out", str(path))
+    assert code == 0 and load_instance(path).k == 2
+
+
 def test_count_both_methods(tmp_path, capsys):
     path = tmp_path / "inst.json"
     run(capsys, "gen", "--n", "3", "--seed", "1", "--out", str(path))

@@ -461,6 +461,25 @@ def test_assemble_blocks_partition_color_label_pairs():
     assert sum(plan.class_sizes) == 20
 
 
+def test_assemble_labels_match_per_call_oracle():
+    # the labels are drawn in bulk; they, the shuffle after them, the classes
+    # and the generator state left must be those of one randint per edge
+    for n, m, seed in ((8, 20, 0), (12, 66, 1), (40, 780, 2), (40, 300, 3)):
+        G = sample_colored_graph(n, m, n, rng(seed, seed=61))
+        got_rnd, want_rnd = rng(seed, seed=62), rng(seed, seed=62)
+        plan, _ = assemble_even(G, got_rnd, matching_budget=50, hc_budget=50)
+        labels = {e: want_rnd.randint(1, 4) for e in G.edges}
+        pairs = [(c, l) for c in range(1, n + 1) for l in range(1, 5)]
+        want_rnd.shuffle(pairs)
+        classes = tuple(
+            tuple(e for e in G.edges if (e.color, labels[e]) in block) for block in plan.blocks
+        )
+        assert plan.labels == labels, (n, m)
+        assert plan.blocks == tuple(frozenset(pairs[i * n // 2 : (i + 1) * n // 2]) for i in range(8))
+        assert plan.edge_classes == classes, (n, m)
+        assert got_rnd.getstate() == want_rnd.getstate(), (n, m)
+
+
 def test_assemble_stage_accounting_over_seeds():
     stages = Counter()
     for j in range(25):

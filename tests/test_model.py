@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 import re
 from collections import Counter
 
@@ -296,6 +297,89 @@ def test_sampler_streams_pinned():
                 digest.update(dumps_instance(make(RandomnessSpec(seed, "pin").rng())).encode())
                 digest.update(b"\n")
         assert digest.hexdigest() == SAMPLER_PINS[name], name
+
+
+# The pins above digest only the instance; the checks below also compare the
+# generator state each draw leaves, so a word read too many or too few fails.
+UNIFORM_BOUNDS = sorted(
+    {1, 2, 3, 4, 2**31, 2**32 - 1}
+    | {2**j + d for j in (2, 3, 5, 6, 10, 16, 31) for d in (-1, 1)}
+)
+
+
+@pytest.mark.parametrize("hi", UNIFORM_BOUNDS + [2**32, 2**40 + 3])
+def test_uniform_matches_per_call_randint(hi):
+    # 2**32 and above fall back to the per-call loop; the rest draw in bulk
+    for count in (0, 1, 2, 7, 300, 781):
+        for seed in range(3):
+            want_rnd, got_rnd = rng(seed, seed=hi), rng(seed, seed=hi)
+            want = [want_rnd.randint(1, hi) for _ in range(count)]
+            assert model._uniform(got_rnd, hi, count) == want, (hi, count, seed)
+            assert got_rnd.getstate() == want_rnd.getstate(), (hi, count, seed)
+
+
+class ListedRandom:
+    """A duck-typed generator: randint only, handing out a planned list."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def randint(self, low, high):
+        return next(self.values)
+
+
+class CountingRandom(random.Random):
+    """A subclass may override `_randbelow`; here it counts the calls."""
+
+    calls = 0
+
+    def _randbelow(self, n):
+        self.calls += 1
+        return super()._randbelow(n)
+
+
+def test_uniform_keeps_per_call_path_for_other_generators():
+    assert model._uniform(ListedRandom([3, 1, 2]), 5, 3) == [3, 1, 2]
+    counting, plain = CountingRandom(7), random.Random(7)
+    assert model._uniform(counting, 5, 40) == [plain.randint(1, 5) for _ in range(40)]
+    assert counting.calls == 40
+    assert counting.getstate() == plain.getstate()
+
+
+def _per_call_complete(n, k, kappa, rnd):
+    edges = [ColoredEdge(v, rnd.randint(1, kappa)) for v in itertools.product(range(1, n + 1), repeat=k)]
+    return ColoredHypergraph(PARTITE, n, k, kappa, tuple(edges))
+
+
+def _per_call_partite_m(n, k, kappa, m, rnd):
+    picked = sorted(rnd.sample(range(n**k), m))
+    edges = [ColoredEdge(model._decode_partite_tuple(t, n, k), rnd.randint(1, kappa)) for t in picked]
+    return ColoredHypergraph(PARTITE, n, k, kappa, tuple(edges))
+
+
+def _per_call_graph(n, m, kappa, rnd):
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    picked = sorted(rnd.sample(range(len(pairs)), m))
+    edges = [ColoredEdge(pairs[t], rnd.randint(1, kappa)) for t in picked]
+    return ColoredHypergraph(GRAPH, n, 2, kappa, tuple(edges))
+
+
+@pytest.mark.parametrize(
+    "sampler, oracle, grid",
+    [
+        (complete_colored, _per_call_complete, [(1, 2, 1), (3, 2, 4), (10, 2, 10), (4, 3, 5), (6, 2, 1)]),
+        (sample_partite_m, _per_call_partite_m,
+         [(3, 2, 3, 0), (3, 2, 4, 9), (14, 2, 14, 100), (20, 2, 16, 400), (5, 3, 6, 60)]),
+        (sample_colored_graph, _per_call_graph, [(2, 1, 1), (14, 40, 14), (40, 780, 40), (30, 200, 33)]),
+    ],
+    ids=["complete", "partite_m", "graph"],
+)
+def test_samplers_match_per_call_oracles(sampler, oracle, grid):
+    for args in grid:
+        for seed in range(3):
+            got_rnd, want_rnd = rng(seed, seed=11), rng(seed, seed=11)
+            assert sampler(*args, got_rnd) == oracle(*args, want_rnd), (args, seed)
+            assert got_rnd.getstate() == want_rnd.getstate(), (args, seed)
 
 
 # -- samplers
