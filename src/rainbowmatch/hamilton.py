@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .count import BudgetExceededError, DEFAULT_NODE_BUDGET, _Search, find_rainbow_pm
-from .model import GRAPH, ColoredEdge, ColoredHypergraph, Matching, _check_edge, _uniform
+from .model import GRAPH, ColoredEdge, ColoredHypergraph, Matching, _stored_edges, _uniform
 
 __all__ = [
     "DEFAULT_HC_BUDGET",
@@ -77,8 +77,8 @@ FAILURE_STAGES = (
 class ColoredMultigraph:
     """A colored multigraph on [1..n]: parallel edges allowed, each stored as
     its own ColoredEdge occurrence (sorted endpoint pair plus color), sorted.
-    Every edge follows a graph-mode instance's edge rules (`model._check_edge`),
-    so no self-loops."""
+    Every edge follows a graph-mode instance's edge rules, checked in bulk
+    as an instance's are (`model._stored_edges`), so no self-loops."""
 
     n: int
     kappa: int
@@ -87,13 +87,7 @@ class ColoredMultigraph:
     def __post_init__(self):
         if self.n < 1 or self.kappa < 1:
             raise ValueError("need n >= 1, kappa >= 1")
-        edges = tuple(ColoredEdge(tuple(e[0]), e[1]) for e in self.edges)
-        try:
-            edges = tuple(sorted(edges))
-        except TypeError:  # a value that is not an int: the check names its edge
-            pass
-        for e in edges:
-            _check_edge(e, GRAPH, self.n, 2, self.kappa, frozenset())
+        edges = _stored_edges(self.edges, GRAPH, self.n, 2, self.kappa, frozenset(), parallel=True)
         object.__setattr__(self, "edges", edges)
 
 

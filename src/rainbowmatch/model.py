@@ -30,7 +30,7 @@ import random
 import sys
 from dataclasses import dataclass
 from itertools import product, repeat
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
     "PARTITE",
@@ -131,11 +131,11 @@ class ColoredHypergraph:
     truncated), every color in 1..kappa, every edge with one vertex per part
     (graph mode: a pair u < v), every vertex index in 1..n, no edge touching
     an absent vertex, and no vertex tuple twice.
-    The checks run in bulk over the columns of the edge list (min/max, set
-    and pairwise comparisons done by builtins); only when one of them fails
-    are the edges checked one by one, which finds and reports the first
-    offending edge in canonical order (in the given order when a value
-    that is not an int leaves them unsortable).
+    The checks run in bulk over the columns of the edge list, and edges
+    given sorted are not sorted again (`_stored_edges`); only when a check
+    fails are the edges checked one by one, which finds and reports the
+    first offending edge in canonical order (in the given order when a
+    value that is not an int leaves them unsortable).
     """
 
     mode: str
@@ -161,54 +161,8 @@ class ColoredHypergraph:
         absent = frozenset(self._coerce_vertex(v) for v in self.absent)
         object.__setattr__(self, "absent", absent)
 
-        edges = tuple(self.edges)
-        if not _plain_edges(edges):
-            edges = tuple(ColoredEdge(tuple(e[0]), e[1]) for e in edges)
-        try:
-            edges = tuple(sorted(edges))
-        except TypeError:  # a value that is not an int: the loop below names its edge
-            pass
-        if not self._edges_pass(edges, absent):
-            seen: set[tuple[int, ...]] = set()
-            for e in edges:
-                _check_edge(e, self.mode, self.n, self.k, self.kappa, absent)
-                if e.verts in seen:
-                    raise ValueError(f"duplicate vertex tuple {e.verts}")
-                seen.add(e.verts)
+        edges = _stored_edges(self.edges, self.mode, self.n, self.k, self.kappa, absent)
         object.__setattr__(self, "edges", edges)
-
-    def _edges_pass(self, edges: tuple[ColoredEdge, ...], absent: frozenset) -> bool:
-        """True when the sorted, coerced edges pass every check of
-        `_check_edge` and repeat no vertex tuple, decided column by column.
-        False when some check fails; the int type checks come first, so min
-        and max compare ints only."""
-        if not edges:
-            return True
-        verts, colors = zip(*edges)
-        if set(map(type, colors)) != {int} or set(map(len, verts)) != {self.k}:
-            return False
-        cols = list(zip(*verts))
-        if any(set(map(type, col)) != {int} for col in cols):
-            return False
-        if min(colors) < 1 or max(colors) > self.kappa:
-            return False
-        if self.mode == PARTITE:
-            if any(min(col) < 1 or max(col) > self.n for col in cols):
-                return False
-            if absent:
-                gone = [set() for _ in cols]
-                for v in absent:
-                    gone[v.part - 1].add(v.index)
-                if not all(map(set.isdisjoint, gone, cols)):
-                    return False
-        else:
-            us, vs = cols
-            if not all(map(operator.lt, us, vs)) or min(us) < 1 or max(vs) > self.n:
-                return False
-            if not (absent.isdisjoint(us) and absent.isdisjoint(vs)):
-                return False
-        # sorted, so strictly increasing vertex tuples repeat none
-        return all(map(operator.lt, verts, verts[1:]))
 
     def _coerce_vertex(self, v):
         if self.mode == PARTITE:
@@ -274,15 +228,84 @@ def _check_edge(e: ColoredEdge, mode: str, n: int, k: int, kappa: int, absent: f
                 raise ValueError(f"edge {e} touches absent vertex")
 
 
-def _plain_edges(edges: tuple) -> bool:
-    """True when every edge is a ColoredEdge of a tuple, which the
-    constructor's coercion would leave as it is."""
+def _stored_edges(
+    edges: Iterable,
+    mode: str,
+    n: int,
+    k: int,
+    kappa: int,
+    absent: frozenset,
+    parallel: bool = False,
+) -> tuple[ColoredEdge, ...]:
+    """edges as an instance stores them: each a ColoredEdge(tuple(verts),
+    color), sorted, checked against the edge rules (`_check_edge`) and,
+    unless parallel, for a repeated vertex tuple.
+
+    The checks run in bulk over the columns of the edge list
+    (`_columns_pass`), and edges whose vertex tuples already increase
+    strictly are neither sorted nor checked for repeats.  Only when a check
+    fails are the edges checked one by one, which raises ValueError naming
+    the first offending edge in canonical order (in the given order when a
+    value that is not an int leaves them unsortable).
+    """
+    edges = tuple(edges)
     if not edges:
-        return True
+        return edges
     if set(map(type, edges)) != {ColoredEdge}:
+        edges = tuple(ColoredEdge(tuple(e[0]), e[1]) for e in edges)
+    verts, colors = zip(*edges)
+    if set(map(type, verts)) != {tuple}:
+        verts = tuple(map(tuple, verts))
+        edges = tuple(map(ColoredEdge, verts, colors))
+    passed = _columns_pass(verts, colors, mode, n, k, kappa, absent)
+    if passed and _increasing(verts):
+        return edges
+    try:
+        edges = tuple(sorted(edges))
+    except TypeError:  # a value that is not an int: the loop below names its edge
+        pass
+    if passed and (parallel or _increasing([e.verts for e in edges])):
+        return edges
+    seen: set[tuple] = set()
+    for e in edges:
+        _check_edge(e, mode, n, k, kappa, absent)
+        if e.verts in seen and not parallel:
+            raise ValueError(f"duplicate vertex tuple {e.verts}")
+        seen.add(e.verts)
+    return edges
+
+
+def _increasing(seq: Sequence) -> bool:
+    return all(map(operator.lt, seq, seq[1:]))
+
+
+def _columns_pass(
+    verts: tuple, colors: tuple, mode: str, n: int, k: int, kappa: int, absent: frozenset
+) -> bool:
+    """True when every edge, given as the columns verts and colors, passes
+    every check of `_check_edge`, decided column by column with builtins.
+    The int type checks come first, so min and max compare ints only."""
+    if set(map(type, colors)) != {int} or set(map(len, verts)) != {k}:
         return False
-    verts, _ = zip(*edges)
-    return set(map(type, verts)) == {tuple}
+    cols = list(zip(*verts))
+    if any(set(map(type, col)) != {int} for col in cols):
+        return False
+    if min(colors) < 1 or max(colors) > kappa:
+        return False
+    if mode == PARTITE:
+        if any(min(col) < 1 or max(col) > n for col in cols):
+            return False
+        if absent:
+            gone = [set() for _ in cols]
+            for v in absent:
+                gone[v.part - 1].add(v.index)
+            if not all(map(set.isdisjoint, gone, cols)):
+                return False
+        return True
+    us, vs = cols
+    if not all(map(operator.lt, us, vs)) or min(us) < 1 or max(vs) > n:
+        return False
+    return not absent or (absent.isdisjoint(us) and absent.isdisjoint(vs))
 
 
 # -- samplers ---------------------------------------------------------------

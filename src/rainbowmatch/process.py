@@ -50,8 +50,10 @@ Flags per step (wire names B, R, C in the trace CSV):
 Flag C is one predicate over the flat table (`_median_capped`), whose
 localized groups are its stride slices along each of the k + 1 axes: a
 weight is an int, so it exceeds phi / (2^k n^k) iff it exceeds that bound's
-floor, and the predicate stops at the first group whose max beats both the
-floor and twice its median.  Each step is recorded once, as a
+floor.  The predicate passes at once when no weight of the table beats the
+floor, and otherwise stops at the first group whose max beats both the
+floor and twice its median.  Once the table is all zero (it only falls), a
+step runs no delta tally at all.  Each step is recorded once, as a
 `DeletionStep` whose leading fields are the trace CSV's step columns.
 
 The dyadic interval machinery at the bottom is independent of the process: it
@@ -65,6 +67,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
@@ -161,10 +164,13 @@ def _near_layers(lists: Iterable[list[int]], budget: int) -> tuple[dict[int, int
     near with this vertex left uncovered.  The nodes counted against budget
     are one per grown state and one per carry.  Nothing is pruned, so
     removing edges from the lists only shrinks every layer and the node
-    count with it.
+    count with it.  Once both tables are empty no later layer can build a
+    state, so the loop stops there with the same result and node count.
     """
     full, near, nodes = {0: 1}, {}, 0
     for edges in lists:
+        if not (full or near):
+            break
         near, nodes = _grow(near, edges, nodes, budget)
         # the carries cover no vertex the grown states do, so nothing collides
         near.update(full)
@@ -195,7 +201,10 @@ class _DeletionState:
     nodes is the number of states the last tally built, all counted against
     budget; every state a delta builds, with e added once the loop has
     passed e's part-1 vertex, is also built by the full tally before the
-    deletion.  delete assumes the active parts have equal sizes.
+    deletion.  Once every weight is zero, delete runs no tally (nodes 0)
+    and only updates the live edges, the lists and the degrees: weights
+    only fall, so the table stays zero.  delete assumes the active parts
+    have equal sizes.
     """
 
     def __init__(self, H: ColoredHypergraph, budget: int):
@@ -237,11 +246,18 @@ class _DeletionState:
     def delete(self, e: ColoredEdge) -> None:
         packed, own, _ = self.live.pop(e)
         own.remove(packed)
-        others = [
-            [x for x in edges if not x & packed] for edges in self.lists.values() if edges is not own
-        ]
-        near, self.nodes = _near_layers(others, self.budget)
-        self._add(near, packed, -1)
+        self.nodes = 0
+        # a matching through e adds to its tuple's entry at each color it
+        # leaves free, so on an all-zero table none leaves one: the delta
+        # tally would subtract nothing
+        if any(self.weights):
+            others = [
+                [x for x in edges if not x & packed]
+                for edges in self.lists.values()
+                if edges is not own
+            ]
+            near, self.nodes = _near_layers(others, self.budget)
+            self._add(near, packed, -1)
         for v in enumerate(e.verts, start=1):  # (part, index) == PartiteVertex
             self.deg[v] -= 1
         self.cdeg[e.color] -= 1
@@ -288,10 +304,12 @@ def _median_capped(dims: Sequence[int], weights: Sequence[int], bound: int) -> b
     a tuple's weights over the colors (family "c").  In `product` order the
     group along an axis of size s starting at index i is weights[i : i +
     s * stride : stride], stride being the product of the later sizes.  An
-    emptied part leaves no entry, hence no group.
+    emptied part leaves no entry, hence no group.  A failing group's
+    maximum exceeds bound, so an empty table, or one whose maximum is at
+    most bound, passes without slicing any group.
     """
     span = len(weights)
-    if not span:
+    if not span or max(weights) <= bound:
         return True
     for size in dims:
         stride = span // size
@@ -363,8 +381,9 @@ class DeletionStep(NamedTuple):
     the telescoping product is 0 from the death step onward either way.
     w_avg and w_med are None once no edges remain.  nodes is the number of
     states the step's tally built: the full near-perfect tally at index 0,
-    the matchings through the deleted edge after it.  It is telemetry and
-    appears in no experiment output.
+    the matchings through the deleted edge after it, and 0 on every step
+    after the weight table has become all zero, where no tally runs.  It
+    is telemetry and appears in no experiment output.
     """
 
     index: int
@@ -390,6 +409,20 @@ class DeletionTrace:
     truncated: bool
 
 
+# the xi of every step after the count died
+_DEAD_XI = Fraction(0)
+
+
+@cache
+def _step_ratios(n: int, N: int) -> tuple[tuple[Fraction, ...], tuple[Fraction | None, ...]]:
+    """(p, gamma) over steps i = 0..N of a trace on N = n^k edges: p[i] =
+    (N - i) / N and gamma[i] = n / (N - i + 1), gamma[0] None.  They depend
+    on (n, N) alone, so every trace of one shape shares them."""
+    p = tuple(Fraction(N - i, N) for i in range(N + 1))
+    gamma = (None, *(Fraction(n, N - i + 1) for i in range(1, N + 1)))
+    return p, gamma
+
+
 def run_deletion_process(
     H0: ColoredHypergraph,
     ordering: Sequence[ColoredEdge],
@@ -406,7 +439,8 @@ def run_deletion_process(
     matchings through the deleted edge, subtracts them from the table, and
     decrements the edge's vertex and color degrees.  The step's weights,
     count and flags are read off the carried state; no instance is rebuilt.
-    DeletionStep.nodes is the states that step's tally built.
+    DeletionStep.nodes is the states that step's tally built (0 once the
+    table is all zero and no tally runs).
 
     Those states count against budget.  If step 0's tally exceeds it, the
     trace is returned with no steps and marked truncated instead of raising.
@@ -429,13 +463,13 @@ def run_deletion_process(
         state = _DeletionState(H0, budget)
     except BudgetExceededError:
         return DeletionTrace((), True)
+    ps, gammas = _step_ratios(H0.n, N)
     steps: list[DeletionStep] = []
     prev_phi: int | None = None
     for i in range(t_max + 1):
         if i > 0:
             # builds no more states than step 0 did, so it fits the budget
             state.delete(ordering[i - 1])
-        p_i = Fraction(N - i, N)
         ws = [state.weights[i] for _, _, i in state.live.values()]
         # w(e) counts the rainbow perfect matchings through e, and each of
         # them has n edges.
@@ -445,21 +479,20 @@ def run_deletion_process(
         w_med = majority_median(ws) if ws else None
         balanced = weight_ratio_bounded(ws, params.L)
         degs = [*state.deg.values(), *state.cdeg.values()]
-        regular = _degrees_within(H0, p_i, params, min(degs), max(degs))
+        regular = _degrees_within(H0, ps[i], params, min(degs), max(degs))
         # a weight exceeds phi / (2^k n^k) iff it exceeds the floor
         capped = _median_capped(state.dims, state.weights, phi // (2**H0.k * H0.n**H0.k))
         if i == 0:
-            xi = gamma = None
+            xi = None
         else:
-            gamma = Fraction(H0.n, N - i + 1)
-            xi = Fraction(0) if prev_phi == 0 else 1 - Fraction(phi, prev_phi)
+            xi = _DEAD_XI if prev_phi == 0 else 1 - Fraction(phi, prev_phi)
         steps.append(
             DeletionStep(
                 index=i,
                 phi=phi,
                 xi=xi,
-                gamma=gamma,
-                p=p_i,
+                gamma=gammas[i],
+                p=ps[i],
                 w_max=w_max,
                 w_avg=w_avg,
                 w_med=w_med,

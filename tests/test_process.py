@@ -259,6 +259,54 @@ def test_carried_state_matches_rebuilt_instance(n, k, kappa):
             assert list(state.live) == list(Hi.edges), (j, i)
 
 
+def dying_trace():
+    """An n=4, kappa=4 trace whose count dies at step 2 while the weight
+    table keeps near-perfect matchings with a free color until step 10."""
+    H = complete_colored(4, 2, 4, rng(0, seed=61))
+    return H, random_edge_ordering(H, rng(0, seed=62))
+
+
+def test_table_outlives_the_count():
+    # only an all-zero table, never phi = 0, lets a step skip its delta
+    # tally: the carried weights and the flags read off them must match
+    # the rebuilt instance on every step between the two
+    H, order = dying_trace()
+    steps = run_deletion_process(H, order).steps
+    state = _DeletionState(H, DEFAULT_NODE_BUDGET)
+    table_left = []
+    for step in steps:
+        i = step.index
+        if i:
+            state.delete(order[i - 1])
+        Hi = restrict(H, removed_edges=order[:i])
+        assert state.weights == _DeletionState(Hi, DEFAULT_NODE_BUDGET).weights, i
+        assert step.median_capped == median_capped(Hi, step.phi), i
+        ws = list(edge_table(Hi).values())
+        assert step.balanced == weight_ratio_bounded(ws, DEFAULT_EVENT_PARAMS.L), i
+        assert step.regular == regular(Hi, step.p), i
+        table_left.append(any(state.weights))
+    dead_count_live_table = [i for i, step in enumerate(steps) if not step.phi and table_left[i]]
+    assert dead_count_live_table == list(range(2, 10))
+
+
+# DeletionStep.nodes of dying_trace as recorded when every step ran its
+# delta tally, all-zero table or not
+TALLY_NODES = [110, 25, 23, 16, 13, 14, 9, 4, 1, 6, 5, 2, 2, 2, 1, 1, 1]
+
+
+def test_step_nodes_pinned():
+    # the step that empties the table still runs its tally; every later
+    # step builds nothing
+    H, order = dying_trace()
+    nodes = [step.nodes for step in run_deletion_process(H, order).steps]
+    empty = next(
+        i for i in range(len(order) + 1)
+        if not any(weight_profile(restrict(H, removed_edges=order[:i])).table.values())
+    )
+    assert empty == 10
+    assert nodes == TALLY_NODES[: empty + 1] + [0] * (len(order) - empty)
+
+
 def test_weight_profile_maxima_consistency():
     H = complete_colored(2, 2, 2, rng(1))
     prof = weight_profile(H)
@@ -365,6 +413,30 @@ def test_median_cap_flag_trivial_cases():
     # (avoid the completion's own color), so the median clause always trips
     rainbow_rich = bipartite({(1, 1): 1, (1, 2): 2, (2, 1): 3, (2, 2): 4})
     assert not median_capped(rainbow_rich)
+
+
+class SliceCounting(list):
+    """A flat weight table that counts the group slices read from it."""
+
+    slices = 0
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            self.slices += 1
+        return super().__getitem__(index)
+
+
+def test_median_cap_exits_on_the_table_maximum():
+    # dims (2, 2, 2): the part-1 group of the first entry reads (5, 0),
+    # whose majority median is 0, so it fails exactly when 5 beats the bound
+    dims = [2, 2, 2]
+    at_bound = SliceCounting([5] + [0] * 7)
+    assert _median_capped(dims, at_bound, 5) and at_bound.slices == 0
+    above = SliceCounting([5] + [0] * 7)
+    assert not _median_capped(dims, above, 4) and above.slices == 1
+    zero = SliceCounting([0] * 8)
+    assert _median_capped(dims, zero, 0) and zero.slices == 0
+    assert _median_capped([0, 3, 2], SliceCounting(), 0)
 
 
 def test_median_cap_flag_completion_clause_alone():
