@@ -200,7 +200,7 @@ def _finished(worker: Callable, tasks: list, jobs: int):
 
 def _run_grid(
     config: ExperimentConfig, cells: list[tuple], trial: Callable, raw_sink=None
-) -> tuple[TrialRow, ...]:
+) -> ExperimentResult:
     """Run trial(key, config, cell, stream) `config.trials` times per cell.
     Trial t of cell ci has key (ci, t) and owns stream ci * trials + t.  With
     jobs > 1, completion order is scheduler-dependent; the rows are sorted by
@@ -218,10 +218,10 @@ def _run_grid(
         if raw_sink is not None:
             raw_sink.write(json.dumps(res, default=str) + "\n")
             raw_sink.flush()
-    return tuple(
+    return ExperimentResult(config, tuple(
         TrialRow(cells[ci], t, outcome, value, elapsed)
         for (ci, t), outcome, value, elapsed in sorted(results, key=lambda r: r[0])
-    )
+    ))
 
 
 # -- threshold scan -------------------------------------------------------------
@@ -249,8 +249,7 @@ def threshold_scan(config: ExperimentConfig, raw_sink=None) -> ExperimentResult:
     for n, m in cells:
         if m > n**config.k:
             raise ValueError(f"cell (n={n}, m={m}) exceeds {n}^{config.k} edges")
-    rows = _run_grid(config, cells, _threshold_trial, raw_sink)
-    return ExperimentResult(config, rows)
+    return _run_grid(config, cells, _threshold_trial, raw_sink)
 
 
 def threshold_table(result: ExperimentResult) -> tuple[list[str], list[list]]:
@@ -291,8 +290,7 @@ def _mean_count_trial(key, config: ExperimentConfig, cell: tuple, stream: int):
 def mean_count_experiment(config: ExperimentConfig, raw_sink=None) -> ExperimentResult:
     """Exact-count `trials` random colorings of the complete instance per n,
     for comparison against the closed-form mean and second moment."""
-    rows = _run_grid(config, [(n,) for n in config.ns], _mean_count_trial, raw_sink)
-    return ExperimentResult(config, rows)
+    return _run_grid(config, [(n,) for n in config.ns], _mean_count_trial, raw_sink)
 
 
 def _moment_stats(values: Sequence[int], power: int) -> tuple[float, float]:
@@ -306,6 +304,8 @@ def _moment_stats(values: Sequence[int], power: int) -> tuple[float, float]:
 
 
 def mean_count_table(result: ExperimentResult) -> tuple[list[str], list[list]]:
+    """The closed forms hold for kappa = n only; at other color counts their
+    cells are empty."""
     header = [
         "n", "k", "kappa", "trials",
         "mean", "expected_mean", "mean_se",
@@ -323,11 +323,13 @@ def mean_count_table(result: ExperimentResult) -> tuple[list[str], list[list]]:
             m2, m2_se = _moment_stats(counted, 2)
         else:
             mean = mean_se = m2 = m2_se = float("nan")
+        kappa = config.kappa_for(n)
+        closed = kappa == n
         lines.append(
             [
-                n, config.k, config.kappa_for(n), len(rows),
-                mean, expected_rainbow_count(n, config.k), mean_se,
-                m2, second_moment_exact(n, config.k), m2_se,
+                n, config.k, kappa, len(rows),
+                mean, expected_rainbow_count(n, config.k) if closed else None, mean_se,
+                m2, second_moment_exact(n, config.k) if closed else None, m2_se,
                 budget,
             ]
         )
@@ -373,8 +375,7 @@ def trace_experiment(config: ExperimentConfig, raw_sink=None) -> ExperimentResul
     N = config.ns[0] ** config.k
     if config.t_max is not None and not 0 <= config.t_max <= N:
         raise ValueError(f"t_max must lie in 0..{N}")
-    rows = _run_grid(config, [config.ns], _trace_trial, raw_sink)
-    return ExperimentResult(config, rows)
+    return _run_grid(config, [config.ns], _trace_trial, raw_sink)
 
 
 def trace_steps_table(result: ExperimentResult) -> tuple[list[str], list[list]]:
@@ -382,11 +383,8 @@ def trace_steps_table(result: ExperimentResult) -> tuple[list[str], list[list]]:
     header = (["trial"] if multi else []) + TRACE_STEP_HEADER
     lines = []
     for row in result.rows:
-        if row.value is None:
-            continue
         for step in row.value:
-            rec = list(step)
-            lines.append(([row.trial] if multi else []) + rec)
+            lines.append(([row.trial] if multi else []) + list(step))
     return header, lines
 
 
@@ -405,8 +403,6 @@ def trace_summary_table(result: ExperimentResult) -> tuple[list[str], list[list]
     t_max = config.t_max if config.t_max is not None else N
     per_step: dict[int, list[float]] = {i: [] for i in range(1, t_max + 1)}
     for row in result.rows:
-        if row.value is None:
-            continue
         steps = row.value
         for i in range(1, len(steps)):
             prev_phi = steps[i - 1][1]
@@ -531,8 +527,7 @@ def hamilton_experiment(config: ExperimentConfig, raw_sink=None) -> ExperimentRe
             raise ValueError(f"cell (n={n}, m={m}) exceeds the simple-graph bound")
         if n % 2 == 1 and m < 1:
             raise ValueError(f"cell (n={n}, m={m}): odd n contracts an edge, so needs m >= 1")
-    rows = _run_grid(config, cells, _hamilton_trial, raw_sink)
-    return ExperimentResult(config, rows)
+    return _run_grid(config, cells, _hamilton_trial, raw_sink)
 
 
 def hamilton_table(result: ExperimentResult) -> tuple[list[str], list[list]]:
@@ -608,23 +603,40 @@ class PlotSpec:
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
-    # about five ticks, on the finest 1/2/2.5/5 step that gives at most five spans
-    if hi <= lo:
-        hi = lo + 1.0
+    """The ticks inside [lo, hi], hi > lo: about five, on the finest
+    1/2/2.5/5 step that gives at most five spans."""
     span = hi - lo
     mag = 10.0 ** math.floor(math.log10(span / 5))
-    step = mag
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag
         if span / step <= 5:
             break
-    start = math.ceil(lo / step) * step
     ticks = []
-    t = start
+    t = math.ceil(lo / step) * step
     while t <= hi + 1e-9 * span:
         ticks.append(round(t, 10))
         t += step
-    return ticks
+    return [t for t in ticks if lo <= t <= hi]
+
+
+def _svg(tag: str, body: str | list[str] | None = None, **attrs) -> str:
+    """One SVG element: every element of a plot is written here.  Underscores
+    in attribute names become hyphens.  A string body is text, escaped here;
+    a list body is child elements, one per line."""
+    head = " ".join(
+        [tag, *(f'{name.replace("_", "-")}="{value}"' for name, value in attrs.items())]
+    )
+    if body is None:
+        return f"<{head}/>"
+    # imported here, not by every subcommand: it loads urllib.request (~7 MB)
+    from xml.sax.saxutils import escape
+    inner = escape(body) if isinstance(body, str) else "\n".join(["", *body, ""])
+    return f"<{head}>{inner}</{tag}>"
+
+
+def _label(text: str, x, y, size: int, anchor: str = "middle", **attrs) -> str:
+    return _svg("text", text, x=x, y=y, text_anchor=anchor, font_family="sans-serif",
+                font_size=size, **attrs)
 
 
 def _parse_plot_csv(text: str, spec: PlotSpec) -> tuple[list[float], list[float], list[float] | None]:
@@ -682,61 +694,31 @@ def emit_plot(csv_text: str, spec: PlotSpec) -> str:
     def f(v: float) -> str:
         return f"{v:.2f}"
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
-        f'viewBox="0 0 {W} {H}">',
-        f'<rect width="{W}" height="{H}" fill="white"/>',
-    ]
+    parts = [_svg("rect", width=W, height=H, fill="white")]
     if spec.title:
-        parts.append(
-            f'<text x="{W / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{spec.title}</text>'
-        )
+        parts.append(_label(spec.title, f"{W / 2:.1f}", 20, 14))
     # axes
     parts.append(
-        f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" '
-        f'stroke="#333" stroke-width="1"/>'
+        _svg("rect", x=ml, y=mt, width=pw, height=ph, fill="none", stroke="#333", stroke_width=1)
     )
     for t in _nice_ticks(xlo, xhi):
-        if not xlo <= t <= xhi:
-            continue
-        parts.append(
-            f'<line x1="{f(X(t))}" y1="{mt + ph}" x2="{f(X(t))}" y2="{mt + ph + 5}" stroke="#333"/>'
-        )
-        parts.append(
-            f'<text x="{f(X(t))}" y="{mt + ph + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{t:g}</text>'
-        )
+        x = f(X(t))
+        parts.append(_svg("line", x1=x, y1=mt + ph, x2=x, y2=mt + ph + 5, stroke="#333"))
+        parts.append(_label(f"{t:g}", x, mt + ph + 18, 11))
     for t in _nice_ticks(ylo, yhi):
-        if not ylo <= t <= yhi:
-            continue
-        parts.append(
-            f'<line x1="{ml - 5}" y1="{f(Y(t))}" x2="{ml}" y2="{f(Y(t))}" stroke="#333"/>'
-        )
-        parts.append(
-            f'<text x="{ml - 8}" y="{f(Y(t) + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{t:g}</text>'
-        )
-    parts.append(
-        f'<text x="{ml + pw / 2:.1f}" y="{H - 8}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{spec.x}</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{mt + ph / 2:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 16 {mt + ph / 2:.1f})">{spec.y}</text>'
-    )
+        y = f(Y(t))
+        parts.append(_svg("line", x1=ml - 5, y1=y, x2=ml, y2=y, stroke="#333"))
+        parts.append(_label(f"{t:g}", ml - 8, f(Y(t) + 4), 11, "end"))
+    mid = f"{mt + ph / 2:.1f}"
+    parts.append(_label(spec.x, f"{ml + pw / 2:.1f}", H - 8, 12))
+    parts.append(_label(spec.y, 16, mid, 12, transform=f"rotate(-90 16 {mid})"))
     if errs is not None:
         for x, y, e in zip(xs, ys, errs):
-            parts.append(
-                f'<line x1="{f(X(x))}" y1="{f(Y(y - e))}" x2="{f(X(x))}" '
-                f'y2="{f(Y(y + e))}" stroke="#d62728" stroke-width="1"/>'
-            )
+            parts.append(_svg("line", x1=f(X(x)), y1=f(Y(y - e)), x2=f(X(x)), y2=f(Y(y + e)),
+                              stroke="#d62728", stroke_width=1))
     points = " ".join(f"{f(X(x))},{f(Y(y))}" for x, y in zip(xs, ys))
-    parts.append(
-        f'<polyline points="{points}" fill="none" stroke="#1f77b4" stroke-width="1.5"/>'
-    )
+    parts.append(_svg("polyline", points=points, fill="none", stroke="#1f77b4", stroke_width=1.5))
     for x, y in zip(xs, ys):
-        parts.append(f'<circle cx="{f(X(x))}" cy="{f(Y(y))}" r="3" fill="#1f77b4"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        parts.append(_svg("circle", cx=f(X(x)), cy=f(Y(y)), r=3, fill="#1f77b4"))
+    return _svg("svg", parts, xmlns="http://www.w3.org/2000/svg", width=W, height=H,
+                viewBox=f"0 0 {W} {H}") + "\n"

@@ -14,6 +14,8 @@ from rainbowmatch.model import (
     ColoredEdge,
     ColoredHypergraph,
     Matching,
+    RandomnessSpec,
+    complete_colored,
     load_instance,
     save_instance,
 )
@@ -203,6 +205,22 @@ def test_mean_count_csv_and_json(tmp_path, capsys):
     assert data["kind"] == "mean-count" and len(data["rows"]) == 1
 
 
+def test_mean_count_closed_forms_only_at_kappa_n(capsys):
+    # the closed forms hold for n colors: at 5 colors the n=3 mean is
+    # 3! * (5 * 4 * 3) / 5^3 = 2.88, at 2 colors it is 0; neither is 4/3
+    for colors, mean in (("5", 2.845), ("2", 0.0)):
+        code, out, _ = run(capsys, "mean-count", "--n", "3", "--colors", colors,
+                           "--trials", "400", "--seed", "1")
+        assert code == 0
+        row = dict(zip(*(line.split(",") for line in out.splitlines())))
+        assert (row["kappa"], float(row["mean"])) == (colors, mean)
+        assert row["expected_mean"] == row["expected_second_moment"] == ""
+    code, out, _ = run(capsys, "mean-count", "--n", "3", "--colors", "5", "--trials", "2",
+                       "--format", "json")
+    (row,) = json.loads(out)["rows"]
+    assert row["expected_mean"] is None and row["expected_second_moment"] is None
+
+
 def test_hamilton_csv_and_config_error(tmp_path, capsys):
     out = tmp_path / "h.csv"
     code, _, _ = run(capsys, "hamilton", "--n", "6", "--m", "12", "--trials", "4",
@@ -290,6 +308,44 @@ def test_plot_size_must_leave_a_plot_area(tmp_path, capsys):
                "--height", "65")[0] == 0
 
 
+# emit_plot's bytes for inputs without markup characters, recorded before its
+# elements moved onto one writer: no title, a title, error bars, a single
+# point, equal x values, a non-default size, and negative and tiny values.
+PLOT_CSVS = {
+    "scan": "m,p_hat,se\n2,0.1,0.05\n5,0.5,0.1\n9,0.9,0.03\n12,1.0,0.0\n",
+    "single": "x,y\n3,7\n",
+    "equal-x": "x,y\n2,1\n2,3\n2,2\n",
+    "signed": "x,y,e\n-3,-1e-07,2e-08\n-1,3e-07,1e-08\n0.5,-2e-07,5e-08\n",
+}
+PLOT_SPECS = [
+    ("scan", experiments.PlotSpec("m", "p_hat")),
+    ("scan", experiments.PlotSpec("m", "p_hat", yerr="se", title="threshold n=3")),
+    ("scan", experiments.PlotSpec("m", "se", width=300, height=200)),
+    ("single", experiments.PlotSpec("x", "y", title="one point")),
+    ("equal-x", experiments.PlotSpec("x", "y")),
+    ("signed", experiments.PlotSpec("x", "y")),
+    ("signed", experiments.PlotSpec("x", "y", yerr="e", title="tiny", width=500, height=300)),
+]
+PLOT_DIGEST = "eecca6b4311ad3cd95e3f0de61ef59ed54f00450c61dd07ea4e662310343bb44"
+
+
+def test_plot_bytes_pinned():
+    svgs = [experiments.emit_plot(PLOT_CSVS[name], spec) for name, spec in PLOT_SPECS]
+    for svg in svgs:
+        ET.fromstring(svg)
+    assert hashlib.sha256("".join(svgs).encode()).hexdigest() == PLOT_DIGEST
+
+
+def test_plot_escapes_markup_in_its_labels(tmp_path, capsys):
+    csv = tmp_path / "t.csv"
+    csv.write_text("a&b,y<1\n1,2\n3,4\n")
+    svg = tmp_path / "p.svg"
+    assert run(capsys, "plot", str(csv), "--x", "a&b", "--y", "y<1", "--title", "n<8 & m>2",
+               "--out", str(svg))[0] == 0
+    texts = [t.text for t in ET.parse(svg).getroot().findall("{*}text")]
+    assert {"n<8 & m>2", "a&b", "y<1"} <= set(texts)
+
+
 def test_raw_stream_written(tmp_path, capsys):
     raw = tmp_path / "raw.jsonl"
     run(capsys, "threshold", "--n", "2", "--m", "1,4", "--trials", "3",
@@ -315,6 +371,13 @@ def test_budget_must_be_positive(tmp_path, capsys):
             assert (code, out) == (2, ""), (argv, budget)
             assert "budget" in err and "positive" in err, (argv, budget)
     code, out, _ = run(capsys, "count", str(path), "--budget", "1")
+    assert code == 3 and json.loads(out)["outcome"] == "budget"
+
+
+def test_count_budget_out_in_the_split_exits_3(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    save_instance(complete_colored(6, 2, 6, RandomnessSpec(1).rng()), path)
+    code, out, _ = run(capsys, "count", str(path), "--budget", "10")
     assert code == 3 and json.loads(out)["outcome"] == "budget"
 
 

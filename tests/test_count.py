@@ -583,6 +583,16 @@ def test_split_count_nodes_and_budget_edges():
         assert info.value.nodes > report.nodes - 1
 
 
+def test_split_count_budget_out_in_the_first_half():
+    # the witness probe fits in the budget; the first chunk of the first
+    # half's table takes the count past it
+    H = complete_colored(6, 2, 6, RandomnessSpec(1).rng())
+    assert witness_nodes(H) <= 10
+    with pytest.raises(BudgetExceededError) as info:
+        count_rainbow_pm(H, budget=10)
+    assert info.value.nodes == 16
+
+
 def test_split_count_value_does_not_depend_on_the_table_cap(monkeypatch):
     # the layer sizes of these instances are 6, 24-26, 64-72: a lower cap
     # keeps an earlier layer as the table (h moves), which changes the search

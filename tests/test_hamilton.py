@@ -20,6 +20,7 @@ from rainbowmatch.hamilton import (
     HamiltonCycle,
     STAGE_CLASS_TOO_SMALL,
     STAGE_HC_BUDGET,
+    STAGE_HC_NOT_FOUND,
     STAGE_MATCHING_BUDGET,
     STAGE_SUCCESS,
     assemble_even,
@@ -553,6 +554,21 @@ def test_union_search_checks_its_cycle(monkeypatch):
     monkeypatch.setattr(hamilton, "find_rainbow_hc", wrong_search)
     with pytest.raises(RuntimeError, match="^union search: "):
         assemble_even(G, rnd)
+
+
+def test_union_search_budget_out_keeps_the_union():
+    G, rnd, _ = planted_assembly()
+    plan, hc = assemble_even(G, rnd, hc_budget=1)
+    assert (plan.stage_reached, hc) == (STAGE_HC_BUDGET, None)
+    assert plan.union_graph is not None and len(plan.union_graph.edges) == 40
+
+
+def test_union_search_without_a_cycle_is_hc_not_found(monkeypatch):
+    G, rnd, _ = planted_assembly()
+    monkeypatch.setattr(hamilton, "find_rainbow_hc", lambda union, budget: None)
+    plan, hc = assemble_even(G, rnd)
+    assert (plan.stage_reached, hc) == (STAGE_HC_NOT_FOUND, None)
+    assert plan.union_graph is not None
 
 
 # -- contraction and lifting

@@ -584,6 +584,13 @@ def test_round_trip_with_absent(tmp_path):
     assert data["absent"] == [[2, 1]]
 
 
+def test_round_trip_graph_with_absent():
+    H = restrict(sample_colored_graph(6, 10, 6, RandomnessSpec(2).rng()), removed_vertices=[2])
+    assert H.absent == frozenset({2})
+    assert instance_to_dict(H)["absent"] == [2]
+    assert loads_instance(dumps_instance(H)) == H
+
+
 def test_wire_format_schema():
     H = sample_colored_graph(3, 3, 3, rng(28))
     data = instance_to_dict(H)
