@@ -602,6 +602,18 @@ class PlotSpec:
         return 62, 18, 34 if self.title else 18, 46
 
 
+def _axis_range(axis: str, name: str, lo: float, hi: float, pad: float) -> tuple[float, float]:
+    """The drawn range of an axis whose data span [lo, hi]: a unit wide
+    around a single value, then padded by pad times its width on each side.
+    Raises ValueError when that width is not finite, or too small at its
+    magnitude for the ticks (`_nice_ticks`) to step through it."""
+    a, b = (lo - 0.5, hi + 0.5) if hi == lo else (lo, hi)
+    a, b = a - pad * (b - a), b + pad * (b - a)
+    if not 1e-9 * max(abs(a), abs(b)) < b - a < math.inf:
+        raise ValueError(f"cannot plot the {axis} range {lo:g} to {hi:g} of column {name!r}")
+    return a, b
+
+
 def _nice_ticks(lo: float, hi: float) -> list[float]:
     """The ticks inside [lo, hi], hi > lo: about five, on the finest
     1/2/2.5/5 step that gives at most five spans."""
@@ -675,15 +687,10 @@ def emit_plot(csv_text: str, spec: PlotSpec) -> str:
     W, H = spec.width, spec.height
     ml, mr, mt, mb = spec.margins
     pw, ph = W - ml - mr, H - mt - mb
-    xlo, xhi = min(xs), max(xs)
+    xlo, xhi = _axis_range("x", spec.x, min(xs), max(xs), 0.0)
     ylo = min(ys) if errs is None else min(y - e for y, e in zip(ys, errs))
     yhi = max(ys) if errs is None else max(y + e for y, e in zip(ys, errs))
-    if xhi == xlo:
-        xlo, xhi = xlo - 0.5, xhi + 0.5
-    if yhi == ylo:
-        ylo, yhi = ylo - 0.5, yhi + 0.5
-    pad = 0.04 * (yhi - ylo)
-    ylo, yhi = ylo - pad, yhi + pad
+    ylo, yhi = _axis_range("y", spec.y, ylo, yhi, 0.04)
 
     def X(x: float) -> float:
         return ml + (x - xlo) / (xhi - xlo) * pw

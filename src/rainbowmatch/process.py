@@ -28,14 +28,13 @@ divided by n.  `_DeletionState` owns the table, one flat list in `product`
 order over (part 1, ..., part k, color); `weight_profile` returns it as a
 table for any partite instance.
 
-The process runs that full tally once, at step 0, and carries the state (the
-weight table, the packed edge lists, the vertex and color degrees, the live
-edges) from step to step.  Deleting edge e removes exactly the near-perfect
-matchings through e, so a later step tallies only those: the same layer loop
-over the other part-1 vertices' edges that share no vertex and no color with
-e.  Each one is subtracted from its leftover tuple's entries, and the step
-builds no instance.  No delta builds more states than step 0's tally, so a
-budget step 0 fits in holds for the whole trace.
+The process knows its deletion order before step 0, so it runs that tally
+once, at step 0, over edges stamped with the step that deletes them: a
+near-perfect matching is present at step t exactly when the earliest death
+among its edges is after t.  Step 0 adds every state into the table, and the
+step that deletes edge e subtracts the states whose earliest death is e's.
+The state (the weight table, those groups, the vertex and color degrees, the
+live edges) is carried from step to step, and no step builds an instance.
 
 Flags per step (wire names B, R, C in the trace CSV):
 
@@ -52,8 +51,7 @@ localized groups are its stride slices along each of the k + 1 axes: a
 weight is an int, so it exceeds phi / (2^k n^k) iff it exceeds that bound's
 floor.  The predicate passes at once when no weight of the table beats the
 floor, and otherwise stops at the first group whose max beats both the
-floor and twice its median.  Once the table is all zero (it only falls), a
-step runs no delta tally at all.  Each step is recorded once, as a
+floor and twice its median.  Each step is recorded once, as a
 `DeletionStep` whose leading fields are the trace CSV's step columns.
 
 The dyadic interval machinery at the bottom is independent of the process: it
@@ -135,15 +133,19 @@ def _check_partite(H: ColoredHypergraph) -> None:
         raise ValueError("this operation is defined for partite instances")
 
 
-def _grow(table: dict[int, int], edges: list[int], nodes: int, budget: int):
+def _grow(table: dict[int, int], edges: list[int], nodes: int, budget: int, low: int):
     """One layer of the near-perfect tally: every state of table extended by
-    every edge that fits it, multiplicities summed.  Returns (layer, nodes +
-    one per new state); raises BudgetExceededError past budget, checked after
-    each parent's kids."""
+    every edge that fits it (shares no bit of low with it), multiplicities
+    summed.  table is emptied as it goes, so a parent is freed once grown.
+    Returns (layer, nodes + one per new state); raises BudgetExceededError
+    past budget, checked after each parent's kids."""
     layer: dict[int, int] = {}
     get = layer.get
-    for state, ways in table.items():
-        kids = [state | e for e in edges if not state & e]
+    pop = table.popitem
+    while table:
+        state, ways = pop()
+        own = state & low
+        kids = [state | e for e in edges if not own & e]
         nodes += len(kids)
         if nodes > budget:
             raise BudgetExceededError(f"node budget {budget} exceeded", nodes)
@@ -152,11 +154,13 @@ def _grow(table: dict[int, int], edges: list[int], nodes: int, budget: int):
     return layer, nodes
 
 
-def _near_layers(lists: Iterable[list[int]], budget: int) -> tuple[dict[int, int], int]:
+def _near_layers(lists: Iterable[list[int]], budget: int, low: int) -> tuple[dict[int, int], int]:
     """The near-perfect tally's layer loop over packed edge lists (one list
     per part-1 vertex, `count._Layout.packed`): returns (near, nodes), near
-    mapping every packed state that covers all part-1 vertices of the lists
-    but one to its number of rainbow matchings, nodes the states built.
+    mapping every state that covers all part-1 vertices of the lists but
+    one to its number of rainbow matchings, nodes the states built.  Two
+    edges conflict when they share a bit of low (the layout's bits); the
+    bits above it are stamps, ORed into a state but never in conflict.
 
     One layer (_grow) per list, over two tables: full, the matchings covering
     every part-1 vertex so far, and near, those that left exactly one of them
@@ -171,72 +175,80 @@ def _near_layers(lists: Iterable[list[int]], budget: int) -> tuple[dict[int, int
     for edges in lists:
         if not (full or near):
             break
-        near, nodes = _grow(near, edges, nodes, budget)
+        near, nodes = _grow(near, edges, nodes, budget, low)
         # the carries cover no vertex the grown states do, so nothing collides
         near.update(full)
         nodes += len(full)
         if nodes > budget:
             raise BudgetExceededError(f"node budget {budget} exceeded", nodes)
-        full, nodes = _grow(full, edges, nodes, budget)
+        full, nodes = _grow(full, edges, nodes, budget, low)
     return near, nodes
 
 
 class _DeletionState:
     """The weight table of a partite instance, written from its rainbow
-    near-perfect matchings and kept exact under edge deletions, with what
-    the deletion process reads next to it.
+    near-perfect matchings and kept exact under the deletion of ordering's
+    edges, with what the deletion process reads next to it.
 
     weights is the table as one flat list in `product` order over (part 1,
     ..., part k, color), whose sizes are dims: w(v, c), the rainbow
     near-perfect matchings that leave exactly v uncovered and do not use
     color c.  base_of maps v's vertex mask to the index of w(v, 1).  The
-    masks, the packed edges and their lists per part-1 vertex come from the
-    instance's bit layout (`count._Layout`), and the constructor tallies
-    the table from those lists (`_near_layers`).  live maps each edge e to
-    its packed int, its part-1 vertex's list and the index of w(e.verts,
-    e.color); deg and cdeg are the vertex and color degrees.  delete(e)
-    takes e out of all of these and subtracts only the matchings through
-    e: e plus a near-perfect matching of the other part-1 vertices whose
-    edges share no vertex and no color with e, by the same layer loop.
-    nodes is the number of states the last tally built, all counted against
-    budget; every state a delta builds, with e added once the loop has
-    passed e's part-1 vertex, is also built by the full tally before the
-    deletion.  Once every weight is zero, delete runs no tally (nodes 0)
-    and only updates the live edges, the lists and the degrees: weights
-    only fall, so the table stays zero.  delete assumes the active parts
-    have equal sizes.
+    masks and the packed edges per part-1 vertex come from the instance's
+    bit layout (`count._Layout`), and the constructor tallies the table
+    from those lists (`_near_layers`): near maps each final state to its
+    rainbow matchings, and nodes is the states built, all counted against
+    budget.  Edge ordering[i] dies at step i + 1 and carries the stamp bits
+    i..T-1 above the layout's bits (T = len(ordering)), so a state's stamps
+    are the OR of its edges' and its lowest stamp bit is its earliest
+    death; an edge outside ordering carries none and never dies.  dying
+    maps each edge of ordering to the final states that die with it.
+    live maps each edge e to the index of w(e.verts, e.color); deg and cdeg
+    are the vertex and color degrees.  delete(e), for the edges of ordering
+    in order, takes e out of live and the degrees and subtracts the states
+    that die with e: no tally runs.  delete assumes the active parts have
+    equal sizes.
     """
 
-    def __init__(self, H: ColoredHypergraph, budget: int):
+    def __init__(self, H: ColoredHypergraph, budget: int, ordering: Sequence[ColoredEdge] = ()):
         layout = _Layout(H)
         self.active, self.shift = layout.active, layout.shift
-        self.budget = budget
         self.colors = (1 << H.kappa) - 1
-        packed, self.lists = layout.packed()
+        packed, lists = layout.packed()
         self.parts = [H.part_active(p) for p in range(1, H.k + 1)]
         self.dims = [*map(len, self.parts), H.kappa]
         self.weights = [0] * math.prod(self.dims)
         tuples = layout.vertex_bits(product(*self.parts))
         self.base_of = dict(zip(map(sum, tuples), range(0, len(self.weights), H.kappa)))
         self.live = {
-            e: (x, self.lists[verts[0]], self.base_of[covers] + e.color - 1)
-            for e, x, (verts, covers, _) in zip(H.edges, packed, layout.items)
+            e: self.base_of[covers] + e.color - 1
+            for e, (_, covers, _) in zip(H.edges, layout.items)
         }
         self.deg, self.cdeg = degree_profile(H)
+        self.near: dict[int, int] = {}
+        self.dying: dict[ColoredEdge, list[int]] = {}
         self.nodes = 0
         if layout.feasible:
-            near, self.nodes = _near_layers(self.lists.values(), budget)
-            self._add(near, 0, 1)
+            at = self.shift + H.kappa  # the lowest stamp bit
+            top = 1 << len(ordering)
+            x_of = dict(zip(H.edges, packed))
+            stamp = {x_of[e]: (top - (1 << i)) << at for i, e in enumerate(ordering)}
+            stamped = [[x | stamp.get(x, 0) for x in xs] for xs in lists.values()]
+            self.near, self.nodes = _near_layers(stamped, budget, (1 << at) - 1)
+            self._add(self.near, 1)
+            for state in self.near:
+                if stamps := state >> at:
+                    i = (stamps & -stamps).bit_length() - 1
+                    self.dying.setdefault(ordering[i], []).append(state)
 
-    def _add(self, near: dict[int, int], edge: int, sign: int) -> None:
-        # each state plus edge, sign times, into the entries of the tuple it
-        # leaves uncovered, at every color it leaves unused
+    def _add(self, states: Iterable[int], sign: int) -> None:
+        # each near-perfect state's ways, sign times, into the entries of the
+        # tuple it leaves uncovered, at every color it leaves unused
         weights, base_of, active, shift = self.weights, self.base_of, self.active, self.shift
-        colors = self.colors
-        for state, ways in near.items():
-            state |= edge
+        colors, near = self.colors, self.near
+        for state in states:
             base = base_of[active & ~state] - 1  # w(v, c) sits at base + c
-            ways *= sign
+            ways = near[state] * sign
             free = colors & ~(state >> shift)
             while free:
                 low = free & -free
@@ -244,20 +256,8 @@ class _DeletionState:
                 free ^= low
 
     def delete(self, e: ColoredEdge) -> None:
-        packed, own, _ = self.live.pop(e)
-        own.remove(packed)
-        self.nodes = 0
-        # a matching through e adds to its tuple's entry at each color it
-        # leaves free, so on an all-zero table none leaves one: the delta
-        # tally would subtract nothing
-        if any(self.weights):
-            others = [
-                [x for x in edges if not x & packed]
-                for edges in self.lists.values()
-                if edges is not own
-            ]
-            near, self.nodes = _near_layers(others, self.budget)
-            self._add(near, packed, -1)
+        del self.live[e]
+        self._add(self.dying.pop(e, ()), -1)
         for v in enumerate(e.verts, start=1):  # (part, index) == PartiteVertex
             self.deg[v] -= 1
         self.cdeg[e.color] -= 1
@@ -380,10 +380,9 @@ class DeletionStep(NamedTuple):
     count has already died (previous phi = 0), xi is recorded as Fraction(0);
     the telescoping product is 0 from the death step onward either way.
     w_avg and w_med are None once no edges remain.  nodes is the number of
-    states the step's tally built: the full near-perfect tally at index 0,
-    the matchings through the deleted edge after it, and 0 on every step
-    after the weight table has become all zero, where no tally runs.  It
-    is telemetry and appears in no experiment output.
+    states the trace's one tally built, at index 0, and 0 at every later
+    index, where no tally runs.  It is telemetry and appears in no
+    experiment output.
     """
 
     index: int
@@ -433,20 +432,17 @@ def run_deletion_process(
     """Delete ordering[0..t_max-1] one at a time from a complete colored
     instance and record a DeletionStep after every deletion (plus step 0).
 
-    Step 0 tallies the rainbow near-perfect matchings of H0 once into the
+    Step 0 tallies the rainbow near-perfect matchings of H0 once, stamped
+    with the steps of ordering[:t_max] that delete their edges, into the
     weight table of the carried state (`_DeletionState`).  Every later step
-    deletes its edge from that state: it tallies only the near-perfect
-    matchings through the deleted edge, subtracts them from the table, and
-    decrements the edge's vertex and color degrees.  The step's weights,
-    count and flags are read off the carried state; no instance is rebuilt.
-    DeletionStep.nodes is the states that step's tally built (0 once the
-    table is all zero and no tally runs).
+    deletes its edge from that state: it subtracts the matchings that die
+    with the edge and decrements the edge's vertex and color degrees.  The
+    step's weights, count and flags are read off the carried state; no
+    instance is rebuilt and no later step tallies.  DeletionStep.nodes is
+    the states step 0's tally built, and 0 after.
 
     Those states count against budget.  If step 0's tally exceeds it, the
     trace is returned with no steps and marked truncated instead of raising.
-    A delta tally never builds more states than step 0's (each of its states
-    is built by the full tally too), so a budget that step 0 fits in holds
-    for every step.
     """
     _check_partite(H0)
     N = H0.n**H0.k
@@ -460,7 +456,7 @@ def run_deletion_process(
         raise ValueError(f"t_max must lie in 0..{len(ordering)}")
 
     try:
-        state = _DeletionState(H0, budget)
+        state = _DeletionState(H0, budget, ordering[:t_max])
     except BudgetExceededError:
         return DeletionTrace((), True)
     ps, gammas = _step_ratios(H0.n, N)
@@ -468,9 +464,8 @@ def run_deletion_process(
     prev_phi: int | None = None
     for i in range(t_max + 1):
         if i > 0:
-            # builds no more states than step 0 did, so it fits the budget
             state.delete(ordering[i - 1])
-        ws = [state.weights[i] for _, _, i in state.live.values()]
+        ws = [state.weights[i] for i in state.live.values()]
         # w(e) counts the rainbow perfect matchings through e, and each of
         # them has n edges.
         phi = sum(ws) // H0.n
@@ -499,7 +494,7 @@ def run_deletion_process(
                 balanced=balanced,
                 regular=regular,
                 median_capped=capped,
-                nodes=state.nodes,
+                nodes=0 if i else state.nodes,
             )
         )
         prev_phi = phi

@@ -346,6 +346,25 @@ def test_plot_escapes_markup_in_its_labels(tmp_path, capsys):
     assert {"n<8 & m>2", "a&b", "y<1"} <= set(texts)
 
 
+@pytest.mark.parametrize(
+    "rows,named",
+    [
+        ("-1e308,1\n1e308,2\n", "x range -1e+308 to 1e+308"),
+        ("1,-1e308\n2,1e308\n", "y range -1e+308 to 1e+308"),
+        ("1e20,1\n", "x range 1e+20 to 1e+20"),
+        # one float apart: a tick step below the spacing never advances
+        ("1e20,1\n100000000000000016384,2\n", "x range 1e+20 to 1e+20"),
+    ],
+)
+def test_plot_rejects_a_range_it_cannot_draw(tmp_path, capsys, rows, named):
+    csv = tmp_path / "t.csv"
+    csv.write_text("x,y\n" + rows)
+    code, out, err = run(capsys, "plot", str(csv), "--x", "x", "--y", "y")
+    assert code == 2 and out == ""
+    assert err.startswith("rainbowmatch: error:") and err.count("\n") == 1
+    assert named in err
+
+
 def test_raw_stream_written(tmp_path, capsys):
     raw = tmp_path / "raw.jsonl"
     run(capsys, "threshold", "--n", "2", "--m", "1,4", "--trials", "3",

@@ -184,17 +184,36 @@ def test_weight_table_matches_oracle_on_restricted_instances():
         weight_profile(ColoredHypergraph("graph", 4, 2, 3, ()))
 
 
-def tally_nodes(H):
-    """The smallest budget the tally fits in, by bisection: its node count."""
+def smallest_budget(fits):
+    """The smallest budget that fits accepts, by bisection."""
     lo, hi = -1, DEFAULT_NODE_BUDGET
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        try:
-            weight_profile(H, budget=mid)
+        if fits(mid):
             hi = mid
-        except BudgetExceededError:
+        else:
             lo = mid
     return hi
+
+
+def tally_nodes(H):
+    """The smallest budget the plain tally fits in, by bisection: its node count."""
+
+    def fits(budget):
+        try:
+            weight_profile(H, budget=budget)
+        except BudgetExceededError:
+            return False
+        return True
+
+    return smallest_budget(fits)
+
+
+def trace_nodes(H, order, t_max=None):
+    """The smallest budget under which the trace is not truncated, by bisection."""
+    return smallest_budget(
+        lambda budget: not run_deletion_process(H, order, t_max, budget=budget).truncated
+    )
 
 
 def test_weight_profile_budget_raises():
@@ -214,49 +233,88 @@ def test_trace_budget_truncation():
     order = random_edge_ordering(H, rng(5, seed=51))
     full = run_deletion_process(H, order)
     assert not full.truncated
-    nodes = [tally_nodes(restrict(H, removed_edges=order[:i])) for i in range(len(order) + 1)]
-    # Deleting an edge only shrinks the search tree, so step 0 holds the
-    # largest search: a budget it fits in never truncates, and a smaller one
-    # truncates before any step is recorded.
-    assert nodes == sorted(nodes, reverse=True)
-    assert run_deletion_process(H, order, budget=nodes[0]) == full
-    cut = run_deletion_process(H, order, budget=nodes[0] - 1)
+    # Deleting an edge only shrinks the plain tally.
+    plain = [tally_nodes(restrict(H, removed_edges=order[:i])) for i in range(len(order) + 1)]
+    assert plain == sorted(plain, reverse=True)
+    # The trace's one tally runs at step 0: a budget it fits in never
+    # truncates, and a smaller one truncates before any step is recorded.
+    nodes = trace_nodes(H, order)
+    assert nodes == full.steps[0].nodes
+    assert run_deletion_process(H, order, budget=nodes) == full
+    cut = run_deletion_process(H, order, budget=nodes - 1)
     assert cut.truncated and cut.steps == ()
-    # t_max keeps the prefix of the untruncated trace
-    short = run_deletion_process(H, order, t_max=4, budget=nodes[0])
-    assert short.steps == full.steps[:5] and not short.truncated
+    # t_max keeps the prefix of the untruncated trace; it stamps fewer
+    # edges, so only its tally's node count may differ
+    short = run_deletion_process(H, order, t_max=4, budget=nodes)
+    assert not short.truncated
+    unstamped = [step._replace(nodes=None) for step in short.steps]
+    assert unstamped == [step._replace(nodes=None) for step in full.steps[:5]]
 
 
 @pytest.mark.parametrize("n,k,kappa", [(4, 2, 4), (3, 2, 5), (3, 3, 3), (2, 3, 4)])
 def test_step_nodes_along_trace(n, k, kappa):
-    # step 0 reports the full tally's states; every later step reports its
-    # delta tally, which never builds more
+    # step 0 reports the one tally's states, the smallest budget the trace
+    # fits in; no later step tallies
     for j in range(2):
         H = complete_colored(n, k, kappa, rng(j, seed=57))
         order = random_edge_ordering(H, rng(j, seed=58))
         steps = run_deletion_process(H, order).steps
         assert len(steps) == len(order) + 1
-        assert steps[0].nodes == tally_nodes(H)
-        assert all(step.nodes <= steps[0].nodes for step in steps[1:]), j
+        assert steps[0].nodes == trace_nodes(H, order), j
+        assert all(step.nodes == 0 for step in steps[1:]), j
+
+
+@pytest.mark.parametrize("n,k,kappa", [(4, 2, 4), (3, 3, 3)])
+def test_step_nodes_grow_with_the_stamped_edges(n, k, kappa):
+    # a trace that deletes nothing stamps no edge and runs the plain tally;
+    # each stamped edge can only keep more states apart
+    H = complete_colored(n, k, kappa, rng(0, seed=57))
+    order = random_edge_ordering(H, rng(0, seed=58))
+    nodes = [run_deletion_process(H, order, t).steps[0].nodes for t in range(len(order) + 1)]
+    assert nodes[0] == tally_nodes(H)
+    assert nodes == sorted(nodes)
+    assert nodes[-1] > nodes[0]
+
+
+def assert_carried_state(H, order, t_max):
+    # the state the process carries across deletions, at every step, against
+    # the weight rows and degrees of the instance rebuilt from scratch
+    state = _DeletionState(H, DEFAULT_NODE_BUDGET, order[:t_max])
+    for i in range(t_max + 1):
+        if i:
+            state.delete(order[i - 1])
+        Hi = restrict(H, removed_edges=order[:i])
+        assert state.weights == _DeletionState(Hi, DEFAULT_NODE_BUDGET).weights, i
+        assert (state.deg, state.cdeg) == degree_profile(Hi), i
+        assert list(state.live) == list(Hi.edges), i
 
 
 @pytest.mark.parametrize(
     "n,k,kappa", [(3, 2, 3), (4, 2, 4), (4, 2, 3), (3, 2, 5), (3, 3, 3), (2, 3, 4)]
 )
 def test_carried_state_matches_rebuilt_instance(n, k, kappa):
-    # the state the process carries across deletions, at every step, against
-    # the weight rows and degrees of the instance rebuilt from scratch
     for j in range(2):
         H = complete_colored(n, k, kappa, rng(j, seed=59))
         order = random_edge_ordering(H, rng(j, seed=60))
-        state = _DeletionState(H, DEFAULT_NODE_BUDGET)
-        for i in range(len(order) + 1):
-            if i:
-                state.delete(order[i - 1])
-            Hi = restrict(H, removed_edges=order[:i])
-            assert state.weights == _DeletionState(Hi, DEFAULT_NODE_BUDGET).weights, (j, i)
-            assert (state.deg, state.cdeg) == degree_profile(Hi), (j, i)
-            assert list(state.live) == list(Hi.edges), (j, i)
+        assert_carried_state(H, order, len(order))
+
+
+def test_carried_state_of_a_short_trace():
+    # edges past t_max carry no stamp: their matchings stay in the table
+    H = complete_colored(4, 2, 4, rng(2, seed=59))
+    order = random_edge_ordering(H, rng(2, seed=60))
+    for t_max in (0, 1, 5, len(order) - 1):
+        assert_carried_state(H, order, t_max)
+
+
+def test_carried_state_of_an_n1_trace():
+    # the empty near-perfect matching has no edge, so it never dies: the
+    # table keeps w((1, 1), 1) = 1 after the only edge is deleted
+    H = complete_colored(1, 2, 1, rng(1))
+    order = random_edge_ordering(H, rng(1, seed=60))
+    assert_carried_state(H, order, 1)
+    steps = run_deletion_process(H, order).steps
+    assert [step.phi for step in steps] == [1, 0]
 
 
 def dying_trace():
@@ -267,12 +325,12 @@ def dying_trace():
 
 
 def test_table_outlives_the_count():
-    # only an all-zero table, never phi = 0, lets a step skip its delta
-    # tally: the carried weights and the flags read off them must match
-    # the rebuilt instance on every step between the two
+    # the carried weights, and the flags read off them, must match the
+    # rebuilt instance on every step, also between the count's death and
+    # the table's
     H, order = dying_trace()
     steps = run_deletion_process(H, order).steps
-    state = _DeletionState(H, DEFAULT_NODE_BUDGET)
+    state = _DeletionState(H, DEFAULT_NODE_BUDGET, order)
     table_left = []
     for step in steps:
         i = step.index
@@ -289,22 +347,14 @@ def test_table_outlives_the_count():
     assert dead_count_live_table == list(range(2, 10))
 
 
-# DeletionStep.nodes of dying_trace as recorded when every step ran its
-# delta tally, all-zero table or not
-TALLY_NODES = [110, 25, 23, 16, 13, 14, 9, 4, 1, 6, 5, 2, 2, 2, 1, 1, 1]
+# DeletionStep.nodes of dying_trace: step 0's stamped tally, then no tally
+TALLY_NODES = [115] + [0] * 16
 
 
 def test_step_nodes_pinned():
-    # the step that empties the table still runs its tally; every later
-    # step builds nothing
     H, order = dying_trace()
     nodes = [step.nodes for step in run_deletion_process(H, order).steps]
-    empty = next(
-        i for i in range(len(order) + 1)
-        if not any(weight_profile(restrict(H, removed_edges=order[:i])).table.values())
-    )
-    assert empty == 10
-    assert nodes == TALLY_NODES[: empty + 1] + [0] * (len(order) - empty)
+    assert nodes == TALLY_NODES
 
 
 def test_weight_profile_maxima_consistency():
