@@ -623,11 +623,14 @@ def expected_rainbow_count(n: int, k: int) -> float:
     """Expected number of rainbow perfect matchings of the complete partite
     instance with kappa = n and uniform colors: (n!)^k / n^n.
 
-    Evaluated in log space so large n does not overflow.
+    Evaluated in log space; math.inf past the float range.
     """
     if n < 1 or k < 2:
         raise ValueError("need n >= 1, k >= 2")
-    return math.exp(k * math.lgamma(n + 1) - n * math.log(n))
+    try:
+        return math.exp(k * math.lgamma(n + 1) - n * math.log(n))
+    except OverflowError:
+        return math.inf
 
 
 def disjoint_completion_count(ell: int, k: int) -> int:
@@ -656,7 +659,7 @@ def second_moment_exact(n: int, k: int) -> float:
     matching by how many edges it shares with the first; sharing all but
     (n-ell) edges leaves (n-ell) fresh edges that must dodge the first
     matching (D term) and must pick up exactly the unused colors
-    ((n-ell)!/n^(n-ell) term).
+    ((n-ell)!/n^(n-ell) term).  math.inf past the float range.
     """
     if n < 1 or k < 2:
         raise ValueError("need n >= 1, k >= 2")
@@ -667,7 +670,10 @@ def second_moment_exact(n: int, k: int) -> float:
             math.factorial(n) * disjoint_completion_count(n - ell, k),
             math.factorial(ell) * n ** (n - ell),
         )
-    return float(ex * total)
+    try:
+        return float(ex * total)
+    except OverflowError:
+        return math.inf
 
 
 # -- latin transversals ----------------------------------------------------------

@@ -198,22 +198,34 @@ def _finished(worker: Callable, tasks: list, jobs: int):
             yield fut.result()
 
 
+def _timed(trial: Callable, key: tuple, config: ExperimentConfig, cell: tuple, stream: int):
+    """One trial's raw line (key, outcome, value, elapsed): trial(config,
+    cell, stream) returns (outcome, value), a budget-out anywhere in it is
+    ("budget", None), and elapsed is the whole trial, sampling included."""
+    t0 = time.perf_counter()
+    try:
+        outcome, value = trial(config, cell, stream)
+    except BudgetExceededError:
+        outcome, value = "budget", None
+    return key, outcome, value, time.perf_counter() - t0
+
+
 def _run_grid(
     config: ExperimentConfig, cells: list[tuple], trial: Callable, raw_sink=None
 ) -> ExperimentResult:
-    """Run trial(key, config, cell, stream) `config.trials` times per cell.
+    """Run trial `config.trials` times per cell, each through `_timed`.
     Trial t of cell ci has key (ci, t) and owns stream ci * trials + t.  With
     jobs > 1, completion order is scheduler-dependent; the rows are sorted by
     key, so the output is independent of it.  An optional raw sink receives
     one JSON line per completed trial, in completion order (a progress
     stream, not a deterministic artifact)."""
     tasks = [
-        ((ci, t), config, cell, ci * config.trials + t)
+        (trial, (ci, t), config, cell, ci * config.trials + t)
         for ci, cell in enumerate(cells)
         for t in range(config.trials)
     ]
     results = []
-    for res in _finished(trial, tasks, config.jobs):
+    for res in _finished(_timed, tasks, config.jobs):
         results.append(res)
         if raw_sink is not None:
             raw_sink.write(json.dumps(res, default=str) + "\n")
@@ -227,17 +239,12 @@ def _run_grid(
 # -- threshold scan -------------------------------------------------------------
 
 
-def _threshold_trial(key, config: ExperimentConfig, cell: tuple, stream: int):
+def _threshold_trial(config: ExperimentConfig, cell: tuple, stream: int):
     n, m = cell
     rnd = RandomnessSpec(config.master_seed, stream).rng()
     H = sample_partite_m(n, config.k, config.kappa_for(n), m, rnd)
-    t0 = time.perf_counter()
-    try:
-        M = find_rainbow_pm(H, budget=config.node_budget)
-        outcome = "found" if M is not None else "absent"
-    except BudgetExceededError:
-        outcome = "budget"
-    return key, outcome, None, time.perf_counter() - t0
+    M = find_rainbow_pm(H, budget=config.node_budget)
+    return ("found" if M is not None else "absent"), None
 
 
 def threshold_scan(config: ExperimentConfig, raw_sink=None) -> ExperimentResult:
@@ -275,16 +282,11 @@ def threshold_csv(result: ExperimentResult) -> str:
 # -- mean count calibration -------------------------------------------------------
 
 
-def _mean_count_trial(key, config: ExperimentConfig, cell: tuple, stream: int):
+def _mean_count_trial(config: ExperimentConfig, cell: tuple, stream: int):
     (n,) = cell
     rnd = RandomnessSpec(config.master_seed, stream).rng()
     H = complete_colored(n, config.k, config.kappa_for(n), rnd)
-    t0 = time.perf_counter()
-    try:
-        report = count_rainbow_pm(H, budget=config.node_budget)
-        return key, "found", report.value, time.perf_counter() - t0
-    except BudgetExceededError:
-        return key, "budget", None, time.perf_counter() - t0
+    return "found", count_rainbow_pm(H, budget=config.node_budget).value
 
 
 def mean_count_experiment(config: ExperimentConfig, raw_sink=None) -> ExperimentResult:
@@ -343,16 +345,15 @@ def mean_count_csv(result: ExperimentResult) -> str:
 # -- deletion trace -----------------------------------------------------------------
 
 
-# the leading fields of process.DeletionStep, in order
+# the fields of process.DeletionStep, in order
 TRACE_STEP_HEADER = ["i", "phi", "xi", "gamma", "p_i", "w_max", "w_avg", "w_med", "B", "R", "C"]
 
 
-def _trace_trial(key, config: ExperimentConfig, cell: tuple, stream: int):
+def _trace_trial(config: ExperimentConfig, cell: tuple, stream: int):
     (n,) = cell
     rnd = RandomnessSpec(config.master_seed, stream).rng()
     H0 = complete_colored(n, config.k, config.kappa_for(n), rnd)
     ordering = random_edge_ordering(H0, rnd)
-    t0 = time.perf_counter()
     # a budget-out ends the trace early and shows as trace.truncated
     trace = run_deletion_process(
         H0,
@@ -361,9 +362,7 @@ def _trace_trial(key, config: ExperimentConfig, cell: tuple, stream: int):
         params=EventParams.from_abundance(config.event_abundance),
         budget=config.node_budget,
     )
-    steps = tuple(step[: len(TRACE_STEP_HEADER)] for step in trace.steps)
-    outcome = "budget" if trace.truncated else "found"
-    return key, outcome, steps, time.perf_counter() - t0
+    return ("budget" if trace.truncated else "found"), trace.steps
 
 
 def trace_experiment(config: ExperimentConfig, raw_sink=None) -> ExperimentResult:
@@ -403,11 +402,9 @@ def trace_summary_table(result: ExperimentResult) -> tuple[list[str], list[list]
     t_max = config.t_max if config.t_max is not None else N
     per_step: dict[int, list[float]] = {i: [] for i in range(1, t_max + 1)}
     for row in result.rows:
-        steps = row.value
-        for i in range(1, len(steps)):
-            prev_phi = steps[i - 1][1]
-            if prev_phi > 0:
-                per_step[steps[i][0]].append(float(steps[i][2]))
+        for prev, step in zip(row.value, row.value[1:]):
+            if prev.phi > 0:
+                per_step[step.index].append(float(step.xi))
     header = ["i", "gamma", "mean_xi", "se_xi", "trials_positive", "sum_gamma_exact", "sum_gamma_closed"]
     lines = []
     for i in range(1, t_max + 1):
@@ -439,14 +436,34 @@ _BUDGET_STAGES = frozenset(s for s in FAILURE_STAGES if s.endswith("-budget"))
 _ATTEMPT_RANK = (STAGE_HC_BUDGET, STAGE_HC_NOT_FOUND, STAGE_LIFT_FAILED, STAGE_SUCCESS)
 
 
-def _hamilton_trial(key, config: ExperimentConfig, cell: tuple, stream: int):
+def _odd_attempt(config: ExperimentConfig, n: int, m: int, tag: str) -> str:
+    """One odd-n attempt on a fresh sample drawn from stream tag (slash
+    separated, so it cannot collide with the plain integer streams): contract
+    a random edge, solve the even-order remainder, lift back.  Returns the
+    stage it ends at."""
+    rnd = RandomnessSpec(config.master_seed, tag).rng()
+    G = sample_colored_graph(n, m, config.kappa_for(n), rnd)
+    e = rnd.choice(G.edges)
+    Gp, cmap = contract_color_delete(G, e)
+    try:
+        hc = find_rainbow_hc(Gp, budget=config.hc_budget)
+    except BudgetExceededError:
+        return STAGE_HC_BUDGET
+    if hc is None:
+        return STAGE_HC_NOT_FOUND
+    lifted = lift_cycle(hc, cmap, e)
+    if lifted is None:
+        return STAGE_LIFT_FAILED
+    if not is_rainbow_hamilton_cycle(G, lifted):
+        raise RuntimeError("lift: the lifted cycle is not a rainbow Hamilton cycle of G")
+    return STAGE_SUCCESS
+
+
+def _hamilton_trial(config: ExperimentConfig, cell: tuple, stream: int):
     n, m = cell
-    kappa = config.kappa_for(n)
-    spec = RandomnessSpec(config.master_seed, stream)
-    t0 = time.perf_counter()
     if n % 2 == 0:
-        rnd = spec.rng()
-        G = sample_colored_graph(n, m, kappa, rnd)
+        rnd = RandomnessSpec(config.master_seed, stream).rng()
+        G = sample_colored_graph(n, m, config.kappa_for(n), rnd)
         plan, hc = assemble_even(
             G, rnd, matching_budget=config.node_budget, hc_budget=config.hc_budget
         )
@@ -458,37 +475,12 @@ def _hamilton_trial(key, config: ExperimentConfig, cell: tuple, stream: int):
             "attempts": None,
         }
     else:
-        # odd n: fresh sample per attempt; contract a random edge, solve the
-        # even-order remainder, lift back.  best starts at the lowest stage an
-        # attempt can reach, so a trial reports its furthest attempt (a
-        # budget-out is never folded into hc-not-found).
+        # odd n: a trial reports its furthest attempt.  best starts at the
+        # lowest stage an attempt can reach, so a budget-out is never folded
+        # into hc-not-found.
         best = STAGE_HC_BUDGET
-        hc_found = False
-        attempts = 0
         for attempt in range(config.retries):
-            attempts += 1
-            # slash-separated stream tags cannot collide with the plain
-            # integer streams used elsewhere
-            rnd = RandomnessSpec(config.master_seed, f"{stream}/{attempt}").rng()
-            G = sample_colored_graph(n, m, kappa, rnd)
-            e = rnd.choice(G.edges)
-            Gp, cmap = contract_color_delete(G, e)
-            try:
-                hc_prime = find_rainbow_hc(Gp, budget=config.hc_budget)
-            except BudgetExceededError:
-                stage = STAGE_HC_BUDGET
-                hc_prime = None
-            else:
-                stage = STAGE_HC_NOT_FOUND if hc_prime is None else STAGE_LIFT_FAILED
-            if hc_prime is not None:
-                hc_found = True
-                lifted = lift_cycle(hc_prime, cmap, e)
-                if lifted is not None:
-                    if not is_rainbow_hamilton_cycle(G, lifted):
-                        raise RuntimeError(
-                            "lift: the lifted cycle is not a rainbow Hamilton cycle of G"
-                        )
-                    stage = STAGE_SUCCESS
+            stage = _odd_attempt(config, n, m, f"{stream}/{attempt}")
             best = max(best, stage, key=_ATTEMPT_RANK.index)
             if best == STAGE_SUCCESS:
                 break
@@ -496,17 +488,14 @@ def _hamilton_trial(key, config: ExperimentConfig, cell: tuple, stream: int):
             "stage_reached": best,
             "sizes": None,
             "matchings_found": None,
-            "hc_found": hc_found,
-            "attempts": attempts,
+            # an attempt reaches the lift only with a cycle of the contraction
+            "hc_found": best in (STAGE_LIFT_FAILED, STAGE_SUCCESS),
+            "attempts": attempt + 1,
         }
     stage = telemetry["stage_reached"]
-    if stage == STAGE_SUCCESS:
-        outcome = "found"
-    elif stage in _BUDGET_STAGES:
-        outcome = "budget"
-    else:
-        outcome = "absent"
-    return key, outcome, telemetry, time.perf_counter() - t0
+    if stage in _BUDGET_STAGES:
+        return "budget", telemetry
+    return ("found" if stage == STAGE_SUCCESS else "absent"), telemetry
 
 
 def hamilton_experiment(config: ExperimentConfig, raw_sink=None) -> ExperimentResult:

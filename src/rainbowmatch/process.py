@@ -52,7 +52,7 @@ weight is an int, so it exceeds phi / (2^k n^k) iff it exceeds that bound's
 floor.  The predicate passes at once when no weight of the table beats the
 floor, and otherwise stops at the first group whose max beats both the
 floor and twice its median.  Each step is recorded once, as a
-`DeletionStep` whose leading fields are the trace CSV's step columns.
+`DeletionStep` whose fields are the trace CSV's step columns.
 
 The dyadic interval machinery at the bottom is independent of the process: it
 locates, for any positive weight vector with near-maximal entropy, a short
@@ -70,7 +70,8 @@ from itertools import product
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .count import BudgetExceededError, DEFAULT_NODE_BUDGET, _Layout
-from .model import PARTITE, ColoredEdge, ColoredHypergraph, degree_profile
+from .model import (DEFAULT_EDGE_CAPACITY, PARTITE, CapacityError, ColoredEdge,
+                    ColoredHypergraph, degree_profile)
 
 __all__ = [
     "EventParams",
@@ -207,17 +208,22 @@ class _DeletionState:
     are the vertex and color degrees.  delete(e), for the edges of ordering
     in order, takes e out of live and the degrees and subtracts the states
     that die with e: no tally runs.  delete assumes the active parts have
-    equal sizes.
+    equal sizes.  A table of more than `model.DEFAULT_EDGE_CAPACITY`
+    entries is refused (CapacityError) before anything is built.
     """
 
     def __init__(self, H: ColoredHypergraph, budget: int, ordering: Sequence[ColoredEdge] = ()):
+        self.parts = [H.part_active(p) for p in range(1, H.k + 1)]
+        self.dims = [*map(len, self.parts), H.kappa]
+        if (size := math.prod(self.dims)) > DEFAULT_EDGE_CAPACITY:
+            raise CapacityError(
+                f"weight table of {size} entries exceeds capacity {DEFAULT_EDGE_CAPACITY}"
+            )
         layout = _Layout(H)
         self.active, self.shift = layout.active, layout.shift
         self.colors = (1 << H.kappa) - 1
         packed, lists = layout.packed()
-        self.parts = [H.part_active(p) for p in range(1, H.k + 1)]
-        self.dims = [*map(len, self.parts), H.kappa]
-        self.weights = [0] * math.prod(self.dims)
+        self.weights = [0] * size
         tuples = layout.vertex_bits(product(*self.parts))
         self.base_of = dict(zip(map(sum, tuples), range(0, len(self.weights), H.kappa)))
         self.live = {
@@ -374,15 +380,11 @@ def _degrees_within(
 class DeletionStep(NamedTuple):
     """State after the i-th deletion (index 0 is the initial state).
 
-    The fields before nodes are the trace CSV's step columns, in order
-    (`experiments.TRACE_STEP_HEADER`), so a step's row is a slice of it.
+    The fields are the trace CSV's step columns (`experiments.TRACE_STEP_HEADER`).
     xi and gamma are None at index 0 (no deletion happened yet).  When the
     count has already died (previous phi = 0), xi is recorded as Fraction(0);
     the telescoping product is 0 from the death step onward either way.
-    w_avg and w_med are None once no edges remain.  nodes is the number of
-    states the trace's one tally built, at index 0, and 0 at every later
-    index, where no tally runs.  It is telemetry and appears in no
-    experiment output.
+    w_avg and w_med are None once no edges remain.
     """
 
     index: int
@@ -396,16 +398,19 @@ class DeletionStep(NamedTuple):
     balanced: bool
     regular: bool
     median_capped: bool
-    nodes: int
 
 
 @dataclass(frozen=True)
 class DeletionTrace:
     """One DeletionStep per step from index 0; truncated when step 0's tally
-    ran out of budget, and then steps is empty."""
+    ran out of budget, and then steps is empty.  nodes is the states the
+    trace's one tally built, or on a truncated trace the count past the
+    budget at which it stopped.  It is telemetry and appears in no
+    experiment output."""
 
     steps: tuple[DeletionStep, ...]
     truncated: bool
+    nodes: int
 
 
 # the xi of every step after the count died
@@ -438,8 +443,8 @@ def run_deletion_process(
     deletes its edge from that state: it subtracts the matchings that die
     with the edge and decrements the edge's vertex and color degrees.  The
     step's weights, count and flags are read off the carried state; no
-    instance is rebuilt and no later step tallies.  DeletionStep.nodes is
-    the states step 0's tally built, and 0 after.
+    instance is rebuilt and no later step tallies.  DeletionTrace.nodes is
+    the states that tally built.
 
     Those states count against budget.  If step 0's tally exceeds it, the
     trace is returned with no steps and marked truncated instead of raising.
@@ -457,8 +462,8 @@ def run_deletion_process(
 
     try:
         state = _DeletionState(H0, budget, ordering[:t_max])
-    except BudgetExceededError:
-        return DeletionTrace((), True)
+    except BudgetExceededError as exc:
+        return DeletionTrace((), True, exc.nodes)
     ps, gammas = _step_ratios(H0.n, N)
     steps: list[DeletionStep] = []
     prev_phi: int | None = None
@@ -494,11 +499,10 @@ def run_deletion_process(
                 balanced=balanced,
                 regular=regular,
                 median_capped=capped,
-                nodes=0 if i else state.nodes,
             )
         )
         prev_phi = phi
-    return DeletionTrace(tuple(steps), False)
+    return DeletionTrace(tuple(steps), False, state.nodes)
 
 
 def cumulative_loss_rate(n: int, k: int, t: int) -> tuple[float, float]:

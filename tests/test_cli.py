@@ -1,8 +1,10 @@
 import hashlib
+import io
 import json
 import os
+import time
 import xml.etree.ElementTree as ET
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import pytest
 
@@ -161,6 +163,17 @@ def test_trace_runs_one_n(capsys):
     assert (code, out) == (2, "") and "one n at a time" in err
 
 
+def test_trace_refuses_a_weight_table_past_the_capacity(capsys):
+    # 9 tuples times the colors: past 2,000,000 entries, refused at once
+    for colors in ("300000", "100000000"):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "trace", "--n", "3", "--colors", colors, "--trials", "1",
+                             "--steps", "2")
+        assert time.perf_counter() - t0 < 1.0, colors
+        assert (code, out) == (2, ""), colors
+        assert err.startswith("rainbowmatch: error: weight table of") and err.count("\n") == 1
+
+
 def test_trace_headers(tmp_path, capsys):
     steps = tmp_path / "steps.csv"
     summary = tmp_path / "summary.csv"
@@ -219,6 +232,19 @@ def test_mean_count_closed_forms_only_at_kappa_n(capsys):
                        "--format", "json")
     (row,) = json.loads(out)["rows"]
     assert row["expected_mean"] is None and row["expected_second_moment"] is None
+
+
+def test_mean_count_closed_forms_past_the_float_range(capsys):
+    # a closed form past the largest float reads inf, as a mean with no
+    # counted trial reads nan: at n=130 the second moment, at n=210 both
+    code, out, err = run(capsys, "mean-count", "--n", "130,210", "--trials", "1",
+                         "--budget", "10")
+    assert (code, err) == (0, "")
+    header, *lines = (line.split(",") for line in out.splitlines())
+    rows = [dict(zip(header, line)) for line in lines]
+    assert [(row["expected_mean"], row["expected_second_moment"]) for row in rows] == [
+        ("6.437993181801595e+164", "inf"), ("inf", "inf")]
+    assert {(row["mean"], row["budget"]) for row in rows} == {("nan", "1")}
 
 
 def test_hamilton_csv_and_config_error(tmp_path, capsys):
@@ -509,6 +535,26 @@ def test_jobs_are_capped_at_the_trials_and_the_cpus(capsys, monkeypatch):
     sizes.clear()
     assert run(capsys, *args, "--trials", "3", "--jobs", "1") == serial
     assert sizes == []
+
+
+def always_out_of_budget(H, budget):
+    raise count.BudgetExceededError(f"node budget {budget} exceeded", budget + 1)
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_a_budget_out_is_a_budget_row(monkeypatch, jobs):
+    # the runner, not the trial, turns a budget-out into outcome "budget"
+    # with no value; jobs 3 runs the pool branch in threads, so no process
+    # is started and the patched search is seen
+    monkeypatch.setattr(experiments, "find_rainbow_pm", always_out_of_budget)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", ThreadPoolExecutor)
+    raw = io.StringIO()
+    config = experiments.ExperimentConfig(kind="threshold", ns=(4,), ms=(6,), trials=3,
+                                          jobs=jobs)
+    result = experiments.threshold_scan(config, raw_sink=raw)
+    assert [(r.outcome, r.value) for r in result.rows] == [("budget", None)] * 3
+    lines = sorted(json.loads(line)[:3] for line in raw.getvalue().splitlines())
+    assert lines == [[[0, t], "budget", None] for t in range(3)]
 
 
 def test_event_k_must_be_positive(capsys):

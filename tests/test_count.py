@@ -719,6 +719,16 @@ def test_expected_rainbow_count_values():
     assert math.isclose(expected_rainbow_count(6, 2), 518400 / 46656, rel_tol=1e-12)
 
 
+def test_closed_forms_are_inf_past_the_float_range():
+    # each moment is finite up to the largest n whose value a float holds,
+    # and inf from the next n on
+    for n, k in ((123, 2), (64, 3), (45, 4)):
+        assert math.isfinite(second_moment_exact(n, k)), (n, k)
+        assert second_moment_exact(n + 1, k) == math.inf, (n, k)
+    assert math.isfinite(expected_rainbow_count(209, 2))
+    assert expected_rainbow_count(210, 2) == math.inf
+
+
 def brute_disjoint_completions(ell, k):
     """Perfect matchings of the complete k-partite block sharing no edge with
     the diagonal matching {(j, j, ..., j)}."""

@@ -9,7 +9,9 @@ from rainbowmatch.count import (
     BudgetExceededError,
     count_rainbow_pm,
 )
+from rainbowmatch.experiments import TRACE_STEP_HEADER
 from rainbowmatch.model import (
+    CapacityError,
     ColoredEdge,
     ColoredHypergraph,
     PARTITE,
@@ -228,6 +230,14 @@ def test_weight_profile_budget_raises():
     assert weight_profile(H, budget=nodes).table == weight_profile(H).table
 
 
+def test_weight_table_capacity():
+    # 9 tuples times 10^8 colors: refused before the table, the color mask
+    # or the color degrees are built
+    H = complete_colored(3, 2, 10**8, rng(0, seed=51))
+    with pytest.raises(CapacityError, match="weight table of 900000000 entries"):
+        weight_profile(H)
+
+
 def test_trace_budget_truncation():
     H = complete_colored(3, 2, 3, rng(4, seed=51))
     order = random_edge_ordering(H, rng(5, seed=51))
@@ -237,31 +247,31 @@ def test_trace_budget_truncation():
     plain = [tally_nodes(restrict(H, removed_edges=order[:i])) for i in range(len(order) + 1)]
     assert plain == sorted(plain, reverse=True)
     # The trace's one tally runs at step 0: a budget it fits in never
-    # truncates, and a smaller one truncates before any step is recorded.
+    # truncates, and a smaller one truncates before any step is recorded,
+    # at a node count past that budget.
     nodes = trace_nodes(H, order)
-    assert nodes == full.steps[0].nodes
+    assert nodes == full.nodes
     assert run_deletion_process(H, order, budget=nodes) == full
     cut = run_deletion_process(H, order, budget=nodes - 1)
     assert cut.truncated and cut.steps == ()
+    assert cut.nodes > nodes - 1
     # t_max keeps the prefix of the untruncated trace; it stamps fewer
-    # edges, so only its tally's node count may differ
+    # edges, so only the trace's node count may differ
     short = run_deletion_process(H, order, t_max=4, budget=nodes)
     assert not short.truncated
-    unstamped = [step._replace(nodes=None) for step in short.steps]
-    assert unstamped == [step._replace(nodes=None) for step in full.steps[:5]]
+    assert short.steps == full.steps[:5]
 
 
 @pytest.mark.parametrize("n,k,kappa", [(4, 2, 4), (3, 2, 5), (3, 3, 3), (2, 3, 4)])
 def test_step_nodes_along_trace(n, k, kappa):
-    # step 0 reports the one tally's states, the smallest budget the trace
-    # fits in; no later step tallies
+    # the trace reports the one tally's states, the smallest budget the
+    # trace fits in
     for j in range(2):
         H = complete_colored(n, k, kappa, rng(j, seed=57))
         order = random_edge_ordering(H, rng(j, seed=58))
-        steps = run_deletion_process(H, order).steps
-        assert len(steps) == len(order) + 1
-        assert steps[0].nodes == trace_nodes(H, order), j
-        assert all(step.nodes == 0 for step in steps[1:]), j
+        trace = run_deletion_process(H, order)
+        assert len(trace.steps) == len(order) + 1
+        assert trace.nodes == trace_nodes(H, order), j
 
 
 @pytest.mark.parametrize("n,k,kappa", [(4, 2, 4), (3, 3, 3)])
@@ -270,7 +280,7 @@ def test_step_nodes_grow_with_the_stamped_edges(n, k, kappa):
     # each stamped edge can only keep more states apart
     H = complete_colored(n, k, kappa, rng(0, seed=57))
     order = random_edge_ordering(H, rng(0, seed=58))
-    nodes = [run_deletion_process(H, order, t).steps[0].nodes for t in range(len(order) + 1)]
+    nodes = [run_deletion_process(H, order, t).nodes for t in range(len(order) + 1)]
     assert nodes[0] == tally_nodes(H)
     assert nodes == sorted(nodes)
     assert nodes[-1] > nodes[0]
@@ -347,14 +357,13 @@ def test_table_outlives_the_count():
     assert dead_count_live_table == list(range(2, 10))
 
 
-# DeletionStep.nodes of dying_trace: step 0's stamped tally, then no tally
-TALLY_NODES = [115] + [0] * 16
+# DeletionTrace.nodes of dying_trace: the states of its one stamped tally
+TALLY_NODES = 115
 
 
 def test_step_nodes_pinned():
     H, order = dying_trace()
-    nodes = [step.nodes for step in run_deletion_process(H, order).steps]
-    assert nodes == TALLY_NODES
+    assert run_deletion_process(H, order).nodes == TALLY_NODES
 
 
 def test_weight_profile_maxima_consistency():
@@ -666,6 +675,11 @@ def test_deletion_step_leads_with_the_trace_columns():
         "index", "phi", "xi", "gamma", "p", "w_max", "w_avg", "w_med",
         "balanced", "regular", "median_capped",
     )
+
+
+def test_deletion_step_is_its_csv_row():
+    # a step carries exactly the trace CSV's step columns, nothing more
+    assert len(DeletionStep._fields) == len(TRACE_STEP_HEADER)
 
 
 @pytest.mark.parametrize("n,k,kappa", [(3, 2, 3), (4, 2, 4), (2, 3, 3)])
