@@ -166,16 +166,19 @@ def _csv_lines(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 
 
 def table_json(kind: str, header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """The same table a CSV emitter writes, as a JSON document."""
+    """The same table a CSV emitter writes, as a JSON document.  JSON has no
+    nan or inf, so a non-finite cell is null, as an empty one is."""
     records = []
     for row in rows:
         rec = {}
         for h, v in zip(header, row):
             if isinstance(v, Fraction):
                 v = float(v)
+            if isinstance(v, float) and not math.isfinite(v):
+                v = None
             rec[h] = v
         records.append(rec)
-    return json.dumps({"kind": kind, "rows": records}, indent=2) + "\n"
+    return json.dumps({"kind": kind, "rows": records}, indent=2, allow_nan=False) + "\n"
 
 
 def _p_hat_se(successes: int, trials: int) -> tuple[float, float]:

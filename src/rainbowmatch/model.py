@@ -18,7 +18,9 @@ seed/substream convention used by the experiment drivers.  Colors are drawn in
 bulk (`_uniform`): on a `random.Random` they come from the same Mersenne
 Twister words, in the same order, as one `randint(1, kappa)` call per edge
 would take, and leave the generator in the same state, so every stream is the
-one the per-call loop gives.  Any other generator takes the per-call path.
+one the per-call loop gives; a bound below 256 reads each word's top byte
+through one table.  A complete graph's support skips the words `random.sample`
+would take, without its pool.  Any other generator takes the per-call path.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ import operator
 import random
 import sys
 from dataclasses import dataclass
-from itertools import product, repeat
+from functools import cache
+from itertools import combinations, product, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
@@ -321,31 +324,68 @@ def _decode_partite_tuple(index: int, n: int, k: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
+def _words(rnd: random.Random, count: int) -> Sequence[int]:
+    """The next count 32-bit words of rnd in draw order (`getrandbits` puts
+    the first in the lowest bits)."""
+    words = memoryview(rnd.getrandbits(32 * count).to_bytes(4 * count, sys.byteorder)).cast("I")
+    return words[::-1] if sys.byteorder == "big" else words
+
+
+@cache
+def _byte_table(hi: int) -> bytes:
+    """Top byte of a word -> 1 + what `_randbelow(hi)` reads there, 0 on a reject."""
+    shift = 8 - hi.bit_length()
+    return bytes(v + 1 if (v := b >> shift) < hi else 0 for b in range(256))
+
+
 def _uniform(rnd: random.Random, hi: int, count: int) -> list[int]:
     """What `[rnd.randint(1, hi) for _ in range(count)]` returns, drawn in
     bulk and leaving rnd in the state that loop leaves.
 
     On CPython's `random.Random`, `randint(1, hi)` is `1 + _randbelow(hi)`,
     which takes one 32-bit word per try, keeps its top `hi.bit_length()` bits
-    and tries again while they are >= hi.  `getrandbits(32 * need)` returns
-    the next `need` words, the first one in the lowest bits.  Each batch draws
-    exactly as many words as values are still missing, so the helper never
-    reads past the last word the per-call loop would take.  Any other
+    and tries again while they are >= hi.  Below 256 those bits lie in the
+    word's top byte, so each byte maps through `_byte_table` and the rejects
+    (0) are dropped; larger bounds filter the words (`_words`).  Each batch
+    draws exactly as many words as values are still missing, so the helper
+    never reads past the last word the per-call loop would take.  Any other
     generator (a subclass may override `_randbelow`) and any bound outside
     1..2**32 - 1 take the per-call path.
     """
     if type(rnd) is not random.Random or type(hi) is not int or not 0 < hi < 1 << 32:
         randint = rnd.randint
         return [randint(1, hi) for _ in range(count)]
+    if hi < 256:
+        table, drawn = _byte_table(hi), b""
+        while len(drawn) < count:
+            need = count - len(drawn)
+            top = rnd.getrandbits(32 * need).to_bytes(4 * need, "little")[3::4]
+            drawn += top.translate(table).replace(b"\0", b"")
+        return list(drawn)
     shift = 32 - hi.bit_length()
     out: list[int] = []
     while len(out) < count:
-        need = count - len(out)
-        words = memoryview(rnd.getrandbits(32 * need).to_bytes(4 * need, sys.byteorder)).cast("I")
-        if sys.byteorder == "big":  # the first word drawn is the last one in memory
-            words = words[::-1]
-        out += [v + 1 for w in words if (v := w >> shift) < hi]
+        out += [v + 1 for w in _words(rnd, count - len(out)) if (v := w >> shift) < hi]
     return out
+
+
+def _skip_full_sample(rnd: random.Random, total: int) -> None:
+    """Advance rnd past the words `rnd.sample(range(total), total)` takes: a
+    full draw always takes CPython's pool branch, whose `_randbelow(total - i)`
+    takes words until one is below total - i shifted up to bit 31."""
+    limits, hi = [], total  # call i accepts a word below limits[i]
+    while hi:
+        shift, low = 32 - hi.bit_length(), 1 << (hi.bit_length() - 1)
+        limits += range(hi << shift, (low - 1) << shift, -(1 << shift))
+        hi = low - 1
+    limits.append(0)
+    done = 0
+    while done < total:
+        limit = limits[done]
+        for w in _words(rnd, total - done):
+            if w < limit:
+                done += 1
+                limit = limits[done]
 
 
 def _colored(verts: Iterable[tuple[int, ...]], colors: Iterable[int]) -> tuple[ColoredEdge, ...]:
@@ -430,9 +470,11 @@ def sample_colored_graph(
     """A uniform m-edge simple graph on [1..n] with i.i.d. uniform colors.
 
     The m pairs are drawn as indices into the lexicographic list of all
-    n(n-1)/2 pairs, which is never built: the sorted indices are decoded by
-    walking the rows (u, u+1..n) in order.  The colors follow, one per pair in
-    that order, drawn in bulk (`_uniform`).
+    n(n-1)/2 pairs: the sorted indices are decoded by walking the rows
+    (u, u+1..n) in order.  A full draw on a `random.Random` sorts to every
+    index whatever the words say, so its words are skipped
+    (`_skip_full_sample`) and the pairs taken in order.  The colors follow,
+    one per pair in that order, drawn in bulk (`_uniform`).
     """
     if n < 1 or kappa < 1:
         raise ValueError("need n >= 1, kappa >= 1")
@@ -441,6 +483,10 @@ def sample_colored_graph(
         raise ValueError(f"m must lie in 0..{total}")
     if m > DEFAULT_EDGE_CAPACITY:
         raise CapacityError(f"m = {m} edges exceeds capacity {DEFAULT_EDGE_CAPACITY}")
+    if m == total and type(rnd) is random.Random:
+        _skip_full_sample(rnd, total)
+        edges = _colored(combinations(range(1, n + 1), 2), _uniform(rnd, kappa, m))
+        return ColoredHypergraph(GRAPH, n, 2, kappa, edges)
     pairs = []
     u, row_start, row_len = 1, 0, n - 1
     for t in sorted(rnd.sample(range(total), m)):

@@ -234,6 +234,10 @@ def test_mean_count_closed_forms_only_at_kappa_n(capsys):
     assert row["expected_mean"] is None and row["expected_second_moment"] is None
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def test_mean_count_closed_forms_past_the_float_range(capsys):
     # a closed form past the largest float reads inf, as a mean with no
     # counted trial reads nan: at n=130 the second moment, at n=210 both
@@ -245,6 +249,14 @@ def test_mean_count_closed_forms_past_the_float_range(capsys):
     assert [(row["expected_mean"], row["expected_second_moment"]) for row in rows] == [
         ("6.437993181801595e+164", "inf"), ("inf", "inf")]
     assert {(row["mean"], row["budget"]) for row in rows} == {("nan", "1")}
+    # JSON has no nan or inf: those cells are null, and a strict parser reads the table
+    code, out, err = run(capsys, "mean-count", "--n", "130,210", "--trials", "1",
+                         "--budget", "10", "--format", "json")
+    assert (code, err) == (0, "")
+    rows = json.loads(out, parse_constant=_reject_constant)["rows"]
+    assert [(row["expected_mean"], row["expected_second_moment"]) for row in rows] == [
+        (6.437993181801595e+164, None), (None, None)]
+    assert {(row["mean"], row["budget"]) for row in rows} == {(None, 1)}
 
 
 def test_hamilton_csv_and_config_error(tmp_path, capsys):

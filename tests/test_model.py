@@ -301,17 +301,22 @@ def test_sampler_streams_pinned():
 
 # The pins above digest only the instance; the checks below also compare the
 # generator state each draw leaves, so a word read too many or too few fails.
-UNIFORM_BOUNDS = sorted(
-    {1, 2, 3, 4, 2**31, 2**32 - 1}
+# Bounds below 256 map each word's top byte through a table, larger ones
+# filter the words: the spot bounds (the byte/word boundary among them) run
+# every count on three seeds, every other table bound a few counts on one.
+SPOT_BOUNDS = (
+    {1, 2, 3, 4, 255, 256, 257, 2**31, 2**32 - 1}
     | {2**j + d for j in (2, 3, 5, 6, 10, 16, 31) for d in (-1, 1)}
 )
+UNIFORM_BOUNDS = sorted(SPOT_BOUNDS | set(range(1, 256)))
 
 
 @pytest.mark.parametrize("hi", UNIFORM_BOUNDS + [2**32, 2**40 + 3])
 def test_uniform_matches_per_call_randint(hi):
     # 2**32 and above fall back to the per-call loop; the rest draw in bulk
-    for count in (0, 1, 2, 7, 300, 781):
-        for seed in range(3):
+    spot = hi in SPOT_BOUNDS or hi >= 2**32
+    for count in (0, 1, 2, 7, 300, 781) if spot else (0, 1, 7, 781):
+        for seed in range(3 if spot else 1):
             want_rnd, got_rnd = rng(seed, seed=hi), rng(seed, seed=hi)
             want = [want_rnd.randint(1, hi) for _ in range(count)]
             assert model._uniform(got_rnd, hi, count) == want, (hi, count, seed)
@@ -344,6 +349,12 @@ def test_uniform_keeps_per_call_path_for_other_generators():
     assert model._uniform(counting, 5, 40) == [plain.randint(1, 5) for _ in range(40)]
     assert counting.calls == 40
     assert counting.getstate() == plain.getstate()
+    # a full graph draw on a subclass still goes through rnd.sample: one
+    # _randbelow per pair, then one per color
+    counting, plain = CountingRandom(7), random.Random(7)
+    assert sample_colored_graph(12, 66, 5, counting) == sample_colored_graph(12, 66, 5, plain)
+    assert counting.calls == 66 + 66
+    assert counting.getstate() == plain.getstate()
 
 
 def _per_call_complete(n, k, kappa, rnd):
@@ -370,7 +381,10 @@ def _per_call_graph(n, m, kappa, rnd):
         (complete_colored, _per_call_complete, [(1, 2, 1), (3, 2, 4), (10, 2, 10), (4, 3, 5), (6, 2, 1)]),
         (sample_partite_m, _per_call_partite_m,
          [(3, 2, 3, 0), (3, 2, 4, 9), (14, 2, 14, 100), (20, 2, 16, 400), (5, 3, 6, 60)]),
-        (sample_colored_graph, _per_call_graph, [(2, 1, 1), (14, 40, 14), (40, 780, 40), (30, 200, 33)]),
+        (sample_colored_graph, _per_call_graph,
+         [(2, 1, 1), (14, 40, 14), (40, 780, 40), (30, 200, 33)]
+         # full draws, on both sides of random.sample's k > 5 set-size branch
+         + [(n, n * (n - 1) // 2, n) for n in range(1, 9)] + [(50, 1225, 300)]),
     ],
     ids=["complete", "partite_m", "graph"],
 )
