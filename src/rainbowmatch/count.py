@@ -88,8 +88,10 @@ __all__ = [
 
 DEFAULT_NODE_BUDGET = 10**8
 
-# Most bits a layout may span, (edges + 1) * (vertex bits + colors): _Layout
-# refuses a larger instance (model.CapacityError) before it builds a mask.
+# Most bits a layout may span, (edges + 1) * (vertex bits * k / 2 + colors),
+# an edge's k per-part vertex bits being vertex bits / 2 wide on average (at
+# k = 2, one mask of every vertex bit): _Layout refuses a larger instance
+# (model.CapacityError) before it builds a mask.
 _LAYOUT_BIT_CAP = 1 << 31
 
 METHOD_BRUTE = "brute"
@@ -171,18 +173,19 @@ class _Layout:
         n = self.n = H.n
         edges = self.edges = H.edges
         partite = demand == 1 and H.mode == PARTITE
+        self.per_edge = H.k if partite else 2
         self.shift = n * H.k if partite else n
-        size = (len(edges) + 1) * (self.shift + H.kappa)
+        size = (len(edges) + 1) * (self.shift * self.per_edge // 2 + H.kappa)
         if size > _LAYOUT_BIT_CAP:
             raise CapacityError(f"layout of {size} bits exceeds capacity {_LAYOUT_BIT_CAP}")
         if demand == 2:
-            self._offsets, self.per_edge = (-1, -1), 2
+            self._offsets = (-1, -1)
             self.active = self.twice = (1 << n) - 1
             self.feasible = True
         elif partite:
             # part p starts at bit (p - 1) * n
             self._offsets = tuple(range(-1, self.shift - 1, n))
-            self.per_edge, self.twice = H.k, 0
+            self.twice = 0
             gone = [0] * H.k
             for v in H.absent:
                 gone[v.part - 1] += 1
@@ -190,7 +193,7 @@ class _Layout:
             self.active = ((1 << self.shift) - 1) & ~sum(
                 self._bits_at(v.part - 1, (v.index,))[0] for v in H.absent)
         else:
-            self._offsets, self.per_edge, self.twice = (-1, -1), 2, 0
+            self._offsets, self.twice = (-1, -1), 0
             self.active = ((1 << n) - 1) & ~sum(self._bits_at(0, H.absent))
             self.feasible = self.active.bit_count() % 2 == 0
         verts = self.vertex_bits([e.verts for e in edges])

@@ -55,7 +55,10 @@ from .hamilton import (
     lift_cycle,
 )
 from .model import (
+    DEFAULT_EDGE_CAPACITY,
+    CapacityError,
     RandomnessSpec,
+    _check_partite_args,
     complete_colored,
     random_edge_ordering,
     sample_colored_graph,
@@ -221,7 +224,11 @@ def _run_grid(
     jobs > 1, completion order is scheduler-dependent; the rows are sorted by
     key, so the output is independent of it.  An optional raw sink receives
     one JSON line per completed trial, in completion order (a progress
-    stream, not a deterministic artifact)."""
+    stream, not a deterministic artifact).  A grid of more trials than
+    `model.DEFAULT_EDGE_CAPACITY` is refused (CapacityError) before any task
+    is built."""
+    if (size := len(cells) * config.trials) > DEFAULT_EDGE_CAPACITY:
+        raise CapacityError(f"grid of {size} trials exceeds capacity {DEFAULT_EDGE_CAPACITY}")
     tasks = [
         (trial, (ci, t), config, cell, ci * config.trials + t)
         for ci, cell in enumerate(cells)
@@ -255,6 +262,8 @@ def threshold_scan(config: ExperimentConfig, raw_sink=None) -> ExperimentResult:
     exactly.  Budget exhaustion is its own outcome, never folded into absent."""
     if not config.ms:
         raise ValueError("threshold scan needs an m grid")
+    for n in config.ns:
+        _check_partite_args(n, config.k, config.kappa_for(n))
     cells = [(n, m) for n in config.ns for m in config.ms]
     for n, m in cells:
         if m > n**config.k:
@@ -357,7 +366,6 @@ def _trace_trial(config: ExperimentConfig, cell: tuple, stream: int):
     rnd = RandomnessSpec(config.master_seed, stream).rng()
     H0 = complete_colored(n, config.k, config.kappa_for(n), rnd)
     ordering = random_edge_ordering(H0, rnd)
-    # a budget-out ends the trace early and shows as trace.truncated
     trace = run_deletion_process(
         H0,
         ordering,
@@ -365,7 +373,7 @@ def _trace_trial(config: ExperimentConfig, cell: tuple, stream: int):
         params=EventParams.from_abundance(config.event_abundance),
         budget=config.node_budget,
     )
-    return ("budget" if trace.truncated else "found"), trace.steps
+    return "found", trace.steps
 
 
 def trace_experiment(config: ExperimentConfig, raw_sink=None) -> ExperimentResult:
@@ -374,7 +382,9 @@ def trace_experiment(config: ExperimentConfig, raw_sink=None) -> ExperimentResul
     cell, so trial t owns stream t."""
     if len(config.ns) != 1:
         raise ValueError("trace experiment runs one n at a time")
-    N = config.ns[0] ** config.k
+    (n,) = config.ns
+    _check_partite_args(n, config.k, config.kappa_for(n))
+    N = n**config.k
     if config.t_max is not None and not 0 <= config.t_max <= N:
         raise ValueError(f"t_max must lie in 0..{N}")
     return _run_grid(config, [config.ns], _trace_trial, raw_sink)
@@ -385,7 +395,7 @@ def trace_steps_table(result: ExperimentResult) -> tuple[list[str], list[list]]:
     header = (["trial"] if multi else []) + TRACE_STEP_HEADER
     lines = []
     for row in result.rows:
-        for step in row.value:
+        for step in row.value or ():  # a budget row has no steps
             lines.append(([row.trial] if multi else []) + list(step))
     return header, lines
 
@@ -405,7 +415,8 @@ def trace_summary_table(result: ExperimentResult) -> tuple[list[str], list[list]
     t_max = config.t_max if config.t_max is not None else N
     per_step: dict[int, list[float]] = {i: [] for i in range(1, t_max + 1)}
     for row in result.rows:
-        for prev, step in zip(row.value, row.value[1:]):
+        steps = row.value or ()  # a budget row has no steps
+        for prev, step in zip(steps, steps[1:]):
             if prev.phi > 0:
                 per_step[step.index].append(float(step.xi))
     header = ["i", "gamma", "mean_xi", "se_xi", "trials_positive", "sum_gamma_exact", "sum_gamma_closed"]

@@ -395,8 +395,16 @@ def _colored(verts: Iterable[tuple[int, ...]], colors: Iterable[int]) -> tuple[C
 
 
 def _check_partite_args(n: int, k: int, kappa: int) -> None:
+    """Refuse what no partite sampler can index or hold, before n ** k is
+    computed: at n >= 2 a k of sys.maxsize's bit length or more puts the
+    tuples past `random.sample`'s index range, and at n = 1 the one edge
+    holds k vertices."""
     if n < 1 or k < 2 or kappa < 1:
         raise ValueError("need n >= 1, k >= 2, kappa >= 1")
+    if n > 1 and k >= sys.maxsize.bit_length():
+        raise CapacityError(f"{n}^{k} tuples exceeds index range {sys.maxsize}")
+    if k > DEFAULT_EDGE_CAPACITY:
+        raise CapacityError(f"an edge of {k} vertices exceeds capacity {DEFAULT_EDGE_CAPACITY}")
 
 
 def complete_colored(
@@ -427,6 +435,8 @@ def sample_partite_m(
     """
     _check_partite_args(n, k, kappa)
     total = n**k
+    if total > sys.maxsize:
+        raise CapacityError(f"{n}^{k} tuples exceeds index range {sys.maxsize}")
     if not 0 <= m <= total:
         raise ValueError(f"m must lie in 0..{total}")
     if m > DEFAULT_EDGE_CAPACITY:
@@ -479,6 +489,8 @@ def sample_colored_graph(
     if n < 1 or kappa < 1:
         raise ValueError("need n >= 1, kappa >= 1")
     total = n * (n - 1) // 2
+    if total > sys.maxsize:
+        raise CapacityError(f"{total} pairs exceeds index range {sys.maxsize}")
     if not 0 <= m <= total:
         raise ValueError(f"m must lie in 0..{total}")
     if m > DEFAULT_EDGE_CAPACITY:

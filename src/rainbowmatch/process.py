@@ -169,13 +169,10 @@ def _near_layers(lists: Iterable[list[int]], budget: int, low: int) -> tuple[dic
     near with this vertex left uncovered.  The nodes counted against budget
     are one per grown state and one per carry.  Nothing is pruned, so
     removing edges from the lists only shrinks every layer and the node
-    count with it.  Once both tables are empty no later layer can build a
-    state, so the loop stops there with the same result and node count.
+    count with it.
     """
     full, near, nodes = {0: 1}, {}, 0
     for edges in lists:
-        if not (full or near):
-            break
         near, nodes = _grow(near, edges, nodes, budget, low)
         # the carries cover no vertex the grown states do, so nothing collides
         near.update(full)
@@ -402,14 +399,11 @@ class DeletionStep(NamedTuple):
 
 @dataclass(frozen=True)
 class DeletionTrace:
-    """One DeletionStep per step from index 0; truncated when step 0's tally
-    ran out of budget, and then steps is empty.  nodes is the states the
-    trace's one tally built, or on a truncated trace the count past the
-    budget at which it stopped.  It is telemetry and appears in no
-    experiment output."""
+    """One DeletionStep per step from index 0.  nodes is the states the
+    trace's one tally built.  It is telemetry and appears in no experiment
+    output."""
 
     steps: tuple[DeletionStep, ...]
-    truncated: bool
     nodes: int
 
 
@@ -446,8 +440,8 @@ def run_deletion_process(
     instance is rebuilt and no later step tallies.  DeletionTrace.nodes is
     the states that tally built.
 
-    Those states count against budget.  If step 0's tally exceeds it, the
-    trace is returned with no steps and marked truncated instead of raising.
+    Those states count against budget: past it, step 0's tally raises
+    BudgetExceededError, whose nodes is the count at which it stopped.
     """
     _check_partite(H0)
     N = H0.n**H0.k
@@ -460,10 +454,7 @@ def run_deletion_process(
     if not 0 <= t_max <= len(ordering):
         raise ValueError(f"t_max must lie in 0..{len(ordering)}")
 
-    try:
-        state = _DeletionState(H0, budget, ordering[:t_max])
-    except BudgetExceededError as exc:
-        return DeletionTrace((), True, exc.nodes)
+    state = _DeletionState(H0, budget, ordering[:t_max])
     ps, gammas = _step_ratios(H0.n, N)
     steps: list[DeletionStep] = []
     prev_phi: int | None = None
@@ -502,7 +493,7 @@ def run_deletion_process(
             )
         )
         prev_phi = phi
-    return DeletionTrace(tuple(steps), False, state.nodes)
+    return DeletionTrace(tuple(steps), state.nodes)
 
 
 def cumulative_loss_rate(n: int, k: int, t: int) -> tuple[float, float]:

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import time
+import tracemalloc
 import xml.etree.ElementTree as ET
 from concurrent.futures import Future, ThreadPoolExecutor
 
@@ -55,6 +56,55 @@ def test_gen_refuses_more_edges_than_the_capacity(capsys):
     # 10^8 of the 10^9 partite triples, 50x the 2,000,000-edge capacity
     code, out, err = run(capsys, "gen", "--n", "1000", "--k", "3", "--m", "100000000")
     assert code == 2 and out == "" and "exceeds capacity" in err
+
+
+# Spaces no sampler can index (past sys.maxsize) or hold, a k used before it
+# is bounded and a grid too large to list: each is refused before anything
+# is built or powered.
+TOO_LARGE = [
+    pytest.param(["gen", "--n", "2", "--k", "63", "--m", "3"], id="gen-2^63-tuples"),
+    pytest.param(["gen", "--mode", "graph", "--n", "4294967297", "--m", "3"],
+                 id="gen-graph-2^63-pairs"),
+    pytest.param(["threshold", "--n", "1000000", "--k", "100", "--m", "10", "--trials", "1"],
+                 id="threshold-k100"),
+    pytest.param(["hamilton", "--n", "9" * 30, "--m", "3", "--retries", "5", "--trials", "1"],
+                 id="hamilton-n10^30"),
+    pytest.param(["gen", "--n", "2", "--k", "1000000000000"], id="gen-k10^12"),
+    pytest.param(["gen", "--n", "1", "--k", "100000000"], id="gen-n1-k10^8"),
+    pytest.param(["gen", "--n", "1", "--k", "1" + "0" * 21, "--m", "1"], id="gen-n1-k10^21"),
+    pytest.param(["mean-count", "--n", "1", "--k", "1" + "0" * 30, "--trials", "1"],
+                 id="mean-count-n1-k10^30"),
+    pytest.param(["mean-count", "--n", "1", "--k", "3000000", "--trials", "1"],
+                 id="mean-count-n1-k3e6"),
+    pytest.param(["threshold", "--n", "3", "--k", "1000000000000", "--m", "5", "--trials", "1"],
+                 id="threshold-k10^12"),
+    pytest.param(["trace", "--n", "3", "--k", "1000000000000", "--trials", "1"],
+                 id="trace-k10^12"),
+    pytest.param(["threshold", "--n", "3", "--m", "3", "--trials", "100000000000"],
+                 id="threshold-10^11-trials"),
+]
+
+
+@pytest.mark.parametrize("argv", TOO_LARGE)
+def test_too_large_to_index_or_hold_is_refused(capsys, argv):
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        elapsed = time.perf_counter() - t0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err.startswith("rainbowmatch: error: ") and err.count("\n") == 1, err
+    assert elapsed < 2 and peak < 64 << 20, (elapsed, peak)
+
+
+def test_gen_samples_the_largest_indexable_space(capsys):
+    # 2^62 tuples lie within sys.maxsize, so random.sample indexes them
+    code, out, _ = run(capsys, "gen", "--n", "2", "--k", "62", "--m", "3")
+    H = json.loads(out)
+    assert code == 0 and len(H["edges"]) == 3 and len(H["edges"][0]["verts"]) == 62
 
 
 def test_gen_graph_rejects_p(capsys):
@@ -473,6 +523,10 @@ def test_bad_document_is_an_input_error(tmp_path, capsys):
         (doc.replace("partite", "graph") % ("1000000000000", "[]"), "layout of"),
         ('{"mode": "partite", "n": 2, "k": 2, "colors": 1000000000000,'
          ' "edges": [{"verts": [1, 1], "color": 1000000000000}]}', "layout of"),
+        # one edge of 200,000 vertices: few mask bits, but 200,000 per-part
+        # bits up to 200,000 bits wide
+        ('{"mode": "partite", "n": 1, "k": 200000, "colors": 1, "edges": [{"verts": [%s],'
+         ' "color": 1}]}' % ", ".join(["1"] * 200_000), "layout of"),
     )
     path = tmp_path / "bad.json"
     for text, message in cases:
@@ -557,16 +611,22 @@ def always_out_of_budget(H, budget):
 def test_a_budget_out_is_a_budget_row(monkeypatch, jobs):
     # the runner, not the trial, turns a budget-out into outcome "budget"
     # with no value; jobs 3 runs the pool branch in threads, so no process
-    # is started and the patched search is seen
+    # is started and the patched search is seen.  The trace runs out of its
+    # tiny budget in step 0's tally.
     monkeypatch.setattr(experiments, "find_rainbow_pm", always_out_of_budget)
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", ThreadPoolExecutor)
-    raw = io.StringIO()
-    config = experiments.ExperimentConfig(kind="threshold", ns=(4,), ms=(6,), trials=3,
-                                          jobs=jobs)
-    result = experiments.threshold_scan(config, raw_sink=raw)
-    assert [(r.outcome, r.value) for r in result.rows] == [("budget", None)] * 3
-    lines = sorted(json.loads(line)[:3] for line in raw.getvalue().splitlines())
-    assert lines == [[[0, t], "budget", None] for t in range(3)]
+    for runner, config in (
+        (experiments.threshold_scan,
+         experiments.ExperimentConfig(kind="threshold", ns=(4,), ms=(6,), trials=3, jobs=jobs)),
+        (experiments.trace_experiment,
+         experiments.ExperimentConfig(kind="trace", ns=(3,), trials=3, jobs=jobs,
+                                      node_budget=5)),
+    ):
+        raw = io.StringIO()
+        result = runner(config, raw_sink=raw)
+        assert [(r.outcome, r.value) for r in result.rows] == [("budget", None)] * 3
+        lines = sorted(json.loads(line)[:3] for line in raw.getvalue().splitlines())
+        assert lines == [[[0, t], "budget", None] for t in range(3)]
 
 
 def test_event_k_must_be_positive(capsys):

@@ -186,8 +186,17 @@ def test_weight_table_matches_oracle_on_restricted_instances():
         weight_profile(ColoredHypergraph("graph", 4, 2, 3, ()))
 
 
-def smallest_budget(fits):
-    """The smallest budget that fits accepts, by bisection."""
+def smallest_budget(run):
+    """The smallest budget under which run(budget) does not raise
+    BudgetExceededError, by bisection."""
+
+    def fits(budget):
+        try:
+            run(budget)
+        except BudgetExceededError:
+            return False
+        return True
+
     lo, hi = -1, DEFAULT_NODE_BUDGET
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -200,22 +209,12 @@ def smallest_budget(fits):
 
 def tally_nodes(H):
     """The smallest budget the plain tally fits in, by bisection: its node count."""
-
-    def fits(budget):
-        try:
-            weight_profile(H, budget=budget)
-        except BudgetExceededError:
-            return False
-        return True
-
-    return smallest_budget(fits)
+    return smallest_budget(lambda budget: weight_profile(H, budget=budget))
 
 
 def trace_nodes(H, order, t_max=None):
-    """The smallest budget under which the trace is not truncated, by bisection."""
-    return smallest_budget(
-        lambda budget: not run_deletion_process(H, order, t_max, budget=budget).truncated
-    )
+    """The smallest budget under which the trace does not raise, by bisection."""
+    return smallest_budget(lambda budget: run_deletion_process(H, order, t_max, budget=budget))
 
 
 def test_weight_profile_budget_raises():
@@ -242,23 +241,22 @@ def test_trace_budget_truncation():
     H = complete_colored(3, 2, 3, rng(4, seed=51))
     order = random_edge_ordering(H, rng(5, seed=51))
     full = run_deletion_process(H, order)
-    assert not full.truncated
+    assert len(full.steps) == len(order) + 1
     # Deleting an edge only shrinks the plain tally.
     plain = [tally_nodes(restrict(H, removed_edges=order[:i])) for i in range(len(order) + 1)]
     assert plain == sorted(plain, reverse=True)
-    # The trace's one tally runs at step 0: a budget it fits in never
-    # truncates, and a smaller one truncates before any step is recorded,
+    # The trace's one tally runs at step 0: a budget it fits in gives the
+    # whole trace, and a smaller one raises before any step is recorded,
     # at a node count past that budget.
     nodes = trace_nodes(H, order)
     assert nodes == full.nodes
     assert run_deletion_process(H, order, budget=nodes) == full
-    cut = run_deletion_process(H, order, budget=nodes - 1)
-    assert cut.truncated and cut.steps == ()
-    assert cut.nodes > nodes - 1
-    # t_max keeps the prefix of the untruncated trace; it stamps fewer
-    # edges, so only the trace's node count may differ
+    with pytest.raises(BudgetExceededError) as info:
+        run_deletion_process(H, order, budget=nodes - 1)
+    assert info.value.nodes > nodes - 1
+    # t_max keeps the prefix of the full trace; it stamps fewer edges, so
+    # only the trace's node count may differ
     short = run_deletion_process(H, order, t_max=4, budget=nodes)
-    assert not short.truncated
     assert short.steps == full.steps[:5]
 
 
