@@ -67,14 +67,12 @@ def _write_text(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _add_run_flags(sub, hc_budget: bool = False) -> None:
+def _add_run_flags(sub) -> None:
     sub.add_argument("--trials", type=int, default=100)
     sub.add_argument("--seed", type=int, dest="master_seed")
     sub.add_argument("--jobs", type=int)
     sub.add_argument("--budget", type=int, dest="node_budget",
                      help="node budget per exact search")
-    if hc_budget:
-        sub.add_argument("--hc-budget", type=int)
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--raw-out", default=None,
@@ -154,7 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     ham.add_argument("--m", type=_int_grid, dest="ms", required=True)
     ham.add_argument("--retries", type=int,
                      help="independent attempts per trial (required for odd n)")
-    _add_run_flags(ham, hc_budget=True)
+    ham.add_argument("--hc-budget", type=int)
+    _add_run_flags(ham)
 
     plot = subs.add_parser("plot", help="render a CSV column pair as an SVG plot")
     plot.add_argument("csv", help="CSV file produced by this tool")

@@ -88,10 +88,8 @@ __all__ = [
 
 DEFAULT_NODE_BUDGET = 10**8
 
-# Most bits a layout may span, (edges + 1) * (vertex bits * k / 2 + colors),
-# an edge's k per-part vertex bits being vertex bits / 2 wide on average (at
-# k = 2, one mask of every vertex bit): _Layout refuses a larger instance
-# (model.CapacityError) before it builds a mask.
+# Most bits a layout may span (_check_layout_bits): _Layout refuses a larger
+# instance (model.CapacityError) before it builds a mask.
 _LAYOUT_BIT_CAP = 1 << 31
 
 METHOD_BRUTE = "brute"
@@ -149,6 +147,16 @@ def is_perfect_matching(H: ColoredHypergraph, M: Matching) -> bool:
 # -- exact-cover search kernel -------------------------------------------------
 
 
+def _check_layout_bits(edges: int, vertex_bits: int, per_edge: int, kappa: int) -> None:
+    """Refuse (model.CapacityError) a layout of more than _LAYOUT_BIT_CAP
+    bits: (edges + 1) * (vertex_bits * per_edge / 2 + kappa), an edge's
+    per_edge vertex bits being vertex_bits / 2 wide on average (at k = 2,
+    one mask of every vertex bit)."""
+    size = (edges + 1) * (vertex_bits * per_edge // 2 + kappa)
+    if size > _LAYOUT_BIT_CAP:
+        raise CapacityError(f"layout of {size} bits exceeds capacity {_LAYOUT_BIT_CAP}")
+
+
 class _Layout:
     """The bit layout of one instance, built once, in a few linear passes
     over its edges (none per vertex).
@@ -175,9 +183,7 @@ class _Layout:
         partite = demand == 1 and H.mode == PARTITE
         self.per_edge = H.k if partite else 2
         self.shift = n * H.k if partite else n
-        size = (len(edges) + 1) * (self.shift * self.per_edge // 2 + H.kappa)
-        if size > _LAYOUT_BIT_CAP:
-            raise CapacityError(f"layout of {size} bits exceeds capacity {_LAYOUT_BIT_CAP}")
+        _check_layout_bits(len(edges), self.shift, self.per_edge, H.kappa)
         if demand == 2:
             self._offsets = (-1, -1)
             self.active = self.twice = (1 << n) - 1

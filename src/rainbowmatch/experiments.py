@@ -36,6 +36,7 @@ from typing import Callable, Iterable, Sequence
 from .count import (
     BudgetExceededError,
     DEFAULT_NODE_BUDGET,
+    _check_layout_bits,
     count_rainbow_pm,
     expected_rainbow_count,
     find_rainbow_pm,
@@ -64,11 +65,7 @@ from .model import (
     sample_colored_graph,
     sample_partite_m,
 )
-from .process import (
-    EventParams,
-    cumulative_loss_rate,
-    run_deletion_process,
-)
+from .process import EventParams, _check_stamp_bits, _loss_rates, run_deletion_process
 
 __all__ = [
     "ExperimentConfig",
@@ -301,9 +298,20 @@ def _mean_count_trial(config: ExperimentConfig, cell: tuple, stream: int):
     return "found", count_rainbow_pm(H, budget=config.node_budget).value
 
 
+def _check_complete(config: ExperimentConfig, n: int) -> None:
+    """Refuse the complete instance at n, before any trial samples it, when
+    no partite sampler can index or hold it or its bit layout
+    (`count._Layout`) passes its cap."""
+    k, kappa = config.k, config.kappa_for(n)
+    _check_partite_args(n, k, kappa)
+    _check_layout_bits(n**k, n * k, k, kappa)
+
+
 def mean_count_experiment(config: ExperimentConfig, raw_sink=None) -> ExperimentResult:
     """Exact-count `trials` random colorings of the complete instance per n,
     for comparison against the closed-form mean and second moment."""
+    for n in config.ns:
+        _check_complete(config, n)
     return _run_grid(config, [(n,) for n in config.ns], _mean_count_trial, raw_sink)
 
 
@@ -379,14 +387,16 @@ def _trace_trial(config: ExperimentConfig, cell: tuple, stream: int):
 def trace_experiment(config: ExperimentConfig, raw_sink=None) -> ExperimentResult:
     """Fresh coloring and fresh uniform deletion order per trial; each trial's
     TrialRow.value is the full step tuple list for the CSV emitters.  One
-    cell, so trial t owns stream t."""
+    cell, so trial t owns stream t.  An instance or stamps the trace cannot
+    hold are refused before any trial."""
     if len(config.ns) != 1:
         raise ValueError("trace experiment runs one n at a time")
     (n,) = config.ns
-    _check_partite_args(n, config.k, config.kappa_for(n))
+    _check_complete(config, n)
     N = n**config.k
     if config.t_max is not None and not 0 <= config.t_max <= N:
         raise ValueError(f"t_max must lie in 0..{N}")
+    _check_stamp_bits(N if config.t_max is None else config.t_max)
     return _run_grid(config, [config.ns], _trace_trial, raw_sink)
 
 
@@ -420,13 +430,14 @@ def trace_summary_table(result: ExperimentResult) -> tuple[list[str], list[list]
             if prev.phi > 0:
                 per_step[step.index].append(float(step.xi))
     header = ["i", "gamma", "mean_xi", "se_xi", "trials_positive", "sum_gamma_exact", "sum_gamma_closed"]
+    rates = list(_loss_rates(n, N, min(t_max, N - 1)))
     lines = []
     for i in range(1, t_max + 1):
         xs = per_step[i]
         gamma = n / (N - i + 1)
         mean, se = _moment_stats(xs, 1) if xs else (None, None)
         if i < N:
-            exact, closed = cumulative_loss_rate(n, config.k, i)
+            exact, closed = rates[i]
         else:
             # the log form diverges once every edge is gone
             exact = math.fsum(n / (N - j + 1) for j in range(1, N + 1))
@@ -482,7 +493,7 @@ def _hamilton_trial(config: ExperimentConfig, cell: tuple, stream: int):
             G, rnd, matching_budget=config.node_budget, hc_budget=config.hc_budget
         )
         telemetry = {
-            "stage_reached": plan.stage_reached,
+            "stage_reached": plan.stage,
             "sizes": list(plan.class_sizes),
             "matchings_found": sum(1 for M in plan.matchings if M is not None),
             "hc_found": hc is not None,

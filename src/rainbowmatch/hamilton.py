@@ -186,8 +186,8 @@ class AssemblyPlan:
     edge_classes  E_i = edges whose (color, label) pair lies in blocks[i]
     matchings     per class, the found matching in *original* colors, or None
     union_graph   the multigraph union of all matchings (None unless all found)
-    failure_stage one of the STAGE_* names, or None when the HC search ran
-                  and succeeded
+    stage         the STAGE_* name the pipeline ended at, STAGE_SUCCESS when
+                  the HC search ran and found a cycle
     """
 
     labels: Mapping[ColoredEdge, int]
@@ -195,15 +195,11 @@ class AssemblyPlan:
     edge_classes: tuple[tuple[ColoredEdge, ...], ...]
     matchings: tuple[Matching | None, ...]
     union_graph: ColoredMultigraph | None
-    failure_stage: str | None
+    stage: str
 
     @property
     def class_sizes(self) -> tuple[int, ...]:
         return tuple(len(cls) for cls in self.edge_classes)
-
-    @property
-    def stage_reached(self) -> str:
-        return self.failure_stage or STAGE_SUCCESS
 
 
 def assemble_even(
@@ -218,10 +214,12 @@ def assemble_even(
     drawn in bulk by `model._uniform`), partitions [1..n] x [1..4] into 8
     blocks of size n/2, splits edges into classes by their (color, label)
     pair, gates on every class holding at least a tenth of the edges, finds
-    one rainbow perfect matching per class under the pair recoloring (pairs
-    indexed by sorted position within their block), unions the matchings
-    into a multigraph, and searches it for a rainbow Hamilton cycle under the
-    original colors.  Each way to fall short is a named failure stage.
+    one rainbow perfect matching per class under the pair recoloring, unions
+    the matchings into a multigraph, and searches it for a rainbow Hamilton
+    cycle under the original colors.  One map takes each pair to its block
+    and to its 1-based position in the sorted block, the color it takes in
+    the pair recoloring; a class is recolored only when it is searched.
+    Each way to fall short is a named failure stage.
     """
     if G.mode != GRAPH:
         raise ValueError("assembly needs a graph-mode instance")
@@ -239,13 +237,12 @@ def assemble_even(
     nu = G.n // 2
     blocks = tuple(frozenset(pairs[i * nu : (i + 1) * nu]) for i in range(8))
 
-    pair_to_block: dict[tuple[int, int], int] = {}
-    for bi, block in enumerate(blocks):
-        for pair in block:
-            pair_to_block[pair] = bi
+    route = {
+        pair: (bi, i) for bi, block in enumerate(blocks) for i, pair in enumerate(sorted(block), 1)
+    }
     classes: list[list[ColoredEdge]] = [[] for _ in range(8)]
     for e, label in zip(G.edges, label_list):
-        classes[pair_to_block[(e.color, label)]].append(e)
+        classes[route[e.color, label][0]].append(e)
     edge_classes = tuple(tuple(cls) for cls in classes)
 
     def plan(matchings, union, stage):
@@ -257,17 +254,9 @@ def assemble_even(
 
     matchings: list[Matching | None] = [None] * 8
     for bi in range(8):
-        index_of = {pair: i + 1 for i, pair in enumerate(sorted(blocks[bi]))}
-        recolored = ColoredHypergraph(
-            GRAPH,
-            G.n,
-            2,
-            nu,
-            tuple(
-                ColoredEdge(e.verts, index_of[(e.color, labels[e])])
-                for e in edge_classes[bi]
-            ),
-        )
+        recolored = ColoredHypergraph(GRAPH, G.n, 2, nu, tuple(
+            ColoredEdge(e.verts, route[e.color, labels[e]][1]) for e in edge_classes[bi]
+        ))
         try:
             M = find_rainbow_pm(recolored, budget=matching_budget)
         except BudgetExceededError:
@@ -277,9 +266,7 @@ def assemble_even(
         original = {e.verts: e for e in edge_classes[bi]}
         matchings[bi] = Matching(tuple(sorted(original[f.verts] for f in M.edges)))
 
-    union = ColoredMultigraph(
-        G.n, G.kappa, tuple(e for M in matchings for e in M.edges)
-    )
+    union = ColoredMultigraph(G.n, G.kappa, tuple(e for M in matchings for e in M.edges))
     try:
         hc = find_rainbow_hc(union, budget=hc_budget)
     except BudgetExceededError:
@@ -288,7 +275,7 @@ def assemble_even(
         return plan(matchings, union, STAGE_HC_NOT_FOUND), None
     if not is_rainbow_hamilton_cycle(G, hc):
         raise RuntimeError("union search: the cycle found is not a rainbow Hamilton cycle of G")
-    return plan(matchings, union, None), hc
+    return plan(matchings, union, STAGE_SUCCESS), hc
 
 
 # -- odd-n contract and lift -----------------------------------------------------

@@ -39,8 +39,10 @@ live edges) is carried from step to step, and no step builds an instance.
 Flags per step (wire names B, R, C in the trace CSV):
 
 * weight ratio: max edge weight over average edge weight stays below L,
-* degree regularity: every vertex degree and color degree sits within
-  relative eps1 of n^(k-1) * p where p is the surviving edge fraction,
+* degree regularity: every vertex degree sits within relative eps1 of
+  the vertex mean n^(k-1) * p, and every color degree within relative eps1
+  of the color mean n^k * p / kappa, where p is the surviving edge
+  fraction (the two means differ unless kappa = n),
 * median cap: localized weight maxima stay below the larger of a fixed
   fraction of the current count and twice a one-sided majority median.
 
@@ -67,9 +69,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .count import BudgetExceededError, DEFAULT_NODE_BUDGET, _Layout
+from .count import _LAYOUT_BIT_CAP, BudgetExceededError, DEFAULT_NODE_BUDGET, _Layout
 from .model import (DEFAULT_EDGE_CAPACITY, PARTITE, CapacityError, ColoredEdge,
                     ColoredHypergraph, degree_profile)
 
@@ -183,6 +185,17 @@ def _near_layers(lists: Iterable[list[int]], budget: int, low: int) -> tuple[dic
     return near, nodes
 
 
+def _check_stamp_bits(t_max: int) -> None:
+    """Refuse (CapacityError) a trace of t_max steps whose stamps pass
+    `count._LAYOUT_BIT_CAP`: each of its t_max stamped edges carries t_max
+    stamp bits (`_DeletionState`), so t_max^2 bits in all, before the
+    budget can stop anything."""
+    if (bits := t_max * t_max) > _LAYOUT_BIT_CAP:
+        raise CapacityError(
+            f"{t_max} steps stamp {bits} bits, past capacity {_LAYOUT_BIT_CAP}; lower --steps"
+        )
+
+
 class _DeletionState:
     """The weight table of a partite instance, written from its rainbow
     near-perfect matchings and kept exact under the deletion of ordering's
@@ -206,7 +219,8 @@ class _DeletionState:
     in order, takes e out of live and the degrees and subtracts the states
     that die with e: no tally runs.  delete assumes the active parts have
     equal sizes.  A table of more than `model.DEFAULT_EDGE_CAPACITY`
-    entries is refused (CapacityError) before anything is built.
+    entries, or stamps past `_check_stamp_bits`, are refused
+    (CapacityError) before anything is built.
     """
 
     def __init__(self, H: ColoredHypergraph, budget: int, ordering: Sequence[ColoredEdge] = ()):
@@ -216,6 +230,7 @@ class _DeletionState:
             raise CapacityError(
                 f"weight table of {size} entries exceeds capacity {DEFAULT_EDGE_CAPACITY}"
             )
+        _check_stamp_bits(len(ordering))
         layout = _Layout(H)
         self.active, self.shift = layout.active, layout.shift
         self.colors = (1 << H.kappa) - 1
@@ -362,13 +377,21 @@ def weight_ratio_bounded(weights: Collection[int], L: float) -> bool:
 
 
 def _degrees_within(
-    H: ColoredHypergraph, p: Fraction | float, params: EventParams, lo: int, hi: int
+    H: ColoredHypergraph, p: Fraction | float, params: EventParams,
+    deg: Mapping[object, int], cdeg: Mapping[int, int],
 ) -> bool:
-    # flag R from the smallest and the largest degree, cross-multiplied
+    # flag R: a degree d on an axis of s members (n vertices per part, or
+    # kappa colors) has mean N * p / s, so it passes iff d * s lies within
+    # relative eps1 of N * p; tested on each axis's smallest and largest
+    # degree, cross-multiplied
     a, b = p.as_integer_ratio()
     e, f = params.eps1.as_integer_ratio()
-    expect_b = H.n ** (H.k - 1) * a  # expect * b
-    return all(f * abs(d * b - expect_b) <= e * expect_b for d in (lo, hi))
+    expect_b = H.n**H.k * a  # N * p * b
+    return all(
+        f * abs(d * s * b - expect_b) <= e * expect_b
+        for degs, s in ((deg.values(), H.n), (cdeg.values(), H.kappa))
+        for d in (min(degs), max(degs))
+    )
 
 
 # -- the deletion process ---------------------------------------------------------
@@ -442,6 +465,8 @@ def run_deletion_process(
 
     Those states count against budget: past it, step 0's tally raises
     BudgetExceededError, whose nodes is the count at which it stopped.
+    Stamps of more than t_max = 46,340 steps are refused first
+    (`_check_stamp_bits`), whatever the budget.
     """
     _check_partite(H0)
     N = H0.n**H0.k
@@ -469,8 +494,7 @@ def run_deletion_process(
         w_avg = Fraction(sum(ws), len(ws)) if ws else None
         w_med = majority_median(ws) if ws else None
         balanced = weight_ratio_bounded(ws, params.L)
-        degs = [*state.deg.values(), *state.cdeg.values()]
-        regular = _degrees_within(H0, ps[i], params, min(degs), max(degs))
+        regular = _degrees_within(H0, ps[i], params, state.deg, state.cdeg)
         # a weight exceeds phi / (2^k n^k) iff it exceeds the floor
         capped = _median_capped(state.dims, state.weights, phi // (2**H0.k * H0.n**H0.k))
         if i == 0:
@@ -508,9 +532,20 @@ def cumulative_loss_rate(n: int, k: int, t: int) -> tuple[float, float]:
     N = n**k
     if not 0 <= t < N:
         raise ValueError(f"t must lie in 0..{N - 1}")
-    exact = n * math.fsum(1.0 / (N - i + 1) for i in range(1, t + 1))
-    closed = n * math.log(N / (N - t))
-    return exact, closed
+    *_, last = _loss_rates(n, N, t)
+    return last
+
+
+def _loss_rates(n: int, N: int, t_max: int) -> Iterator[tuple[float, float]]:
+    """cumulative_loss_rate's pair at t = 0..t_max (< N), in one running
+    pass.  The float terms 1.0/(N-i+1) are summed exactly and rounded once
+    per t, which is math.fsum of them: both round the exact sum
+    correctly."""
+    total = Fraction(0)
+    for t in range(t_max + 1):
+        if t:
+            total += Fraction(1.0 / (N - t + 1))
+        yield n * float(total), n * math.log(N / (N - t))
 
 
 # -- entropy and the dyadic interval cover ------------------------------------------

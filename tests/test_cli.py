@@ -82,6 +82,16 @@ TOO_LARGE = [
                  id="trace-k10^12"),
     pytest.param(["threshold", "--n", "3", "--m", "3", "--trials", "100000000000"],
                  id="threshold-10^11-trials"),
+    # one 2*10^6-vertex edge: its layout spans 4*10^12 bits
+    pytest.param(["mean-count", "--n", "1", "--k", "2000000", "--trials", "1"],
+                 id="mean-count-n1-k2e6-layout"),
+    pytest.param(["trace", "--n", "1", "--k", "2000000", "--trials", "1"],
+                 id="trace-n1-k2e6-layout"),
+    # admitted tables whose t_max^2 stamp bits pass the layout cap
+    pytest.param(["trace", "--n", "18", "--k", "4", "--colors", "17", "--trials", "1",
+                  "--budget", "10"], id="trace-n18-k4-stamps"),
+    pytest.param(["trace", "--n", "330", "--colors", "10", "--trials", "1", "--budget", "10"],
+                 id="trace-n330-stamps"),
 ]
 
 
@@ -240,6 +250,22 @@ def test_trace_headers(tmp_path, capsys):
         capsys, "trace", "--n", "2", "--trials", "2", "--seed", "3", "--out", str(steps)
     )
     assert steps.read_text().splitlines()[0].startswith("trial,i,phi")
+
+
+def test_trace_summary_is_linear_in_the_steps(tmp_path, capsys):
+    # a budget-out trial still writes all 14,400 summary rows; their bytes
+    # are those the per-row sums gave
+    summary = tmp_path / "summary.csv"
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "trace", "--n", "120", "--colors", "120", "--trials", "1",
+                       "--budget", "10", "--summary-out", str(summary))
+    assert time.perf_counter() - t0 < 2
+    assert (code, out) == (0, "i,phi,xi,gamma,p_i,w_max,w_avg,w_med,B,R,C\n")
+    text = summary.read_text()
+    assert text.count("\n") == 14_401
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "665a63a1a5fd4ae0bce09fadce0d03d3d47a59c815667d108601a3db34447ee2"
+    )
 
 
 def test_threshold_header_and_determinism(tmp_path, capsys):

@@ -442,7 +442,7 @@ def test_assemble_k4_gates_on_class_size():
     G = sample_colored_graph(4, 6, 4, rnd)
     plan, hc = assemble_even(G, rnd)
     assert hc is None
-    assert plan.failure_stage == STAGE_CLASS_TOO_SMALL
+    assert plan.stage == STAGE_CLASS_TOO_SMALL
     assert plan.union_graph is None
     assert sum(plan.class_sizes) == 6
     assert len(plan.blocks) == 8
@@ -487,7 +487,7 @@ def test_assemble_stage_accounting_over_seeds():
         rnd = rng(j, seed=51)
         G = sample_colored_graph(12, 66, 12, rnd)
         plan, hc = assemble_even(G, rnd)
-        stages[plan.stage_reached] += 1
+        stages[plan.stage] += 1
         if plan.union_graph is not None:
             assert set(degrees(plan.union_graph)) == {8}
             assert set(color_counts(plan.union_graph)) == {4}
@@ -532,7 +532,7 @@ def planted_assembly():
 def test_planted_assembly_reaches_success():
     G, rnd, matchings = planted_assembly()
     plan, hc = assemble_even(G, rnd)
-    assert plan.stage_reached == STAGE_SUCCESS
+    assert plan.stage == STAGE_SUCCESS
     assert plan.class_sizes == (5,) * 8
     assert plan.matchings == tuple(matchings)
     assert set(degrees(plan.union_graph)) == {8}
@@ -540,7 +540,39 @@ def test_planted_assembly_reaches_success():
     assert hc is not None and is_rainbow_hamilton_cycle(G, hc)
     G, rnd, _ = planted_assembly()
     plan, hc = assemble_even(G, rnd, matching_budget=1)
-    assert (plan.stage_reached, hc) == (STAGE_MATCHING_BUDGET, None)
+    assert (plan.stage, hc) == (STAGE_MATCHING_BUDGET, None)
+
+
+def test_assemble_recolors_a_searched_class_by_sorted_pair_position(monkeypatch):
+    # each class the assembly searches is its edges, each recolored to its
+    # (color, label) pair's 1-based position in the sorted block
+    searched = []
+    find = hamilton.find_rainbow_pm
+
+    def capture(H, budget):
+        searched.append(H)
+        return find(H, budget=budget)
+
+    monkeypatch.setattr(hamilton, "find_rainbow_pm", capture)
+    G, rnd, _ = planted_assembly()
+    runs = [(G, rnd)]
+    for j in range(6):
+        r = rng(j, seed=63)
+        runs.append((sample_colored_graph(12, 66, 12, r), r))
+    reached = set()
+    for G, rnd in runs:
+        searched.clear()
+        plan, _ = assemble_even(G, rnd)
+        reached.add(len(searched))
+        for bi, H in enumerate(searched):
+            order = sorted(plan.blocks[bi])
+            want = tuple(
+                ColoredEdge(e.verts, order.index((e.color, plan.labels[e])) + 1)
+                for e in plan.edge_classes[bi]
+            )
+            assert (H.n, H.kappa) == (G.n, G.n // 2)
+            assert H.edges == tuple(sorted(want)), bi
+    assert 8 in reached  # the planted run searches every class
 
 
 def test_union_search_checks_its_cycle(monkeypatch):
@@ -559,7 +591,7 @@ def test_union_search_checks_its_cycle(monkeypatch):
 def test_union_search_budget_out_keeps_the_union():
     G, rnd, _ = planted_assembly()
     plan, hc = assemble_even(G, rnd, hc_budget=1)
-    assert (plan.stage_reached, hc) == (STAGE_HC_BUDGET, None)
+    assert (plan.stage, hc) == (STAGE_HC_BUDGET, None)
     assert plan.union_graph is not None and len(plan.union_graph.edges) == 40
 
 
@@ -567,7 +599,7 @@ def test_union_search_without_a_cycle_is_hc_not_found(monkeypatch):
     G, rnd, _ = planted_assembly()
     monkeypatch.setattr(hamilton, "find_rainbow_hc", lambda union, budget: None)
     plan, hc = assemble_even(G, rnd)
-    assert (plan.stage_reached, hc) == (STAGE_HC_NOT_FOUND, None)
+    assert (plan.stage, hc) == (STAGE_HC_NOT_FOUND, None)
     assert plan.union_graph is not None
 
 

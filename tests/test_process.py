@@ -39,7 +39,7 @@ from rainbowmatch.process import (
     weight_profile,
     weight_ratio_bounded,
 )
-from rainbowmatch.process import _DeletionState, _degrees_within, _median_capped
+from rainbowmatch.process import _DeletionState, _degrees_within, _loss_rates, _median_capped
 
 from helpers import edge_by_verts
 from oracles import majority_median_walk, rainbow_weight
@@ -67,10 +67,8 @@ def edge_table(H):
 
 def regular(H, p, params=DEFAULT_EVENT_PARAMS):
     """Flag R as the deletion step computes it: the integer test on the
-    smallest and the largest vertex or color degree of H."""
-    deg, cdeg = degree_profile(H)
-    degs = [*deg.values(), *cdeg.values()]
-    return _degrees_within(H, p, params, min(degs), max(degs))
+    smallest and the largest vertex degree and color degree of H."""
+    return _degrees_within(H, p, params, *degree_profile(H))
 
 
 def median_capped(H, phi=None, table=None):
@@ -447,6 +445,25 @@ def test_regular_flag_complete_and_damaged():
     del H
 
 
+def test_regular_flag_reads_each_axis_against_its_own_mean():
+    # complete n=4, k=2 with kappa=8 colors, each on exactly 2 edges: every
+    # vertex degree is its mean 4, every color degree its mean 16/8 = 2
+    edges = tuple(
+        ColoredEdge((i, j), ((i - 1) * 4 + (j - 1)) % 8 + 1) for i in range(1, 5) for j in range(1, 5)
+    )
+    H = ColoredHypergraph(PARTITE, 4, 2, 8, edges)
+    assert set(degree_profile(H)[1].values()) == {2}
+    assert regular(H, 1) and fraction_regular(H, 1, DEFAULT_EVENT_PARAMS.eps1)
+    trace = run_deletion_process(H, H.edges[::-1], t_max=1)
+    assert trace.steps[0].regular
+    # one edge moved from color 2 to color 1: color degrees 3 and 1
+    moved = next(e for e in edges if e.color == 2)
+    bumped = ColoredHypergraph(PARTITE, 4, 2, 8, tuple(
+        ColoredEdge(e.verts, 1) if e == moved else e for e in edges
+    ))
+    assert not regular(bumped, 1) and not fraction_regular(bumped, 1, DEFAULT_EVENT_PARAMS.eps1)
+
+
 def test_regular_flag_matches_direct_reimplementation():
     params = EventParams(L=10.0, eps1=0.25)
     for j in range(30):
@@ -638,11 +655,18 @@ def fraction_median(vals):
 
 
 def fraction_regular(H, p, eps1):
-    """Flag R with a Fraction expectation and a Fraction tolerance."""
-    expect = Fraction(H.n ** (H.k - 1)) * Fraction(p)
-    tol = Fraction(eps1) * expect
+    """Flag R with Fraction means and Fraction tolerances: a vertex degree
+    against the vertex mean n^(k-1) p, a color degree against the color mean
+    n^k p / kappa."""
     deg, cdeg = degree_profile(H)
-    return all(abs(Fraction(d) - expect) <= tol for d in [*deg.values(), *cdeg.values()])
+    return all(
+        abs(Fraction(d) - expect) <= Fraction(eps1) * expect
+        for degs, expect in (
+            (deg.values(), Fraction(H.n ** (H.k - 1)) * Fraction(p)),
+            (cdeg.values(), Fraction(H.n**H.k, H.kappa) * Fraction(p)),
+        )
+        for d in degs
+    )
 
 
 def test_majority_median_matches_fraction_definition():
@@ -844,6 +868,18 @@ def test_cumulative_loss_gap_bound_sweep():
         for t in range(N):
             exact, closed = cumulative_loss_rate(n, k, t)
             assert abs(exact - closed) <= 2 * n / (N - t), (n, k, t)
+
+
+def test_cumulative_loss_sum_is_the_fsum_of_its_terms():
+    # the running exact sum, rounded once per t, is math.fsum of the terms
+    for n, k in ((2, 2), (6, 2), (10, 2), (3, 3), (4, 4), (3, 5)):
+        N = n**k
+        for t in range(N):
+            want = n * math.fsum(1.0 / (N - i + 1) for i in range(1, t + 1))
+            assert cumulative_loss_rate(n, k, t)[0] == want, (n, k, t)
+    n, N = 41, 41 * 41
+    for t, (exact, _) in enumerate(_loss_rates(n, N, N - 1)):
+        assert exact == n * math.fsum(1.0 / (N - i + 1) for i in range(1, t + 1)), t
 
 
 # -- entropy
