@@ -28,7 +28,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -190,11 +189,14 @@ def _finished(worker: Callable, tasks: list, jobs: int):
     """Yield worker(*task) for every task, in completion order.  jobs > 1
     runs them in a process pool of at most jobs workers, and never more
     than there are tasks or CPUs: under the fork start method the pool
-    starts every worker it is given at its first submit."""
+    starts every worker it is given at its first submit.  The pool is
+    imported here, so a serial run never loads `multiprocessing`."""
     if jobs <= 1:
         for task in tasks:
             yield worker(*task)
         return
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks), os.cpu_count() or 1)) as pool:
         futures = [pool.submit(worker, *task) for task in tasks]
         for fut in as_completed(futures):

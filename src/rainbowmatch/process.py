@@ -90,7 +90,6 @@ __all__ = [
     "dyadic_ratio_bound",
     "dyadic_support_fraction",
     "dyadic_interval_cover",
-    "chernoff_bounds",
 ]
 
 
@@ -185,6 +184,11 @@ def _near_layers(lists: Iterable[list[int]], budget: int, low: int) -> tuple[dic
     return near, nodes
 
 
+# the set bits of each byte value, lowest first: a state's free colors are
+# read from its bytes, so peeling them is linear in kappa
+_BITS = [tuple(p for p in range(8) if b >> p & 1) for b in range(256)]
+
+
 def _check_stamp_bits(t_max: int) -> None:
     """Refuse (CapacityError) a trace of t_max steps whose stamps pass
     `count._LAYOUT_BIT_CAP`: each of its t_max stamped edges carries t_max
@@ -204,7 +208,8 @@ class _DeletionState:
     weights is the table as one flat list in `product` order over (part 1,
     ..., part k, color), whose sizes are dims: w(v, c), the rainbow
     near-perfect matchings that leave exactly v uncovered and do not use
-    color c.  base_of maps v's vertex mask to the index of w(v, 1).  The
+    color c.  base_of maps the mask of the active vertices outside v (those
+    a state that leaves v uncovered covers) to the index of w(v, 1).  The
     masks and the packed edges per part-1 vertex come from the instance's
     bit layout (`count._Layout`), and the constructor tallies the table
     from those lists (`_near_layers`): near maps each final state to its
@@ -233,13 +238,14 @@ class _DeletionState:
         _check_stamp_bits(len(ordering))
         layout = _Layout(H)
         self.active, self.shift = layout.active, layout.shift
-        self.colors = (1 << H.kappa) - 1
+        self.color_bits, self.width = ((1 << H.kappa) - 1) << self.shift, (H.kappa + 7) // 8
         packed, lists = layout.packed()
         self.weights = [0] * size
         tuples = layout.vertex_bits(product(*self.parts))
-        self.base_of = dict(zip(map(sum, tuples), range(0, len(self.weights), H.kappa)))
+        covered = (self.active ^ v for v in map(sum, tuples))
+        self.base_of = dict(zip(covered, range(0, size, H.kappa)))
         self.live = {
-            e: self.base_of[covers] + e.color - 1
+            e: self.base_of[self.active ^ covers] + e.color - 1
             for e, (_, covers, _) in zip(H.edges, layout.items)
         }
         self.deg, self.cdeg = degree_profile(H)
@@ -248,10 +254,12 @@ class _DeletionState:
         self.nodes = 0
         if layout.feasible:
             at = self.shift + H.kappa  # the lowest stamp bit
-            top = 1 << len(ordering)
+            # an edge outside ordering dies at step T + 1, past the stamps
+            top = 1 << (t := len(ordering))
             x_of = dict(zip(H.edges, packed))
-            stamp = {x_of[e]: (top - (1 << i)) << at for i, e in enumerate(ordering)}
-            stamped = [[x | stamp.get(x, 0) for x in xs] for xs in lists.values()]
+            step = {x_of[e]: i for i, e in enumerate(ordering)}
+            stamped = [[x | top - (1 << step.get(x, t)) << at for x in xs]
+                       for xs in lists.values()]
             self.near, self.nodes = _near_layers(stamped, budget, (1 << at) - 1)
             self._add(self.near, 1)
             for state in self.near:
@@ -261,17 +269,22 @@ class _DeletionState:
 
     def _add(self, states: Iterable[int], sign: int) -> None:
         # each near-perfect state's ways, sign times, into the entries of the
-        # tuple it leaves uncovered, at every color it leaves unused
+        # tuple it leaves uncovered, at every color it leaves unused; the
+        # masks are ANDed first, so no op runs over a state's stamp bits
         weights, base_of, active, shift = self.weights, self.base_of, self.active, self.shift
-        colors, near = self.colors, self.near
+        color_bits, width, near = self.color_bits, self.width, self.near
         for state in states:
-            base = base_of[active & ~state] - 1  # w(v, c) sits at base + c
+            at = base_of[state & active]  # w(v, c) sits at at + c - 1
             ways = near[state] * sign
-            free = colors & ~(state >> shift)
-            while free:
-                low = free & -free
-                weights[base + low.bit_length()] += ways
-                free ^= low
+            free = (state & color_bits ^ color_bits) >> shift
+            if free < 256:  # always so at kappa <= 8: one byte, no to_bytes call
+                for p in _BITS[free]:
+                    weights[at + p] += ways
+                continue
+            for byte in free.to_bytes(width, "little"):
+                for p in _BITS[byte]:
+                    weights[at + p] += ways
+                at += 8
 
     def delete(self, e: ColoredEdge) -> None:
         del self.live[e]
@@ -642,31 +655,3 @@ def dyadic_interval_cover(
                 continue
             return a, b, sorted(idxs)
     raise RuntimeError("no qualifying dyadic run; the entropy premise should forbid this")
-
-
-# -- tail bounds --------------------------------------------------------------------
-
-
-def chernoff_bounds(
-    mu: float, eps: float | None = None, alpha: float | None = None
-) -> tuple[float | None, float | None]:
-    """Multiplicative tail bounds for a mean-mu sum of independent indicators.
-
-    Returns (deviation, tail):
-      deviation = 2*exp(-eps^2*mu/3)  for P(|X - mu| > eps*mu), 0 <= eps <= 1
-      tail      = (e/alpha)^(alpha*mu) for P(X >= alpha*mu), alpha > e
-
-    Either slot is None when its parameter is not supplied.
-    """
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
-    deviation = tail = None
-    if eps is not None:
-        if not 0 <= eps <= 1:
-            raise ValueError("eps must lie in [0, 1]")
-        deviation = 2.0 * math.exp(-(eps**2) * mu / 3.0)
-    if alpha is not None:
-        if not alpha > math.e:
-            raise ValueError("alpha must exceed e")
-        tail = (math.e / alpha) ** (alpha * mu)
-    return deviation, tail

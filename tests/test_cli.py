@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import io
 import json
@@ -613,7 +614,8 @@ def test_jobs_are_capped_at_the_trials_and_the_cpus(capsys, monkeypatch):
             fut.set_result(fn(*args))
             return fut
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    # the runner imports the pool from concurrent.futures when jobs > 1
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     args = ("threshold", "--n", "4", "--m", "6", "--seed", "2")
     serial = run(capsys, *args, "--trials", "3")
     for cpus, trials, jobs, size in ((8, 1, 5000, 1), (8, 3, 5000, 3), (2, 3, 5000, 2),
@@ -640,7 +642,7 @@ def test_a_budget_out_is_a_budget_row(monkeypatch, jobs):
     # is started and the patched search is seen.  The trace runs out of its
     # tiny budget in step 0's tally.
     monkeypatch.setattr(experiments, "find_rainbow_pm", always_out_of_budget)
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", ThreadPoolExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPoolExecutor)
     for runner, config in (
         (experiments.threshold_scan,
          experiments.ExperimentConfig(kind="threshold", ns=(4,), ms=(6,), trials=3, jobs=jobs)),

@@ -1,11 +1,13 @@
 """Every name the package and its modules export resolves, so a deleted or
 renamed member cannot linger in an `__all__` (where `from ... import *` would
-fail on it), the package imports nothing outside the standard library, and
-the CSV columns its documents list are the ones the tables write."""
+fail on it), the package imports nothing outside the standard library, a
+serial run loads no process pool, and the CSV columns its documents list are
+the ones the tables write."""
 
 import ast
 import importlib
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -42,6 +44,25 @@ def test_imports_are_stdlib_or_relative():
             foreign += [(path.name, n) for n in names
                         if n.partition(".")[0] not in sys.stdlib_module_names]
     assert foreign == []
+
+
+SERIAL_RUN = """
+import sys
+from rainbowmatch import cli
+assert cli.main(["threshold", "--n", "3", "--m", "4", "--trials", "2", "--jobs", "1"]) == 0
+assert cli.main(["trace", "--n", "3", "--trials", "2"]) == 0
+print(sorted(m for m in ("concurrent.futures.process", "multiprocessing") if m in sys.modules))
+"""
+
+
+def test_a_serial_run_imports_no_process_pool():
+    # the pool is imported where jobs > 1 starts one, so importing the CLI
+    # and running it serially never pays for multiprocessing; a fresh
+    # interpreter without site, since this one has loaded the pool already
+    src = Path(rainbowmatch.__file__).resolve().parent.parent
+    run = subprocess.run([sys.executable, "-S", "-c", SERIAL_RUN], env={"PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 def documented_column_lists(text: str) -> set[str]:

@@ -28,7 +28,6 @@ from rainbowmatch.process import (
     DeletionStep,
     EventParams,
     LemmaPreconditionError,
-    chernoff_bounds,
     cumulative_loss_rate,
     dyadic_interval_cover,
     dyadic_ratio_bound,
@@ -134,7 +133,10 @@ def oracle_table(H):
     }
 
 
-@pytest.mark.parametrize("n,k,kappa", [(3, 2, 3), (4, 2, 4), (3, 2, 4), (3, 3, 3)])
+# kappa 9 and 17 spread the free colors over two and three bytes
+@pytest.mark.parametrize(
+    "n,k,kappa", [(3, 2, 3), (4, 2, 4), (3, 2, 4), (3, 3, 3), (2, 2, 9), (3, 2, 17)]
+)
 def test_weight_table_matches_oracle_along_traces(n, k, kappa):
     for j in range(2):
         H = complete_colored(n, k, kappa, rng(j, seed=49 + n + k + kappa))
@@ -296,7 +298,7 @@ def assert_carried_state(H, order, t_max):
 
 
 @pytest.mark.parametrize(
-    "n,k,kappa", [(3, 2, 3), (4, 2, 4), (4, 2, 3), (3, 2, 5), (3, 3, 3), (2, 3, 4)]
+    "n,k,kappa", [(3, 2, 3), (4, 2, 4), (4, 2, 3), (3, 2, 5), (3, 3, 3), (2, 3, 4), (3, 2, 17)]
 )
 def test_carried_state_matches_rebuilt_instance(n, k, kappa):
     for j in range(2):
@@ -958,6 +960,31 @@ def test_dyadic_conclusions_property_mini():
 
 
 # -- tail bounds
+
+
+def chernoff_bounds(
+    mu: float, eps: float | None = None, alpha: float | None = None
+) -> tuple[float | None, float | None]:
+    """Multiplicative tail bounds for a mean-mu sum of independent indicators.
+
+    Returns (deviation, tail):
+      deviation = 2*exp(-eps^2*mu/3)  for P(|X - mu| > eps*mu), 0 <= eps <= 1
+      tail      = (e/alpha)^(alpha*mu) for P(X >= alpha*mu), alpha > e
+
+    Either slot is None when its parameter is not supplied.
+    """
+    if mu < 0:
+        raise ValueError("mu must be nonnegative")
+    deviation = tail = None
+    if eps is not None:
+        if not 0 <= eps <= 1:
+            raise ValueError("eps must lie in [0, 1]")
+        deviation = 2.0 * math.exp(-(eps**2) * mu / 3.0)
+    if alpha is not None:
+        if not alpha > math.e:
+            raise ValueError("alpha must exceed e")
+        tail = (math.e / alpha) ** (alpha * mu)
+    return deviation, tail
 
 
 def test_chernoff_values():
