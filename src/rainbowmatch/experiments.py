@@ -145,7 +145,15 @@ class ExperimentResult:
 
 
 def _fmt(x) -> str:
-    """Deterministic CSV cell rendering; None becomes an empty cell."""
+    """Deterministic CSV cell rendering; None becomes an empty cell.  Exact
+    int, Fraction and float come first; all else, subclasses too, takes the chain."""
+    t = type(x)
+    if t is int:
+        return str(x)
+    if t is Fraction:
+        return repr(float(x))
+    if t is float:
+        return repr(x)
     if x is None:
         return ""
     if isinstance(x, bool):
@@ -160,7 +168,7 @@ def _fmt(x) -> str:
 def _csv_lines(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     out = [",".join(header)]
     for row in rows:
-        out.append(",".join(_fmt(x) for x in row))
+        out.append(",".join(map(_fmt, row)))
     return "\n".join(out) + "\n"
 
 

@@ -137,22 +137,24 @@ def _check_partite(H: ColoredHypergraph) -> None:
 
 def _grow(table: dict[int, int], edges: list[int], nodes: int, budget: int, low: int):
     """One layer of the near-perfect tally: every state of table extended by
-    every edge that fits it (shares no bit of low with it), multiplicities
-    summed.  table is emptied as it goes, so a parent is freed once grown.
-    Returns (layer, nodes + one per new state); raises BudgetExceededError
-    past budget, checked after each parent's kids."""
+    every edge that fits it (shares no bit of low with it), each kid added
+    into the layer as it is made, multiplicities summed.  table is emptied
+    as it goes, so a parent is freed once grown.  Returns (layer, nodes +
+    one per new state); raises BudgetExceededError past budget, checked
+    after each parent's kids, so its nodes is the count at that parent."""
     layer: dict[int, int] = {}
     get = layer.get
     pop = table.popitem
     while table:
         state, ways = pop()
         own = state & low
-        kids = [state | e for e in edges if not own & e]
-        nodes += len(kids)
+        for e in edges:
+            if not own & e:
+                kid = state | e
+                layer[kid] = get(kid, 0) + ways
+                nodes += 1
         if nodes > budget:
             raise BudgetExceededError(f"node budget {budget} exceeded", nodes)
-        for kid in kids:
-            layer[kid] = get(kid, 0) + ways
     return layer, nodes
 
 
@@ -400,10 +402,13 @@ def _degrees_within(
     a, b = p.as_integer_ratio()
     e, f = params.eps1.as_integer_ratio()
     expect_b = H.n**H.k * a  # N * p * b
-    return all(
-        f * abs(d * s * b - expect_b) <= e * expect_b
-        for degs, s in ((deg.values(), H.n), (cdeg.values(), H.kappa))
-        for d in (min(degs), max(degs))
+    within, nb, cb = e * expect_b, H.n * b, H.kappa * b
+    degs, cdegs = deg.values(), cdeg.values()
+    return (
+        f * abs(min(degs) * nb - expect_b) <= within
+        and f * abs(max(degs) * nb - expect_b) <= within
+        and f * abs(min(cdegs) * cb - expect_b) <= within
+        and f * abs(max(cdegs) * cb - expect_b) <= within
     )
 
 
@@ -493,13 +498,14 @@ def run_deletion_process(
         raise ValueError(f"t_max must lie in 0..{len(ordering)}")
 
     state = _DeletionState(H0, budget, ordering[:t_max])
+    weights, live = state.weights, state.live
     ps, gammas = _step_ratios(H0.n, N)
     steps: list[DeletionStep] = []
     prev_phi: int | None = None
     for i in range(t_max + 1):
         if i > 0:
             state.delete(ordering[i - 1])
-        ws = [state.weights[i] for i in state.live.values()]
+        ws = list(map(weights.__getitem__, live.values()))
         # w(e) counts the rainbow perfect matchings through e, and each of
         # them has n edges.
         phi = sum(ws) // H0.n
@@ -509,11 +515,11 @@ def run_deletion_process(
         balanced = weight_ratio_bounded(ws, params.L)
         regular = _degrees_within(H0, ps[i], params, state.deg, state.cdeg)
         # a weight exceeds phi / (2^k n^k) iff it exceeds the floor
-        capped = _median_capped(state.dims, state.weights, phi // (2**H0.k * H0.n**H0.k))
+        capped = _median_capped(state.dims, weights, phi // (2**H0.k * N))
         if i == 0:
             xi = None
         else:
-            xi = _DEAD_XI if prev_phi == 0 else 1 - Fraction(phi, prev_phi)
+            xi = _DEAD_XI if prev_phi == 0 else Fraction(prev_phi - phi, prev_phi)
         steps.append(
             DeletionStep(
                 index=i,

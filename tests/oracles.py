@@ -12,11 +12,14 @@ prunes.  The library's exact-cover search must find a cycle exactly when it
 does.
 `majority_median_walk` is the majority median by its definition, walking the
 distinct values down from the top; the library takes it in one bisection.
+`csv_cell` renders a CSV cell by one isinstance chain; the library tests the
+exact types int, Fraction and float first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from rainbowmatch.count import BudgetExceededError, DEFAULT_NODE_BUDGET, count_rainbow_pm
@@ -233,3 +236,17 @@ def majority_median_walk(values) -> int:
         while pos >= 0 and vals[pos] == x:
             pos -= 1
     return vals[0]
+
+
+def csv_cell(x) -> str:
+    """A CSV cell: None empty, a bool 1 or 0, a Fraction its float's repr, a
+    float its repr, anything else its str."""
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return "1" if x else "0"
+    if isinstance(x, Fraction):
+        return repr(float(x))
+    if isinstance(x, float):
+        return repr(x)
+    return str(x)

@@ -2,11 +2,13 @@ import concurrent.futures
 import hashlib
 import io
 import json
+import math
 import os
 import time
 import tracemalloc
 import xml.etree.ElementTree as ET
 from concurrent.futures import Future, ThreadPoolExecutor
+from fractions import Fraction
 
 import pytest
 
@@ -23,6 +25,8 @@ from rainbowmatch.model import (
     load_instance,
     save_instance,
 )
+
+from oracles import csv_cell
 
 
 def run(capsys, *argv):
@@ -334,6 +338,36 @@ def test_mean_count_closed_forms_past_the_float_range(capsys):
     assert [(row["expected_mean"], row["expected_second_moment"]) for row in rows] == [
         (6.437993181801595e+164, None), (None, None)]
     assert {(row["mean"], row["budget"]) for row in rows} == {(None, 1)}
+
+
+class Tally(int):
+    def __str__(self):
+        return f"tally {int(self)}"
+
+
+class Weight(float):
+    def __repr__(self):
+        return f"weight {float(self)}"
+
+
+class Ratio(Fraction):
+    pass
+
+
+CSV_CELLS = [
+    None, True, False, 0, -7, 2**70, -(2**70), Tally(3),
+    math.nan, math.inf, -math.inf, -0.0, 0.1, 1e308, 5e-324, Weight(2.5),
+    Fraction(0), Fraction(-6, 3), Fraction(1, 3), Fraction(3**700, 2**100),
+    Fraction(3**1000 + 1, 3**999), Ratio(1, 3), "", "found", "hc-budget",
+]
+
+
+def test_csv_cells_match_the_isinstance_chain():
+    # every kind of cell, each in a row of its own and all in one row mixed
+    # with the others, renders as the plain isinstance chain renders it
+    rows = [[x] for x in CSV_CELLS] + [CSV_CELLS, CSV_CELLS[::-1], []]
+    expected = "\n".join(",".join(map(csv_cell, row)) for row in [["a", "b"], *rows]) + "\n"
+    assert experiments._csv_lines(["a", "b"], rows) == expected
 
 
 def test_hamilton_csv_and_config_error(tmp_path, capsys):

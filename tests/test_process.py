@@ -364,6 +364,21 @@ def test_step_nodes_pinned():
     assert run_deletion_process(H, order).nodes == TALLY_NODES
 
 
+# (budget, BudgetExceededError.nodes) of dying_trace: each budget is passed
+# inside a layer by one parent's kids, by more than one, so nodes is the
+# count after that parent's last kid.  A check per kid would read budget + 1,
+# one per layer the layer's end (24, 43, 43 and 102).
+BUDGET_OUTS = [(13, 16), (26, 29), (31, 34), (68, 70)]
+
+
+def test_the_budget_is_checked_after_each_parent():
+    H, order = dying_trace()
+    for budget, nodes in BUDGET_OUTS:
+        with pytest.raises(BudgetExceededError) as info:
+            run_deletion_process(H, order, budget=budget)
+        assert info.value.nodes == nodes, budget
+
+
 def test_weight_profile_maxima_consistency():
     H = complete_colored(2, 2, 2, rng(1))
     prof = weight_profile(H)
