@@ -30,6 +30,7 @@ import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .count import (
@@ -64,7 +65,14 @@ from .model import (
     sample_colored_graph,
     sample_partite_m,
 )
-from .process import EventParams, _check_stamp_bits, _loss_rates, run_deletion_process
+from .process import (
+    _TRACE_CACHE_SIZE,
+    EventParams,
+    _check_stamp_bits,
+    _loss_rates,
+    _step_ratios,
+    run_deletion_process,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -146,14 +154,18 @@ class ExperimentResult:
 
 def _fmt(x) -> str:
     """Deterministic CSV cell rendering; None becomes an empty cell.  Exact
-    int, Fraction and float come first; all else, subclasses too, takes the chain."""
+    int, Fraction, float and str come first; all else, subclasses too, takes
+    the chain.  An exact Fraction's float is its numerator over its
+    denominator in true division, which is what float(x) computes."""
     t = type(x)
     if t is int:
         return str(x)
     if t is Fraction:
-        return repr(float(x))
+        return repr(x.numerator / x.denominator)
     if t is float:
         return repr(x)
+    if t is str:
+        return x
     if x is None:
         return ""
     if isinstance(x, bool):
@@ -410,6 +422,23 @@ def trace_experiment(config: ExperimentConfig, raw_sink=None) -> ExperimentResul
     return _run_grid(config, [config.ns], _trace_trial, raw_sink)
 
 
+def _trace_shape(config: ExperimentConfig) -> tuple[int, int, int]:
+    """(n, N, t_max) of a trace run: its N = n^k edges and the steps it
+    takes."""
+    n = config.ns[0]
+    N = n**config.k
+    return n, N, N if config.t_max is None else config.t_max
+
+
+@lru_cache(maxsize=_TRACE_CACHE_SIZE)
+def _ratio_cells(n: int, N: int, t_max: int) -> tuple[str, ...]:
+    """The gamma and p_i cells of trace steps 0..t_max (`process._step_ratios`),
+    rendered and joined as "gamma,p_i", one string per step.  They depend
+    on the shape alone, so they are rendered once per shape."""
+    ps, gammas = _step_ratios(n, N, t_max)
+    return tuple(f"{_fmt(gamma)},{_fmt(p)}" for gamma, p in zip(gammas, ps))
+
+
 def trace_steps_table(result: ExperimentResult) -> tuple[list[str], list[list]]:
     multi = len(result.rows) > 1
     header = (["trial"] if multi else []) + TRACE_STEP_HEADER
@@ -421,7 +450,20 @@ def trace_steps_table(result: ExperimentResult) -> tuple[list[str], list[list]]:
 
 
 def trace_steps_csv(result: ExperimentResult) -> str:
-    return _csv_lines(*trace_steps_table(result))
+    """trace_steps_table as CSV.  A step's gamma and p_i depend on its index
+    and the trace's shape alone, so they come rendered from `_ratio_cells`;
+    every other cell is rendered per step."""
+    multi = len(result.rows) > 1
+    out = [",".join((["trial"] if multi else []) + TRACE_STEP_HEADER)]
+    shape = _trace_shape(result.config)
+    for row in result.rows:
+        steps = row.value or ()  # a budget row has no steps, and renders no ratios
+        ratios = _ratio_cells(*shape) if steps else ()
+        lead = _fmt(row.trial) + "," if multi else ""
+        for (i, phi, xi, _, _, *rest), ratio in zip(steps, ratios):
+            tail = ",".join(map(_fmt, rest))
+            out.append(f"{lead}{_fmt(i)},{_fmt(phi)},{_fmt(xi)},{ratio},{tail}")
+    return "\n".join(out) + "\n"
 
 
 def trace_summary_table(result: ExperimentResult) -> tuple[list[str], list[list]]:
@@ -429,10 +471,7 @@ def trace_summary_table(result: ExperimentResult) -> tuple[list[str], list[list]
     still positive (the regime where the step-rate identity applies), its SE,
     how many trials qualified, and the cumulative rate sum against its closed
     form."""
-    config = result.config
-    n = config.ns[0]
-    N = n**config.k
-    t_max = config.t_max if config.t_max is not None else N
+    n, N, t_max = _trace_shape(result.config)
     per_step: dict[int, list[float]] = {i: [] for i in range(1, t_max + 1)}
     for row in result.rows:
         steps = row.value or ()  # a budget row has no steps
@@ -440,7 +479,7 @@ def trace_summary_table(result: ExperimentResult) -> tuple[list[str], list[list]
             if prev.phi > 0:
                 per_step[step.index].append(float(step.xi))
     header = ["i", "gamma", "mean_xi", "se_xi", "trials_positive", "sum_gamma_exact", "sum_gamma_closed"]
-    rates = list(_loss_rates(n, N, min(t_max, N - 1)))
+    rates = _loss_rates(n, N, min(t_max, N - 1))
     lines = []
     for i in range(1, t_max + 1):
         xs = per_step[i]

@@ -30,9 +30,10 @@ import json
 import operator
 import random
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, product, repeat
+from itertools import chain, combinations, product, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
@@ -571,19 +572,19 @@ def degree_profile(H: ColoredHypergraph) -> tuple[dict, dict[int, int]]:
     """(vertex degree map over active vertices, color degree map over 1..kappa).
 
     Zero-degree entries are included so that callers can check regularity
-    without special-casing isolated vertices or unused colors.
+    without special-casing isolated vertices or unused colors.  The degrees
+    are counted per column of the edges (a partite instance's parts, a
+    graph's endpoints, the colors) and read off in the maps' key order.
     """
-    deg = {v: 0 for v in H.active_vertices()}
-    cdeg = {c: 0 for c in range(1, H.kappa + 1)}
-    for e in H.edges:
-        if H.mode == PARTITE:
-            for part, idx in enumerate(e.verts, start=1):
-                deg[PartiteVertex(part, idx)] += 1
-        else:
-            for u in e.verts:
-                deg[u] += 1
-        cdeg[e.color] += 1
-    return deg, cdeg
+    verts = [e.verts for e in H.edges]
+    if H.mode == PARTITE:
+        parts = [Counter(map(operator.itemgetter(p), verts)) for p in range(H.k)]
+        deg = {v: parts[v.part - 1][v.index] for v in H.active_vertices()}
+    else:
+        ends = Counter(chain.from_iterable(verts))
+        deg = {v: ends[v] for v in H.active_vertices()}
+    colors = Counter(e.color for e in H.edges)
+    return deg, {c: colors[c] for c in range(1, H.kappa + 1)}
 
 
 def random_edge_ordering(

@@ -67,7 +67,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from itertools import product
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -382,13 +382,14 @@ def weight_ratio_bounded(weights: Collection[int], L: float) -> bool:
     """
     if not weights:
         return True
-    total = sum(weights)
-    if total == 0:
-        # All weights zero: max/avg is 0/0, read as balanced.
-        return True
-    # max/avg <= L  <=>  max * |E| <= L * total, in exact arithmetic.
-    num, den = L.as_integer_ratio()
-    return max(weights) * len(weights) * den <= num * total
+    return _ratio_within(max(weights), len(weights), sum(weights), *L.as_integer_ratio())
+
+
+def _ratio_within(w_max: int, size: int, total: int, num: int, den: int) -> bool:
+    # flag B over size weights summing to total, L = num / den: max/avg <=
+    # L <=> w_max * size <= L * total, in exact arithmetic; all weights zero
+    # (max/avg is 0/0) or none at all reads as balanced
+    return not total or w_max * size * den <= num * total
 
 
 def _degrees_within(
@@ -452,13 +453,22 @@ class DeletionTrace:
 _DEAD_XI = Fraction(0)
 
 
-@cache
-def _step_ratios(n: int, N: int) -> tuple[tuple[Fraction, ...], tuple[Fraction | None, ...]]:
-    """(p, gamma) over steps i = 0..N of a trace on N = n^k edges: p[i] =
-    (N - i) / N and gamma[i] = n / (N - i + 1), gamma[0] None.  They depend
-    on (n, N) alone, so every trace of one shape shares them."""
-    p = tuple(Fraction(N - i, N) for i in range(N + 1))
-    gamma = (None, *(Fraction(n, N - i + 1) for i in range(1, N + 1)))
+# the trace shapes whose ratios and rendered cells are kept: one trace run
+# reads one shape, so a caller that sweeps shapes keeps only the last few
+_TRACE_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=_TRACE_CACHE_SIZE)
+def _step_ratios(
+    n: int, N: int, t_max: int
+) -> tuple[tuple[Fraction, ...], tuple[Fraction | None, ...]]:
+    """(p, gamma) over steps i = 0..t_max of a trace on N = n^k edges: p[i]
+    = (N - i) / N and gamma[i] = n / (N - i + 1), gamma[0] None.  They
+    depend on the shape (n, N, t_max) alone, so every trace of one shape
+    shares them, and `experiments._ratio_cells` renders their CSV cells once
+    per shape.  Only the steps a trace reads are built."""
+    p = tuple(Fraction(N - i, N) for i in range(t_max + 1))
+    gamma = (None, *(Fraction(n, N - i + 1) for i in range(1, t_max + 1)))
     return p, gamma
 
 
@@ -498,43 +508,35 @@ def run_deletion_process(
         raise ValueError(f"t_max must lie in 0..{len(ordering)}")
 
     state = _DeletionState(H0, budget, ordering[:t_max])
-    weights, live = state.weights, state.live
-    ps, gammas = _step_ratios(H0.n, N)
+    weights, live, deg, cdeg = state.weights, state.live, state.deg, state.cdeg
+    n, dims, floor_den = H0.n, state.dims, 2**H0.k * N
+    num, den = params.L.as_integer_ratio()
+    ps, gammas = _step_ratios(n, N, t_max)
     steps: list[DeletionStep] = []
     prev_phi: int | None = None
     for i in range(t_max + 1):
         if i > 0:
             state.delete(ordering[i - 1])
         ws = list(map(weights.__getitem__, live.values()))
+        total = sum(ws)
         # w(e) counts the rainbow perfect matchings through e, and each of
         # them has n edges.
-        phi = sum(ws) // H0.n
-        w_max = max(ws, default=0)
-        w_avg = Fraction(sum(ws), len(ws)) if ws else None
-        w_med = majority_median(ws) if ws else None
-        balanced = weight_ratio_bounded(ws, params.L)
-        regular = _degrees_within(H0, ps[i], params, state.deg, state.cdeg)
-        # a weight exceeds phi / (2^k n^k) iff it exceeds the floor
-        capped = _median_capped(state.dims, weights, phi // (2**H0.k * N))
+        phi = total // n
+        if ws:
+            w_max, w_avg, w_med = max(ws), Fraction(total, len(ws)), majority_median(ws)
+        else:
+            w_max, w_avg, w_med = 0, None, None
         if i == 0:
             xi = None
         else:
             xi = _DEAD_XI if prev_phi == 0 else Fraction(prev_phi - phi, prev_phi)
-        steps.append(
-            DeletionStep(
-                index=i,
-                phi=phi,
-                xi=xi,
-                gamma=gammas[i],
-                p=ps[i],
-                w_max=w_max,
-                w_avg=w_avg,
-                w_med=w_med,
-                balanced=balanced,
-                regular=regular,
-                median_capped=capped,
-            )
-        )
+        steps.append(DeletionStep(
+            i, phi, xi, gammas[i], ps[i], w_max, w_avg, w_med,
+            _ratio_within(w_max, len(ws), total, num, den),
+            _degrees_within(H0, ps[i], params, deg, cdeg),
+            # a weight exceeds phi / (2^k n^k) iff it exceeds the floor
+            _median_capped(dims, weights, phi // floor_den),
+        ))
         prev_phi = phi
     return DeletionTrace(tuple(steps), state.nodes)
 
@@ -551,11 +553,11 @@ def cumulative_loss_rate(n: int, k: int, t: int) -> tuple[float, float]:
     N = n**k
     if not 0 <= t < N:
         raise ValueError(f"t must lie in 0..{N - 1}")
-    *_, last = _loss_rates(n, N, t)
+    *_, last = _iter_loss_rates(n, N, t)
     return last
 
 
-def _loss_rates(n: int, N: int, t_max: int) -> Iterator[tuple[float, float]]:
+def _iter_loss_rates(n: int, N: int, t_max: int) -> Iterator[tuple[float, float]]:
     """cumulative_loss_rate's pair at t = 0..t_max (< N), in one running
     pass.  The float terms 1.0/(N-i+1) are summed exactly and rounded once
     per t, which is math.fsum of them: both round the exact sum
@@ -565,6 +567,14 @@ def _loss_rates(n: int, N: int, t_max: int) -> Iterator[tuple[float, float]]:
         if t:
             total += Fraction(1.0 / (N - t + 1))
         yield n * float(total), n * math.log(N / (N - t))
+
+
+@lru_cache(maxsize=_TRACE_CACHE_SIZE)
+def _loss_rates(n: int, N: int, t_max: int) -> tuple[tuple[float, float], ...]:
+    """_iter_loss_rates as a tuple, kept per shape: a trace summary reads
+    the same pairs for every result of one shape.  cumulative_loss_rate
+    reads only the last pair, so it runs the generator and keeps none."""
+    return tuple(_iter_loss_rates(n, N, t_max))
 
 
 # -- entropy and the dyadic interval cover ------------------------------------------

@@ -13,7 +13,9 @@ does.
 `majority_median_walk` is the majority median by its definition, walking the
 distinct values down from the top; the library takes it in one bisection.
 `csv_cell` renders a CSV cell by one isinstance chain; the library tests the
-exact types int, Fraction and float first.
+exact types int, Fraction, float and str first.
+`degree_profile_by_edge` counts the degrees one edge end at a time; the
+library counts each column of the edges at once.
 """
 
 from __future__ import annotations
@@ -250,3 +252,21 @@ def csv_cell(x) -> str:
     if isinstance(x, float):
         return repr(x)
     return str(x)
+
+
+def degree_profile_by_edge(H: ColoredHypergraph) -> tuple[dict, dict[int, int]]:
+    """(vertex degrees over the active vertices, color degrees over
+    1..kappa), zero entries included, keyed in the order active_vertices and
+    the colors give: every edge adds one to each of its ends, a partite end
+    built as its PartiteVertex, and one to its color."""
+    deg = {v: 0 for v in H.active_vertices()}
+    cdeg = {c: 0 for c in range(1, H.kappa + 1)}
+    for e in H.edges:
+        if H.mode == PARTITE:
+            for part, idx in enumerate(e.verts, start=1):
+                deg[PartiteVertex(part, idx)] += 1
+        else:
+            for u in e.verts:
+                deg[u] += 1
+        cdeg[e.color] += 1
+    return deg, cdeg

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from rainbowmatch import cli, count, experiments
+from rainbowmatch import cli, count, experiments, process
 from rainbowmatch.cli import main
 from rainbowmatch.count import find_rainbow_pm, is_perfect_matching, is_rainbow
 from rainbowmatch.model import (
@@ -354,11 +354,16 @@ class Ratio(Fraction):
     pass
 
 
+class Label(str):
+    def __str__(self):
+        return f"label {str.__str__(self)}"
+
+
 CSV_CELLS = [
     None, True, False, 0, -7, 2**70, -(2**70), Tally(3),
     math.nan, math.inf, -math.inf, -0.0, 0.1, 1e308, 5e-324, Weight(2.5),
     Fraction(0), Fraction(-6, 3), Fraction(1, 3), Fraction(3**700, 2**100),
-    Fraction(3**1000 + 1, 3**999), Ratio(1, 3), "", "found", "hc-budget",
+    Fraction(3**1000 + 1, 3**999), Ratio(1, 3), "", "found", "hc-budget", Label("x"),
 ]
 
 
@@ -368,6 +373,53 @@ def test_csv_cells_match_the_isinstance_chain():
     rows = [[x] for x in CSV_CELLS] + [CSV_CELLS, CSV_CELLS[::-1], []]
     expected = "\n".join(",".join(map(csv_cell, row)) for row in [["a", "b"], *rows]) + "\n"
     assert experiments._csv_lines(["a", "b"], rows) == expected
+    # a Fraction past the float range raises the same error on both routes
+    huge = Fraction(10**400, 3)
+    with pytest.raises(OverflowError) as by_chain:
+        csv_cell(huge)
+    with pytest.raises(OverflowError) as by_type:
+        experiments._csv_lines(["a"], [[huge]])
+    assert str(by_type.value) == str(by_chain.value)
+
+
+# (n, k, t_max) of the traces whose rendering is checked against the
+# uncached routes, then again in reverse, each shape after another one
+TRACE_SHAPES = [(1, 2, None), (2, 2, 0), (3, 2, None), (3, 2, 4), (2, 3, None)]
+
+
+def _traces():
+    for n, k, t_max in TRACE_SHAPES + TRACE_SHAPES[::-1]:
+        # one trial has no trial column, so gamma and p_i sit one place left
+        for trials in (1, 3):
+            config = experiments.ExperimentConfig(
+                kind="trace", ns=(n,), k=k, t_max=t_max, trials=trials, master_seed=n + k)
+            yield config, experiments.trace_experiment(config)
+    # every trial out of budget: no step rows, every summary row
+    config = experiments.ExperimentConfig(kind="trace", ns=(3,), trials=2, node_budget=10)
+    yield config, experiments.trace_experiment(config)
+
+
+def test_trace_csv_from_the_shape_caches_matches_uncached_rendering(monkeypatch):
+    experiments._ratio_cells.cache_clear()
+    process._loss_rates.cache_clear()
+    rendered = [(config, result, experiments.trace_steps_csv(result),
+                 experiments.trace_summary_csv(result)) for config, result in _traces()]
+    monkeypatch.setattr(experiments, "_loss_rates", process._loss_rates.__wrapped__)
+    for config, result, steps_csv, summary_csv in rendered:
+        header, rows = experiments.trace_steps_table(result)
+        assert steps_csv == experiments._csv_lines(header, rows), config
+        assert steps_csv == "".join(",".join(map(csv_cell, row)) + "\n" for row in [header, *rows])
+        assert summary_csv == experiments.trace_summary_csv(result), config
+        # the table keeps exact ratios: trace --format json renders it
+        n, k = config.ns[0], config.k
+        at = header.index("i")
+        for row in rows:
+            i, gamma, p = row[at], row[at + 3], row[at + 4]
+            assert type(p) is Fraction and p == Fraction(n**k - i, n**k)
+            if i:
+                assert type(gamma) is Fraction and gamma == Fraction(n, n**k - i + 1)
+            else:
+                assert gamma is None
 
 
 def test_hamilton_csv_and_config_error(tmp_path, capsys):

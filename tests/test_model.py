@@ -33,6 +33,8 @@ from rainbowmatch.model import (
     save_instance,
 )
 
+from oracles import degree_profile_by_edge
+
 
 def rng(stream=0, seed=0):
     return RandomnessSpec(seed, stream).rng()
@@ -553,6 +555,29 @@ def test_degree_sum_identity_random():
         deg, cdeg = degree_profile(H)
         assert sum(deg.values()) == 3 * len(H.edges)
         assert sum(cdeg.values()) == len(H.edges)
+
+
+def _profile_cases():
+    yield sample_partite_m(4, 2, 4, 11, rng(3, seed=20))
+    yield restrict(complete_colored(4, 2, 4, rng(4, seed=20)),
+                   removed_vertices=[PartiteVertex(1, 2), PartiteVertex(2, 4)])
+    yield restrict(complete_colored(3, 3, 5, rng(5, seed=20)),
+                   removed_vertices=[PartiteVertex(2, 1), PartiteVertex(3, 3)])
+    yield restrict(sample_colored_graph(7, 12, 7, rng(6, seed=20)), removed_vertices=[1, 5])
+    yield ColoredHypergraph(PARTITE, 3, 3, 4, ())
+    yield ColoredHypergraph(GRAPH, 5, 2, 3, ())
+    # kappa 9 over 4 edges: at least five colors unused
+    yield sample_partite_m(3, 2, 9, 4, rng(7, seed=20))
+
+
+@pytest.mark.parametrize("H", list(_profile_cases()))
+def test_degree_profile_matches_the_per_edge_count(H):
+    # the same degrees under the same keys in the same order
+    deg, cdeg = degree_profile(H)
+    want_deg, want_cdeg = degree_profile_by_edge(H)
+    assert list(deg.items()) == list(want_deg.items())
+    assert list(cdeg.items()) == list(want_cdeg.items())
+    assert list(map(type, deg)) == list(map(type, want_deg))
 
 
 # -- orderings

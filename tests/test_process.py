@@ -9,7 +9,7 @@ from rainbowmatch.count import (
     BudgetExceededError,
     count_rainbow_pm,
 )
-from rainbowmatch.experiments import TRACE_STEP_HEADER
+from rainbowmatch.experiments import TRACE_STEP_HEADER, _ratio_cells
 from rainbowmatch.model import (
     CapacityError,
     ColoredEdge,
@@ -38,7 +38,13 @@ from rainbowmatch.process import (
     weight_profile,
     weight_ratio_bounded,
 )
-from rainbowmatch.process import _DeletionState, _degrees_within, _loss_rates, _median_capped
+from rainbowmatch.process import (
+    _DeletionState,
+    _degrees_within,
+    _loss_rates,
+    _median_capped,
+    _step_ratios,
+)
 
 from helpers import edge_by_verts
 from oracles import majority_median_walk, rainbow_weight
@@ -898,6 +904,23 @@ def test_cumulative_loss_sum_is_the_fsum_of_its_terms():
     for t, (exact, _) in enumerate(_loss_rates(n, N, N - 1)):
         assert exact == n * math.fsum(1.0 / (N - i + 1) for i in range(1, t + 1)), t
 
+
+
+def test_step_ratios_cover_the_steps_a_trace_reads_in_bounded_caches():
+    # a trace of t_max steps builds p and gamma for steps 0..t_max only
+    _step_ratios.cache_clear()
+    H0 = complete_colored(3, 2, 3, rng(40))
+    run_deletion_process(H0, random_edge_ordering(H0, rng(41)), t_max=2)
+    assert _step_ratios.cache_info().misses == 1
+    for n, N, t_max in ((3, 9, 0), (3, 9, 2), (3, 9, 9), (2, 8, 5)):
+        ps, gammas = _step_ratios(n, N, t_max)
+        assert len(ps) == len(gammas) == t_max + 1
+        assert ps == tuple(Fraction(N - i, N) for i in range(t_max + 1))
+        assert gammas == (None, *(Fraction(n, N - i + 1) for i in range(1, t_max + 1)))
+    assert _step_ratios.cache_info().hits == 1  # (3, 9, 2) is the trace's
+    # a caller that sweeps shapes keeps only the last few
+    for cached in (_step_ratios, _loss_rates, _ratio_cells):
+        assert 1 <= cached.cache_info().maxsize <= 16
 
 # -- entropy
 
