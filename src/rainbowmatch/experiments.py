@@ -68,7 +68,6 @@ from .model import (
 from .process import (
     _TRACE_CACHE_SIZE,
     EventParams,
-    _check_stamp_bits,
     _loss_rates,
     _step_ratios,
     run_deletion_process,
@@ -409,8 +408,8 @@ def _trace_trial(config: ExperimentConfig, cell: tuple, stream: int):
 def trace_experiment(config: ExperimentConfig, raw_sink=None) -> ExperimentResult:
     """Fresh coloring and fresh uniform deletion order per trial; each trial's
     TrialRow.value is the full step tuple list for the CSV emitters.  One
-    cell, so trial t owns stream t.  An instance or stamps the trace cannot
-    hold are refused before any trial."""
+    cell, so trial t owns stream t.  An instance the trace cannot hold is
+    refused before any trial."""
     if len(config.ns) != 1:
         raise ValueError("trace experiment runs one n at a time")
     (n,) = config.ns
@@ -418,7 +417,6 @@ def trace_experiment(config: ExperimentConfig, raw_sink=None) -> ExperimentResul
     N = n**config.k
     if config.t_max is not None and not 0 <= config.t_max <= N:
         raise ValueError(f"t_max must lie in 0..{N}")
-    _check_stamp_bits(N if config.t_max is None else config.t_max)
     return _run_grid(config, [config.ns], _trace_trial, raw_sink)
 
 

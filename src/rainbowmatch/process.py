@@ -29,10 +29,12 @@ order over (part 1, ..., part k, color); `weight_profile` returns it as a
 table for any partite instance.
 
 The process knows its deletion order before step 0, so it runs that tally
-once, at step 0, over edges stamped with the step that deletes them: a
-near-perfect matching is present at step t exactly when the earliest death
-among its edges is after t.  Step 0 adds every state into the table, and the
-step that deletes edge e subtracts the states whose earliest death is e's.
+once, at step 0, over edges that carry the index of the step that deletes
+them in a death field above the layout's bits: a near-perfect matching is
+present at step t exactly when the earliest death among its edges is after
+t, and each state keeps that earliest death in its own field.  Step 0 adds
+every state into the table, and the step that deletes edge e subtracts the
+states whose earliest death is e's.
 The state (the weight table, those groups, the vertex and color degrees, the
 live edges) is carried from step to step, and no step builds an instance.
 
@@ -71,7 +73,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .count import _LAYOUT_BIT_CAP, BudgetExceededError, DEFAULT_NODE_BUDGET, _Layout
+from .count import BudgetExceededError, DEFAULT_NODE_BUDGET, _Layout
 from .model import (DEFAULT_EDGE_CAPACITY, PARTITE, CapacityError, ColoredEdge,
                     ColoredHypergraph, degree_profile)
 
@@ -135,22 +137,28 @@ def _check_partite(H: ColoredHypergraph) -> None:
         raise ValueError("this operation is defined for partite instances")
 
 
-def _grow(table: dict[int, int], edges: list[int], nodes: int, budget: int, low: int):
+def _grow(table: dict[int, int], pairs: list[tuple[int, int]], nodes: int, budget: int, low: int):
     """One layer of the near-perfect tally: every state of table extended by
-    every edge that fits it (shares no bit of low with it), each kid added
-    into the layer as it is made, multiplicities summed.  table is emptied
-    as it goes, so a parent is freed once grown.  Returns (layer, nodes +
-    one per new state); raises BudgetExceededError past budget, checked
-    after each parent's kids, so its nodes is the count at that parent."""
+    every edge that fits it, each kid added into the layer as it is made,
+    multiplicities summed.  An edge is a pair (x, e): x its layout bits (the
+    bits of low), e the same bits with its death field above them.  It fits
+    a state that shares no bit of x with it, and the kid is the smaller of
+    state | x (the parent's death) and own | e (the edge's death): their low
+    bits agree, so the smaller keeps the earlier death.  table is emptied as
+    it goes, so a parent is freed once grown.  Returns (layer, nodes + one
+    per new state); raises BudgetExceededError past budget, checked after
+    each parent's kids, so its nodes is the count at that parent."""
     layer: dict[int, int] = {}
     get = layer.get
     pop = table.popitem
     while table:
         state, ways = pop()
         own = state & low
-        for e in edges:
-            if not own & e:
-                kid = state | e
+        for x, e in pairs:
+            if not own & x:
+                kid = state | x
+                if (dies := own | e) < kid:
+                    kid = dies
                 layer[kid] = get(kid, 0) + ways
                 nodes += 1
         if nodes > budget:
@@ -158,13 +166,17 @@ def _grow(table: dict[int, int], edges: list[int], nodes: int, budget: int, low:
     return layer, nodes
 
 
-def _near_layers(lists: Iterable[list[int]], budget: int, low: int) -> tuple[dict[int, int], int]:
-    """The near-perfect tally's layer loop over packed edge lists (one list
-    per part-1 vertex, `count._Layout.packed`): returns (near, nodes), near
-    mapping every state that covers all part-1 vertices of the lists but
-    one to its number of rainbow matchings, nodes the states built.  Two
-    edges conflict when they share a bit of low (the layout's bits); the
-    bits above it are stamps, ORed into a state but never in conflict.
+def _near_layers(
+    lists: Iterable[list[tuple[int, int]]], budget: int, low: int, root: int
+) -> tuple[dict[int, int], int]:
+    """The near-perfect tally's layer loop over edge lists (one list of
+    `_grow`'s (x, e) pairs per part-1 vertex, from `count._Layout.packed`):
+    returns (near, nodes), near mapping every state that covers all part-1
+    vertices of the lists but one to its number of rainbow matchings, nodes
+    the states built.  Two edges conflict when they share a bit of low (the
+    layout's bits); the bits above it are a state's death field.  root is
+    the empty matching's state: no layout bit, and a death field no edge's
+    exceeds, so a state's field is the least of its edges'.
 
     One layer (_grow) per list, over two tables: full, the matchings covering
     every part-1 vertex so far, and near, those that left exactly one of them
@@ -174,32 +186,21 @@ def _near_layers(lists: Iterable[list[int]], budget: int, low: int) -> tuple[dic
     removing edges from the lists only shrinks every layer and the node
     count with it.
     """
-    full, near, nodes = {0: 1}, {}, 0
-    for edges in lists:
-        near, nodes = _grow(near, edges, nodes, budget, low)
+    full, near, nodes = {root: 1}, {}, 0
+    for pairs in lists:
+        near, nodes = _grow(near, pairs, nodes, budget, low)
         # the carries cover no vertex the grown states do, so nothing collides
         near.update(full)
         nodes += len(full)
         if nodes > budget:
             raise BudgetExceededError(f"node budget {budget} exceeded", nodes)
-        full, nodes = _grow(full, edges, nodes, budget, low)
+        full, nodes = _grow(full, pairs, nodes, budget, low)
     return near, nodes
 
 
 # the set bits of each byte value, lowest first: a state's free colors are
 # read from its bytes, so peeling them is linear in kappa
 _BITS = [tuple(p for p in range(8) if b >> p & 1) for b in range(256)]
-
-
-def _check_stamp_bits(t_max: int) -> None:
-    """Refuse (CapacityError) a trace of t_max steps whose stamps pass
-    `count._LAYOUT_BIT_CAP`: each of its t_max stamped edges carries t_max
-    stamp bits (`_DeletionState`), so t_max^2 bits in all, before the
-    budget can stop anything."""
-    if (bits := t_max * t_max) > _LAYOUT_BIT_CAP:
-        raise CapacityError(
-            f"{t_max} steps stamp {bits} bits, past capacity {_LAYOUT_BIT_CAP}; lower --steps"
-        )
 
 
 class _DeletionState:
@@ -216,18 +217,18 @@ class _DeletionState:
     bit layout (`count._Layout`), and the constructor tallies the table
     from those lists (`_near_layers`): near maps each final state to its
     rainbow matchings, and nodes is the states built, all counted against
-    budget.  Edge ordering[i] dies at step i + 1 and carries the stamp bits
-    i..T-1 above the layout's bits (T = len(ordering)), so a state's stamps
-    are the OR of its edges' and its lowest stamp bit is its earliest
-    death; an edge outside ordering carries none and never dies.  dying
-    maps each edge of ordering to the final states that die with it.
+    budget.  Edge ordering[i] dies at step i + 1 and carries its death
+    index i in a field at bit at = shift + kappa, above the layout's bits;
+    an edge outside ordering, and the empty matching, carry T =
+    len(ordering) and never die.  A state's field is the least of its
+    edges' (`_grow`), at most T, so it spans bit_length(T) bits; dying maps
+    each edge of ordering to the final states whose field is its index.
     live maps each edge e to the index of w(e.verts, e.color); deg and cdeg
     are the vertex and color degrees.  delete(e), for the edges of ordering
     in order, takes e out of live and the degrees and subtracts the states
     that die with e: no tally runs.  delete assumes the active parts have
     equal sizes.  A table of more than `model.DEFAULT_EDGE_CAPACITY`
-    entries, or stamps past `_check_stamp_bits`, are refused
-    (CapacityError) before anything is built.
+    entries is refused (CapacityError) before anything is built.
     """
 
     def __init__(self, H: ColoredHypergraph, budget: int, ordering: Sequence[ColoredEdge] = ()):
@@ -237,7 +238,6 @@ class _DeletionState:
             raise CapacityError(
                 f"weight table of {size} entries exceeds capacity {DEFAULT_EDGE_CAPACITY}"
             )
-        _check_stamp_bits(len(ordering))
         layout = _Layout(H)
         self.active, self.shift = layout.active, layout.shift
         self.color_bits, self.width = ((1 << H.kappa) - 1) << self.shift, (H.kappa + 7) // 8
@@ -255,24 +255,21 @@ class _DeletionState:
         self.dying: dict[ColoredEdge, list[int]] = {}
         self.nodes = 0
         if layout.feasible:
-            at = self.shift + H.kappa  # the lowest stamp bit
-            # an edge outside ordering dies at step T + 1, past the stamps
-            top = 1 << (t := len(ordering))
+            at = self.shift + H.kappa  # the death field's lowest bit
+            t = len(ordering)
             x_of = dict(zip(H.edges, packed))
-            step = {x_of[e]: i for i, e in enumerate(ordering)}
-            stamped = [[x | top - (1 << step.get(x, t)) << at for x in xs]
-                       for xs in lists.values()]
-            self.near, self.nodes = _near_layers(stamped, budget, (1 << at) - 1)
+            death = {x_of[e]: i for i, e in enumerate(ordering)}
+            pairs = [[(x, x | death.get(x, t) << at) for x in xs] for xs in lists.values()]
+            self.near, self.nodes = _near_layers(pairs, budget, (1 << at) - 1, t << at)
             self._add(self.near, 1)
             for state in self.near:
-                if stamps := state >> at:
-                    i = (stamps & -stamps).bit_length() - 1
+                if (i := state >> at) < t:
                     self.dying.setdefault(ordering[i], []).append(state)
 
     def _add(self, states: Iterable[int], sign: int) -> None:
         # each near-perfect state's ways, sign times, into the entries of the
         # tuple it leaves uncovered, at every color it leaves unused; the
-        # masks are ANDed first, so no op runs over a state's stamp bits
+        # masks are ANDed first, so no op runs over a state's death field
         weights, base_of, active, shift = self.weights, self.base_of, self.active, self.shift
         color_bits, width, near = self.color_bits, self.width, self.near
         for state in states:
@@ -482,25 +479,24 @@ def run_deletion_process(
     """Delete ordering[0..t_max-1] one at a time from a complete colored
     instance and record a DeletionStep after every deletion (plus step 0).
 
-    Step 0 tallies the rainbow near-perfect matchings of H0 once, stamped
-    with the steps of ordering[:t_max] that delete their edges, into the
-    weight table of the carried state (`_DeletionState`).  Every later step
-    deletes its edge from that state: it subtracts the matchings that die
-    with the edge and decrements the edge's vertex and color degrees.  The
-    step's weights, count and flags are read off the carried state; no
-    instance is rebuilt and no later step tallies.  DeletionTrace.nodes is
-    the states that tally built.
+    Step 0 tallies the rainbow near-perfect matchings of H0 once, each
+    carrying the earliest step of ordering[:t_max] that deletes one of its
+    edges, into the weight table of the carried state (`_DeletionState`).
+    Every later step deletes its edge from that state: it subtracts the
+    matchings that die with the edge and decrements the edge's vertex and
+    color degrees.  The step's weights, count and flags are read off the
+    carried state; no instance is rebuilt and no later step tallies.
+    DeletionTrace.nodes is the states that tally built.
 
     Those states count against budget: past it, step 0's tally raises
     BudgetExceededError, whose nodes is the count at which it stopped.
-    Stamps of more than t_max = 46,340 steps are refused first
-    (`_check_stamp_bits`), whatever the budget.
     """
     _check_partite(H0)
     N = H0.n**H0.k
     if len(H0.edges) != N or H0.absent:
         raise ValueError("the process starts from a complete colored instance")
-    if sorted(ordering) != list(H0.edges):
+    # H0's N edges are distinct, so N items that include them all are a permutation
+    if len(ordering) != N or not set(ordering).issuperset(H0.edges):
         raise ValueError("ordering must be a permutation of the instance's edges")
     if t_max is None:
         t_max = len(ordering)

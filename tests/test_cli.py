@@ -92,11 +92,6 @@ TOO_LARGE = [
                  id="mean-count-n1-k2e6-layout"),
     pytest.param(["trace", "--n", "1", "--k", "2000000", "--trials", "1"],
                  id="trace-n1-k2e6-layout"),
-    # admitted tables whose t_max^2 stamp bits pass the layout cap
-    pytest.param(["trace", "--n", "18", "--k", "4", "--colors", "17", "--trials", "1",
-                  "--budget", "10"], id="trace-n18-k4-stamps"),
-    pytest.param(["trace", "--n", "330", "--colors", "10", "--trials", "1", "--budget", "10"],
-                 id="trace-n330-stamps"),
 ]
 
 
@@ -237,6 +232,20 @@ def test_trace_refuses_a_weight_table_past_the_capacity(capsys):
         assert time.perf_counter() - t0 < 1.0, colors
         assert (code, out) == (2, ""), colors
         assert err.startswith("rainbowmatch: error: weight table of") and err.count("\n") == 1
+
+
+def test_a_long_trace_ends_at_its_budget_in_little_memory(capsys):
+    # 22,500 steps: each edge carries its death in one 15-bit field, so the
+    # edge lists stay small and the 10-node budget ends the only trial
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "trace", "--n", "150", "--colors", "10", "--trials", "1",
+                             "--budget", "10")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (0, "i,phi,xi,gamma,p_i,w_max,w_avg,w_med,B,R,C\n", "")
+    assert peak < 48 << 20, peak
 
 
 def test_trace_headers(tmp_path, capsys):

@@ -290,6 +290,17 @@ def test_step_nodes_grow_with_the_stamped_edges(n, k, kappa):
     assert nodes[-1] > nodes[0]
 
 
+@pytest.mark.parametrize("n,k,kappa", [(4, 2, 4), (3, 3, 3)])
+def test_a_state_carries_its_death_in_a_narrow_field(n, k, kappa):
+    # above the layout's bits a state holds one death index in 0..T, not a
+    # bit per step
+    H = complete_colored(n, k, kappa, rng(0, seed=57))
+    order = random_edge_ordering(H, rng(0, seed=58))
+    state = _DeletionState(H, DEFAULT_NODE_BUDGET, order)
+    top = 1 << state.shift + kappa + len(order).bit_length()
+    assert state.near and all(s < top for s in state.near)
+
+
 def assert_carried_state(H, order, t_max):
     # the state the process carries across deletions, at every step, against
     # the weight rows and degrees of the instance rebuilt from scratch
@@ -856,6 +867,8 @@ def test_trace_rejects_bad_inputs():
         run_deletion_process(partial, H.edges[:3])
     with pytest.raises(ValueError):
         run_deletion_process(H, order[:2])  # not a full permutation
+    with pytest.raises(ValueError, match="permutation"):
+        run_deletion_process(H, [*order[:-1], order[0]])  # one edge twice, one missing
     with pytest.raises(ValueError):
         run_deletion_process(H, order, t_max=5)
 
