@@ -174,7 +174,8 @@ class _Layout:
     vertex has no edge (it prunes the root).  exact: the edges carry exactly
     as many colors as a cover has edges.  Nothing but packed's lists is
     built per active vertex, since each mask is an n*k-bit int (and none
-    at all past _LAYOUT_BIT_CAP).
+    at all past _LAYOUT_BIT_CAP); no helper builds a vertex tuple's bits, a
+    caller combines _bits_at's per-position lists.
     """
 
     def __init__(self, H, demand: int = 1):
@@ -202,7 +203,8 @@ class _Layout:
             self._offsets, self.twice = (-1, -1), 0
             self.active = ((1 << n) - 1) & ~sum(self._bits_at(0, H.absent))
             self.feasible = self.active.bit_count() % 2 == 0
-        verts = self.vertex_bits([e.verts for e in edges])
+        verts = [self._bits_at(p, idx) for p, idx in enumerate(zip(*[e.verts for e in edges]))]
+        verts = list(zip(*verts))  # each edge's vertex bits, in part order
         cbits = [1 << (e.color - 1) for e in edges]
         self.items = list(zip(verts, map(sum, verts), cbits))
         self.vertex_cols = vertex_cols = {}
@@ -227,11 +229,6 @@ class _Layout:
         # one, 0 in a graph): the one place the vertex bits are computed
         o = self._offsets[p]
         return [1 << (o + i) for i in indices]
-
-    def vertex_bits(self, tuples) -> list[tuple[int, ...]]:
-        """The bits of each vertex tuple (an edge's vertices, or one vertex
-        per part), in part order."""
-        return list(zip(*[self._bits_at(p, idx) for p, idx in enumerate(zip(*tuples))]))
 
     def packed(self) -> tuple[list[int], dict[int, list[int]]]:
         """Each edge packed, in canonical order, and the packed edges of each

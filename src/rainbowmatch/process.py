@@ -25,8 +25,8 @@ them, where the split count's half-depth `count._chunks` does not), and
 each one is added straight into its leftover tuple's entries, at every
 color it leaves unused.  A count phi is then the sum of the edge weights
 divided by n.  `_DeletionState` owns the table, one flat list in `product`
-order over (part 1, ..., part k, color); `weight_profile` returns it as a
-table for any partite instance.
+order over (part 1, ..., part k, color), indexed only after the tally;
+`weight_profile` returns it as a table for any partite instance.
 
 The process knows its deletion order before step 0, so it runs that tally
 once, at step 0, over edges that carry the index of the step that deletes
@@ -211,24 +211,25 @@ class _DeletionState:
     weights is the table as one flat list in `product` order over (part 1,
     ..., part k, color), whose sizes are dims: w(v, c), the rainbow
     near-perfect matchings that leave exactly v uncovered and do not use
-    color c.  base_of maps the mask of the active vertices outside v (those
-    a state that leaves v uncovered covers) to the index of w(v, 1).  The
-    masks and the packed edges per part-1 vertex come from the instance's
-    bit layout (`count._Layout`), and the constructor tallies the table
-    from those lists (`_near_layers`): near maps each final state to its
-    rainbow matchings, and nodes is the states built, all counted against
-    budget.  Edge ordering[i] dies at step i + 1 and carries its death
-    index i in a field at bit at = shift + kappa, above the layout's bits;
-    an edge outside ordering, and the empty matching, carry T =
-    len(ordering) and never die.  A state's field is the least of its
-    edges' (`_grow`), at most T, so it spans bit_length(T) bits; dying maps
-    each edge of ordering to the final states whose field is its index.
-    live maps each edge e to the index of w(e.verts, e.color); deg and cdeg
-    are the vertex and color degrees.  delete(e), for the edges of ordering
-    in order, takes e out of live and the degrees and subtracts the states
-    that die with e: no tally runs.  delete assumes the active parts have
-    equal sizes.  A table of more than `model.DEFAULT_EDGE_CAPACITY`
-    entries is refused (CapacityError) before anything is built.
+    color c.  A table of more than `model.DEFAULT_EDGE_CAPACITY` entries is
+    refused (CapacityError) before anything is built.  The constructor then
+    builds the instance's bit layout (`count._Layout`), tallies from its
+    packed edges per part-1 vertex (`_near_layers`; near maps each final
+    state to its rainbow matchings, nodes is the states built, all counted
+    against budget, so a budget-out raises here), and only then indexes the
+    table.  Edge ordering[i] dies at step i + 1 and carries its death index
+    i in a field at bit at = shift + kappa, above the layout's bits; an
+    edge outside ordering, and the empty matching, carry T = len(ordering)
+    and never die.  A state's field is the least of its edges' (`_grow`),
+    at most T, so it spans bit_length(T) bits; dying maps each edge of
+    ordering to the final states whose field is its index.  base_of maps
+    the mask of the active vertices outside v (those a state that leaves v
+    uncovered covers: the active mask less one bit per part, in `product`
+    order) to the index of w(v, 1); live maps each edge e to the index of
+    w(e.verts, e.color); deg and cdeg are the vertex and color degrees.
+    delete(e), for the edges of ordering in order, takes e out of live and
+    the degrees and subtracts the states that die with e: no tally runs.
+    delete assumes the active parts have equal sizes.
     """
 
     def __init__(self, H: ColoredHypergraph, budget: int, ordering: Sequence[ColoredEdge] = ()):
@@ -241,30 +242,29 @@ class _DeletionState:
         layout = _Layout(H)
         self.active, self.shift = layout.active, layout.shift
         self.color_bits, self.width = ((1 << H.kappa) - 1) << self.shift, (H.kappa + 7) // 8
-        packed, lists = layout.packed()
-        self.weights = [0] * size
-        tuples = layout.vertex_bits(product(*self.parts))
-        covered = (self.active ^ v for v in map(sum, tuples))
-        self.base_of = dict(zip(covered, range(0, size, H.kappa)))
+        at, t = self.shift + H.kappa, len(ordering)  # the death field's lowest bit
+        self.near, self.nodes = {}, 0
+        if layout.feasible:
+            packed, lists = layout.packed()
+            x_of = dict(zip(H.edges, packed))
+            death = {x_of[e]: i for i, e in enumerate(ordering)}
+            pairs = [[(x, x | death.get(x, t) << at) for x in xs] for xs in lists.values()]
+            self.near, self.nodes = _near_layers(pairs, budget, (1 << at) - 1, t << at)
+        masks = [self.active]  # the index, built after the tally: v's covered mask
+        for p, part in enumerate(self.parts):
+            masks = [m ^ b for m in masks for b in layout._bits_at(p, part)]
+        self.base_of = dict(zip(masks, range(0, size, H.kappa)))
         self.live = {
             e: self.base_of[self.active ^ covers] + e.color - 1
             for e, (_, covers, _) in zip(H.edges, layout.items)
         }
         self.deg, self.cdeg = degree_profile(H)
-        self.near: dict[int, int] = {}
+        self.weights = [0] * size
+        self._add(self.near, 1)
         self.dying: dict[ColoredEdge, list[int]] = {}
-        self.nodes = 0
-        if layout.feasible:
-            at = self.shift + H.kappa  # the death field's lowest bit
-            t = len(ordering)
-            x_of = dict(zip(H.edges, packed))
-            death = {x_of[e]: i for i, e in enumerate(ordering)}
-            pairs = [[(x, x | death.get(x, t) << at) for x in xs] for xs in lists.values()]
-            self.near, self.nodes = _near_layers(pairs, budget, (1 << at) - 1, t << at)
-            self._add(self.near, 1)
-            for state in self.near:
-                if (i := state >> at) < t:
-                    self.dying.setdefault(ordering[i], []).append(state)
+        for state in self.near:
+            if (i := state >> at) < t:
+                self.dying.setdefault(ordering[i], []).append(state)
 
     def _add(self, states: Iterable[int], sign: int) -> None:
         # each near-perfect state's ways, sign times, into the entries of the
@@ -313,8 +313,9 @@ def weight_profile(
 
     Cost is one tally of the rainbow near-perfect matchings
     (`_DeletionState`), however many entries the table has; every state the
-    tally builds counts against budget.  Still exponential, so meant for
-    small instances.
+    tally builds counts against budget, and a tally past it raises
+    BudgetExceededError before the table is indexed.  Still exponential, so
+    meant for small instances.
     """
     _check_partite(H)
     state = _DeletionState(H, budget)

@@ -235,17 +235,19 @@ def test_trace_refuses_a_weight_table_past_the_capacity(capsys):
 
 
 def test_a_long_trace_ends_at_its_budget_in_little_memory(capsys):
-    # 22,500 steps: each edge carries its death in one 15-bit field, so the
-    # edge lists stay small and the 10-node budget ends the only trial
-    tracemalloc.start()
-    try:
-        code, out, err = run(capsys, "trace", "--n", "150", "--colors", "10", "--trials", "1",
-                             "--budget", "10")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert (code, out, err) == (0, "i,phi,xi,gamma,p_i,w_max,w_avg,w_med,B,R,C\n", "")
-    assert peak < 48 << 20, peak
+    # 22,500 and 46,225 steps: each edge carries its death in one narrow
+    # field, so the edge lists stay small, and the 10-node budget ends the
+    # only trial before the weight table is indexed
+    for n in ("150", "215"):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "trace", "--n", n, "--colors", "10", "--trials", "1",
+                                 "--budget", "10")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (0, "i,phi,xi,gamma,p_i,w_max,w_avg,w_med,B,R,C\n", ""), n
+        assert peak < 48 << 20, (n, peak)
 
 
 def test_trace_headers(tmp_path, capsys):
