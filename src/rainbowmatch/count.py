@@ -49,9 +49,11 @@ zero count is still proved by the pruned search.  Graph-mode counts have no
 part-1 side and stay on the search kernel.
 
 The search kernel and the split read one bit layout of the instance
-(_Layout: vertex, color and edge bits, the columns, the edges grouped by
-part-1 vertex), built once per instance with no rescan per vertex; the split
-reads the one its witness search built.
+(_Layout: vertex, color and edge bits, the edges grouped by part-1 vertex),
+built once per instance with no rescan per vertex; the split reads the one
+its witness search built.  Only the search builds columns, from the
+layout's edges; the deletion process (process._DeletionState) reads the
+bits alone.
 
 For bipartite instances whose color count equals n there is one more,
 independent counting route via inclusion-exclusion over color subsets and
@@ -168,11 +170,8 @@ class _Layout:
     << shift.  active holds the active vertices and twice those that need
     two edges (demand 2: H is a graph or multigraph on [1..n]); per_edge is
     the vertices an edge covers, and feasible is False when part sizes or
-    parity rule out any cover.  vertex_cols and color_cols map each touched
-    vertex's and each carried color's bit to its edges; vcols and ccols list
-    them low bit first, vcols after a leading (active, 0) when some active
-    vertex has no edge (it prunes the root).  exact: the edges carry exactly
-    as many colors as a cover has edges.  Nothing but packed's lists is
+    parity rule out any cover.  The layout holds bits only; the search
+    builds its columns from items (_Search).  Nothing but packed's lists is
     built per active vertex, since each mask is an n*k-bit int (and none
     at all past _LAYOUT_BIT_CAP); no helper builds a vertex tuple's bits, a
     caller combines _bits_at's per-position lists.
@@ -207,22 +206,6 @@ class _Layout:
         verts = list(zip(*verts))  # each edge's vertex bits, in part order
         cbits = [1 << (e.color - 1) for e in edges]
         self.items = list(zip(verts, map(sum, verts), cbits))
-        self.vertex_cols = vertex_cols = {}
-        self.color_cols = color_cols = {}
-        vget, cget = vertex_cols.get, color_cols.get
-        ebit = 1
-        for vs, cbit in zip(verts, cbits):
-            for v in vs:
-                vertex_cols[v] = vget(v, 0) | ebit
-            color_cols[cbit] = cget(cbit, 0) | ebit
-            ebit <<= 1
-        # no edge touches an absent vertex
-        self.vcols = sorted(vertex_cols.items())
-        active = self.active.bit_count()
-        if len(self.vcols) < active:
-            self.vcols.insert(0, (self.active, 0))
-        self.ccols = [col for _, col in sorted(color_cols.items())]
-        self.exact = len(self.ccols) * self.per_edge == active + self.twice.bit_count()
 
     def _bits_at(self, p: int, indices) -> list[int]:
         # the bit of each vertex index at tuple position p (its part minus
@@ -254,14 +237,35 @@ class _Search:
     (parallel edges allowed, every vertex active) whose vertices each need
     two edges, under the fragment rule: the covers are rainbow Hamilton
     cycles.  layout is the instance's bit layout (_Layout), built here, and
-    edge i of it is bit i of the live set.  After run(), nodes is the
+    edge i of it is bit i of the live set.  The constructor builds the
+    columns from layout.items: vertex_cols and color_cols map each touched
+    vertex's and each carried color's bit to its edges; vcols and ccols list
+    them low bit first, vcols after a leading (active, 0) when some active
+    vertex has no edge (it prunes the root).  exact: the edges carry exactly
+    as many colors as a cover has edges.  After run(), nodes is the
     number of nodes visited, count the covers reached (all of them unless
     find_one), and found, in find_one mode, the edges of the first one
     reached, in the order they were chosen, or None.
     """
 
     def __init__(self, H, budget: int, find_one: bool, demand: int = 1):
-        self.layout = _Layout(H, demand)
+        self.layout = layout = _Layout(H, demand)
+        self.vertex_cols = vertex_cols = {}
+        self.color_cols = color_cols = {}
+        vget, cget = vertex_cols.get, color_cols.get
+        ebit = 1
+        for vs, _, cbit in layout.items:
+            for v in vs:
+                vertex_cols[v] = vget(v, 0) | ebit
+            color_cols[cbit] = cget(cbit, 0) | ebit
+            ebit <<= 1
+        # no edge touches an absent vertex
+        self.vcols = sorted(vertex_cols.items())
+        active = layout.active.bit_count()
+        if len(self.vcols) < active:
+            self.vcols.insert(0, (layout.active, 0))
+        self.ccols = [col for _, col in sorted(color_cols.items())]
+        self.exact = len(self.ccols) * layout.per_edge == active + layout.twice.bit_count()
         self.budget = budget
         self.find_one = find_one
         self.nodes = 0
@@ -279,8 +283,8 @@ class _Search:
             if self.find_one:
                 self.found = ()
             return
-        items, vertex_cols, color_cols = layout.items, layout.vertex_cols, layout.color_cols
-        vcols, ccols, exact, per_edge = layout.vcols, layout.ccols, layout.exact, layout.per_edge
+        items, vertex_cols, color_cols = layout.items, self.vertex_cols, self.color_cols
+        vcols, ccols, exact, per_edge = self.vcols, self.ccols, self.exact, layout.per_edge
         cycle = twice != 0
         find_one, budget = self.find_one, self.budget
         nodes = count = 0
@@ -425,12 +429,13 @@ def _count_split(H: ColoredHypergraph, budget: int) -> tuple[int, int]:
     on the other s - h, with complementary covered vertices and disjoint
     colors.  States and edges are packed ints, and the edges are grouped by
     part-1 vertex, in the layout the witness search has already built
-    (_Layout.packed; exact and the color cover come from it too).  Both
-    halves are flat lists of partial matchings built in chunks (_chunks):
-    at half depth states repeat far less, and merging them would cost more
-    than it saves.  The first half is grown layer by layer and its last layer
-    counted into the table {state: number of matchings} (_first_half; h is
-    s // 2, or less when a layer passes _SPLIT_TABLE_CAP).  The second half
+    (_Layout.packed); exact and the color cover come from that search's
+    columns.  Both halves are flat lists of partial matchings built in
+    chunks (_chunks): at half depth states repeat far less, and merging them
+    would cost more than it saves.  The first half is grown layer by layer
+    and its last layer counted into the table {state: number of matchings}
+    (_first_half; h is s // 2, or less when a layer passes
+    _SPLIT_TABLE_CAP).  The second half
     is walked depth first over chunks, one chunk generator per depth, and
     each chunk of full states is joined with the table: one dict lookup per
     state when the edges carry exactly s colors (every rainbow perfect
@@ -452,14 +457,14 @@ def _count_split(H: ColoredHypergraph, budget: int) -> tuple[int, int]:
         # None: no perfect matching is feasible or the search proved absence;
         # (): no active vertex, so the empty matching is the one
         return (0 if probe.found is None else 1), nodes
-    layout = probe.layout
-    shift, all_active, exact = layout.shift, layout.active, layout.exact
+    layout, exact = probe.layout, probe.exact
+    shift, all_active = layout.shift, layout.active
     lists = list(layout.packed()[1].values())
     table, h, nodes = _first_half(lists, nodes, budget)
 
     if exact:
         # every color some edge carries: a full state uses them all
-        full = all_active | sum(layout.color_cols) << shift
+        full = all_active | sum(probe.color_cols) << shift
         get = table.get
     else:
         low = (1 << shift) - 1

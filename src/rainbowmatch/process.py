@@ -71,7 +71,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .count import BudgetExceededError, DEFAULT_NODE_BUDGET, _Layout
 from .model import (DEFAULT_EDGE_CAPACITY, PARTITE, CapacityError, ColoredEdge,
@@ -83,11 +83,9 @@ __all__ = [
     "WeightProfile",
     "weight_profile",
     "majority_median",
-    "weight_ratio_bounded",
     "DeletionStep",
     "DeletionTrace",
     "run_deletion_process",
-    "cumulative_loss_rate",
     "entropy",
     "dyadic_ratio_bound",
     "dyadic_support_fraction",
@@ -373,16 +371,6 @@ def majority_median(values: Iterable) -> int:
     return vals[first - 1] if first else vals[0]
 
 
-def weight_ratio_bounded(weights: Collection[int], L: float) -> bool:
-    """Flag B: max edge weight over average edge weight is at most L.
-
-    Vacuously true with no edges or an all-zero weight landscape.
-    """
-    if not weights:
-        return True
-    return _ratio_within(max(weights), len(weights), sum(weights), *L.as_integer_ratio())
-
-
 def _ratio_within(w_max: int, size: int, total: int, num: int, den: int) -> bool:
     # flag B over size weights summing to total, L = num / den: max/avg <=
     # L <=> w_max * size <= L * total, in exact arithmetic; all weights zero
@@ -538,40 +526,22 @@ def run_deletion_process(
     return DeletionTrace(tuple(steps), state.nodes)
 
 
-def cumulative_loss_rate(n: int, k: int, t: int) -> tuple[float, float]:
-    """(sum_{i=1..t} n/(N-i+1), n*log(N/(N-t))) with N = n^k.
-
-    The closed form under-approaches the exact sum from below with gap at most
-    2n/(N-t): each harmonic term n/(N-i+1) lies between the integral slices of
-    n/x on [N-i+1, N-i+2] and [N-i, N-i+1].
-    """
-    if n < 1 or k < 2:
-        raise ValueError("need n >= 1, k >= 2")
-    N = n**k
-    if not 0 <= t < N:
-        raise ValueError(f"t must lie in 0..{N - 1}")
-    *_, last = _iter_loss_rates(n, N, t)
-    return last
-
-
-def _iter_loss_rates(n: int, N: int, t_max: int) -> Iterator[tuple[float, float]]:
-    """cumulative_loss_rate's pair at t = 0..t_max (< N), in one running
-    pass.  The float terms 1.0/(N-i+1) are summed exactly and rounded once
-    per t, which is math.fsum of them: both round the exact sum
-    correctly."""
+@lru_cache(maxsize=_TRACE_CACHE_SIZE)
+def _loss_rates(n: int, N: int, t_max: int) -> tuple[tuple[float, float], ...]:
+    """(sum_{i=1..t} n/(N-i+1), n*log(N/(N-t))) at t = 0..t_max (< N), in
+    one running pass, kept per shape: a trace summary reads the same pairs
+    for every result of one shape.  The float terms 1.0/(N-i+1) are summed
+    exactly and rounded once per t, which is math.fsum of them: both round
+    the exact sum correctly.  The closed form under-approaches the exact sum
+    from below with gap at most 2n/(N-t): each harmonic term n/(N-i+1) lies
+    between the integral slices of n/x on [N-i+1, N-i+2] and [N-i, N-i+1]."""
     total = Fraction(0)
+    rates = []
     for t in range(t_max + 1):
         if t:
             total += Fraction(1.0 / (N - t + 1))
-        yield n * float(total), n * math.log(N / (N - t))
-
-
-@lru_cache(maxsize=_TRACE_CACHE_SIZE)
-def _loss_rates(n: int, N: int, t_max: int) -> tuple[tuple[float, float], ...]:
-    """_iter_loss_rates as a tuple, kept per shape: a trace summary reads
-    the same pairs for every result of one shape.  cumulative_loss_rate
-    reads only the last pair, so it runs the generator and keeps none."""
-    return tuple(_iter_loss_rates(n, N, t_max))
+        rates.append((n * float(total), n * math.log(N / (N - t))))
+    return tuple(rates)
 
 
 # -- entropy and the dyadic interval cover ------------------------------------------

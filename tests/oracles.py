@@ -10,6 +10,8 @@ independent of the matching kernel.
 extends a path from vertex 1 with degree, color-supply and reachability
 prunes.  The library's exact-cover search must find a cycle exactly when it
 does.
+`weight_ratio_bounded` is flag B by its definition, max over average edge
+weight against L as exact fractions; the library cross-multiplies ints.
 `majority_median_walk` is the majority median by its definition, walking the
 distinct values down from the top; the library takes it in one bisection.
 `csv_cell` renders a CSV cell by one isinstance chain; the library tests the
@@ -220,6 +222,14 @@ def find_rainbow_hc_by_extension(G, budget: int = DEFAULT_HC_BUDGET) -> Hamilton
             if not (vbit & visited or cbit & colors):
                 push((v, visited | vbit, colors | cbit, live, (idx, path)))
     return None
+
+
+def weight_ratio_bounded(weights, L: float) -> bool:
+    """Flag B: max edge weight over average edge weight is at most L,
+    vacuously true with no edges or only zero weights."""
+    ws = list(weights)
+    total = sum(ws)
+    return not total or Fraction(max(ws) * len(ws), total) <= Fraction(L)
 
 
 def majority_median_walk(values) -> int:

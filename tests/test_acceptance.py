@@ -52,12 +52,12 @@ from rainbowmatch.model import (
     sample_partite_m,
 )
 from rainbowmatch.process import (
-    cumulative_loss_rate,
     entropy,
     dyadic_interval_cover,
     run_deletion_process,
     weight_profile,
 )
+from rainbowmatch.process import _loss_rates
 
 from helpers import color_counts, degrees
 from oracles import count_uniform_pm, reduce_to_uniform
@@ -259,7 +259,7 @@ def test_criterion_06_step_ratio_calibration():
     for n in (2, 3):
         N = n * n
         for t in range(1, min(5, N - 1) + 1):
-            exact, closed = cumulative_loss_rate(n, 2, t)
+            exact, closed = _loss_rates(n, N, t)[t]
             assert abs(exact - closed) <= 2 * n / (N - t), (n, t)
 
     elapsed = time.perf_counter() - t0

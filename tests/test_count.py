@@ -395,6 +395,10 @@ def _layout_oracle(H, demand=1):
     return want
 
 
+# the search's columns, which _Search builds from the layout's bits
+_COLUMNS = ("vertex_cols", "color_cols", "vcols", "ccols", "exact")
+
+
 def test_kernel_layout_pinned():
     cases = []
     for j in range(10):
@@ -416,12 +420,16 @@ def test_kernel_layout_pinned():
     cases += [ColoredHypergraph(PARTITE, 3, 2, 3, ()), ColoredHypergraph("graph", 5, 2, 2, ())]
     feasible = set()
     for H in cases:
-        layout = count_module._Layout(H)
+        search = count_module._Search(H, 1, find_one=True)
+        layout = search.layout
         want = _layout_oracle(H)
-        got = {name: getattr(layout, name) for name in want if name != "packed"}
+        got = {name: getattr(search if name in _COLUMNS else layout, name)
+               for name in want if name != "packed"}
         if "packed" in want:
             got["packed"] = layout.packed()
         assert got == want, H
+        # the bare layout holds bits only
+        assert not any(hasattr(count_module._Layout(H), name) for name in _COLUMNS), H
         feasible.add((H.mode, bool(H.absent), layout.feasible))
     assert feasible == {(mode, gone, ok) for mode in (PARTITE, "graph")
                         for gone in (False, True) for ok in (False, True)} - {(PARTITE, False, False)}
@@ -430,9 +438,11 @@ def test_kernel_layout_pinned():
     edges = [ColoredEdge((1, 2), 1), ColoredEdge((1, 2), 3), ColoredEdge((2, 3), 2),
              ColoredEdge((1, 3), 2), ColoredEdge((3, 4), 4)]
     for G in (ColoredMultigraph(4, 4, tuple(edges)), ColoredMultigraph(5, 4, tuple(edges))):
-        layout = count_module._Layout(G, demand=2)
+        search = count_module._Search(G, 1, find_one=True, demand=2)
         want = _layout_oracle(G, demand=2)
-        assert {name: getattr(layout, name) for name in want} == want, G
+        assert {name: getattr(search if name in _COLUMNS else search.layout, name)
+                for name in want} == want, G
+        assert not any(hasattr(count_module._Layout(G, demand=2), name) for name in _COLUMNS), G
 
 
 def test_an_active_vertex_without_edges_prunes_the_root():

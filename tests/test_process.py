@@ -28,7 +28,6 @@ from rainbowmatch.process import (
     DeletionStep,
     EventParams,
     LemmaPreconditionError,
-    cumulative_loss_rate,
     dyadic_interval_cover,
     dyadic_ratio_bound,
     dyadic_support_fraction,
@@ -36,7 +35,6 @@ from rainbowmatch.process import (
     majority_median,
     run_deletion_process,
     weight_profile,
-    weight_ratio_bounded,
 )
 from rainbowmatch.process import (
     _DeletionState,
@@ -47,7 +45,7 @@ from rainbowmatch.process import (
 )
 
 from helpers import edge_by_verts
-from oracles import majority_median_walk, rainbow_weight
+from oracles import majority_median_walk, rainbow_weight, weight_ratio_bounded
 
 
 def rng(stream=0, seed=0):
@@ -888,21 +886,19 @@ def test_trace_flags_and_stats_present():
 
 
 def test_cumulative_loss_examples():
-    assert cumulative_loss_rate(2, 2, 0) == (0.0, 0.0)
-    exact, closed = cumulative_loss_rate(2, 2, 2)
+    assert _loss_rates(2, 4, 0)[0] == (0.0, 0.0)
+    exact, closed = _loss_rates(2, 4, 2)[2]
     assert math.isclose(exact, 7 / 6, rel_tol=1e-12)
     assert math.isclose(closed, 2 * math.log(2), rel_tol=1e-12)
-    exact, closed = cumulative_loss_rate(10, 2, 50)
+    exact, closed = _loss_rates(10, 100, 50)[50]
     assert abs(exact - closed) < 10 * (1 / 50) * 2
-    with pytest.raises(ValueError):
-        cumulative_loss_rate(2, 2, 4)
 
 
 def test_cumulative_loss_gap_bound_sweep():
     for n, k in ((2, 2), (3, 2), (4, 2)):
         N = n**k
         for t in range(N):
-            exact, closed = cumulative_loss_rate(n, k, t)
+            exact, closed = _loss_rates(n, N, t)[t]
             assert abs(exact - closed) <= 2 * n / (N - t), (n, k, t)
 
 
@@ -912,7 +908,7 @@ def test_cumulative_loss_sum_is_the_fsum_of_its_terms():
         N = n**k
         for t in range(N):
             want = n * math.fsum(1.0 / (N - i + 1) for i in range(1, t + 1))
-            assert cumulative_loss_rate(n, k, t)[0] == want, (n, k, t)
+            assert _loss_rates(n, N, t)[t][0] == want, (n, k, t)
     n, N = 41, 41 * 41
     for t, (exact, _) in enumerate(_loss_rates(n, N, N - 1)):
         assert exact == n * math.fsum(1.0 / (N - i + 1) for i in range(1, t + 1)), t
