@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .count import BudgetExceededError, DEFAULT_NODE_BUDGET, _Search, find_rainbow_pm
-from .model import GRAPH, ColoredEdge, ColoredHypergraph, Matching, _stored_edges, _uniform
+from .model import GRAPH, ColoredEdge, ColoredHypergraph, Matching, _built, _stored_edges, _uniform
 
 __all__ = [
     "DEFAULT_HC_BUDGET",
@@ -78,7 +78,9 @@ class ColoredMultigraph:
     """A colored multigraph on [1..n]: parallel edges allowed, each stored as
     its own ColoredEdge occurrence (sorted endpoint pair plus color), sorted.
     Every edge follows a graph-mode instance's edge rules, checked in bulk
-    as an instance's are (`model._stored_edges`), so no self-loops."""
+    as an instance's are (`model._stored_edges`), so no self-loops.  The
+    union and the contraction are valid by construction and skip that check
+    (`model._built`); the tests hold both to it."""
 
     n: int
     kappa: int
@@ -219,7 +221,10 @@ def assemble_even(
     cycle under the original colors.  One map takes each pair to its block
     and to its 1-based position in the sorted block, the color it takes in
     the pair recoloring; a class is recolored only when it is searched.
-    Each way to fall short is a named failure stage.
+    Each way to fall short is a named failure stage.  The recolored classes
+    (a subsequence of G's sorted edges, colored 1..n/2) and the union (G's
+    edges, sorted) are valid by construction, so they are built without the
+    constructors' checks (`model._built`); the tests hold them to those.
     """
     if G.mode != GRAPH:
         raise ValueError("assembly needs a graph-mode instance")
@@ -254,9 +259,9 @@ def assemble_even(
 
     matchings: list[Matching | None] = [None] * 8
     for bi in range(8):
-        recolored = ColoredHypergraph(GRAPH, G.n, 2, nu, tuple(
+        recolored = _built(ColoredHypergraph, mode=GRAPH, n=G.n, k=2, kappa=nu, edges=tuple(
             ColoredEdge(e.verts, route[e.color, labels[e]][1]) for e in edge_classes[bi]
-        ))
+        ), absent=frozenset())
         try:
             M = find_rainbow_pm(recolored, budget=matching_budget)
         except BudgetExceededError:
@@ -266,7 +271,8 @@ def assemble_even(
         original = {e.verts: e for e in edge_classes[bi]}
         matchings[bi] = Matching(tuple(sorted(original[f.verts] for f in M.edges)))
 
-    union = ColoredMultigraph(G.n, G.kappa, tuple(e for M in matchings for e in M.edges))
+    union_edges = tuple(sorted(e for M in matchings for e in M.edges))
+    union = _built(ColoredMultigraph, n=G.n, kappa=G.kappa, edges=union_edges)
     try:
         hc = find_rainbow_hc(union, budget=hc_budget)
     except BudgetExceededError:
@@ -307,7 +313,9 @@ def contract_color_delete(
     x or y become parallel edges at the new vertex; the map keeps the
     original edge set, which tells lift_cycle which endpoint each came from.
     The color multiset of the result is the original one minus the whole
-    c(e) class.
+    c(e) class.  Its edges are G's, renumbered to distinct ends (G is simple,
+    so only e joins x and y) and sorted, so the multigraph is built without
+    its constructor's check (`model._built`); the tests hold it to that.
     """
     if G.mode != GRAPH:
         raise ValueError("contraction needs a graph-mode instance")
@@ -332,7 +340,7 @@ def contract_color_delete(
         nu_ = old_to_new.get(u, xi)
         nv_ = old_to_new.get(v, xi)
         contracted.append(ColoredEdge(tuple(sorted((nu_, nv_))), f.color))
-    Gp = ColoredMultigraph(G.n - 1, G.kappa, tuple(contracted))
+    Gp = _built(ColoredMultigraph, n=G.n - 1, kappa=G.kappa, edges=tuple(sorted(contracted)))
     return Gp, ContractionMap(xi, new_to_old, host_edges)
 
 

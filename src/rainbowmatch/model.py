@@ -21,6 +21,11 @@ would take, and leave the generator in the same state, so every stream is the
 one the per-call loop gives; a bound below 256 reads each word's top byte
 through one table.  A complete graph's support skips the words `random.sample`
 would take, without its pool.  Any other generator takes the per-call path.
+
+Instances read from outside the program (`instance_from_dict`) and every
+`restrict` go through the checked constructor.  The samplers build their
+edges valid by construction, so they skip its check (`_built`); the tests
+hold each sampler to the checked constructor.
 """
 
 from __future__ import annotations
@@ -127,14 +132,15 @@ class RandomnessSpec:
 class ColoredHypergraph:
     """An immutable edge-colored instance (see module docstring for modes).
 
-    The constructor is the one place an instance is checked, whoever builds
-    it: samplers, `restrict`, `instance_from_dict` and the Hamilton
-    assembly's recolored classes alike.  It stores the edges as
-    `ColoredEdge(tuple(verts), color)`, sorted, and requires every vertex
-    index and color to be an int (a bool or a float is an error, never
-    truncated), every color in 1..kappa, every edge with one vertex per part
-    (graph mode: a pair u < v), every vertex index in 1..n, no edge touching
-    an absent vertex, and no vertex tuple twice.
+    The constructor checks every instance it is handed: `restrict`,
+    `instance_from_dict` and any library caller alike.  The samplers and the
+    Hamilton assembly's recolored classes build their edges valid by
+    construction and skip it (`_built`); the tests hold them to it.  It
+    stores the edges as `ColoredEdge(tuple(verts), color)`, sorted, and
+    requires every vertex index and color to be an int (a bool or a float
+    is an error, never truncated), every color in 1..kappa, every edge with
+    one vertex per part (graph mode: a pair u < v), every vertex index in
+    1..n, no edge touching an absent vertex, and no vertex tuple twice.
     The checks run in bulk over the columns of the edge list, and edges
     given sorted are not sorted again (`_stored_edges`); only when a check
     fails are the edges checked one by one, which finds and reports the
@@ -312,6 +318,17 @@ def _columns_pass(
     return not absent or (absent.isdisjoint(us) and absent.isdisjoint(vs))
 
 
+def _built(cls, **fields):
+    """The frozen dataclass cls holding fields as given, made without its
+    `__post_init__` checks.  Only for builders whose fields are valid by
+    construction, which must pass every field and exactly what the checked
+    constructor would store: each edge a ColoredEdge of a tuple of ints and
+    an int color, the edges in canonical order, `absent` a frozenset."""
+    built = object.__new__(cls)
+    built.__dict__.update(fields)
+    return built
+
+
 # -- samplers ---------------------------------------------------------------
 
 
@@ -422,7 +439,8 @@ def complete_colored(
     if total > DEFAULT_EDGE_CAPACITY:
         raise CapacityError(f"{n}^{k} = {total} edges exceeds capacity {DEFAULT_EDGE_CAPACITY}")
     edges = _colored(product(range(1, n + 1), repeat=k), _uniform(rnd, kappa, total))
-    return ColoredHypergraph(PARTITE, n, k, kappa, edges)
+    return _built(ColoredHypergraph, mode=PARTITE, n=n, k=k, kappa=kappa,
+                  edges=edges, absent=frozenset())
 
 
 def sample_partite_m(
@@ -448,7 +466,8 @@ def sample_partite_m(
     else:
         verts = [_decode_partite_tuple(t, n, k) for t in picked]
     edges = _colored(verts, _uniform(rnd, kappa, m))
-    return ColoredHypergraph(PARTITE, n, k, kappa, edges)
+    return _built(ColoredHypergraph, mode=PARTITE, n=n, k=k, kappa=kappa,
+                  edges=edges, absent=frozenset())
 
 
 def sample_partite_p(
@@ -472,7 +491,8 @@ def sample_partite_p(
     for verts in product(range(1, n + 1), repeat=k):
         if rnd.random() < p:
             edges.append(ColoredEdge(verts, rnd.randint(1, kappa)))
-    return ColoredHypergraph(PARTITE, n, k, kappa, tuple(edges))
+    return _built(ColoredHypergraph, mode=PARTITE, n=n, k=k, kappa=kappa,
+                  edges=tuple(edges), absent=frozenset())
 
 
 def sample_colored_graph(
@@ -498,17 +518,19 @@ def sample_colored_graph(
         raise CapacityError(f"m = {m} edges exceeds capacity {DEFAULT_EDGE_CAPACITY}")
     if m == total and type(rnd) is random.Random:
         _skip_full_sample(rnd, total)
-        edges = _colored(combinations(range(1, n + 1), 2), _uniform(rnd, kappa, m))
-        return ColoredHypergraph(GRAPH, n, 2, kappa, edges)
-    pairs = []
-    u, row_start, row_len = 1, 0, n - 1
-    for t in sorted(rnd.sample(range(total), m)):
-        while t >= row_start + row_len:
-            row_start += row_len
-            row_len -= 1
-            u += 1
-        pairs.append((u, u + 1 + t - row_start))
-    return ColoredHypergraph(GRAPH, n, 2, kappa, _colored(pairs, _uniform(rnd, kappa, m)))
+        pairs = combinations(range(1, n + 1), 2)
+    else:
+        pairs = []
+        u, row_start, row_len = 1, 0, n - 1
+        for t in sorted(rnd.sample(range(total), m)):
+            while t >= row_start + row_len:
+                row_start += row_len
+                row_len -= 1
+                u += 1
+            pairs.append((u, u + 1 + t - row_start))
+    edges = _colored(pairs, _uniform(rnd, kappa, m))
+    return _built(ColoredHypergraph, mode=GRAPH, n=n, k=2, kappa=kappa,
+                  edges=edges, absent=frozenset())
 
 
 # -- restriction and profiles ------------------------------------------------

@@ -2,6 +2,9 @@
 
 from collections import Counter
 
+from rainbowmatch.hamilton import ColoredMultigraph
+from rainbowmatch.model import ColoredEdge, ColoredHypergraph
+
 
 def edge_by_verts(H, verts):
     """The edge of H on the vertex tuple verts, or None (a linear scan)."""
@@ -22,3 +25,18 @@ def color_counts(G):
     """How many edges of G carry each color 1..kappa, absent colors as 0."""
     count = Counter(e.color for e in G.edges)
     return [count[c] for c in range(1, G.kappa + 1)]
+
+
+def assert_stored_as_checked(H):
+    """H, an instance or a multigraph the program built without its
+    constructor's checks, equals its rebuild through that checked public
+    constructor and holds exactly the types it stores: each edge a
+    ColoredEdge of a tuple, every vertex index and color an int (a bool or a
+    float compares equal to an int, but the constructor refuses it)."""
+    if type(H) is ColoredMultigraph:
+        assert ColoredMultigraph(H.n, H.kappa, H.edges) == H
+    else:
+        assert ColoredHypergraph(H.mode, H.n, H.k, H.kappa, H.edges, H.absent) == H
+    for e in H.edges:
+        assert type(e) is ColoredEdge and type(e.verts) is tuple, e
+        assert all(type(x) is int for x in (*e.verts, e.color)), e

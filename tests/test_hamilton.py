@@ -40,7 +40,7 @@ from rainbowmatch.model import (
     sample_colored_graph,
 )
 
-from helpers import color_counts, degrees, edge_by_verts
+from helpers import assert_stored_as_checked, color_counts, degrees, edge_by_verts
 from oracles import find_rainbow_hc_by_extension
 
 
@@ -623,6 +623,36 @@ def test_contract_triangle_makes_parallel_edges():
     assert Gp.n == 2
     assert [x.verts for x in Gp.edges] == [(1, 2), (1, 2)]
     assert sorted(x.color for x in Gp.edges) == [1, 3]
+
+
+def test_derived_builders_store_what_the_checked_constructors_store(monkeypatch):
+    # the contraction, the recolored classes and the union skip their
+    # constructors' checks, so each must store exactly what a checked build
+    # of the same fields stores
+    for j in range(4):
+        for n, m in ((7, 21), (9, 20), (8, 28), (10, 30)):
+            r = rng(j, seed=71)
+            G = sample_colored_graph(n, m, n, r)
+            Gp, _ = contract_color_delete(G, G.edges[r.randrange(m)])
+            assert_stored_as_checked(Gp)
+    searched = []
+    find = hamilton.find_rainbow_pm
+
+    def capture(H, budget):
+        searched.append(H)
+        return find(H, budget=budget)
+
+    monkeypatch.setattr(hamilton, "find_rainbow_pm", capture)
+    G, rnd, _ = planted_assembly()
+    plan, _ = assemble_even(G, rnd)
+    assert plan.stage == STAGE_SUCCESS
+    assert_stored_as_checked(plan.union_graph)
+    for j in range(4):  # complete n=20 graphs, two of which reach a class search
+        r = rng(j, seed=72)
+        assemble_even(sample_colored_graph(20, 190, 20, r), r, matching_budget=5000)
+    assert len(searched) > 8
+    for H in searched:
+        assert_stored_as_checked(H)
 
 
 def test_contract_lift_round_trip_on_c5():

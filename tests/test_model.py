@@ -33,6 +33,7 @@ from rainbowmatch.model import (
     save_instance,
 )
 
+from helpers import assert_stored_as_checked
 from oracles import degree_profile_by_edge
 
 
@@ -299,6 +300,17 @@ def test_sampler_streams_pinned():
                 digest.update(dumps_instance(make(RandomnessSpec(seed, "pin").rng())).encode())
                 digest.update(b"\n")
         assert digest.hexdigest() == SAMPLER_PINS[name], name
+
+
+def test_samplers_store_what_the_checked_constructor_stores():
+    # the samplers skip the constructor's checks, so each must store exactly
+    # what the checked constructor stores for the same fields
+    makers = [make for grid in SAMPLER_GRID.values() for make in grid]
+    makers += [lambda r, n=n, k=k, p=p: sample_partite_p(n, k, n, p, r)
+               for n, k in ((4, 2), (3, 3)) for p in (0.0, 1.0)]
+    for make in makers:
+        for seed in range(3):
+            assert_stored_as_checked(make(RandomnessSpec(seed, "held").rng()))
 
 
 # The pins above digest only the instance; the checks below also compare the
