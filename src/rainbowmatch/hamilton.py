@@ -77,10 +77,11 @@ FAILURE_STAGES = (
 class ColoredMultigraph:
     """A colored multigraph on [1..n]: parallel edges allowed, each stored as
     its own ColoredEdge occurrence (sorted endpoint pair plus color), sorted.
-    Every edge follows a graph-mode instance's edge rules, checked in bulk
-    as an instance's are (`model._stored_edges`), so no self-loops.  The
-    union and the contraction are valid by construction and skip that check
-    (`model._built`); the tests hold both to it."""
+    Every edge follows a graph-mode instance's edge rules, checked edge by
+    edge as an instance's are (`model._stored_edges`) but with repeated
+    pairs allowed, so no self-loops.  The union and the contraction are
+    valid by construction and skip that check (`model._built`); the tests
+    hold both to it."""
 
     n: int
     kappa: int
@@ -339,7 +340,7 @@ def contract_color_delete(
         u, v = f.verts
         nu_ = old_to_new.get(u, xi)
         nv_ = old_to_new.get(v, xi)
-        contracted.append(ColoredEdge(tuple(sorted((nu_, nv_))), f.color))
+        contracted.append(ColoredEdge((nu_, nv_) if nu_ < nv_ else (nv_, nu_), f.color))
     Gp = _built(ColoredMultigraph, n=G.n - 1, kappa=G.kappa, edges=tuple(sorted(contracted)))
     return Gp, ContractionMap(xi, new_to_old, host_edges)
 

@@ -23,9 +23,10 @@ through one table.  A complete graph's support skips the words `random.sample`
 would take, without its pool.  Any other generator takes the per-call path.
 
 Instances read from outside the program (`instance_from_dict`) and every
-`restrict` go through the checked constructor.  The samplers build their
-edges valid by construction, so they skip its check (`_built`); the tests
-hold each sampler to the checked constructor.
+`restrict` go through the checked constructor, which sorts the edges and
+checks them one at a time.  The samplers build their edges valid by
+construction, so they skip that check (`_built`); the tests hold each
+sampler to the checked constructor.
 """
 
 from __future__ import annotations
@@ -141,11 +142,9 @@ class ColoredHypergraph:
     is an error, never truncated), every color in 1..kappa, every edge with
     one vertex per part (graph mode: a pair u < v), every vertex index in
     1..n, no edge touching an absent vertex, and no vertex tuple twice.
-    The checks run in bulk over the columns of the edge list, and edges
-    given sorted are not sorted again (`_stored_edges`); only when a check
-    fails are the edges checked one by one, which finds and reports the
-    first offending edge in canonical order (in the given order when a
-    value that is not an int leaves them unsortable).
+    It sorts the edges, then checks them one by one (`_stored_edges`), so
+    its error names the first offending edge in canonical order (in the
+    given order when a value that is not an int leaves them unsortable).
     """
 
     mode: str
@@ -248,34 +247,15 @@ def _stored_edges(
     parallel: bool = False,
 ) -> tuple[ColoredEdge, ...]:
     """edges as an instance stores them: each a ColoredEdge(tuple(verts),
-    color), sorted, checked against the edge rules (`_check_edge`) and,
-    unless parallel, for a repeated vertex tuple.
-
-    The checks run in bulk over the columns of the edge list
-    (`_columns_pass`), and edges whose vertex tuples already increase
-    strictly are neither sorted nor checked for repeats.  Only when a check
-    fails are the edges checked one by one, which raises ValueError naming
-    the first offending edge in canonical order (in the given order when a
-    value that is not an int leaves them unsortable).
-    """
-    edges = tuple(edges)
-    if not edges:
-        return edges
-    if set(map(type, edges)) != {ColoredEdge}:
-        edges = tuple(ColoredEdge(tuple(e[0]), e[1]) for e in edges)
-    verts, colors = zip(*edges)
-    if set(map(type, verts)) != {tuple}:
-        verts = tuple(map(tuple, verts))
-        edges = tuple(map(ColoredEdge, verts, colors))
-    passed = _columns_pass(verts, colors, mode, n, k, kappa, absent)
-    if passed and _increasing(verts):
-        return edges
+    color), sorted, then checked one by one against the edge rules
+    (`_check_edge`) and, unless parallel, for a repeated vertex tuple.  A
+    ValueError names the first offending edge in canonical order (in the
+    given order when a value that is not an int leaves them unsortable)."""
+    edges = tuple(ColoredEdge(tuple(e[0]), e[1]) for e in edges)
     try:
         edges = tuple(sorted(edges))
     except TypeError:  # a value that is not an int: the loop below names its edge
         pass
-    if passed and (parallel or _increasing([e.verts for e in edges])):
-        return edges
     seen: set[tuple] = set()
     for e in edges:
         _check_edge(e, mode, n, k, kappa, absent)
@@ -283,39 +263,6 @@ def _stored_edges(
             raise ValueError(f"duplicate vertex tuple {e.verts}")
         seen.add(e.verts)
     return edges
-
-
-def _increasing(seq: Sequence) -> bool:
-    return all(map(operator.lt, seq, seq[1:]))
-
-
-def _columns_pass(
-    verts: tuple, colors: tuple, mode: str, n: int, k: int, kappa: int, absent: frozenset
-) -> bool:
-    """True when every edge, given as the columns verts and colors, passes
-    every check of `_check_edge`, decided column by column with builtins.
-    The int type checks come first, so min and max compare ints only."""
-    if set(map(type, colors)) != {int} or set(map(len, verts)) != {k}:
-        return False
-    cols = list(zip(*verts))
-    if any(set(map(type, col)) != {int} for col in cols):
-        return False
-    if min(colors) < 1 or max(colors) > kappa:
-        return False
-    if mode == PARTITE:
-        if any(min(col) < 1 or max(col) > n for col in cols):
-            return False
-        if absent:
-            gone = [set() for _ in cols]
-            for v in absent:
-                gone[v.part - 1].add(v.index)
-            if not all(map(set.isdisjoint, gone, cols)):
-                return False
-        return True
-    us, vs = cols
-    if not all(map(operator.lt, us, vs)) or min(us) < 1 or max(vs) > n:
-        return False
-    return not absent or (absent.isdisjoint(us) and absent.isdisjoint(vs))
 
 
 def _built(cls, **fields):

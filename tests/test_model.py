@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 
 from rainbowmatch import model
+from rainbowmatch.hamilton import ColoredMultigraph
 from rainbowmatch.model import (
     DEFAULT_EDGE_CAPACITY,
     CapacityError,
@@ -125,13 +126,14 @@ def test_zero_vertex_edge_cases():
     assert empty.edges == ()
 
 
-def _per_edge_oracle(mode, n, k, kappa, edges, absent=frozenset()):
-    """The constructor's edge handling as one loop per edge, as it stood
-    before the bulk checks: ("accepted", the canonical edges' repr) or the
+def _per_edge_oracle(mode, n, k, kappa, edges, absent=frozenset(), parallel=False):
+    """The constructor's edge handling as one loop per edge, written out
+    apart from it: ("accepted", the canonical edges' repr) or the
     exception's (type name, message).  repr, since NaN equals nothing.
-    Unlike that loop, it coerces no vertex index or color with int(): one
-    that is not an int is an error naming its edge, found in the given order
-    when such a value leaves the edges unsortable."""
+    It coerces no vertex index or color with int(): one that is not an int
+    is an error naming its edge, found in the given order when such a value
+    leaves the edges unsortable.  parallel allows a repeated vertex tuple,
+    as `ColoredMultigraph` does."""
     try:
         edges = tuple(ColoredEdge(tuple(e[0]), e[1]) for e in edges)
         try:
@@ -160,7 +162,7 @@ def _per_edge_oracle(mode, n, k, kappa, edges, absent=frozenset()):
                         raise ValueError(f"edge {e} vertex out of range")
                     if u in absent:
                         raise ValueError(f"edge {e} touches absent vertex")
-            if e.verts in seen:
+            if e.verts in seen and not parallel:
                 raise ValueError(f"duplicate vertex tuple {e.verts}")
             seen.add(e.verts)
     except (ValueError, TypeError) as exc:
@@ -264,6 +266,28 @@ def test_bulk_checks_agree_with_per_edge_loop():
         assert got == _per_edge_oracle(mode, n, k, kappa, edges, absent), (mode, edges, absent)
         outcomes[got[0]] += 1
     assert outcomes["accepted"] >= 100 and outcomes["ValueError"] >= 300, outcomes
+
+
+def test_multigraph_checks_agree_with_per_edge_loop():
+    # the multigraph runs the graph-mode edge rules with repeats allowed, on
+    # every graph case of the corpus that has no absent vertex
+    outcomes = Counter()
+    for mode, n, k, kappa, edges, absent in _edge_corpus():
+        if mode != GRAPH or absent:
+            continue
+        try:
+            G = ColoredMultigraph(n, kappa, edges)
+        except (ValueError, TypeError) as exc:
+            got = type(exc).__name__, str(exc)
+        else:
+            assert all(type(e) is ColoredEdge and type(e.verts) is tuple for e in G.edges)
+            assert all(type(e.color) is int for e in G.edges)
+            got = "accepted", repr(G.edges)
+            outcomes["with a repeated pair"] += len({e.verts for e in G.edges}) < len(G.edges)
+        assert got == _per_edge_oracle(mode, n, k, kappa, edges, parallel=True), edges
+        outcomes[got[0]] += 1
+    assert outcomes["accepted"] >= 60 and outcomes["ValueError"] >= 200, outcomes
+    assert outcomes["with a repeated pair"] >= 20, outcomes
 
 
 # SHA-256 over dumps_instance of each sampler on a fixed grid (seeds 0-4 of
