@@ -27,7 +27,9 @@ from .count import (
     latin_transversal,
 )
 from .model import (
+    GRAPH,
     RandomnessSpec,
+    _check_sizes,
     complete_colored,
     dumps_instance,
     load_instance,
@@ -45,8 +47,6 @@ def _int_grid(text: str) -> tuple[int, ...]:
         values = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("empty grid")
     return values
 
 
@@ -187,8 +187,7 @@ def _cmd_gen(args) -> int:
     else:
         if args.p is not None:
             raise ValueError("the binomial model is partite-only; use --m for graphs")
-        if args.k != 2:
-            raise ValueError("graph mode fixes k = 2")
+        _check_sizes(GRAPH, args.n, args.k, kappa)
         m = args.m if args.m is not None else args.n * (args.n - 1) // 2
         H = sample_colored_graph(args.n, m, kappa, rnd)
     _write_text(dumps_instance(H) + "\n", args.out)

@@ -72,7 +72,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .model import PARTITE, CapacityError, ColoredEdge, ColoredHypergraph, Matching
+from .model import PARTITE, CapacityError, ColoredEdge, ColoredHypergraph, Matching, _check_sizes
 
 __all__ = [
     "DEFAULT_NODE_BUDGET",
@@ -636,8 +636,7 @@ def expected_rainbow_count(n: int, k: int) -> float:
 
     Evaluated in log space; math.inf past the float range.
     """
-    if n < 1 or k < 2:
-        raise ValueError("need n >= 1, k >= 2")
+    _check_sizes(PARTITE, n, k, n)
     try:
         return math.exp(k * math.lgamma(n + 1) - n * math.log(n))
     except OverflowError:
@@ -672,8 +671,7 @@ def second_moment_exact(n: int, k: int) -> float:
     matching (D term) and must pick up exactly the unused colors
     ((n-ell)!/n^(n-ell) term).  math.inf past the float range.
     """
-    if n < 1 or k < 2:
-        raise ValueError("need n >= 1, k >= 2")
+    _check_sizes(PARTITE, n, k, n)
     ex = Fraction(math.factorial(n) ** k, n**n)
     total = Fraction(0)
     for ell in range(n + 1):
@@ -696,7 +694,8 @@ def latin_transversal(matrix: Sequence[Sequence[int]], budget: int = DEFAULT_NOD
     row, or None when no transversal exists.
 
     Entry 0 means "cell unavailable".  Symbols must be ints (a bool or a
-    float is an error, never truncated) in [0..n].  Note that
+    float is an error, never truncated nor read as 0) in [0..n]; a nonzero
+    symbol is a color, which the instance constructor checks.  Note that
     n cells with pairwise distinct symbols from an n-symbol alphabet use every
     symbol, so distinctness and full symbol coverage coincide here; the solver
     checks distinctness.
@@ -711,8 +710,6 @@ def latin_transversal(matrix: Sequence[Sequence[int]], budget: int = DEFAULT_NOD
         for j, sym in enumerate(row, start=1):
             if type(sym) is not int:
                 raise ValueError(f"symbol {sym!r} at ({i}, {j}) is not an int")
-            if not 0 <= sym <= n:
-                raise ValueError(f"symbol {sym} out of range 0..{n}")
             if sym:
                 edges.append(ColoredEdge((i, j), sym))
     H = ColoredHypergraph(PARTITE, n, 2, n, tuple(edges))

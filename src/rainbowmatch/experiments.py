@@ -408,8 +408,8 @@ def _trace_trial(config: ExperimentConfig, cell: tuple, stream: int):
 def trace_experiment(config: ExperimentConfig, raw_sink=None) -> ExperimentResult:
     """Fresh coloring and fresh uniform deletion order per trial; each trial's
     TrialRow.value is the full step tuple list for the CSV emitters.  One
-    cell, so trial t owns stream t.  An instance the trace cannot hold is
-    refused before any trial."""
+    cell, so trial t owns stream t.  Sizes are refused up front, a weight
+    table past the capacity only by a trial's `_DeletionState`, after sampling."""
     if len(config.ns) != 1:
         raise ValueError("trace experiment runs one n at a time")
     (n,) = config.ns

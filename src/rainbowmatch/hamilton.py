@@ -29,7 +29,9 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .count import BudgetExceededError, DEFAULT_NODE_BUDGET, _Search, find_rainbow_pm
-from .model import GRAPH, ColoredEdge, ColoredHypergraph, Matching, _built, _stored_edges, _uniform
+from .model import (
+    GRAPH, ColoredEdge, ColoredHypergraph, Matching, _built, _check_sizes, _stored_edges, _uniform,
+)
 
 __all__ = [
     "DEFAULT_HC_BUDGET",
@@ -88,8 +90,7 @@ class ColoredMultigraph:
     edges: tuple[ColoredEdge, ...]
 
     def __post_init__(self):
-        if self.n < 1 or self.kappa < 1:
-            raise ValueError("need n >= 1, kappa >= 1")
+        _check_sizes(GRAPH, self.n, 2, self.kappa)
         edges = _stored_edges(self.edges, GRAPH, self.n, 2, self.kappa, frozenset(), parallel=True)
         object.__setattr__(self, "edges", edges)
 

@@ -26,7 +26,8 @@ Instances read from outside the program (`instance_from_dict`) and every
 `restrict` go through the checked constructor, which sorts the edges and
 checks them one at a time.  The samplers build their edges valid by
 construction, so they skip that check (`_built`); the tests hold each
-sampler to the checked constructor.
+sampler to the checked constructor.  Both run the one size rule
+(`_check_sizes`), and one view gives the vertices an edge touches (`_vertices`).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, combinations, product, repeat
+from itertools import chain, combinations, product, repeat, starmap
 from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
@@ -134,17 +135,17 @@ class ColoredHypergraph:
     """An immutable edge-colored instance (see module docstring for modes).
 
     The constructor checks every instance it is handed: `restrict`,
-    `instance_from_dict` and any library caller alike.  The samplers and the
-    Hamilton assembly's recolored classes build their edges valid by
-    construction and skip it (`_built`); the tests hold them to it.  It
-    stores the edges as `ColoredEdge(tuple(verts), color)`, sorted, and
-    requires every vertex index and color to be an int (a bool or a float
-    is an error, never truncated), every color in 1..kappa, every edge with
-    one vertex per part (graph mode: a pair u < v), every vertex index in
-    1..n, no edge touching an absent vertex, and no vertex tuple twice.
-    It sorts the edges, then checks them one by one (`_stored_edges`), so
-    its error names the first offending edge in canonical order (in the
-    given order when a value that is not an int leaves them unsortable).
+    `instance_from_dict` and any library caller alike, and is the one range
+    check of their edges.  The samplers and the Hamilton assembly's recolored
+    classes build their edges valid by construction and skip it (`_built`);
+    the tests hold them to it.  Past the sizes (`_check_sizes`) it requires
+    every edge to be a (verts, color) pair, every vertex index and color to
+    be an int (a bool or a float is an error, never truncated), every color
+    in 1..kappa, every edge with one vertex per part (graph mode: a pair
+    u < v), every vertex index in 1..n, no edge touching an absent vertex,
+    and no vertex tuple twice.  It stores them sorted, as `ColoredEdge`s of
+    vertex tuples, and names the first offending edge in canonical order
+    (`_stored_edges`).
     """
 
     mode: str
@@ -155,18 +156,7 @@ class ColoredHypergraph:
     absent: frozenset = frozenset()
 
     def __post_init__(self):
-        if self.mode not in (PARTITE, GRAPH):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.kappa < 1:
-            raise ValueError("kappa must be >= 1")
-        if self.mode == PARTITE:
-            if self.k < 2:
-                raise ValueError("partite mode needs k >= 2")
-        elif self.k != 2:
-            raise ValueError("graph mode fixes k = 2")
-
+        _check_sizes(self.mode, self.n, self.k, self.kappa)
         absent = frozenset(self._coerce_vertex(v) for v in self.absent)
         object.__setattr__(self, "absent", absent)
 
@@ -175,7 +165,10 @@ class ColoredHypergraph:
 
     def _coerce_vertex(self, v):
         if self.mode == PARTITE:
-            part, index = v
+            try:
+                part, index = v
+            except (TypeError, ValueError):
+                raise ValueError(f"vertex {v!r} must be a pair of ints") from None
             if type(part) is not int or type(index) is not int:
                 raise ValueError(f"vertex {v!r} must be a pair of ints")
             pv = PartiteVertex(part, index)
@@ -193,28 +186,47 @@ class ColoredHypergraph:
     def active_vertices(self) -> list:
         """Active (non-absent) vertices, in canonical order."""
         if self.mode == PARTITE:
-            return [
-                PartiteVertex(p, i)
-                for p in range(1, self.k + 1)
-                for i in range(1, self.n + 1)
-                if PartiteVertex(p, i) not in self.absent
-            ]
+            return [PartiteVertex(p, i) for p in range(1, self.k + 1) for i in self.part_active(p)]
         return [v for v in range(1, self.n + 1) if v not in self.absent]
 
     def part_active(self, part: int) -> list[int]:
         if self.mode != PARTITE:
             raise ValueError("part_active is a partite-mode operation")
-        return [
-            i
-            for i in range(1, self.n + 1)
-            if PartiteVertex(part, i) not in self.absent
-        ]
+        return [i for i in range(1, self.n + 1) if PartiteVertex(part, i) not in self.absent]
+
+
+def _check_sizes(mode: str, n: int, k: int, kappa: int) -> None:
+    """Raise ValueError unless mode is PARTITE or GRAPH and n, k, kappa are
+    ints (a bool or a float is an error, never truncated) with n >= 1,
+    kappa >= 1 and k >= 2 (graph mode: k = 2): every instance's sizes."""
+    if mode not in (PARTITE, GRAPH):
+        raise ValueError(f"unknown mode {mode!r}")
+    for name, value in (("n", n), ("k", k), ("kappa", kappa)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, not {value!r}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if kappa < 1:
+        raise ValueError("kappa must be >= 1")
+    if mode == PARTITE and k < 2:
+        raise ValueError("partite mode needs k >= 2")
+    if mode == GRAPH and k != 2:
+        raise ValueError("graph mode fixes k = 2")
+
+
+def _vertices(e: ColoredEdge, mode: str) -> Iterable:
+    """The vertices e touches, in the order of e.verts: a PartiteVertex per
+    part in partite mode, the endpoints themselves in graph mode."""
+    if mode == PARTITE:
+        return starmap(PartiteVertex, enumerate(e.verts, start=1))
+    return e.verts
 
 
 def _check_edge(e: ColoredEdge, mode: str, n: int, k: int, kappa: int, absent: frozenset) -> None:
     """Raise ValueError, naming e, when e breaks one of the edge rules of an
     instance (`ColoredHypergraph`) on n vertices per part with k parts and
-    kappa colors, or touches a vertex in absent."""
+    kappa colors, or touches a vertex in absent; each vertex (`_vertices`)
+    in turn is checked for its range, then for absence."""
     if type(e.color) is not int or any(type(i) is not int for i in e.verts):
         raise ValueError(f"edge {e} has a vertex index or color that is not an int")
     if not 1 <= e.color <= kappa:
@@ -222,19 +234,13 @@ def _check_edge(e: ColoredEdge, mode: str, n: int, k: int, kappa: int, absent: f
     if mode == PARTITE:
         if len(e.verts) != k:
             raise ValueError(f"edge {e} must pick one vertex per part")
-        for part, idx in enumerate(e.verts, start=1):
-            if not 1 <= idx <= n:
-                raise ValueError(f"edge {e} vertex out of range")
-            if PartiteVertex(part, idx) in absent:
-                raise ValueError(f"edge {e} touches absent vertex")
-    else:
-        if len(e.verts) != 2 or e.verts[0] >= e.verts[1]:
-            raise ValueError(f"graph edge {e} must be a sorted pair u < v")
-        for u in e.verts:
-            if not 1 <= u <= n:
-                raise ValueError(f"edge {e} vertex out of range")
-            if u in absent:
-                raise ValueError(f"edge {e} touches absent vertex")
+    elif len(e.verts) != 2 or e.verts[0] >= e.verts[1]:
+        raise ValueError(f"graph edge {e} must be a sorted pair u < v")
+    for idx, v in zip(e.verts, _vertices(e, mode)):
+        if not 1 <= idx <= n:
+            raise ValueError(f"edge {e} vertex out of range")
+        if v in absent:
+            raise ValueError(f"edge {e} touches absent vertex")
 
 
 def _stored_edges(
@@ -246,23 +252,30 @@ def _stored_edges(
     absent: frozenset,
     parallel: bool = False,
 ) -> tuple[ColoredEdge, ...]:
-    """edges as an instance stores them: each a ColoredEdge(tuple(verts),
-    color), sorted, then checked one by one against the edge rules
-    (`_check_edge`) and, unless parallel, for a repeated vertex tuple.  A
-    ValueError names the first offending edge in canonical order (in the
-    given order when a value that is not an int leaves them unsortable)."""
-    edges = tuple(ColoredEdge(tuple(e[0]), e[1]) for e in edges)
+    """edges as an instance stores them: each (verts, color) pair a
+    ColoredEdge(tuple(verts), color), sorted, then checked one by one against
+    the edge rules (`_check_edge`) and, unless parallel, for a repeated
+    vertex tuple.  A ValueError names an entry that is not such a pair, else
+    the first offending edge in canonical order (in the given order when a
+    value that is not an int leaves them unsortable)."""
+    stored = []
+    for e in edges:
+        try:
+            verts, color = e
+            stored.append(ColoredEdge(tuple(verts), color))
+        except (TypeError, ValueError):
+            raise ValueError(f"edge {e!r} must be a (verts, color) pair") from None
     try:
-        edges = tuple(sorted(edges))
+        edges = sorted(stored)
     except TypeError:  # a value that is not an int: the loop below names its edge
-        pass
+        edges = stored
     seen: set[tuple] = set()
     for e in edges:
         _check_edge(e, mode, n, k, kappa, absent)
         if e.verts in seen and not parallel:
             raise ValueError(f"duplicate vertex tuple {e.verts}")
         seen.add(e.verts)
-    return edges
+    return tuple(edges)
 
 
 def _built(cls, **fields):
@@ -364,8 +377,7 @@ def _check_partite_args(n: int, k: int, kappa: int) -> None:
     computed: at n >= 2 a k of sys.maxsize's bit length or more puts the
     tuples past `random.sample`'s index range, and at n = 1 the one edge
     holds k vertices."""
-    if n < 1 or k < 2 or kappa < 1:
-        raise ValueError("need n >= 1, k >= 2, kappa >= 1")
+    _check_sizes(PARTITE, n, k, kappa)
     if n > 1 and k >= sys.maxsize.bit_length():
         raise CapacityError(f"{n}^{k} tuples exceeds index range {sys.maxsize}")
     if k > DEFAULT_EDGE_CAPACITY:
@@ -454,8 +466,7 @@ def sample_colored_graph(
     (`_skip_full_sample`) and the pairs taken in order.  The colors follow,
     one per pair in that order, drawn in bulk (`_uniform`).
     """
-    if n < 1 or kappa < 1:
-        raise ValueError("need n >= 1, kappa >= 1")
+    _check_sizes(GRAPH, n, 2, kappa)
     total = n * (n - 1) // 2
     if total > sys.maxsize:
         raise CapacityError(f"{total} pairs exceeds index range {sys.maxsize}")
@@ -492,9 +503,10 @@ def restrict(
     """Delete edges, vertices (with their incident edges), and color classes.
 
     Removed vertices are recorded in `absent`, never renumbered, so repeated
-    restrictions compose.  Arguments must be drawn from H: foreign edges,
-    already-absent vertices, and out-of-range colors are hard errors rather
-    than silent no-ops.
+    restrictions compose; an edge goes when a vertex it touches (`_vertices`)
+    is removed.  Arguments must be drawn from H: foreign edges, already-absent
+    vertices, and out-of-range colors are hard errors rather than silent
+    no-ops.
     """
     edge_set = set(H.edges)
     removed_e = set()
@@ -517,24 +529,14 @@ def restrict(
             raise ValueError(f"color {c!r} out of range 1..{H.kappa}")
         removed_c.add(c)
 
-    absent = H.absent | removed_v
-
-    def touches_removed(e: ColoredEdge) -> bool:
-        if H.mode == PARTITE:
-            return any(
-                PartiteVertex(part, idx) in removed_v
-                for part, idx in enumerate(e.verts, start=1)
-            )
-        return any(u in removed_v for u in e.verts)
-
     kept = tuple(
         e
         for e in H.edges
         if e not in removed_e
         and e.color not in removed_c
-        and not (removed_v and touches_removed(e))
+        and removed_v.isdisjoint(_vertices(e, H.mode))
     )
-    return ColoredHypergraph(H.mode, H.n, H.k, H.kappa, kept, absent)
+    return ColoredHypergraph(H.mode, H.n, H.k, H.kappa, kept, H.absent | removed_v)
 
 
 def degree_profile(H: ColoredHypergraph) -> tuple[dict, dict[int, int]]:

@@ -92,6 +92,7 @@ TOO_LARGE = [
                  id="mean-count-n1-k2e6-layout"),
     pytest.param(["trace", "--n", "1", "--k", "2000000", "--trials", "1"],
                  id="trace-n1-k2e6-layout"),
+    pytest.param(["gen", "--n", "4294967296", "--m", "1"], id="gen-2^64-tuples"),
 ]
 
 
@@ -108,6 +109,95 @@ def test_too_large_to_index_or_hold_is_refused(capsys, argv):
     assert (code, out) == (2, "")
     assert err.startswith("rainbowmatch: error: ") and err.count("\n") == 1, err
     assert elapsed < 2 and peak < 64 << 20, (elapsed, peak)
+
+
+# Inputs each subcommand refuses with exit 2, empty stdout and one error
+# line naming the fault (after argparse's usage lines for a flag it cannot
+# parse); the files are written to the working directory.
+REFUSED_FILES = {
+    "graph-k3.json": '{"mode": "graph", "n": 4, "k": 3, "colors": 4, "edges": []}',
+    "n0.json": '{"mode": "partite", "n": 0, "k": 2, "colors": 2, "edges": []}',
+    "colors0.json": '{"mode": "partite", "n": 2, "k": 2, "colors": 0, "edges": []}',
+    "k1.json": '{"mode": "partite", "n": 2, "k": 1, "colors": 2, "edges": []}',
+    "absent-part3.json": '{"mode": "partite", "n": 2, "k": 2, "colors": 2, "edges": [],'
+                         ' "absent": [[3, 1]]}',
+    "absent.json": '{"mode": "partite", "n": 2, "k": 2, "colors": 2,'
+                   ' "edges": [{"verts": [2, 2], "color": 1}], "absent": [[1, 1]]}',
+    "bad-row.csv": "x,y\n1,2\n2,x\n",
+    "empty.csv": "",
+}
+REFUSED = [
+    pytest.param(["threshold", "--n", "a", "--m", "1"],
+                 "argument --n: expected comma-separated integers, got 'a'", id="grid-not-int"),
+    pytest.param(["count", "n0.json", "--budget", "abc"],
+                 "argument --budget: expected an integer, got 'abc'", id="budget-not-int"),
+    pytest.param(["threshold", "--n", "4", "--m", "4", "--trials", "0"],
+                 "trials must be >= 1", id="trials-0"),
+    pytest.param(["threshold", "--n", "4", "--m", "4", "--jobs", "0"],
+                 "jobs must be >= 1", id="jobs-0"),
+    pytest.param(["threshold", "--n", "3", "--m", "10"],
+                 "cell (n=3, m=10) exceeds 3^2 edges", id="threshold-m-past-n^k"),
+    pytest.param(["threshold", "--n", "4", "--k", "1", "--m", "4"],
+                 "partite mode needs k >= 2", id="threshold-k1"),
+    pytest.param(["trace", "--n", "3", "--steps", "10"], "t_max must lie in 0..9",
+                 id="trace-steps-past-n^k"),
+    pytest.param(["hamilton", "--n", "3", "--m", "3"], "hamilton experiment needs n >= 4",
+                 id="hamilton-n3"),
+    pytest.param(["hamilton", "--n", "4", "--m", "7"],
+                 "cell (n=4, m=7) exceeds the simple-graph bound", id="hamilton-m-past-pairs"),
+    pytest.param(["plot", "bad-row.csv", "--x", "x", "--y", "y"], "malformed CSV row '2,x'",
+                 id="plot-row-not-a-number"),
+    pytest.param(["count", "graph-k3.json"], "graph mode fixes k = 2", id="count-graph-k3"),
+    pytest.param(["count", "n0.json"], "n must be >= 1", id="count-n0"),
+    pytest.param(["count", "colors0.json"], "kappa must be >= 1", id="count-colors0"),
+    pytest.param(["count", "k1.json"], "partite mode needs k >= 2", id="count-partite-k1"),
+    pytest.param(["count", "absent-part3.json"],
+                 "vertex PartiteVertex(part=3, index=1) out of range", id="count-absent-part3"),
+    pytest.param(["count", "absent.json", "--method", "ie"],
+                 "inclusion-exclusion route requires all vertices active", id="count-ie-absent"),
+    pytest.param(["gen", "--n", "3", "--m", "10"], "m must lie in 0..9", id="gen-m-past-n^k"),
+    pytest.param(["gen", "--mode", "graph", "--n", "0"], "n must be >= 1", id="gen-graph-n0"),
+    pytest.param(["solve", "--latin", "empty.csv"], "matrix CSV has no rows", id="latin-empty"),
+]
+
+
+@pytest.mark.parametrize("argv,message", REFUSED)
+def test_refused_inputs_exit_2(tmp_path, capsys, monkeypatch, argv, message):
+    for name, text in REFUSED_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    *usage, line = err.splitlines()
+    assert (code, out) == (2, "")
+    assert usage == [] or usage[0].startswith("usage: "), err
+    assert line.startswith("rainbowmatch") and line.endswith(f" error: {message}"), err
+    assert "error:" not in "".join(usage), err
+
+
+# Exit codes and outputs of input paths no other test runs: the binomial
+# sampler, an instance read from stdin, and a matrix CSV whose blank line is
+# skipped.
+ACCEPTED = [
+    pytest.param(["gen", "--n", "3", "--p", "0.5"], "", 0,
+                 {"mode": "partite", "n": 3, "k": 2, "colors": 3}, id="gen-p"),
+    pytest.param(["count", "-"],
+                 '{"mode": "partite", "n": 2, "k": 2, "colors": 2, "edges": ['
+                 '{"verts": [1, 1], "color": 1}, {"verts": [2, 2], "color": 2}]}', 0,
+                 {"outcome": "counted", "value": 1}, id="count-stdin"),
+    pytest.param(["solve", "--latin", "blank-line.csv"], "", 1,
+                 {"outcome": "absent", "cells": None}, id="latin-blank-line"),
+]
+
+
+@pytest.mark.parametrize("argv,stdin,exit_code,fields", ACCEPTED)
+def test_input_paths_exit_codes(tmp_path, capsys, monkeypatch, argv, stdin, exit_code, fields):
+    (tmp_path / "blank-line.csv").write_text("1,2\n\n2,1\n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, err = run(capsys, *argv)
+    doc = json.loads(out)
+    assert (code, err) == (exit_code, "")
+    assert {key: doc[key] for key in fields} == fields
 
 
 def test_gen_samples_the_largest_indexable_space(capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -89,6 +90,46 @@ def test_non_int_values_rejected():
             restrict(H, removed_vertices=[bad])
     with pytest.raises(ValueError):
         restrict(H, removed_colors=[1.0])
+
+
+# Each entry point that takes sizes, as a function of them with valid
+# defaults: each refuses a size that is not exactly an int, never compares,
+# powers or draws with it.
+SIZED_ENTRY_POINTS = {
+    "ColoredHypergraph": lambda n=3, k=2, kappa=3: ColoredHypergraph(PARTITE, n, k, kappa, ()),
+    "ColoredMultigraph": lambda n=3, kappa=3: ColoredMultigraph(n, kappa, ()),
+    "complete_colored": lambda n=3, k=2, kappa=3: complete_colored(n, k, kappa, rng()),
+    "sample_partite_m": lambda n=3, k=2, kappa=3: sample_partite_m(n, k, kappa, 4, rng()),
+    "sample_partite_p": lambda n=3, k=2, kappa=3: sample_partite_p(n, k, kappa, 0.5, rng()),
+    "sample_colored_graph": lambda n=4, kappa=3: sample_colored_graph(n, 3, kappa, rng()),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, True])
+@pytest.mark.parametrize("entry", list(SIZED_ENTRY_POINTS))
+def test_sizes_that_are_not_ints_are_refused(entry, bad):
+    build = SIZED_ENTRY_POINTS[entry]
+    build()
+    for size in inspect.signature(build).parameters:
+        with pytest.raises(ValueError, match=f"^{size} must be an int, not {re.escape(repr(bad))}$"):
+            build(**{size: bad})
+
+
+@pytest.mark.parametrize("build,message", [
+    pytest.param(lambda: ColoredHypergraph(PARTITE, 2, 2, 2, (1,)),
+                 "edge 1 must be a (verts, color) pair", id="edge-int"),
+    pytest.param(lambda: ColoredHypergraph(PARTITE, 2, 2, 2, ((5, 1),)),
+                 "edge (5, 1) must be a (verts, color) pair", id="edge-verts-int"),
+    pytest.param(lambda: ColoredHypergraph(PARTITE, 2, 2, 2, (((1, 2),),)),
+                 "edge ((1, 2),) must be a (verts, color) pair", id="edge-without-color"),
+    pytest.param(lambda: ColoredHypergraph(PARTITE, 2, 2, 2, (), {5}),
+                 "vertex 5 must be a pair of ints", id="absent-int"),
+    pytest.param(lambda: restrict(complete_colored(2, 2, 2, rng()), removed_vertices=[5]),
+                 "vertex 5 must be a pair of ints", id="restrict-int"),
+])
+def test_malformed_entries_are_named(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_graph_mode_edges_are_sorted_pairs():
