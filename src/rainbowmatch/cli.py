@@ -29,7 +29,7 @@ from .count import (
 from .model import (
     GRAPH,
     RandomnessSpec,
-    _check_sizes,
+    _check_draw,
     complete_colored,
     dumps_instance,
     load_instance,
@@ -68,6 +68,8 @@ def _write_text(text: str, out: str | None) -> None:
 
 
 def _add_run_flags(sub) -> None:
+    sub.add_argument("--n", type=_int_grid, dest="ns", required=True,
+                     help="comma-separated n grid")
     sub.add_argument("--trials", type=int, default=100)
     sub.add_argument("--seed", type=int, dest="master_seed")
     sub.add_argument("--jobs", type=int)
@@ -119,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     no_default = argparse.SUPPRESS
     trace = subs.add_parser("trace", argument_default=no_default,
                             help="run the edge-deletion process and emit per-step statistics")
-    trace.add_argument("--n", type=_int_grid, dest="ns", required=True)
     trace.add_argument("--k", type=int)
     trace.add_argument("--colors", type=int, dest="kappa")
     trace.add_argument("--steps", type=int, dest="t_max", help="stop after this many deletions")
@@ -131,8 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     threshold = subs.add_parser("threshold", argument_default=no_default,
                                 help="success probability over an (n, m) grid")
-    threshold.add_argument("--n", type=_int_grid, dest="ns", required=True,
-                           help="comma-separated n grid")
     threshold.add_argument("--k", type=int)
     threshold.add_argument("--colors", type=int, dest="kappa")
     threshold.add_argument("--m", type=_int_grid, dest="ms", required=True,
@@ -141,14 +140,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     mean = subs.add_parser("mean-count", argument_default=no_default,
                            help="sample means of exact counts vs closed forms")
-    mean.add_argument("--n", type=_int_grid, dest="ns", required=True)
     mean.add_argument("--k", type=int)
     mean.add_argument("--colors", type=int, dest="kappa")
     _add_run_flags(mean)
 
     ham = subs.add_parser("hamilton", argument_default=no_default,
                           help="rainbow Hamilton cycle pipelines")
-    ham.add_argument("--n", type=_int_grid, dest="ns", required=True)
     ham.add_argument("--m", type=_int_grid, dest="ms", required=True)
     ham.add_argument("--retries", type=int,
                      help="independent attempts per trial (required for odd n)")
@@ -187,9 +184,8 @@ def _cmd_gen(args) -> int:
     else:
         if args.p is not None:
             raise ValueError("the binomial model is partite-only; use --m for graphs")
-        _check_sizes(GRAPH, args.n, args.k, kappa)
-        m = args.m if args.m is not None else args.n * (args.n - 1) // 2
-        H = sample_colored_graph(args.n, m, kappa, rnd)
+        total = _check_draw(GRAPH, args.n, args.k, kappa, args.m)
+        H = sample_colored_graph(args.n, total if args.m is None else args.m, kappa, rnd)
     _write_text(dumps_instance(H) + "\n", args.out)
     return 0
 

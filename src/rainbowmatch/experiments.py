@@ -57,9 +57,11 @@ from .hamilton import (
 )
 from .model import (
     DEFAULT_EDGE_CAPACITY,
+    GRAPH,
+    PARTITE,
     CapacityError,
     RandomnessSpec,
-    _check_partite_args,
+    _check_draw,
     complete_colored,
     random_edge_ordering,
     sample_colored_graph,
@@ -68,6 +70,7 @@ from .model import (
 from .process import (
     _TRACE_CACHE_SIZE,
     EventParams,
+    _check_t_max,
     _loss_rates,
     _step_ratios,
     run_deletion_process,
@@ -244,7 +247,8 @@ def _run_grid(
     one JSON line per completed trial, in completion order (a progress
     stream, not a deterministic artifact).  A grid of more trials than
     `model.DEFAULT_EDGE_CAPACITY` is refused (CapacityError) before any task
-    is built."""
+    is built.  Each driver has refused every cell its sampler would refuse
+    (`model._check_draw`) before it calls this."""
     if (size := len(cells) * config.trials) > DEFAULT_EDGE_CAPACITY:
         raise CapacityError(f"grid of {size} trials exceeds capacity {DEFAULT_EDGE_CAPACITY}")
     tasks = [
@@ -264,6 +268,15 @@ def _run_grid(
     ))
 
 
+def _check_cell(config: ExperimentConfig, n: int, m: int | None = None) -> int:
+    """n^k, once the partite cell (n, m), m None for the complete instance,
+    passes its sampler's rule (`model._check_draw`) and its layout's cap."""
+    k, kappa = config.k, config.kappa_for(n)
+    total = _check_draw(PARTITE, n, k, kappa, m)
+    _check_layout_bits(total if m is None else m, n * k, k, kappa)
+    return total
+
+
 # -- threshold scan -------------------------------------------------------------
 
 
@@ -280,12 +293,9 @@ def threshold_scan(config: ExperimentConfig, raw_sink=None) -> ExperimentResult:
     exactly.  Budget exhaustion is its own outcome, never folded into absent."""
     if not config.ms:
         raise ValueError("threshold scan needs an m grid")
-    for n in config.ns:
-        _check_partite_args(n, config.k, config.kappa_for(n))
     cells = [(n, m) for n in config.ns for m in config.ms]
     for n, m in cells:
-        if m > n**config.k:
-            raise ValueError(f"cell (n={n}, m={m}) exceeds {n}^{config.k} edges")
+        _check_cell(config, n, m)
     return _run_grid(config, cells, _threshold_trial, raw_sink)
 
 
@@ -319,20 +329,11 @@ def _mean_count_trial(config: ExperimentConfig, cell: tuple, stream: int):
     return "found", count_rainbow_pm(H, budget=config.node_budget).value
 
 
-def _check_complete(config: ExperimentConfig, n: int) -> None:
-    """Refuse the complete instance at n, before any trial samples it, when
-    no partite sampler can index or hold it or its bit layout
-    (`count._Layout`) passes its cap."""
-    k, kappa = config.k, config.kappa_for(n)
-    _check_partite_args(n, k, kappa)
-    _check_layout_bits(n**k, n * k, k, kappa)
-
-
 def mean_count_experiment(config: ExperimentConfig, raw_sink=None) -> ExperimentResult:
     """Exact-count `trials` random colorings of the complete instance per n,
     for comparison against the closed-form mean and second moment."""
     for n in config.ns:
-        _check_complete(config, n)
+        _check_cell(config, n)
     return _run_grid(config, [(n,) for n in config.ns], _mean_count_trial, raw_sink)
 
 
@@ -408,15 +409,12 @@ def _trace_trial(config: ExperimentConfig, cell: tuple, stream: int):
 def trace_experiment(config: ExperimentConfig, raw_sink=None) -> ExperimentResult:
     """Fresh coloring and fresh uniform deletion order per trial; each trial's
     TrialRow.value is the full step tuple list for the CSV emitters.  One
-    cell, so trial t owns stream t.  Sizes are refused up front, a weight
-    table past the capacity only by a trial's `_DeletionState`, after sampling."""
+    cell, so trial t owns stream t.  The cell and t_max (`process._check_t_max`)
+    are refused up front, a weight table past the capacity only by a trial's
+    `_DeletionState`, after sampling."""
     if len(config.ns) != 1:
         raise ValueError("trace experiment runs one n at a time")
-    (n,) = config.ns
-    _check_complete(config, n)
-    N = n**config.k
-    if config.t_max is not None and not 0 <= config.t_max <= N:
-        raise ValueError(f"t_max must lie in 0..{N}")
+    _check_t_max(config.t_max, _check_cell(config, config.ns[0]))
     return _run_grid(config, [config.ns], _trace_trial, raw_sink)
 
 
@@ -425,7 +423,7 @@ def _trace_shape(config: ExperimentConfig) -> tuple[int, int, int]:
     takes."""
     n = config.ns[0]
     N = n**config.k
-    return n, N, N if config.t_max is None else config.t_max
+    return n, N, _check_t_max(config.t_max, N)
 
 
 @lru_cache(maxsize=_TRACE_CACHE_SIZE)
@@ -584,8 +582,7 @@ def hamilton_experiment(config: ExperimentConfig, raw_sink=None) -> ExperimentRe
             raise ValueError("the pipelines require exactly n colors")
     cells = [(n, m) for n in config.ns for m in config.ms]
     for n, m in cells:
-        if m > n * (n - 1) // 2:
-            raise ValueError(f"cell (n={n}, m={m}) exceeds the simple-graph bound")
+        _check_draw(GRAPH, n, 2, config.kappa_for(n), m)
         if n % 2 == 1 and m < 1:
             raise ValueError(f"cell (n={n}, m={m}): odd n contracts an edge, so needs m >= 1")
     return _run_grid(config, cells, _hamilton_trial, raw_sink)

@@ -105,16 +105,18 @@ class HamiltonCycle:
     edges: tuple[ColoredEdge, ...]
 
 
+def _check_graph_host(G: ColoredHypergraph, what: str) -> None:
+    """Refuse G for what unless it is a graph-mode instance, all vertices active."""
+    if G.mode != GRAPH or G.absent:
+        raise ValueError(f"{what} needs a graph-mode instance with all vertices active")
+
+
 def _host_view(G) -> tuple[int, tuple[ColoredEdge, ...]]:
-    if isinstance(G, ColoredMultigraph):
-        return G.n, G.edges
     if isinstance(G, ColoredHypergraph):
-        if G.mode != GRAPH:
-            raise ValueError("Hamilton cycle search needs a graph-mode instance")
-        if G.absent:
-            raise ValueError("Hamilton cycle search needs all vertices active")
-        return G.n, G.edges
-    raise TypeError(f"unsupported host {type(G).__name__}")
+        _check_graph_host(G, "Hamilton cycle search")
+    elif not isinstance(G, ColoredMultigraph):
+        raise TypeError(f"unsupported host {type(G).__name__}")
+    return G.n, G.edges
 
 
 def is_rainbow_hamilton_cycle(G, cycle: HamiltonCycle) -> bool:
@@ -228,10 +230,7 @@ def assemble_even(
     edges, sorted) are valid by construction, so they are built without the
     constructors' checks (`model._built`); the tests hold them to those.
     """
-    if G.mode != GRAPH:
-        raise ValueError("assembly needs a graph-mode instance")
-    if G.absent:
-        raise ValueError("assembly needs all vertices active")
+    _check_graph_host(G, "assembly")
     if G.n % 2 != 0 or G.n < 4:
         raise ValueError("assembly needs even n >= 4")
     if G.kappa != G.n:
@@ -319,10 +318,7 @@ def contract_color_delete(
     so only e joins x and y) and sorted, so the multigraph is built without
     its constructor's check (`model._built`); the tests hold it to that.
     """
-    if G.mode != GRAPH:
-        raise ValueError("contraction needs a graph-mode instance")
-    if G.absent:
-        raise ValueError("contraction needs all vertices active")
+    _check_graph_host(G, "contraction")
     host_edges = frozenset(G.edges)
     if e not in host_edges:
         raise ValueError(f"{e} is not an edge of the instance")

@@ -27,7 +27,9 @@ Instances read from outside the program (`instance_from_dict`) and every
 checks them one at a time.  The samplers build their edges valid by
 construction, so they skip that check (`_built`); the tests hold each
 sampler to the checked constructor.  Both run the one size rule
-(`_check_sizes`), and one view gives the vertices an edge touches (`_vertices`).
+(`_check_sizes`), and one view gives the vertices an edge touches
+(`_vertices`).  A sampler's whole argument rule is `_check_draw`, which the
+experiment drivers also ask for every cell before their first trial.
 """
 
 from __future__ import annotations
@@ -243,6 +245,19 @@ def _check_edge(e: ColoredEdge, mode: str, n: int, k: int, kappa: int, absent: f
             raise ValueError(f"edge {e} touches absent vertex")
 
 
+def _edge_pairs(edges: Iterable) -> list[ColoredEdge]:
+    """Each (verts, color) pair of edges as a ColoredEdge(tuple(verts),
+    color); a ValueError names an entry that is not such a pair."""
+    pairs = []
+    for e in edges:
+        try:
+            verts, color = e
+            pairs.append(ColoredEdge(tuple(verts), color))
+        except (TypeError, ValueError):
+            raise ValueError(f"edge {e!r} must be a (verts, color) pair") from None
+    return pairs
+
+
 def _stored_edges(
     edges: Iterable,
     mode: str,
@@ -252,19 +267,12 @@ def _stored_edges(
     absent: frozenset,
     parallel: bool = False,
 ) -> tuple[ColoredEdge, ...]:
-    """edges as an instance stores them: each (verts, color) pair a
-    ColoredEdge(tuple(verts), color), sorted, then checked one by one against
-    the edge rules (`_check_edge`) and, unless parallel, for a repeated
-    vertex tuple.  A ValueError names an entry that is not such a pair, else
+    """edges as an instance stores them: as ColoredEdges (`_edge_pairs`),
+    sorted, then checked one by one against the edge rules (`_check_edge`)
+    and, unless parallel, for a repeated vertex tuple.  A ValueError names
     the first offending edge in canonical order (in the given order when a
     value that is not an int leaves them unsortable)."""
-    stored = []
-    for e in edges:
-        try:
-            verts, color = e
-            stored.append(ColoredEdge(tuple(verts), color))
-        except (TypeError, ValueError):
-            raise ValueError(f"edge {e!r} must be a (verts, color) pair") from None
+    stored = _edge_pairs(edges)
     try:
         edges = sorted(stored)
     except TypeError:  # a value that is not an int: the loop below names its edge
@@ -372,16 +380,32 @@ def _colored(verts: Iterable[tuple[int, ...]], colors: Iterable[int]) -> tuple[C
     return tuple(map(tuple.__new__, repeat(ColoredEdge), zip(verts, colors)))
 
 
-def _check_partite_args(n: int, k: int, kappa: int) -> None:
-    """Refuse what no partite sampler can index or hold, before n ** k is
-    computed: at n >= 2 a k of sys.maxsize's bit length or more puts the
-    tuples past `random.sample`'s index range, and at n = 1 the one edge
-    holds k vertices."""
-    _check_sizes(PARTITE, n, k, kappa)
-    if n > 1 and k >= sys.maxsize.bit_length():
-        raise CapacityError(f"{n}^{k} tuples exceeds index range {sys.maxsize}")
-    if k > DEFAULT_EDGE_CAPACITY:
-        raise CapacityError(f"an edge of {k} vertices exceeds capacity {DEFAULT_EDGE_CAPACITY}")
+def _check_draw(mode: str, n: int, k: int, kappa: int, m: int | None = None) -> int:
+    """The total n^k tuples (graph mode: n(n-1)/2 pairs) a sampler draws m
+    of, once the sizes hold (`_check_sizes`), the tuples fit in sys.maxsize
+    (a partite k is bounded before n ** k is computed) and m, None for all,
+    is an int in 0..total of at most `DEFAULT_EDGE_CAPACITY` edges."""
+    _check_sizes(mode, n, k, kappa)
+    if mode == PARTITE:
+        if n > 1 and k >= sys.maxsize.bit_length():
+            raise CapacityError(f"{n}^{k} tuples exceeds index range {sys.maxsize}")
+        if k > DEFAULT_EDGE_CAPACITY:
+            raise CapacityError(f"an edge of {k} vertices exceeds capacity {DEFAULT_EDGE_CAPACITY}")
+        total = n**k
+    else:
+        total = n * (n - 1) // 2
+    if total > sys.maxsize:
+        space = f"{n}^{k} tuples" if mode == PARTITE else f"{total} pairs"
+        raise CapacityError(f"{space} exceeds index range {sys.maxsize}")
+    if m is None:
+        m = total
+    elif type(m) is not int:
+        raise ValueError(f"m must be an int, not {m!r}")
+    elif not 0 <= m <= total:
+        raise ValueError(f"m must lie in 0..{total}")
+    if m > DEFAULT_EDGE_CAPACITY:
+        raise CapacityError(f"{m} edges exceeds capacity {DEFAULT_EDGE_CAPACITY}")
+    return total
 
 
 def complete_colored(
@@ -392,11 +416,8 @@ def complete_colored(
 ) -> ColoredHypergraph:
     """The complete partite instance: every vertex tuple present once, colors
     i.i.d. uniform on [1..kappa], one per tuple in lexicographic order, drawn
-    in bulk (`_uniform`)."""
-    _check_partite_args(n, k, kappa)
-    total = n**k
-    if total > DEFAULT_EDGE_CAPACITY:
-        raise CapacityError(f"{n}^{k} = {total} edges exceeds capacity {DEFAULT_EDGE_CAPACITY}")
+    in bulk (`_uniform`).  The arguments obey `_check_draw` with m None."""
+    total = _check_draw(PARTITE, n, k, kappa)
     edges = _colored(product(range(1, n + 1), repeat=k), _uniform(rnd, kappa, total))
     return _built(ColoredHypergraph, mode=PARTITE, n=n, k=k, kappa=kappa,
                   edges=edges, absent=frozenset())
@@ -410,15 +431,8 @@ def sample_partite_m(
     The gnm-style model: the edge support is a uniform m-subset of the n^k
     possible tuples, independent of the colors.  The colors follow the
     subset's draw, one per tuple in sorted order, drawn in bulk (`_uniform`).
-    """
-    _check_partite_args(n, k, kappa)
-    total = n**k
-    if total > sys.maxsize:
-        raise CapacityError(f"{n}^{k} tuples exceeds index range {sys.maxsize}")
-    if not 0 <= m <= total:
-        raise ValueError(f"m must lie in 0..{total}")
-    if m > DEFAULT_EDGE_CAPACITY:
-        raise CapacityError(f"m = {m} edges exceeds capacity {DEFAULT_EDGE_CAPACITY}")
+    The arguments obey `_check_draw`."""
+    total = _check_draw(PARTITE, n, k, kappa, m)
     picked = sorted(rnd.sample(range(total), m))
     if k == 2:
         verts = [(t // n + 1, t % n + 1) for t in picked]
@@ -439,13 +453,10 @@ def sample_partite_p(
     """Each vertex tuple kept independently with probability p (gnp-style),
     colors i.i.d. uniform on the kept edges.  Each tuple's coin flip is
     followed by its color when kept, so the colors are drawn one call at a
-    time, not in bulk."""
-    _check_partite_args(n, k, kappa)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    total = n**k
-    if total > DEFAULT_EDGE_CAPACITY:
-        raise CapacityError(f"{n}^{k} = {total} tuples exceeds capacity {DEFAULT_EDGE_CAPACITY}")
+    time, not in bulk.  The sizes obey `_check_draw` with m None."""
+    _check_draw(PARTITE, n, k, kappa)
+    if type(p) not in (int, float) or not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must be an int or a float in [0, 1], not {p!r}")
     edges = []
     for verts in product(range(1, n + 1), repeat=k):
         if rnd.random() < p:
@@ -464,16 +475,9 @@ def sample_colored_graph(
     (u, u+1..n) in order.  A full draw on a `random.Random` sorts to every
     index whatever the words say, so its words are skipped
     (`_skip_full_sample`) and the pairs taken in order.  The colors follow,
-    one per pair in that order, drawn in bulk (`_uniform`).
-    """
-    _check_sizes(GRAPH, n, 2, kappa)
-    total = n * (n - 1) // 2
-    if total > sys.maxsize:
-        raise CapacityError(f"{total} pairs exceeds index range {sys.maxsize}")
-    if not 0 <= m <= total:
-        raise ValueError(f"m must lie in 0..{total}")
-    if m > DEFAULT_EDGE_CAPACITY:
-        raise CapacityError(f"m = {m} edges exceeds capacity {DEFAULT_EDGE_CAPACITY}")
+    one per pair in that order, drawn in bulk (`_uniform`).  The arguments
+    obey `_check_draw`."""
+    total = _check_draw(GRAPH, n, 2, kappa, m)
     if m == total and type(rnd) is random.Random:
         _skip_full_sample(rnd, total)
         pairs = combinations(range(1, n + 1), 2)
@@ -510,8 +514,7 @@ def restrict(
     """
     edge_set = set(H.edges)
     removed_e = set()
-    for e in removed_edges:
-        e = ColoredEdge(tuple(e[0]), e[1])
+    for e in _edge_pairs(removed_edges):
         if e not in edge_set:
             raise ValueError(f"{e} is not an edge of the instance")
         removed_e.add(e)

@@ -458,6 +458,16 @@ def _step_ratios(
     return p, gamma
 
 
+def _check_t_max(t_max: int | None, N: int) -> int:
+    """The steps a trace of N deletions takes: N for None, else t_max, an int
+    in 0..N (a bool or a float is an error)."""
+    if t_max is None:
+        return N
+    if type(t_max) is not int or not 0 <= t_max <= N:
+        raise ValueError(f"t_max must lie in 0..{N}")
+    return t_max
+
+
 def run_deletion_process(
     H0: ColoredHypergraph,
     ordering: Sequence[ColoredEdge],
@@ -487,10 +497,7 @@ def run_deletion_process(
     # H0's N edges are distinct, so N items that include them all are a permutation
     if len(ordering) != N or not set(ordering).issuperset(H0.edges):
         raise ValueError("ordering must be a permutation of the instance's edges")
-    if t_max is None:
-        t_max = len(ordering)
-    if not 0 <= t_max <= len(ordering):
-        raise ValueError(f"t_max must lie in 0..{len(ordering)}")
+    t_max = _check_t_max(t_max, N)
 
     state = _DeletionState(H0, budget, ordering[:t_max])
     weights, live, deg, cdeg = state.weights, state.live, state.deg, state.cdeg

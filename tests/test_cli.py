@@ -136,7 +136,7 @@ REFUSED = [
     pytest.param(["threshold", "--n", "4", "--m", "4", "--jobs", "0"],
                  "jobs must be >= 1", id="jobs-0"),
     pytest.param(["threshold", "--n", "3", "--m", "10"],
-                 "cell (n=3, m=10) exceeds 3^2 edges", id="threshold-m-past-n^k"),
+                 "m must lie in 0..9", id="threshold-m-past-n^k"),
     pytest.param(["threshold", "--n", "4", "--k", "1", "--m", "4"],
                  "partite mode needs k >= 2", id="threshold-k1"),
     pytest.param(["trace", "--n", "3", "--steps", "10"], "t_max must lie in 0..9",
@@ -144,7 +144,7 @@ REFUSED = [
     pytest.param(["hamilton", "--n", "3", "--m", "3"], "hamilton experiment needs n >= 4",
                  id="hamilton-n3"),
     pytest.param(["hamilton", "--n", "4", "--m", "7"],
-                 "cell (n=4, m=7) exceeds the simple-graph bound", id="hamilton-m-past-pairs"),
+                 "m must lie in 0..6", id="hamilton-m-past-pairs"),
     pytest.param(["plot", "bad-row.csv", "--x", "x", "--y", "y"], "malformed CSV row '2,x'",
                  id="plot-row-not-a-number"),
     pytest.param(["count", "graph-k3.json"], "graph mode fixes k = 2", id="count-graph-k3"),
@@ -166,12 +166,45 @@ def test_refused_inputs_exit_2(tmp_path, capsys, monkeypatch, argv, message):
     for name, text in REFUSED_FILES.items():
         (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text("")
+    if argv[0] in cli._EXPERIMENTS:  # refused before the first trial: no progress line
+        argv = [*argv, "--raw-out", str(raw)]
     code, out, err = run(capsys, *argv)
     *usage, line = err.splitlines()
     assert (code, out) == (2, "")
     assert usage == [] or usage[0].startswith("usage: "), err
     assert line.startswith("rainbowmatch") and line.endswith(f" error: {message}"), err
     assert "error:" not in "".join(usage), err
+    assert raw.read_text() == ""
+
+
+# Grids whose first cells are valid and whose last is refused by its
+# sampler's argument rule: each is refused, for every cell, before the
+# first trial, so the progress stream stays empty.
+REFUSED_GRIDS = [
+    pytest.param(["threshold", "--n", "4", "--m", "4,-1", "--trials", "2"], "m must lie in 0..16",
+                 id="threshold-negative-m"),
+    pytest.param(["threshold", "--n", "4,10", "--k", "20", "--m", "5", "--trials", "2"],
+                 "10^20 tuples exceeds index range", id="threshold-10^20-tuples"),
+    pytest.param(["threshold", "--n", "4,1000000000", "--m", "4", "--trials", "2"],
+                 "layout of 15000000000 bits exceeds capacity", id="threshold-layout"),
+    pytest.param(["mean-count", "--n", "2,3", "--k", "14", "--trials", "1", "--budget", "1000"],
+                 "4782969 edges exceeds capacity 2000000", id="mean-count-3^14-edges"),
+    pytest.param(["hamilton", "--n", "3000", "--m", "3,2500000", "--trials", "1"],
+                 "2500000 edges exceeds capacity 2000000", id="hamilton-m-past-capacity"),
+]
+
+
+@pytest.mark.parametrize("argv,message", REFUSED_GRIDS)
+def test_grids_are_refused_before_the_first_trial(tmp_path, capsys, argv, message):
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text("")
+    code, out, err = run(capsys, *argv, "--raw-out", str(raw))
+    assert (code, out) == (2, "")
+    assert err.startswith("rainbowmatch: error: ") and err.count("\n") == 1, err
+    assert message in err, err
+    assert raw.read_text() == ""
 
 
 # Exit codes and outputs of input paths no other test runs: the binomial

@@ -155,11 +155,14 @@ def lift_without_xi():
     (lambda: contract_color_delete(C5, ColoredEdge((1, 3), 1)), ValueError("not an edge")),
     (lambda: contract_color_delete(graph(2, 1, [((1, 2), 1)]), ColoredEdge((1, 2), 1)),
      ValueError("n >= 3")),
+    (lambda: assemble_even(PARTITE_K4, rng()), ValueError("graph-mode")),
+    (lambda: assemble_even(WITH_ABSENT, rng()), ValueError("all vertices active")),
     (lift_without_xi, ValueError("does not visit the contracted vertex")),
     (lambda: is_rainbow_hamilton_cycle(C5, HamiltonCycle((1, 2, 3, 4, 5), C5.edges[:4])),
      False),
 ], ids=["host-partite", "host-absent", "host-type", "contract-partite", "contract-absent",
-        "contract-foreign-edge", "contract-small-n", "lift-without-xi", "validator-edge-count"])
+        "contract-foreign-edge", "contract-small-n", "assemble-partite", "assemble-absent",
+        "lift-without-xi", "validator-edge-count"])
 def test_refusals(call, expected):
     if isinstance(expected, Exception):
         with pytest.raises(type(expected), match=str(expected)):

@@ -99,9 +99,9 @@ SIZED_ENTRY_POINTS = {
     "ColoredHypergraph": lambda n=3, k=2, kappa=3: ColoredHypergraph(PARTITE, n, k, kappa, ()),
     "ColoredMultigraph": lambda n=3, kappa=3: ColoredMultigraph(n, kappa, ()),
     "complete_colored": lambda n=3, k=2, kappa=3: complete_colored(n, k, kappa, rng()),
-    "sample_partite_m": lambda n=3, k=2, kappa=3: sample_partite_m(n, k, kappa, 4, rng()),
+    "sample_partite_m": lambda n=3, k=2, kappa=3, m=4: sample_partite_m(n, k, kappa, m, rng()),
     "sample_partite_p": lambda n=3, k=2, kappa=3: sample_partite_p(n, k, kappa, 0.5, rng()),
-    "sample_colored_graph": lambda n=4, kappa=3: sample_colored_graph(n, 3, kappa, rng()),
+    "sample_colored_graph": lambda n=4, kappa=3, m=3: sample_colored_graph(n, m, kappa, rng()),
 }
 
 
@@ -126,6 +126,14 @@ def test_sizes_that_are_not_ints_are_refused(entry, bad):
                  "vertex 5 must be a pair of ints", id="absent-int"),
     pytest.param(lambda: restrict(complete_colored(2, 2, 2, rng()), removed_vertices=[5]),
                  "vertex 5 must be a pair of ints", id="restrict-int"),
+    pytest.param(lambda: restrict(complete_colored(2, 2, 2, rng()), removed_edges=[1]),
+                 "edge 1 must be a (verts, color) pair", id="restrict-edge-int"),
+    pytest.param(lambda: restrict(complete_colored(2, 2, 2, rng()), removed_edges=[((1, 1),)]),
+                 "edge ((1, 1),) must be a (verts, color) pair", id="restrict-edge-without-color"),
+    pytest.param(lambda: sample_partite_p(3, 2, 3, "x", rng()),
+                 "p must be an int or a float in [0, 1], not 'x'", id="p-str"),
+    pytest.param(lambda: sample_partite_p(3, 2, 3, True, rng()),
+                 "p must be an int or a float in [0, 1], not True", id="p-bool"),
 ])
 def test_malformed_entries_are_named(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
