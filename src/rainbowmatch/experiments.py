@@ -71,6 +71,7 @@ from .process import (
     _TRACE_CACHE_SIZE,
     EventParams,
     _check_t_max,
+    _check_table,
     _loss_rates,
     _step_ratios,
     run_deletion_process,
@@ -102,8 +103,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parameters for one experiment run.  Unused fields are ignored by the
-    runners that do not need them; each runner validates what it uses."""
+    """Parameters for one experiment run; a runner ignores the fields it does
+    not use.  trials, jobs and retries are ints, a bool or a float refused."""
 
     kind: str
     ns: tuple[int, ...]
@@ -120,14 +121,13 @@ class ExperimentConfig:
     event_abundance: float = 100.0
 
     def __post_init__(self):
-        if not self.ns:
-            raise ValueError("parameter grid must be nonempty")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        for name in ("trials", "jobs", "retries"):
+            if type(value := getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an int, not {value!r}")
+            if value < 1 and name != "retries":
+                raise ValueError(f"{name} must be >= 1")
         if self.node_budget <= 0 or self.hc_budget <= 0:
             raise ValueError("budgets must be positive")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
 
     def kappa_for(self, n: int) -> int:
         return self.kappa if self.kappa is not None else n
@@ -238,19 +238,22 @@ def _timed(trial: Callable, key: tuple, config: ExperimentConfig, cell: tuple, s
 
 
 def _run_grid(
-    config: ExperimentConfig, cells: list[tuple], trial: Callable, raw_sink=None
+    config: ExperimentConfig, cells: list[tuple], check: Callable, trial: Callable, raw_sink=None
 ) -> ExperimentResult:
-    """Run trial `config.trials` times per cell, each through `_timed`.
-    Trial t of cell ci has key (ci, t) and owns stream ci * trials + t.  With
-    jobs > 1, completion order is scheduler-dependent; the rows are sorted by
-    key, so the output is independent of it.  An optional raw sink receives
-    one JSON line per completed trial, in completion order (a progress
-    stream, not a deterministic artifact).  A grid of more trials than
-    `model.DEFAULT_EDGE_CAPACITY` is refused (CapacityError) before any task
-    is built.  Each driver has refused every cell its sampler would refuse
-    (`model._check_draw`) before it calls this."""
+    """Run trial `config.trials` times per cell, each through `_timed`, once
+    the grid passes its one gate: an empty grid is refused (ValueError), then
+    one of more trials than `model.DEFAULT_EDGE_CAPACITY` (CapacityError),
+    then each cell by check(config, *cell), the kind's one rule of all its
+    trial could refuse.  Trial t of cell ci has key (ci, t) and owns stream
+    ci * trials + t; with jobs > 1 the rows are sorted by key, so the output
+    is independent of completion order.  An optional raw sink receives one
+    JSON line per completed trial, in completion order (a progress stream)."""
+    if not cells:
+        raise ValueError("parameter grid must be nonempty")
     if (size := len(cells) * config.trials) > DEFAULT_EDGE_CAPACITY:
         raise CapacityError(f"grid of {size} trials exceeds capacity {DEFAULT_EDGE_CAPACITY}")
+    for cell in cells:
+        check(config, *cell)
     tasks = [
         (trial, (ci, t), config, cell, ci * config.trials + t)
         for ci, cell in enumerate(cells)
@@ -289,14 +292,10 @@ def _threshold_trial(config: ExperimentConfig, cell: tuple, stream: int):
 
 
 def threshold_scan(config: ExperimentConfig, raw_sink=None) -> ExperimentResult:
-    """For each (n, m) cell: `trials` samples of the m-edge model, solved
-    exactly.  Budget exhaustion is its own outcome, never folded into absent."""
-    if not config.ms:
-        raise ValueError("threshold scan needs an m grid")
+    """`trials` samples of the m-edge model per (n, m) cell (`_check_cell`),
+    solved exactly; a budget-out is its own outcome, never folded into absent."""
     cells = [(n, m) for n in config.ns for m in config.ms]
-    for n, m in cells:
-        _check_cell(config, n, m)
-    return _run_grid(config, cells, _threshold_trial, raw_sink)
+    return _run_grid(config, cells, _check_cell, _threshold_trial, raw_sink)
 
 
 def threshold_table(result: ExperimentResult) -> tuple[list[str], list[list]]:
@@ -330,11 +329,9 @@ def _mean_count_trial(config: ExperimentConfig, cell: tuple, stream: int):
 
 
 def mean_count_experiment(config: ExperimentConfig, raw_sink=None) -> ExperimentResult:
-    """Exact-count `trials` random colorings of the complete instance per n,
-    for comparison against the closed-form mean and second moment."""
-    for n in config.ns:
-        _check_cell(config, n)
-    return _run_grid(config, [(n,) for n in config.ns], _mean_count_trial, raw_sink)
+    """Exact-count `trials` random colorings of the complete instance per n
+    (`_check_cell`), against the closed-form mean and second moment."""
+    return _run_grid(config, [(n,) for n in config.ns], _check_cell, _mean_count_trial, raw_sink)
 
 
 def _moment_stats(values: Sequence[int], power: int) -> tuple[float, float]:
@@ -409,20 +406,19 @@ def _trace_trial(config: ExperimentConfig, cell: tuple, stream: int):
 def trace_experiment(config: ExperimentConfig, raw_sink=None) -> ExperimentResult:
     """Fresh coloring and fresh uniform deletion order per trial; each trial's
     TrialRow.value is the full step tuple list for the CSV emitters.  One
-    cell, so trial t owns stream t.  The cell and t_max (`process._check_t_max`)
-    are refused up front, a weight table past the capacity only by a trial's
-    `_DeletionState`, after sampling."""
+    cell, its rule `_trace_shape`, so trial t owns stream t."""
     if len(config.ns) != 1:
         raise ValueError("trace experiment runs one n at a time")
-    _check_t_max(config.t_max, _check_cell(config, config.ns[0]))
-    return _run_grid(config, [config.ns], _trace_trial, raw_sink)
+    return _run_grid(config, [config.ns], _trace_shape, _trace_trial, raw_sink)
 
 
-def _trace_shape(config: ExperimentConfig) -> tuple[int, int, int]:
-    """(n, N, t_max) of a trace run: its N = n^k edges and the steps it
-    takes."""
-    n = config.ns[0]
-    N = n**config.k
+def _trace_shape(config: ExperimentConfig, n: int) -> tuple[int, int, int]:
+    """(n, N, t_max) of the trace cell n, N = n^k edges and t_max steps, once
+    all its trial could refuse holds: `_check_cell`, the abundance K, the
+    n^k * kappa weight table (`process._check_table`) and t_max."""
+    N = _check_cell(config, n)
+    EventParams.from_abundance(config.event_abundance)
+    _check_table((N, config.kappa_for(n)))
     return n, N, _check_t_max(config.t_max, N)
 
 
@@ -451,7 +447,7 @@ def trace_steps_csv(result: ExperimentResult) -> str:
     every other cell is rendered per step."""
     multi = len(result.rows) > 1
     out = [",".join((["trial"] if multi else []) + TRACE_STEP_HEADER)]
-    shape = _trace_shape(result.config)
+    shape = _trace_shape(result.config, *result.config.ns)
     for row in result.rows:
         steps = row.value or ()  # a budget row has no steps, and renders no ratios
         ratios = _ratio_cells(*shape) if steps else ()
@@ -467,7 +463,7 @@ def trace_summary_table(result: ExperimentResult) -> tuple[list[str], list[list]
     still positive (the regime where the step-rate identity applies), its SE,
     how many trials qualified, and the cumulative rate sum against its closed
     form."""
-    n, N, t_max = _trace_shape(result.config)
+    n, N, t_max = _trace_shape(result.config, *result.config.ns)
     per_step: dict[int, list[float]] = {i: [] for i in range(1, t_max + 1)}
     for row in result.rows:
         steps = row.value or ()  # a budget row has no steps
@@ -568,24 +564,29 @@ def _hamilton_trial(config: ExperimentConfig, cell: tuple, stream: int):
     return ("found" if stage == STAGE_SUCCESS else "absent"), telemetry
 
 
+def _check_hamilton_cell(config: ExperimentConfig, n: int, m: int) -> None:
+    """Refuse the cell (n, m) unless n >= 4, kappa = n, the graph sampler's
+    rule (`model._check_draw`) holds and, for odd n, retries >= 1, m >= 1
+    and the cycle search fits the layout cap: the contraction keeps at most
+    m - 1 edges on n - 1 vertices with n colors."""
+    if n < 4:
+        raise ValueError("hamilton experiment needs n >= 4")
+    if n % 2 == 1 and config.retries < 1:
+        raise ValueError("odd n requires retries >= 1")
+    if config.kappa_for(n) != n:
+        raise ValueError("the pipelines require exactly n colors")
+    _check_draw(GRAPH, n, 2, n, m)
+    if n % 2 == 1:
+        if m < 1:
+            raise ValueError(f"cell (n={n}, m={m}): odd n contracts an edge, so needs m >= 1")
+        _check_layout_bits(m - 1, n - 1, 2, n)
+
+
 def hamilton_experiment(config: ExperimentConfig, raw_sink=None) -> ExperimentResult:
     """Stage telemetry for the even-n assembly or the odd-n contract-and-lift
-    pipeline, one cell per (n, m)."""
-    if not config.ms:
-        raise ValueError("hamilton experiment needs an m grid")
-    for n in config.ns:
-        if n < 4:
-            raise ValueError("hamilton experiment needs n >= 4")
-        if n % 2 == 1 and config.retries < 1:
-            raise ValueError("odd n requires retries >= 1")
-        if config.kappa is not None and config.kappa != n:
-            raise ValueError("the pipelines require exactly n colors")
+    pipeline, one cell per (n, m), its rule `_check_hamilton_cell`."""
     cells = [(n, m) for n in config.ns for m in config.ms]
-    for n, m in cells:
-        _check_draw(GRAPH, n, 2, config.kappa_for(n), m)
-        if n % 2 == 1 and m < 1:
-            raise ValueError(f"cell (n={n}, m={m}): odd n contracts an edge, so needs m >= 1")
-    return _run_grid(config, cells, _hamilton_trial, raw_sink)
+    return _run_grid(config, cells, _check_hamilton_cell, _hamilton_trial, raw_sink)
 
 
 def hamilton_table(result: ExperimentResult) -> tuple[list[str], list[list]]:

@@ -196,6 +196,13 @@ def _near_layers(
     return near, nodes
 
 
+def _check_table(dims: Sequence[int]) -> int:
+    """The entries of a weight table of sizes dims, at most the capacity."""
+    if (size := math.prod(dims)) > DEFAULT_EDGE_CAPACITY:
+        raise CapacityError(f"weight table of {size} entries exceeds capacity {DEFAULT_EDGE_CAPACITY}")
+    return size
+
+
 # the set bits of each byte value, lowest first: a state's free colors are
 # read from its bytes, so peeling them is linear in kappa
 _BITS = [tuple(p for p in range(8) if b >> p & 1) for b in range(256)]
@@ -209,8 +216,8 @@ class _DeletionState:
     weights is the table as one flat list in `product` order over (part 1,
     ..., part k, color), whose sizes are dims: w(v, c), the rainbow
     near-perfect matchings that leave exactly v uncovered and do not use
-    color c.  A table of more than `model.DEFAULT_EDGE_CAPACITY` entries is
-    refused (CapacityError) before anything is built.  The constructor then
+    color c.  A table past the capacity (`_check_table`) is refused before
+    anything is built.  The constructor then
     builds the instance's bit layout (`count._Layout`), tallies from its
     packed edges per part-1 vertex (`_near_layers`; near maps each final
     state to its rainbow matchings, nodes is the states built, all counted
@@ -233,10 +240,7 @@ class _DeletionState:
     def __init__(self, H: ColoredHypergraph, budget: int, ordering: Sequence[ColoredEdge] = ()):
         self.parts = [H.part_active(p) for p in range(1, H.k + 1)]
         self.dims = [*map(len, self.parts), H.kappa]
-        if (size := math.prod(self.dims)) > DEFAULT_EDGE_CAPACITY:
-            raise CapacityError(
-                f"weight table of {size} entries exceeds capacity {DEFAULT_EDGE_CAPACITY}"
-            )
+        size = _check_table(self.dims)
         layout = _Layout(H)
         self.active, self.shift = layout.active, layout.shift
         self.color_bits, self.width = ((1 << H.kappa) - 1) << self.shift, (H.kappa + 7) // 8

@@ -93,6 +93,11 @@ TOO_LARGE = [
     pytest.param(["trace", "--n", "1", "--k", "2000000", "--trials", "1"],
                  id="trace-n1-k2e6-layout"),
     pytest.param(["gen", "--n", "4294967296", "--m", "1"], id="gen-2^64-tuples"),
+    # 10^6 edges times 3 colors: the weight table, and K = 0, refused before sampling
+    pytest.param(["trace", "--n", "1000", "--colors", "3", "--trials", "1"],
+                 id="trace-table-3e6"),
+    pytest.param(["trace", "--n", "1000", "--colors", "1", "--event-k", "0", "--trials", "1"],
+                 id="trace-event-k0"),
 ]
 
 
@@ -145,6 +150,10 @@ REFUSED = [
                  id="hamilton-n3"),
     pytest.param(["hamilton", "--n", "4", "--m", "7"],
                  "m must lie in 0..6", id="hamilton-m-past-pairs"),
+    # the trial cap is asked before any cell: every cell here has m = -1
+    pytest.param(["threshold", "--n", ",".join(map(str, range(4, 2005))), "--m", "-1",
+                  "--trials", "1000"],
+                 "grid of 2001000 trials exceeds capacity 2000000", id="threshold-cap-before-cells"),
     pytest.param(["plot", "bad-row.csv", "--x", "x", "--y", "y"], "malformed CSV row '2,x'",
                  id="plot-row-not-a-number"),
     pytest.param(["count", "graph-k3.json"], "graph mode fixes k = 2", id="count-graph-k3"),
@@ -193,6 +202,10 @@ REFUSED_GRIDS = [
                  "4782969 edges exceeds capacity 2000000", id="mean-count-3^14-edges"),
     pytest.param(["hamilton", "--n", "3000", "--m", "3,2500000", "--trials", "1"],
                  "2500000 edges exceeds capacity 2000000", id="hamilton-m-past-capacity"),
+    # the odd route's contraction keeps up to 999,999 edges on 1500 vertices
+    pytest.param(["hamilton", "--n", "1501", "--m", "10,1000000", "--retries", "1",
+                  "--trials", "1"],
+                 "layout of 3001000000 bits exceeds capacity 2147483648", id="hamilton-odd-layout"),
 ]
 
 

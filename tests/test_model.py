@@ -10,6 +10,7 @@ from collections import Counter
 import pytest
 
 from rainbowmatch import model
+from rainbowmatch.experiments import ExperimentConfig
 from rainbowmatch.hamilton import ColoredMultigraph
 from rainbowmatch.model import (
     DEFAULT_EDGE_CAPACITY,
@@ -102,6 +103,8 @@ SIZED_ENTRY_POINTS = {
     "sample_partite_m": lambda n=3, k=2, kappa=3, m=4: sample_partite_m(n, k, kappa, m, rng()),
     "sample_partite_p": lambda n=3, k=2, kappa=3: sample_partite_p(n, k, kappa, 0.5, rng()),
     "sample_colored_graph": lambda n=4, kappa=3, m=3: sample_colored_graph(n, m, kappa, rng()),
+    "ExperimentConfig": lambda trials=1, jobs=1, retries=0: ExperimentConfig(
+        kind="hamilton", ns=(5,), trials=trials, jobs=jobs, retries=retries),
 }
 
 
