@@ -31,6 +31,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from typing import Callable, Iterable, Sequence
 
 from .count import (
@@ -238,20 +239,25 @@ def _timed(trial: Callable, key: tuple, config: ExperimentConfig, cell: tuple, s
 
 
 def _run_grid(
-    config: ExperimentConfig, cells: list[tuple], check: Callable, trial: Callable, raw_sink=None
+    config: ExperimentConfig, axes: tuple[Sequence, ...], check: Callable, trial: Callable,
+    raw_sink=None,
 ) -> ExperimentResult:
-    """Run trial `config.trials` times per cell, each through `_timed`, once
-    the grid passes its one gate: an empty grid is refused (ValueError), then
-    one of more trials than `model.DEFAULT_EDGE_CAPACITY` (CapacityError),
-    then each cell by check(config, *cell), the kind's one rule of all its
-    trial could refuse.  Trial t of cell ci has key (ci, t) and owns stream
-    ci * trials + t; with jobs > 1 the rows are sorted by key, so the output
-    is independent of completion order.  An optional raw sink receives one
-    JSON line per completed trial, in completion order (a progress stream)."""
-    if not cells:
+    """Run trial `config.trials` times per cell of the grid product(*axes),
+    each through `_timed`, once the grid passes its one gate, asked from the
+    axes' sizes before any cell is built: an empty grid is refused
+    (ValueError), then one of more trials than `model.DEFAULT_EDGE_CAPACITY`
+    (CapacityError), then each cell by check(config, *cell), the kind's one
+    rule of all its trial could refuse.  Trial t of cell ci has key (ci, t)
+    and owns stream ci * trials + t; with jobs > 1 the rows are sorted by
+    key, so the output is independent of completion order.  An optional raw
+    sink receives one JSON line per completed trial, in completion order (a
+    progress stream)."""
+    cell_count = math.prod(map(len, axes))
+    if not cell_count:
         raise ValueError("parameter grid must be nonempty")
-    if (size := len(cells) * config.trials) > DEFAULT_EDGE_CAPACITY:
+    if (size := cell_count * config.trials) > DEFAULT_EDGE_CAPACITY:
         raise CapacityError(f"grid of {size} trials exceeds capacity {DEFAULT_EDGE_CAPACITY}")
+    cells = list(product(*axes))
     for cell in cells:
         check(config, *cell)
     tasks = [
@@ -294,8 +300,7 @@ def _threshold_trial(config: ExperimentConfig, cell: tuple, stream: int):
 def threshold_scan(config: ExperimentConfig, raw_sink=None) -> ExperimentResult:
     """`trials` samples of the m-edge model per (n, m) cell (`_check_cell`),
     solved exactly; a budget-out is its own outcome, never folded into absent."""
-    cells = [(n, m) for n in config.ns for m in config.ms]
-    return _run_grid(config, cells, _check_cell, _threshold_trial, raw_sink)
+    return _run_grid(config, (config.ns, config.ms), _check_cell, _threshold_trial, raw_sink)
 
 
 def threshold_table(result: ExperimentResult) -> tuple[list[str], list[list]]:
@@ -331,7 +336,7 @@ def _mean_count_trial(config: ExperimentConfig, cell: tuple, stream: int):
 def mean_count_experiment(config: ExperimentConfig, raw_sink=None) -> ExperimentResult:
     """Exact-count `trials` random colorings of the complete instance per n
     (`_check_cell`), against the closed-form mean and second moment."""
-    return _run_grid(config, [(n,) for n in config.ns], _check_cell, _mean_count_trial, raw_sink)
+    return _run_grid(config, (config.ns,), _check_cell, _mean_count_trial, raw_sink)
 
 
 def _moment_stats(values: Sequence[int], power: int) -> tuple[float, float]:
@@ -409,7 +414,7 @@ def trace_experiment(config: ExperimentConfig, raw_sink=None) -> ExperimentResul
     cell, its rule `_trace_shape`, so trial t owns stream t."""
     if len(config.ns) != 1:
         raise ValueError("trace experiment runs one n at a time")
-    return _run_grid(config, [config.ns], _trace_shape, _trace_trial, raw_sink)
+    return _run_grid(config, (config.ns,), _trace_shape, _trace_trial, raw_sink)
 
 
 def _trace_shape(config: ExperimentConfig, n: int) -> tuple[int, int, int]:
@@ -585,8 +590,8 @@ def _check_hamilton_cell(config: ExperimentConfig, n: int, m: int) -> None:
 def hamilton_experiment(config: ExperimentConfig, raw_sink=None) -> ExperimentResult:
     """Stage telemetry for the even-n assembly or the odd-n contract-and-lift
     pipeline, one cell per (n, m), its rule `_check_hamilton_cell`."""
-    cells = [(n, m) for n in config.ns for m in config.ms]
-    return _run_grid(config, cells, _check_hamilton_cell, _hamilton_trial, raw_sink)
+    return _run_grid(config, (config.ns, config.ms), _check_hamilton_cell, _hamilton_trial,
+                     raw_sink)
 
 
 def hamilton_table(result: ExperimentResult) -> tuple[list[str], list[list]]:

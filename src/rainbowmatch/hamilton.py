@@ -26,11 +26,14 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import cached_property, lru_cache
+from itertools import compress, product
+from typing import Iterator, Mapping, Sequence
 
 from .count import BudgetExceededError, DEFAULT_NODE_BUDGET, _Search, find_rainbow_pm
 from .model import (
-    GRAPH, ColoredEdge, ColoredHypergraph, Matching, _built, _check_sizes, _stored_edges, _uniform,
+    _SHAPE_CACHE_SIZE, GRAPH, ColoredEdge, ColoredHypergraph, Matching, _built, _check_sizes,
+    _colored, _stored_edges, _uniform,
 )
 
 __all__ = [
@@ -183,29 +186,64 @@ def find_rainbow_hc(G, budget: int = DEFAULT_HC_BUDGET) -> HamiltonCycle | None:
 # -- even-n assembly ----------------------------------------------------------
 
 
+# byte b -> 1 for b == bi, 0 otherwise: translates a plan's class bytes into
+# the selector of class bi (`itertools.compress`)
+_MEMBER = tuple(bytes(int(b == bi) for b in range(256)) for bi in range(8))
+
+
+def _members(items: Sequence, edge_class: bytes, bi: int) -> Iterator:
+    """The items at the positions whose class byte is bi, in order."""
+    return compress(items, edge_class.translate(_MEMBER[bi]))
+
+
+@lru_cache(maxsize=_SHAPE_CACHE_SIZE)
+def _color_label_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The 4n (color, label) pairs of [1..n] x [1..4], in order: what the
+    assembly shuffles into its blocks."""
+    return tuple(product(range(1, n + 1), range(1, 5)))
+
+
 @dataclass(frozen=True)
 class AssemblyPlan:
     """Everything the eight-matching construction decided and found.
 
-    labels        edge -> label in 1..4
+    edges         the graph's edges, in canonical order
+    label_list    label_list[j] in 1..4 is the label of edges[j]
     blocks        the 8 disjoint (color, label) sets, each of size n/2
-    edge_classes  E_i = edges whose (color, label) pair lies in blocks[i]
+    edge_class    byte j is the index of the block holding edges[j]'s
+                  (color, label) pair
     matchings     per class, the found matching in *original* colors, or None
     union_graph   the multigraph union of all matchings (None unless all found)
     stage         the STAGE_* name the pipeline ended at, STAGE_SUCCESS when
                   the HC search ran and found a cycle
+
+    Three views are read off those fields on first use, since only the
+    tests and the trial telemetry (the class sizes) read them:
+
+    labels        edge -> label in 1..4
+    edge_classes  E_i = edges whose (color, label) pair lies in blocks[i]
+    class_sizes   |E_i| per class
     """
 
-    labels: Mapping[ColoredEdge, int]
+    edges: tuple[ColoredEdge, ...]
+    label_list: Sequence[int]
     blocks: tuple[frozenset, ...]
-    edge_classes: tuple[tuple[ColoredEdge, ...], ...]
+    edge_class: bytes
     matchings: tuple[Matching | None, ...]
     union_graph: ColoredMultigraph | None
     stage: str
 
-    @property
+    @cached_property
+    def labels(self) -> Mapping[ColoredEdge, int]:
+        return dict(zip(self.edges, self.label_list))
+
+    @cached_property
+    def edge_classes(self) -> tuple[tuple[ColoredEdge, ...], ...]:
+        return tuple(tuple(_members(self.edges, self.edge_class, bi)) for bi in range(8))
+
+    @cached_property
     def class_sizes(self) -> tuple[int, ...]:
-        return tuple(len(cls) for cls in self.edge_classes)
+        return tuple(map(self.edge_class.count, range(8)))
 
 
 def assemble_even(
@@ -218,17 +256,21 @@ def assemble_even(
 
     Labels every edge with 1..4 (one label per edge in canonical order,
     drawn in bulk by `model._uniform`), partitions [1..n] x [1..4] into 8
-    blocks of size n/2, splits edges into classes by their (color, label)
-    pair, gates on every class holding at least a tenth of the edges, finds
-    one rainbow perfect matching per class under the pair recoloring, unions
-    the matchings into a multigraph, and searches it for a rainbow Hamilton
-    cycle under the original colors.  One map takes each pair to its block
-    and to its 1-based position in the sorted block, the color it takes in
-    the pair recoloring; a class is recolored only when it is searched.
-    Each way to fall short is a named failure stage.  The recolored classes
-    (a subsequence of G's sorted edges, colored 1..n/2) and the union (G's
-    edges, sorted) are valid by construction, so they are built without the
-    constructors' checks (`model._built`); the tests hold them to those.
+    blocks of size n/2 (a shuffle of the per-n pairs, `_color_label_pairs`),
+    splits edges into classes by their (color, label) pair, gates on every
+    class holding at least a tenth of the edges, finds one rainbow perfect
+    matching per class under the pair recoloring, unions the matchings into
+    a multigraph, and searches it for a rainbow Hamilton cycle under the
+    original colors.  One flat table has a slot per pair (c, l), at
+    4c + l - 5, holding the pair's block and its 1-based position in the
+    sorted block, the color it takes in the pair recoloring; one pass
+    through it gives each edge its class byte, and the size gate counts
+    those bytes.  Only the classes searched are built and recolored, each
+    when its search comes.  Each way to fall short is a named failure stage.  The recolored
+    classes (a subsequence of G's sorted edges, colored 1..n/2) and the
+    union (G's edges, sorted) are valid by construction, so they are built
+    without the constructors' checks (`model._built`); the tests hold them
+    to those.
     """
     _check_graph_host(G, "assembly")
     if G.n % 2 != 0 or G.n < 4:
@@ -236,44 +278,45 @@ def assemble_even(
     if G.kappa != G.n:
         raise ValueError("assembly needs exactly n colors")
 
-    label_list = _uniform(rnd, 4, len(G.edges))
-    labels = dict(zip(G.edges, label_list))
-    pairs = [(c, l) for c in range(1, G.n + 1) for l in range(1, 5)]
+    n, edges = G.n, G.edges
+    label_list = _uniform(rnd, 4, len(edges))
+    pairs = list(_color_label_pairs(n))
     rnd.shuffle(pairs)
-    nu = G.n // 2
+    nu = n // 2
     blocks = tuple(frozenset(pairs[i * nu : (i + 1) * nu]) for i in range(8))
 
-    route = {
-        pair: (bi, i) for bi, block in enumerate(blocks) for i, pair in enumerate(sorted(block), 1)
-    }
-    classes: list[list[ColoredEdge]] = [[] for _ in range(8)]
-    for e, label in zip(G.edges, label_list):
-        classes[route[e.color, label][0]].append(e)
-    edge_classes = tuple(tuple(cls) for cls in classes)
+    slots: list[tuple[int, int]] = [(0, 0)] * (4 * n)
+    for bi, block in enumerate(blocks):
+        for i, (c, l) in enumerate(sorted(block), 1):
+            slots[4 * c + l - 5] = (bi, i)
+    edge_class = bytes([slots[4 * c + l - 5][0] for (_, c), l in zip(edges, label_list)])
 
     def plan(matchings, union, stage):
-        return AssemblyPlan(labels, blocks, edge_classes, tuple(matchings), union, stage)
+        return AssemblyPlan(edges, label_list, blocks, edge_class, tuple(matchings), union, stage)
 
-    m = len(G.edges)
-    if any(len(cls) * 10 < m for cls in edge_classes):
+    if any(edge_class.count(bi) * 10 < len(edges) for bi in range(8)):
         return plan([None] * 8, None, STAGE_CLASS_TOO_SMALL), None
 
     matchings: list[Matching | None] = [None] * 8
     for bi in range(8):
-        recolored = _built(ColoredHypergraph, mode=GRAPH, n=G.n, k=2, kappa=nu, edges=tuple(
-            ColoredEdge(e.verts, route[e.color, labels[e]][1]) for e in edge_classes[bi]
-        ), absent=frozenset())
+        cls = tuple(_members(edges, edge_class, bi))
+        colors = [
+            slots[4 * c + l - 5][1]
+            for (_, c), l in zip(cls, _members(label_list, edge_class, bi))
+        ]
+        recolored = _built(ColoredHypergraph, mode=GRAPH, n=n, k=2, kappa=nu,
+                           edges=_colored([e.verts for e in cls], colors), absent=frozenset())
         try:
             M = find_rainbow_pm(recolored, budget=matching_budget)
         except BudgetExceededError:
             return plan(matchings, None, STAGE_MATCHING_BUDGET), None
         if M is None:
             return plan(matchings, None, STAGE_MATCHING_NOT_FOUND), None
-        original = {e.verts: e for e in edge_classes[bi]}
+        original = {e.verts: e for e in cls}
         matchings[bi] = Matching(tuple(sorted(original[f.verts] for f in M.edges)))
 
     union_edges = tuple(sorted(e for M in matchings for e in M.edges))
-    union = _built(ColoredMultigraph, n=G.n, kappa=G.kappa, edges=union_edges)
+    union = _built(ColoredMultigraph, n=n, kappa=G.kappa, edges=union_edges)
     try:
         hc = find_rainbow_hc(union, budget=hc_budget)
     except BudgetExceededError:
@@ -310,7 +353,8 @@ def contract_color_delete(
     """Contract e = {x, y} into a fresh vertex and drop color class c(e).
 
     Survivor vertices are renumbered 1..n-2 in increasing order and the new
-    vertex takes id n-1, so the result lives on [1..n-1].  Edges formerly at
+    vertex takes id n-1, so the result lives on [1..n-1]; one list indexed
+    by the old id gives every vertex its new one.  Edges formerly at
     x or y become parallel edges at the new vertex; the map keeps the
     original edge set, which tells lift_cycle which endpoint each came from.
     The color multiset of the result is the original one minus the whole
@@ -325,19 +369,19 @@ def contract_color_delete(
     if G.n < 3:
         raise ValueError("contraction needs n >= 3")
     x, y = e.verts
-    survivors = [v for v in range(1, G.n + 1) if v not in (x, y)]
-    old_to_new = {v: i + 1 for i, v in enumerate(survivors)}
     xi = G.n - 1
-    new_to_old = {i + 1: v for i, v in enumerate(survivors)}
+    # new[v] is old vertex v's id: the survivors keep their order on
+    # 1..n-2, and x and y become xi
+    new = [*range(x), xi, *range(x, y - 1), xi, *range(y - 1, xi)]
+    new_to_old = {w: v for v, w in enumerate(new) if 0 < w < xi}
 
-    contracted = []
-    for f in G.edges:
-        if f.color == e.color:
-            continue
-        u, v = f.verts
-        nu_ = old_to_new.get(u, xi)
-        nv_ = old_to_new.get(v, xi)
-        contracted.append(ColoredEdge((nu_, nv_) if nu_ < nv_ else (nv_, nu_), f.color))
+    drop, verts, colors = e.color, [], []
+    for (u, v), c in G.edges:
+        if c != drop:
+            u, v = new[u], new[v]
+            verts.append((u, v) if u < v else (v, u))
+            colors.append(c)
+    contracted = _colored(verts, colors)
     Gp = _built(ColoredMultigraph, n=G.n - 1, kappa=G.kappa, edges=tuple(sorted(contracted)))
     return Gp, ContractionMap(xi, new_to_old, host_edges)
 

@@ -41,7 +41,7 @@ import random
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import chain, combinations, product, repeat, starmap
 from typing import Iterable, NamedTuple, Sequence
 
@@ -75,6 +75,12 @@ GRAPH = "graph"
 # Complete partite instances materialize all n^k edges; refuse to build ones
 # that would not fit in memory anyway.
 DEFAULT_EDGE_CAPACITY = 2_000_000
+
+# the graph shapes whose constant tables are kept (`_graph_pairs`, the
+# assembly's (color, label) pairs): a grid runs its cells one after another
+# and full-draws at one n at most (each of its m fits its smallest n), so a
+# caller that sweeps shapes keeps only the last few
+_SHAPE_CACHE_SIZE = 4
 
 
 class CapacityError(ValueError):
@@ -380,6 +386,13 @@ def _colored(verts: Iterable[tuple[int, ...]], colors: Iterable[int]) -> tuple[C
     return tuple(map(tuple.__new__, repeat(ColoredEdge), zip(verts, colors)))
 
 
+@lru_cache(maxsize=_SHAPE_CACHE_SIZE)
+def _graph_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """Every pair (u, v), 1 <= u < v <= n, in lexicographic order: the
+    complete graph's edge support, shared by every full draw on n vertices."""
+    return tuple(combinations(range(1, n + 1), 2))
+
+
 def _check_draw(mode: str, n: int, k: int, kappa: int, m: int | None = None) -> int:
     """The total n^k tuples (graph mode: n(n-1)/2 pairs) a sampler draws m
     of, once the sizes hold (`_check_sizes`), the tuples fit in sys.maxsize
@@ -474,13 +487,14 @@ def sample_colored_graph(
     n(n-1)/2 pairs: the sorted indices are decoded by walking the rows
     (u, u+1..n) in order.  A full draw on a `random.Random` sorts to every
     index whatever the words say, so its words are skipped
-    (`_skip_full_sample`) and the pairs taken in order.  The colors follow,
+    (`_skip_full_sample`) and its edges take their pairs from the one
+    per-n tuple every full draw shares (`_graph_pairs`).  The colors follow,
     one per pair in that order, drawn in bulk (`_uniform`).  The arguments
     obey `_check_draw`."""
     total = _check_draw(GRAPH, n, 2, kappa, m)
     if m == total and type(rnd) is random.Random:
         _skip_full_sample(rnd, total)
-        pairs = combinations(range(1, n + 1), 2)
+        pairs = _graph_pairs(n)
     else:
         pairs = []
         u, row_start, row_len = 1, 0, n - 1

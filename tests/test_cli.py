@@ -98,6 +98,13 @@ TOO_LARGE = [
                  id="trace-table-3e6"),
     pytest.param(["trace", "--n", "1000", "--colors", "1", "--event-k", "0", "--trials", "1"],
                  id="trace-event-k0"),
+    # 2.2 M trials of valid cells: the trial cap is asked before any cell is built
+    pytest.param(["threshold", "--n", ",".join(map(str, range(1000, 2100))),
+                  "--m", ",".join(map(str, range(1, 1001))), "--trials", "2"],
+                 id="threshold-grid-2.2e6-trials"),
+    pytest.param(["hamilton", "--n", ",".join(map(str, range(1000, 2100, 2))),
+                  "--m", ",".join(map(str, range(1, 2001))), "--trials", "2"],
+                 id="hamilton-grid-2.2e6-trials"),
 ]
 
 

@@ -58,9 +58,11 @@ print(sorted(m for m in ("concurrent.futures.process", "multiprocessing") if m i
 def test_a_serial_run_imports_no_process_pool():
     # the pool is imported where jobs > 1 starts one, so importing the CLI
     # and running it serially never pays for multiprocessing; a fresh
-    # interpreter without site, since this one has loaded the pool already
+    # interpreter without site, since this one has loaded the pool already,
+    # and writing no bytecode into the checkout
     src = Path(rainbowmatch.__file__).resolve().parent.parent
-    run = subprocess.run([sys.executable, "-S", "-c", SERIAL_RUN], env={"PYTHONPATH": str(src)},
+    run = subprocess.run([sys.executable, "-B", "-S", "-c", SERIAL_RUN],
+                         env={"PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True)
     assert run.stdout.splitlines()[-1] == "[]"
 

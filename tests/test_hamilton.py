@@ -22,7 +22,9 @@ from rainbowmatch.hamilton import (
     STAGE_HC_BUDGET,
     STAGE_HC_NOT_FOUND,
     STAGE_MATCHING_BUDGET,
+    STAGE_MATCHING_NOT_FOUND,
     STAGE_SUCCESS,
+    _color_label_pairs,
     assemble_even,
     contract_color_delete,
     find_rainbow_hc,
@@ -36,6 +38,7 @@ from rainbowmatch.model import (
     PARTITE,
     Matching,
     RandomnessSpec,
+    _graph_pairs,
     complete_colored,
     sample_colored_graph,
 )
@@ -467,8 +470,15 @@ def test_assemble_blocks_partition_color_label_pairs():
 
 def test_assemble_labels_match_per_call_oracle():
     # the labels are drawn in bulk; they, the shuffle after them, the classes
-    # and the generator state left must be those of one randint per edge
-    for n, m, seed in ((8, 20, 0), (12, 66, 1), (40, 780, 2), (40, 300, 3)):
+    # and their sizes, and the generator state left must be those of one
+    # randint per edge, whether the plan stops at the size gate or in a search
+    for n, m, seed, stage in (
+        (8, 20, 0, STAGE_CLASS_TOO_SMALL),
+        (12, 66, 1, STAGE_CLASS_TOO_SMALL),
+        (40, 780, 2, STAGE_MATCHING_NOT_FOUND),
+        (40, 300, 3, STAGE_CLASS_TOO_SMALL),
+        (8, 28, 10, STAGE_MATCHING_NOT_FOUND),
+    ):
         G = sample_colored_graph(n, m, n, rng(seed, seed=61))
         got_rnd, want_rnd = rng(seed, seed=62), rng(seed, seed=62)
         plan, _ = assemble_even(G, got_rnd, matching_budget=50, hc_budget=50)
@@ -481,6 +491,8 @@ def test_assemble_labels_match_per_call_oracle():
         assert plan.labels == labels, (n, m)
         assert plan.blocks == tuple(frozenset(pairs[i * n // 2 : (i + 1) * n // 2]) for i in range(8))
         assert plan.edge_classes == classes, (n, m)
+        assert plan.class_sizes == tuple(map(len, classes)), (n, m)
+        assert plan.stage == stage, (n, m)
         assert got_rnd.getstate() == want_rnd.getstate(), (n, m)
 
 
@@ -638,6 +650,15 @@ def test_derived_builders_store_what_the_checked_constructors_store(monkeypatch)
             G = sample_colored_graph(n, m, n, r)
             Gp, _ = contract_color_delete(G, G.edges[r.randrange(m)])
             assert_stored_as_checked(Gp)
+    for n in (9, 20):  # full draws at one n share one tuple of pairs
+        r = rng(n, seed=73)
+        G1, G2 = (sample_colored_graph(n, n * (n - 1) // 2, n, r) for _ in range(2))
+        assert G1.edges != G2.edges
+        assert all(e.verts is f.verts for e, f in zip(G1.edges, G2.edges))
+        for G in (G1, G2):
+            assert_stored_as_checked(G)
+            Gp, _ = contract_color_delete(G, G.edges[r.randrange(len(G.edges))])
+            assert_stored_as_checked(Gp)
     searched = []
     find = hamilton.find_rainbow_pm
 
@@ -656,6 +677,21 @@ def test_derived_builders_store_what_the_checked_constructors_store(monkeypatch)
     assert len(searched) > 8
     for H in searched:
         assert_stored_as_checked(H)
+
+
+def test_shape_caches_stay_at_their_bound_over_a_sweep():
+    # the per-n pairs of full draws and of the assembly are cached; a sweep
+    # over more shapes than the bound keeps only the last few
+    for cached in (_graph_pairs, _color_label_pairs):
+        cached.cache_clear()
+    bound = _graph_pairs.cache_info().maxsize
+    for n in range(4, 4 + 2 * (bound + 3), 2):
+        r = rng(n, seed=74)
+        G = sample_colored_graph(n, n * (n - 1) // 2, n, r)
+        assemble_even(G, r, matching_budget=50, hc_budget=50)
+    for cached in (_graph_pairs, _color_label_pairs):
+        info = cached.cache_info()
+        assert 1 <= info.maxsize <= 16 and info.currsize == info.maxsize, info
 
 
 def test_contract_lift_round_trip_on_c5():
