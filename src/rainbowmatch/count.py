@@ -711,8 +711,8 @@ def latin_transversal(matrix: Sequence[Sequence[int]], budget: int = DEFAULT_NOD
             if type(sym) is not int:
                 raise ValueError(f"symbol {sym!r} at ({i}, {j}) is not an int")
             if sym:
-                edges.append(ColoredEdge((i, j), sym))
-    H = ColoredHypergraph(PARTITE, n, 2, n, tuple(edges))
+                edges.append(((i, j), sym))
+    H = ColoredHypergraph(PARTITE, n, 2, n, edges)
     M = find_rainbow_pm(H, budget=budget)
     if M is None:
         return None

@@ -57,6 +57,7 @@ from .hamilton import (
     lift_cycle,
 )
 from .model import (
+    _SHAPE_CACHE_SIZE,
     DEFAULT_EDGE_CAPACITY,
     GRAPH,
     PARTITE,
@@ -69,7 +70,6 @@ from .model import (
     sample_partite_m,
 )
 from .process import (
-    _TRACE_CACHE_SIZE,
     EventParams,
     _check_t_max,
     _check_table,
@@ -102,10 +102,15 @@ __all__ = [
     "emit_plot",
 ]
 
+# ExperimentConfig's count fields, each with its smallest value
+_COUNT_FIELDS = {"trials": 1, "jobs": 1, "retries": 0, "node_budget": 1, "hc_budget": 1}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Parameters for one experiment run; a runner ignores the fields it does
-    not use.  trials, jobs and retries are ints, a bool or a float refused."""
+    not use.  Each count field is an int (a bool or a float is refused) of
+    at least its bound in `_COUNT_FIELDS`."""
 
     kind: str
     ns: tuple[int, ...]
@@ -122,13 +127,12 @@ class ExperimentConfig:
     event_abundance: float = 100.0
 
     def __post_init__(self):
-        for name in ("trials", "jobs", "retries"):
+        for name, low in _COUNT_FIELDS.items():
             if type(value := getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an int, not {value!r}")
-            if value < 1 and name != "retries":
-                raise ValueError(f"{name} must be >= 1")
-        if self.node_budget <= 0 or self.hc_budget <= 0:
-            raise ValueError("budgets must be positive")
+            if value < low:
+                raise ValueError("budgets must be positive" if name.endswith("budget")
+                                 else f"{name} must be >= {low}")
 
     def kappa_for(self, n: int) -> int:
         return self.kappa if self.kappa is not None else n
@@ -427,7 +431,7 @@ def _trace_shape(config: ExperimentConfig, n: int) -> tuple[int, int, int]:
     return n, N, _check_t_max(config.t_max, N)
 
 
-@lru_cache(maxsize=_TRACE_CACHE_SIZE)
+@lru_cache(maxsize=_SHAPE_CACHE_SIZE)
 def _ratio_cells(n: int, N: int, t_max: int) -> tuple[str, ...]:
     """The gamma and p_i cells of trace steps 0..t_max (`process._step_ratios`),
     rendered and joined as "gamma,p_i", one string per step.  They depend

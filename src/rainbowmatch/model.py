@@ -76,10 +76,11 @@ GRAPH = "graph"
 # that would not fit in memory anyway.
 DEFAULT_EDGE_CAPACITY = 2_000_000
 
-# the graph shapes whose constant tables are kept (`_graph_pairs`, the
-# assembly's (color, label) pairs): a grid runs its cells one after another
-# and full-draws at one n at most (each of its m fits its smallest n), so a
-# caller that sweeps shapes keeps only the last few
+# the shapes whose constant tables are kept, by every per-shape cache (a
+# graph's pairs, the assembly's (color, label) pairs, a trace's step ratios,
+# loss rates and rendered cells): a grid runs its cells one after another and
+# a trace run reads one shape, so a caller that sweeps shapes keeps only the
+# last few; one n = 2000 graph's pairs alone are about 2 M tuples
 _SHAPE_CACHE_SIZE = 4
 
 
@@ -143,8 +144,9 @@ class ColoredHypergraph:
     """An immutable edge-colored instance (see module docstring for modes).
 
     The constructor checks every instance it is handed: `restrict`,
-    `instance_from_dict` and any library caller alike, and is the one range
-    check of their edges.  The samplers and the Hamilton assembly's recolored
+    `instance_from_dict`, `count.latin_transversal` and any library caller
+    alike, and is the one type and range check of their sizes, edges and
+    absent vertices.  The samplers and the Hamilton assembly's recolored
     classes build their edges valid by construction and skip it (`_built`);
     the tests hold them to it.  Past the sizes (`_check_sizes`) it requires
     every edge to be a (verts, color) pair, every vertex index and color to
@@ -591,8 +593,10 @@ def random_edge_ordering(
 #
 # plus an "absent" key (list of [part, index] or int) only when nonempty.
 # Every number is a JSON integer: a float (even 2.0) or a bool is malformed.
-# Emission is canonical (edges sorted, fixed key order), so parse(emit(H)) == H
-# and emit(parse(s)) == s whenever s is canonical.
+# The reader hands the raw values to the constructor, the one type and range
+# check; every refusal reads "malformed instance document: " and the rule it
+# breaks.  Emission is canonical (edges sorted, fixed key order), so
+# parse(emit(H)) == H and emit(parse(s)) == s whenever s is canonical.
 
 
 def instance_to_dict(H: ColoredHypergraph) -> dict:
@@ -611,36 +615,15 @@ def instance_to_dict(H: ColoredHypergraph) -> dict:
     return out
 
 
-def _json_int(value, what: str) -> int:
-    """value when it is a JSON integer.  A float (2.5, 1e400), a bool or any
-    other type is a malformed document, never truncated to an int."""
-    if type(value) is not int:
-        raise TypeError(f"{what} must be an integer, not {value!r}")
-    return value
-
-
 def instance_from_dict(data: dict) -> ColoredHypergraph:
     try:
-        mode = data["mode"]
-        n, k, kappa = (_json_int(data[key], key) for key in ("n", "k", "colors"))
-        edges = []
-        for pos, item in enumerate(data["edges"]):
-            try:
-                verts = tuple(_json_int(v, "vertex") for v in item["verts"])
-                edges.append(ColoredEdge(verts, _json_int(item["color"], "color")))
-            except (KeyError, TypeError) as exc:
-                raise ValueError(f"malformed instance document: edge {pos}: {exc}") from exc
-        absent_raw = data.get("absent", ())
-        if mode == PARTITE:
-            absent = frozenset(
-                PartiteVertex(_json_int(p, "absent part"), _json_int(i, "absent index"))
-                for p, i in absent_raw
-            )
-        else:
-            absent = frozenset(_json_int(v, "absent vertex") for v in absent_raw)
-    except (KeyError, TypeError) as exc:
+        return ColoredHypergraph(
+            data["mode"], data["n"], data["k"], data["colors"],
+            [(item["verts"], item["color"]) for item in data["edges"]],
+            data.get("absent", ()),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed instance document: {exc}") from exc
-    return ColoredHypergraph(mode, n, k, kappa, tuple(edges), absent)
 
 
 def dumps_instance(H: ColoredHypergraph) -> str:

@@ -74,8 +74,8 @@ from itertools import product
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .count import BudgetExceededError, DEFAULT_NODE_BUDGET, _Layout
-from .model import (DEFAULT_EDGE_CAPACITY, PARTITE, CapacityError, ColoredEdge,
-                    ColoredHypergraph, degree_profile)
+from .model import (_SHAPE_CACHE_SIZE, DEFAULT_EDGE_CAPACITY, PARTITE, CapacityError,
+                    ColoredEdge, ColoredHypergraph, degree_profile)
 
 __all__ = [
     "EventParams",
@@ -443,12 +443,7 @@ class DeletionTrace:
 _DEAD_XI = Fraction(0)
 
 
-# the trace shapes whose ratios and rendered cells are kept: one trace run
-# reads one shape, so a caller that sweeps shapes keeps only the last few
-_TRACE_CACHE_SIZE = 8
-
-
-@lru_cache(maxsize=_TRACE_CACHE_SIZE)
+@lru_cache(maxsize=_SHAPE_CACHE_SIZE)
 def _step_ratios(
     n: int, N: int, t_max: int
 ) -> tuple[tuple[Fraction, ...], tuple[Fraction | None, ...]]:
@@ -537,7 +532,7 @@ def run_deletion_process(
     return DeletionTrace(tuple(steps), state.nodes)
 
 
-@lru_cache(maxsize=_TRACE_CACHE_SIZE)
+@lru_cache(maxsize=_SHAPE_CACHE_SIZE)
 def _loss_rates(n: int, N: int, t_max: int) -> tuple[tuple[float, float], ...]:
     """(sum_{i=1..t} n/(N-i+1), n*log(N/(N-t))) at t = 0..t_max (< N), in
     one running pass, kept per shape: a trace summary reads the same pairs

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import time
 import tracemalloc
 import xml.etree.ElementTree as ET
@@ -22,7 +23,12 @@ from rainbowmatch.model import (
     Matching,
     RandomnessSpec,
     complete_colored,
+    dumps_instance,
     load_instance,
+    loads_instance,
+    restrict,
+    sample_colored_graph,
+    sample_partite_m,
     save_instance,
 )
 
@@ -147,6 +153,8 @@ REFUSED = [
                  "trials must be >= 1", id="trials-0"),
     pytest.param(["threshold", "--n", "4", "--m", "4", "--jobs", "0"],
                  "jobs must be >= 1", id="jobs-0"),
+    pytest.param(["hamilton", "--n", "4", "--m", "6", "--trials", "1", "--retries", "-1"],
+                 "retries must be >= 0", id="retries-negative"),
     pytest.param(["threshold", "--n", "3", "--m", "10"],
                  "m must lie in 0..9", id="threshold-m-past-n^k"),
     pytest.param(["threshold", "--n", "4", "--k", "1", "--m", "4"],
@@ -163,12 +171,16 @@ REFUSED = [
                  "grid of 2001000 trials exceeds capacity 2000000", id="threshold-cap-before-cells"),
     pytest.param(["plot", "bad-row.csv", "--x", "x", "--y", "y"], "malformed CSV row '2,x'",
                  id="plot-row-not-a-number"),
-    pytest.param(["count", "graph-k3.json"], "graph mode fixes k = 2", id="count-graph-k3"),
-    pytest.param(["count", "n0.json"], "n must be >= 1", id="count-n0"),
-    pytest.param(["count", "colors0.json"], "kappa must be >= 1", id="count-colors0"),
-    pytest.param(["count", "k1.json"], "partite mode needs k >= 2", id="count-partite-k1"),
+    pytest.param(["count", "graph-k3.json"], "malformed instance document: graph mode fixes k = 2",
+                 id="count-graph-k3"),
+    pytest.param(["count", "n0.json"], "malformed instance document: n must be >= 1", id="count-n0"),
+    pytest.param(["count", "colors0.json"], "malformed instance document: kappa must be >= 1",
+                 id="count-colors0"),
+    pytest.param(["count", "k1.json"], "malformed instance document: partite mode needs k >= 2",
+                 id="count-partite-k1"),
     pytest.param(["count", "absent-part3.json"],
-                 "vertex PartiteVertex(part=3, index=1) out of range", id="count-absent-part3"),
+                 "malformed instance document: vertex PartiteVertex(part=3, index=1) out of range",
+                 id="count-absent-part3"),
     pytest.param(["count", "absent.json", "--method", "ie"],
                  "inclusion-exclusion route requires all vertices active", id="count-ie-absent"),
     pytest.param(["gen", "--n", "3", "--m", "10"], "m must lie in 0..9", id="gen-m-past-n^k"),
@@ -802,6 +814,122 @@ def test_bad_document_is_an_input_error(tmp_path, capsys):
             code, out, err = run(capsys, command, str(path))
             assert (code, out) == (2, ""), (command, message)
             assert err.startswith(f"rainbowmatch: error: {message}") and err.count("\n") == 1
+
+
+# -- seeded mutations of outside inputs
+
+MUTATION_JUNK = (0, -1, 2, 5, 10**12, 2.0, 2.5, math.inf, True, None, "2", [], [1, 2], {})
+DOC_KEYS = ("mode", "n", "k", "colors", "edges", "absent")
+
+
+def _mutate_document(doc: dict, rnd) -> None:
+    """One seeded mutation of a parsed instance document, in place.  Most
+    keep it an instance (an edge dropped or recolored, more colors, the
+    edges shuffled, an unknown key, the absent vertices restored); the rest
+    break a key, an edge or a value.  A mutation that needs a part an
+    earlier one broke leaves the document as it is."""
+    junk = rnd.choice(MUTATION_JUNK)
+    kind = rnd.choices(range(12), weights=(5, 5, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1))[0]
+    try:
+        edges = doc["edges"]
+        edge = edges[rnd.randrange(len(edges))]
+        if kind == 0:
+            edges.remove(edge)
+        elif kind == 1:
+            edge["color"] = rnd.randint(1, doc["colors"])
+        elif kind == 2:
+            doc["colors"] += rnd.randint(1, 3)
+        elif kind == 3:
+            rnd.shuffle(edges)
+        elif kind == 4:
+            doc["note"] = [2.5, None]
+        elif kind == 5:
+            doc.pop("absent", None)
+        elif kind == 6:
+            doc[rnd.choice(DOC_KEYS)] = junk
+        elif kind == 7:
+            del doc[rnd.choice(DOC_KEYS)]
+        elif kind == 8:
+            edges[edges.index(edge)] = junk if rnd.random() < 0.5 else {"verts": edge["verts"]}
+        elif kind == 9:
+            edge["verts"][rnd.randrange(len(edge["verts"]))] = junk
+        elif kind == 10:
+            edge["color"] = junk
+        else:  # a vertex tuple repeated, reversed or resized, or an edge's vertex absent
+            rnd.choice((
+                lambda: edges.append(dict(edge)),
+                lambda: edge["verts"].reverse(),
+                lambda: edge["verts"].append(1),
+                lambda: edge["verts"].pop(),
+                lambda: doc.setdefault("absent", []).append(
+                    edge["verts"][0] if doc["mode"] == "graph" else [1, edge["verts"][0]]),
+            ))()
+    except (LookupError, TypeError, AttributeError, ValueError):
+        pass
+
+
+def mutation_corpus(seed: int = 44, cases: int = 300) -> list[tuple[list[str], str]]:
+    """(argv, text) pairs: each text is a valid document or symbol matrix
+    with one or two seeded mutations, each argv a `count`, `count --method
+    ie` or `solve` of the document on stdin, or a `solve --latin` of the
+    matrix in the file named by the placeholder "{matrix}"."""
+    rnd = random.Random(seed)
+    docs = [
+        dumps_instance(sample_partite_m(4, 2, 4, 11, RandomnessSpec(1).rng())),
+        dumps_instance(sample_colored_graph(6, 12, 6, RandomnessSpec(2).rng())),
+        dumps_instance(complete_colored(2, 3, 2, RandomnessSpec(3).rng())),
+        dumps_instance(restrict(complete_colored(4, 2, 4, RandomnessSpec(4).rng()),
+                                removed_vertices=[(1, 2), (2, 4)])),
+        # counted, or its inclusion-exclusion run, past the budget
+        dumps_instance(complete_colored(8, 2, 8, RandomnessSpec(5).rng())),
+    ]
+    square = [[(i + j) % 4 + 1 for j in range(4)] for i in range(4)]
+    corpus = []
+    for _ in range(cases):
+        if rnd.random() < 0.15:
+            rows = [list(map(str, row)) for row in square]
+            for _ in range(rnd.randint(1, 2)):
+                row = rnd.choice(rows)
+                if rnd.random() < 0.1:
+                    rows.remove(row) if rnd.random() < 0.5 else row.pop()
+                else:
+                    row[rnd.randrange(len(row))] = rnd.choice("01234" if rnd.random() < 0.7
+                                                              else ("5", "-1", "1.5", "x"))
+            corpus.append((["solve", "--latin", "{matrix}"], "\n".join(map(",".join, rows))))
+            continue
+        doc = json.loads(rnd.choice(docs))
+        for _ in range(rnd.randint(1, 2)):
+            _mutate_document(doc, rnd)
+        argv = rnd.choice((["count"], ["count"], ["count", "--method", "ie"], ["solve"]))
+        corpus.append(([*argv, "-", "--budget", "2000"], json.dumps(doc)))
+    return corpus
+
+
+def test_mutated_inputs_exit_cleanly(tmp_path, capsys, monkeypatch):
+    # every exit is an answer (0, 1, 3) or one refusal line (2), never a
+    # traceback (4); a document the reader refuses says it is malformed
+    matrix = tmp_path / "matrix.csv"
+    answered = 0
+    for argv, text in mutation_corpus():
+        refused = False
+        if "-" in argv:  # the document comes on stdin
+            try:
+                loads_instance(text)
+            except ValueError:
+                refused = True
+        matrix.write_text(text)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, *(str(matrix) if a == "{matrix}" else a for a in argv))
+        assert code in (0, 1, 2, 3), (argv, text, err)
+        if code == 2:
+            assert out == "" and err.startswith("rainbowmatch: error: "), (argv, text, err)
+            assert err.count("\n") == 1 and err.count("rainbowmatch: error:") == 1, err
+        else:
+            assert err == "" and json.loads(out)["outcome"], (argv, text, err)
+            answered += 1
+        if refused:
+            assert err.startswith("rainbowmatch: error: malformed instance document: "), err
+    assert answered >= 150
 
 
 def test_huge_edgeless_documents_answer_like_small_ones(tmp_path, capsys):

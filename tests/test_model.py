@@ -103,8 +103,9 @@ SIZED_ENTRY_POINTS = {
     "sample_partite_m": lambda n=3, k=2, kappa=3, m=4: sample_partite_m(n, k, kappa, m, rng()),
     "sample_partite_p": lambda n=3, k=2, kappa=3: sample_partite_p(n, k, kappa, 0.5, rng()),
     "sample_colored_graph": lambda n=4, kappa=3, m=3: sample_colored_graph(n, m, kappa, rng()),
-    "ExperimentConfig": lambda trials=1, jobs=1, retries=0: ExperimentConfig(
-        kind="hamilton", ns=(5,), trials=trials, jobs=jobs, retries=retries),
+    "ExperimentConfig": lambda trials=1, jobs=1, retries=0, node_budget=50, hc_budget=50:
+        ExperimentConfig(kind="hamilton", ns=(5,), trials=trials, jobs=jobs, retries=retries,
+                         node_budget=node_budget, hc_budget=hc_budget),
 }
 
 
@@ -766,9 +767,11 @@ def test_from_dict_validates():
     for doc in malformed:
         with pytest.raises(ValueError, match="malformed instance document"):
             instance_from_dict(doc)
-    with pytest.raises(ValueError, match=r"^malformed instance document: n must be an integer, not 2\.5$"):
+    # the constructor's own rule follows the prefix
+    with pytest.raises(ValueError, match=r"^malformed instance document: n must be an int, not 2\.5$"):
         instance_from_dict({**partite, "n": 2.5})
-    with pytest.raises(ValueError, match=r"^malformed instance document: edge 0: color must be an integer, not True$"):
+    with pytest.raises(ValueError, match=r"^malformed instance document: edge ColoredEdge\(verts=\(1, 2\), "
+                                         r"color=True\) has a vertex index or color that is not an int$"):
         instance_from_dict({**partite, "edges": [{"verts": [1, 2], "color": True}]})
     # the same through the parser: json reads 1e400 and 1e999 as infinity
     for text in ('{"mode": "partite", "n": 1e400, "k": 2, "colors": 2, "edges": []}',
