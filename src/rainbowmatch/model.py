@@ -617,13 +617,33 @@ def instance_to_dict(H: ColoredHypergraph) -> dict:
 
 def instance_from_dict(data: dict) -> ColoredHypergraph:
     try:
+        if not isinstance(data, dict):
+            raise ValueError("the document is not a JSON object")
+        for key in ("mode", "n", "k", "colors", "edges"):
+            if key not in data:
+                raise ValueError(f"the document has no key {key!r}")
         return ColoredHypergraph(
             data["mode"], data["n"], data["k"], data["colors"],
-            [(item["verts"], item["color"]) for item in data["edges"]],
-            data.get("absent", ()),
+            _edge_items(data["edges"]), data.get("absent", ()),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed instance document: {exc}") from exc
+
+
+def _edge_items(edges: list) -> list:
+    # each edge object's (verts, color); past a failure, the first edge that
+    # is not an object or lacks a key is named by its position
+    try:
+        return [(item["verts"], item["color"]) for item in edges]
+    except (KeyError, TypeError):
+        if isinstance(edges, list):
+            for at, item in enumerate(edges):
+                if not isinstance(item, dict):
+                    raise ValueError(f"edges[{at}] is not a JSON object") from None
+                for key in ("verts", "color"):
+                    if key not in item:
+                        raise ValueError(f"edges[{at}] has no key {key!r}") from None
+        raise
 
 
 def dumps_instance(H: ColoredHypergraph) -> str:
@@ -633,8 +653,9 @@ def dumps_instance(H: ColoredHypergraph) -> str:
 def loads_instance(text: str) -> ColoredHypergraph:
     try:
         data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        # the decoder recurses once per nesting level
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, or an integer past the digit limit of int(str)
+        # (a plain ValueError); the decoder recurses once per nesting level
         raise ValueError(f"not valid JSON: {exc}") from exc
     return instance_from_dict(data)
 

@@ -35,8 +35,17 @@ present at step t exactly when the earliest death among its edges is after
 t, and each state keeps that earliest death in its own field.  Step 0 adds
 every state into the table, and the step that deletes edge e subtracts the
 states whose earliest death is e's.
-The state (the weight table, those groups, the vertex and color degrees, the
-live edges) is carried from step to step, and no step builds an instance.
+The state (the weight table, those groups, the count of states still alive,
+the vertex and color degrees, the live edges) is carried from step to step,
+and no step builds an instance.
+
+Most steps of a full trace are settled by what that state already knows.
+The edge weights sum to n * phi and a deletion makes no matching, so once a
+step's phi is 0 every live edge weight is 0 for the rest of the trace: a
+later step reads w_max = 0, w_avg = 0, w_med = 0 and B without listing the
+weights.  Once no tallied state is alive (at step 0 too, when the tally
+found none) the whole table is 0, so C holds as well without a scan, and a
+tally that found no state indexes no table at all.
 
 Flags per step (wire names B, R, C in the trace CSV):
 
@@ -227,11 +236,13 @@ class _DeletionState:
     edge outside ordering, and the empty matching, carry T = len(ordering)
     and never die.  A state's field is the least of its edges' (`_grow`),
     at most T, so it spans bit_length(T) bits; dying maps each edge of
-    ordering to the final states whose field is its index.  base_of maps
-    the mask of the active vertices outside v (those a state that leaves v
-    uncovered covers: the active mask less one bit per part, in `product`
-    order) to the index of w(v, 1); live maps each edge e to the index of
-    w(e.verts, e.color); deg and cdeg are the vertex and color degrees.
+    ordering to the final states whose field is its index, and alive counts
+    the states not yet dead.  base_of maps the mask of the active vertices
+    outside v (those a state that leaves v uncovered covers: the active mask
+    less one bit per part, in `product` order) to the index of w(v, 1); live
+    maps each edge e to the index of w(e.verts, e.color).  A tally that found
+    no state leaves every weight 0 for good, so neither is built: live maps
+    each edge to None.  deg and cdeg are the vertex and color degrees.
     delete(e), for the edges of ordering in order, takes e out of live and
     the degrees and subtracts the states that die with e: no tally runs.
     delete assumes the active parts have equal sizes.
@@ -252,6 +263,13 @@ class _DeletionState:
             death = {x_of[e]: i for i, e in enumerate(ordering)}
             pairs = [[(x, x | death.get(x, t) << at) for x in xs] for xs in lists.values()]
             self.near, self.nodes = _near_layers(pairs, budget, (1 << at) - 1, t << at)
+        self.alive = len(self.near)
+        self.deg, self.cdeg = degree_profile(H)
+        self.weights = [0] * size
+        self.dying: dict[ColoredEdge, list[int]] = {}
+        if not self.near:  # every weight is 0 for good: nothing indexes the table
+            self.live = dict.fromkeys(H.edges)
+            return
         masks = [self.active]  # the index, built after the tally: v's covered mask
         for p, part in enumerate(self.parts):
             masks = [m ^ b for m in masks for b in layout._bits_at(p, part)]
@@ -260,10 +278,7 @@ class _DeletionState:
             e: self.base_of[self.active ^ covers] + e.color - 1
             for e, (_, covers, _) in zip(H.edges, layout.items)
         }
-        self.deg, self.cdeg = degree_profile(H)
-        self.weights = [0] * size
         self._add(self.near, 1)
-        self.dying: dict[ColoredEdge, list[int]] = {}
         for state in self.near:
             if (i := state >> at) < t:
                 self.dying.setdefault(ordering[i], []).append(state)
@@ -289,7 +304,9 @@ class _DeletionState:
 
     def delete(self, e: ColoredEdge) -> None:
         del self.live[e]
-        self._add(self.dying.pop(e, ()), -1)
+        if dying := self.dying.pop(e, None):
+            self.alive -= len(dying)
+            self._add(dying, -1)
         for v in enumerate(e.verts, start=1):  # (part, index) == PartiteVertex
             self.deg[v] -= 1
         self.cdeg[e.color] -= 1
@@ -382,25 +399,36 @@ def _ratio_within(w_max: int, size: int, total: int, num: int, den: int) -> bool
     return not total or w_max * size * den <= num * total
 
 
+def _regularity(H: ColoredHypergraph, params: EventParams):
+    """Flag R on H's axes under params, as a test of (p, deg, cdeg) whose
+    constants (N = n^k, eps1's integer ratio) are taken once.  A degree d on
+    an axis of s members (n vertices per part, or kappa colors) has mean
+    N * p / s, so it passes iff d * s lies within relative eps1 of N * p;
+    tested on each axis's smallest and largest degree, cross-multiplied."""
+    e, f = params.eps1.as_integer_ratio()
+    N, n, kappa = H.n**H.k, H.n, H.kappa
+
+    def within(p: Fraction | float, deg: Mapping[object, int], cdeg: Mapping[int, int]) -> bool:
+        a, b = p.as_integer_ratio()
+        expect_b = N * a  # N * p * b
+        tol, nb, cb = e * expect_b, n * b, kappa * b
+        degs, cdegs = deg.values(), cdeg.values()
+        return (
+            f * abs(min(degs) * nb - expect_b) <= tol
+            and f * abs(max(degs) * nb - expect_b) <= tol
+            and f * abs(min(cdegs) * cb - expect_b) <= tol
+            and f * abs(max(cdegs) * cb - expect_b) <= tol
+        )
+
+    return within
+
+
 def _degrees_within(
     H: ColoredHypergraph, p: Fraction | float, params: EventParams,
     deg: Mapping[object, int], cdeg: Mapping[int, int],
 ) -> bool:
-    # flag R: a degree d on an axis of s members (n vertices per part, or
-    # kappa colors) has mean N * p / s, so it passes iff d * s lies within
-    # relative eps1 of N * p; tested on each axis's smallest and largest
-    # degree, cross-multiplied
-    a, b = p.as_integer_ratio()
-    e, f = params.eps1.as_integer_ratio()
-    expect_b = H.n**H.k * a  # N * p * b
-    within, nb, cb = e * expect_b, H.n * b, H.kappa * b
-    degs, cdegs = deg.values(), cdeg.values()
-    return (
-        f * abs(min(degs) * nb - expect_b) <= within
-        and f * abs(max(degs) * nb - expect_b) <= within
-        and f * abs(min(cdegs) * cb - expect_b) <= within
-        and f * abs(max(cdegs) * cb - expect_b) <= within
-    )
+    # flag R of one step (`_regularity`)
+    return _regularity(H, params)(p, deg, cdeg)
 
 
 # -- the deletion process ---------------------------------------------------------
@@ -441,6 +469,9 @@ class DeletionTrace:
 
 # the xi of every step after the count died
 _DEAD_XI = Fraction(0)
+# (w_max, w_avg, w_med) of a settled step, with live edges and without
+_SETTLED = (0, _DEAD_XI, 0)
+_NO_WEIGHTS = (0, None, None)
 
 
 @lru_cache(maxsize=_SHAPE_CACHE_SIZE)
@@ -483,7 +514,9 @@ def run_deletion_process(
     Every later step deletes its edge from that state: it subtracts the
     matchings that die with the edge and decrements the edge's vertex and
     color degrees.  The step's weights, count and flags are read off the
-    carried state; no instance is rebuilt and no later step tallies.
+    carried state; no instance is rebuilt and no later step tallies.  A
+    step after the count died, or with no tallied state alive, is settled
+    without reading the weights (module docstring).
     DeletionTrace.nodes is the states that tally built.
 
     Those states count against budget: past it, step 0's tally raises
@@ -502,31 +535,37 @@ def run_deletion_process(
     weights, live, deg, cdeg = state.weights, state.live, state.deg, state.cdeg
     n, dims, floor_den = H0.n, state.dims, 2**H0.k * N
     num, den = params.L.as_integer_ratio()
+    regular = _regularity(H0, params)
     ps, gammas = _step_ratios(n, N, t_max)
     steps: list[DeletionStep] = []
     prev_phi: int | None = None
     for i in range(t_max + 1):
         if i > 0:
             state.delete(ordering[i - 1])
-        ws = list(map(weights.__getitem__, live.values()))
-        total = sum(ws)
-        # w(e) counts the rainbow perfect matchings through e, and each of
-        # them has n edges.
-        phi = total // n
-        if ws:
-            w_max, w_avg, w_med = max(ws), Fraction(total, len(ws)), majority_median(ws)
+        if prev_phi == 0 or not state.alive or not live:
+            # settled: the count is dead for good, the table is all 0 or no
+            # edge is left, so phi and every live weight are 0 (the weights
+            # sum to n * phi)
+            phi, balanced = 0, True
+            w_max, w_avg, w_med = _SETTLED if live else _NO_WEIGHTS
         else:
-            w_max, w_avg, w_med = 0, None, None
+            ws = list(map(weights.__getitem__, live.values()))
+            total = sum(ws)
+            # w(e) counts the rainbow perfect matchings through e, and each of
+            # them has n edges.
+            phi = total // n
+            w_max, w_avg, w_med = max(ws), Fraction(total, len(ws)), majority_median(ws)
+            balanced = _ratio_within(w_max, len(ws), total, num, den)
         if i == 0:
             xi = None
         else:
             xi = _DEAD_XI if prev_phi == 0 else Fraction(prev_phi - phi, prev_phi)
         steps.append(DeletionStep(
-            i, phi, xi, gammas[i], ps[i], w_max, w_avg, w_med,
-            _ratio_within(w_max, len(ws), total, num, den),
-            _degrees_within(H0, ps[i], params, deg, cdeg),
-            # a weight exceeds phi / (2^k n^k) iff it exceeds the floor
-            _median_capped(dims, weights, phi // floor_den),
+            i, phi, xi, gammas[i], ps[i], w_max, w_avg, w_med, balanced,
+            regular(ps[i], deg, cdeg),
+            # an empty table is all zeros; a weight exceeds phi / (2^k n^k)
+            # iff it exceeds the floor
+            not state.alive or _median_capped(dims, weights, phi // floor_den),
         ))
         prev_phi = phi
     return DeletionTrace(tuple(steps), state.nodes)

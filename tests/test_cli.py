@@ -143,6 +143,8 @@ REFUSED_FILES = {
                    ' "edges": [{"verts": [2, 2], "color": 1}], "absent": [[1, 1]]}',
     "bad-row.csv": "x,y\n1,2\n2,x\n",
     "empty.csv": "",
+    # an integer past int(str)'s 4300-digit limit: json raises a plain ValueError
+    "digits.json": '{"mode": "partite", "n": ' + "1" * 4301 + ', "k": 2, "colors": 2, "edges": []}',
 }
 REFUSED = [
     pytest.param(["threshold", "--n", "a", "--m", "1"],
@@ -181,6 +183,10 @@ REFUSED = [
     pytest.param(["count", "absent-part3.json"],
                  "malformed instance document: vertex PartiteVertex(part=3, index=1) out of range",
                  id="count-absent-part3"),
+    pytest.param(["count", "digits.json"],
+                 "not valid JSON: Exceeds the limit (4300 digits) for integer string conversion: "
+                 "value has 4301 digits; use sys.set_int_max_str_digits() to increase the limit",
+                 id="count-int-past-the-digit-limit"),
     pytest.param(["count", "absent.json", "--method", "ie"],
                  "inclusion-exclusion route requires all vertices active", id="count-ie-absent"),
     pytest.param(["gen", "--n", "3", "--m", "10"], "m must lie in 0..9", id="gen-m-past-n^k"),

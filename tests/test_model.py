@@ -779,3 +779,25 @@ def test_from_dict_validates():
                  ' "edges": [{"verts": [1, 1e999], "color": 1}]}'):
         with pytest.raises(ValueError, match="malformed instance document"):
             loads_instance(text)
+
+
+def test_from_dict_names_what_the_document_lacks():
+    # a missing key names itself, and within the edges the edge's position;
+    # a document that is not one JSON object says so
+    partite = {"mode": "partite", "n": 2, "k": 2, "colors": 2,
+               "edges": [{"verts": [1, 1], "color": 1}, {"verts": [2, 2], "color": 2}]}
+    cases = [
+        ({**partite, "edges": [partite["edges"][0], {"verts": [2, 2]}]}, "edges[1] has no key 'color'"),
+        ({**partite, "edges": [{"color": 1}]}, "edges[0] has no key 'verts'"),
+        ({**partite, "edges": [partite["edges"][0], [2, 2]]}, "edges[1] is not a JSON object"),
+        ({key: v for key, v in partite.items() if key != "colors"}, "the document has no key 'colors'"),
+        ([partite], "the document is not a JSON object"),
+        (None, "the document is not a JSON object"),
+    ]
+    for doc, rule in cases:
+        with pytest.raises(ValueError) as info:
+            instance_from_dict(doc)
+        assert str(info.value) == f"malformed instance document: {rule}", doc
+        with pytest.raises(ValueError) as info:
+            loads_instance(json.dumps(doc))
+        assert str(info.value) == f"malformed instance document: {rule}", doc

@@ -370,6 +370,35 @@ def test_table_outlives_the_count():
     assert dead_count_live_table == list(range(2, 10))
 
 
+def test_a_dead_count_leaves_flag_c_to_the_table():
+    # steps 2-9 of dying_trace have phi = 0 and states alive, and flag C
+    # fails there: only a table with no state alive settles C
+    H, order = dying_trace()
+    steps = run_deletion_process(H, order).steps
+    state = _DeletionState(H, DEFAULT_NODE_BUDGET, order)
+    for step in steps:
+        if step.index:
+            state.delete(order[step.index - 1])
+        assert state.alive == sum(1 for s in state.near if s >> state.shift + H.kappa > step.index - 1)
+        Hi = restrict(H, removed_edges=order[: step.index])
+        assert step.median_capped == median_capped(Hi, step.phi), step.index
+    assert [s.median_capped for s in steps[2:11]] == [False] * 8 + [True]
+
+
+def test_carried_state_of_an_empty_tally():
+    # kappa = 2 < n - 1: no near-perfect matching, so no state is tallied,
+    # the table is never indexed, and every step is settled
+    H = complete_colored(4, 2, 2, rng(3, seed=59))
+    order = random_edge_ordering(H, rng(3, seed=60))
+    state = _DeletionState(H, DEFAULT_NODE_BUDGET, order)
+    assert (state.near, state.alive) == ({}, 0) and not hasattr(state, "base_of")
+    assert_carried_state(H, order, len(order))
+    steps = run_deletion_process(H, order).steps
+    assert {(s.phi, s.w_max, s.w_med, s.balanced, s.median_capped) for s in steps[:-1]} == {
+        (0, 0, 0, True, True)}
+    assert (steps[0].w_avg, steps[-1].w_avg, steps[-1].w_med) == (0, None, None)
+
+
 # DeletionTrace.nodes of dying_trace: the states of its one stamped tally
 TALLY_NODES = 115
 
@@ -736,7 +765,7 @@ def test_deletion_step_is_its_csv_row():
     assert len(DeletionStep._fields) == len(TRACE_STEP_HEADER)
 
 
-@pytest.mark.parametrize("n,k,kappa", [(3, 2, 3), (4, 2, 4), (2, 3, 3)])
+@pytest.mark.parametrize("n,k,kappa", [(3, 2, 3), (4, 2, 4), (2, 3, 3), (4, 2, 2)])
 def test_step_flags_match_fraction_oracle(n, k, kappa):
     # every step's R, C and w_med against the
     # Fraction arithmetic over the weight table grouped entry by entry
