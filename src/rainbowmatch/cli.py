@@ -50,16 +50,6 @@ def _int_grid(text: str) -> tuple[int, ...]:
     return values
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
-
-
 def _write_text(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -103,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     count = subs.add_parser("count", help="exactly count rainbow perfect matchings")
     count.add_argument("instance", help="instance JSON path, or - for stdin")
     count.add_argument("--method", choices=("brute", "ie"), default="brute")
-    count.add_argument("--budget", type=_positive_int, default=DEFAULT_NODE_BUDGET)
+    count.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     count.add_argument("--out", default=None)
 
     solve = subs.add_parser("solve", help="find one rainbow perfect matching or "
@@ -112,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="instance JSON path, or - for stdin")
     solve.add_argument("--latin", default=None,
                        help="integer-matrix CSV; 0 marks an unavailable cell")
-    solve.add_argument("--budget", type=_positive_int, default=DEFAULT_NODE_BUDGET)
+    solve.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     solve.add_argument("--out", default=None)
 
     # An experiment flag's dest is the ExperimentConfig field it sets.  The

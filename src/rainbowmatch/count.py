@@ -98,6 +98,14 @@ METHOD_BRUTE = "brute"
 METHOD_IE = "color-inclusion-exclusion"
 
 
+def _check_budget(budget: int, name: str = "budget") -> None:
+    """Refuse a node budget that is not an int (a bool or a float too) or is below 1."""
+    if type(budget) is not int:
+        raise ValueError(f"{name} must be an int, not {budget!r}")
+    if budget < 1:
+        raise ValueError(f"{name} must be positive, not {budget}")
+
+
 class BudgetExceededError(RuntimeError):
     """Search exceeded its node budget.  Carries the node count reached."""
 
@@ -249,6 +257,7 @@ class _Search:
     """
 
     def __init__(self, H, budget: int, find_one: bool, demand: int = 1):
+        _check_budget(budget)
         self.layout = layout = _Layout(H, demand)
         self.vertex_cols = vertex_cols = {}
         self.color_cols = color_cols = {}
@@ -572,6 +581,7 @@ def _count_ie(H: ColoredHypergraph, budget: int) -> tuple[int, int]:
     budget-out reports budget + 1 nodes); the node count returned is the
     number of permanent-DP transitions actually made.
     """
+    _check_budget(budget)
     if H.mode != PARTITE or H.k != 2:
         raise ValueError("inclusion-exclusion route requires a bipartite instance")
     if H.kappa != H.n:

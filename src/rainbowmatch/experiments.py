@@ -37,6 +37,7 @@ from typing import Callable, Iterable, Sequence
 from .count import (
     BudgetExceededError,
     DEFAULT_NODE_BUDGET,
+    _check_budget,
     _check_layout_bits,
     count_rainbow_pm,
     expected_rainbow_count,
@@ -102,15 +103,15 @@ __all__ = [
     "emit_plot",
 ]
 
-# ExperimentConfig's count fields, each with its smallest value
-_COUNT_FIELDS = {"trials": 1, "jobs": 1, "retries": 0, "node_budget": 1, "hc_budget": 1}
+# ExperimentConfig's count fields but its budgets, each with its smallest value
+_COUNT_FIELDS = {"trials": 1, "jobs": 1, "retries": 0}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Parameters for one experiment run; a runner ignores the fields it does
     not use.  Each count field is an int (a bool or a float is refused) of
-    at least its bound in `_COUNT_FIELDS`."""
+    at least its bound in `_COUNT_FIELDS`, or 1 for a budget (`count._check_budget`)."""
 
     kind: str
     ns: tuple[int, ...]
@@ -131,8 +132,9 @@ class ExperimentConfig:
             if type(value := getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an int, not {value!r}")
             if value < low:
-                raise ValueError("budgets must be positive" if name.endswith("budget")
-                                 else f"{name} must be >= {low}")
+                raise ValueError(f"{name} must be >= {low}")
+        _check_budget(self.node_budget, "node_budget")
+        _check_budget(self.hc_budget, "hc_budget")
 
     def kappa_for(self, n: int) -> int:
         return self.kappa if self.kappa is not None else n

@@ -30,7 +30,7 @@ from functools import cached_property, lru_cache
 from itertools import compress, product
 from typing import Iterator, Mapping, Sequence
 
-from .count import BudgetExceededError, DEFAULT_NODE_BUDGET, _Search, find_rainbow_pm
+from .count import BudgetExceededError, DEFAULT_NODE_BUDGET, _check_budget, _Search, find_rainbow_pm
 from .model import (
     _SHAPE_CACHE_SIZE, GRAPH, ColoredEdge, ColoredHypergraph, Matching, _built, _check_sizes,
     _colored, _stored_edges, _uniform,
@@ -217,12 +217,7 @@ class AssemblyPlan:
     stage         the STAGE_* name the pipeline ended at, STAGE_SUCCESS when
                   the HC search ran and found a cycle
 
-    Three views are read off those fields on first use, since only the
-    tests and the trial telemetry (the class sizes) read them:
-
-    labels        edge -> label in 1..4
-    edge_classes  E_i = edges whose (color, label) pair lies in blocks[i]
-    class_sizes   |E_i| per class
+    class_sizes, the edges per class, is counted off edge_class on first use.
     """
 
     edges: tuple[ColoredEdge, ...]
@@ -232,14 +227,6 @@ class AssemblyPlan:
     matchings: tuple[Matching | None, ...]
     union_graph: ColoredMultigraph | None
     stage: str
-
-    @cached_property
-    def labels(self) -> Mapping[ColoredEdge, int]:
-        return dict(zip(self.edges, self.label_list))
-
-    @cached_property
-    def edge_classes(self) -> tuple[tuple[ColoredEdge, ...], ...]:
-        return tuple(tuple(_members(self.edges, self.edge_class, bi)) for bi in range(8))
 
     @cached_property
     def class_sizes(self) -> tuple[int, ...]:
@@ -277,6 +264,8 @@ def assemble_even(
         raise ValueError("assembly needs even n >= 4")
     if G.kappa != G.n:
         raise ValueError("assembly needs exactly n colors")
+    _check_budget(matching_budget, "matching_budget")
+    _check_budget(hc_budget, "hc_budget")
 
     n, edges = G.n, G.edges
     label_list = _uniform(rnd, 4, len(edges))

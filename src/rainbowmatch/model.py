@@ -446,7 +446,9 @@ def sample_partite_m(
     The gnm-style model: the edge support is a uniform m-subset of the n^k
     possible tuples, independent of the colors.  The colors follow the
     subset's draw, one per tuple in sorted order, drawn in bulk (`_uniform`).
-    The arguments obey `_check_draw`."""
+    The arguments obey `_check_draw`, with m an int, never None."""
+    if m is None:
+        raise ValueError("m must be an int, not None")
     total = _check_draw(PARTITE, n, k, kappa, m)
     picked = sorted(rnd.sample(range(total), m))
     if k == 2:
@@ -492,7 +494,9 @@ def sample_colored_graph(
     (`_skip_full_sample`) and its edges take their pairs from the one
     per-n tuple every full draw shares (`_graph_pairs`).  The colors follow,
     one per pair in that order, drawn in bulk (`_uniform`).  The arguments
-    obey `_check_draw`."""
+    obey `_check_draw`, with m an int, never None."""
+    if m is None:
+        raise ValueError("m must be an int, not None")
     total = _check_draw(GRAPH, n, 2, kappa, m)
     if m == total and type(rnd) is random.Random:
         _skip_full_sample(rnd, total)
@@ -631,19 +635,17 @@ def instance_from_dict(data: dict) -> ColoredHypergraph:
 
 
 def _edge_items(edges: list) -> list:
-    # each edge object's (verts, color); past a failure, the first edge that
+    # each edge object's (verts, color) from a JSON array; the first edge that
     # is not an object or lacks a key is named by its position
-    try:
-        return [(item["verts"], item["color"]) for item in edges]
-    except (KeyError, TypeError):
-        if isinstance(edges, list):
-            for at, item in enumerate(edges):
-                if not isinstance(item, dict):
-                    raise ValueError(f"edges[{at}] is not a JSON object") from None
-                for key in ("verts", "color"):
-                    if key not in item:
-                        raise ValueError(f"edges[{at}] has no key {key!r}") from None
-        raise
+    if not isinstance(edges, list):
+        raise ValueError("edges must be a JSON array")
+    for at, item in enumerate(edges):
+        if not isinstance(item, dict):
+            raise ValueError(f"edges[{at}] is not a JSON object")
+        for key in ("verts", "color"):
+            if key not in item:
+                raise ValueError(f"edges[{at}] has no key {key!r}")
+    return [(item["verts"], item["color"]) for item in edges]
 
 
 def dumps_instance(H: ColoredHypergraph) -> str:

@@ -82,14 +82,13 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .count import BudgetExceededError, DEFAULT_NODE_BUDGET, _Layout
+from .count import BudgetExceededError, DEFAULT_NODE_BUDGET, _check_budget, _Layout
 from .model import (_SHAPE_CACHE_SIZE, DEFAULT_EDGE_CAPACITY, PARTITE, CapacityError,
                     ColoredEdge, ColoredHypergraph, degree_profile)
 
 __all__ = [
     "EventParams",
     "LemmaPreconditionError",
-    "WeightProfile",
     "weight_profile",
     "majority_median",
     "DeletionStep",
@@ -249,6 +248,7 @@ class _DeletionState:
     """
 
     def __init__(self, H: ColoredHypergraph, budget: int, ordering: Sequence[ColoredEdge] = ()):
+        _check_budget(budget)
         self.parts = [H.part_active(p) for p in range(1, H.k + 1)]
         self.dims = [*map(len, self.parts), H.kappa]
         size = _check_table(self.dims)
@@ -312,23 +312,11 @@ class _DeletionState:
         self.cdeg[e.color] -= 1
 
 
-@dataclass(frozen=True)
-class WeightProfile:
-    """The full weight table of an instance.
-
-    table   (verts, color) -> weight, over all active tuples and all colors
-    psi0    global maximum of the table
-    """
-
-    table: Mapping[tuple[tuple[int, ...], int], int]
-    psi0: int
-
-
 def weight_profile(
     H: ColoredHypergraph, budget: int = DEFAULT_NODE_BUDGET
-) -> WeightProfile:
-    """Compute the whole weight table (active tuples x colors) of H: the one
-    step 0 of the deletion process starts from.
+) -> dict[tuple[tuple[int, ...], int], int]:
+    """The whole weight table of H, the one step 0 of the deletion process
+    starts from: a dict (verts, color) -> weight over active tuples x colors.
 
     Cost is one tally of the rainbow near-perfect matchings
     (`_DeletionState`), however many entries the table has; every state the
@@ -338,8 +326,7 @@ def weight_profile(
     """
     _check_partite(H)
     state = _DeletionState(H, budget)
-    table = dict(zip(product(product(*state.parts), range(1, H.kappa + 1)), state.weights))
-    return WeightProfile(table, max(state.weights, default=0))
+    return dict(zip(product(product(*state.parts), range(1, H.kappa + 1)), state.weights))
 
 
 def _median_capped(dims: Sequence[int], weights: Sequence[int], bound: int) -> bool:
@@ -421,14 +408,6 @@ def _regularity(H: ColoredHypergraph, params: EventParams):
         )
 
     return within
-
-
-def _degrees_within(
-    H: ColoredHypergraph, p: Fraction | float, params: EventParams,
-    deg: Mapping[object, int], cdeg: Mapping[int, int],
-) -> bool:
-    # flag R of one step (`_regularity`)
-    return _regularity(H, params)(p, deg, cdeg)
 
 
 # -- the deletion process ---------------------------------------------------------

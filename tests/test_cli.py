@@ -150,7 +150,7 @@ REFUSED = [
     pytest.param(["threshold", "--n", "a", "--m", "1"],
                  "argument --n: expected comma-separated integers, got 'a'", id="grid-not-int"),
     pytest.param(["count", "n0.json", "--budget", "abc"],
-                 "argument --budget: expected an integer, got 'abc'", id="budget-not-int"),
+                 "argument --budget: invalid int value: 'abc'", id="budget-not-int"),
     pytest.param(["threshold", "--n", "4", "--m", "4", "--trials", "0"],
                  "trials must be >= 1", id="trials-0"),
     pytest.param(["threshold", "--n", "4", "--m", "4", "--jobs", "0"],
@@ -243,6 +243,13 @@ def test_grids_are_refused_before_the_first_trial(tmp_path, capsys, argv, messag
     assert err.startswith("rainbowmatch: error: ") and err.count("\n") == 1, err
     assert message in err, err
     assert raw.read_text() == ""
+
+
+def test_an_empty_grid_is_refused():
+    # no --m list parses empty, so only a library call has a grid of no cells
+    config = experiments.ExperimentConfig(kind="threshold", ns=(4,), ms=())
+    with pytest.raises(ValueError, match="^parameter grid must be nonempty$"):
+        experiments.threshold_scan(config)
 
 
 # Exit codes and outputs of input paths no other test runs: the binomial

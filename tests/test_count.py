@@ -169,6 +169,8 @@ def test_count_ie_requires_square_bipartite():
     H2 = sample_partite_m(3, 2, 4, 5, rng(6))
     with pytest.raises(ValueError):
         count_rainbow_pm(H2, method="ie")
+    with pytest.raises(ValueError, match="^unknown method 'x'$"):
+        count_rainbow_pm(H2, method="x")
 
 
 def test_count_monotone_in_edges():
@@ -754,6 +756,8 @@ def test_disjoint_completion_examples():
     assert disjoint_completion_count(2, 3) == 3
     assert disjoint_completion_count(0, 2) == 1
     assert disjoint_completion_count(0, 5) == 1
+    with pytest.raises(ValueError, match="^need ell >= 0, k >= 2$"):
+        disjoint_completion_count(-1, 2)
 
 
 def test_disjoint_completion_small_brute():
@@ -852,6 +856,8 @@ def test_latin_validates_input():
         latin_transversal([[1, 5], [2, 1]])  # entry out of 0..n
     with pytest.raises(ValueError):
         latin_transversal([[1, -1], [2, 1]])
+    with pytest.raises(ValueError, match="^matrix must be nonempty$"):
+        latin_transversal([])
 
 
 def test_latin_rejects_symbols_that_are_not_ints():

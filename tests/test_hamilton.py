@@ -464,7 +464,7 @@ def test_assemble_blocks_partition_color_label_pairs():
         assert not pooled & b
         pooled |= b
     assert pooled == {(c, l) for c in range(1, 9) for l in range(1, 5)}
-    assert sorted(plan.labels.values())[0] >= 1 and max(plan.labels.values()) <= 4
+    assert min(plan.label_list) >= 1 and max(plan.label_list) <= 4
     assert sum(plan.class_sizes) == 20
 
 
@@ -488,9 +488,12 @@ def test_assemble_labels_match_per_call_oracle():
         classes = tuple(
             tuple(e for e in G.edges if (e.color, labels[e]) in block) for block in plan.blocks
         )
-        assert plan.labels == labels, (n, m)
+        plan_classes = tuple(
+            tuple(e for e, b in zip(plan.edges, plan.edge_class) if b == bi) for bi in range(8)
+        )
+        assert dict(zip(plan.edges, plan.label_list)) == labels, (n, m)
         assert plan.blocks == tuple(frozenset(pairs[i * n // 2 : (i + 1) * n // 2]) for i in range(8))
-        assert plan.edge_classes == classes, (n, m)
+        assert plan_classes == classes, (n, m)
         assert plan.class_sizes == tuple(map(len, classes)), (n, m)
         assert plan.stage == stage, (n, m)
         assert got_rnd.getstate() == want_rnd.getstate(), (n, m)
@@ -582,8 +585,8 @@ def test_assemble_recolors_a_searched_class_by_sorted_pair_position(monkeypatch)
         for bi, H in enumerate(searched):
             order = sorted(plan.blocks[bi])
             want = tuple(
-                ColoredEdge(e.verts, order.index((e.color, plan.labels[e])) + 1)
-                for e in plan.edge_classes[bi]
+                ColoredEdge(e.verts, order.index((e.color, label)) + 1)
+                for e, label, b in zip(plan.edges, plan.label_list, plan.edge_class) if b == bi
             )
             assert (H.n, H.kappa) == (G.n, G.n // 2)
             assert H.edges == tuple(sorted(want)), bi

@@ -10,8 +10,9 @@ from collections import Counter
 import pytest
 
 from rainbowmatch import model
+from rainbowmatch.count import count_rainbow_pm, find_rainbow_pm
 from rainbowmatch.experiments import ExperimentConfig
-from rainbowmatch.hamilton import ColoredMultigraph
+from rainbowmatch.hamilton import ColoredMultigraph, assemble_even, find_rainbow_hc
 from rainbowmatch.model import (
     DEFAULT_EDGE_CAPACITY,
     CapacityError,
@@ -35,6 +36,7 @@ from rainbowmatch.model import (
     sample_partite_p,
     save_instance,
 )
+from rainbowmatch.process import weight_profile
 
 from helpers import assert_stored_as_checked
 from oracles import degree_profile_by_edge
@@ -93,9 +95,9 @@ def test_non_int_values_rejected():
         restrict(H, removed_colors=[1.0])
 
 
-# Each entry point that takes sizes, as a function of them with valid
-# defaults: each refuses a size that is not exactly an int, never compares,
-# powers or draws with it.
+# Each entry point that takes sizes or node budgets, as a function of them
+# with valid defaults: each refuses one that is not exactly an int (None
+# too), never compares, powers, draws or searches with it.
 SIZED_ENTRY_POINTS = {
     "ColoredHypergraph": lambda n=3, k=2, kappa=3: ColoredHypergraph(PARTITE, n, k, kappa, ()),
     "ColoredMultigraph": lambda n=3, kappa=3: ColoredMultigraph(n, kappa, ()),
@@ -106,10 +108,21 @@ SIZED_ENTRY_POINTS = {
     "ExperimentConfig": lambda trials=1, jobs=1, retries=0, node_budget=50, hc_budget=50:
         ExperimentConfig(kind="hamilton", ns=(5,), trials=trials, jobs=jobs, retries=retries,
                          node_budget=node_budget, hc_budget=hc_budget),
+    "find_rainbow_pm": lambda budget=1000:
+        find_rainbow_pm(complete_colored(3, 2, 3, rng()), budget),
+    "count_rainbow_pm": lambda budget=1000:
+        count_rainbow_pm(complete_colored(3, 2, 3, rng()), budget=budget),
+    "count_rainbow_pm-ie": lambda budget=1000:
+        count_rainbow_pm(complete_colored(3, 2, 3, rng()), method="ie", budget=budget),
+    "find_rainbow_hc": lambda budget=1000:
+        find_rainbow_hc(sample_colored_graph(5, 10, 5, rng()), budget),
+    "weight_profile": lambda budget=1000: weight_profile(complete_colored(3, 2, 3, rng()), budget),
+    "assemble_even": lambda matching_budget=1000, hc_budget=1000:
+        assemble_even(sample_colored_graph(4, 6, 4, rng()), rng(1), matching_budget, hc_budget),
 }
 
 
-@pytest.mark.parametrize("bad", [2.5, 2.0, True])
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, None])
 @pytest.mark.parametrize("entry", list(SIZED_ENTRY_POINTS))
 def test_sizes_that_are_not_ints_are_refused(entry, bad):
     build = SIZED_ENTRY_POINTS[entry]
@@ -117,6 +130,18 @@ def test_sizes_that_are_not_ints_are_refused(entry, bad):
     for size in inspect.signature(build).parameters:
         with pytest.raises(ValueError, match=f"^{size} must be an int, not {re.escape(repr(bad))}$"):
             build(**{size: bad})
+
+
+@pytest.mark.parametrize("entry,name", [
+    (entry, name) for entry, build in SIZED_ENTRY_POINTS.items()
+    for name in inspect.signature(build).parameters if name.endswith("budget")
+])
+def test_budgets_below_one_are_refused(entry, name):
+    # before any search starts, never reported as a budget-out
+    build = SIZED_ENTRY_POINTS[entry]
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match=f"^{name} must be positive, not {bad}$"):
+            build(**{name: bad})
 
 
 @pytest.mark.parametrize("build,message", [
@@ -138,6 +163,13 @@ def test_sizes_that_are_not_ints_are_refused(entry, bad):
                  "p must be an int or a float in [0, 1], not 'x'", id="p-str"),
     pytest.param(lambda: sample_partite_p(3, 2, 3, True, rng()),
                  "p must be an int or a float in [0, 1], not True", id="p-bool"),
+    pytest.param(lambda: ColoredHypergraph(GRAPH, 3, 2, 2, (), {4}),
+                 "vertex 4 out of range", id="graph-absent-out-of-range"),
+    pytest.param(lambda: ColoredHypergraph(GRAPH, 3, 2, 2, ()).part_active(1),
+                 "part_active is a partite-mode operation", id="part-active-graph"),
+    pytest.param(lambda: restrict(ColoredHypergraph(PARTITE, 2, 2, 2, (), {(1, 1)}),
+                                  removed_vertices=[(1, 1)]),
+                 "vertex PartiteVertex(part=1, index=1) is already absent", id="restrict-absent"),
 ])
 def test_malformed_entries_are_named(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -790,6 +822,8 @@ def test_from_dict_names_what_the_document_lacks():
         ({**partite, "edges": [partite["edges"][0], {"verts": [2, 2]}]}, "edges[1] has no key 'color'"),
         ({**partite, "edges": [{"color": 1}]}, "edges[0] has no key 'verts'"),
         ({**partite, "edges": [partite["edges"][0], [2, 2]]}, "edges[1] is not a JSON object"),
+        ({**partite, "edges": {"verts": 1}}, "edges must be a JSON array"),
+        ({**partite, "edges": "ab"}, "edges must be a JSON array"),
         ({key: v for key, v in partite.items() if key != "colors"}, "the document has no key 'colors'"),
         ([partite], "the document is not a JSON object"),
         (None, "the document is not a JSON object"),

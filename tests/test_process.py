@@ -38,9 +38,9 @@ from rainbowmatch.process import (
 )
 from rainbowmatch.process import (
     _DeletionState,
-    _degrees_within,
     _loss_rates,
     _median_capped,
+    _regularity,
     _step_ratios,
 )
 
@@ -64,14 +64,14 @@ def bipartite(color_map, n=2):
 def edge_table(H):
     """w(e) for every edge of H, read off the weight table: the number of
     rainbow perfect matchings through e."""
-    table = weight_profile(H).table
+    table = weight_profile(H)
     return {e: table[(e.verts, e.color)] for e in H.edges}
 
 
 def regular(H, p, params=DEFAULT_EVENT_PARAMS):
     """Flag R as the deletion step computes it: the integer test on the
     smallest and the largest vertex degree and color degree of H."""
-    return _degrees_within(H, p, params, *degree_profile(H))
+    return _regularity(H, params)(p, *degree_profile(H))
 
 
 def median_capped(H, phi=None, table=None):
@@ -80,7 +80,7 @@ def median_capped(H, phi=None, table=None):
     phi / (2^k n^k) as its bound (phi is H's count by default)."""
     parts = [H.part_active(p) for p in range(1, H.k + 1)]
     if table is None:
-        table = weight_profile(H).table
+        table = weight_profile(H)
     weights = [table[key] for key in product(product(*parts), range(1, H.kappa + 1))]
     if phi is None:
         phi = count_rainbow_pm(H).value
@@ -124,7 +124,7 @@ def test_weight_profile_psi0_brute():
             for col in range(1, 4)
             for c in range(1, 4)
         )
-        assert prof.psi0 == brute == max(prof.table.values())
+        assert brute == max(prof.values())
 
 
 def oracle_table(H):
@@ -148,7 +148,7 @@ def test_weight_table_matches_oracle_along_traces(n, k, kappa):
         for i in range(len(order) + 1):
             Hi = restrict(H, removed_edges=order[:i])
             table = oracle_table(Hi)
-            assert weight_profile(Hi).table == table, (j, i)
+            assert weight_profile(Hi) == table, (j, i)
             assert edge_table(Hi) == {e: table[(e.verts, e.color)] for e in Hi.edges}
 
 
@@ -179,20 +179,20 @@ def test_weight_table_matches_oracle_on_restricted_instances():
         removed_colors=(2,),
     )
     for name, Hc in cases.items():
-        assert weight_profile(Hc).table == oracle_table(Hc), name
-    assert not any(weight_profile(cases["unequal"]).table.values())
-    assert not any(weight_profile(cases["edgeless"]).table.values())
+        assert weight_profile(Hc) == oracle_table(Hc), name
+    assert not any(weight_profile(cases["unequal"]).values())
+    assert not any(weight_profile(cases["edgeless"]).values())
     # n=1: the empty matching leaves (1, 1) uncovered and uses no color
-    assert weight_profile(cases["n=1"]).table == {((1, 1), 1): 1}
+    assert weight_profile(cases["n=1"]) == {((1, 1), 1): 1}
     # n=1: every restriction is the empty instance, edge or no edge
-    assert set(weight_profile(cases["n=1 k=3 edgeless"]).table.values()) == {1}
+    assert set(weight_profile(cases["n=1 k=3 edgeless"]).values()) == {1}
     with pytest.raises(ValueError):
         weight_profile(ColoredHypergraph("graph", 4, 2, 3, ()))
 
 
 def smallest_budget(run):
-    """The smallest budget under which run(budget) does not raise
-    BudgetExceededError, by bisection."""
+    """The smallest budget, at least 1 (the least a budget may be), under
+    which run(budget) does not raise BudgetExceededError, by bisection."""
 
     def fits(budget):
         try:
@@ -201,7 +201,7 @@ def smallest_budget(run):
             return False
         return True
 
-    lo, hi = -1, DEFAULT_NODE_BUDGET
+    lo, hi = 0, DEFAULT_NODE_BUDGET
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if fits(mid):
@@ -230,7 +230,7 @@ def test_weight_profile_budget_raises():
         assert info.value.nodes > budget
         with pytest.raises(BudgetExceededError):
             _DeletionState(H, budget)
-    assert weight_profile(H, budget=nodes).table == weight_profile(H).table
+    assert weight_profile(H, budget=nodes) == weight_profile(H)
 
 
 def test_weight_table_capacity():
@@ -426,8 +426,7 @@ def test_the_budget_is_checked_after_each_parent():
 def test_weight_profile_maxima_consistency():
     H = complete_colored(2, 2, 2, rng(1))
     prof = weight_profile(H)
-    assert all(v >= 0 for v in prof.table.values())
-    assert max(prof.table.values()) == prof.psi0
+    assert all(v >= 0 for v in prof.values())
 
 
 # -- the nonstandard median
@@ -642,15 +641,15 @@ def test_median_cap_flag_matches_reimplementation():
             return True
 
         by_color = [
-            [prof.table[((i, col), c)] for c in (1, 2)]
+            [prof[((i, col), c)] for c in (1, 2)]
             for i in (1, 2)
             for col in (1, 2)
         ]
         # one family per part: fix the other coordinate and the color
         by_completion = [
-            [prof.table[((i, col), c)] for col in (1, 2)] for i in (1, 2) for c in (1, 2)
+            [prof[((i, col), c)] for col in (1, 2)] for i in (1, 2) for c in (1, 2)
         ] + [
-            [prof.table[((i, col), c)] for i in (1, 2)] for col in (1, 2) for c in (1, 2)
+            [prof[((i, col), c)] for i in (1, 2)] for col in (1, 2) for c in (1, 2)
         ]
         expected = clause(by_color) and clause(by_completion)
         assert median_capped(H, phi) == expected, j
@@ -690,11 +689,11 @@ def test_weight_groups_match_table_grouping():
         for i in range(len(order) // 2 + 1):
             Hi = restrict(H, removed_edges=order[:i])
             phi = count_rainbow_pm(Hi).value
-            assert median_capped(Hi, phi) == capped(Hi, weight_profile(Hi).table, phi), (j, i)
+            assert median_capped(Hi, phi) == capped(Hi, weight_profile(Hi), phi), (j, i)
     # uneven parts rule out every perfect matching, so its table is all zero:
     # random tables over its keys, of 2s, 3s and 4s (no group fails) and one
     # 5 (its groups fail where their median is 2), check the groups
-    keys = list(weight_profile(uneven).table)
+    keys = list(weight_profile(uneven))
     rnd = rng(0, seed=48)
     outcomes = set()
     for _ in range(60):
@@ -779,7 +778,7 @@ def test_step_flags_match_fraction_oracle(n, k, kappa):
                 Hi = restrict(H, removed_edges=order[: step.index])
                 prof = weight_profile(Hi)
                 groups = {}
-                for (verts, c), w in prof.table.items():
+                for (verts, c), w in prof.items():
                     for missing in range(k):
                         partial = tuple((p + 1, v) for p, v in enumerate(verts) if p != missing)
                         groups.setdefault((partial, c), []).append(w)
@@ -789,7 +788,7 @@ def test_step_flags_match_fraction_oracle(n, k, kappa):
                     max(vals) <= max(cap, 2 * Fraction(fraction_median(vals)))
                     for vals in groups.values()
                 )
-                ws = [prof.table[(e.verts, e.color)] for e in Hi.edges]
+                ws = [prof[(e.verts, e.color)] for e in Hi.edges]
                 assert step.median_capped == capped, (j, step.index)
                 assert step.regular == fraction_regular(Hi, step.p, params.eps1), (j, step.index)
                 assert step.w_med == (fraction_median(ws) if ws else None), (j, step.index)
@@ -1015,6 +1014,8 @@ def test_dyadic_premise_violation_raises():
         dyadic_interval_cover(weights, 1)
     with pytest.raises(ValueError):
         dyadic_interval_cover([1.0, 0.0], 1)  # weights must be positive
+    with pytest.raises(ValueError, match="^weights must be nonempty$"):
+        dyadic_interval_cover([], 1)
 
 
 def test_dyadic_conclusions_property_mini():
