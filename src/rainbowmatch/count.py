@@ -50,10 +50,9 @@ part-1 side and stay on the search kernel.
 
 The search kernel and the split read one bit layout of the instance
 (_Layout: vertex, color and edge bits, the edges grouped by part-1 vertex),
-built once per instance with no rescan per vertex; the split reads the one
-its witness search built.  Only the search builds columns, from the
-layout's edges; the deletion process (process._DeletionState) reads the
-bits alone.
+built once per instance from its keys and colors with no rescan per vertex;
+the split reads the one its witness search built.  Only the search builds
+columns; the deletion process (process._DeletionState) reads the bits alone.
 
 For bipartite instances whose color count equals n there is one more,
 independent counting route via inclusion-exclusion over color subsets and
@@ -66,13 +65,17 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_left
-from collections import Counter
+from bisect import bisect_left, bisect_right
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, reduce
+from itertools import chain, cycle, repeat
+from operator import add, or_
 from typing import Iterable, Sequence
 
-from .model import PARTITE, CapacityError, ColoredEdge, ColoredHypergraph, Matching, _check_sizes
+from .model import (PARTITE, CapacityError, ColoredEdge, ColoredHypergraph, Matching, _check_sizes, _key,
+                    _key_edges)
 
 __all__ = [
     "DEFAULT_NODE_BUDGET",
@@ -137,21 +140,25 @@ def is_perfect_matching(H: ColoredHypergraph, M: Matching) -> bool:
     """True iff M's edges are edges of H, pairwise vertex-disjoint, and
     together cover every active vertex.
 
-    Shares no code with the search kernel.  Membership is a bisection of H's
-    canonical (sorted) edges, and the covered vertices are plain values:
-    (part, index) pairs, or ints in graph mode.  H's edges touch only active
-    vertices, so M is perfect iff no vertex is covered twice and as many are
-    covered as are active.
+    Shares no code with the search kernel.  Once every vertex index lies in
+    1..n (one out of range could spell another key), an edge is found by
+    bisecting H's keys for its own (`model._key`) and comparing the color.
+    H's edges touch only active vertices, so M is perfect iff no vertex is
+    covered twice and as many are covered as are active.
     """
-    edges, partite = H.edges, H.mode == PARTITE
-    covered = set()
-    for e in M.edges:
-        i = bisect_left(edges, e)
-        if i == len(edges) or edges[i] != e:
+    keys, colors, n, partite = H.keys, H.colors, H.n, H.mode == PARTITE
+    per_edge = H.k if partite else 2
+    verts = [e.verts for e in M.edges]
+    flat = list(chain.from_iterable(verts))
+    if set(map(len, verts)) - {per_edge} or flat and not 1 <= min(flat) <= max(flat) <= n:
+        return False
+    for e, key in zip(M.edges, map(_key, verts, repeat(n))):
+        i = bisect_left(keys, key)
+        if i == len(keys) or keys[i] != key or colors[i] != e.color:
             return False
-        covered.update(enumerate(e.verts) if partite else e.verts)
-    per_edge, vertices = (H.k, H.k * H.n) if partite else (2, H.n)
-    return len(covered) == per_edge * len(M) == vertices - len(H.absent)
+    # a partite vertex as its index among all k * n, a graph's as itself
+    covered = set(map(add, flat, cycle(range(0, per_edge * n, n)))) if partite else set(flat)
+    return len(covered) == len(flat) == (per_edge * n if partite else n) - len(H.absent)
 
 
 # -- exact-cover search kernel -------------------------------------------------
@@ -168,71 +175,70 @@ def _check_layout_bits(edges: int, vertex_bits: int, per_edge: int, kappa: int) 
 
 
 class _Layout:
-    """The bit layout of one instance, built once, in a few linear passes
-    over its edges (none per vertex).
+    """The bit layout of one instance, built once from its keys and colors,
+    in a few linear passes (none per vertex).
 
     Vertex (p, i) of a partite instance is bit (p - 1) * n + i - 1, vertex
-    v of a graph bit v - 1 (_bits_at), color c bit c - 1, and edge i of
-    H.edges bit i.  items[i] is edge i's (vertex bits in part order, their
-    union, color bit); a packed edge or state is vertex bits | color bits
-    << shift.  active holds the active vertices and twice those that need
-    two edges (demand 2: H is a graph or multigraph on [1..n]); per_edge is
-    the vertices an edge covers, and feasible is False when part sizes or
-    parity rule out any cover.  The layout holds bits only; the search
-    builds its columns from items (_Search).  Nothing but packed's lists is
-    built per active vertex, since each mask is an n*k-bit int (and none
-    at all past _LAYOUT_BIT_CAP); no helper builds a vertex tuple's bits, a
-    caller combines _bits_at's per-position lists.
+    v of a graph bit v - 1, color c bit c - 1, and edge i (key H.keys[i])
+    bit i.  positions[p][i], the position of edge i's vertex bit at tuple
+    position p, is digit arithmetic on the key; bits and cbits map each
+    touched position and carried color to one bit int that the edges share.
+    items[i] is edge i's (vertex bits in part order, their union, color
+    bit); a packed edge or state is vertex bits | color bits << shift.  runs
+    maps each first digit d to its run (lo, hi) of the sorted keys, the
+    edges of part-1 vertex d + 1 (of a graph's, as the smaller end).  active
+    holds the active vertices and twice those that need two edges (demand
+    2: H is a graph or multigraph on [1..n]); per_edge is the vertices an
+    edge covers, and feasible is False when part sizes or parity rule out
+    any cover.  The layout holds bits only; the search builds its columns
+    (_Search).  Nothing but packed's lists is built per active vertex,
+    since each mask is an n*k-bit int (none at all past _LAYOUT_BIT_CAP).
     """
 
     def __init__(self, H, demand: int = 1):
         n = self.n = H.n
-        edges = self.edges = H.edges
+        keys = H.keys
         partite = demand == 1 and H.mode == PARTITE
-        self.per_edge = H.k if partite else 2
-        self.shift = n * H.k if partite else n
-        _check_layout_bits(len(edges), self.shift, self.per_edge, H.kappa)
+        k = self.per_edge = H.k if partite else 2
+        self.shift = n * k if partite else n
+        _check_layout_bits(len(keys), self.shift, k, H.kappa)
+        self.twice = 0
         if demand == 2:
-            self._offsets = (-1, -1)
             self.active = self.twice = (1 << n) - 1
             self.feasible = True
         elif partite:
-            # part p starts at bit (p - 1) * n
-            self._offsets = tuple(range(-1, self.shift - 1, n))
-            self.twice = 0
-            gone = [0] * H.k
+            gone = [0] * k
             for v in H.absent:
                 gone[v.part - 1] += 1
             self.feasible = min(gone) == max(gone)
             self.active = ((1 << self.shift) - 1) & ~sum(
-                self._bits_at(v.part - 1, (v.index,))[0] for v in H.absent)
+                1 << ((v.part - 1) * n + v.index - 1) for v in H.absent)
         else:
-            self._offsets, self.twice = (-1, -1), 0
-            self.active = ((1 << n) - 1) & ~sum(self._bits_at(0, H.absent))
+            self.active = ((1 << n) - 1) & ~sum(1 << (v - 1) for v in H.absent)
             self.feasible = self.active.bit_count() % 2 == 0
-        verts = [self._bits_at(p, idx) for p, idx in enumerate(zip(*[e.verts for e in edges]))]
-        verts = list(zip(*verts))  # each edge's vertex bits, in part order
-        cbits = [1 << (e.color - 1) for e in edges]
-        self.items = list(zip(verts, map(sum, verts), cbits))
-
-    def _bits_at(self, p: int, indices) -> list[int]:
-        # the bit of each vertex index at tuple position p (its part minus
-        # one, 0 in a graph): the one place the vertex bits are computed
-        o = self._offsets[p]
-        return [1 << (o + i) for i in indices]
+        offsets = range(0, self.shift, n) if partite else (0, 0)  # each part's first bit
+        places = [n**p for p in range(k - 1, -1, -1)]  # each digit's place value
+        self.positions = [[o + t // w % n for t in keys] for o, w in zip(offsets, places)]
+        first, self.runs, lo = self.positions[0], {}, 0
+        while lo < len(keys):
+            hi = bisect_right(first, first[lo], lo)
+            self.runs[first[lo]], lo = (lo, hi), hi
+        self.bits = {x: 1 << x for x in set(chain.from_iterable(self.positions))}
+        self.cbits = {c: 1 << (c - 1) for c in set(H.colors)}
+        bits = [list(map(self.bits.__getitem__, xs)) for xs in self.positions]
+        covers = reduce(partial(map, or_), bits)  # each edge's bits ORed, lazily
+        self.items = list(zip(zip(*bits), covers, map(self.cbits.__getitem__, H.colors)))
 
     def packed(self) -> tuple[list[int], dict[int, list[int]]]:
         """Each edge packed, in canonical order, and the packed edges of each
         active part-1 vertex of a partite instance, keyed by its bit from low
-        to high (the branch order), edgeless vertices included.  One pass
-        over the edges.  A state (a partial matching) is packed too, covered
-        vertices | used colors << shift, so an edge fits a state iff the two
-        share no bit."""
-        shift = self.shift
+        to high (the branch order), edgeless vertices included (runs).  A
+        state (a partial matching) is packed too, covered vertices | used
+        colors << shift, so an edge fits a state iff the two share no bit."""
+        shift, runs = self.shift, self.runs
         packed = [covers | cbit << shift for _, covers, cbit in self.items]
-        lists: dict[int, list[int]] = {b: [] for b in _bits(self.active & ((1 << self.n) - 1))}
-        for (verts, _, _), x in zip(self.items, packed):
-            lists[verts[0]].append(x)
+        lists = {b: packed[slice(*runs.get(b.bit_length() - 1, (0, 0)))]
+                 for b in _bits(self.active & ((1 << self.n) - 1))}
         return packed, lists
 
 
@@ -246,40 +252,43 @@ class _Search:
     two edges, under the fragment rule: the covers are rainbow Hamilton
     cycles.  layout is the instance's bit layout (_Layout), built here, and
     edge i of it is bit i of the live set.  The constructor builds the
-    columns from layout.items: vertex_cols and color_cols map each touched
+    columns from the layout: vertex_cols and color_cols map each touched
     vertex's and each carried color's bit to its edges; vcols and ccols list
     them low bit first, vcols after a leading (active, 0) when some active
     vertex has no edge (it prunes the root).  exact: the edges carry exactly
-    as many colors as a cover has edges.  After run(), nodes is the
-    number of nodes visited, count the covers reached (all of them unless
-    find_one), and found, in find_one mode, the edges of the first one
-    reached, in the order they were chosen, or None.
+    as many colors as a cover has edges.  After run(), nodes is the number
+    of nodes visited, count the covers reached (all of them unless
+    find_one), and found, in find_one mode, the indices of the edges of the
+    first one reached, in the order they were chosen, or None.
     """
 
     def __init__(self, H, budget: int, find_one: bool, demand: int = 1):
         _check_budget(budget)
         self.layout = layout = _Layout(H, demand)
-        self.vertex_cols = vertex_cols = {}
-        self.color_cols = color_cols = {}
-        vget, cget = vertex_cols.get, color_cols.get
-        ebit = 1
-        for vs, _, cbit in layout.items:
-            for v in vs:
-                vertex_cols[v] = vget(v, 0) | ebit
-            color_cols[cbit] = cget(cbit, 0) | ebit
-            ebit <<= 1
+        # each vertex's edges by bit position and each color's by color, in
+        # lists when they have no more slots than there are edges, else dicts
+        dense = layout.shift + H.kappa <= 2 * len(H.keys)
+        cols, ccols = ([0] * size if dense else defaultdict(int) for size in (layout.shift, H.kappa + 1))
+        for d, (lo, hi) in layout.runs.items():
+            cols[d] = (1 << hi) - (1 << lo)  # a first digit's run (a graph ORs more)
+        for into, values in [*((cols, xs) for xs in layout.positions[1:]), (ccols, H.colors)]:
+            ebit = 1
+            for v in values:
+                into[v] |= ebit
+                ebit <<= 1
+        cols, ccols = (sorted((x, col) for x, col in (enumerate(cs) if dense else cs.items()) if col)
+                       for cs in (cols, ccols))
+        self.vcols = [(layout.bits[x], col) for x, col in cols]
+        self.vertex_cols = dict(self.vcols)
+        self.color_cols = {layout.cbits[c]: col for c, col in ccols}
         # no edge touches an absent vertex
-        self.vcols = sorted(vertex_cols.items())
         active = layout.active.bit_count()
         if len(self.vcols) < active:
             self.vcols.insert(0, (layout.active, 0))
-        self.ccols = [col for _, col in sorted(color_cols.items())]
+        self.ccols = list(self.color_cols.values())
         self.exact = len(self.ccols) * layout.per_edge == active + layout.twice.bit_count()
-        self.budget = budget
-        self.find_one = find_one
-        self.nodes = 0
-        self.count = 0
-        self.found: tuple[ColoredEdge, ...] | None = None
+        self.budget, self.find_one, self.nodes, self.count = budget, find_one, 0, 0
+        self.found: tuple[int, ...] | None = None
 
     def run(self) -> None:
         layout = self.layout
@@ -316,7 +325,7 @@ class _Search:
                     found = []
                     while chosen:
                         i, chosen = chosen
-                        found.append(layout.edges[i])
+                        found.append(i)
                     self.found = tuple(reversed(found))
                     break
                 continue
@@ -521,15 +530,15 @@ def find_rainbow_pm(
     order, so the same instance always gives the same witness, though not
     necessarily the lexicographically first one.  "None" is a proof of
     absence (the search space was exhausted), not a timeout; running out of
-    budget raises BudgetExceededError instead.  A witness is checked
-    (`is_perfect_matching`, `is_rainbow`) before it is returned; one that
-    fails is a bug in the search and raises RuntimeError.
+    budget raises BudgetExceededError instead.  The witness alone becomes
+    ColoredEdges (H.edges is not read) and is checked (`is_perfect_matching`,
+    `is_rainbow`); one that fails is a search bug and raises RuntimeError.
     """
     search = _Search(H, budget, find_one=True)
     search.run()
     if search.found is None:
         return None
-    M = Matching(tuple(sorted(search.found)))
+    M = Matching(_key_edges(H, sorted(search.found)))
     if not (is_perfect_matching(H, M) and is_rainbow(M)):
         raise RuntimeError("search: the matching found is not a rainbow perfect matching of H")
     return M
@@ -597,9 +606,9 @@ def _count_ie(H: ColoredHypergraph, budget: int) -> tuple[int, int]:
 
     # row_color[i][c]: bitmask of columns j such that (i+1, j+1) has color c+1.
     row_color = [[0] * n for _ in range(n)]
-    for e in H.edges:
-        i, j = e.verts
-        row_color[i - 1][e.color - 1] |= 1 << (j - 1)
+    for t, c in zip(H.keys, H.colors):
+        i, j = divmod(t, n)  # the edge (i + 1, j + 1)
+        row_color[i][c - 1] |= 1 << j
 
     full = (1 << n) - 1
     total = 0

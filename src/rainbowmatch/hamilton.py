@@ -28,12 +28,12 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import compress, product
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .count import BudgetExceededError, DEFAULT_NODE_BUDGET, _check_budget, _Search, find_rainbow_pm
 from .model import (
     _SHAPE_CACHE_SIZE, GRAPH, ColoredEdge, ColoredHypergraph, Matching, _built, _check_sizes,
-    _colored, _stored_edges, _uniform,
+    _key_edges, _stored_edges, _uniform,
 )
 
 __all__ = [
@@ -78,24 +78,27 @@ FAILURE_STAGES = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ColoredMultigraph:
-    """A colored multigraph on [1..n]: parallel edges allowed, each stored as
-    its own ColoredEdge occurrence (sorted endpoint pair plus color), sorted.
-    Every edge follows a graph-mode instance's edge rules, checked edge by
-    edge as an instance's are (`model._stored_edges`) but with repeated
-    pairs allowed, so no self-loops.  The union and the contraction are
-    valid by construction and skip that check (`model._built`); the tests
-    hold both to it."""
+    """A colored multigraph on [1..n], stored as a graph-mode instance is (a
+    key once per parallel edge).  Every edge follows a graph-mode instance's
+    edge rules, checked edge by edge as an instance's are
+    (`model._stored_edges`) but with repeated pairs allowed, so no
+    self-loops.  The union and the contraction are valid by construction and
+    skip that check (`model._built`); the tests hold both to it."""
 
     n: int
     kappa: int
-    edges: tuple[ColoredEdge, ...]
+    keys: tuple[int, ...]
+    colors: tuple[int, ...]
+    k = 2  # a pair per key
 
-    def __post_init__(self):
-        _check_sizes(GRAPH, self.n, 2, self.kappa)
-        edges = _stored_edges(self.edges, GRAPH, self.n, 2, self.kappa, frozenset(), parallel=True)
-        object.__setattr__(self, "edges", edges)
+    def __init__(self, n: int, kappa: int, edges: Iterable):
+        _check_sizes(GRAPH, n, 2, kappa)
+        self.__dict__.update(n=n, kappa=kappa,
+                             **_stored_edges(edges, GRAPH, n, 2, kappa, frozenset(), parallel=True))
+
+    edges = cached_property(_key_edges)
 
 
 @dataclass(frozen=True)
@@ -180,7 +183,7 @@ def find_rainbow_hc(G, budget: int = DEFAULT_HC_BUDGET) -> HamiltonCycle | None:
     search.run()
     if search.found is None:
         return None
-    return _cycle_of(n, search.found)
+    return _cycle_of(n, _key_edges(G, search.found))
 
 
 # -- even-n assembly ----------------------------------------------------------
@@ -289,12 +292,11 @@ def assemble_even(
     matchings: list[Matching | None] = [None] * 8
     for bi in range(8):
         cls = tuple(_members(edges, edge_class, bi))
-        colors = [
-            slots[4 * c + l - 5][1]
-            for (_, c), l in zip(cls, _members(label_list, edge_class, bi))
-        ]
+        colors = tuple([slots[4 * c + l - 5][1] for c, l in zip(
+            _members(G.colors, edge_class, bi), _members(label_list, edge_class, bi))])
         recolored = _built(ColoredHypergraph, mode=GRAPH, n=n, k=2, kappa=nu,
-                           edges=_colored([e.verts for e in cls], colors), absent=frozenset())
+                           keys=tuple(_members(G.keys, edge_class, bi)), colors=colors,
+                           absent=frozenset())
         try:
             M = find_rainbow_pm(recolored, budget=matching_budget)
         except BudgetExceededError:
@@ -304,8 +306,8 @@ def assemble_even(
         original = {e.verts: e for e in cls}
         matchings[bi] = Matching(tuple(sorted(original[f.verts] for f in M.edges)))
 
-    union_edges = tuple(sorted(e for M in matchings for e in M.edges))
-    union = _built(ColoredMultigraph, n=n, kappa=G.kappa, edges=union_edges)
+    keys, colors = zip(*sorted(((u - 1) * n + v - 1, c) for M in matchings for (u, v), c in M.edges))
+    union = _built(ColoredMultigraph, n=n, kappa=G.kappa, keys=keys, colors=colors)
     try:
         hc = find_rainbow_hc(union, budget=hc_budget)
     except BudgetExceededError:
@@ -364,15 +366,14 @@ def contract_color_delete(
     new = [*range(x), xi, *range(x, y - 1), xi, *range(y - 1, xi)]
     new_to_old = {w: v for v, w in enumerate(new) if 0 < w < xi}
 
-    drop, verts, colors = e.color, [], []
+    drop, pairs = e.color, []
     for (u, v), c in G.edges:
         if c != drop:
-            u, v = new[u], new[v]
-            verts.append((u, v) if u < v else (v, u))
-            colors.append(c)
-    contracted = _colored(verts, colors)
-    Gp = _built(ColoredMultigraph, n=G.n - 1, kappa=G.kappa, edges=tuple(sorted(contracted)))
-    return Gp, ContractionMap(xi, new_to_old, host_edges)
+            u, v = sorted((new[u], new[v]))
+            pairs.append(((u - 1) * xi + v - 1, c))  # (u, v)'s key on [1..xi]
+    keys, colors = zip(*sorted(pairs)) if pairs else ((), ())
+    return (_built(ColoredMultigraph, n=xi, kappa=G.kappa, keys=keys, colors=colors),
+            ContractionMap(xi, new_to_old, host_edges))
 
 
 def lift_cycle(

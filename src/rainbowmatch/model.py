@@ -8,10 +8,11 @@ Two instance flavors share one type:
 * graph mode: a simple graph on [1..n] with colored edges (k is fixed to 2 and
   a "tuple" is an unordered pair u < v).
 
-Instances are immutable and canonical: edges are stored sorted by vertex tuple,
-so two instances with equal content compare equal and serialize identically.
-Deleted vertices are tracked in `absent` rather than by renumbering, which is
-what lets restriction operators compose without rewriting labels.
+Instances are immutable and canonical: edges are stored as sorted integer keys
+(`_key`) and their colors, so equal content compares equal and serializes
+identically; `edges` is a view built on first read.  Deleted vertices are
+tracked in `absent` rather than by renumbering, which is what lets
+restriction operators compose without rewriting labels.
 
 All sampling takes an explicit `random.Random`; see `RandomnessSpec` for the
 seed/substream convention used by the experiment drivers.  Colors are drawn in
@@ -24,10 +25,10 @@ would take, without its pool.  Any other generator takes the per-call path.
 
 Instances read from outside the program (`instance_from_dict`) and every
 `restrict` go through the checked constructor, which sorts the edges and
-checks them one at a time.  The samplers build their edges valid by
-construction, so they skip that check (`_built`); the tests hold each
-sampler to the checked constructor.  Both run the one size rule
-(`_check_sizes`), and one view gives the vertices an edge touches
+checks them one at a time, then derives their keys.  The samplers store the
+keys they draw, valid by construction, so they skip that check (`_built`);
+the tests hold each sampler to the checked constructor.  Both run the one
+size rule (`_check_sizes`), and one view gives the vertices an edge touches
 (`_vertices`).  A sampler's whole argument rule is `_check_draw`, which the
 experiment drivers also ask for every cell before their first trial.
 """
@@ -41,8 +42,8 @@ import random
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, lru_cache
-from itertools import chain, combinations, product, repeat, starmap
+from functools import cache, cached_property, lru_cache
+from itertools import chain, combinations, repeat, starmap
 from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
@@ -115,6 +116,28 @@ class Matching:
         return len(self.edges)
 
 
+def _key(verts: Iterable[int], n: int) -> int:
+    """The key of a vertex tuple: the base-n number of (v1 - 1, ..., vk - 1)."""
+    key = 0
+    for i in verts:
+        key = key * n + i - 1
+    return key
+
+
+def _key_edges(H, at: Iterable[int] | None = None) -> tuple[ColoredEdge, ...]:
+    """The ColoredEdges of H's keys, or of those at the indices at: a key's k
+    base-n digits plus one are its vertex tuple (a complete graph's, shared)."""
+    n, k, keys, colors = H.n, H.k, H.keys, H.colors
+    if at is not None:
+        keys, colors = [keys[i] for i in at], [colors[i] for i in at]
+    elif k == 2 and len(keys) == n * (n - 1) // 2 and keys == _graph_pairs(n)[0]:
+        return _colored(_graph_pairs(n)[1], colors)
+    if k == 2:
+        return _colored([(t // n + 1, t % n + 1) for t in keys], colors)
+    places = [n**p for p in range(k - 1, -1, -1)]
+    return _colored([tuple([t // w % n + 1 for w in places]) for t in keys], colors)
+
+
 def _derive_seed(master_seed: int, stream_index: int | str) -> int:
     # Hash-derived substreams: independent of PYTHONHASHSEED, stable across
     # platforms, and two distinct (seed, stream) pairs never collide in
@@ -139,39 +162,40 @@ class RandomnessSpec:
         return random.Random(_derive_seed(self.master_seed, self.stream_index))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ColoredHypergraph:
     """An immutable edge-colored instance (see module docstring for modes).
 
-    The constructor checks every instance it is handed: `restrict`,
-    `instance_from_dict`, `count.latin_transversal` and any library caller
-    alike, and is the one type and range check of their sizes, edges and
-    absent vertices.  The samplers and the Hamilton assembly's recolored
-    classes build their edges valid by construction and skip it (`_built`);
-    the tests hold them to it.  Past the sizes (`_check_sizes`) it requires
-    every edge to be a (verts, color) pair, every vertex index and color to
-    be an int (a bool or a float is an error, never truncated), every color
-    in 1..kappa, every edge with one vertex per part (graph mode: a pair
-    u < v), every vertex index in 1..n, no edge touching an absent vertex,
-    and no vertex tuple twice.  It stores them sorted, as `ColoredEdge`s of
-    vertex tuples, and names the first offending edge in canonical order
-    (`_stored_edges`).
+    It stores keys, its edges' sorted keys (`_key`), and their colors;
+    `edges` is a view.  The constructor checks every instance it is handed:
+    `restrict`, `instance_from_dict`, `count.latin_transversal` and any
+    library caller alike, and is the one type and range check of their
+    sizes, edges and absent vertices.  The samplers and the Hamilton
+    assembly's recolored classes store keys valid by construction and skip
+    it (`_built`); the tests hold them to it.  Past the sizes
+    (`_check_sizes`) it requires every edge to be a (verts, color) pair,
+    every vertex index and color to be an int (a bool or a float is an
+    error, never truncated), every color in 1..kappa, every edge with one
+    vertex per part (graph mode: a pair u < v), every vertex index in 1..n,
+    no edge touching an absent vertex, and no vertex tuple twice, and names
+    the first offending edge in canonical order (`_stored_edges`).
     """
 
     mode: str
     n: int
     k: int
     kappa: int
-    edges: tuple[ColoredEdge, ...] = ()
-    absent: frozenset = frozenset()
+    keys: tuple[int, ...]
+    colors: tuple[int, ...]
+    absent: frozenset
 
-    def __post_init__(self):
-        _check_sizes(self.mode, self.n, self.k, self.kappa)
-        absent = frozenset(self._coerce_vertex(v) for v in self.absent)
-        object.__setattr__(self, "absent", absent)
+    def __init__(self, mode: str, n: int, k: int, kappa: int, edges=(), absent=()):
+        _check_sizes(mode, n, k, kappa)
+        self.__dict__.update(mode=mode, n=n, k=k, kappa=kappa)
+        absent = frozenset(map(self._coerce_vertex, absent))
+        self.__dict__.update(absent=absent, **_stored_edges(edges, mode, n, k, kappa, absent))
 
-        edges = _stored_edges(self.edges, self.mode, self.n, self.k, self.kappa, absent)
-        object.__setattr__(self, "edges", edges)
+    edges = cached_property(_key_edges)
 
     def _coerce_vertex(self, v):
         if self.mode == PARTITE:
@@ -274,12 +298,12 @@ def _stored_edges(
     kappa: int,
     absent: frozenset,
     parallel: bool = False,
-) -> tuple[ColoredEdge, ...]:
-    """edges as an instance stores them: as ColoredEdges (`_edge_pairs`),
-    sorted, then checked one by one against the edge rules (`_check_edge`)
-    and, unless parallel, for a repeated vertex tuple.  A ValueError names
-    the first offending edge in canonical order (in the given order when a
-    value that is not an int leaves them unsortable)."""
+) -> dict:
+    """The keys and colors an instance stores, and the view's value: edges as
+    ColoredEdges (`_edge_pairs`), sorted, then checked one by one against the
+    edge rules (`_check_edge`) and, unless parallel, for a repeated vertex
+    tuple.  A ValueError names the first offending edge in canonical order (in
+    the given order when a value that is not an int leaves them unsortable)."""
     stored = _edge_pairs(edges)
     try:
         edges = sorted(stored)
@@ -291,31 +315,22 @@ def _stored_edges(
         if e.verts in seen and not parallel:
             raise ValueError(f"duplicate vertex tuple {e.verts}")
         seen.add(e.verts)
-    return tuple(edges)
+    return {"edges": tuple(edges), "keys": tuple(_key(e.verts, n) for e in edges),
+            "colors": tuple(e.color for e in edges)}
 
 
 def _built(cls, **fields):
     """The frozen dataclass cls holding fields as given, made without its
-    `__post_init__` checks.  Only for builders whose fields are valid by
-    construction, which must pass every field and exactly what the checked
-    constructor would store: each edge a ColoredEdge of a tuple of ints and
-    an int color, the edges in canonical order, `absent` a frozenset."""
+    checks.  Only for builders whose fields are valid by construction,
+    which must pass every field and exactly what the checked constructor
+    would store: keys a sorted tuple of ints (`_key`), colors a tuple of
+    ints, `absent` a frozenset."""
     built = object.__new__(cls)
     built.__dict__.update(fields)
     return built
 
 
 # -- samplers ---------------------------------------------------------------
-
-
-def _decode_partite_tuple(index: int, n: int, k: int) -> tuple[int, ...]:
-    # Part-major base-n digits; ascending index order equals lexicographic
-    # order on the vertex tuples.
-    digits = []
-    for _ in range(k):
-        index, d = divmod(index, n)
-        digits.append(d + 1)
-    return tuple(reversed(digits))
 
 
 def _words(rnd: random.Random, count: int) -> Sequence[int]:
@@ -389,10 +404,11 @@ def _colored(verts: Iterable[tuple[int, ...]], colors: Iterable[int]) -> tuple[C
 
 
 @lru_cache(maxsize=_SHAPE_CACHE_SIZE)
-def _graph_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """Every pair (u, v), 1 <= u < v <= n, in lexicographic order: the
-    complete graph's edge support, shared by every full draw on n vertices."""
-    return tuple(combinations(range(1, n + 1), 2))
+def _graph_pairs(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """The keys of every pair (u, v), 1 <= u < v <= n, in lexicographic order,
+    and the pairs: a complete graph's, shared by every full draw on n vertices."""
+    pairs = tuple(combinations(range(1, n + 1), 2))
+    return tuple(u * n + v - n - 1 for u, v in pairs), pairs
 
 
 def _check_draw(mode: str, n: int, k: int, kappa: int, m: int | None = None) -> int:
@@ -433,9 +449,8 @@ def complete_colored(
     i.i.d. uniform on [1..kappa], one per tuple in lexicographic order, drawn
     in bulk (`_uniform`).  The arguments obey `_check_draw` with m None."""
     total = _check_draw(PARTITE, n, k, kappa)
-    edges = _colored(product(range(1, n + 1), repeat=k), _uniform(rnd, kappa, total))
-    return _built(ColoredHypergraph, mode=PARTITE, n=n, k=k, kappa=kappa,
-                  edges=edges, absent=frozenset())
+    return _built(ColoredHypergraph, mode=PARTITE, n=n, k=k, kappa=kappa, keys=tuple(range(total)),
+                  colors=tuple(_uniform(rnd, kappa, total)), absent=frozenset())
 
 
 def sample_partite_m(
@@ -444,20 +459,15 @@ def sample_partite_m(
     """m distinct vertex tuples uniformly at random, colors i.i.d. uniform.
 
     The gnm-style model: the edge support is a uniform m-subset of the n^k
-    possible tuples, independent of the colors.  The colors follow the
-    subset's draw, one per tuple in sorted order, drawn in bulk (`_uniform`).
-    The arguments obey `_check_draw`, with m an int, never None."""
+    possible tuples, independent of the colors.  The sorted tuple indices are
+    the keys; the colors follow, one per tuple in that order, drawn in bulk
+    (`_uniform`).  The arguments obey `_check_draw`, with m an int."""
     if m is None:
         raise ValueError("m must be an int, not None")
     total = _check_draw(PARTITE, n, k, kappa, m)
-    picked = sorted(rnd.sample(range(total), m))
-    if k == 2:
-        verts = [(t // n + 1, t % n + 1) for t in picked]
-    else:
-        verts = [_decode_partite_tuple(t, n, k) for t in picked]
-    edges = _colored(verts, _uniform(rnd, kappa, m))
-    return _built(ColoredHypergraph, mode=PARTITE, n=n, k=k, kappa=kappa,
-                  edges=edges, absent=frozenset())
+    keys = tuple(sorted(rnd.sample(range(total), m)))
+    return _built(ColoredHypergraph, mode=PARTITE, n=n, k=k, kappa=kappa, keys=keys,
+                  colors=tuple(_uniform(rnd, kappa, m)), absent=frozenset())
 
 
 def sample_partite_p(
@@ -471,15 +481,16 @@ def sample_partite_p(
     colors i.i.d. uniform on the kept edges.  Each tuple's coin flip is
     followed by its color when kept, so the colors are drawn one call at a
     time, not in bulk.  The sizes obey `_check_draw` with m None."""
-    _check_draw(PARTITE, n, k, kappa)
+    total = _check_draw(PARTITE, n, k, kappa)
     if type(p) not in (int, float) or not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be an int or a float in [0, 1], not {p!r}")
-    edges = []
-    for verts in product(range(1, n + 1), repeat=k):
+    keys, colors = [], []
+    for t in range(total):  # the tuples in lexicographic order
         if rnd.random() < p:
-            edges.append(ColoredEdge(verts, rnd.randint(1, kappa)))
-    return _built(ColoredHypergraph, mode=PARTITE, n=n, k=k, kappa=kappa,
-                  edges=tuple(edges), absent=frozenset())
+            keys.append(t)
+            colors.append(rnd.randint(1, kappa))
+    return _built(ColoredHypergraph, mode=PARTITE, n=n, k=k, kappa=kappa, keys=tuple(keys),
+                  colors=tuple(colors), absent=frozenset())
 
 
 def sample_colored_graph(
@@ -488,31 +499,30 @@ def sample_colored_graph(
     """A uniform m-edge simple graph on [1..n] with i.i.d. uniform colors.
 
     The m pairs are drawn as indices into the lexicographic list of all
-    n(n-1)/2 pairs: the sorted indices are decoded by walking the rows
-    (u, u+1..n) in order.  A full draw on a `random.Random` sorts to every
-    index whatever the words say, so its words are skipped
-    (`_skip_full_sample`) and its edges take their pairs from the one
-    per-n tuple every full draw shares (`_graph_pairs`).  The colors follow,
-    one per pair in that order, drawn in bulk (`_uniform`).  The arguments
-    obey `_check_draw`, with m an int, never None."""
+    n(n-1)/2 pairs: the sorted indices are turned into keys by walking the
+    rows (u, u+1..n) in order.  A full draw on a `random.Random` sorts to
+    every index whatever the words say, so its words are skipped
+    (`_skip_full_sample`) and it takes the one per-n tuple of keys every
+    full draw shares (`_graph_pairs`).  The colors follow, one per pair in
+    that order, drawn in bulk (`_uniform`).  The arguments obey
+    `_check_draw`, with m an int, never None."""
     if m is None:
         raise ValueError("m must be an int, not None")
     total = _check_draw(GRAPH, n, 2, kappa, m)
     if m == total and type(rnd) is random.Random:
         _skip_full_sample(rnd, total)
-        pairs = _graph_pairs(n)
+        keys = _graph_pairs(n)[0]
     else:
-        pairs = []
+        keys = []
         u, row_start, row_len = 1, 0, n - 1
         for t in sorted(rnd.sample(range(total), m)):
             while t >= row_start + row_len:
                 row_start += row_len
                 row_len -= 1
                 u += 1
-            pairs.append((u, u + 1 + t - row_start))
-    edges = _colored(pairs, _uniform(rnd, kappa, m))
-    return _built(ColoredHypergraph, mode=GRAPH, n=n, k=2, kappa=kappa,
-                  edges=edges, absent=frozenset())
+            keys.append((u - 1) * n + u + t - row_start)  # the pair (u, u + 1 + t - row_start)
+    return _built(ColoredHypergraph, mode=GRAPH, n=n, k=2, kappa=kappa, keys=tuple(keys),
+                  colors=tuple(_uniform(rnd, kappa, m)), absent=frozenset())
 
 
 # -- restriction and profiles ------------------------------------------------

@@ -30,13 +30,18 @@ def color_counts(G):
 def assert_stored_as_checked(H):
     """H, an instance or a multigraph the program built without its
     constructor's checks, equals its rebuild through that checked public
-    constructor and holds exactly the types it stores: each edge a
-    ColoredEdge of a tuple, every vertex index and color an int (a bool or a
-    float compares equal to an int, but the constructor refuses it)."""
+    constructor from H's edges view: the keys and colors it stores are the
+    ones the constructor derives, tuples of exact ints (a bool or a float
+    compares equal to an int, but the constructor refuses it), and the view
+    holds ColoredEdges of tuples of ints."""
     if type(H) is ColoredMultigraph:
-        assert ColoredMultigraph(H.n, H.kappa, H.edges) == H
+        checked = ColoredMultigraph(H.n, H.kappa, H.edges)
     else:
-        assert ColoredHypergraph(H.mode, H.n, H.k, H.kappa, H.edges, H.absent) == H
+        checked = ColoredHypergraph(H.mode, H.n, H.k, H.kappa, H.edges, H.absent)
+    assert checked == H
+    assert (H.keys, H.colors) == (checked.keys, checked.colors)
+    assert type(H.keys) is tuple and type(H.colors) is tuple
+    assert all(type(x) is int for x in (*H.keys, *H.colors))
     for e in H.edges:
         assert type(e) is ColoredEdge and type(e.verts) is tuple, e
         assert all(type(x) is int for x in (*e.verts, e.color)), e

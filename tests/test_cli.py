@@ -376,8 +376,8 @@ def test_a_witness_that_fails_its_check_exits_4(tmp_path, capsys, monkeypatch):
     class WrongSearch(count._Search):
         def run(self):
             super().run()
-            e, *rest = self.found
-            self.found = (ColoredEdge(e.verts, e.color + 1), *rest)  # not an edge of H
+            _, *rest = self.found
+            self.found = (*rest, *rest)  # the other edge twice: vertex (1, 1) or (2, 2) uncovered
 
     monkeypatch.setattr(count, "_Search", WrongSearch)
     with pytest.raises(RuntimeError, match="not a rainbow perfect matching"):

@@ -33,7 +33,7 @@ from rainbowmatch.model import (
     sample_partite_m,
 )
 
-from helpers import edge_by_verts
+from helpers import assert_stored_as_checked, edge_by_verts
 from oracles import count_uniform_pm, reduce_to_uniform
 
 
@@ -84,6 +84,16 @@ def test_is_perfect_matching_rejects_what_is_not_one():
                                            ColoredEdge((2, 3), 1)))
     assert is_perfect_matching(G, Matching(G.edges[::2]))
     assert not is_perfect_matching(G, Matching(G.edges[:2]))  # vertex 2 twice
+    # vertex indices out of range that spell the key of an edge of H with the
+    # same color, in a matching that would otherwise pass: at n = 3, (1, 4)
+    # spells the key of (2, 1); at n = 4, (1, 7) that of (2, 3); at n = 2,
+    # k = 3, (1, 1, 3) that of (1, 2, 1)
+    e21 = edge_by_verts(H, (2, 1))
+    assert not is_perfect_matching(H, Matching((ColoredEdge((1, 4), e21.color), e22, e33)))
+    assert not is_perfect_matching(G, Matching((ColoredEdge((1, 7), 1), ColoredEdge((3, 4), 2))))
+    H3 = complete_colored(2, 3, 2, rng(1))
+    e121, e222 = edge_by_verts(H3, (1, 2, 1)), edge_by_verts(H3, (2, 2, 2))
+    assert not is_perfect_matching(H3, Matching((ColoredEdge((1, 1, 3), e121.color), e222)))
 
 
 # -- find
@@ -111,6 +121,23 @@ def test_find_zero_active_instance_trivially_found():
     R = restrict(H, removed_vertices=[PartiteVertex(1, 1), PartiteVertex(2, 1)])
     M = find_rainbow_pm(R)
     assert M is not None and len(M) == 0
+
+
+def test_a_threshold_trial_never_builds_the_edges_view():
+    # the sampler stores keys and colors, and the search, the witness and its
+    # check read only those, whether a witness is found, absence is proved or
+    # the budget runs out; the edges view is built when it is first read
+    outcomes = []
+    for m, budget in ((30, DEFAULT_NODE_BUDGET), (8, DEFAULT_NODE_BUDGET), (30, 2)):
+        H = sample_partite_m(6, 2, 6, m, rng(0, seed=80))
+        try:
+            outcomes.append("found" if find_rainbow_pm(H, budget=budget) else "absent")
+        except BudgetExceededError:
+            outcomes.append("budget")
+        assert "edges" not in vars(H), m
+        assert_stored_as_checked(H)
+        assert "edges" in vars(H)
+    assert outcomes == ["found", "absent", "budget"]
 
 
 def test_find_budget_error_carries_node_count():

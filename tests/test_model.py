@@ -486,8 +486,9 @@ def _per_call_complete(n, k, kappa, rnd):
 
 
 def _per_call_partite_m(n, k, kappa, m, rnd):
-    picked = sorted(rnd.sample(range(n**k), m))
-    edges = [ColoredEdge(model._decode_partite_tuple(t, n, k), rnd.randint(1, kappa)) for t in picked]
+    tuples = list(itertools.product(range(1, n + 1), repeat=k))
+    picked = sorted(rnd.sample(range(len(tuples)), m))
+    edges = [ColoredEdge(tuples[t], rnd.randint(1, kappa)) for t in picked]
     return ColoredHypergraph(PARTITE, n, k, kappa, tuple(edges))
 
 
@@ -824,6 +825,7 @@ def test_from_dict_names_what_the_document_lacks():
         ({**partite, "edges": [partite["edges"][0], [2, 2]]}, "edges[1] is not a JSON object"),
         ({**partite, "edges": {"verts": 1}}, "edges must be a JSON array"),
         ({**partite, "edges": "ab"}, "edges must be a JSON array"),
+        ({**partite, "edges": 5}, "edges must be a JSON array"),
         ({key: v for key, v in partite.items() if key != "colors"}, "the document has no key 'colors'"),
         ([partite], "the document is not a JSON object"),
         (None, "the document is not a JSON object"),
