@@ -69,13 +69,10 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
-from itertools import chain, cycle, repeat
-from operator import add, or_
 from typing import Iterable, Sequence
 
-from .model import (PARTITE, CapacityError, ColoredEdge, ColoredHypergraph, Matching, _check_sizes, _key,
-                    _key_edges)
+from .model import (PARTITE, CapacityError, ColoredEdge, ColoredHypergraph, Matching, _check_sizes,
+                    _digits, _key, _key_edges)
 
 __all__ = [
     "DEFAULT_NODE_BUDGET",
@@ -140,25 +137,25 @@ def is_perfect_matching(H: ColoredHypergraph, M: Matching) -> bool:
     """True iff M's edges are edges of H, pairwise vertex-disjoint, and
     together cover every active vertex.
 
-    Shares no code with the search kernel.  Once every vertex index lies in
-    1..n (one out of range could spell another key), an edge is found by
-    bisecting H's keys for its own (`model._key`) and comparing the color.
-    H's edges touch only active vertices, so M is perfect iff no vertex is
-    covered twice and as many are covered as are active.
+    Shares no code with the search kernel.  An edge is found by bisecting
+    H's keys for its own (`model._key`), once its vertex indices are ints in
+    1..n, one per tuple position (any other could spell another edge's
+    key), and comparing colors.  Covered vertices are (part, index) pairs,
+    or ints in graph mode; H's edges touch only active vertices, so M is
+    perfect iff none is covered twice and as many are as are active.
     """
     keys, colors, n, partite = H.keys, H.colors, H.n, H.mode == PARTITE
-    per_edge = H.k if partite else 2
-    verts = [e.verts for e in M.edges]
-    flat = list(chain.from_iterable(verts))
-    if set(map(len, verts)) - {per_edge} or flat and not 1 <= min(flat) <= max(flat) <= n:
-        return False
-    for e, key in zip(M.edges, map(_key, verts, repeat(n))):
+    per_edge, vertices = (H.k, H.k * n) if partite else (2, n)
+    covered = set()
+    for e in M.edges:
+        if len(e.verts) != per_edge or not all(type(v) is int and 1 <= v <= n for v in e.verts):
+            return False
+        key = _key(e.verts, n)
         i = bisect_left(keys, key)
         if i == len(keys) or keys[i] != key or colors[i] != e.color:
             return False
-    # a partite vertex as its index among all k * n, a graph's as itself
-    covered = set(map(add, flat, cycle(range(0, per_edge * n, n)))) if partite else set(flat)
-    return len(covered) == len(flat) == (per_edge * n if partite else n) - len(H.absent)
+        covered.update(enumerate(e.verts) if partite else e.verts)
+    return len(covered) == per_edge * len(M) == vertices - len(H.absent)
 
 
 # -- exact-cover search kernel -------------------------------------------------
@@ -179,29 +176,29 @@ class _Layout:
     in a few linear passes (none per vertex).
 
     Vertex (p, i) of a partite instance is bit (p - 1) * n + i - 1, vertex
-    v of a graph bit v - 1, color c bit c - 1, and edge i (key H.keys[i])
-    bit i.  positions[p][i], the position of edge i's vertex bit at tuple
-    position p, is digit arithmetic on the key; bits and cbits map each
-    touched position and carried color to one bit int that the edges share.
-    items[i] is edge i's (vertex bits in part order, their union, color
-    bit); a packed edge or state is vertex bits | color bits << shift.  runs
+    v of a graph bit v - 1 (bit(); offsets[p] is tuple position p's first
+    bit), color c bit c - 1, and edge i (key H.keys[i]) bit i.  Edge i's
+    vertex at tuple position p is bit positions[p][i], its key's digit
+    there plus offsets[p] (`model._digits`); bits and cbits give each
+    touched position and color one int that the edges share.  items[i] is
+    edge i's (vertex bits in part order, their union, color bit).  runs
     maps each first digit d to its run (lo, hi) of the sorted keys, the
-    edges of part-1 vertex d + 1 (of a graph's, as the smaller end).  active
-    holds the active vertices and twice those that need two edges (demand
-    2: H is a graph or multigraph on [1..n]); per_edge is the vertices an
-    edge covers, and feasible is False when part sizes or parity rule out
-    any cover.  The layout holds bits only; the search builds its columns
-    (_Search).  Nothing but packed's lists is built per active vertex,
-    since each mask is an n*k-bit int (none at all past _LAYOUT_BIT_CAP).
+    edges of part-1 vertex d + 1 (of a graph's, as the smaller end).
+    active holds the active vertices and twice those that need two edges
+    (demand 2: H is a graph or multigraph on [1..n]); per_edge is the
+    vertices an edge covers, and feasible is False when part sizes or
+    parity rule out any cover.  The layout holds bits only; the search
+    builds its columns (_Search).  Nothing but packed's lists is built per
+    active vertex, since each mask is an n*k-bit int.
     """
 
     def __init__(self, H, demand: int = 1):
         n = self.n = H.n
-        keys = H.keys
         partite = demand == 1 and H.mode == PARTITE
         k = self.per_edge = H.k if partite else 2
         self.shift = n * k if partite else n
-        _check_layout_bits(len(keys), self.shift, k, H.kappa)
+        _check_layout_bits(len(H.keys), self.shift, k, H.kappa)
+        self.offsets = range(0, self.shift, n) if partite else (0, 0)
         self.twice = 0
         if demand == 2:
             self.active = self.twice = (1 << n) - 1
@@ -212,22 +209,21 @@ class _Layout:
                 gone[v.part - 1] += 1
             self.feasible = min(gone) == max(gone)
             self.active = ((1 << self.shift) - 1) & ~sum(
-                1 << ((v.part - 1) * n + v.index - 1) for v in H.absent)
+                self.bit(v.part - 1, v.index) for v in H.absent)
         else:
-            self.active = ((1 << n) - 1) & ~sum(1 << (v - 1) for v in H.absent)
+            self.active = ((1 << n) - 1) & ~sum(self.bit(0, v) for v in H.absent)
             self.feasible = self.active.bit_count() % 2 == 0
-        offsets = range(0, self.shift, n) if partite else (0, 0)  # each part's first bit
-        places = [n**p for p in range(k - 1, -1, -1)]  # each digit's place value
-        self.positions = [[o + t // w % n for t in keys] for o, w in zip(offsets, places)]
-        first, self.runs, lo = self.positions[0], {}, 0
-        while lo < len(keys):
-            hi = bisect_right(first, first[lo], lo)
-            self.runs[first[lo]], lo = (lo, hi), hi
-        self.bits = {x: 1 << x for x in set(chain.from_iterable(self.positions))}
+        self.positions = _digits(H.keys, n, k, self.offsets)
+        first = self.positions[0]
+        self.runs = {d: (bisect_left(first, d), bisect_right(first, d)) for d in sorted(set(first))}
+        self.bits = {x: 1 << x for x in set().union(*self.positions)}
         self.cbits = {c: 1 << (c - 1) for c in set(H.colors)}
-        bits = [list(map(self.bits.__getitem__, xs)) for xs in self.positions]
-        covers = reduce(partial(map, or_), bits)  # each edge's bits ORed, lazily
-        self.items = list(zip(zip(*bits), covers, map(self.cbits.__getitem__, H.colors)))
+        verts = list(zip(*[[self.bits[x] for x in xs] for xs in self.positions]))
+        self.items = list(zip(verts, map(sum, verts), [self.cbits[c] for c in H.colors]))
+
+    def bit(self, p: int, i: int) -> int:
+        """The bit of vertex index i at tuple position p (its part - 1; 0 in a graph)."""
+        return 1 << (self.offsets[p] + i - 1)
 
     def packed(self) -> tuple[list[int], dict[int, list[int]]]:
         """Each edge packed, in canonical order, and the packed edges of each
@@ -265,29 +261,33 @@ class _Search:
     def __init__(self, H, budget: int, find_one: bool, demand: int = 1):
         _check_budget(budget)
         self.layout = layout = _Layout(H, demand)
-        # each vertex's edges by bit position and each color's by color, in
-        # lists when they have no more slots than there are edges, else dicts
+        # by bit position and by color: a first digit's run at once, the rest
+        # edge by edge; in lists when they need at most two slots per edge (no
+        # more room than the edges take), else in dicts (a huge sparse instance)
         dense = layout.shift + H.kappa <= 2 * len(H.keys)
-        cols, ccols = ([0] * size if dense else defaultdict(int) for size in (layout.shift, H.kappa + 1))
+        cols = [0] * layout.shift if dense else defaultdict(int)
+        ccols = [0] * (H.kappa + 1) if dense else defaultdict(int)
         for d, (lo, hi) in layout.runs.items():
-            cols[d] = (1 << hi) - (1 << lo)  # a first digit's run (a graph ORs more)
-        for into, values in [*((cols, xs) for xs in layout.positions[1:]), (ccols, H.colors)]:
+            cols[d] = (1 << hi) - (1 << lo)
+        for into, values in [*[(cols, xs) for xs in layout.positions[1:]], (ccols, H.colors)]:
             ebit = 1
             for v in values:
                 into[v] |= ebit
                 ebit <<= 1
-        cols, ccols = (sorted((x, col) for x, col in (enumerate(cs) if dense else cs.items()) if col)
-                       for cs in (cols, ccols))
-        self.vcols = [(layout.bits[x], col) for x, col in cols]
+        xs, cs = (range(len(cols)), range(len(ccols))) if dense else (sorted(cols), sorted(ccols))
+        self.vcols = [(layout.bits[x], cols[x]) for x in xs if cols[x]]
         self.vertex_cols = dict(self.vcols)
-        self.color_cols = {layout.cbits[c]: col for c, col in ccols}
+        self.color_cols = {layout.cbits[c]: ccols[c] for c in cs if ccols[c]}
         # no edge touches an absent vertex
         active = layout.active.bit_count()
         if len(self.vcols) < active:
             self.vcols.insert(0, (layout.active, 0))
         self.ccols = list(self.color_cols.values())
         self.exact = len(self.ccols) * layout.per_edge == active + layout.twice.bit_count()
-        self.budget, self.find_one, self.nodes, self.count = budget, find_one, 0, 0
+        self.budget = budget
+        self.find_one = find_one
+        self.nodes = 0
+        self.count = 0
         self.found: tuple[int, ...] | None = None
 
     def run(self) -> None:
@@ -606,8 +606,7 @@ def _count_ie(H: ColoredHypergraph, budget: int) -> tuple[int, int]:
 
     # row_color[i][c]: bitmask of columns j such that (i+1, j+1) has color c+1.
     row_color = [[0] * n for _ in range(n)]
-    for t, c in zip(H.keys, H.colors):
-        i, j = divmod(t, n)  # the edge (i + 1, j + 1)
+    for i, j, c in zip(*_digits(H.keys, n, 2, (0, 0)), H.colors):  # the edge (i + 1, j + 1)
         row_color[i][c - 1] |= 1 << j
 
     full = (1 << n) - 1

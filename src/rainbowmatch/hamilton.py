@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .count import BudgetExceededError, DEFAULT_NODE_BUDGET, _check_budget, _Search, find_rainbow_pm
 from .model import (
     _SHAPE_CACHE_SIZE, GRAPH, ColoredEdge, ColoredHypergraph, Matching, _built, _check_sizes,
-    _key_edges, _stored_edges, _uniform,
+    _key, _key_edges, _stored_edges, _uniform,
 )
 
 __all__ = [
@@ -306,7 +306,7 @@ def assemble_even(
         original = {e.verts: e for e in cls}
         matchings[bi] = Matching(tuple(sorted(original[f.verts] for f in M.edges)))
 
-    keys, colors = zip(*sorted(((u - 1) * n + v - 1, c) for M in matchings for (u, v), c in M.edges))
+    keys, colors = zip(*sorted((_key(e.verts, n), e.color) for M in matchings for e in M.edges))
     union = _built(ColoredMultigraph, n=n, kappa=G.kappa, keys=keys, colors=colors)
     try:
         hc = find_rainbow_hc(union, budget=hc_budget)
@@ -369,8 +369,7 @@ def contract_color_delete(
     drop, pairs = e.color, []
     for (u, v), c in G.edges:
         if c != drop:
-            u, v = sorted((new[u], new[v]))
-            pairs.append(((u - 1) * xi + v - 1, c))  # (u, v)'s key on [1..xi]
+            pairs.append((_key(sorted((new[u], new[v])), xi), c))
     keys, colors = zip(*sorted(pairs)) if pairs else ((), ())
     return (_built(ColoredMultigraph, n=xi, kappa=G.kappa, keys=keys, colors=colors),
             ContractionMap(xi, new_to_old, host_edges))

@@ -124,18 +124,25 @@ def _key(verts: Iterable[int], n: int) -> int:
     return key
 
 
+def _digits(keys: Sequence[int], n: int, k: int, offsets: Iterable[int]) -> list[list[int]]:
+    """Per tuple position p, each key's base-n digit p (most significant
+    first) plus offsets[p]: at offsets 1, the vertex indices (`_key` inverted)."""
+    places = [n**p for p in range(k - 1, -1, -1)]
+    return [[o + t // w % n for t in keys] for o, w in zip(offsets, places)]
+
+
 def _key_edges(H, at: Iterable[int] | None = None) -> tuple[ColoredEdge, ...]:
-    """The ColoredEdges of H's keys, or of those at the indices at: a key's k
-    base-n digits plus one are its vertex tuple (a complete graph's, shared)."""
+    """The ColoredEdges of H's keys, or of those at the indices at, built with
+    no Python frame per edge: a key's digits plus one are its vertex tuple (a
+    complete graph's pairs are shared)."""
     n, k, keys, colors = H.n, H.k, H.keys, H.colors
     if at is not None:
         keys, colors = [keys[i] for i in at], [colors[i] for i in at]
-    elif k == 2 and len(keys) == n * (n - 1) // 2 and keys == _graph_pairs(n)[0]:
-        return _colored(_graph_pairs(n)[1], colors)
-    if k == 2:
-        return _colored([(t // n + 1, t % n + 1) for t in keys], colors)
-    places = [n**p for p in range(k - 1, -1, -1)]
-    return _colored([tuple([t // w % n + 1 for w in places]) for t in keys], colors)
+    if k == 2 and len(keys) == n * (n - 1) // 2 and keys == _graph_pairs(n)[0]:
+        verts = _graph_pairs(n)[1]
+    else:
+        verts = zip(*_digits(keys, n, k, repeat(1)))
+    return tuple(map(tuple.__new__, repeat(ColoredEdge), zip(verts, colors)))
 
 
 def _derive_seed(master_seed: int, stream_index: int | str) -> int:
@@ -397,18 +404,12 @@ def _skip_full_sample(rnd: random.Random, total: int) -> None:
                 limit = limits[done]
 
 
-def _colored(verts: Iterable[tuple[int, ...]], colors: Iterable[int]) -> tuple[ColoredEdge, ...]:
-    """The edges `ColoredEdge(v, c)` of the paired vertex tuples and colors,
-    built with no Python frame per edge (as `ColoredEdge._make` does)."""
-    return tuple(map(tuple.__new__, repeat(ColoredEdge), zip(verts, colors)))
-
-
 @lru_cache(maxsize=_SHAPE_CACHE_SIZE)
 def _graph_pairs(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
     """The keys of every pair (u, v), 1 <= u < v <= n, in lexicographic order,
     and the pairs: a complete graph's, shared by every full draw on n vertices."""
     pairs = tuple(combinations(range(1, n + 1), 2))
-    return tuple(u * n + v - n - 1 for u, v in pairs), pairs
+    return tuple(_key(p, n) for p in pairs), pairs
 
 
 def _check_draw(mode: str, n: int, k: int, kappa: int, m: int | None = None) -> int:

@@ -271,8 +271,9 @@ class _DeletionState:
             self.live = dict.fromkeys(H.edges)
             return
         masks = [self.active]  # the index, built after the tally: v's covered mask
-        for o, part in zip(range(-1, self.shift, H.n), self.parts):  # part p's bits start at (p - 1) * n
-            masks = [m ^ (1 << (o + i)) for m in masks for i in part]
+        for p, part in enumerate(self.parts):
+            bits = [layout.bit(p, i) for i in part]
+            masks = [m ^ b for m in masks for b in bits]
         self.base_of = dict(zip(masks, range(0, size, H.kappa)))
         self.live = {
             e: self.base_of[self.active ^ covers] + e.color - 1

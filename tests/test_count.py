@@ -94,6 +94,10 @@ def test_is_perfect_matching_rejects_what_is_not_one():
     H3 = complete_colored(2, 3, 2, rng(1))
     e121, e222 = edge_by_verts(H3, (1, 2, 1)), edge_by_verts(H3, (2, 2, 2))
     assert not is_perfect_matching(H3, Matching((ColoredEdge((1, 1, 3), e121.color), e222)))
+    # an index that is not an int: at n = 2, (1.5, 1) spells the key of (1, 2)
+    H2 = complete_colored(2, 2, 2, rng(2))
+    e12, e22 = edge_by_verts(H2, (1, 2)), edge_by_verts(H2, (2, 2))
+    assert not is_perfect_matching(H2, Matching((ColoredEdge((1.5, 1), e12.color), e22)))
 
 
 # -- find
