@@ -72,7 +72,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .model import (PARTITE, CapacityError, ColoredEdge, ColoredHypergraph, Matching, _check_sizes,
-                    _digits, _key, _key_edges)
+                    _digits, _has_edge, _key_edges)
 
 __all__ = [
     "DEFAULT_NODE_BUDGET",
@@ -137,25 +137,21 @@ def is_perfect_matching(H: ColoredHypergraph, M: Matching) -> bool:
     """True iff M's edges are edges of H, pairwise vertex-disjoint, and
     together cover every active vertex.
 
-    Shares no code with the search kernel.  An edge is found by bisecting
-    H's keys for its own (`model._key`), once its vertex indices are ints in
-    1..n, one per tuple position (any other could spell another edge's
-    key), and comparing colors.  Covered vertices are (part, index) pairs,
-    or ints in graph mode; H's edges touch only active vertices, so M is
-    perfect iff none is covered twice and as many are as are active.
+    Shares no code with the search kernel.  Each edge is looked up by the
+    one edge lookup rule (`model._has_edge`: its vertex indices ints in
+    1..n, one per tuple position, its key bisected among H's keys, its color
+    compared).  Covered vertices are (part, index) pairs, or ints in graph
+    mode; H's edges touch only active vertices, so M is perfect iff none is
+    covered twice and as many are as are active.
     """
-    keys, colors, n, partite = H.keys, H.colors, H.n, H.mode == PARTITE
-    per_edge, vertices = (H.k, H.k * n) if partite else (2, n)
+    partite = H.mode == PARTITE
+    vertices = H.k * H.n if partite else H.n
     covered = set()
     for e in M.edges:
-        if len(e.verts) != per_edge or not all(type(v) is int and 1 <= v <= n for v in e.verts):
-            return False
-        key = _key(e.verts, n)
-        i = bisect_left(keys, key)
-        if i == len(keys) or keys[i] != key or colors[i] != e.color:
+        if not _has_edge(H, e.verts, e.color):
             return False
         covered.update(enumerate(e.verts) if partite else e.verts)
-    return len(covered) == per_edge * len(M) == vertices - len(H.absent)
+    return len(covered) == H.k * len(M) == vertices - len(H.absent)
 
 
 # -- exact-cover search kernel -------------------------------------------------

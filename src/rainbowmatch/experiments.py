@@ -65,6 +65,7 @@ from .model import (
     CapacityError,
     RandomnessSpec,
     _check_draw,
+    _key_edges,
     complete_colored,
     random_edge_ordering,
     sample_colored_graph,
@@ -517,10 +518,11 @@ def _odd_attempt(config: ExperimentConfig, n: int, m: int, tag: str) -> str:
     """One odd-n attempt on a fresh sample drawn from stream tag (slash
     separated, so it cannot collide with the plain integer streams): contract
     a random edge, solve the even-order remainder, lift back.  Returns the
-    stage it ends at."""
+    stage it ends at.  The edge is picked by index (the one `_randbelow(m)`
+    of `rnd.choice(G.edges)`), and G's edges view is never built for it."""
     rnd = RandomnessSpec(config.master_seed, tag).rng()
     G = sample_colored_graph(n, m, config.kappa_for(n), rnd)
-    e = rnd.choice(G.edges)
+    e = _key_edges(G, (rnd.choice(range(len(G.keys))),))[0]
     Gp, cmap = contract_color_delete(G, e)
     try:
         hc = find_rainbow_hc(Gp, budget=config.hc_budget)

@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .count import BudgetExceededError, DEFAULT_NODE_BUDGET, _check_budget, _Search, find_rainbow_pm
 from .model import (
     _SHAPE_CACHE_SIZE, GRAPH, ColoredEdge, ColoredHypergraph, Matching, _built, _check_sizes,
-    _key, _key_edges, _stored_edges, _uniform,
+    _digits, _has_edge, _key, _key_edges, _stored_edges, _uniform,
 )
 
 __all__ = [
@@ -117,12 +117,17 @@ def _check_graph_host(G: ColoredHypergraph, what: str) -> None:
         raise ValueError(f"{what} needs a graph-mode instance with all vertices active")
 
 
-def _host_view(G) -> tuple[int, tuple[ColoredEdge, ...]]:
+def _host_n(G) -> int:
+    """G's n, once G is a host the cycle search takes."""
     if isinstance(G, ColoredHypergraph):
         _check_graph_host(G, "Hamilton cycle search")
     elif not isinstance(G, ColoredMultigraph):
         raise TypeError(f"unsupported host {type(G).__name__}")
-    return G.n, G.edges
+    return G.n
+
+
+def _host_view(G) -> tuple[int, tuple[ColoredEdge, ...]]:
+    return _host_n(G), G.edges
 
 
 def is_rainbow_hamilton_cycle(G, cycle: HamiltonCycle) -> bool:
@@ -174,9 +179,9 @@ def find_rainbow_hc(G, budget: int = DEFAULT_HC_BUDGET) -> HamiltonCycle | None:
     each color at most one, and no chosen edges closing a cycle shorter than
     n.  It branches on the column with the fewest spare live edges; on a
     vertex that still needs both of its edges, on taking its lowest live edge
-    or dropping it.  The cycle returned is the chosen edge set in the form
-    _cycle_of gives it."""
-    n, _ = _host_view(G)
+    or dropping it.  It reads G's keys and colors, never its edges view; the
+    cycle, the chosen edge set, is the form _cycle_of gives it."""
+    n = _host_n(G)
     if n < 3:
         raise ValueError("Hamilton cycles need n >= 3")
     search = _Search(G, budget, find_one=True, demand=2)
@@ -210,10 +215,10 @@ def _color_label_pairs(n: int) -> tuple[tuple[int, int], ...]:
 class AssemblyPlan:
     """Everything the eight-matching construction decided and found.
 
-    edges         the graph's edges, in canonical order
-    label_list    label_list[j] in 1..4 is the label of edges[j]
+    graph         the sampled instance: edge j is keys[j] of colors[j]
+    label_list    label_list[j] in 1..4 is the label of edge j
     blocks        the 8 disjoint (color, label) sets, each of size n/2
-    edge_class    byte j is the index of the block holding edges[j]'s
+    edge_class    byte j is the index of the block holding edge j's
                   (color, label) pair
     matchings     per class, the found matching in *original* colors, or None
     union_graph   the multigraph union of all matchings (None unless all found)
@@ -223,7 +228,7 @@ class AssemblyPlan:
     class_sizes, the edges per class, is counted off edge_class on first use.
     """
 
-    edges: tuple[ColoredEdge, ...]
+    graph: ColoredHypergraph
     label_list: Sequence[int]
     blocks: tuple[frozenset, ...]
     edge_class: bytes
@@ -244,8 +249,8 @@ def assemble_even(
 ) -> tuple[AssemblyPlan, HamiltonCycle | None]:
     """Run the full even-n pipeline on a colored graph with kappa == n.
 
-    Labels every edge with 1..4 (one label per edge in canonical order,
-    drawn in bulk by `model._uniform`), partitions [1..n] x [1..4] into 8
+    Labels every edge with 1..4 (one label per key in order, drawn in bulk
+    by `model._uniform`), partitions [1..n] x [1..4] into 8
     blocks of size n/2 (a shuffle of the per-n pairs, `_color_label_pairs`),
     splits edges into classes by their (color, label) pair, gates on every
     class holding at least a tenth of the edges, finds one rainbow perfect
@@ -253,14 +258,16 @@ def assemble_even(
     a multigraph, and searches it for a rainbow Hamilton cycle under the
     original colors.  One flat table has a slot per pair (c, l), at
     4c + l - 5, holding the pair's block and its 1-based position in the
-    sorted block, the color it takes in the pair recoloring; one pass
-    through it gives each edge its class byte, and the size gate counts
-    those bytes.  Only the classes searched are built and recolored, each
-    when its search comes.  Each way to fall short is a named failure stage.  The recolored
-    classes (a subsequence of G's sorted edges, colored 1..n/2) and the
-    union (G's edges, sorted) are valid by construction, so they are built
-    without the constructors' checks (`model._built`); the tests hold them
-    to those.
+    sorted block, the color it takes in the pair recoloring; one pass over
+    G's colors and the labels gives each edge its class byte, and the size
+    gate counts those bytes.  G's edges view is never read: each class
+    searched is built and recolored from its keys and colors (`_members`)
+    when its search comes, and a found matching gets its original colors
+    back through its class's key -> color map.  Each way to fall short is
+    a named failure stage.  The recolored classes (a subsequence of G's
+    keys, colored 1..n/2) and the union (G's keys, sorted) are valid by
+    construction, so they skip the constructors' checks (`model._built`);
+    the tests hold them to those.
     """
     _check_graph_host(G, "assembly")
     if G.n % 2 != 0 or G.n < 4:
@@ -270,8 +277,8 @@ def assemble_even(
     _check_budget(matching_budget, "matching_budget")
     _check_budget(hc_budget, "hc_budget")
 
-    n, edges = G.n, G.edges
-    label_list = _uniform(rnd, 4, len(edges))
+    n, keys, colors = G.n, G.keys, G.colors
+    label_list = _uniform(rnd, 4, len(keys))
     pairs = list(_color_label_pairs(n))
     rnd.shuffle(pairs)
     nu = n // 2
@@ -281,21 +288,21 @@ def assemble_even(
     for bi, block in enumerate(blocks):
         for i, (c, l) in enumerate(sorted(block), 1):
             slots[4 * c + l - 5] = (bi, i)
-    edge_class = bytes([slots[4 * c + l - 5][0] for (_, c), l in zip(edges, label_list)])
+    edge_class = bytes([slots[4 * c + l - 5][0] for c, l in zip(colors, label_list)])
 
     def plan(matchings, union, stage):
-        return AssemblyPlan(edges, label_list, blocks, edge_class, tuple(matchings), union, stage)
+        return AssemblyPlan(G, label_list, blocks, edge_class, tuple(matchings), union, stage)
 
-    if any(edge_class.count(bi) * 10 < len(edges) for bi in range(8)):
+    if any(edge_class.count(bi) * 10 < len(keys) for bi in range(8)):
         return plan([None] * 8, None, STAGE_CLASS_TOO_SMALL), None
 
     matchings: list[Matching | None] = [None] * 8
     for bi in range(8):
-        cls = tuple(_members(edges, edge_class, bi))
-        colors = tuple([slots[4 * c + l - 5][1] for c, l in zip(
-            _members(G.colors, edge_class, bi), _members(label_list, edge_class, bi))])
-        recolored = _built(ColoredHypergraph, mode=GRAPH, n=n, k=2, kappa=nu,
-                           keys=tuple(_members(G.keys, edge_class, bi)), colors=colors,
+        cls_keys = tuple(_members(keys, edge_class, bi))
+        cls_colors = tuple(_members(colors, edge_class, bi))
+        recolored = _built(ColoredHypergraph, mode=GRAPH, n=n, k=2, kappa=nu, keys=cls_keys,
+                           colors=tuple([slots[4 * c + l - 5][1] for c, l in zip(
+                               cls_colors, _members(label_list, edge_class, bi))]),
                            absent=frozenset())
         try:
             M = find_rainbow_pm(recolored, budget=matching_budget)
@@ -303,8 +310,9 @@ def assemble_even(
             return plan(matchings, None, STAGE_MATCHING_BUDGET), None
         if M is None:
             return plan(matchings, None, STAGE_MATCHING_NOT_FOUND), None
-        original = {e.verts: e for e in cls}
-        matchings[bi] = Matching(tuple(sorted(original[f.verts] for f in M.edges)))
+        original = dict(zip(cls_keys, cls_colors))
+        matchings[bi] = Matching(tuple(sorted(
+            ColoredEdge(f.verts, original[_key(f.verts, n)]) for f in M.edges)))
 
     keys, colors = zip(*sorted((_key(e.verts, n), e.color) for M in matchings for e in M.edges))
     union = _built(ColoredMultigraph, n=n, kappa=G.kappa, keys=keys, colors=colors)
@@ -328,14 +336,14 @@ class ContractionMap:
 
     xi            the new vertex standing in for both removed endpoints
     new_to_old    new vertex id -> original vertex id (xi excluded)
-    host_edges    the original graph's edges; a xi-edge (w, xi) of color c
-                  comes from (w, x, c), from (w, y, c) or from both, and
-                  these are the only candidates
+    host          the original graph; a xi-edge (w, xi) of color c comes
+                  from (w, x, c), from (w, y, c) or from both, and these are
+                  the only candidates, looked up by key (`model._has_edge`)
     """
 
     xi: int
     new_to_old: Mapping[int, int]
-    host_edges: frozenset[ColoredEdge]
+    host: ColoredHypergraph
 
 
 def contract_color_delete(
@@ -347,32 +355,33 @@ def contract_color_delete(
     vertex takes id n-1, so the result lives on [1..n-1]; one list indexed
     by the old id gives every vertex its new one.  Edges formerly at
     x or y become parallel edges at the new vertex; the map keeps the
-    original edge set, which tells lift_cycle which endpoint each came from.
-    The color multiset of the result is the original one minus the whole
-    c(e) class.  Its edges are G's, renumbered to distinct ends (G is simple,
-    so only e joins x and y) and sorted, so the multigraph is built without
-    its constructor's check (`model._built`); the tests hold it to that.
+    original graph, which tells lift_cycle which endpoint each came from.
+    e must pass the one edge lookup (`model._has_edge`).  The color
+    multiset of the result is the original one minus the whole c(e) class.
+    Its keys are G's, each key's two digits (`_digits`; the edges view is
+    never read) renumbered to distinct ends (G is simple, so only e joins x
+    and y) and sorted, so the multigraph skips its constructor's check
+    (`model._built`); the tests hold it to that.
     """
     _check_graph_host(G, "contraction")
-    host_edges = frozenset(G.edges)
-    if e not in host_edges:
+    if not _has_edge(G, e.verts, e.color):
         raise ValueError(f"{e} is not an edge of the instance")
     if G.n < 3:
         raise ValueError("contraction needs n >= 3")
     x, y = e.verts
     xi = G.n - 1
     # new[v] is old vertex v's id: the survivors keep their order on
-    # 1..n-2, and x and y become xi
+    # 1..n-2, and x and y become xi, the largest, so an edge u < v keeps
+    # its order unless u is x or y
     new = [*range(x), xi, *range(x, y - 1), xi, *range(y - 1, xi)]
     new_to_old = {w: v for v, w in enumerate(new) if 0 < w < xi}
 
-    drop, pairs = e.color, []
-    for (u, v), c in G.edges:
-        if c != drop:
-            pairs.append((_key(sorted((new[u], new[v])), xi), c))
-    keys, colors = zip(*sorted(pairs)) if pairs else ((), ())
+    drop = e.color
+    pairs = sorted((_key((new[v], xi) if new[u] == xi else (new[u], new[v]), xi), c)
+                   for u, v, c in zip(*_digits(G.keys, G.n, 2, (1, 1)), G.colors) if c != drop)
+    keys, colors = zip(*pairs) if pairs else ((), ())
     return (_built(ColoredMultigraph, n=xi, kappa=G.kappa, keys=keys, colors=colors),
-            ContractionMap(xi, new_to_old, host_edges))
+            ContractionMap(xi, new_to_old, G))
 
 
 def lift_cycle(
@@ -389,7 +398,8 @@ def lift_cycle(
     is then mapped back, ordinary vertices through new_to_old and xi to the
     endpoint its edge was traced to, and e closes the gap; the result is the
     mapped edge set in the form _cycle_of gives it.  It is rainbow for free:
-    e's color class was deleted before the cycle was found.
+    e's color class was deleted before the cycle was found.  Origins are
+    looked up in the original graph by key (`model._has_edge`).
     """
     x, y = e.verts
     xi_edges = [g for g in hc.edges if cmap.xi in g.verts]
@@ -400,8 +410,7 @@ def lift_cycle(
     def sides(g: ColoredEdge) -> set[int]:
         # g is (w', xi) with w' < xi; its origins are (w, x) and (w, y) in c(g)
         w = cmap.new_to_old[g.verts[0]]
-        return {z for z in (x, y)
-                if ColoredEdge((min(w, z), max(w, z)), g.color) in cmap.host_edges}
+        return {z for z in (x, y) if _has_edge(cmap.host, (min(w, z), max(w, z)), g.color)}
 
     first_sides, second_sides = sides(first), sides(second)
     if x in first_sides and y in second_sides:

@@ -40,6 +40,7 @@ import json
 import operator
 import random
 import sys
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
@@ -143,6 +144,18 @@ def _key_edges(H, at: Iterable[int] | None = None) -> tuple[ColoredEdge, ...]:
     else:
         verts = zip(*_digits(keys, n, k, repeat(1)))
     return tuple(map(tuple.__new__, repeat(ColoredEdge), zip(verts, colors)))
+
+
+def _has_edge(H, verts: Sequence, color) -> bool:
+    """True iff instance H holds the edge (verts, color): k vertex indices,
+    each an int in 1..n (a bool, a float or any other could spell another
+    edge's key), whose key (`_key`) bisection finds with that color."""
+    n, keys = H.n, H.keys
+    if len(verts) != H.k or not all(type(v) is int and 1 <= v <= n for v in verts):
+        return False
+    key = _key(verts, n)
+    i = bisect_left(keys, key)
+    return i < len(keys) and keys[i] == key and H.colors[i] == color
 
 
 def _derive_seed(master_seed: int, stream_index: int | str) -> int:

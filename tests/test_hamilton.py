@@ -21,6 +21,7 @@ from rainbowmatch.hamilton import (
     STAGE_CLASS_TOO_SMALL,
     STAGE_HC_BUDGET,
     STAGE_HC_NOT_FOUND,
+    STAGE_LIFT_FAILED,
     STAGE_MATCHING_BUDGET,
     STAGE_MATCHING_NOT_FOUND,
     STAGE_SUCCESS,
@@ -156,6 +157,10 @@ def lift_without_xi():
     (lambda: contract_color_delete(WITH_ABSENT, WITH_ABSENT.edges[0]),
      ValueError("all vertices active")),
     (lambda: contract_color_delete(C5, ColoredEdge((1, 3), 1)), ValueError("not an edge")),
+    (lambda: contract_color_delete(C5, ColoredEdge((1.0, 2), 1)), ValueError("not an edge")),
+    (lambda: contract_color_delete(C5, ColoredEdge((True, 2), 1)), ValueError("not an edge")),
+    (lambda: contract_color_delete(C5, ColoredEdge((2, 1), 1)), ValueError("not an edge")),
+    (lambda: contract_color_delete(C5, ColoredEdge((1, 2), 2)), ValueError("not an edge")),
     (lambda: contract_color_delete(graph(2, 1, [((1, 2), 1)]), ColoredEdge((1, 2), 1)),
      ValueError("n >= 3")),
     (lambda: assemble_even(PARTITE_K4, rng()), ValueError("graph-mode")),
@@ -164,7 +169,8 @@ def lift_without_xi():
     (lambda: is_rainbow_hamilton_cycle(C5, HamiltonCycle((1, 2, 3, 4, 5), C5.edges[:4])),
      False),
 ], ids=["host-partite", "host-absent", "host-type", "contract-partite", "contract-absent",
-        "contract-foreign-edge", "contract-small-n", "assemble-partite", "assemble-absent",
+        "contract-foreign-edge", "contract-float-index", "contract-bool-index",
+        "contract-reversed-ends", "contract-wrong-color", "contract-small-n", "assemble-partite", "assemble-absent",
         "lift-without-xi", "validator-edge-count"])
 def test_refusals(call, expected):
     if isinstance(expected, Exception):
@@ -489,9 +495,9 @@ def test_assemble_labels_match_per_call_oracle():
             tuple(e for e in G.edges if (e.color, labels[e]) in block) for block in plan.blocks
         )
         plan_classes = tuple(
-            tuple(e for e, b in zip(plan.edges, plan.edge_class) if b == bi) for bi in range(8)
+            tuple(e for e, b in zip(plan.graph.edges, plan.edge_class) if b == bi) for bi in range(8)
         )
-        assert dict(zip(plan.edges, plan.label_list)) == labels, (n, m)
+        assert dict(zip(plan.graph.edges, plan.label_list)) == labels, (n, m)
         assert plan.blocks == tuple(frozenset(pairs[i * n // 2 : (i + 1) * n // 2]) for i in range(8))
         assert plan_classes == classes, (n, m)
         assert plan.class_sizes == tuple(map(len, classes)), (n, m)
@@ -586,7 +592,7 @@ def test_assemble_recolors_a_searched_class_by_sorted_pair_position(monkeypatch)
             order = sorted(plan.blocks[bi])
             want = tuple(
                 ColoredEdge(e.verts, order.index((e.color, label)) + 1)
-                for e, label, b in zip(plan.edges, plan.label_list, plan.edge_class) if b == bi
+                for e, label, b in zip(plan.graph.edges, plan.label_list, plan.edge_class) if b == bi
             )
             assert (H.n, H.kappa) == (G.n, G.n // 2)
             assert H.edges == tuple(sorted(want)), bi
@@ -680,6 +686,32 @@ def test_derived_builders_store_what_the_checked_constructors_store(monkeypatch)
     assert len(searched) > 8
     for H in searched:
         assert_stored_as_checked(H)
+
+
+def test_hamilton_trials_never_build_the_edges_view():
+    # the assembly, the contraction, the cycle search and the lift read keys
+    # and colors only, whichever stage a trial ends at; the edges views are
+    # built when they are first read
+    for n, m, j, stage in ((40, 300, 3, STAGE_CLASS_TOO_SMALL),
+                           (40, 780, 2, STAGE_MATCHING_NOT_FOUND)):
+        G = sample_colored_graph(n, m, n, rng(j, seed=61))
+        plan, _ = assemble_even(G, rng(j, seed=62), matching_budget=50, hc_budget=50)
+        assert "edges" not in vars(G), stage
+        assert plan.stage == stage and plan.graph is G
+        assert_stored_as_checked(G)
+    for j, stage in ((0, STAGE_HC_NOT_FOUND), (20, STAGE_LIFT_FAILED)):
+        r = rng(j, seed=90)
+        G = sample_colored_graph(7, 14, 7, r)
+        pick = r.choice(range(len(G.keys)))  # the odd trial's pick
+        u, v = divmod(G.keys[pick], 7)
+        e = ColoredEdge((u + 1, v + 1), G.colors[pick])
+        Gp, cmap = contract_color_delete(G, e)
+        hc = find_rainbow_hc(Gp)
+        reached = STAGE_HC_NOT_FOUND if hc is None else STAGE_LIFT_FAILED
+        assert reached == stage and (hc is None or lift_cycle(hc, cmap, e) is None)
+        assert "edges" not in vars(G) and "edges" not in vars(Gp), stage
+        assert_stored_as_checked(G)
+        assert_stored_as_checked(Gp)
 
 
 def test_shape_caches_stay_at_their_bound_over_a_sweep():
