@@ -126,15 +126,11 @@ def _host_n(G) -> int:
     return G.n
 
 
-def _host_view(G) -> tuple[int, tuple[ColoredEdge, ...]]:
-    return _host_n(G), G.edges
-
-
 def is_rainbow_hamilton_cycle(G, cycle: HamiltonCycle) -> bool:
     """Independent validator: full vertex coverage, consecutive adjacency, the
     edge multiset really available in G (parallel edges counted), and all
     colors distinct.  Shares no code with the searcher."""
-    n, host_edges = _host_view(G)
+    n = _host_n(G)
     if sorted(cycle.vertices) != list(range(1, n + 1)):
         return False
     if len(cycle.edges) != n:
@@ -143,7 +139,7 @@ def is_rainbow_hamilton_cycle(G, cycle: HamiltonCycle) -> bool:
         u, v = cycle.vertices[i], cycle.vertices[(i + 1) % n]
         if tuple(sorted((u, v))) != e.verts:
             return False
-    if Counter(cycle.edges) - Counter(host_edges):
+    if Counter(cycle.edges) - Counter(G.edges):
         return False
     colors = [e.color for e in cycle.edges]
     return len(colors) == len(set(colors))

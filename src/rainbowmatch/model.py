@@ -37,14 +37,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import operator
 import random
 import sys
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
-from itertools import chain, combinations, repeat, starmap
+from itertools import combinations, repeat, starmap
 from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
@@ -61,7 +59,6 @@ __all__ = [
     "sample_partite_p",
     "sample_colored_graph",
     "restrict",
-    "degree_profile",
     "random_edge_ordering",
     "instance_to_dict",
     "instance_from_dict",
@@ -79,10 +76,10 @@ GRAPH = "graph"
 DEFAULT_EDGE_CAPACITY = 2_000_000
 
 # the shapes whose constant tables are kept, by every per-shape cache (a
-# graph's pairs, the assembly's (color, label) pairs, a trace's step ratios,
-# loss rates and rendered cells): a grid runs its cells one after another and
-# a trace run reads one shape, so a caller that sweeps shapes keeps only the
-# last few; one n = 2000 graph's pairs alone are about 2 M tuples
+# complete graph's keys, the assembly's (color, label) pairs, a trace's step
+# ratios, loss rates and rendered cells): a grid runs its cells one after
+# another and a trace run reads one shape, so a caller that sweeps shapes
+# keeps only the last few; one n = 2000 graph's keys alone are about 2 M ints
 _SHAPE_CACHE_SIZE = 4
 
 
@@ -134,15 +131,11 @@ def _digits(keys: Sequence[int], n: int, k: int, offsets: Iterable[int]) -> list
 
 def _key_edges(H, at: Iterable[int] | None = None) -> tuple[ColoredEdge, ...]:
     """The ColoredEdges of H's keys, or of those at the indices at, built with
-    no Python frame per edge: a key's digits plus one are its vertex tuple (a
-    complete graph's pairs are shared)."""
+    no Python frame per edge: a key's digits plus one are its vertex tuple."""
     n, k, keys, colors = H.n, H.k, H.keys, H.colors
     if at is not None:
         keys, colors = [keys[i] for i in at], [colors[i] for i in at]
-    if k == 2 and len(keys) == n * (n - 1) // 2 and keys == _graph_pairs(n)[0]:
-        verts = _graph_pairs(n)[1]
-    else:
-        verts = zip(*_digits(keys, n, k, repeat(1)))
+    verts = zip(*_digits(keys, n, k, repeat(1)))
     return tuple(map(tuple.__new__, repeat(ColoredEdge), zip(verts, colors)))
 
 
@@ -236,12 +229,6 @@ class ColoredHypergraph:
         return v
 
     # -- vertex helpers ----------------------------------------------------
-
-    def active_vertices(self) -> list:
-        """Active (non-absent) vertices, in canonical order."""
-        if self.mode == PARTITE:
-            return [PartiteVertex(p, i) for p in range(1, self.k + 1) for i in self.part_active(p)]
-        return [v for v in range(1, self.n + 1) if v not in self.absent]
 
     def part_active(self, part: int) -> list[int]:
         if self.mode != PARTITE:
@@ -418,11 +405,10 @@ def _skip_full_sample(rnd: random.Random, total: int) -> None:
 
 
 @lru_cache(maxsize=_SHAPE_CACHE_SIZE)
-def _graph_pairs(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """The keys of every pair (u, v), 1 <= u < v <= n, in lexicographic order,
-    and the pairs: a complete graph's, shared by every full draw on n vertices."""
-    pairs = tuple(combinations(range(1, n + 1), 2))
-    return tuple(_key(p, n) for p in pairs), pairs
+def _graph_pairs(n: int) -> tuple[int, ...]:
+    """The keys of every pair (u, v), 1 <= u < v <= n, in lexicographic order:
+    a complete graph's, shared by every full draw on n vertices."""
+    return tuple(_key(p, n) for p in combinations(range(1, n + 1), 2))
 
 
 def _check_draw(mode: str, n: int, k: int, kappa: int, m: int | None = None) -> int:
@@ -525,7 +511,7 @@ def sample_colored_graph(
     total = _check_draw(GRAPH, n, 2, kappa, m)
     if m == total and type(rnd) is random.Random:
         _skip_full_sample(rnd, total)
-        keys = _graph_pairs(n)[0]
+        keys = _graph_pairs(n)
     else:
         keys = []
         u, row_start, row_len = 1, 0, n - 1
@@ -539,7 +525,7 @@ def sample_colored_graph(
                   colors=tuple(_uniform(rnd, kappa, m)), absent=frozenset())
 
 
-# -- restriction and profiles ------------------------------------------------
+# -- restriction and orderings -----------------------------------------------
 
 
 def restrict(
@@ -584,25 +570,6 @@ def restrict(
         and removed_v.isdisjoint(_vertices(e, H.mode))
     )
     return ColoredHypergraph(H.mode, H.n, H.k, H.kappa, kept, H.absent | removed_v)
-
-
-def degree_profile(H: ColoredHypergraph) -> tuple[dict, dict[int, int]]:
-    """(vertex degree map over active vertices, color degree map over 1..kappa).
-
-    Zero-degree entries are included so that callers can check regularity
-    without special-casing isolated vertices or unused colors.  The degrees
-    are counted per column of the edges (a partite instance's parts, a
-    graph's endpoints, the colors) and read off in the maps' key order.
-    """
-    verts = [e.verts for e in H.edges]
-    if H.mode == PARTITE:
-        parts = [Counter(map(operator.itemgetter(p), verts)) for p in range(H.k)]
-        deg = {v: parts[v.part - 1][v.index] for v in H.active_vertices()}
-    else:
-        ends = Counter(chain.from_iterable(verts))
-        deg = {v: ends[v] for v in H.active_vertices()}
-    colors = Counter(e.color for e in H.edges)
-    return deg, {c: colors[c] for c in range(1, H.kappa + 1)}
 
 
 def random_edge_ordering(

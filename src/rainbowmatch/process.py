@@ -33,11 +33,13 @@ once, at step 0, over edges that carry the index of the step that deletes
 them in a death field above the layout's bits: a near-perfect matching is
 present at step t exactly when the earliest death among its edges is after
 t, and each state keeps that earliest death in its own field.  Step 0 adds
-every state into the table, and the step that deletes edge e subtracts the
-states whose earliest death is e's.
-The state (the weight table, those groups, the count of states still alive,
-the vertex and color degrees, the live edges) is carried from step to step,
-and no step builds an instance.
+every state into the table, and step i + 1 subtracts the states whose
+earliest death is i.  The ordering's ColoredEdges are turned into edge
+positions (indices into the instance's keys) once, on entry; from there on
+an edge is its position.  The state (the weight table, those groups by
+step, the count of states still alive, one weight slot per edge and one
+degree list per axis) is carried from step to step, and no step builds an
+instance.
 
 Most steps of a full trace are settled by what that state already knows.
 The edge weights sum to n * phi and a deletion makes no matching, so once a
@@ -80,11 +82,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .count import BudgetExceededError, DEFAULT_NODE_BUDGET, _check_budget, _Layout
 from .model import (_SHAPE_CACHE_SIZE, DEFAULT_EDGE_CAPACITY, PARTITE, CapacityError,
-                    ColoredEdge, ColoredHypergraph, degree_profile)
+                    ColoredEdge, ColoredHypergraph)
 
 __all__ = [
     "EventParams",
@@ -218,8 +220,8 @@ _BITS = [tuple(p for p in range(8) if b >> p & 1) for b in range(256)]
 
 class _DeletionState:
     """The weight table of a partite instance, written from its rainbow
-    near-perfect matchings and kept exact under the deletion of ordering's
-    edges, with what the deletion process reads next to it.
+    near-perfect matchings and kept exact under the deletion of the edges
+    at positions order, with what the deletion process reads next to it.
 
     weights is the table as one flat list in `product` order over (part 1,
     ..., part k, color), whose sizes are dims: w(v, c), the rainbow
@@ -230,24 +232,26 @@ class _DeletionState:
     packed edges per part-1 vertex (`_near_layers`; near maps each final
     state to its rainbow matchings, nodes is the states built, all counted
     against budget, so a budget-out raises here), and only then indexes the
-    table.  Edge ordering[i] dies at step i + 1 and carries its death index
-    i in a field at bit at = shift + kappa, above the layout's bits; an
-    edge outside ordering, and the empty matching, carry T = len(ordering)
+    table.  An edge is named by its position j in H's keys.  Edge order[i]
+    dies at step i + 1 and its packed form (`packed[j]`) carries its death
+    index i in a field at bit at = shift + kappa, above the layout's bits;
+    an edge outside order, and the empty matching, carry T = len(order)
     and never die.  A state's field is the least of its edges' (`_grow`),
-    at most T, so it spans bit_length(T) bits; dying maps each edge of
-    ordering to the final states whose field is its index, and alive counts
-    the states not yet dead.  base_of maps the mask of the active vertices
-    outside v (those a state that leaves v uncovered covers: the active mask
-    less one bit per part, in `product` order) to the index of w(v, 1); live
-    maps each edge e to the index of w(e.verts, e.color).  A tally that found
-    no state leaves every weight 0 for good, so neither is built: live maps
-    each edge to None.  deg and cdeg are the vertex and color degrees.
-    delete(e), for the edges of ordering in order, takes e out of live and
-    the degrees and subtracts the states that die with e: no tally runs.
-    delete assumes the active parts have equal sizes.
+    at most T, so it spans bit_length(T) bits; dying maps each step index
+    i < T to the final states whose field is i, and alive counts the states
+    not yet dead.  base_of maps the mask of the active vertices outside v
+    (those a state that leaves v uncovered covers: the active mask less one
+    bit per part, in `product` order) to the index of w(v, 1); slots[j] is
+    the index of edge j's own entry, w(its verts, its color).  A tally that
+    found no state leaves every weight 0 for good, so neither is built and
+    slots is empty.  deg holds one vertex degree per layout vertex bit and
+    cdeg one color degree per color 1..kappa.  delete(i), for i = 0, 1, ...
+    in turn, subtracts the states that die with order[i] and decrements its
+    vertex and color degrees: no tally runs.  delete assumes the active
+    parts have equal sizes.
     """
 
-    def __init__(self, H: ColoredHypergraph, budget: int, ordering: Sequence[ColoredEdge] = ()):
+    def __init__(self, H: ColoredHypergraph, budget: int, order: Sequence[int] = ()):
         _check_budget(budget)
         self.parts = [H.part_active(p) for p in range(1, H.k + 1)]
         self.dims = [*map(len, self.parts), H.kappa]
@@ -255,34 +259,37 @@ class _DeletionState:
         layout = _Layout(H)
         self.active, self.shift = layout.active, layout.shift
         self.color_bits, self.width = ((1 << H.kappa) - 1) << self.shift, (H.kappa + 7) // 8
-        at, t = self.shift + H.kappa, len(ordering)  # the death field's lowest bit
+        at, t = self.shift + H.kappa, len(order)  # the death field's lowest bit
         self.near, self.nodes = {}, 0
         if layout.feasible:
             packed, lists = layout.packed()
-            x_of = dict(zip(H.edges, packed))
-            death = {x_of[e]: i for i, e in enumerate(ordering)}
+            death = {packed[j]: i for i, j in enumerate(order)}
             pairs = [[(x, x | death.get(x, t) << at) for x in xs] for xs in lists.values()]
             self.near, self.nodes = _near_layers(pairs, budget, (1 << at) - 1, t << at)
         self.alive = len(self.near)
-        self.deg, self.cdeg = degree_profile(H)
+        self.order, self.positions, self.colors = order, layout.positions, H.colors
+        self.deg, self.cdeg = [0] * self.shift, [0] * H.kappa
+        for xs in layout.positions:
+            for x in xs:
+                self.deg[x] += 1
+        for c in H.colors:
+            self.cdeg[c - 1] += 1
         self.weights = [0] * size
-        self.dying: dict[ColoredEdge, list[int]] = {}
+        self.dying: dict[int, list[int]] = {}
+        self.slots: list[int] = []
         if not self.near:  # every weight is 0 for good: nothing indexes the table
-            self.live = dict.fromkeys(H.edges)
             return
         masks = [self.active]  # the index, built after the tally: v's covered mask
         for p, part in enumerate(self.parts):
             bits = [layout.bit(p, i) for i in part]
             masks = [m ^ b for m in masks for b in bits]
         self.base_of = dict(zip(masks, range(0, size, H.kappa)))
-        self.live = {
-            e: self.base_of[self.active ^ covers] + e.color - 1
-            for e, (_, covers, _) in zip(H.edges, layout.items)
-        }
+        self.slots = [self.base_of[self.active ^ covers] + c - 1
+                      for (_, covers, _), c in zip(layout.items, H.colors)]
         self._add(self.near, 1)
         for state in self.near:
             if (i := state >> at) < t:
-                self.dying.setdefault(ordering[i], []).append(state)
+                self.dying.setdefault(i, []).append(state)
 
     def _add(self, states: Iterable[int], sign: int) -> None:
         # each near-perfect state's ways, sign times, into the entries of the
@@ -303,14 +310,14 @@ class _DeletionState:
                     weights[at + p] += ways
                 at += 8
 
-    def delete(self, e: ColoredEdge) -> None:
-        del self.live[e]
-        if dying := self.dying.pop(e, None):
+    def delete(self, i: int) -> None:
+        if dying := self.dying.pop(i, None):
             self.alive -= len(dying)
             self._add(dying, -1)
-        for v in enumerate(e.verts, start=1):  # (part, index) == PartiteVertex
-            self.deg[v] -= 1
-        self.cdeg[e.color] -= 1
+        j = self.order[i]
+        for xs in self.positions:
+            self.deg[xs[j]] -= 1
+        self.cdeg[self.colors[j] - 1] -= 1
 
 
 def weight_profile(
@@ -388,24 +395,23 @@ def _ratio_within(w_max: int, size: int, total: int, num: int, den: int) -> bool
 
 
 def _regularity(H: ColoredHypergraph, params: EventParams):
-    """Flag R on H's axes under params, as a test of (p, deg, cdeg) whose
-    constants (N = n^k, eps1's integer ratio) are taken once.  A degree d on
+    """Flag R on H's axes under params, as a test of (p, deg, cdeg), the
+    vertex and the color degrees as two lists, whose constants (N = n^k, eps1's integer ratio) are taken once.  A degree d on
     an axis of s members (n vertices per part, or kappa colors) has mean
     N * p / s, so it passes iff d * s lies within relative eps1 of N * p;
     tested on each axis's smallest and largest degree, cross-multiplied."""
     e, f = params.eps1.as_integer_ratio()
     N, n, kappa = H.n**H.k, H.n, H.kappa
 
-    def within(p: Fraction | float, deg: Mapping[object, int], cdeg: Mapping[int, int]) -> bool:
+    def within(p: Fraction | float, deg: Sequence[int], cdeg: Sequence[int]) -> bool:
         a, b = p.as_integer_ratio()
         expect_b = N * a  # N * p * b
         tol, nb, cb = e * expect_b, n * b, kappa * b
-        degs, cdegs = deg.values(), cdeg.values()
         return (
-            f * abs(min(degs) * nb - expect_b) <= tol
-            and f * abs(max(degs) * nb - expect_b) <= tol
-            and f * abs(min(cdegs) * cb - expect_b) <= tol
-            and f * abs(max(cdegs) * cb - expect_b) <= tol
+            f * abs(min(deg) * nb - expect_b) <= tol
+            and f * abs(max(deg) * nb - expect_b) <= tol
+            and f * abs(min(cdeg) * cb - expect_b) <= tol
+            and f * abs(max(cdeg) * cb - expect_b) <= tol
         )
 
     return within
@@ -488,15 +494,18 @@ def run_deletion_process(
     """Delete ordering[0..t_max-1] one at a time from a complete colored
     instance and record a DeletionStep after every deletion (plus step 0).
 
-    Step 0 tallies the rainbow near-perfect matchings of H0 once, each
-    carrying the earliest step of ordering[:t_max] that deletes one of its
-    edges, into the weight table of the carried state (`_DeletionState`).
-    Every later step deletes its edge from that state: it subtracts the
-    matchings that die with the edge and decrements the edge's vertex and
-    color degrees.  The step's weights, count and flags are read off the
-    carried state; no instance is rebuilt and no later step tallies.  A
-    step after the count died, or with no tallied state alive, is settled
-    without reading the weights (module docstring).
+    ordering must be a permutation of H0's edges; it is read once, into
+    order, each edge's position in H0's keys.  Step 0 tallies the rainbow
+    near-perfect matchings of H0 once, each carrying the earliest step of
+    order[:t_max] that deletes one of its edges, into the weight table of
+    the carried state (`_DeletionState`).  Every later step deletes its
+    edge from that state: it subtracts the matchings that die with the
+    edge and decrements the edge's vertex and color degrees.  The step's
+    weights (the slots of order[i:], the edges still live after i
+    deletions), count and flags are read off the carried state; no
+    instance is rebuilt and no later step tallies.  A step after the count
+    died, with no tallied state alive, or with no edge left (i = N) is
+    settled without reading the weights (module docstring).
     DeletionTrace.nodes is the states that tally built.
 
     Those states count against budget: past it, step 0's tally raises
@@ -504,15 +513,18 @@ def run_deletion_process(
     """
     _check_partite(H0)
     N = H0.n**H0.k
-    if len(H0.edges) != N or H0.absent:
+    if len(H0.keys) != N or H0.absent:
         raise ValueError("the process starts from a complete colored instance")
-    # H0's N edges are distinct, so N items that include them all are a permutation
-    if len(ordering) != N or not set(ordering).issuperset(H0.edges):
+    # each edge's position in H0's keys; H0's N edges are distinct, so N
+    # items whose positions include every one of them are a permutation
+    position = dict(zip(H0.edges, range(N)))
+    order = [position.get(e) for e in ordering]
+    if len(order) != N or not set(order).issuperset(range(N)):
         raise ValueError("ordering must be a permutation of the instance's edges")
     t_max = _check_t_max(t_max, N)
 
-    state = _DeletionState(H0, budget, ordering[:t_max])
-    weights, live, deg, cdeg = state.weights, state.live, state.deg, state.cdeg
+    state = _DeletionState(H0, budget, order[:t_max])
+    weights, slots, deg, cdeg = state.weights, state.slots, state.deg, state.cdeg
     n, dims, floor_den = H0.n, state.dims, 2**H0.k * N
     num, den = params.L.as_integer_ratio()
     regular = _regularity(H0, params)
@@ -521,15 +533,17 @@ def run_deletion_process(
     prev_phi: int | None = None
     for i in range(t_max + 1):
         if i > 0:
-            state.delete(ordering[i - 1])
-        if prev_phi == 0 or not state.alive or not live:
+            state.delete(i - 1)
+        if prev_phi == 0 or not state.alive or i == N:
             # settled: the count is dead for good, the table is all 0 or no
             # edge is left, so phi and every live weight are 0 (the weights
             # sum to n * phi)
             phi, balanced = 0, True
-            w_max, w_avg, w_med = _SETTLED if live else _NO_WEIGHTS
+            w_max, w_avg, w_med = _SETTLED if i < N else _NO_WEIGHTS
         else:
-            ws = list(map(weights.__getitem__, live.values()))
+            # the live edges are order[i:]; their weights' sum, max, count
+            # and median do not depend on the order they are read in
+            ws = [weights[slots[j]] for j in order[i:]]
             total = sum(ws)
             # w(e) counts the rainbow perfect matchings through e, and each of
             # them has n edges.

@@ -3,7 +3,7 @@
 from collections import Counter
 
 from rainbowmatch.hamilton import ColoredMultigraph
-from rainbowmatch.model import ColoredEdge, ColoredHypergraph
+from rainbowmatch.model import PARTITE, ColoredEdge, ColoredHypergraph, PartiteVertex
 
 
 def edge_by_verts(H, verts):
@@ -12,6 +12,14 @@ def edge_by_verts(H, verts):
         if e.verts == verts:
             return e
     return None
+
+
+def active_vertices(H):
+    """H's active (non-absent) vertices in canonical order: PartiteVertex
+    (part, index) by part, then index, or a graph's vertex ints."""
+    if H.mode == PARTITE:
+        return [PartiteVertex(p, i) for p in range(1, H.k + 1) for i in H.part_active(p)]
+    return [v for v in range(1, H.n + 1) if v not in H.absent]
 
 
 def degrees(G):

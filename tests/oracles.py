@@ -17,7 +17,8 @@ distinct values down from the top; the library takes it in one bisection.
 `csv_cell` renders a CSV cell by one isinstance chain; the library tests the
 exact types int, Fraction, float and str first.
 `degree_profile_by_edge` counts the degrees one edge end at a time; the
-library counts each column of the edges at once.
+deletion process counts them per layout bit and per color, then decrements
+them per deletion.
 """
 
 from __future__ import annotations
@@ -31,10 +32,12 @@ from rainbowmatch.hamilton import (
     DEFAULT_HC_BUDGET,
     HamiltonCycle,
     _cycle_of,
-    _host_view,
+    _host_n,
 )
 from rainbowmatch.model import PARTITE, ColoredHypergraph, PartiteVertex, restrict
 from rainbowmatch.process import _check_partite
+
+from helpers import active_vertices
 
 
 def rainbow_weight(
@@ -138,7 +141,7 @@ def find_rainbow_hc_by_extension(G, budget: int = DEFAULT_HC_BUDGET) -> Hamilton
     explicit stack, so no recursion limit applies; children are pushed in
     reverse adjacency order, so the tree is visited in preorder with each
     node's neighbors in adjacency order."""
-    n, host_edges = _host_view(G)
+    n, host_edges = _host_n(G), G.edges
     if n < 3:
         raise ValueError("Hamilton cycles need n >= 3")
     # Vertex v is bit v - 1, color c is bit c - 1.
@@ -266,10 +269,10 @@ def csv_cell(x) -> str:
 
 def degree_profile_by_edge(H: ColoredHypergraph) -> tuple[dict, dict[int, int]]:
     """(vertex degrees over the active vertices, color degrees over
-    1..kappa), zero entries included, keyed in the order active_vertices and
-    the colors give: every edge adds one to each of its ends, a partite end
+    1..kappa), zero entries included, keyed in the order `active_vertices`
+    and the colors give: every edge adds one to each of its ends, a partite end
     built as its PartiteVertex, and one to its color."""
-    deg = {v: 0 for v in H.active_vertices()}
+    deg = {v: 0 for v in active_vertices(H)}
     cdeg = {c: 0 for c in range(1, H.kappa + 1)}
     for e in H.edges:
         if H.mode == PARTITE:

@@ -33,7 +33,7 @@ from rainbowmatch.model import (
     sample_partite_m,
 )
 
-from helpers import assert_stored_as_checked, edge_by_verts
+from helpers import active_vertices, assert_stored_as_checked, edge_by_verts
 from oracles import count_uniform_pm, reduce_to_uniform
 
 
@@ -250,7 +250,7 @@ def test_count_ie_reports_dp_transitions():
 def plain_count(H):
     """Rainbow perfect matchings of H by trying every edge subset of the
     matching size (no search, no pruning)."""
-    active = H.active_vertices()
+    active = active_vertices(H)
     per_edge = H.k if H.mode == PARTITE else 2
     if len(active) % per_edge:
         return 0
@@ -319,7 +319,7 @@ def colors_are_primary(H):
     """True when the search kernel covers every color exactly once: the edges
     carry exactly as many colors as a perfect matching has edges."""
     per_edge = H.k if H.mode == PARTITE else 2
-    return len({e.color for e in H.edges}) * per_edge == len(H.active_vertices())
+    return len({e.color for e in H.edges}) * per_edge == len(active_vertices(H))
 
 
 def color_switch_cases():
@@ -376,7 +376,7 @@ def _layout_oracle(H, demand=1):
         feasible = len({len(H.part_active(p)) for p in range(1, H.k + 1)}) == 1
         per_edge, shift = H.k, n * H.k
     else:
-        active, twice = H.active_vertices(), []
+        active, twice = active_vertices(H), []
         feasible, per_edge, shift = len(active) % 2 == 0, 2, n
 
     def bit(v):

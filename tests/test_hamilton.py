@@ -659,11 +659,11 @@ def test_derived_builders_store_what_the_checked_constructors_store(monkeypatch)
             G = sample_colored_graph(n, m, n, r)
             Gp, _ = contract_color_delete(G, G.edges[r.randrange(m)])
             assert_stored_as_checked(Gp)
-    for n in (9, 20):  # full draws at one n share one tuple of pairs
+    for n in (9, 20):  # full draws at one n share one tuple of keys
         r = rng(n, seed=73)
         G1, G2 = (sample_colored_graph(n, n * (n - 1) // 2, n, r) for _ in range(2))
         assert G1.edges != G2.edges
-        assert all(e.verts is f.verts for e, f in zip(G1.edges, G2.edges))
+        assert G1.keys is G2.keys
         for G in (G1, G2):
             assert_stored_as_checked(G)
             Gp, _ = contract_color_delete(G, G.edges[r.randrange(len(G.edges))])
@@ -715,7 +715,7 @@ def test_hamilton_trials_never_build_the_edges_view():
 
 
 def test_shape_caches_stay_at_their_bound_over_a_sweep():
-    # the per-n pairs of full draws and of the assembly are cached; a sweep
+    # the per-n keys of full draws and pairs of the assembly are cached; a sweep
     # over more shapes than the bound keeps only the last few
     for cached in (_graph_pairs, _color_label_pairs):
         cached.cache_clear()

@@ -23,7 +23,6 @@ from rainbowmatch.model import (
     PartiteVertex,
     RandomnessSpec,
     complete_colored,
-    degree_profile,
     dumps_instance,
     instance_from_dict,
     instance_to_dict,
@@ -39,7 +38,6 @@ from rainbowmatch.model import (
 from rainbowmatch.process import weight_profile
 
 from helpers import assert_stored_as_checked
-from oracles import degree_profile_by_edge
 
 
 def rng(stream=0, seed=0):
@@ -206,7 +204,7 @@ def test_every_sampler_reads_the_capacity_at_call_time(monkeypatch):
 
 def test_zero_vertex_edge_cases():
     H = ColoredHypergraph(PARTITE, 1, 2, 1, (ColoredEdge((1, 1), 1),))
-    assert H.active_vertices()
+    assert H.part_active(1) == H.part_active(2) == [1]
     empty = ColoredHypergraph(PARTITE, 2, 2, 2, ())
     assert empty.edges == ()
 
@@ -646,60 +644,6 @@ def test_restrict_graph_mode():
     R = restrict(H, removed_vertices=[1])
     assert all(1 not in e.verts for e in R.edges)
     assert 1 in R.absent
-
-
-# -- degree profile
-
-
-def test_degree_profile_complete():
-    H = complete_colored(3, 2, 3, rng(18))
-    deg, cdeg = degree_profile(H)
-    assert all(d == 3 for d in deg.values())
-    assert sum(cdeg.values()) == len(H.edges)
-    assert set(cdeg) == {1, 2, 3}
-
-
-def test_degree_profile_empty_and_monochrome():
-    empty = ColoredHypergraph(PARTITE, 2, 2, 2, ())
-    deg, cdeg = degree_profile(empty)
-    assert set(deg.values()) == {0}
-    assert set(cdeg.values()) == {0}
-    mono = ColoredHypergraph(
-        GRAPH, 4, 2, 3, tuple(ColoredEdge(p, 2) for p in [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4)])
-    )
-    _, cdeg = degree_profile(mono)
-    assert cdeg == {1: 0, 2: 5, 3: 0}
-
-
-def test_degree_sum_identity_random():
-    for j in range(25):
-        H = sample_partite_m(4, 3, 4, 17, rng(j, seed=19))
-        deg, cdeg = degree_profile(H)
-        assert sum(deg.values()) == 3 * len(H.edges)
-        assert sum(cdeg.values()) == len(H.edges)
-
-
-def _profile_cases():
-    yield sample_partite_m(4, 2, 4, 11, rng(3, seed=20))
-    yield restrict(complete_colored(4, 2, 4, rng(4, seed=20)),
-                   removed_vertices=[PartiteVertex(1, 2), PartiteVertex(2, 4)])
-    yield restrict(complete_colored(3, 3, 5, rng(5, seed=20)),
-                   removed_vertices=[PartiteVertex(2, 1), PartiteVertex(3, 3)])
-    yield restrict(sample_colored_graph(7, 12, 7, rng(6, seed=20)), removed_vertices=[1, 5])
-    yield ColoredHypergraph(PARTITE, 3, 3, 4, ())
-    yield ColoredHypergraph(GRAPH, 5, 2, 3, ())
-    # kappa 9 over 4 edges: at least five colors unused
-    yield sample_partite_m(3, 2, 9, 4, rng(7, seed=20))
-
-
-@pytest.mark.parametrize("H", list(_profile_cases()))
-def test_degree_profile_matches_the_per_edge_count(H):
-    # the same degrees under the same keys in the same order
-    deg, cdeg = degree_profile(H)
-    want_deg, want_cdeg = degree_profile_by_edge(H)
-    assert list(deg.items()) == list(want_deg.items())
-    assert list(cdeg.items()) == list(want_cdeg.items())
-    assert list(map(type, deg)) == list(map(type, want_deg))
 
 
 # -- orderings

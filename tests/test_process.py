@@ -18,7 +18,6 @@ from rainbowmatch.model import (
     PartiteVertex,
     RandomnessSpec,
     complete_colored,
-    degree_profile,
     random_edge_ordering,
     restrict,
     sample_partite_p,
@@ -45,7 +44,7 @@ from rainbowmatch.process import (
 )
 
 from helpers import edge_by_verts
-from oracles import majority_median_walk, rainbow_weight, weight_ratio_bounded
+from oracles import degree_profile_by_edge, majority_median_walk, rainbow_weight, weight_ratio_bounded
 
 
 def rng(stream=0, seed=0):
@@ -68,10 +67,21 @@ def edge_table(H):
     return {e: table[(e.verts, e.color)] for e in H.edges}
 
 
+def degree_lists(H):
+    """H's vertex degrees and color degrees as two lists, in the order of
+    `degree_profile_by_edge`'s keys."""
+    return [list(degrees.values()) for degrees in degree_profile_by_edge(H)]
+
+
+def positions(H, order):
+    """Each edge of order by its position in H's keys."""
+    return [H.edges.index(e) for e in order]
+
+
 def regular(H, p, params=DEFAULT_EVENT_PARAMS):
     """Flag R as the deletion step computes it: the integer test on the
     smallest and the largest vertex degree and color degree of H."""
-    return _regularity(H, params)(p, *degree_profile(H))
+    return _regularity(H, params)(p, *degree_lists(H))
 
 
 def median_capped(H, phi=None, table=None):
@@ -294,22 +304,26 @@ def test_a_state_carries_its_death_in_a_narrow_field(n, k, kappa):
     # bit per step
     H = complete_colored(n, k, kappa, rng(0, seed=57))
     order = random_edge_ordering(H, rng(0, seed=58))
-    state = _DeletionState(H, DEFAULT_NODE_BUDGET, order)
+    state = _DeletionState(H, DEFAULT_NODE_BUDGET, positions(H, order))
     top = 1 << state.shift + kappa + len(order).bit_length()
     assert state.near and all(s < top for s in state.near)
 
 
 def assert_carried_state(H, order, t_max):
     # the state the process carries across deletions, at every step, against
-    # the weight rows and degrees of the instance rebuilt from scratch
-    state = _DeletionState(H, DEFAULT_NODE_BUDGET, order[:t_max])
+    # the weight rows and degrees of the instance rebuilt from scratch; the
+    # live edges are checked through the edge weights they give the trace
+    state = _DeletionState(H, DEFAULT_NODE_BUDGET, positions(H, order[:t_max]))
+    steps = run_deletion_process(H, order, t_max).steps
     for i in range(t_max + 1):
         if i:
-            state.delete(order[i - 1])
+            state.delete(i - 1)
         Hi = restrict(H, removed_edges=order[:i])
         assert state.weights == _DeletionState(Hi, DEFAULT_NODE_BUDGET).weights, i
-        assert (state.deg, state.cdeg) == degree_profile(Hi), i
-        assert list(state.live) == list(Hi.edges), i
+        assert [state.deg, state.cdeg] == degree_lists(Hi), i
+        ws = list(edge_table(Hi).values())
+        want = (max(ws), Fraction(sum(ws), len(ws)), majority_median_walk(ws)) if ws else (0, None, None)
+        assert (steps[i].w_max, steps[i].w_avg, steps[i].w_med) == want, i
 
 
 @pytest.mark.parametrize(
@@ -353,12 +367,12 @@ def test_table_outlives_the_count():
     # the table's
     H, order = dying_trace()
     steps = run_deletion_process(H, order).steps
-    state = _DeletionState(H, DEFAULT_NODE_BUDGET, order)
+    state = _DeletionState(H, DEFAULT_NODE_BUDGET, positions(H, order))
     table_left = []
     for step in steps:
         i = step.index
         if i:
-            state.delete(order[i - 1])
+            state.delete(i - 1)
         Hi = restrict(H, removed_edges=order[:i])
         assert state.weights == _DeletionState(Hi, DEFAULT_NODE_BUDGET).weights, i
         assert step.median_capped == median_capped(Hi, step.phi), i
@@ -375,10 +389,10 @@ def test_a_dead_count_leaves_flag_c_to_the_table():
     # fails there: only a table with no state alive settles C
     H, order = dying_trace()
     steps = run_deletion_process(H, order).steps
-    state = _DeletionState(H, DEFAULT_NODE_BUDGET, order)
+    state = _DeletionState(H, DEFAULT_NODE_BUDGET, positions(H, order))
     for step in steps:
         if step.index:
-            state.delete(order[step.index - 1])
+            state.delete(step.index - 1)
         assert state.alive == sum(1 for s in state.near if s >> state.shift + H.kappa > step.index - 1)
         Hi = restrict(H, removed_edges=order[: step.index])
         assert step.median_capped == median_capped(Hi, step.phi), step.index
@@ -390,7 +404,7 @@ def test_carried_state_of_an_empty_tally():
     # the table is never indexed, and every step is settled
     H = complete_colored(4, 2, 2, rng(3, seed=59))
     order = random_edge_ordering(H, rng(3, seed=60))
-    state = _DeletionState(H, DEFAULT_NODE_BUDGET, order)
+    state = _DeletionState(H, DEFAULT_NODE_BUDGET, positions(H, order))
     assert (state.near, state.alive) == ({}, 0) and not hasattr(state, "base_of")
     assert_carried_state(H, order, len(order))
     steps = run_deletion_process(H, order).steps
@@ -512,7 +526,7 @@ def test_regular_flag_reads_each_axis_against_its_own_mean():
         ColoredEdge((i, j), ((i - 1) * 4 + (j - 1)) % 8 + 1) for i in range(1, 5) for j in range(1, 5)
     )
     H = ColoredHypergraph(PARTITE, 4, 2, 8, edges)
-    assert set(degree_profile(H)[1].values()) == {2}
+    assert set(degree_lists(H)[1]) == {2}
     assert regular(H, 1) and fraction_regular(H, 1, DEFAULT_EVENT_PARAMS.eps1)
     trace = run_deletion_process(H, H.edges[::-1], t_max=1)
     assert trace.steps[0].regular
@@ -528,7 +542,7 @@ def test_regular_flag_matches_direct_reimplementation():
     params = EventParams(L=10.0, eps1=0.25)
     for j in range(30):
         H = sample_partite_p(4, 2, 4, 0.5, rng(j, seed=43))
-        deg, cdeg = degree_profile(H)
+        deg, cdeg = degree_profile_by_edge(H)
         expect = Fraction(4) * Fraction(1, 2)
         tol = Fraction(1, 4) * expect
         by_hand = all(abs(Fraction(d) - expect) <= tol for d in deg.values()) and all(
@@ -718,7 +732,7 @@ def fraction_regular(H, p, eps1):
     """Flag R with Fraction means and Fraction tolerances: a vertex degree
     against the vertex mean n^(k-1) p, a color degree against the color mean
     n^k p / kappa."""
-    deg, cdeg = degree_profile(H)
+    deg, cdeg = degree_profile_by_edge(H)
     return all(
         abs(Fraction(d) - expect) <= Fraction(eps1) * expect
         for degs, expect in (
@@ -895,6 +909,9 @@ def test_trace_rejects_bad_inputs():
         run_deletion_process(H, order[:2])  # not a full permutation
     with pytest.raises(ValueError, match="permutation"):
         run_deletion_process(H, [*order[:-1], order[0]])  # one edge twice, one missing
+    e = order[1]
+    with pytest.raises(ValueError, match="permutation"):  # one edge recolored
+        run_deletion_process(H, [*order[:1], ColoredEdge(e.verts, 3 - e.color), *order[2:]])
     with pytest.raises(ValueError):
         run_deletion_process(H, order, t_max=5)
 
