@@ -572,13 +572,13 @@ def restrict(
     return ColoredHypergraph(H.mode, H.n, H.k, H.kappa, kept, H.absent | removed_v)
 
 
-def random_edge_ordering(
-    H: ColoredHypergraph, rnd: random.Random
-) -> tuple[ColoredEdge, ...]:
-    """A uniform permutation of H's edges."""
-    order = list(H.edges)
+def random_edge_ordering(H: ColoredHypergraph, rnd: random.Random) -> list[int]:
+    """A uniform permutation of the edge positions (indices into H.keys).
+    rnd.shuffle's draws depend only on the list's length, so the edges read
+    off it are those of a shuffle of list(H.edges) at the same stream."""
+    order = list(range(len(H.keys)))
     rnd.shuffle(order)
-    return tuple(order)
+    return order
 
 
 # -- JSON wire format ---------------------------------------------------------

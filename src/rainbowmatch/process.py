@@ -34,12 +34,11 @@ them in a death field above the layout's bits: a near-perfect matching is
 present at step t exactly when the earliest death among its edges is after
 t, and each state keeps that earliest death in its own field.  Step 0 adds
 every state into the table, and step i + 1 subtracts the states whose
-earliest death is i.  The ordering's ColoredEdges are turned into edge
-positions (indices into the instance's keys) once, on entry; from there on
-an edge is its position.  The state (the weight table, those groups by
-step, the count of states still alive, one weight slot per edge and one
-degree list per axis) is carried from step to step, and no step builds an
-instance.
+earliest death is i.  The order is a permutation of the edge positions
+(indices into the instance's keys), so an edge is its position throughout.
+The state (the weight table, those groups by step, the count of states
+still alive, one weight slot per edge and one degree list per axis) is
+carried from step to step, and no step builds an instance.
 
 Most steps of a full trace are settled by what that state already knows.
 The edge weights sum to n * phi and a deletion makes no matching, so once a
@@ -86,7 +85,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .count import BudgetExceededError, DEFAULT_NODE_BUDGET, _check_budget, _Layout
 from .model import (_SHAPE_CACHE_SIZE, DEFAULT_EDGE_CAPACITY, PARTITE, CapacityError,
-                    ColoredEdge, ColoredHypergraph)
+                    ColoredHypergraph)
 
 __all__ = [
     "EventParams",
@@ -486,22 +485,23 @@ def _check_t_max(t_max: int | None, N: int) -> int:
 
 def run_deletion_process(
     H0: ColoredHypergraph,
-    ordering: Sequence[ColoredEdge],
+    order: Sequence[int],
     t_max: int | None = None,
     params: EventParams = DEFAULT_EVENT_PARAMS,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> DeletionTrace:
-    """Delete ordering[0..t_max-1] one at a time from a complete colored
-    instance and record a DeletionStep after every deletion (plus step 0).
+    """Delete the edges at positions order[0..t_max-1] one at a time from a
+    complete colored instance and record a DeletionStep after every
+    deletion (plus step 0).
 
-    ordering must be a permutation of H0's edges; it is read once, into
-    order, each edge's position in H0's keys.  Step 0 tallies the rainbow
-    near-perfect matchings of H0 once, each carrying the earliest step of
-    order[:t_max] that deletes one of its edges, into the weight table of
-    the carried state (`_DeletionState`).  Every later step deletes its
-    edge from that state: it subtracts the matchings that die with the
-    edge and decrements the edge's vertex and color degrees.  The step's
-    weights (the slots of order[i:], the edges still live after i
+    order must be a permutation of the edge positions (indices into
+    H0.keys), as `model.random_edge_ordering` draws.  Step 0 tallies the
+    rainbow near-perfect matchings of H0 once, each carrying the earliest
+    step of order[:t_max] that deletes one of its edges, into the weight
+    table of the carried state (`_DeletionState`).  Every later step
+    deletes its edge from that state: it subtracts the matchings that die
+    with the edge and decrements the edge's vertex and color degrees.  The
+    step's weights (the slots of order[i:], the edges still live after i
     deletions), count and flags are read off the carried state; no
     instance is rebuilt and no later step tallies.  A step after the count
     died, with no tallied state alive, or with no edge left (i = N) is
@@ -515,12 +515,9 @@ def run_deletion_process(
     N = H0.n**H0.k
     if len(H0.keys) != N or H0.absent:
         raise ValueError("the process starts from a complete colored instance")
-    # each edge's position in H0's keys; H0's N edges are distinct, so N
-    # items whose positions include every one of them are a permutation
-    position = dict(zip(H0.edges, range(N)))
-    order = [position.get(e) for e in ordering]
-    if len(order) != N or not set(order).issuperset(range(N)):
-        raise ValueError("ordering must be a permutation of the instance's edges")
+    # N ints (a bool or a float is not one) that cover 0..N-1 are a permutation
+    if len(order) != N or set(map(type, order)) != {int} or set(order) != set(range(N)):
+        raise ValueError("order must be a permutation of the instance's edge positions")
     t_max = _check_t_max(t_max, N)
 
     state = _DeletionState(H0, budget, order[:t_max])

@@ -206,9 +206,9 @@ def test_criterion_05_weight_identity():
         for j in range(10):
             r = rng(j, seed=51 + n)
             H = complete_colored(n, 2, n, r)
-            order = random_edge_ordering(H, r)
+            edges = [H.edges[x] for x in random_edge_ordering(H, r)]
             for i in range(N + 1):
-                Hi = restrict(H, removed_edges=order[:i])
+                Hi = restrict(H, removed_edges=edges[:i])
                 phi = count_rainbow_pm(Hi).value
                 table = weight_profile(Hi)
                 assert sum(table[(e.verts, e.color)] for e in Hi.edges) == n * phi, (n, j, i)

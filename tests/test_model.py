@@ -651,12 +651,17 @@ def test_restrict_graph_mode():
 
 def test_ordering_single_edge_identity():
     H = sample_partite_m(2, 2, 2, 1, rng(20))
-    assert random_edge_ordering(H, rng(21)) == H.edges
+    assert random_edge_ordering(H, rng(21)) == [0]
 
 
 def test_ordering_deterministic():
     H = complete_colored(3, 2, 3, rng(22))
     assert random_edge_ordering(H, rng(23)) == random_edge_ordering(H, rng(23))
+    # shuffle's draws depend only on the list's length, so the edges read
+    # off the positions are a shuffle of the edges view at the same stream
+    edges, rnd = list(H.edges), rng(23)
+    rnd.shuffle(edges)
+    assert [H.edges[j] for j in random_edge_ordering(H, rng(23))] == edges
 
 
 def test_ordering_uniform_over_six_orders():
@@ -664,7 +669,7 @@ def test_ordering_uniform_over_six_orders():
     trials = 6_000
     seen = Counter()
     for j in range(trials):
-        seen[random_edge_ordering(H, rng(j, seed=25))] += 1
+        seen[tuple(random_edge_ordering(H, rng(j, seed=25)))] += 1
     assert len(seen) == 6
     se = math.sqrt((1 / 6) * (5 / 6) / trials)
     for order, count in seen.items():

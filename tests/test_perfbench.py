@@ -74,3 +74,23 @@ def test_hamilton_workload_pinned(run):
         fields = "\n".join(json.dumps(json.loads(line)[:3]) for line in clock.lines)
         assert run.digest(outputs) == csv_digest, mseed
         assert hashlib.sha256(fields.encode()).hexdigest() == lines_digest, mseed
+
+
+def test_traced_trace_round(run):
+    # one trace-process round under the benchmark's span recorder: the
+    # wrapped sampler and process must still yield the reference outputs,
+    # one coloring and one deletion order per trial, and full traces
+    workload = run.WORKLOADS["trace-process"]
+    trials = sum(config.trials for config in workload.configs(0))
+    rec = run.tracing.Recorder()
+    clock = run.TrialClock()
+    rec.install()
+    try:
+        outputs, _ = run.run_round(workload, 0, clock)
+    finally:
+        rec.uninstall()
+    assert run.check_round(workload, 0, outputs, clock.lines, run.load_reference(workload)) == []
+    assert rec.failures == []
+    assert sum(span.name == "model.sample" for span in rec.spans) == 2 * trials
+    runs = [span for span in rec.spans if span.name == "process.run"]
+    assert len(runs) == trials and all(span.attrs == {"steps": 26} for span in runs)

@@ -73,11 +73,6 @@ def degree_lists(H):
     return [list(degrees.values()) for degrees in degree_profile_by_edge(H)]
 
 
-def positions(H, order):
-    """Each edge of order by its position in H's keys."""
-    return [H.edges.index(e) for e in order]
-
-
 def regular(H, p, params=DEFAULT_EVENT_PARAMS):
     """Flag R as the deletion step computes it: the integer test on the
     smallest and the largest vertex degree and color degree of H."""
@@ -154,9 +149,9 @@ def oracle_table(H):
 def test_weight_table_matches_oracle_along_traces(n, k, kappa):
     for j in range(2):
         H = complete_colored(n, k, kappa, rng(j, seed=49 + n + k + kappa))
-        order = random_edge_ordering(H, rng(j, seed=50))
-        for i in range(len(order) + 1):
-            Hi = restrict(H, removed_edges=order[:i])
+        edges = [H.edges[x] for x in random_edge_ordering(H, rng(j, seed=50))]
+        for i in range(len(edges) + 1):
+            Hi = restrict(H, removed_edges=edges[:i])
             table = oracle_table(Hi)
             assert weight_profile(Hi) == table, (j, i)
             assert edge_table(Hi) == {e: table[(e.verts, e.color)] for e in Hi.edges}
@@ -177,9 +172,9 @@ def test_weight_table_matches_oracle_on_restricted_instances():
     shapes = [(3, 2, 2), (3, 2, 3), (4, 2, 4), (3, 2, 5), (3, 3, 2), (3, 3, 3), (2, 3, 3)]
     for n, k, kappa in shapes:
         Hs = complete_colored(n, k, kappa, rng(n + kappa, seed=52 + k))
-        order = random_edge_ordering(Hs, rng(1, seed=52))
+        edges = [Hs.edges[j] for j in random_edge_ordering(Hs, rng(1, seed=52))]
         cases[(n, k, kappa)] = Hs
-        cases[(n, k, kappa, "thinned")] = restrict(Hs, removed_edges=order[: len(order) // 2])
+        cases[(n, k, kappa, "thinned")] = restrict(Hs, removed_edges=edges[: len(edges) // 2])
     H4 = complete_colored(4, 2, 4, rng(0, seed=53))
     cases["n=4 balanced-absent"] = restrict(H4, removed_vertices=[(1, 2), (2, 4)])
     cases["n=4 removed-color"] = restrict(H4, removed_colors=(2,))
@@ -257,7 +252,8 @@ def test_trace_budget_truncation():
     full = run_deletion_process(H, order)
     assert len(full.steps) == len(order) + 1
     # Deleting an edge only shrinks the plain tally.
-    plain = [tally_nodes(restrict(H, removed_edges=order[:i])) for i in range(len(order) + 1)]
+    edges = [H.edges[j] for j in order]
+    plain = [tally_nodes(restrict(H, removed_edges=edges[:i])) for i in range(len(order) + 1)]
     assert plain == sorted(plain, reverse=True)
     # The trace's one tally runs at step 0: a budget it fits in gives the
     # whole trace, and a smaller one raises before any step is recorded,
@@ -304,7 +300,7 @@ def test_a_state_carries_its_death_in_a_narrow_field(n, k, kappa):
     # bit per step
     H = complete_colored(n, k, kappa, rng(0, seed=57))
     order = random_edge_ordering(H, rng(0, seed=58))
-    state = _DeletionState(H, DEFAULT_NODE_BUDGET, positions(H, order))
+    state = _DeletionState(H, DEFAULT_NODE_BUDGET, order)
     top = 1 << state.shift + kappa + len(order).bit_length()
     assert state.near and all(s < top for s in state.near)
 
@@ -313,12 +309,13 @@ def assert_carried_state(H, order, t_max):
     # the state the process carries across deletions, at every step, against
     # the weight rows and degrees of the instance rebuilt from scratch; the
     # live edges are checked through the edge weights they give the trace
-    state = _DeletionState(H, DEFAULT_NODE_BUDGET, positions(H, order[:t_max]))
+    state = _DeletionState(H, DEFAULT_NODE_BUDGET, order[:t_max])
     steps = run_deletion_process(H, order, t_max).steps
+    edges = [H.edges[j] for j in order]
     for i in range(t_max + 1):
         if i:
             state.delete(i - 1)
-        Hi = restrict(H, removed_edges=order[:i])
+        Hi = restrict(H, removed_edges=edges[:i])
         assert state.weights == _DeletionState(Hi, DEFAULT_NODE_BUDGET).weights, i
         assert [state.deg, state.cdeg] == degree_lists(Hi), i
         ws = list(edge_table(Hi).values())
@@ -367,13 +364,14 @@ def test_table_outlives_the_count():
     # the table's
     H, order = dying_trace()
     steps = run_deletion_process(H, order).steps
-    state = _DeletionState(H, DEFAULT_NODE_BUDGET, positions(H, order))
+    state = _DeletionState(H, DEFAULT_NODE_BUDGET, order)
+    edges = [H.edges[j] for j in order]
     table_left = []
     for step in steps:
         i = step.index
         if i:
             state.delete(i - 1)
-        Hi = restrict(H, removed_edges=order[:i])
+        Hi = restrict(H, removed_edges=edges[:i])
         assert state.weights == _DeletionState(Hi, DEFAULT_NODE_BUDGET).weights, i
         assert step.median_capped == median_capped(Hi, step.phi), i
         ws = list(edge_table(Hi).values())
@@ -389,12 +387,13 @@ def test_a_dead_count_leaves_flag_c_to_the_table():
     # fails there: only a table with no state alive settles C
     H, order = dying_trace()
     steps = run_deletion_process(H, order).steps
-    state = _DeletionState(H, DEFAULT_NODE_BUDGET, positions(H, order))
+    state = _DeletionState(H, DEFAULT_NODE_BUDGET, order)
+    edges = [H.edges[j] for j in order]
     for step in steps:
         if step.index:
             state.delete(step.index - 1)
         assert state.alive == sum(1 for s in state.near if s >> state.shift + H.kappa > step.index - 1)
-        Hi = restrict(H, removed_edges=order[: step.index])
+        Hi = restrict(H, removed_edges=edges[: step.index])
         assert step.median_capped == median_capped(Hi, step.phi), step.index
     assert [s.median_capped for s in steps[2:11]] == [False] * 8 + [True]
 
@@ -404,7 +403,7 @@ def test_carried_state_of_an_empty_tally():
     # the table is never indexed, and every step is settled
     H = complete_colored(4, 2, 2, rng(3, seed=59))
     order = random_edge_ordering(H, rng(3, seed=60))
-    state = _DeletionState(H, DEFAULT_NODE_BUDGET, positions(H, order))
+    state = _DeletionState(H, DEFAULT_NODE_BUDGET, order)
     assert (state.near, state.alive) == ({}, 0) and not hasattr(state, "base_of")
     assert_carried_state(H, order, len(order))
     steps = run_deletion_process(H, order).steps
@@ -528,7 +527,7 @@ def test_regular_flag_reads_each_axis_against_its_own_mean():
     H = ColoredHypergraph(PARTITE, 4, 2, 8, edges)
     assert set(degree_lists(H)[1]) == {2}
     assert regular(H, 1) and fraction_regular(H, 1, DEFAULT_EVENT_PARAMS.eps1)
-    trace = run_deletion_process(H, H.edges[::-1], t_max=1)
+    trace = run_deletion_process(H, list(range(len(edges)))[::-1], t_max=1)
     assert trace.steps[0].regular
     # one edge moved from color 2 to color 1: color degrees 3 and 1
     moved = next(e for e in edges if e.color == 2)
@@ -699,9 +698,9 @@ def test_weight_groups_match_table_grouping():
     )
     starts.append(uneven)
     for j, H in enumerate(starts):
-        order = random_edge_ordering(H, rng(j, seed=46))
-        for i in range(len(order) // 2 + 1):
-            Hi = restrict(H, removed_edges=order[:i])
+        edges = [H.edges[x] for x in random_edge_ordering(H, rng(j, seed=46))]
+        for i in range(len(edges) // 2 + 1):
+            Hi = restrict(H, removed_edges=edges[:i])
             phi = count_rainbow_pm(Hi).value
             assert median_capped(Hi, phi) == capped(Hi, weight_profile(Hi), phi), (j, i)
     # uneven parts rule out every perfect matching, so its table is all zero:
@@ -788,8 +787,9 @@ def test_step_flags_match_fraction_oracle(n, k, kappa):
             order = random_edge_ordering(H, rng(j, seed=56))
             trace = run_deletion_process(H, order, params=params)
             assert len(trace.steps) == len(order) + 1
+            edges = [H.edges[x] for x in order]
             for step in trace.steps:
-                Hi = restrict(H, removed_edges=order[: step.index])
+                Hi = restrict(H, removed_edges=edges[: step.index])
                 prof = weight_profile(Hi)
                 groups = {}
                 for (verts, c), w in prof.items():
@@ -867,9 +867,9 @@ def test_trace_t_max_zero():
 
 def test_trace_unique_pm_dies_at_step_one():
     H = bipartite({(1, 1): 1, (2, 2): 2, (1, 2): 3, (2, 1): 3})
-    first = edge_by_verts(H, (1, 1))
-    ordering = (first,) + tuple(e for e in H.edges if e != first)
-    trace = run_deletion_process(H, ordering)
+    first = H.edges.index(edge_by_verts(H, (1, 1)))
+    order = [first, *(j for j in range(len(H.keys)) if j != first)]
+    trace = run_deletion_process(H, order)
     assert trace.steps[0].phi == 1
     assert trace.steps[1].phi == 0
     assert trace.steps[1].xi == Fraction(1)
@@ -880,8 +880,9 @@ def test_trace_recomputation_oracle_and_telescoping():
         N = n * n
         for j in range(trials):
             H = complete_colored(n, 2, n, rng(j, seed=45 + 10 * (n - 2)))
-            ordering = random_edge_ordering(H, rng(j, seed=46 + 10 * (n - 2)))
-            trace = run_deletion_process(H, ordering)
+            order = random_edge_ordering(H, rng(j, seed=46 + 10 * (n - 2)))
+            trace = run_deletion_process(H, order)
+            deleted = [H.edges[x] for x in order]
             assert trace.steps[0].phi == count_rainbow_pm(H).value
             assert trace.steps[-1].phi == 0
             running = Fraction(trace.steps[0].phi)
@@ -889,7 +890,7 @@ def test_trace_recomputation_oracle_and_telescoping():
                 if i == 0:
                     continue
                 # recount from scratch on the reconstructed instance
-                remaining = tuple(e for e in H.edges if e not in ordering[:i])
+                remaining = tuple(e for e in H.edges if e not in deleted[:i])
                 Hi = ColoredHypergraph(PARTITE, n, 2, n, remaining)
                 assert step.phi == count_rainbow_pm(Hi).value, (n, j, i)
                 assert step.p == Fraction(N - i, N)
@@ -904,14 +905,20 @@ def test_trace_rejects_bad_inputs():
     order = random_edge_ordering(H, rng(6))
     partial = ColoredHypergraph(PARTITE, 2, 2, 2, H.edges[:3])
     with pytest.raises(ValueError):
-        run_deletion_process(partial, H.edges[:3])
+        run_deletion_process(partial, [0, 1, 2])
     with pytest.raises(ValueError):
         run_deletion_process(H, order[:2])  # not a full permutation
-    with pytest.raises(ValueError, match="permutation"):
-        run_deletion_process(H, [*order[:-1], order[0]])  # one edge twice, one missing
-    e = order[1]
-    with pytest.raises(ValueError, match="permutation"):  # one edge recolored
-        run_deletion_process(H, [*order[:1], ColoredEdge(e.verts, 3 - e.color), *order[2:]])
+    N = len(order)
+    for bad in (
+        [*order[:-1], order[0]],  # one position twice, one missing
+        [H.edges[j] for j in order],  # the edges themselves, not their positions
+        [True if j == 1 else j for j in order],  # a bool aliases position 1
+        [1.0 if j == 1 else j for j in order],  # a float hashes like 1
+        [-1 if j == N - 1 else j for j in order],  # would read the last slot
+        [N if j == 0 else j for j in order],
+    ):
+        with pytest.raises(ValueError, match="permutation"):
+            run_deletion_process(H, bad)
     with pytest.raises(ValueError):
         run_deletion_process(H, order, t_max=5)
 
