@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--colors", type=int, dest="kappa")
     trace.add_argument("--steps", type=int, dest="t_max", help="stop after this many deletions")
     trace.add_argument("--event-k", type=float, dest="event_abundance",
-                       help="abundance scale for the flag thresholds")
+                       help="abundance scale K for the flag thresholds, a finite K > 1")
     trace.add_argument("--summary-out", default=None,
                        help="also write the per-step aggregate CSV here")
     _add_run_flags(trace)

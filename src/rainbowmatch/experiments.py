@@ -72,6 +72,7 @@ from .model import (
     sample_partite_m,
 )
 from .process import (
+    _DEAD_XI,
     EventParams,
     _check_t_max,
     _check_table,
@@ -434,13 +435,26 @@ def _trace_shape(config: ExperimentConfig, n: int) -> tuple[int, int, int]:
     return n, N, _check_t_max(config.t_max, N)
 
 
+TRACE_SUMMARY_HEADER = ["i", "gamma", "mean_xi", "se_xi", "trials_positive",
+                        "sum_gamma_exact", "sum_gamma_closed"]
+
+
+def _summary_sums(n: int, N: int, t_max: int) -> tuple[tuple[float, float | None], ...]:
+    """(sum_gamma_exact, sum_gamma_closed) at steps 1..t_max; the log form
+    diverges once every edge is gone."""
+    rates = _loss_rates(n, N, min(t_max, N - 1))[1:]
+    return rates if t_max < N else (*rates, (math.fsum(n / x for x in range(1, N + 1)), None))
+
+
 @lru_cache(maxsize=_SHAPE_CACHE_SIZE)
-def _ratio_cells(n: int, N: int, t_max: int) -> tuple[str, ...]:
-    """The gamma and p_i cells of trace steps 0..t_max (`process._step_ratios`),
-    rendered and joined as "gamma,p_i", one string per step.  They depend
-    on the shape alone, so they are rendered once per shape."""
+def _ratio_cells(n: int, N: int, t_max: int) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
+    """The trace CSV cells that depend on the shape alone, rendered once per
+    shape: the steps' "gamma,p_i" at steps 0..t_max (`process._step_ratios`)
+    and the summary's "i,gamma" and "sum_gamma_exact,sum_gamma_closed"."""
     ps, gammas = _step_ratios(n, N, t_max)
-    return tuple(f"{_fmt(gamma)},{_fmt(p)}" for gamma, p in zip(gammas, ps))
+    summary = [(f"{i},{_fmt(n / (N - i + 1))}", f"{_fmt(exact)},{_fmt(closed)}")
+               for i, (exact, closed) in enumerate(_summary_sums(n, N, t_max), 1)]
+    return tuple(f"{_fmt(gamma)},{_fmt(p)}" for gamma, p in zip(gammas, ps)), tuple(summary)
 
 
 def trace_steps_table(result: ExperimentResult) -> tuple[list[str], list[list]]:
@@ -453,54 +467,68 @@ def trace_steps_table(result: ExperimentResult) -> tuple[list[str], list[list]]:
     return header, lines
 
 
+def _step_cell(x: Fraction | int | None) -> str:
+    # xi and w_avg (a Fraction or None) and w_med (an int or None) as `_fmt`
+    # renders them; the settled steps of a trace share one Fraction 0
+    if x is None:
+        return ""
+    if type(x) is int:
+        return str(x)
+    return "0.0" if x is _DEAD_XI else repr(x.numerator / x.denominator)
+
+
 def trace_steps_csv(result: ExperimentResult) -> str:
-    """trace_steps_table as CSV.  A step's gamma and p_i depend on its index
-    and the trace's shape alone, so they come rendered from `_ratio_cells`;
-    every other cell is rendered per step."""
+    """trace_steps_table as CSV, each cell rendered by its `DeletionStep`
+    field's type.  A step's gamma and p_i depend on its index and the
+    trace's shape alone, so they come rendered from `_ratio_cells`."""
     multi = len(result.rows) > 1
     out = [",".join((["trial"] if multi else []) + TRACE_STEP_HEADER)]
     shape = _trace_shape(result.config, *result.config.ns)
+    cell, flag = _step_cell, ("0", "1")
     for row in result.rows:
         steps = row.value or ()  # a budget row has no steps, and renders no ratios
-        ratios = _ratio_cells(*shape) if steps else ()
-        lead = _fmt(row.trial) + "," if multi else ""
-        for (i, phi, xi, _, _, *rest), ratio in zip(steps, ratios):
-            tail = ",".join(map(_fmt, rest))
-            out.append(f"{lead}{_fmt(i)},{_fmt(phi)},{_fmt(xi)},{ratio},{tail}")
+        ratios = _ratio_cells(*shape)[0] if steps else ()
+        lead = f"{row.trial}," if multi else ""
+        for (i, phi, xi, _, _, w_max, w_avg, w_med, b, r, c), ratio in zip(steps, ratios):
+            out.append(f"{lead}{i},{phi},{cell(xi)},{ratio},{w_max},{cell(w_avg)},"
+                       f"{cell(w_med)},{flag[b]},{flag[r]},{flag[c]}")
     return "\n".join(out) + "\n"
 
 
-def trace_summary_table(result: ExperimentResult) -> tuple[list[str], list[list]]:
-    """Per step i: gamma, the mean of xi over trials whose previous count was
-    still positive (the regime where the step-rate identity applies), its SE,
-    how many trials qualified, and the cumulative rate sum against its closed
-    form."""
-    n, N, t_max = _trace_shape(result.config, *result.config.ns)
-    per_step: dict[int, list[float]] = {i: [] for i in range(1, t_max + 1)}
+def _positive_xis(result: ExperimentResult, t_max: int) -> list[list[float]]:
+    """Per step i = 1..t_max, the xi of each trial whose previous count was
+    still positive (the regime where the step-rate identity applies)."""
+    per_step: list[list[float]] = [[] for _ in range(t_max)]
     for row in result.rows:
         steps = row.value or ()  # a budget row has no steps
         for prev, step in zip(steps, steps[1:]):
-            if prev.phi > 0:
-                per_step[step.index].append(float(step.xi))
-    header = ["i", "gamma", "mean_xi", "se_xi", "trials_positive", "sum_gamma_exact", "sum_gamma_closed"]
-    rates = _loss_rates(n, N, min(t_max, N - 1))
+            if not prev.phi:
+                break  # a count that reached 0 stays 0
+            per_step[step.index - 1].append(step.xi.numerator / step.xi.denominator)
+    return per_step
+
+
+def trace_summary_table(result: ExperimentResult) -> tuple[list[str], list[list]]:
+    """Per step i: gamma, the mean of xi over the trials `_positive_xis` keeps,
+    its SE, their count, and the cumulative rate sum against its closed form."""
+    n, N, t_max = _trace_shape(result.config, *result.config.ns)
     lines = []
-    for i in range(1, t_max + 1):
-        xs = per_step[i]
-        gamma = n / (N - i + 1)
+    for i, xs, (exact, closed) in zip(range(1, t_max + 1), _positive_xis(result, t_max),
+                                      _summary_sums(n, N, t_max)):
         mean, se = _moment_stats(xs, 1) if xs else (None, None)
-        if i < N:
-            exact, closed = rates[i]
-        else:
-            # the log form diverges once every edge is gone
-            exact = math.fsum(n / (N - j + 1) for j in range(1, N + 1))
-            closed = None
-        lines.append([i, gamma, mean, se, len(xs), exact, closed])
-    return header, lines
+        lines.append([i, n / (N - i + 1), mean, se, len(xs), exact, closed])
+    return list(TRACE_SUMMARY_HEADER), lines
 
 
 def trace_summary_csv(result: ExperimentResult) -> str:
-    return _csv_lines(*trace_summary_table(result))
+    """trace_summary_table as CSV: only mean_xi, se_xi and trials_positive
+    are rendered per result, the other cells come from `_ratio_cells`."""
+    shape = _trace_shape(result.config, *result.config.ns)
+    out = [",".join(TRACE_SUMMARY_HEADER)]
+    for (head, sums), xs in zip(_ratio_cells(*shape)[1], _positive_xis(result, shape[2])):
+        mean, se = _moment_stats(xs, 1) if xs else (None, None)
+        out.append(f"{head},{_fmt(mean)},{_fmt(se)},{len(xs)},{sums}")
+    return "\n".join(out) + "\n"
 
 
 # -- hamilton pipeline ----------------------------------------------------------------
@@ -739,11 +767,13 @@ def _parse_plot_csv(text: str, spec: PlotSpec) -> tuple[list[float], list[float]
     for ln in lines[1:]:
         cells = ln.split(",")
         try:
-            row = [float(cells[i]) for i in columns]
+            # an empty cell (a closed form at kappa != n, a mean no trial
+            # backs) has no value, and a nan or inf one (a budget-out's
+            # mean) no place on the axes
+            row = [float(cells[i]) for i in columns if cells[i]]
         except (ValueError, IndexError) as exc:
             raise ValueError(f"malformed CSV row {ln!r}") from exc
-        # a nan or inf cell (a budget-out's mean, say) has no place on the axes
-        if all(map(math.isfinite, row)):
+        if len(row) == len(columns) and all(map(math.isfinite, row)):
             rows.append(row)
     if not rows:
         raise ValueError("CSV has no finite data rows")

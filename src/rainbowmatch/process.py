@@ -63,10 +63,10 @@ Flags per step (wire names B, R, C in the trace CSV):
 Flag C is one predicate over the flat table (`_median_capped`), whose
 localized groups are its stride slices along each of the k + 1 axes: a
 weight is an int, so it exceeds phi / (2^k n^k) iff it exceeds that bound's
-floor.  The predicate passes at once when no weight of the table beats the
-floor, and otherwise stops at the first group whose max beats both the
-floor and twice its median.  Each step is recorded once, as a
-`DeletionStep` whose fields are the trace CSV's step columns.
+floor.  The predicate scans the table up to its first weight past the
+floor and passes when there is none; otherwise it stops at the first group
+whose max beats both the floor and twice its median.  Each step is recorded
+once, as a `DeletionStep` whose fields are the trace CSV's step columns.
 
 The dyadic interval machinery at the bottom is independent of the process: it
 locates, for any positive weight vector with near-maximal entropy, a short
@@ -128,8 +128,16 @@ class EventParams:
 
     @classmethod
     def from_abundance(cls, K: float) -> "EventParams":
-        if not K > 0:  # also NaN; checked before L and eps1 derive from K
+        """The thresholds of abundance K, a finite float above 1: K <= 0 and
+        NaN are not positive, a finite K whose square root does not round
+        above 1 (0 < K <= 1, and 1 + 2^-52) gives no L > 1, and infinity
+        gives eps1 = 0.  Every other K gives L > 1 and eps1 in (0, 1)."""
+        if not K > 0:
             raise ValueError("K must be positive")
+        if K == math.inf:
+            raise ValueError("K must be finite")
+        if not math.sqrt(K) > 1:
+            raise ValueError("K must exceed 1")
         return cls(L=math.sqrt(K), eps1=K ** (-1.0 / 3.0))
 
 
@@ -348,12 +356,12 @@ def _median_capped(dims: Sequence[int], weights: Sequence[int], bound: int) -> b
     a tuple's weights over the colors (family "c").  In `product` order the
     group along an axis of size s starting at index i is weights[i : i +
     s * stride : stride], stride being the product of the later sizes.  An
-    emptied part leaves no entry, hence no group.  A failing group's
-    maximum exceeds bound, so an empty table, or one whose maximum is at
-    most bound, passes without slicing any group.
+    emptied part leaves no entry, hence no group.  A failing group holds a
+    weight past bound, so a scan that stops at the first such weight passes
+    an empty table, or one with none, without slicing any group.
     """
     span = len(weights)
-    if not span or max(weights) <= bound:
+    if not any(map(bound.__lt__, weights)):
         return True
     for size in dims:
         stride = span // size
@@ -423,9 +431,11 @@ class DeletionStep(NamedTuple):
     """State after the i-th deletion (index 0 is the initial state).
 
     The fields are the trace CSV's step columns (`experiments.TRACE_STEP_HEADER`).
-    xi and gamma are None at index 0 (no deletion happened yet).  When the
-    count has already died (previous phi = 0), xi is recorded as Fraction(0);
-    the telescoping product is 0 from the death step onward either way.
+    `run_deletion_process` builds them of exact types: index, phi and w_max
+    an int, xi, gamma and w_avg a Fraction or None, p a Fraction, w_med an
+    int or None, and the flags a bool.  xi and gamma are None at index 0 (no
+    deletion happened yet).  Once the count has died (previous phi = 0), xi
+    is Fraction(0), as the telescoping product is 0 from then on either way;
     w_avg and w_med are None once no edges remain.
     """
 

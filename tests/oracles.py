@@ -14,6 +14,10 @@ does.
 weight against L as exact fractions; the library cross-multiplies ints.
 `majority_median_walk` is the majority median by its definition, walking the
 distinct values down from the top; the library takes it in one bisection.
+`median_capped_by_groups` is flag C by its definition: every localized group
+of every axis, gathered by coordinates and each tested, with no early exit;
+the library walks stride slices and stops at the first failing group, after
+an exit for tables with no weight past the bound.
 `csv_cell` renders a CSV cell by one isinstance chain; the library tests the
 exact types int, Fraction, float and str first.
 `degree_profile_by_edge` counts the degrees one edge end at a time; the
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 from rainbowmatch.count import BudgetExceededError, DEFAULT_NODE_BUDGET, count_rainbow_pm
@@ -251,6 +256,23 @@ def majority_median_walk(values) -> int:
         while pos >= 0 and vals[pos] == x:
             pos -= 1
     return vals[0]
+
+
+def median_capped_by_groups(dims: Sequence[int], weights: Sequence[int], bound: int) -> bool:
+    """Flag C over a flat table in `product` order over axes of sizes dims:
+    True iff no localized group (the entries that share every coordinate
+    but one) has a maximum above both bound and twice its majority median."""
+    coords = list(product(*map(range, dims)))
+    assert len(coords) == len(weights)
+    failing = []
+    for axis in range(len(dims)):
+        groups: dict[tuple, list[int]] = {}
+        for x, w in zip(coords, weights):
+            groups.setdefault(x[:axis] + x[axis + 1:], []).append(w)
+        for vals in groups.values():
+            top = max(vals)
+            failing.append(top > bound and top > 2 * majority_median_walk(vals))
+    return not any(failing)
 
 
 def csv_cell(x) -> str:

@@ -561,17 +561,20 @@ def test_csv_cells_match_the_isinstance_chain():
     assert str(by_type.value) == str(by_chain.value)
 
 
-# (n, k, t_max) of the traces whose rendering is checked against the
-# uncached routes, then again in reverse, each shape after another one
-TRACE_SHAPES = [(1, 2, None), (2, 2, 0), (3, 2, None), (3, 2, 4), (2, 3, None)]
+# (n, k, kappa, t_max) of the traces whose rendering is checked against the
+# uncached routes, then again in reverse, each shape after another one;
+# kappa None is n
+TRACE_SHAPES = [(1, 2, None, None), (2, 2, None, 0), (3, 2, None, None), (3, 2, None, 4),
+                (2, 3, None, None), (3, 2, 5, None), (3, 3, None, 10)]
 
 
 def _traces():
-    for n, k, t_max in TRACE_SHAPES + TRACE_SHAPES[::-1]:
+    for n, k, kappa, t_max in TRACE_SHAPES + TRACE_SHAPES[::-1]:
         # one trial has no trial column, so gamma and p_i sit one place left
         for trials in (1, 3):
             config = experiments.ExperimentConfig(
-                kind="trace", ns=(n,), k=k, t_max=t_max, trials=trials, master_seed=n + k)
+                kind="trace", ns=(n,), k=k, kappa=kappa, t_max=t_max, trials=trials,
+                master_seed=n + k)
             yield config, experiments.trace_experiment(config)
     # every trial out of budget: no step rows, every summary row
     config = experiments.ExperimentConfig(kind="trace", ns=(3,), trials=2, node_budget=10)
@@ -579,8 +582,8 @@ def _traces():
 
 
 def test_trace_csv_from_the_shape_caches_matches_uncached_rendering(monkeypatch):
-    experiments._ratio_cells.cache_clear()
-    process._loss_rates.cache_clear()
+    for cached in (experiments._ratio_cells, process._loss_rates, process._step_ratios):
+        cached.cache_clear()
     rendered = [(config, result, experiments.trace_steps_csv(result),
                  experiments.trace_summary_csv(result)) for config, result in _traces()]
     monkeypatch.setattr(experiments, "_loss_rates", process._loss_rates.__wrapped__)
@@ -588,7 +591,6 @@ def test_trace_csv_from_the_shape_caches_matches_uncached_rendering(monkeypatch)
         header, rows = experiments.trace_steps_table(result)
         assert steps_csv == experiments._csv_lines(header, rows), config
         assert steps_csv == "".join(",".join(map(csv_cell, row)) + "\n" for row in [header, *rows])
-        assert summary_csv == experiments.trace_summary_csv(result), config
         # the table keeps exact ratios: trace --format json renders it
         n, k = config.ns[0], config.k
         at = header.index("i")
@@ -599,6 +601,11 @@ def test_trace_csv_from_the_shape_caches_matches_uncached_rendering(monkeypatch)
                 assert type(gamma) is Fraction and gamma == Fraction(n, n**k - i + 1)
             else:
                 assert gamma is None
+        header, rows = experiments.trace_summary_table(result)
+        assert len(rows) == (n**k if config.t_max is None else config.t_max), config
+        assert summary_csv == experiments._csv_lines(header, rows), config
+        assert summary_csv == "".join(",".join(map(csv_cell, row)) + "\n"
+                                      for row in [header, *rows]), config
 
 
 def test_hamilton_csv_and_config_error(tmp_path, capsys):
@@ -675,6 +682,37 @@ def test_plot_skips_rows_that_are_not_finite(tmp_path, capsys):
     assert "nan" in csv.read_text()
     code, _, err = run(capsys, "plot", str(csv), "--x", "n", "--y", "mean")
     assert code == 2 and "no finite data rows" in err
+
+
+def test_plot_leaves_out_rows_with_an_empty_cell(tmp_path, capsys):
+    csv = tmp_path / "t.csv"
+    svg = tmp_path / "p.svg"
+    csv.write_text("x,y,e\n1,2,0.5\n2,,0.5\n3,4,\n,5,0.5\n5,6,0.5\n")
+    for yerr, points in (([], 3), (["--yerr", "e"], 2)):
+        args = ["plot", str(csv), "--x", "x", "--y", "y", *yerr, "--out", str(svg)]
+        assert run(capsys, *args)[0] == 0, yerr
+        assert len(ET.parse(svg).getroot().findall("{*}circle")) == points, yerr
+    # text and short rows stay malformed, an empty cell among them or not
+    for text, bad in (("x,y\n1,2\n2,x\n", "2,x"), ("x,y\n1,\n2\n", "2"),
+                      ("x,y\n,x\n", ",x"), ("x,y,e\n1,2,\n3,4\n", "3,4")):
+        csv.write_text(text)
+        code, _, err = run(capsys, "plot", str(csv), "--x", "x", "--y", "y",
+                           *(["--yerr", "e"] if ",e" in text else []))
+        assert code == 2 and f"malformed CSV row {bad!r}" in err, text
+    # the tool's own CSVs: a full trace's summary, whose later steps have
+    # no mean_xi, its steps, whose step 0 has no xi, and the closed form
+    # that mean-count leaves empty at kappa != n
+    steps, summary = tmp_path / "steps.csv", tmp_path / "summary.csv"
+    assert run(capsys, "trace", "--n", "3", "--trials", "4", "--seed", "2", "--out", str(steps),
+               "--summary-out", str(summary))[0] == 0
+    assert ",,," in summary.read_text()
+    for args in ([str(summary), "--x", "gamma", "--y", "mean_xi", "--yerr", "se_xi"],
+                 [str(steps), "--x", "i", "--y", "xi"]):
+        assert run(capsys, "plot", *args, "--out", str(svg))[0] == 0, args
+    run(capsys, "mean-count", "--n", "3,4", "--colors", "5", "--trials", "2", "--out", str(csv))
+    code, _, err = run(capsys, "plot", str(csv), "--x", "n", "--y", "expected_mean")
+    assert code == 2 and "no finite data rows" in err
+    assert run(capsys, "plot", str(csv), "--x", "n", "--y", "mean", "--out", str(svg))[0] == 0
 
 
 def test_plot_size_must_leave_a_plot_area(tmp_path, capsys):
@@ -1043,6 +1081,11 @@ def test_event_k_must_be_positive(capsys):
         code, out, err = run(capsys, "trace", "--n", "2", "--trials", "1", "--event-k", value)
         assert (code, out) == (2, ""), value
         assert err == "rainbowmatch: error: K must be positive\n", value
+    # the rest of what --event-k refuses reads as K, not as L or eps1
+    for value, rule in (("0.5", "exceed 1"), ("1", "exceed 1"), ("inf", "be finite")):
+        code, out, err = run(capsys, "trace", "--n", "2", "--trials", "1", "--event-k", value)
+        assert (code, out, err) == (2, "", f"rainbowmatch: error: K must {rule}\n"), value
+    assert run(capsys, "trace", "--n", "2", "--trials", "1", "--event-k", "1.5")[0] == 0
 
 
 # SHA-256 of every output of small experiment grids, so that a change to the

@@ -44,7 +44,8 @@ from rainbowmatch.process import (
 )
 
 from helpers import edge_by_verts
-from oracles import degree_profile_by_edge, majority_median_walk, rainbow_weight, weight_ratio_bounded
+from oracles import (degree_profile_by_edge, majority_median_walk, median_capped_by_groups,
+                     rainbow_weight, weight_ratio_bounded)
 
 
 def rng(stream=0, seed=0):
@@ -586,6 +587,37 @@ def test_median_cap_exits_on_the_table_maximum():
     assert _median_capped([0, 3, 2], SliceCounting(), 0)
 
 
+def test_median_cap_matches_the_all_groups_oracle():
+    # seeded tables of 1 to 4 axes of sizes 1..3 (a size-1 axis makes groups
+    # of one), one in eight with an axis emptied (an emptied part), weights
+    # drawn so that a group's max often sits at exactly twice its median,
+    # bounds 0..3
+    rnd = rng(48)
+    for _ in range(1500):
+        dims = [rnd.randint(1, 3) for _ in range(rnd.randint(1, 4))]
+        if rnd.randrange(8) == 0:
+            dims[rnd.randrange(len(dims))] = 0
+        size = math.prod(dims)
+        bound = rnd.randrange(4)
+        for weights in (
+            [rnd.choice((0, 1, 1, 2, 2, 3, 4, 6, 8)) for _ in range(size)],
+            # the only weight past the bound is the last entry
+            [rnd.randint(0, bound) for _ in range(size - 1)] + [bound + rnd.randint(1, 3)],
+        )[: 2 if size else 1]:
+            want = median_capped_by_groups(dims, weights, bound)
+            assert _median_capped(dims, weights, bound) == want, (dims, weights, bound)
+    # a group at exactly twice its median passes, one past it fails
+    for top, want in ((2, True), (3, False)):
+        for dims in ([3], [3, 1], [1, 3, 1]):
+            assert _median_capped(dims, [1, 1, top], 0) == want == (
+                median_capped_by_groups(dims, [1, 1, top], 0))
+    # the last entry alone past the floor: every group but its own is flat
+    weights = [3] * 26 + [7]
+    assert not _median_capped([3, 3, 3], weights, 3)
+    assert not median_capped_by_groups([3, 3, 3], weights, 3)
+    assert _median_capped([3, 3, 3], weights, 7) and median_capped_by_groups([3, 3, 3], weights, 7)
+
+
 def test_median_cap_flag_completion_clause_alone():
     # Hand-built table at n=3, k=2: weight 10 on every color of tuple (1, 1),
     # 1 on every other entry.  Every full tuple's color group is flat, so only
@@ -852,9 +884,40 @@ def test_event_params_validation():
     for K in (0.0, -5.0, math.nan):
         with pytest.raises(ValueError, match="K must be positive"):
             EventParams.from_abundance(K)
+    for K in (-math.inf, -5e-324):
+        with pytest.raises(ValueError, match="K must be positive"):
+            EventParams.from_abundance(K)
+    # 1 + 2^-52 is past 1, but its square root rounds to L = 1
+    for K in (5e-324, 0.5, 1.0, 1.0 + 2.0**-52):
+        with pytest.raises(ValueError, match="K must exceed 1"):
+            EventParams.from_abundance(K)
+    with pytest.raises(ValueError, match="K must be finite"):
+        EventParams.from_abundance(math.inf)
+    # the rest of the domain derives thresholds EventParams accepts
+    for K in (1.0 + 2.0**-51, 1.5, 8.0, 1e300, 1.7976931348623157e308):
+        p = EventParams.from_abundance(K)
+        assert p.L > 1 and 0 < p.eps1 < 1, K
 
 
 # -- deletion process
+
+
+def test_deletion_steps_hold_the_documented_types():
+    # the steps CSV renders each field by these exact types: full traces,
+    # whose counts die and whose last step has no edge, a truncated one at
+    # kappa != n, a k = 3 one and one whose tally finds no state
+    for n, k, kappa, t_max, stream in ((3, 2, 3, None, 1), (4, 2, 6, 7, 2), (2, 3, 2, None, 3),
+                                       (4, 2, 1, None, 4), (1, 2, 1, None, 5)):
+        H = complete_colored(n, k, kappa, rng(stream, seed=49))
+        for step in run_deletion_process(H, random_edge_ordering(H, rng(stream)), t_max).steps:
+            first, last = step.index == 0, step.index == n**k
+            assert [type(x) for x in (step.index, step.phi, step.w_max, step.p)] == [
+                int, int, int, Fraction], step
+            assert type(step.xi) is (type(None) if first else Fraction), step
+            assert type(step.gamma) is (type(None) if first else Fraction), step
+            assert type(step.w_avg) is (type(None) if last else Fraction), step
+            assert type(step.w_med) is (type(None) if last else int), step
+            assert {type(f) for f in step[-3:]} == {bool}, step
 
 
 def test_trace_t_max_zero():
