@@ -221,16 +221,17 @@ class _Layout:
         """The bit of vertex index i at tuple position p (its part - 1; 0 in a graph)."""
         return 1 << (self.offsets[p] + i - 1)
 
-    def packed(self) -> tuple[list[int], dict[int, list[int]]]:
+    def packed(self) -> tuple[list[int], list[list[int]]]:
         """Each edge packed, in canonical order, and the packed edges of each
-        active part-1 vertex of a partite instance, keyed by its bit from low
-        to high (the branch order), edgeless vertices included (runs).  A
-        state (a partial matching) is packed too, covered vertices | used
-        colors << shift, so an edge fits a state iff the two share no bit."""
+        active part-1 vertex of a partite instance, one list per vertex in
+        bit order from low to high (the branch order), edgeless vertices
+        included (runs).  A state (a partial matching) is packed too,
+        covered vertices | used colors << shift, so an edge fits a state iff
+        the two share no bit."""
         shift, runs = self.shift, self.runs
         packed = [covers | cbit << shift for _, covers, cbit in self.items]
-        lists = {b: packed[slice(*runs.get(b.bit_length() - 1, (0, 0)))]
-                 for b in _bits(self.active & ((1 << self.n) - 1))}
+        lists = [packed[slice(*runs.get(b.bit_length() - 1, (0, 0)))]
+                 for b in _bits(self.active & ((1 << self.n) - 1))]
         return packed, lists
 
 
@@ -473,7 +474,7 @@ def _count_split(H: ColoredHypergraph, budget: int) -> tuple[int, int]:
         return (0 if probe.found is None else 1), nodes
     layout, exact = probe.layout, probe.exact
     shift, all_active = layout.shift, layout.active
-    lists = list(layout.packed()[1].values())
+    lists = layout.packed()[1]
     table, h, nodes = _first_half(lists, nodes, budget)
 
     if exact:

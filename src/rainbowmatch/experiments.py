@@ -76,7 +76,6 @@ from .process import (
     EventParams,
     _check_t_max,
     _check_table,
-    _loss_rates,
     _step_ratios,
     run_deletion_process,
 )
@@ -439,11 +438,20 @@ TRACE_SUMMARY_HEADER = ["i", "gamma", "mean_xi", "se_xi", "trials_positive",
                         "sum_gamma_exact", "sum_gamma_closed"]
 
 
-def _summary_sums(n: int, N: int, t_max: int) -> tuple[tuple[float, float | None], ...]:
-    """(sum_gamma_exact, sum_gamma_closed) at steps 1..t_max; the log form
-    diverges once every edge is gone."""
-    rates = _loss_rates(n, N, min(t_max, N - 1))[1:]
-    return rates if t_max < N else (*rates, (math.fsum(n / x for x in range(1, N + 1)), None))
+def _summary_sums(n: int, N: int, t_max: int) -> list[tuple[float, float | None]]:
+    """(sum_gamma_exact, sum_gamma_closed) at steps t = 1..t_max, in one
+    running pass: sum_{i=1..t} n/(N-i+1) against n*log(N/(N-t)).  The float
+    terms 1.0/(N-i+1) are summed exactly and rounded once per t, which is
+    math.fsum of them, then multiplied by n.  The closed form under-approaches
+    the exact sum from below with gap at most 2n/(N-t): each harmonic term
+    n/(N-i+1) lies between the integral slices of n/x on [N-i+1, N-i+2] and
+    [N-i, N-i+1].  It diverges once every edge is gone, so at t = N it is None."""
+    total = Fraction(0)
+    sums = []
+    for t in range(1, t_max + 1):
+        total += Fraction(1.0 / (N - t + 1))
+        sums.append((n * float(total), n * math.log(N / (N - t)) if t < N else None))
+    return sums
 
 
 @lru_cache(maxsize=_SHAPE_CACHE_SIZE)
@@ -452,7 +460,7 @@ def _ratio_cells(n: int, N: int, t_max: int) -> tuple[tuple[str, ...], tuple[tup
     shape: the steps' "gamma,p_i" at steps 0..t_max (`process._step_ratios`)
     and the summary's "i,gamma" and "sum_gamma_exact,sum_gamma_closed"."""
     ps, gammas = _step_ratios(n, N, t_max)
-    summary = [(f"{i},{_fmt(n / (N - i + 1))}", f"{_fmt(exact)},{_fmt(closed)}")
+    summary = [(f"{i},{_fmt(gammas[i])}", f"{_fmt(exact)},{_fmt(closed)}")
                for i, (exact, closed) in enumerate(_summary_sums(n, N, t_max), 1)]
     return tuple(f"{_fmt(gamma)},{_fmt(p)}" for gamma, p in zip(gammas, ps)), tuple(summary)
 
@@ -512,11 +520,12 @@ def trace_summary_table(result: ExperimentResult) -> tuple[list[str], list[list]
     """Per step i: gamma, the mean of xi over the trials `_positive_xis` keeps,
     its SE, their count, and the cumulative rate sum against its closed form."""
     n, N, t_max = _trace_shape(result.config, *result.config.ns)
+    gammas = _step_ratios(n, N, t_max)[1]
     lines = []
     for i, xs, (exact, closed) in zip(range(1, t_max + 1), _positive_xis(result, t_max),
                                       _summary_sums(n, N, t_max)):
         mean, se = _moment_stats(xs, 1) if xs else (None, None)
-        lines.append([i, n / (N - i + 1), mean, se, len(xs), exact, closed])
+        lines.append([i, gammas[i], mean, se, len(xs), exact, closed])
     return list(TRACE_SUMMARY_HEADER), lines
 
 

@@ -271,7 +271,7 @@ class _DeletionState:
         if layout.feasible:
             packed, lists = layout.packed()
             death = {packed[j]: i for i, j in enumerate(order)}
-            pairs = [[(x, x | death.get(x, t) << at) for x in xs] for xs in lists.values()]
+            pairs = [[(x, x | death.get(x, t) << at) for x in xs] for xs in lists]
             self.near, self.nodes = _near_layers(pairs, budget, (1 << at) - 1, t << at)
         self.alive = len(self.near)
         self.order, self.positions, self.colors = order, layout.positions, H.colors
@@ -572,24 +572,6 @@ def run_deletion_process(
     return DeletionTrace(tuple(steps), state.nodes)
 
 
-@lru_cache(maxsize=_SHAPE_CACHE_SIZE)
-def _loss_rates(n: int, N: int, t_max: int) -> tuple[tuple[float, float], ...]:
-    """(sum_{i=1..t} n/(N-i+1), n*log(N/(N-t))) at t = 0..t_max (< N), in
-    one running pass, kept per shape: a trace summary reads the same pairs
-    for every result of one shape.  The float terms 1.0/(N-i+1) are summed
-    exactly and rounded once per t, which is math.fsum of them: both round
-    the exact sum correctly.  The closed form under-approaches the exact sum
-    from below with gap at most 2n/(N-t): each harmonic term n/(N-i+1) lies
-    between the integral slices of n/x on [N-i+1, N-i+2] and [N-i, N-i+1]."""
-    total = Fraction(0)
-    rates = []
-    for t in range(t_max + 1):
-        if t:
-            total += Fraction(1.0 / (N - t + 1))
-        rates.append((n * float(total), n * math.log(N / (N - t))))
-    return tuple(rates)
-
-
 # -- entropy and the dyadic interval cover ------------------------------------------
 
 
@@ -637,11 +619,12 @@ def dyadic_interval_cover(
     H(w) > log|S| - defect.
 
     Weights must be strictly positive.  Scans contiguous runs of occupied
-    dyadic levels, heaviest top level first, preferring the lowest qualifying
-    bottom level (so a is as small as the run allows); a and b are actual
-    weight values, hence members of the run.  Raises LemmaPreconditionError
-    when the entropy premise fails, RuntimeError if (against the lemma) no
-    run qualifies.
+    dyadic levels, heaviest top level first.  A top fixes b, and as the
+    bottom level rises a rises while the run's support and mass only shrink,
+    so per top only the run down to the lowest bottom with b <= rho*a can
+    qualify; a and b are actual weight values, hence members of the run.
+    Raises LemmaPreconditionError when the entropy premise fails,
+    RuntimeError if (against the lemma) no run qualifies.
     """
     ws = [float(w) for w in weights]
     if not ws:
@@ -663,24 +646,15 @@ def dyadic_interval_cover(
     for idx, w in enumerate(ws):
         by_level.setdefault(_dyadic_level(w), []).append(idx)
     occupied = sorted(by_level, reverse=True)
+    low = {lev: min(ws[i] for i in idxs) for lev, idxs in by_level.items()}
 
     for ti, top in enumerate(occupied):
-        # Bottom candidates from the lowest occupied level upward: lower a
-        # first, per the tie-break.
-        for bottom in reversed(occupied[ti:]):
-            idxs = [
-                i
-                for lev in occupied[ti:]
-                if bottom <= lev <= top
-                for i in by_level[lev]
-            ]
-            vals = [ws[i] for i in idxs]
-            a, b = min(vals), max(vals)
-            if b > rho * a:
-                continue
-            if len(idxs) < sigma * size:
-                continue
-            if math.fsum(vals) <= 0.7 * total:
-                continue
-            return a, b, sorted(idxs)
+        b = max(ws[i] for i in by_level[top])
+        # low rises with the level, so the levels that pass run from top
+        # downward; top itself passes, as the premise needs defect > 0 and
+        # so rho > 2
+        levels = [lev for lev in occupied[ti:] if b <= rho * low[lev]]
+        idxs = sorted(i for lev in levels for i in by_level[lev])
+        if len(idxs) >= sigma * size and math.fsum(ws[i] for i in idxs) > 0.7 * total:
+            return low[levels[-1]], b, idxs
     raise RuntimeError("no qualifying dyadic run; the entropy premise should forbid this")

@@ -3,7 +3,38 @@
 from collections import Counter
 
 from rainbowmatch.hamilton import ColoredMultigraph
-from rainbowmatch.model import PARTITE, ColoredEdge, ColoredHypergraph, PartiteVertex
+from rainbowmatch.model import PARTITE, ColoredEdge, ColoredHypergraph, PartiteVertex, RandomnessSpec
+
+
+def rng(stream=0, seed=0):
+    """The random.Random of stream `stream` under master seed `seed`."""
+    return RandomnessSpec(seed, stream).rng()
+
+
+def bipartite(color_map, n=2):
+    """Complete n x n bipartite instance with colors given by (i, j) -> c."""
+    edges = tuple(
+        ColoredEdge((i, j), color_map[(i, j)])
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+    )
+    kappa = max(color_map.values())
+    return ColoredHypergraph(PARTITE, n, 2, kappa, edges)
+
+
+def round_robin_factors(n):
+    """The circle-method 1-factorization of K_n (n even): n-1 perfect
+    matchings partitioning the edge set."""
+    fixed = n
+    others = list(range(1, n))
+    factors = []
+    for r in range(n - 1):
+        rot = others[r:] + others[:r]
+        pairs = [(rot[0], fixed)]
+        for i in range(1, n // 2):
+            pairs.append((rot[i], rot[-i]))
+        factors.append([tuple(sorted(p)) for p in pairs])
+    return factors
 
 
 def edge_by_verts(H, verts):

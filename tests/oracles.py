@@ -23,10 +23,19 @@ exact types int, Fraction, float and str first.
 `degree_profile_by_edge` counts the degrees one edge end at a time; the
 deletion process counts them per layout bit and per color, then decrements
 them per deletion.
+`brute_disjoint_completions`, `brute_latin_exists`, `brute_rainbow_hc_count`
+and `brute_rainbow_hc_exists` try every permutation: the completion count,
+the latin transversal search and the rainbow Hamilton cycle search against
+them.  The count tries every parallel-edge choice per order, the existence
+test asks for a system of distinct colors instead.
+`dyadic_interval_cover_by_scan` tests every run of dyadic levels, each top
+with each bottom; the library tests one run per top.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -40,7 +49,14 @@ from rainbowmatch.hamilton import (
     _host_n,
 )
 from rainbowmatch.model import PARTITE, ColoredHypergraph, PartiteVertex, restrict
-from rainbowmatch.process import _check_partite
+from rainbowmatch.process import (
+    LemmaPreconditionError,
+    _check_partite,
+    _dyadic_level,
+    dyadic_ratio_bound,
+    dyadic_support_fraction,
+    entropy,
+)
 
 from helpers import active_vertices
 
@@ -305,3 +321,126 @@ def degree_profile_by_edge(H: ColoredHypergraph) -> tuple[dict, dict[int, int]]:
                 deg[u] += 1
         cdeg[e.color] += 1
     return deg, cdeg
+
+
+def dyadic_interval_cover_by_scan(
+    weights: Sequence[float], defect: float
+) -> tuple[float, float, list[int]]:
+    """dyadic_interval_cover by its every run: per top level, heaviest first,
+    each bottom level from the lowest upward, the run tested on ratio,
+    support and mass in turn."""
+    ws = [float(w) for w in weights]
+    if not ws:
+        raise ValueError("weights must be nonempty")
+    if any(w <= 0 for w in ws):
+        raise ValueError("weights must be strictly positive")
+    size = len(ws)
+    h = entropy(ws)
+    if not h > math.log(size) - defect:
+        raise LemmaPreconditionError(
+            f"entropy {h:.6f} does not exceed log({size}) - {defect} = "
+            f"{math.log(size) - defect:.6f}"
+        )
+    rho = dyadic_ratio_bound(defect)
+    sigma = dyadic_support_fraction(defect)
+    total = math.fsum(ws)
+
+    by_level: dict[int, list[int]] = {}
+    for idx, w in enumerate(ws):
+        by_level.setdefault(_dyadic_level(w), []).append(idx)
+    occupied = sorted(by_level, reverse=True)
+
+    for ti, top in enumerate(occupied):
+        for bottom in reversed(occupied[ti:]):
+            idxs = [i for lev in occupied[ti:] if bottom <= lev <= top for i in by_level[lev]]
+            vals = [ws[i] for i in idxs]
+            a, b = min(vals), max(vals)
+            if b > rho * a:
+                continue
+            if len(idxs) < sigma * size:
+                continue
+            if math.fsum(vals) <= 0.7 * total:
+                continue
+            return a, b, sorted(idxs)
+    raise RuntimeError("no qualifying dyadic run; the entropy premise should forbid this")
+
+
+def brute_disjoint_completions(ell, k):
+    """Enumerate (k-1)-tuples of permutations of [ell] with no position fixed
+    by the whole tuple, via per-permutation fixed-point bitmasks."""
+    masks = []
+    for p in itertools.permutations(range(ell)):
+        m = 0
+        for j, pj in enumerate(p):
+            if pj == j:
+                m |= 1 << j
+        masks.append(m)
+    if k == 2:
+        return sum(1 for m in masks if m == 0)
+    assert k == 3
+    return sum(1 for m1 in masks for m2 in masks if m1 & m2 == 0)
+
+
+def brute_latin_exists(matrix):
+    n = len(matrix)
+    for perm in itertools.permutations(range(n)):
+        values = [matrix[i][perm[i]] for i in range(n)]
+        if 0 not in values and len(set(values)) == n:
+            return True
+    return False
+
+
+def brute_rainbow_hc_count(G):
+    """Permutation brute force: the rainbow Hamilton cycles of G as edge sets
+    (parallel edges are distinct).  Every cyclic order is tried once per
+    direction, with every choice of one parallel edge per consecutive pair
+    whose colors are pairwise distinct."""
+    colors_by_pair = {}
+    for e in G.edges:
+        colors_by_pair.setdefault(e.verts, []).append(e.color)
+    n, total = G.n, 0
+    for perm in itertools.permutations(range(2, n + 1)):
+        if perm[0] > perm[-1]:
+            continue  # one direction per cycle
+        order = (1,) + perm
+        pairs = [tuple(sorted((order[i], order[(i + 1) % n]))) for i in range(n)]
+        if all(p in colors_by_pair for p in pairs):
+            choices = itertools.product(*(colors_by_pair[p] for p in pairs))
+            total += sum(len(set(colors)) == n for colors in choices)
+    return total
+
+
+def brute_rainbow_hc_exists(G):
+    """Try every cyclic vertex order, then ask for a system of distinct colors
+    among the parallel edges of each consecutive pair."""
+    slots_by_pair = {}
+    for e in G.edges:
+        slots_by_pair.setdefault(e.verts, set()).add(e.color)
+    n = G.n
+
+    def sdr(slot_sets, used, idx):
+        if idx == len(slot_sets):
+            return True
+        for c in slot_sets[idx]:
+            if c not in used:
+                used.add(c)
+                if sdr(slot_sets, used, idx + 1):
+                    used.discard(c)
+                    return True
+                used.discard(c)
+        return False
+
+    for perm in itertools.permutations(range(2, n + 1)):
+        if perm[0] > perm[-1]:
+            continue
+        order = (1,) + perm
+        slot_sets = []
+        for i in range(n):
+            pair = tuple(sorted((order[i], order[(i + 1) % n])))
+            if pair not in slots_by_pair:
+                break
+            slot_sets.append(slots_by_pair[pair])
+        else:
+            if sdr(slot_sets, set(), 0):
+                return True
+    return False

@@ -22,6 +22,7 @@ from rainbowmatch.count import (
 )
 from rainbowmatch.experiments import (
     ExperimentConfig,
+    _summary_sums,
     hamilton_csv,
     hamilton_experiment,
     mean_count_csv,
@@ -44,7 +45,6 @@ from rainbowmatch.model import (
     PARTITE,
     ColoredEdge,
     ColoredHypergraph,
-    RandomnessSpec,
     complete_colored,
     random_edge_ordering,
     restrict,
@@ -57,14 +57,10 @@ from rainbowmatch.process import (
     run_deletion_process,
     weight_profile,
 )
-from rainbowmatch.process import _loss_rates
 
-from helpers import color_counts, degrees
-from oracles import count_uniform_pm, reduce_to_uniform
-
-
-def rng(stream, seed=0):
-    return RandomnessSpec(seed, stream).rng()
+from helpers import color_counts, degrees, rng, round_robin_factors
+from oracles import (brute_disjoint_completions, brute_latin_exists, brute_rainbow_hc_exists,
+                     count_uniform_pm, reduce_to_uniform)
 
 
 # -- 1: expected count formula ----------------------------------------------------
@@ -109,22 +105,6 @@ def test_criterion_01_expected_count_formula():
 
 
 # -- 2: completion counts ----------------------------------------------------------
-
-
-def brute_disjoint_completions(ell, k):
-    """Enumerate (k-1)-tuples of permutations of [ell] with no position fixed
-    by the whole tuple, via per-permutation fixed-point bitmasks."""
-    masks = []
-    for p in itertools.permutations(range(ell)):
-        m = 0
-        for j, pj in enumerate(p):
-            if pj == j:
-                m |= 1 << j
-        masks.append(m)
-    if k == 2:
-        return sum(1 for m in masks if m == 0)
-    assert k == 3
-    return sum(1 for m1 in masks for m2 in masks if m1 & m2 == 0)
 
 
 def test_criterion_02_completion_counts():
@@ -259,7 +239,7 @@ def test_criterion_06_step_ratio_calibration():
     for n in (2, 3):
         N = n * n
         for t in range(1, min(5, N - 1) + 1):
-            exact, closed = _loss_rates(n, N, t)[t]
+            exact, closed = _summary_sums(n, N, t)[t - 1]
             assert abs(exact - closed) <= 2 * n / (N - t), (n, t)
 
     elapsed = time.perf_counter() - t0
@@ -312,20 +292,6 @@ def test_criterion_07_interval_cover_suite():
 # -- 8: Hamilton assembly invariants -----------------------------------------------
 
 
-def round_robin_factors(n):
-    """The circle-method 1-factorization of K_n (n even)."""
-    fixed = n
-    others = list(range(1, n))
-    factors = []
-    for r in range(n - 1):
-        rot = others[r:] + others[:r]
-        pairs = [(rot[0], fixed)]
-        for i in range(1, n // 2):
-            pairs.append((rot[i], rot[-i]))
-        factors.append([tuple(sorted(p)) for p in pairs])
-    return factors
-
-
 def planted_union(n):
     """An 8-regular union with every color exactly 4 times and a rainbow
     Hamilton cycle planted in it: the n-cycle in distinct colors plus six
@@ -352,42 +318,6 @@ def config_model_8_regular(n, kappa, r):
                 kappa,
                 tuple(ColoredEdge(tuple(sorted(p)), r.randint(1, kappa)) for p in pairs),
             )
-
-
-def brute_rainbow_hc_exists(G):
-    """Try every cyclic vertex order, then ask for a system of distinct colors
-    among the parallel edges of each consecutive pair."""
-    slots_by_pair = {}
-    for e in G.edges:
-        slots_by_pair.setdefault(e.verts, set()).add(e.color)
-    n = G.n
-
-    def sdr(slot_sets, used, idx):
-        if idx == len(slot_sets):
-            return True
-        for c in slot_sets[idx]:
-            if c not in used:
-                used.add(c)
-                if sdr(slot_sets, used, idx + 1):
-                    used.discard(c)
-                    return True
-                used.discard(c)
-        return False
-
-    for perm in itertools.permutations(range(2, n + 1)):
-        if perm[0] > perm[-1]:
-            continue
-        order = (1,) + perm
-        slot_sets = []
-        for i in range(n):
-            pair = tuple(sorted((order[i], order[(i + 1) % n])))
-            if pair not in slots_by_pair:
-                break
-            slot_sets.append(slots_by_pair[pair])
-        else:
-            if sdr(slot_sets, set(), 0):
-                return True
-    return False
 
 
 def test_criterion_08_hamilton_assembly_invariants():
@@ -514,15 +444,6 @@ def test_criterion_09_threshold_behavior():
 
 
 # -- 10: latin transversals --------------------------------------------------------
-
-
-def brute_latin_exists(M):
-    n = len(M)
-    for perm in itertools.permutations(range(n)):
-        vals = [M[i][perm[i]] for i in range(n)]
-        if all(vals) and len(set(vals)) == n:
-            return True
-    return False
 
 
 def test_criterion_10_latin_transversal_equivalence():

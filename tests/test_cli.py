@@ -581,12 +581,11 @@ def _traces():
     yield config, experiments.trace_experiment(config)
 
 
-def test_trace_csv_from_the_shape_caches_matches_uncached_rendering(monkeypatch):
-    for cached in (experiments._ratio_cells, process._loss_rates, process._step_ratios):
+def test_trace_csv_from_the_shape_caches_matches_uncached_rendering():
+    for cached in (experiments._ratio_cells, process._step_ratios):
         cached.cache_clear()
     rendered = [(config, result, experiments.trace_steps_csv(result),
                  experiments.trace_summary_csv(result)) for config, result in _traces()]
-    monkeypatch.setattr(experiments, "_loss_rates", process._loss_rates.__wrapped__)
     for config, result, steps_csv, summary_csv in rendered:
         header, rows = experiments.trace_steps_table(result)
         assert steps_csv == experiments._csv_lines(header, rows), config

@@ -33,23 +33,9 @@ from rainbowmatch.model import (
     sample_partite_m,
 )
 
-from helpers import active_vertices, assert_stored_as_checked, edge_by_verts
-from oracles import count_uniform_pm, reduce_to_uniform
-
-
-def rng(stream=0, seed=0):
-    return RandomnessSpec(seed, stream).rng()
-
-
-def bipartite(color_map, n=2):
-    """Complete n x n bipartite instance with colors given by (i, j) -> c."""
-    edges = tuple(
-        ColoredEdge((i, j), color_map[(i, j)])
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-    )
-    kappa = max(color_map.values())
-    return ColoredHypergraph(PARTITE, n, 2, kappa, edges)
+from helpers import active_vertices, assert_stored_as_checked, bipartite, edge_by_verts, rng
+from oracles import (brute_disjoint_completions, brute_latin_exists, count_uniform_pm,
+                     reduce_to_uniform)
 
 
 # -- predicates
@@ -420,10 +406,7 @@ def _layout_oracle(H, demand=1):
     if demand == 1 and H.mode == PARTITE:
         # each edge packed, and the edges of each part-1 vertex in order
         packed = [covers | cbit << shift for _, covers, cbit in items]
-        lists = {}
-        for i in H.part_active(1):
-            b = bit(PartiteVertex(1, i))
-            lists[b] = [x for x in packed if x & b]
+        lists = [[x for x in packed if x & bit(PartiteVertex(1, i))] for i in H.part_active(1)]
         want["packed"] = (packed, lists)
     return want
 
@@ -772,16 +755,6 @@ def test_closed_forms_are_inf_past_the_float_range():
     assert expected_rainbow_count(210, 2) == math.inf
 
 
-def brute_disjoint_completions(ell, k):
-    """Perfect matchings of the complete k-partite block sharing no edge with
-    the diagonal matching {(j, j, ..., j)}."""
-    total = 0
-    for sigmas in itertools.product(itertools.permutations(range(ell)), repeat=k - 1):
-        if all(any(sigma[j] != j for sigma in sigmas) for j in range(ell)):
-            total += 1
-    return total
-
-
 def test_disjoint_completion_examples():
     assert disjoint_completion_count(3, 2) == 2
     assert disjoint_completion_count(2, 3) == 3
@@ -864,15 +837,6 @@ def test_reduction_bijection_random():
 # -- latin transversals
 
 
-def brute_latin(matrix):
-    n = len(matrix)
-    for perm in itertools.permutations(range(n)):
-        values = [matrix[i][perm[i]] for i in range(n)]
-        if 0 not in values and len(set(values)) == n:
-            return True
-    return False
-
-
 def test_latin_worked_examples():
     assert latin_transversal([[1, 0], [0, 2]]) == [(1, 1), (2, 2)]
     assert latin_transversal([[1, 2], [2, 1]]) is None
@@ -906,7 +870,7 @@ def test_latin_agrees_with_permutation_brute():
         rnd = rng(j, seed=35)
         matrix = [[rnd.randrange(0, n + 1) for _ in range(n)] for _ in range(n)]
         got = latin_transversal(matrix)
-        assert (got is not None) == brute_latin(matrix), matrix
+        assert (got is not None) == brute_latin_exists(matrix), matrix
         if got is not None:
             values = [matrix[r - 1][c - 1] for r, c in got]
             assert 0 not in values and len(set(values)) == n

@@ -38,18 +38,14 @@ from rainbowmatch.model import (
     GRAPH,
     PARTITE,
     Matching,
-    RandomnessSpec,
     _graph_pairs,
     complete_colored,
     sample_colored_graph,
 )
 
-from helpers import assert_stored_as_checked, color_counts, degrees, edge_by_verts
-from oracles import find_rainbow_hc_by_extension
-
-
-def rng(stream=0, seed=0):
-    return RandomnessSpec(seed, stream).rng()
+from helpers import (assert_stored_as_checked, color_counts, degrees, edge_by_verts, rng,
+                     round_robin_factors)
+from oracles import brute_rainbow_hc_count, find_rainbow_hc_by_extension
 
 
 def graph(n, kappa, pairs_with_colors):
@@ -178,26 +174,6 @@ def test_refusals(call, expected):
             call()
     else:
         assert call() == expected
-
-
-def brute_rainbow_hc_count(G):
-    """Permutation brute force: the rainbow Hamilton cycles of G as edge sets
-    (parallel edges are distinct).  Every cyclic order is tried once per
-    direction, with every choice of one parallel edge per consecutive pair
-    whose colors are pairwise distinct."""
-    colors_by_pair = {}
-    for e in G.edges:
-        colors_by_pair.setdefault(e.verts, []).append(e.color)
-    n, total = G.n, 0
-    for perm in itertools.permutations(range(2, n + 1)):
-        if perm[0] > perm[-1]:
-            continue  # one direction per cycle
-        order = (1,) + perm
-        pairs = [tuple(sorted((order[i], order[(i + 1) % n]))) for i in range(n)]
-        if all(p in colors_by_pair for p in pairs):
-            choices = itertools.product(*(colors_by_pair[p] for p in pairs))
-            total += sum(len(set(colors)) == n for colors in choices)
-    return total
 
 
 def random_multigraph(rnd, n, kappa, m):
@@ -358,21 +334,6 @@ def test_search_matches_path_extension_oracle():
 
 
 # -- synthetic eight-matching unions
-
-
-def round_robin_factors(n):
-    """The circle-method 1-factorization of K_n (n even): n-1 perfect
-    matchings partitioning the edge set."""
-    fixed = n
-    others = list(range(1, n))
-    factors = []
-    for r in range(n - 1):
-        rot = others[r:] + others[:r]
-        pairs = [(rot[0], fixed)]
-        for i in range(1, n // 2):
-            pairs.append((rot[i], rot[-i]))
-        factors.append([tuple(sorted(p)) for p in pairs])
-    return factors
 
 
 def test_round_robin_is_a_one_factorization():

@@ -37,11 +37,7 @@ from rainbowmatch.model import (
 )
 from rainbowmatch.process import weight_profile
 
-from helpers import assert_stored_as_checked
-
-
-def rng(stream=0, seed=0):
-    return RandomnessSpec(seed, stream).rng()
+from helpers import assert_stored_as_checked, rng
 
 
 # -- construction and invariants

@@ -9,14 +9,13 @@ from rainbowmatch.count import (
     BudgetExceededError,
     count_rainbow_pm,
 )
-from rainbowmatch.experiments import TRACE_STEP_HEADER, _ratio_cells
+from rainbowmatch.experiments import TRACE_STEP_HEADER, _ratio_cells, _summary_sums
 from rainbowmatch.model import (
     CapacityError,
     ColoredEdge,
     ColoredHypergraph,
     PARTITE,
     PartiteVertex,
-    RandomnessSpec,
     complete_colored,
     random_edge_ordering,
     restrict,
@@ -37,28 +36,14 @@ from rainbowmatch.process import (
 )
 from rainbowmatch.process import (
     _DeletionState,
-    _loss_rates,
     _median_capped,
     _regularity,
     _step_ratios,
 )
 
-from helpers import edge_by_verts
-from oracles import (degree_profile_by_edge, majority_median_walk, median_capped_by_groups,
-                     rainbow_weight, weight_ratio_bounded)
-
-
-def rng(stream=0, seed=0):
-    return RandomnessSpec(seed, stream).rng()
-
-
-def bipartite(color_map, n=2):
-    edges = tuple(
-        ColoredEdge((i, j), color_map[(i, j)])
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-    )
-    return ColoredHypergraph(PARTITE, n, 2, max(color_map.values()), edges)
+from helpers import bipartite, edge_by_verts, rng
+from oracles import (degree_profile_by_edge, dyadic_interval_cover_by_scan, majority_median_walk,
+                     median_capped_by_groups, rainbow_weight, weight_ratio_bounded)
 
 
 def edge_table(H):
@@ -1001,33 +986,34 @@ def test_trace_flags_and_stats_present():
 
 
 def test_cumulative_loss_examples():
-    assert _loss_rates(2, 4, 0)[0] == (0.0, 0.0)
-    exact, closed = _loss_rates(2, 4, 2)[2]
+    assert _summary_sums(2, 4, 0) == []
+    exact, closed = _summary_sums(2, 4, 2)[1]
     assert math.isclose(exact, 7 / 6, rel_tol=1e-12)
     assert math.isclose(closed, 2 * math.log(2), rel_tol=1e-12)
-    exact, closed = _loss_rates(10, 100, 50)[50]
+    exact, closed = _summary_sums(10, 100, 50)[49]
     assert abs(exact - closed) < 10 * (1 / 50) * 2
 
 
 def test_cumulative_loss_gap_bound_sweep():
     for n, k in ((2, 2), (3, 2), (4, 2)):
         N = n**k
-        for t in range(N):
-            exact, closed = _loss_rates(n, N, t)[t]
+        for t in range(1, N):
+            exact, closed = _summary_sums(n, N, t)[t - 1]
             assert abs(exact - closed) <= 2 * n / (N - t), (n, k, t)
 
 
 def test_cumulative_loss_sum_is_the_fsum_of_its_terms():
-    # the running exact sum, rounded once per t, is math.fsum of the terms
+    # the running exact sum, rounded once per t, is math.fsum of the terms,
+    # at t = N too, where every edge is gone and the closed form is None
     for n, k in ((2, 2), (6, 2), (10, 2), (3, 3), (4, 4), (3, 5)):
         N = n**k
-        for t in range(N):
+        for t in range(1, N + 1):
             want = n * math.fsum(1.0 / (N - i + 1) for i in range(1, t + 1))
-            assert _loss_rates(n, N, t)[t][0] == want, (n, k, t)
+            assert _summary_sums(n, N, t)[t - 1][0] == want, (n, k, t)
+        assert _summary_sums(n, N, N)[-1][1] is None, (n, k)
     n, N = 41, 41 * 41
-    for t, (exact, _) in enumerate(_loss_rates(n, N, N - 1)):
+    for t, (exact, _) in enumerate(_summary_sums(n, N, N), 1):
         assert exact == n * math.fsum(1.0 / (N - i + 1) for i in range(1, t + 1)), t
-
 
 
 def test_step_ratios_cover_the_steps_a_trace_reads_in_bounded_caches():
@@ -1043,7 +1029,7 @@ def test_step_ratios_cover_the_steps_a_trace_reads_in_bounded_caches():
         assert gammas == (None, *(Fraction(n, N - i + 1) for i in range(1, t_max + 1)))
     assert _step_ratios.cache_info().hits == 1  # (3, 9, 2) is the trace's
     # a caller that sweeps shapes keeps only the last few
-    for cached in (_step_ratios, _loss_rates, _ratio_cells):
+    for cached in (_step_ratios, _ratio_cells):
         assert 1 <= cached.cache_info().maxsize <= 16
 
 # -- entropy
@@ -1121,6 +1107,54 @@ def test_dyadic_conclusions_property_mini():
             assert sum(w[i] for i in J) > 0.7 * sum(w)
             assert J == [i for i in range(64) if a <= w[i] <= b]
     assert checked >= 300
+
+
+def test_dyadic_cover_skips_a_narrow_light_top():
+    # the premise holds, and the top run {100.0} passes the ratio test but
+    # holds one index of 10,000 and 1% of the mass, so the cover comes from
+    # the next top
+    weights = [1.0] * 9999 + [100.0]
+    assert dyadic_interval_cover(weights, 0.05) == (1.0, 1.0, list(range(9999)))
+
+
+def _dyadic_input(rnd):
+    kind = rnd.randrange(4)
+    if kind == 0:
+        hi = rnd.choice((1.5, 4.0, 30.0, 1000.0))
+        ws = [rnd.uniform(1.0, hi) for _ in range(rnd.randint(1, 60))]
+    elif kind == 1:
+        ws = [2.0 ** rnd.uniform(-4, 4) for _ in range(rnd.randint(1, 60))]
+    elif kind == 2:
+        ws = [rnd.choice((1.0, 3.0, 0.25, 2.0 ** rnd.randint(-30, 30)))
+              for _ in range(rnd.randint(1, 60))]
+    else:
+        # a bulk of equal weights and one or two outliers past rho: the
+        # outliers' top run fails on support
+        ws = [1.0] * rnd.randint(500, 2500)
+        ws += [rnd.uniform(1, 2) * 2.0 ** rnd.randint(5, 9) for _ in range(rnd.randint(1, 2))]
+        rnd.shuffle(ws)
+    return ws, rnd.choice((0.0, 0.05, 0.3, 0.6, 1.0, 3.0))
+
+
+def _outcome(cover, weights, defect):
+    try:
+        return cover(weights, defect)
+    except (ValueError, LemmaPreconditionError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def test_dyadic_cover_matches_the_scan_of_every_run():
+    rnd = rng(0, seed=53)
+    seen = {"premise fails": 0, "heaviest top": 0, "lower top": 0}
+    for _ in range(2000):
+        ws, defect = _dyadic_input(rnd)
+        got = _outcome(dyadic_interval_cover, ws, defect)
+        assert got == _outcome(dyadic_interval_cover_by_scan, ws, defect), (ws, defect)
+        if got[0] is LemmaPreconditionError:
+            seen["premise fails"] += 1
+        else:
+            seen["heaviest top" if got[1] == max(ws) else "lower top"] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 # -- tail bounds
