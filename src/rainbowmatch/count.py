@@ -48,11 +48,11 @@ shrinks.  The split runs only after the kernel has found one witness, so a
 zero count is still proved by the pruned search.  Graph-mode counts have no
 part-1 side and stay on the search kernel.
 
-The search kernel and the split read one bit layout of the instance
-(_Layout: vertex, color and edge bits, the edges grouped by part-1 vertex),
-built once per instance from its keys and colors with no rescan per vertex;
-the split reads the one its witness search built.  Only the search builds
-columns; the deletion process (process._DeletionState) reads the bits alone.
+The kernel and the split read one bit layout per instance (_Layout: each
+edge's vertex bit positions, cover mask and color, the edges grouped by
+part-1 vertex), built from its keys and colors with no rescan per vertex;
+the split reads its witness search's.  Only the search builds columns, by
+bit position and color; process._DeletionState reads the layout.
 
 For bipartite instances whose color count equals n there is one more,
 independent counting route via inclusion-exclusion over color subsets and
@@ -69,6 +69,8 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, reduce
+from operator import or_
 from typing import Iterable, Sequence
 
 from .model import (PARTITE, CapacityError, ColoredEdge, ColoredHypergraph, Matching, _check_sizes,
@@ -169,23 +171,22 @@ def _check_layout_bits(edges: int, vertex_bits: int, per_edge: int, kappa: int) 
 
 class _Layout:
     """The bit layout of one instance, built once from its keys and colors,
-    in a few linear passes (none per vertex).
+    in a few linear passes (none per vertex, and no Python frame per edge).
 
-    Vertex (p, i) of a partite instance is bit (p - 1) * n + i - 1, vertex
-    v of a graph bit v - 1 (bit(); offsets[p] is tuple position p's first
+    Vertex (p, i) of a partite instance is bit (p - 1) * n + i - 1, vertex v
+    of a graph bit v - 1 (bit(); offsets[p] is tuple position p's first
     bit), color c bit c - 1, and edge i (key H.keys[i]) bit i.  Edge i's
-    vertex at tuple position p is bit positions[p][i], its key's digit
-    there plus offsets[p] (`model._digits`); bits and cbits give each
-    touched position and color one int that the edges share.  items[i] is
-    edge i's (vertex bits in part order, their union, color bit).  runs
-    maps each first digit d to its run (lo, hi) of the sorted keys, the
-    edges of part-1 vertex d + 1 (of a graph's, as the smaller end).
-    active holds the active vertices and twice those that need two edges
-    (demand 2: H is a graph or multigraph on [1..n]); per_edge is the
-    vertices an edge covers, and feasible is False when part sizes or
-    parity rule out any cover.  The layout holds bits only; the search
-    builds its columns (_Search).  Nothing but packed's lists is built per
-    active vertex, since each mask is an n*k-bit int.
+    vertex at tuple position p is bit positions[p][i], its key's digit there
+    plus offsets[p] (`model._digits`); verts[i] is those positions in part
+    order, covers[i] the union of their bits and colors[i] its color
+    (H.colors).  runs maps each first digit d to its run (lo, hi) of the
+    sorted keys, the edges of part-1 vertex d + 1 (of a graph's, as the
+    smaller end).  active holds the active vertices and twice those that
+    need two edges (demand 2: H is a graph or multigraph on [1..n]);
+    per_edge is the vertices an edge covers, and feasible is False when part
+    sizes or parity rule out any cover.  The search builds the columns
+    (_Search).  Nothing but packed's lists is built per active vertex, since
+    each mask is an n*k-bit int.
     """
 
     def __init__(self, H, demand: int = 1):
@@ -212,10 +213,10 @@ class _Layout:
         self.positions = _digits(H.keys, n, k, self.offsets)
         first = self.positions[0]
         self.runs = {d: (bisect_left(first, d), bisect_right(first, d)) for d in sorted(set(first))}
-        self.bits = {x: 1 << x for x in set().union(*self.positions)}
-        self.cbits = {c: 1 << (c - 1) for c in set(H.colors)}
-        verts = list(zip(*[[self.bits[x] for x in xs] for xs in self.positions]))
-        self.items = list(zip(verts, map(sum, verts), [self.cbits[c] for c in H.colors]))
+        self.verts = list(zip(*self.positions))
+        ones = [map((1).__lshift__, xs) for xs in self.positions]
+        self.covers = list(reduce(partial(map, or_), ones))
+        self.colors = H.colors
 
     def bit(self, p: int, i: int) -> int:
         """The bit of vertex index i at tuple position p (its part - 1; 0 in a graph)."""
@@ -229,7 +230,7 @@ class _Layout:
         covered vertices | used colors << shift, so an edge fits a state iff
         the two share no bit."""
         shift, runs = self.shift, self.runs
-        packed = [covers | cbit << shift for _, covers, cbit in self.items]
+        packed = [covers | 1 << (shift + c - 1) for covers, c in zip(self.covers, self.colors)]
         lists = [packed[slice(*runs.get(b.bit_length() - 1, (0, 0)))]
                  for b in _bits(self.active & ((1 << self.n) - 1))]
         return packed, lists
@@ -245,46 +246,41 @@ class _Search:
     two edges, under the fragment rule: the covers are rainbow Hamilton
     cycles.  layout is the instance's bit layout (_Layout), built here, and
     edge i of it is bit i of the live set.  The constructor builds the
-    columns from the layout: vertex_cols and color_cols map each touched
-    vertex's and each carried color's bit to its edges; vcols and ccols list
-    them low bit first, vcols after a leading (active, 0) when some active
-    vertex has no edge (it prunes the root).  exact: the edges carry exactly
-    as many colors as a cover has edges.  After run(), nodes is the number
-    of nodes visited, count the covers reached (all of them unless
-    find_one), and found, in find_one mode, the indices of the edges of the
-    first one reached, in the order they were chosen, or None.
+    columns from the layout: cols[x] holds the edges of bit position x and
+    ccol[c] those of color c, in lists, or in dicts of the touched ones when
+    lists would take over two slots per edge (a huge sparse instance); vcols
+    pairs each touched vertex's bit with its column, low bit first, after a
+    leading (active, 0) when some active vertex has no edge (it prunes the
+    root), and ccols lists the nonempty color columns.  exact: the edges
+    carry exactly as many colors as a cover has edges.  After run(), nodes
+    is the number of nodes visited, count the covers reached (all of them
+    unless find_one), and found, in find_one mode, the indices of the edges
+    of the first one reached, in the order they were chosen, or None.
     """
 
     def __init__(self, H, budget: int, find_one: bool, demand: int = 1):
         _check_budget(budget)
         self.layout = layout = _Layout(H, demand)
-        # by bit position and by color: a first digit's run at once, the rest
-        # edge by edge; in lists when they need at most two slots per edge (no
-        # more room than the edges take), else in dicts (a huge sparse instance)
+        # a first digit's run at once, the rest edge by edge
         dense = layout.shift + H.kappa <= 2 * len(H.keys)
-        cols = [0] * layout.shift if dense else defaultdict(int)
-        ccols = [0] * (H.kappa + 1) if dense else defaultdict(int)
+        cols = self.cols = [0] * layout.shift if dense else defaultdict(int)
+        ccol = self.ccol = [0] * (H.kappa + 1) if dense else defaultdict(int)
         for d, (lo, hi) in layout.runs.items():
             cols[d] = (1 << hi) - (1 << lo)
-        for into, values in [*[(cols, xs) for xs in layout.positions[1:]], (ccols, H.colors)]:
+        for into, values in [*[(cols, xs) for xs in layout.positions[1:]], (ccol, H.colors)]:
             ebit = 1
             for v in values:
                 into[v] |= ebit
                 ebit <<= 1
-        xs, cs = (range(len(cols)), range(len(ccols))) if dense else (sorted(cols), sorted(ccols))
-        self.vcols = [(layout.bits[x], cols[x]) for x in xs if cols[x]]
-        self.vertex_cols = dict(self.vcols)
-        self.color_cols = {layout.cbits[c]: ccols[c] for c in cs if ccols[c]}
+        xs, cs = (range(len(cols)), range(len(ccol))) if dense else (sorted(cols), sorted(ccol))
+        self.vcols = [(1 << x, cols[x]) for x in xs if cols[x]]
+        self.ccols = [ccol[c] for c in cs if ccol[c]]
         # no edge touches an absent vertex
         active = layout.active.bit_count()
         if len(self.vcols) < active:
             self.vcols.insert(0, (layout.active, 0))
-        self.ccols = list(self.color_cols.values())
         self.exact = len(self.ccols) * layout.per_edge == active + layout.twice.bit_count()
-        self.budget = budget
-        self.find_one = find_one
-        self.nodes = 0
-        self.count = 0
+        self.budget, self.find_one, self.nodes, self.count = budget, find_one, 0, 0
         self.found: tuple[int, ...] | None = None
 
     def run(self) -> None:
@@ -298,17 +294,17 @@ class _Search:
             if self.find_one:
                 self.found = ()
             return
-        items, vertex_cols, color_cols = layout.items, self.vertex_cols, self.color_cols
-        vcols, ccols, exact, per_edge = self.vcols, self.ccols, self.exact, layout.per_edge
+        verts, covers, colors, per_edge = layout.verts, layout.covers, layout.colors, layout.per_edge
+        cols, ccol, vcols, ccols, exact = self.cols, self.ccol, self.vcols, self.ccols, self.exact
         cycle = twice != 0
-        find_one, budget = self.find_one, self.budget
-        nodes = count = 0
+        find_one, budget, nodes, count = self.find_one, self.budget, 0, 0
         # (live edges, vertices still short of an edge, those short of two,
-        # each path fragment's end to its other end (cycles only; a vertex no
-        # chosen edge touches is its own fragment), chosen edges as nested
-        # (i, rest))
-        stack = [((1 << len(items)) - 1, all_active, twice,
-                  {v: v for v in vertex_cols} if cycle else None, None)]
+        # each path fragment's end to its other end, by bit position as in
+        # cols (cycles only; a vertex no chosen edge touches is its own
+        # fragment), chosen edges as nested (i, rest))
+        if cycle:
+            ends = list(range(len(cols))) if type(cols) is list else dict(zip(cols, cols))
+        stack = [((1 << len(covers)) - 1, all_active, twice, ends if cycle else None, None)]
         pop, push = stack.pop, stack.append
         while stack:
             live, uncovered, twice, ends, chosen = pop()
@@ -326,7 +322,7 @@ class _Search:
                     self.found = tuple(reversed(found))
                     break
                 continue
-            best, fewest, pick = 0, len(items) + 1, 0
+            best, fewest, pick = 0, len(covers) + 1, 0
             for bit, col in vcols:
                 if uncovered & bit:
                     d = (col & live).bit_count()
@@ -367,24 +363,23 @@ class _Search:
                         cands ^= 1 << i
                         # the edge kills its color and the columns of the
                         # vertices it saturates
-                        verts, covers, cbit = items[i]
-                        saturated = covers & ~twice
-                        kill = color_cols[cbit]
-                        for v in verts:
-                            if v & saturated:
-                                kill |= vertex_cols[v]
+                        saturated = covers[i] & ~twice
+                        kill = ccol[colors[i]]
+                        for x in verts[i]:
+                            if saturated >> x & 1:
+                                kill |= cols[x]
                         ends_after = None
                         if cycle:
                             # the new fragment's ends may no longer be joined,
                             # unless it spans every vertex: then this edge
                             # leaves a demand of 2, the closing edge's
-                            u, v = verts
+                            u, v = verts[i]
                             a, b = ends[u], ends[v]
                             if demand > 4:
-                                kill |= vertex_cols[a] & vertex_cols[b]
+                                kill |= cols[a] & cols[b]
                             ends_after = ends.copy()
                             ends_after[a], ends_after[b] = b, a
-                        push((live & ~kill, uncovered ^ saturated, twice & ~covers,
+                        push((live & ~kill, uncovered ^ saturated, twice & ~covers[i],
                               ends_after, (i, chosen)))
         self.nodes = nodes
         self.count = count
@@ -479,7 +474,7 @@ def _count_split(H: ColoredHypergraph, budget: int) -> tuple[int, int]:
 
     if exact:
         # every color some edge carries: a full state uses them all
-        full = all_active | sum(probe.color_cols) << shift
+        full = all_active | sum(1 << (c - 1) for c in set(layout.colors)) << shift
         get = table.get
     else:
         low = (1 << shift) - 1

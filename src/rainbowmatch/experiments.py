@@ -245,6 +245,10 @@ def _timed(trial: Callable, key: tuple, config: ExperimentConfig, cell: tuple, s
     return key, outcome, value, time.perf_counter() - t0
 
 
+# one encoder for every raw line (json.dumps builds one per call); no cycles
+_RAW_LINE = json.JSONEncoder(default=str, check_circular=False)
+
+
 def _run_grid(
     config: ExperimentConfig, axes: tuple[Sequence, ...], check: Callable, trial: Callable,
     raw_sink=None,
@@ -276,7 +280,7 @@ def _run_grid(
     for res in _finished(_timed, tasks, config.jobs):
         results.append(res)
         if raw_sink is not None:
-            raw_sink.write(json.dumps(res, default=str) + "\n")
+            raw_sink.write(_RAW_LINE.encode(res) + "\n")
             raw_sink.flush()
     return ExperimentResult(config, tuple(
         TrialRow(cells[ci], t, outcome, value, elapsed)

@@ -292,7 +292,7 @@ class _DeletionState:
             masks = [m ^ b for m in masks for b in bits]
         self.base_of = dict(zip(masks, range(0, size, H.kappa)))
         self.slots = [self.base_of[self.active ^ covers] + c - 1
-                      for (_, covers, _), c in zip(layout.items, H.colors)]
+                      for covers, c in zip(layout.covers, H.colors)]
         self._add(self.near, 1)
         for state in self.near:
             if (i := state >> at) < t:

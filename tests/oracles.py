@@ -23,6 +23,8 @@ exact types int, Fraction, float and str first.
 `degree_profile_by_edge` counts the degrees one edge end at a time; the
 deletion process counts them per layout bit and per color, then decrements
 them per deletion.
+`brute_rainbow_pm_count` tries every edge subset of the matching size: the
+matching kernel and the split count against it.
 `brute_disjoint_completions`, `brute_latin_exists`, `brute_rainbow_hc_count`
 and `brute_rainbow_hc_exists` try every permutation: the completion count,
 the latin transversal search and the rainbow Hamilton cycle search against
@@ -379,6 +381,26 @@ def brute_disjoint_completions(ell, k):
         return sum(1 for m in masks if m == 0)
     assert k == 3
     return sum(1 for m1 in masks for m2 in masks if m1 & m2 == 0)
+
+
+def brute_rainbow_pm_count(H):
+    """Rainbow perfect matchings of H by trying every edge subset of the
+    matching size (no search, no pruning)."""
+    active = active_vertices(H)
+    per_edge = H.k if H.mode == PARTITE else 2
+    if len(active) % per_edge:
+        return 0
+    size = len(active) // per_edge
+    total = 0
+    for sub in itertools.combinations(H.edges, size):
+        if len({e.color for e in sub}) < size:
+            continue
+        if H.mode == PARTITE:
+            verts = [PartiteVertex(p, i) for e in sub for p, i in enumerate(e.verts, start=1)]
+        else:
+            verts = [v for e in sub for v in e.verts]
+        total += len(set(verts)) == len(active)
+    return total
 
 
 def brute_latin_exists(matrix):

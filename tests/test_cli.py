@@ -1075,6 +1075,33 @@ def test_a_budget_out_is_a_budget_row(monkeypatch, jobs):
         assert lines == [[[0, t], "budget", None] for t in range(3)]
 
 
+def test_raw_lines_are_the_json_of_each_trial(monkeypatch):
+    # the raw stream's shared encoder writes each trial's line byte for byte
+    # as json.dumps with default=str does: a trial of each kind, the trace's
+    # Fractions as strings, and a budget row
+    timed, seen = experiments._timed, []
+
+    def recorded(*task):
+        seen.append(res := timed(*task))
+        return res
+
+    monkeypatch.setattr(experiments, "_timed", recorded)
+    Config = experiments.ExperimentConfig
+    for runner, config, outcome in (
+        (experiments.threshold_scan, Config(kind="threshold", ns=(4,), ms=(6,)), "absent"),
+        (experiments.mean_count_experiment, Config(kind="mean-count", ns=(3,)), "found"),
+        (experiments.trace_experiment, Config(kind="trace", ns=(3,)), "found"),
+        (experiments.hamilton_experiment,
+         Config(kind="hamilton", ns=(5,), ms=(10,), retries=1), "absent"),
+        (experiments.trace_experiment, Config(kind="trace", ns=(3,), node_budget=5), "budget"),
+    ):
+        raw = io.StringIO()
+        seen.clear()
+        runner(config, raw_sink=raw)
+        assert [res[1] for res in seen] == [outcome], config
+        assert raw.getvalue() == json.dumps(seen[0], default=str) + "\n", config
+
+
 def test_event_k_must_be_positive(capsys):
     for value in ("0", "-5", "nan"):
         code, out, err = run(capsys, "trace", "--n", "2", "--trials", "1", "--event-k", value)

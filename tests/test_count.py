@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -34,8 +35,8 @@ from rainbowmatch.model import (
 )
 
 from helpers import active_vertices, assert_stored_as_checked, bipartite, edge_by_verts, rng
-from oracles import (brute_disjoint_completions, brute_latin_exists, count_uniform_pm,
-                     reduce_to_uniform)
+from oracles import (brute_disjoint_completions, brute_latin_exists, brute_rainbow_pm_count,
+                     count_uniform_pm, reduce_to_uniform)
 
 
 # -- predicates
@@ -233,26 +234,6 @@ def test_count_ie_reports_dp_transitions():
 # -- color-supply prune
 
 
-def plain_count(H):
-    """Rainbow perfect matchings of H by trying every edge subset of the
-    matching size (no search, no pruning)."""
-    active = active_vertices(H)
-    per_edge = H.k if H.mode == PARTITE else 2
-    if len(active) % per_edge:
-        return 0
-    size = len(active) // per_edge
-    total = 0
-    for sub in itertools.combinations(H.edges, size):
-        if len({e.color for e in sub}) < size:
-            continue
-        if H.mode == PARTITE:
-            verts = [PartiteVertex(p, i) for e in sub for p, i in enumerate(e.verts, start=1)]
-        else:
-            verts = [v for e in sub for v in e.verts]
-        total += len(set(verts)) == len(active)
-    return total
-
-
 def test_prune_keeps_counts_on_square_instances():
     # kappa == n: the inclusion-exclusion route (k=2) and the uniform
     # reduction (k=2 and 3) are independent of the kernel
@@ -285,7 +266,7 @@ def test_prune_keeps_counts_off_square():
         cases.append(restrict(G, removed_vertices=[1 + j % 8, 8 - j % 4], removed_colors=[2]))
     positive = 0
     for H in cases:
-        want = plain_count(H)
+        want = brute_rainbow_pm_count(H)
         assert count_rainbow_pm(H).value == want, H
         assert (find_rainbow_pm(H) is None) == (want == 0), H
         positive += want > 0
@@ -331,7 +312,7 @@ def color_switch_cases():
         drop = [PartiteVertex(1, 1 + j % 5), PartiteVertex(2, 1 + (j + 2) % 5)]
         others.append(restrict(H, removed_vertices=drop))  # 6 colors, 4 edges
         others.append(restrict(H, removed_vertices=drop, removed_colors=[5, 6]))
-        cases += [(G, plain_count(G)) for G in others]
+        cases += [(G, brute_rainbow_pm_count(G)) for G in others]
     return cases
 
 
@@ -349,9 +330,12 @@ def test_search_counts_on_both_sides_of_the_color_switch():
 
 
 def _layout_oracle(H, demand=1):
-    """The instance's bit layout built vertex by vertex, every column found by
-    scanning the edge list, and the part-1 lists by scanning it once per
-    part-1 vertex: the attributes _Layout must hold."""
+    """The instance's bit layout built vertex by vertex and edge by edge,
+    every column found by scanning the edge list, and the part-1 lists by
+    scanning it once per part-1 vertex: the attributes _Layout and _Search
+    must hold.  Columns are lists over every bit position and color 0..kappa,
+    or dicts of the nonempty ones when the vertex bits and colors number
+    more than twice the edges."""
     n = H.n
     if demand == 2:
         active, twice = list(range(1, n + 1)), list(range(1, n + 1))
@@ -364,55 +348,67 @@ def _layout_oracle(H, demand=1):
     else:
         active, twice = active_vertices(H), []
         feasible, per_edge, shift = len(active) % 2 == 0, 2, n
+    partite = demand == 1 and H.mode == PARTITE
+
+    def position(v):
+        return (v.part - 1) * n + v.index - 1 if isinstance(v, PartiteVertex) else v - 1
 
     def bit(v):
-        return 1 << ((v.part - 1) * n + v.index - 1) if isinstance(v, PartiteVertex) else 1 << (v - 1)
+        return 1 << position(v)
 
     def edge_vertices(e):
-        if demand == 1 and H.mode == PARTITE:
+        if partite:
             return [PartiteVertex(p, i) for p, i in enumerate(e.verts, start=1)]
         return list(e.verts)
 
-    items = []
+    verts, covers, colors = [], [], []
     for e in H.edges:
-        verts = tuple(bit(v) for v in edge_vertices(e))
-        items.append((verts, sum(verts), 1 << (e.color - 1)))
-    vertex_cols, color_cols = {}, {}
-    for v in active:
-        col = sum(1 << i for i, e in enumerate(H.edges) if v in edge_vertices(e))
-        if col:
-            vertex_cols[bit(v)] = col
-    for c in range(1, H.kappa + 1):
-        col = sum(1 << i for i, e in enumerate(H.edges) if e.color == c)
-        if col:
-            color_cols[1 << (c - 1)] = col
+        verts.append(tuple(position(v) for v in edge_vertices(e)))
+        covers.append(sum(bit(v) for v in edge_vertices(e)))
+        colors.append(e.color)
+    everyone = ([PartiteVertex(p, i) for p in range(1, H.k + 1) for i in range(1, n + 1)]
+                if partite else list(range(1, n + 1)))
+    vertex_col = {position(v): sum(1 << i for i, e in enumerate(H.edges) if v in edge_vertices(e))
+                  for v in everyone}
+    color_col = {c: sum(1 << i for i, e in enumerate(H.edges) if e.color == c)
+                 for c in range(H.kappa + 1)}
+    if shift + H.kappa <= 2 * len(H.edges):
+        cols = [vertex_col[x] for x in range(shift)]
+        ccol = [color_col[c] for c in range(H.kappa + 1)]
+    else:
+        cols = {x: col for x, col in vertex_col.items() if col}
+        ccol = {c: col for c, col in color_col.items() if col}
     all_active = sum(bit(v) for v in active)
-    vcols = sorted(vertex_cols.items())
-    if any(bit(v) not in vertex_cols for v in active):
+    vcols = sorted((1 << x, col) for x, col in vertex_col.items() if col)
+    if any(not vertex_col[position(v)] for v in active):
         vcols.insert(0, (all_active, 0))
+    ccols = [col for _, col in sorted(color_col.items()) if col]
     want = {
         "active": all_active,
         "twice": sum(bit(v) for v in twice),
         "per_edge": per_edge,
         "feasible": feasible,
         "shift": shift,
-        "items": items,
-        "vertex_cols": vertex_cols,
-        "color_cols": color_cols,
+        "positions": [list(xs) for xs in zip(*verts)] if verts else [[] for _ in range(per_edge)],
+        "verts": verts,
+        "covers": covers,
+        "colors": tuple(colors),
+        "cols": cols,
+        "ccol": ccol,
         "vcols": vcols,
-        "ccols": [col for _, col in sorted(color_cols.items())],
-        "exact": len(color_cols) * per_edge == len(active) + len(twice),
+        "ccols": ccols,
+        "exact": len(ccols) * per_edge == len(active) + len(twice),
     }
-    if demand == 1 and H.mode == PARTITE:
+    if partite:
         # each edge packed, and the edges of each part-1 vertex in order
-        packed = [covers | cbit << shift for _, covers, cbit in items]
+        packed = [cover | 1 << (shift + c - 1) for cover, c in zip(covers, colors)]
         lists = [[x for x in packed if x & bit(PartiteVertex(1, i))] for i in H.part_active(1)]
         want["packed"] = (packed, lists)
     return want
 
 
-# the search's columns, which _Search builds from the layout's bits
-_COLUMNS = ("vertex_cols", "color_cols", "vcols", "ccols", "exact")
+# the search's columns, which _Search builds from the layout
+_COLUMNS = ("cols", "ccol", "vcols", "ccols", "exact")
 
 
 def test_kernel_layout_pinned():
@@ -434,7 +430,7 @@ def test_kernel_layout_pinned():
             cases += [G, restrict(G, removed_vertices=[1 + j % n])]
             cases.append(restrict(G, removed_vertices=range(1, n + 1, 2)))
     cases += [ColoredHypergraph(PARTITE, 3, 2, 3, ()), ColoredHypergraph("graph", 5, 2, 2, ())]
-    feasible = set()
+    feasible, forms = set(), set()
     for H in cases:
         search = count_module._Search(H, 1, find_one=True)
         layout = search.layout
@@ -444,11 +440,15 @@ def test_kernel_layout_pinned():
         if "packed" in want:
             got["packed"] = layout.packed()
         assert got == want, H
-        # the bare layout holds bits only
+        # the bare layout holds no columns
         assert not any(hasattr(count_module._Layout(H), name) for name in _COLUMNS), H
         feasible.add((H.mode, bool(H.absent), layout.feasible))
+        forms.add((H.mode, type(search.cols), type(search.ccol)))
     assert feasible == {(mode, gone, ok) for mode in (PARTITE, "graph")
                         for gone in (False, True) for ok in (False, True)} - {(PARTITE, False, False)}
+    # lists over every position and color, and dicts on a huge sparse instance
+    assert forms == {(mode, form, form) for mode in (PARTITE, "graph")
+                     for form in (list, defaultdict)}
     # demand 2: a multigraph with parallel edges, then one more vertex, which
     # no edge touches
     edges = [ColoredEdge((1, 2), 1), ColoredEdge((1, 2), 3), ColoredEdge((2, 3), 2),
@@ -474,6 +474,22 @@ def test_an_active_vertex_without_edges_prunes_the_root():
         assert witness_nodes(Hc) == 1
         report = count_rainbow_pm(Hc)
         assert (report.value, report.nodes) == (0, 1)
+
+
+def test_huge_sparse_columns_count_at_depth():
+    # many more colors than edges: the columns are dicts of the touched
+    # vertices and colors, and the witness search, the kernel's full count
+    # and the split count each go as deep as a perfect matching
+    positive = 0
+    for j in range(8):
+        n, k = (5 + j % 2, 2) if j < 6 else (3, 3)
+        H = sample_partite_m(n, k, 12 * n, 14 + j % 3, rng(j, seed=75))
+        assert type(_Search(H, 1, find_one=True).cols) is defaultdict, H
+        want = brute_rainbow_pm_count(H)
+        assert count_rainbow_pm(H).value == dfs_count(H) == want, H
+        assert (find_rainbow_pm(H) is None) == (want == 0), H
+        positive += want > 0
+    assert positive >= 6
 
 
 # -- split count (meet in the middle)
@@ -733,6 +749,20 @@ def test_find_witnesses_pinned():
         assert (None if M is None else [H.edges.index(e) for e in M.edges]) == want
         if M is not None:
             assert is_perfect_matching(H, M) and is_rainbow(M), H
+
+
+# The nodes of each find_rainbow_pm search on pm_witness_instances(): the
+# size of the tree the kernel walks to its witness or proof of absence.
+PM_NODES = [7, 19, 22, 7, 10, 9, 8, 15, 12, 5, 2, 8, 12, 7, 16, 11, 9, 9, 6, 12]
+
+
+def test_find_search_tree_pinned():
+    for H, want, nodes in zip(pm_witness_instances(), PM_WITNESSES, PM_NODES, strict=True):
+        M = find_rainbow_pm(H, budget=nodes)
+        assert (None if M is None else [H.edges.index(e) for e in M.edges]) == want
+        with pytest.raises(BudgetExceededError) as info:
+            find_rainbow_pm(H, budget=nodes - 1)
+        assert info.value.nodes == nodes
 
 
 # -- closed forms

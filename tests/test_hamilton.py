@@ -2,7 +2,7 @@ import hashlib
 import itertools
 import json
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -381,13 +381,29 @@ def test_planted_cycle_union_is_found():
     assert is_rainbow_hamilton_cycle(G, hc)
 
 
+def lone_cycle(n, kappa):
+    """The cycle 1, 2, ..., n, 1 alone, its edges in n distinct colors of 1..kappa."""
+    colors = list(range(1, kappa + 1))
+    random.Random(5).shuffle(colors)
+    return multigraph(n, kappa, [((i, i % n + 1), c) for i, c in zip(range(1, n + 1), colors)])
+
+
 def test_deep_cycle_is_found():
     # a 1200-vertex rainbow cycle: the search path is 1200 nodes deep, past
     # Python's default recursion limit
     n = 1200
-    colors = list(range(1, n + 1))
-    random.Random(5).shuffle(colors)
-    G = multigraph(n, n, [((i, i % n + 1), c) for i, c in zip(range(1, n + 1), colors)])
+    G = lone_cycle(n, n)
+    hc = find_rainbow_hc(G)
+    assert hc is not None and is_rainbow_hamilton_cycle(G, hc)
+    assert hc.vertices == tuple(range(1, n + 1))
+
+
+def test_deep_cycle_is_found_on_huge_sparse_columns():
+    # with 3n colors the columns are dicts of the touched vertices and
+    # colors, and the fragment ends are copied 1200 pushes deep
+    n = 1200
+    G = lone_cycle(n, 3 * n)
+    assert type(_Search(G, 1, find_one=True, demand=2).cols) is defaultdict
     hc = find_rainbow_hc(G)
     assert hc is not None and is_rainbow_hamilton_cycle(G, hc)
     assert hc.vertices == tuple(range(1, n + 1))
