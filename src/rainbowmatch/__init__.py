@@ -39,7 +39,6 @@ from .model import (
     sample_colored_graph,
     sample_partite_m,
     sample_partite_p,
-    save_instance,
 )
 from .process import (
     DeletionTrace,
@@ -85,7 +84,6 @@ __all__ = [
     "sample_colored_graph",
     "sample_partite_m",
     "sample_partite_p",
-    "save_instance",
     "second_moment_exact",
     "weight_profile",
 ]

@@ -73,6 +73,7 @@ from .model import (
 )
 from .process import (
     _DEAD_XI,
+    DEFAULT_ABUNDANCE,
     EventParams,
     _check_t_max,
     _check_table,
@@ -93,7 +94,6 @@ __all__ = [
     "trace_experiment",
     "trace_steps_table",
     "trace_steps_csv",
-    "trace_summary_table",
     "trace_summary_csv",
     "hamilton_experiment",
     "hamilton_table",
@@ -126,7 +126,7 @@ class ExperimentConfig:
     hc_budget: int = DEFAULT_HC_BUDGET
     t_max: int | None = None
     retries: int = 0
-    event_abundance: float = 100.0
+    event_abundance: float = DEFAULT_ABUNDANCE
 
     def __post_init__(self):
         for name, low in _COUNT_FIELDS.items():
@@ -163,19 +163,7 @@ class ExperimentResult:
 
 
 def _fmt(x) -> str:
-    """Deterministic CSV cell rendering; None becomes an empty cell.  Exact
-    int, Fraction, float and str come first; all else, subclasses too, takes
-    the chain.  An exact Fraction's float is its numerator over its
-    denominator in true division, which is what float(x) computes."""
-    t = type(x)
-    if t is int:
-        return str(x)
-    if t is Fraction:
-        return repr(x.numerator / x.denominator)
-    if t is float:
-        return repr(x)
-    if t is str:
-        return x
+    """Deterministic CSV cell rendering; None becomes an empty cell."""
     if x is None:
         return ""
     if isinstance(x, bool):
@@ -520,22 +508,11 @@ def _positive_xis(result: ExperimentResult, t_max: int) -> list[list[float]]:
     return per_step
 
 
-def trace_summary_table(result: ExperimentResult) -> tuple[list[str], list[list]]:
-    """Per step i: gamma, the mean of xi over the trials `_positive_xis` keeps,
-    its SE, their count, and the cumulative rate sum against its closed form."""
-    n, N, t_max = _trace_shape(result.config, *result.config.ns)
-    gammas = _step_ratios(n, N, t_max)[1]
-    lines = []
-    for i, xs, (exact, closed) in zip(range(1, t_max + 1), _positive_xis(result, t_max),
-                                      _summary_sums(n, N, t_max)):
-        mean, se = _moment_stats(xs, 1) if xs else (None, None)
-        lines.append([i, gammas[i], mean, se, len(xs), exact, closed])
-    return list(TRACE_SUMMARY_HEADER), lines
-
-
 def trace_summary_csv(result: ExperimentResult) -> str:
-    """trace_summary_table as CSV: only mean_xi, se_xi and trials_positive
-    are rendered per result, the other cells come from `_ratio_cells`."""
+    """Per step i: gamma, the mean of xi over the trials `_positive_xis` keeps,
+    its SE, their count, and the cumulative rate sum against its closed form.
+    Only mean_xi, se_xi and trials_positive are rendered per result, the
+    other cells come from `_ratio_cells`."""
     shape = _trace_shape(result.config, *result.config.ns)
     out = [",".join(TRACE_SUMMARY_HEADER)]
     for (head, sums), xs in zip(_ratio_cells(*shape)[1], _positive_xis(result, shape[2])):

@@ -65,7 +65,6 @@ __all__ = [
     "dumps_instance",
     "loads_instance",
     "load_instance",
-    "save_instance",
 ]
 
 PARTITE = "partite"
@@ -77,9 +76,9 @@ DEFAULT_EDGE_CAPACITY = 2_000_000
 
 # the shapes whose constant tables are kept, by every per-shape cache (a
 # complete graph's keys, the assembly's (color, label) pairs, a trace's step
-# ratios, loss rates and rendered cells): a grid runs its cells one after
-# another and a trace run reads one shape, so a caller that sweeps shapes
-# keeps only the last few; one n = 2000 graph's keys alone are about 2 M ints
+# ratios and rendered cells): a grid runs its cells one after another and a
+# trace run reads one shape, so a caller that sweeps shapes keeps only the
+# last few; one n = 2000 graph's keys alone are about 2 M ints
 _SHAPE_CACHE_SIZE = 4
 
 
@@ -656,9 +655,3 @@ def loads_instance(text: str) -> ColoredHypergraph:
 def load_instance(path) -> ColoredHypergraph:
     with open(path, "r", encoding="utf-8") as fh:
         return loads_instance(fh.read())
-
-
-def save_instance(H: ColoredHypergraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_instance(H))
-        fh.write("\n")

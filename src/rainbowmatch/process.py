@@ -141,7 +141,9 @@ class EventParams:
         return cls(L=math.sqrt(K), eps1=K ** (-1.0 / 3.0))
 
 
-DEFAULT_EVENT_PARAMS = EventParams.from_abundance(100.0)
+# the abundance K of a trace that does not set one (`trace --event-k`)
+DEFAULT_ABUNDANCE = 100.0
+DEFAULT_EVENT_PARAMS = EventParams.from_abundance(DEFAULT_ABUNDANCE)
 
 
 # -- weights ------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Small helpers shared by the unit suites."""
 
 from collections import Counter
+from pathlib import Path
 
 from rainbowmatch.hamilton import ColoredMultigraph
-from rainbowmatch.model import PARTITE, ColoredEdge, ColoredHypergraph, PartiteVertex, RandomnessSpec
+from rainbowmatch.model import (
+    PARTITE, ColoredEdge, ColoredHypergraph, PartiteVertex, RandomnessSpec, dumps_instance,
+)
 
 
 def rng(stream=0, seed=0):
@@ -43,6 +46,11 @@ def edge_by_verts(H, verts):
         if e.verts == verts:
             return e
     return None
+
+
+def save_instance(H, path):
+    """Write H to path as one JSON line, the bytes `rainbowmatch gen` writes."""
+    Path(path).write_text(dumps_instance(H) + "\n", encoding="utf-8")
 
 
 def active_vertices(H):

@@ -18,8 +18,11 @@ distinct values down from the top; the library takes it in one bisection.
 of every axis, gathered by coordinates and each tested, with no early exit;
 the library walks stride slices and stops at the first failing group, after
 an exit for tables with no weight past the bound.
-`csv_cell` renders a CSV cell by one isinstance chain; the library tests the
-exact types int, Fraction, float and str first.
+`csv_cell` renders a CSV cell by one isinstance chain; the trace emitters
+render most of their cells by each field's type, or once per trace shape.
+`trace_summary_table` is the trace summary by its definition, each row from
+the steps of every trial; the library keeps the cells that depend on the
+shape alone in a cache and renders the per-trial cells straight to CSV.
 `degree_profile_by_edge` counts the degrees one edge end at a time; the
 deletion process counts them per layout bit and per color, then decrements
 them per deletion.
@@ -44,6 +47,7 @@ from itertools import product
 from typing import Sequence
 
 from rainbowmatch.count import BudgetExceededError, DEFAULT_NODE_BUDGET, count_rainbow_pm
+from rainbowmatch.experiments import TRACE_SUMMARY_HEADER
 from rainbowmatch.hamilton import (
     DEFAULT_HC_BUDGET,
     HamiltonCycle,
@@ -305,6 +309,32 @@ def csv_cell(x) -> str:
     if isinstance(x, float):
         return repr(x)
     return str(x)
+
+
+def trace_summary_table(result) -> tuple[list[str], list[list]]:
+    """Row i = 1..t_max of a trace result's summary: gamma = n/(N-i+1); the
+    mean and SE of xi over the trials whose count was still positive before
+    step i, and their number; n times the fsum of 1.0/(N-j+1) over j = 1..i;
+    n*log(N/(N-i)), None at i = N.  Each float is computed by the library's
+    operations in the library's order, so it renders to the same bytes."""
+    config = result.config
+    (n,) = config.ns
+    N = n**config.k
+    t_max = N if config.t_max is None else config.t_max
+    traces = [row.value or () for row in result.rows]  # a budget row has no steps
+    rows = []
+    for i in range(1, t_max + 1):
+        xs = [float(steps[i].xi) for steps in traces if len(steps) > i and steps[i - 1].phi]
+        mean = se = None
+        if xs:
+            mean, se = math.fsum(xs) / len(xs), 0.0
+            if len(xs) > 1:
+                var = math.fsum((x - mean) ** 2 for x in xs) / (len(xs) - 1)
+                se = math.sqrt(var / len(xs))
+        exact = n * math.fsum(1.0 / (N - j + 1) for j in range(1, i + 1))
+        closed = n * math.log(N / (N - i)) if i < N else None
+        rows.append([i, Fraction(n, N - i + 1), mean, se, len(xs), exact, closed])
+    return list(TRACE_SUMMARY_HEADER), rows
 
 
 def degree_profile_by_edge(H: ColoredHypergraph) -> tuple[dict, dict[int, int]]:

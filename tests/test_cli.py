@@ -29,10 +29,10 @@ from rainbowmatch.model import (
     restrict,
     sample_colored_graph,
     sample_partite_m,
-    save_instance,
 )
 
-from oracles import csv_cell
+from helpers import save_instance
+from oracles import csv_cell, trace_summary_table
 
 
 def run(capsys, *argv):
@@ -452,6 +452,24 @@ def test_trace_summary_is_linear_in_the_steps(tmp_path, capsys):
     )
 
 
+def test_summary_out_is_csv_under_format_json(tmp_path, capsys):
+    # --format sets the steps output alone: the summary file holds the same
+    # CSV bytes under both formats
+    summaries = {form: tmp_path / f"summary-{form}" for form in ("json", "csv")}
+    outs = {}
+    for form, summary in summaries.items():
+        code, outs[form], _ = run(capsys, "trace", "--n", "2", "--trials", "1",
+                                  "--format", form, "--summary-out", str(summary))
+        assert code == 0
+    data = json.loads(outs["json"])
+    assert data["kind"] == "trace" and [row["i"] for row in data["rows"]] == [0, 1, 2, 3, 4]
+    text = summaries["json"].read_text()
+    assert text.splitlines()[0] == (
+        "i,gamma,mean_xi,se_xi,trials_positive,sum_gamma_exact,sum_gamma_closed"
+    )
+    assert text == summaries["csv"].read_text()
+
+
 def test_threshold_header_and_determinism(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -600,7 +618,7 @@ def test_trace_csv_from_the_shape_caches_matches_uncached_rendering():
                 assert type(gamma) is Fraction and gamma == Fraction(n, n**k - i + 1)
             else:
                 assert gamma is None
-        header, rows = experiments.trace_summary_table(result)
+        header, rows = trace_summary_table(result)
         assert len(rows) == (n**k if config.t_max is None else config.t_max), config
         assert summary_csv == experiments._csv_lines(header, rows), config
         assert summary_csv == "".join(",".join(map(csv_cell, row)) + "\n"

@@ -33,11 +33,10 @@ from rainbowmatch.model import (
     sample_colored_graph,
     sample_partite_m,
     sample_partite_p,
-    save_instance,
 )
 from rainbowmatch.process import weight_profile
 
-from helpers import assert_stored_as_checked, rng
+from helpers import assert_stored_as_checked, rng, save_instance
 
 
 # -- construction and invariants

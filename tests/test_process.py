@@ -9,7 +9,8 @@ from rainbowmatch.count import (
     BudgetExceededError,
     count_rainbow_pm,
 )
-from rainbowmatch.experiments import TRACE_STEP_HEADER, _ratio_cells, _summary_sums
+from rainbowmatch.experiments import (TRACE_STEP_HEADER, ExperimentConfig, _ratio_cells,
+                                      _summary_sums)
 from rainbowmatch.model import (
     CapacityError,
     ColoredEdge,
@@ -855,6 +856,13 @@ def test_regular_flag_at_tolerance_boundary(eps1):
     if eps1 == 0.5:
         assert regular(flat, 2.0, params)
         assert not regular(flat, math.nextafter(2.0, math.inf), params)
+
+
+def test_trace_config_defaults_to_the_default_event_params():
+    # one abundance K serves a trace run through the CLI and a library call
+    # that passes no params
+    K = ExperimentConfig(kind="trace", ns=(3,)).event_abundance
+    assert EventParams.from_abundance(K) == DEFAULT_EVENT_PARAMS
 
 
 def test_event_params_validation():
